@@ -3,7 +3,7 @@
 The deployment is larger than the test-suite one (more background events)
 so the cost asymmetries between scheduling strategies are visible, while
 still finishing in minutes on a laptop.  Scale with ``AIQL_BENCH_RATE``
-(background events per host-day, default 150).
+(background events per host-day, default 1000).
 """
 
 from __future__ import annotations

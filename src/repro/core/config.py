@@ -131,7 +131,8 @@ class SystemConfig:
         wake-up period of the background compactor thread (only started
         when both ``data_dir`` and ``retention_days`` are set).
     wal_sync
-        fsync the write-ahead log on every batch commit (default on).
+        write the write-ahead log synchronously (``O_SYNC``, what a write
+        followed by an fsync guarantees) on every batch commit (default on).
         Disabling trades crash durability of the tail batch for ingest
         throughput (the OS still sees every write in order).
     cold_cache_segments

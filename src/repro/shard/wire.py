@@ -8,51 +8,34 @@ Two payload kinds cross the worker pipes, both plain picklable dicts of
   object type as their *value strings* — enum identity never crosses a
   process boundary;
 * **scan results** (shard -> coordinator): the survivor rows of a
-  scatter scan as one serialized :class:`~repro.storage.blocks.ColumnBlock`
-  slice in (start_time, event_id) order, columns packed with
-  ``array.tobytes()`` at the blocks' native widths (``'q'``/``'d'``/one
-  byte per dictionary code).
+  scatter scan as one :class:`~repro.storage.blocks.ColumnBlock` slice in
+  (start_time, event_id) order, packed as one raw block frame of
+  :mod:`repro.storage.codec` — the same bytes a WAL record or a cold
+  segment holds.
 
-Dictionary soundness: op/otype codes are process-local (the enums'
-definition order *today*) and agent codes are block-local, so the header
-carries the **explicit code tables** of the sending process — the op and
-otype value-string tables and the block's agent-id table.  The receiver
-remaps code bytes through a 256-entry ``bytes.translate`` table built
-from the header against its own process-local dictionaries, so two
-processes can never desynchronize silently: an unknown value string
-raises instead of aliasing to a wrong code.  The agent table needs no
-remap at all — it *becomes* the decoded block's per-block dictionary.
-
-The >256-distinct-agent case uses the same promoted representation as
-live blocks: a 64-bit ``array('q')`` code column (one stable width on
-every platform — the ISSUE 7 ``array('l')`` fix) flagged by ``"wide"``.
+Dictionary soundness is the codec's: the frame carries the sending
+process's op/otype value-string tables and the block's agent-id table, and
+decoding remaps op/otype codes onto this process's dictionaries, so two
+processes can never desynchronize silently — an unknown value string
+raises :class:`WireError` instead of aliasing to a wrong code.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.model.entities import EntityType
 from repro.model.events import Operation, SystemEvent
-from repro.storage.blocks import (
-    OP_CODE_BY_VALUE,
-    OP_VALUE_BY_CODE,
-    OTYPE_BY_CODE,
-    OTYPE_CODE_BY_VALUE,
-    BlockScanResult,
-    ColumnBlock,
-    Selection,
-)
-
-OTYPE_VALUE_BY_CODE: Tuple[str, ...] = tuple(t.value for t in OTYPE_BY_CODE)
+from repro.storage.blocks import BlockScanResult, ColumnBlock, Selection
+from repro.storage.codec import BlockCodecError, decode_block, encode_block
 
 _OP_BY_VALUE: Dict[str, Operation] = {op.value: op for op in Operation}
 _OTYPE_BY_VALUE: Dict[str, EntityType] = {t.value: t for t in EntityType}
 
 
 class WireError(ValueError):
-    """Raised when a payload's dictionary tables cannot be reconciled."""
+    """Raised for a payload that is malformed or whose dictionary tables
+    cannot be reconciled."""
 
 
 # -- event batches ----------------------------------------------------------
@@ -131,146 +114,42 @@ def encode_result(
     # time_sorted, so establish the order here (timsort: cheap on the
     # already-sorted multi-part case).
     handles.sort(key=lambda h: (h[0], h[1]))
-    n = len(handles)
-    event_ids = array("q")
-    seqs = array("q")
-    t0 = array("d")
-    t1 = array("d")
-    op_codes = bytearray()
-    subject_ids = array("q")
-    object_ids = array("q")
-    otype_codes = bytearray()
-    amounts = array("q")
-    failure_codes = array("q")
-    agent_code: Dict[int, int] = {}
-    agents: List[int] = []
-    agent_codes: List[int] = []
-    for _, eid, block, p in handles:
-        event_ids.append(eid)
-        seqs.append(block.seqs[p])
-        t0.append(block.t0[p])
-        t1.append(block.t1[p])
-        op_codes.append(block.op_codes[p])
-        subject_ids.append(block.subject_ids[p])
-        object_ids.append(block.object_ids[p])
-        otype_codes.append(block.otype_codes[p])
-        amounts.append(block.amounts[p])
-        failure_codes.append(block.failure_codes[p])
-        agent = block.agents[block.agent_codes[p]]
-        code = agent_code.get(agent)
-        if code is None:
-            code = agent_code[agent] = len(agents)
-            agents.append(agent)
-        agent_codes.append(code)
-    wide = len(agents) > 256
-    return {
-        "n": n,
-        "eid": event_ids.tobytes(),
-        "seq": seqs.tobytes(),
-        "t0": t0.tobytes(),
-        "t1": t1.tobytes(),
-        "op": bytes(op_codes),
-        "subj": subject_ids.tobytes(),
-        "obj": object_ids.tobytes(),
-        "ot": bytes(otype_codes),
-        "amt": amounts.tobytes(),
-        "fc": failure_codes.tobytes(),
-        "agent": array("q", agent_codes).tobytes() if wide else bytes(agent_codes),
-        "wide": wide,
-        # Explicit dictionary tables: the sending process's code -> value
-        # maps, so the receiver never assumes the two processes agree.
-        "ops": tuple(OP_VALUE_BY_CODE),
-        "ots": tuple(OTYPE_VALUE_BY_CODE),
-        "agents": tuple(agents),
-    }
+    if not handles:
+        return {"n": 0, "block": b""}
+    block = ColumnBlock()
+    agent_ids: List[int] = []
+    for _, eid, source, p in handles:
+        block.event_ids.append(eid)
+        block.seqs.append(source.seqs[p])
+        block.t0.append(source.t0[p])
+        block.t1.append(source.t1[p])
+        block.op_codes.append(source.op_codes[p])
+        block.subject_ids.append(source.subject_ids[p])
+        block.object_ids.append(source.object_ids[p])
+        block.otype_codes.append(source.otype_codes[p])
+        block.amounts.append(source.amounts[p])
+        block.failure_codes.append(source.failure_codes[p])
+        agent_ids.append(source.agents[source.agent_codes[p]])
+    block.set_agents(agent_ids)
+    return {"n": len(handles), "block": encode_block(block)}
 
 
 def payload_nbytes(payload: dict) -> int:
-    """Column bytes a :func:`encode_result` payload puts on the wire.
-
-    Counts only the packed column buffers (the dominant term); the small
-    header tables and scalars are ignored, so this is the figure the
-    coordinator's per-shard gather metrics report as bytes gathered.
-    """
-    return sum(
-        len(value)
-        for value in payload.values()
-        if isinstance(value, (bytes, bytearray))
-    )
-
-
-def _translate_table(
-    sender: Sequence[str], local: Dict[str, int], kind: str
-) -> Optional[bytes]:
-    """256-byte code remap (sender code -> local code), None if identical."""
-    if tuple(sender) == tuple(
-        sorted(local, key=local.__getitem__)
-    ) and len(sender) == len(local):
-        return None
-    table = bytearray(256)
-    for code, value in enumerate(sender):
-        try:
-            table[code] = local[value]
-        except KeyError:
-            raise WireError(
-                f"sender {kind} dictionary carries {value!r}, unknown to "
-                f"this process"
-            ) from None
-    return bytes(table)
-
-
-def _int_array(raw: bytes) -> "array[int]":
-    out = array("q")
-    out.frombytes(raw)
-    return out
-
-
-def _float_array(raw: bytes) -> "array[float]":
-    out = array("d")
-    out.frombytes(raw)
-    return out
+    """Bytes a :func:`encode_result` payload puts on the wire: its block
+    frame (the figure the coordinator's per-shard gather metrics report)."""
+    return len(payload["block"])
 
 
 def decode_result(payload: dict) -> Optional[Selection]:
     """Rebuild a wire block into a local :class:`Selection`.
 
-    Op/otype code bytes are remapped from the sender's tables to this
-    process's dictionaries (a no-op ``None`` table when they already
-    agree, the common case of equal builds); the agent table is installed
-    verbatim as the block's own dictionary.  Returns ``None`` for an
-    empty payload.
+    Rows arrive in (start_time, event_id) handle order, so the decoded
+    block is time-sorted.  Returns ``None`` for an empty payload.
     """
-    n = payload["n"]
-    if not n:
+    if not payload["n"]:
         return None
-    op_map = _translate_table(payload["ops"], OP_CODE_BY_VALUE, "operation")
-    ot_map = _translate_table(payload["ots"], OTYPE_CODE_BY_VALUE, "object-type")
-    block = ColumnBlock()
-    block.event_ids = _int_array(payload["eid"])
-    block.seqs = _int_array(payload["seq"])
-    block.t0 = _float_array(payload["t0"])
-    block.t1 = _float_array(payload["t1"])
-    op = payload["op"] if op_map is None else payload["op"].translate(op_map)
-    ot = payload["ot"] if ot_map is None else payload["ot"].translate(ot_map)
-    block.op_codes = bytearray(op)
-    block.otype_codes = bytearray(ot)
-    block.subject_ids = _int_array(payload["subj"])
-    block.object_ids = _int_array(payload["obj"])
-    block.amounts = _int_array(payload["amt"])
-    block.failure_codes = _int_array(payload["fc"])
-    agents = tuple(payload["agents"])
-    block.agents = agents
-    block._agent_code = {agent: code for code, agent in enumerate(agents)}
-    if payload["wide"]:
-        block.agent_codes = _int_array(payload["agent"])
-    else:
-        block.agent_codes = bytearray(payload["agent"])
-    block.op_universe = frozenset(block.op_codes)
-    block.otype_universe = frozenset(block.otype_codes)
-    block._rows = [None] * n
-    # Rows arrive in (start_time, event_id) handle order: sorted by time.
-    block.time_sorted = True
-    block.min_time = block.t0[0]
-    block.max_time = block.t0[-1]
-    block.max_event_id = max(block.event_ids)
-    return Selection(block, range(n))
+    try:
+        block = decode_block(payload["block"])
+    except BlockCodecError as exc:
+        raise WireError(f"undecodable scan result: {exc}") from exc
+    return Selection(block, range(len(block)))

@@ -60,14 +60,11 @@ from repro.model.events import Operation, SystemEvent
 # definition order, so every block and every cold segment agrees on them.
 OP_BY_CODE: Tuple[Operation, ...] = tuple(Operation)
 OP_CODE: Dict[Operation, int] = {op: i for i, op in enumerate(OP_BY_CODE)}
-OP_CODE_BY_VALUE: Dict[str, int] = {op.value: i for i, op in enumerate(OP_BY_CODE)}
 OP_VALUE_BY_CODE: Tuple[str, ...] = tuple(op.value for op in OP_BY_CODE)
 
 OTYPE_BY_CODE: Tuple[EntityType, ...] = tuple(EntityType)
 OTYPE_CODE: Dict[EntityType, int] = {t: i for i, t in enumerate(OTYPE_BY_CODE)}
-OTYPE_CODE_BY_VALUE: Dict[str, int] = {
-    t.value: i for i, t in enumerate(OTYPE_BY_CODE)
-}
+OTYPE_VALUE_BY_CODE: Tuple[str, ...] = tuple(t.value for t in OTYPE_BY_CODE)
 
 # Block generations: a process-wide monotone counter stamped at block
 # construction.  A rebuilt partition (cold migration, remove_events) gets a
@@ -193,55 +190,57 @@ class ColumnBlock:
         return code
 
     @classmethod
-    def from_columns(cls, columns: Dict[str, Sequence]) -> "ColumnBlock":
-        """Build a block from decoded cold-segment columns (no row objects).
+    def from_events(cls, events: Sequence[SystemEvent]) -> "ColumnBlock":
+        """Build a block from rows in one pass per column.
 
-        Keys follow the cold tier's storage schema
-        (:data:`repro.tier.cold._COLUMNS`): op/ot arrive as enum value
-        strings and are dictionary-encoded here, once per decode.
+        The bulk counterpart of :meth:`append` for callers that hold a
+        whole batch (the durable codecs): a comprehension per column
+        instead of a dozen appends per row.
         """
         block = cls()
-        block.event_ids = array("q", columns["eid"])
-        block.seqs = array("q", columns["s"])
-        t0 = array("d", columns["t0"])
-        block.t0 = t0
-        block.t1 = array("d", columns["t1"])
-        block.op_codes = bytearray(
-            OP_CODE_BY_VALUE[v] for v in columns["op"]
-        )
-        block.subject_ids = array("q", columns["subj"])
-        block.object_ids = array("q", columns["obj"])
-        block.otype_codes = bytearray(
-            OTYPE_CODE_BY_VALUE[v] for v in columns["ot"]
-        )
-        block.amounts = array("q", columns["amt"])
-        block.failure_codes = array("q", columns["fc"])
-        agent_code: Dict[int, int] = {}
-        agents: List[int] = []
-        codes: List[int] = []
-        for agent_id in columns["a"]:
-            code = agent_code.get(agent_id)
-            if code is None:
-                code = agent_code[agent_id] = len(agents)
-                agents.append(agent_id)
-        # second pass only when the byte width fits; else a plain int column
-        for agent_id in columns["a"]:
-            codes.append(agent_code[agent_id])
-        block.agents = tuple(agents)
-        block._agent_code = agent_code
-        block.agent_codes = (
+        block.event_ids = array("q", [e.event_id for e in events])
+        block.seqs = array("q", [e.seq for e in events])
+        block.t0 = array("d", [e.start_time for e in events])
+        block.t1 = array("d", [e.end_time for e in events])
+        block.op_codes = bytearray([OP_CODE[e.operation] for e in events])
+        block.subject_ids = array("q", [e.subject_id for e in events])
+        block.object_ids = array("q", [e.object_id for e in events])
+        block.otype_codes = bytearray([OTYPE_CODE[e.object_type] for e in events])
+        block.amounts = array("q", [e.amount for e in events])
+        block.failure_codes = array("q", [e.failure_code for e in events])
+        block.set_agents([e.agent_id for e in events])
+        block.seal()
+        return block
+
+    def set_agents(self, agent_ids: Sequence[int]) -> None:
+        """Dictionary-encode a whole agent-id column (codes in first-seen
+        order; byte-wide unless the column names more than 256 agents)."""
+        agents = tuple(dict.fromkeys(agent_ids))
+        mapping = {agent: code for code, agent in enumerate(agents)}
+        codes = [mapping[agent] for agent in agent_ids]
+        self.agents = agents
+        self._agent_code = mapping
+        self.agent_codes = (
             bytearray(codes) if len(agents) <= 256 else array("q", codes)
         )
-        block.op_universe = frozenset(block.op_codes)
-        block.otype_universe = frozenset(block.otype_codes)
-        n = len(block.event_ids)
-        block._rows = [None] * n
-        block.time_sorted = all(t0[i] <= t0[i + 1] for i in range(n - 1))
+
+    def seal(self) -> None:
+        """Derive the summary fields from columns that were filled in bulk
+        (:meth:`append` maintains them row by row)."""
+        n = len(self.event_ids)
+        self.op_universe = frozenset(self.op_codes)
+        self.otype_universe = frozenset(self.otype_codes)
+        self._agent_code = {agent: code for code, agent in enumerate(self.agents)}
+        self._rows = [None] * n
+        times = self.t0.tolist()
+        self.time_sorted = times == sorted(times)
         if n:
-            block.min_time = min(t0)
-            block.max_time = max(t0)
-            block.max_event_id = max(block.event_ids)
-        return block
+            self.min_time, self.max_time = (
+                (times[0], times[-1])
+                if self.time_sorted
+                else (min(times), max(times))
+            )
+            self.max_event_id = max(self.event_ids)
 
     # -- materialization ---------------------------------------------------
 

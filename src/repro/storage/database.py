@@ -16,7 +16,7 @@ from repro.model.entities import Entity, EntityRegistry, EntityType
 from repro.model.events import SystemEvent
 from repro.service.cache import CACHEABLE_ID_SET_LIMIT, ScanCache, cacheable_filter
 from repro.service.pool import SharedExecutor, get_shared_executor
-from repro.storage.blocks import BlockScanResult, Selection
+from repro.storage.blocks import BlockScanResult, ColumnBlock, Selection
 from repro.storage.filters import (
     EventFilter,
     filter_fingerprint,
@@ -431,6 +431,15 @@ class EventStore:
             for event in self._partitions[key]:
                 if event.event_id <= committed:
                     yield event
+
+    def column_blocks(self) -> Iterator[Tuple[ColumnBlock, int]]:
+        """``(block, visible rows)`` per partition, in key order.
+
+        What a checkpoint writes; the caller holds off the writer.
+        """
+        for key in self.partition_keys:
+            table = self._partitions[key]
+            yield table.block, len(table)
 
     @property
     def partition_keys(self) -> Tuple[PartitionKey, ...]:

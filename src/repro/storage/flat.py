@@ -10,11 +10,11 @@ entity-attribute indexes, but no partition pruning and no scan parallelism.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.model.entities import Entity, EntityRegistry
 from repro.model.events import SystemEvent
-from repro.storage.blocks import BlockScanResult
+from repro.storage.blocks import BlockScanResult, ColumnBlock
 from repro.storage.filters import EventFilter
 from repro.storage.index import DEFAULT_INDEXED_ATTRIBUTES, EntityAttributeIndex
 from repro.storage.table import EventTable
@@ -99,6 +99,10 @@ class FlatStore:
 
     def __iter__(self) -> Iterator[SystemEvent]:
         return iter(self._table)
+
+    def column_blocks(self) -> Iterator[Tuple[ColumnBlock, int]]:
+        """``(block, visible rows)`` of the heap (see ``EventStore``)."""
+        yield self._table.block, len(self._table)
 
     def stats(self) -> Dict[str, object]:
         return {

@@ -1,35 +1,47 @@
 """Snapshot persistence for event stores.
 
 The paper keeps "at least a 0.5-1 year worth of data" on disk in
-PostgreSQL; our in-memory substrate gets a simple durable form instead:
-JSON-lines snapshots of the entity population and the event stream.
-Snapshots restore into any combination of store backends (the entity ids
-and event ids/sequence numbers are preserved verbatim, so query results
-over a restored store are identical to the original — a test invariant).
+PostgreSQL; our in-memory substrate gets a simple durable form instead: a
+snapshot of the entity population and the event stream.  Snapshots restore
+into any combination of store backends (the entity ids and event
+ids/sequence numbers are preserved verbatim, so query results over a
+restored store are identical to the original — a test invariant).
 
-Format: one header line, then one line per entity (in id order), then one
-line per event (in event-id order).
+Format (``snapshot.blk``): a sequence of :mod:`repro.storage.codec` frames,
+each length-prefixed and checksummed —
+
+* one header frame: format version, entity count, event count;
+* entity frames: the deflated JSON list of :func:`entity_record` dicts, in
+  id order, ``_CHUNK_ROWS`` entities to a frame (entities are irregular and
+  a fraction of the volume; events are the volume);
+* block frames, deflated: one per hot table when a checkpoint writes it
+  (straight from the table's columns — no :class:`SystemEvent` is built),
+  one per ``_CHUNK_ROWS`` events when a plain iterable is saved.
+
+The loader trusts nothing it has not counted: a file cut anywhere, a
+flipped bit or trailing bytes raise :class:`SnapshotError`, never a
+short-but-successful load.
 
 Durability: snapshots are written to a temporary file in the destination
 directory, flushed and fsync'd, then atomically renamed over the target.
 A crash mid-snapshot therefore never truncates a previously good snapshot
 — readers see either the old complete file or the new complete file.
-The write path streams: entities and events are encoded one line at a
-time from their iterables, so snapshotting a large store never
+The write path streams frame by frame, so snapshotting a large store never
 materializes a second full copy in memory.
 
-The per-record codecs (:func:`entity_record` / :func:`rebuild_entity`,
-:func:`event_record` / :func:`rebuild_event`) are shared with the
-write-ahead log of the tiered storage subsystem (:mod:`repro.tier`), so a
-WAL record and a snapshot line round-trip through the same format.
+The entity codec (:func:`entity_record` / :func:`rebuild_entity`) is shared
+with the write-ahead log (:mod:`repro.tier.wal`) and the shard pipe
+(:mod:`repro.shard`).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import struct
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, Tuple
 
 from repro.model.entities import (
     Entity,
@@ -40,9 +52,23 @@ from repro.model.entities import (
     ProcessEntity,
     RegistryEntity,
 )
-from repro.model.events import Operation, SystemEvent
+from repro.model.events import SystemEvent
+from repro.storage.blocks import ColumnBlock
+from repro.storage.codec import (
+    ENTITY_KIND,
+    SNAPSHOT_HEADER_KIND,
+    BlockCodecError,
+    decode_block,
+    encode_block,
+    pack_frame,
+    read_frame,
+    unpack_frame,
+)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+_HEADER = struct.Struct("<HQQ")  # format version, entity count, event count
+_CHUNK_ROWS = 256
 
 _TYPE_TAGS = {
     FileEntity: "file",
@@ -68,45 +94,59 @@ def entity_record(entity: Entity) -> dict:
     return record
 
 
-def event_record(event: SystemEvent) -> dict:
-    return {
-        "eid": event.event_id,
-        "a": event.agent_id,
-        "s": event.seq,
-        "t0": event.start_time,
-        "t1": event.end_time,
-        "op": event.operation.value,
-        "subj": event.subject_id,
-        "obj": event.object_id,
-        "ot": event.object_type.value,
-        "amt": event.amount,
-        "fc": event.failure_code,
-    }
+def encode_entities(entities: Iterable[Entity], compress: bool) -> bytes:
+    """One frame holding the JSON list of :func:`entity_record`s."""
+    records = [entity_record(entity) for entity in entities]
+    return pack_frame(ENTITY_KIND, json.dumps(records).encode("utf-8"), compress)
 
 
-def save_snapshot(path, registry: EntityRegistry, events: Iterable[SystemEvent]) -> int:
+def decode_entities(frame: bytes) -> list:
+    """The entity records of one :func:`encode_entities` frame."""
+    try:
+        records = json.loads(bytes(unpack_frame(frame, ENTITY_KIND)))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise BlockCodecError(f"undecodable entity section: {exc}") from exc
+    if not isinstance(records, list):
+        raise BlockCodecError("entity section is not a list of records")
+    return records
+
+
+def _header_frame(entities: int, events: int) -> bytes:
+    return pack_frame(SNAPSHOT_HEADER_KIND, _HEADER.pack(FORMAT_VERSION, entities, events))
+
+
+def write_snapshot(
+    path, registry: EntityRegistry, blocks: Iterable[Tuple[ColumnBlock, int]]
+) -> int:
     """Write a snapshot atomically; returns the number of events written.
 
+    ``blocks`` yields ``(block, visible rows)`` pairs, consumed lazily.
     The snapshot lands under a temporary name first and is renamed over
-    ``path`` only after every line is flushed and fsync'd, so an existing
-    snapshot at ``path`` survives any crash during the write.  ``events``
-    is consumed lazily (one line encoded at a time).
+    ``path`` only after every frame is flushed and fsync'd, so an existing
+    snapshot at ``path`` survives any crash during the write.
     """
     path = Path(path)
-    # Sorting holds references only (the registry already owns the
-    # entities); events stream straight from the iterable to the file.
+    # Sorting holds references only (the registry already owns the entities).
     entities = sorted(registry, key=lambda e: e.id)
     count = 0
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            header = {"version": FORMAT_VERSION, "entities": len(entities)}
-            handle.write(json.dumps(header) + "\n")
-            for entity in entities:
-                handle.write(json.dumps(entity_record(entity)) + "\n")
-            for event in events:
-                handle.write(json.dumps(event_record(event)) + "\n")
-                count += 1
+        with tmp.open("wb") as handle:
+            # The event count is known only once ``blocks`` is exhausted;
+            # the header frame has a fixed size and is rewritten in place.
+            handle.write(_header_frame(len(entities), 0))
+            for start in range(0, len(entities), _CHUNK_ROWS):
+                handle.write(
+                    encode_entities(
+                        entities[start : start + _CHUNK_ROWS], compress=True
+                    )
+                )
+            for block, stop in blocks:
+                if stop:
+                    handle.write(encode_block(block, stop, compress=True))
+                    count += stop
+            handle.seek(0)
+            handle.write(_header_frame(len(entities), count))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -114,6 +154,18 @@ def save_snapshot(path, registry: EntityRegistry, events: Iterable[SystemEvent])
         tmp.unlink(missing_ok=True)
         raise
     return count
+
+
+def _chunked(events: Iterable[SystemEvent]) -> Iterator[Tuple[ColumnBlock, int]]:
+    events = iter(events)
+    while chunk := list(itertools.islice(events, _CHUNK_ROWS)):
+        yield ColumnBlock.from_events(chunk), len(chunk)
+
+
+def save_snapshot(path, registry: EntityRegistry, events: Iterable[SystemEvent]) -> int:
+    """:func:`write_snapshot` for a plain event iterable (consumed lazily,
+    ``_CHUNK_ROWS`` events per block frame)."""
+    return write_snapshot(path, registry, _chunked(events))
 
 
 def rebuild_entity(registry: EntityRegistry, record: dict) -> Entity:
@@ -152,23 +204,15 @@ def rebuild_entity(registry: EntityRegistry, record: dict) -> Entity:
     return entity
 
 
-def rebuild_event(record: dict) -> SystemEvent:
-    """Decode one :func:`event_record` dict back into a :class:`SystemEvent`."""
-    from repro.model.entities import EntityType
-
-    return SystemEvent(
-        event_id=record["eid"],
-        agent_id=record["a"],
-        seq=record["s"],
-        start_time=record["t0"],
-        end_time=record["t1"],
-        operation=Operation.parse(record["op"]),
-        subject_id=record["subj"],
-        object_id=record["obj"],
-        object_type=EntityType(record["ot"]),
-        amount=record.get("amt", 0),
-        failure_code=record.get("fc", 0),
-    )
+def add_events(stores: Sequence, events: Sequence[SystemEvent]) -> None:
+    """Hand restored rows to every store (batched where the store can)."""
+    for store in stores:
+        add_batch = getattr(store, "add_batch", None)
+        if add_batch is not None:
+            add_batch(events)
+        else:
+            for event in events:
+                store.add_event(event)
 
 
 def load_snapshot(
@@ -178,30 +222,32 @@ def load_snapshot(
 ) -> int:
     """Restore a snapshot into ``stores`` (which must share ``registry``,
     fresh/empty).  Returns the number of events restored."""
-    path = Path(path)
-    events = 0
-    with path.open("r", encoding="utf-8") as handle:
-        header_line = handle.readline()
-        if not header_line:
-            raise SnapshotError("empty snapshot file")
-        header = json.loads(header_line)
-        if header.get("version") != FORMAT_VERSION:
-            raise SnapshotError(
-                f"unsupported snapshot version {header.get('version')!r}"
-            )
-        remaining_entities = int(header.get("entities", 0))
-        for line in handle:
-            record = json.loads(line)
-            if remaining_entities > 0:
-                entity = rebuild_entity(registry, record)
-                for store in stores:
-                    store.register_entity(entity)
-                remaining_entities -= 1
-            else:
-                event = rebuild_event(record)
-                for store in stores:
-                    store.add_event(event)
-                events += 1
-    if remaining_entities > 0:
-        raise SnapshotError("snapshot truncated: entities missing")
-    return events
+    restored = 0
+    try:
+        with Path(path).open("rb") as handle:
+            header = unpack_frame(read_frame(handle), SNAPSHOT_HEADER_KIND)
+            if len(header) != _HEADER.size:
+                raise SnapshotError("malformed snapshot header")
+            version, entity_count, event_count = _HEADER.unpack(header)
+            if version != FORMAT_VERSION:
+                raise SnapshotError(f"unsupported snapshot version {version!r}")
+            entities = 0
+            while entities < entity_count:
+                records = decode_entities(read_frame(handle))
+                for record in records:
+                    entity = rebuild_entity(registry, record)
+                    for store in stores:
+                        store.register_entity(entity)
+                entities += len(records)
+            while restored < event_count:
+                events = decode_block(read_frame(handle)).events()
+                add_events(stores, events)
+                restored += len(events)
+            if entities != entity_count or restored != event_count or handle.read(1):
+                raise SnapshotError(
+                    f"snapshot holds more than its declared {entity_count} "
+                    f"entities and {event_count} events"
+                )
+    except BlockCodecError as exc:
+        raise SnapshotError(f"damaged or truncated snapshot: {exc}") from exc
+    return restored

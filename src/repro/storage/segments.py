@@ -15,13 +15,13 @@ Two distribution policies are provided:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.model.entities import Entity, EntityRegistry
 from repro.model.events import SystemEvent
 from repro.model.time import day_of
 from repro.service.pool import SharedExecutor, get_shared_executor
-from repro.storage.blocks import BlockScanResult
+from repro.storage.blocks import BlockScanResult, ColumnBlock
 from repro.storage.filters import EventFilter
 from repro.storage.index import DEFAULT_INDEXED_ATTRIBUTES, EntityAttributeIndex
 from repro.storage.kernels import kernel_for, kernels_enabled
@@ -215,6 +215,11 @@ class SegmentedStore:
             for event in segment:
                 if event.event_id <= committed:
                     yield event
+
+    def column_blocks(self) -> Iterator[Tuple[ColumnBlock, int]]:
+        """``(block, visible rows)`` per segment (see ``EventStore``)."""
+        for segment in self._segments:
+            yield segment.block, len(segment)
 
     def segment_sizes(self) -> List[int]:
         return [len(s) for s in self._segments]

@@ -3,9 +3,9 @@
 The hot stores keep the recent retention window in RAM; everything older
 lives here as *cold segments* — one immutable file per migrated hot
 partition chunk, keyed by the ``(day, agent-group)`` partition key.  A
-segment file is a zlib-compressed columnar encoding of its events (one
-array per event attribute), and every segment carries a **zone map** in
-the tier manifest:
+segment file is one deflated block frame of :mod:`repro.storage.codec`
+(fixed-width binary columns, length-prefixed and checksummed), and every
+segment carries a **zone map** in the tier manifest:
 
 * min/max start time and min/max event id,
 * the agent-id, subject-id, object-id and operation sets,
@@ -36,7 +36,9 @@ The manifest (``manifest.json``) is the tier's source of truth and is
 rewritten atomically (temp file + rename); segment files are written
 durably *before* the manifest references them, so a crash mid-migration
 leaves at worst an orphaned segment file, never a manifest pointing at a
-missing or torn segment.
+missing or torn segment.  The manifest is version 2; a version-1 directory
+(JSON-column segments) is refused with :class:`ColdTierError` rather than
+misread.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,6 +56,7 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.trace import active_trace
 from repro.service.cache import ScanCache, cache_fingerprint
 from repro.storage.blocks import BlockScanResult, ColumnBlock, Selection
+from repro.storage.codec import BlockCodecError, decode_block, encode_block
 from repro.storage.filters import EventFilter
 from repro.storage.kernels import (
     ScanKernel,
@@ -64,9 +66,7 @@ from repro.storage.kernels import (
 )
 from repro.storage.partition import PartitionKey
 
-MANIFEST_VERSION = 1
-
-_COLUMNS = ("eid", "a", "s", "t0", "t1", "op", "subj", "obj", "ot", "amt", "fc")
+MANIFEST_VERSION = 2
 
 
 _M_COLD_CONSIDERED = REGISTRY.counter(
@@ -199,31 +199,6 @@ class ZoneMap:
         )
 
 
-def _encode_segment(events: Sequence[SystemEvent]) -> bytes:
-    columns = {name: [] for name in _COLUMNS}
-    for e in events:
-        columns["eid"].append(e.event_id)
-        columns["a"].append(e.agent_id)
-        columns["s"].append(e.seq)
-        columns["t0"].append(e.start_time)
-        columns["t1"].append(e.end_time)
-        columns["op"].append(e.operation.value)
-        columns["subj"].append(e.subject_id)
-        columns["obj"].append(e.object_id)
-        columns["ot"].append(e.object_type.value)
-        columns["amt"].append(e.amount)
-        columns["fc"].append(e.failure_code)
-    return zlib.compress(json.dumps(columns).encode("utf-8"), 6)
-
-
-def _decode_columns(blob: bytes) -> Dict[str, list]:
-    try:
-        columns = json.loads(zlib.decompress(blob).decode("utf-8"))
-    except (zlib.error, ValueError) as exc:
-        raise ColdTierError(f"corrupt cold segment: {exc}") from exc
-    return columns
-
-
 class ColdTier:
     """The on-disk cold half of a :class:`~repro.tier.store.TieredStore`."""
 
@@ -321,7 +296,7 @@ class ColdTier:
         path = self.directory / filename
         tmp = path.with_name(filename + ".tmp")
         with tmp.open("wb") as handle:
-            handle.write(_encode_segment(events))
+            handle.write(encode_block(ColumnBlock.from_events(events), compress=True))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -339,7 +314,17 @@ class ColdTier:
                 self._cache.move_to_end(zone.filename)
                 return cached
         blob = (self.directory / zone.filename).read_bytes()
-        block = ColumnBlock.from_columns(_decode_columns(blob))
+        try:
+            block = decode_block(blob)
+        except BlockCodecError as exc:
+            raise ColdTierError(
+                f"corrupt cold segment {zone.filename}: {exc}"
+            ) from exc
+        if len(block) != zone.count:
+            raise ColdTierError(
+                f"cold segment {zone.filename} holds {len(block)} events, "
+                f"its zone map {zone.count}"
+            )
         block.generation = self._generation_by_file.setdefault(
             zone.filename, block.generation
         )

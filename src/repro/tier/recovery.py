@@ -4,9 +4,16 @@ A durable AIQL deployment keeps everything it needs to survive a crash in
 one *data directory*::
 
     <data_dir>/
-        snapshot.jsonl    # last checkpoint: full registry + hot events
+        snapshot.blk      # last checkpoint: full registry + hot events
         wal.log           # batches committed since that checkpoint
         cold/             # immutable compressed segments + manifest.json
+
+All three hold events as :mod:`repro.storage.codec` block frames.  Files of
+the earlier JSON formats are refused, never misread as empty or torn: a
+``snapshot.jsonl`` in the directory raises
+:class:`~repro.storage.persist.SnapshotError`, a ``wal.log`` without the
+file magic :class:`~repro.tier.wal.WALError`, a version-1 cold manifest
+:class:`~repro.tier.cold.ColdTierError`.
 
 :func:`open_data_dir` is the single entry point for both a fresh start
 and crash recovery — an empty directory recovers to an empty system, a
@@ -19,7 +26,8 @@ Idempotence: WAL records whose events are covered by the snapshot (id at
 or below the snapshot's max event id) or already migrated cold are
 skipped, so replaying any prefix-plus-suffix of the log converges to the
 same state.  :func:`checkpoint` writes the snapshot atomically *before*
-truncating the WAL, so a crash between the two replays a log of no-ops.
+truncating the WAL, so a crash between the two replays a log of no-ops; it
+writes each hot table's columns as they are, without building row objects.
 """
 
 from __future__ import annotations
@@ -29,12 +37,13 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro.storage.ingest import Ingestor
-from repro.storage.persist import load_snapshot, save_snapshot
+from repro.storage.persist import SnapshotError, load_snapshot, write_snapshot
 from repro.tier.cold import ColdTier
 from repro.tier.store import TieredStore
 from repro.tier.wal import WriteAheadLog
 
-SNAPSHOT_NAME = "snapshot.jsonl"
+SNAPSHOT_NAME = "snapshot.blk"
+LEGACY_SNAPSHOT_NAME = "snapshot.jsonl"
 WAL_NAME = "wal.log"
 COLD_DIR_NAME = "cold"
 
@@ -92,6 +101,12 @@ def open_data_dir(
     """
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
+    if (data_dir / LEGACY_SNAPSHOT_NAME).exists():
+        raise SnapshotError(
+            f"{data_dir / LEGACY_SNAPSHOT_NAME} is a snapshot of the earlier "
+            f"JSON format, which this build does not read; opening the "
+            f"directory without it would drop every event it holds"
+        )
     registry = ingestor.registry
     cold = ColdTier(
         cold_path(data_dir),
@@ -104,10 +119,11 @@ def open_data_dir(
     snapshot = snapshot_path(data_dir)
     if snapshot.exists():
         snapshot_events = load_snapshot(snapshot, registry, [hot])
-    snapshot_max = 0
-    for event in hot:
-        if event.event_id > snapshot_max:
-            snapshot_max = event.event_id
+    # Recovery is the only writer, so every row of a hot block is visible;
+    # the columns answer what follows without building row objects.
+    snapshot_max = max(
+        (block.max_event_id for block, _ in hot.column_blocks()), default=0
+    )
 
     # One probe for the whole recovery: each cold segment's id set is
     # materialized at most once, however many WAL/hot events are tested.
@@ -134,12 +150,13 @@ def open_data_dir(
     max_eid = cold.max_event_id()
     seqs: Dict[int, int] = dict(cold.seq_maxima())
     hot_events = 0
-    for event in hot:
-        hot_events += 1
-        if event.event_id > max_eid:
-            max_eid = event.event_id
-        if event.seq > seqs.get(event.agent_id, 0):
-            seqs[event.agent_id] = event.seq
+    for block, visible in hot.column_blocks():
+        hot_events += visible
+        max_eid = max(max_eid, block.max_event_id)
+        agents = block.agents
+        for code, seq in zip(block.agent_codes, block.seqs):
+            if seq > seqs.get(agents[code], 0):
+                seqs[agents[code]] = seq
     ingestor.resume(
         next_event_id=max_eid + 1,
         seqs=seqs,
@@ -173,8 +190,8 @@ def checkpoint(data_dir, store: TieredStore, wal: WriteAheadLog) -> int:
     snapshot-covered records as no-ops.  Returns hot events written.
     """
     with store.writer_lock:
-        written = save_snapshot(
-            snapshot_path(data_dir), store.registry, iter(store.hot)
+        written = write_snapshot(
+            snapshot_path(data_dir), store.registry, store.hot.column_blocks()
         )
         wal.reset()
     return written

@@ -7,18 +7,38 @@ replaying the log over the last snapshot reconstructs exactly the batches
 whose commits were acknowledged — an unacknowledged batch is either absent
 from the log or detected as a torn tail record and discarded.
 
-Record format: one JSON line per committed batch ::
+File format: an 8-byte file magic, then one :mod:`repro.storage.codec`
+frame (length-prefixed, crc32-checked) per committed batch, whose payload is
+::
 
-    {"n": <record #>, "eid": <max event id>,
-     "ents": [<entity records>], "evts": [<event records>],
-     "crc": <crc32 of the record without "crc">}
+    record number u64 | max event id u64 | entity frame length u32
+    entity frame    the batch's new entities
+                    (:func:`repro.storage.persist.encode_entities`: their
+                    JSON records; absent when the batch has none)
+    event block     one block frame (:func:`encode_block`)
 
-Entity/event records reuse the snapshot codecs of
-:mod:`repro.storage.persist`, so a WAL record and a snapshot line are the
-same wire format.  The checksum (plus the trailing newline) is how replay
-distinguishes a record that was cut short by a crash from a corrupt log:
-replay stops cleanly at the first torn/invalid line, which by the
-append-fsync-acknowledge ordering can only ever be the unacknowledged tail.
+Nothing in a record is deflated: it sits on the ack path and dies at the
+next checkpoint.  For the same reason an append gives up the GIL exactly
+once: with ``sync`` the log is opened ``O_SYNC``, so the one ``write`` call
+is also the sync — what a ``write`` followed by an ``fsync`` guarantees, in
+one blocking call.  Every release, however short, lets a waiting query
+thread take the GIL, and the committer then waits a whole switch interval
+(5 ms) to get it back; whether a 30 us ``write`` ahead of the ``fsync``
+lost that race depended on the machine's state, not on the program (beside
+a busy reader a commit took 9 ms in one run and 14 ms in the next).
+
+The magic is written with the first record, so an empty file is an empty
+log.  The frame checksum is how replay distinguishes a record that was cut
+short by a crash from a corrupt log: replay stops cleanly at the first short
+or checksum-failing frame, which by the append-fsync-acknowledge ordering
+can only ever be the unacknowledged tail.  Opening the log checks frame
+lengths, checksums and record numbers only; payloads decode once, in
+:meth:`WriteAheadLog.replay`.
+
+A non-empty file that does not start with the magic — a JSON log of an
+earlier format, or anything else — is refused with :class:`WALError` and
+left untouched: treating it as a torn tail would truncate it to an empty
+log.
 
 New entities observed since the previous append ride in the same record as
 the events that first reference them, so a batch and its entity closure are
@@ -27,22 +47,36 @@ durable atomically.
 
 from __future__ import annotations
 
-import json
 import os
-import zlib
+import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.model.entities import Entity, EntityRegistry
 from repro.model.events import SystemEvent
 from repro.obs.metrics import REGISTRY
-from repro.storage.persist import (
-    entity_record,
-    event_record,
-    rebuild_entity,
-    rebuild_event,
+from repro.storage.blocks import ColumnBlock
+from repro.storage.codec import (
+    FRAME_HEADER_BYTES,
+    WAL_RECORD_KIND,
+    BlockCodecError,
+    decode_block,
+    encode_block,
+    pack_frame,
+    read_frame,
+    unpack_frame,
 )
+from repro.storage.persist import (
+    add_events,
+    decode_entities,
+    encode_entities,
+    rebuild_entity,
+)
+
+FILE_MAGIC = b"AIQLWAL\x01"
+
+_RECORD = struct.Struct("<QQI")  # record number, max event id, entity blob length
 
 
 _M_WAL_RECORDS = REGISTRY.counter(
@@ -73,16 +107,16 @@ class WALError(ValueError):
 
 @dataclass(frozen=True)
 class WALRecord:
-    """One replayed batch: decoded entity records and events."""
+    """One replayed batch: decoded entity records and the event block."""
 
     number: int
     max_event_id: int
     entity_records: tuple
-    events: tuple
+    block: ColumnBlock
 
-
-def _checksum(payload: str) -> int:
-    return zlib.crc32(payload.encode("utf-8"))
+    @property
+    def events(self) -> Tuple[SystemEvent, ...]:
+        return tuple(self.block.events())
 
 
 class WriteAheadLog:
@@ -96,10 +130,13 @@ class WriteAheadLog:
         self.torn_bytes_discarded = 0
         self.replay_events_applied = 0
         self.replay_events_skipped = 0
-        last_number, valid_bytes = self._scan_valid_prefix()
+        last_number = 0
+        valid_bytes = 0
+        for last_number, valid_bytes, _ in self._records():
+            pass
         # Truncate a torn tail *before* appending: a record written after
-        # a leftover partial line would be unreachable forever (replay
-        # stops at the first torn line), silently losing every commit
+        # a leftover partial frame would be unreachable forever (replay
+        # stops at the first torn frame), silently losing every commit
         # acknowledged after the recovery.
         if self.path.exists() and self.path.stat().st_size > valid_bytes:
             self.torn_tails_detected += 1
@@ -107,35 +144,61 @@ class WriteAheadLog:
             _M_WAL_TORN.inc()
             with self.path.open("rb+") as handle:
                 handle.truncate(valid_bytes)
-        self._handle = self.path.open("a", encoding="utf-8")
+        self._handle = self._open("ab")
         self.records_appended = 0
         self.events_appended = 0
         self._next_number = last_number + 1
 
-    def _scan_valid_prefix(self) -> tuple:
-        """(last record number, byte length of the valid record prefix)."""
-        last, valid = 0, 0
+    def _records(self) -> Iterator[Tuple[int, int, memoryview]]:
+        """``(record number, end offset, payload)`` of each durable record.
+
+        Stops at the first short or checksum-failing frame — the torn tail
+        — and verifies record numbers monotone, so a corrupted middle
+        cannot be silently skipped.  Raises for a file that is not a
+        write-ahead log at all.
+        """
         if not self.path.exists():
-            return last, valid
+            return
         with self.path.open("rb") as handle:
-            for raw in handle:
+            magic = handle.read(len(FILE_MAGIC))
+            if magic != FILE_MAGIC:
+                if FILE_MAGIC.startswith(magic):
+                    return  # empty, or the very first append was cut short
+                raise WALError(
+                    f"{self.path} is not a write-ahead log of this format "
+                    f"(no file magic); refusing to open or truncate it"
+                )
+            offset = len(FILE_MAGIC)
+            expected: Optional[int] = None
+            while True:
                 try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    break  # torn mid-write
-                record = self._decode(line)
-                if record is None:
-                    break
-                if record["n"] != last + 1 and last:
+                    frame = read_frame(handle)
+                    payload = unpack_frame(frame, WAL_RECORD_KIND)
+                    number, _, entity_bytes = _RECORD.unpack_from(payload)
+                    if _RECORD.size + entity_bytes + FRAME_HEADER_BYTES > len(payload):
+                        return  # checksummed but incomplete: not a record
+                except (BlockCodecError, struct.error):
+                    return  # torn tail: everything after it is unacknowledged
+                if expected is not None and number != expected:
                     raise WALError(
-                        f"write-ahead log {self.path}: record {record['n']} "
-                        f"out of order (expected {last + 1})"
+                        f"write-ahead log {self.path}: record {number} "
+                        f"out of order (expected {expected})"
                     )
-                last = record["n"]
-                valid += len(raw)
-        return last, valid
+                expected = number + 1
+                offset += len(frame)
+                yield number, offset, payload
 
     # -- write path ---------------------------------------------------------
+
+    def _open(self, mode: str):
+        """The log opened for writing; ``O_SYNC`` when ``sync``, so that a
+        write returns only once the record is on stable storage."""
+        extra = os.O_SYNC if self.sync else 0
+        return open(
+            self.path,
+            mode,
+            opener=lambda path, flags: os.open(path, flags | extra, 0o666),
+        )
 
     def append(
         self,
@@ -144,31 +207,37 @@ class WriteAheadLog:
     ) -> int:
         """Durably append one committed batch; returns its record number.
 
-        The record is flushed (and fsync'd when ``sync``) before this
-        returns, so an acknowledged commit survives any later crash.
+        The record is written (synchronously when ``sync``: see the module
+        docstring) before this returns, so an acknowledged commit survives
+        any later crash.
         """
         if self._handle.closed:
             raise WALError(f"write-ahead log {self.path} is closed")
         number = self._next_number
-        record = {
-            "n": number,
-            "eid": max((e.event_id for e in events), default=0),
-            "ents": [entity_record(entity) for entity in entities],
-            "evts": [event_record(event) for event in events],
-        }
-        payload = json.dumps(record, sort_keys=True)
-        record["crc"] = _checksum(payload)
-        line = json.dumps(record, sort_keys=True) + "\n"
-        self._handle.write(line)
+        block = ColumnBlock.from_events(events)
+        entity_blob = encode_entities(entities, compress=False) if entities else b""
+        record = pack_frame(
+            WAL_RECORD_KIND,
+            b"".join(
+                (
+                    _RECORD.pack(number, block.max_event_id, len(entity_blob)),
+                    entity_blob,
+                    encode_block(block),
+                )
+            ),
+        )
+        if not self._handle.tell():
+            record = FILE_MAGIC + record
+        # One write call whatever the record's size: a record larger than
+        # the buffer goes straight to the file, a smaller one on the flush.
+        self._handle.write(record)
         self._handle.flush()
-        if self.sync:
-            os.fsync(self._handle.fileno())
         self._next_number = number + 1
         self.records_appended += 1
         self.events_appended += len(events)
         _M_WAL_RECORDS.inc()
         _M_WAL_EVENTS.inc(len(events))
-        _M_WAL_BYTES.inc(len(line))
+        _M_WAL_BYTES.inc(len(record))
         return number
 
     # -- read path ----------------------------------------------------------
@@ -176,48 +245,32 @@ class WriteAheadLog:
     def replay(self) -> Iterator[WALRecord]:
         """Yield durable records in append order.
 
-        Stops cleanly at the first torn or checksum-failing line — the
-        unacknowledged tail a crash mid-append leaves behind.  Record
-        numbers are verified monotone so a corrupted middle cannot be
-        silently skipped.
+        Stops cleanly at the first torn or checksum-failing frame — the
+        unacknowledged tail a crash mid-append leaves behind.  A record
+        whose checksum holds but whose contents do not decode was never
+        written by :meth:`append`; that is corruption, and it is loud.
         """
-        if not self.path.exists():
-            return
-        expected: Optional[int] = None
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                record = self._decode(line)
-                if record is None:
-                    return  # torn tail: everything after it is unacknowledged
-                if expected is not None and record["n"] != expected:
-                    raise WALError(
-                        f"write-ahead log {self.path}: record {record['n']} "
-                        f"out of order (expected {expected})"
-                    )
-                expected = record["n"] + 1
-                yield WALRecord(
-                    number=record["n"],
-                    max_event_id=record["eid"],
-                    entity_records=tuple(record["ents"]),
-                    events=tuple(rebuild_event(r) for r in record["evts"]),
+        for number, _, payload in self._records():
+            _, max_event_id, entity_bytes = _RECORD.unpack_from(payload)
+            entities_end = _RECORD.size + entity_bytes
+            try:
+                entity_records = (
+                    decode_entities(payload[_RECORD.size : entities_end])
+                    if entity_bytes
+                    else ()
                 )
-
-    @staticmethod
-    def _decode(line: str) -> Optional[dict]:
-        if not line.endswith("\n"):
-            return None  # cut short mid-write
-        try:
-            record = json.loads(line)
-        except ValueError:
-            return None
-        if not isinstance(record, dict):
-            return None
-        crc = record.pop("crc", None)
-        if crc != _checksum(json.dumps(record, sort_keys=True)):
-            return None
-        if not all(key in record for key in ("n", "eid", "ents", "evts")):
-            return None
-        return record
+                block = decode_block(payload[entities_end:])
+            except BlockCodecError as exc:
+                raise WALError(
+                    f"write-ahead log {self.path}: record {number} is "
+                    f"checksummed but undecodable: {exc}"
+                ) from exc
+            yield WALRecord(
+                number=number,
+                max_event_id=max_event_id,
+                entity_records=tuple(entity_records),
+                block=block,
+            )
 
     def replay_into(
         self,
@@ -241,13 +294,16 @@ class WriteAheadLog:
                 entity = rebuild_entity(registry, raw)
                 for store in stores:
                     store.register_entity(entity)
+            block = record.block
+            event_ids = block.event_ids
             batch = [
                 event
-                for event in record.events
-                if event.event_id > after_event_id
-                and (skip_event is None or not skip_event(event))
+                for event in block.events_at(
+                    [i for i in range(len(block)) if event_ids[i] > after_event_id]
+                )
+                if skip_event is None or not skip_event(event)
             ]
-            skipped = len(record.events) - len(batch)
+            skipped = len(block) - len(batch)
             if skipped:
                 # Snapshot-covered or cold-migrated: idempotence at work,
                 # but surfaced — a replay skipping *everything* is how a
@@ -256,13 +312,7 @@ class WriteAheadLog:
                 _M_WAL_REPLAY_SKIPPED.inc(skipped)
             if not batch:
                 continue
-            for store in stores:
-                add_batch = getattr(store, "add_batch", None)
-                if add_batch is not None:
-                    add_batch(batch)
-                else:
-                    for event in batch:
-                        store.add_event(event)
+            add_events(stores, batch)
             applied += len(batch)
         if applied:
             self.replay_events_applied += applied
@@ -280,8 +330,7 @@ class WriteAheadLog:
         covered no-ops.
         """
         self._handle.close()
-        self._handle = self.path.open("w", encoding="utf-8")
-        self._handle.flush()
+        self._handle = self._open("wb")
         if self.sync:
             os.fsync(self._handle.fileno())
         self._next_number = 1

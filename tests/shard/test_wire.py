@@ -13,8 +13,10 @@ from repro.shard.wire import (
     encode_events,
     encode_result,
 )
+from repro.storage import codec
 from repro.storage.blocks import (
     OP_VALUE_BY_CODE,
+    OTYPE_VALUE_BY_CODE,
     BlockScanResult,
     ColumnBlock,
     Selection,
@@ -94,10 +96,14 @@ class TestResultRoundTrip:
         assert list(selection.positions) == [0, 1, 2]
 
     def test_agent_dictionary_is_per_payload(self):
+        block = decode_result(encode_result(result_of(SAMPLE))).block
+        assert block.agents == (3, 4)
+        assert isinstance(block.agent_codes, bytearray)
+
+    def test_payload_is_one_block_frame(self):
         payload = encode_result(result_of(SAMPLE))
-        assert payload["agents"] == (3, 4)
-        assert not payload["wide"]
-        assert isinstance(payload["agent"], bytes)
+        assert set(payload) == {"n", "block"}
+        assert codec.decode_block(payload["block"]).events() == SAMPLE
 
     def test_unsorted_result_is_reserialized_in_handle_order(self):
         shuffled = [SAMPLE[2], SAMPLE[0], SAMPLE[1]]
@@ -108,11 +114,12 @@ class TestResultRoundTrip:
         assert decode_result(encode_result(result_of([]))) is None
 
     def test_columns_are_fixed_width(self):
-        payload = encode_result(result_of(SAMPLE))
-        assert len(payload["eid"]) == 3 * 8
-        assert len(payload["t0"]) == 3 * 8
-        assert len(payload["op"]) == 3
-        assert len(payload["ot"]) == 3
+        two = [make_event(i, float(i)) for i in (1, 2)]
+        three = two + [make_event(3, 3.0)]
+        grown = len(encode_result(result_of(three))["block"]) - len(
+            encode_result(result_of(two))["block"]
+        )
+        assert grown == 8 * 8 + 3  # eight 64-bit columns, three code bytes
 
 
 class TestWatermark:
@@ -134,10 +141,7 @@ class TestWatermark:
 class TestWideAgentDictionary:
     def test_past_256_agents_promotes_to_q_array(self):
         events = [make_event(i, float(i), agent=1000 + i) for i in range(1, 301)]
-        payload = encode_result(result_of(events))
-        assert payload["wide"]
-        assert len(payload["agent"]) == 300 * 8  # array('q'), 8 bytes/code
-        selection = decode_result(payload)
+        selection = decode_result(encode_result(result_of(events)))
         assert isinstance(selection.block.agent_codes, array)
         assert selection.block.agent_codes.typecode == "q"
         assert [e.agent_id for e in selection.block.events()] == [
@@ -148,41 +152,51 @@ class TestWideAgentDictionary:
 class TestDictionaryRemap:
     """A sender whose enum order differs must remap, never alias."""
 
-    def _permuted_payload(self):
-        payload = encode_result(result_of(SAMPLE))
-        ops = list(payload["ops"])
-        # Simulate a sender that enumerates operations in reverse order:
-        # code i over there means ops[n-1-i] here.
-        sender_ops = tuple(reversed(ops))
-        remap = {ops.index(v): code for code, v in enumerate(sender_ops)}
-        payload["ops"] = sender_ops
-        payload["op"] = bytes(remap[c] for c in payload["op"])
+    def _payload_from(self, monkeypatch, events, ops=None, otypes=None):
+        """The payload a process with these code tables would send."""
+        result = result_of(events)
+        block = result.parts[0].block
+        if ops is not None:
+            local = {v: c for c, v in enumerate(OP_VALUE_BY_CODE)}
+            table = bytearray(256)
+            for code, value in enumerate(ops):
+                if value in local:
+                    table[local[value]] = code
+            block.op_codes = bytearray(bytes(block.op_codes).translate(table))
+            monkeypatch.setattr(codec, "OP_VALUE_BY_CODE", tuple(ops))
+        if otypes is not None:
+            monkeypatch.setattr(codec, "OTYPE_VALUE_BY_CODE", tuple(otypes))
+        payload = encode_result(result)
+        monkeypatch.undo()
         return payload
 
-    def test_permuted_op_table_remaps_to_local_codes(self):
-        selection = decode_result(self._permuted_payload())
+    def test_permuted_op_table_remaps_to_local_codes(self, monkeypatch):
+        payload = self._payload_from(
+            monkeypatch, SAMPLE, ops=tuple(reversed(OP_VALUE_BY_CODE))
+        )
+        selection = decode_result(payload)
         assert [e.operation for e in selection.block.events()] == [
             e.operation for e in SAMPLE
         ]
 
     def test_identical_tables_round_trip(self):
-        payload = encode_result(result_of(SAMPLE))
-        assert payload["ops"] == tuple(OP_VALUE_BY_CODE)
-        selection = decode_result(payload)
+        selection = decode_result(encode_result(result_of(SAMPLE)))
         assert selection.block.events() == SAMPLE
 
-    def test_unknown_sender_value_raises_instead_of_aliasing(self):
-        payload = encode_result(result_of(SAMPLE))
-        ops = list(payload["ops"])
-        ops[0] = "transmogrify"
-        payload["ops"] = tuple(ops)
-        with pytest.raises(WireError):
+    def test_unknown_sender_value_raises_instead_of_aliasing(self, monkeypatch):
+        ops = ("transmogrify",) + tuple(OP_VALUE_BY_CODE[1:])
+        payload = self._payload_from(monkeypatch, SAMPLE, ops=ops)
+        with pytest.raises(WireError, match="transmogrify"):
             decode_result(payload)
 
-    def test_unknown_object_type_value_raises(self):
+    def test_unknown_object_type_value_raises(self, monkeypatch):
+        otypes = ("tachyon",) + tuple(OTYPE_VALUE_BY_CODE[1:])
+        payload = self._payload_from(monkeypatch, SAMPLE, otypes=otypes)
+        with pytest.raises(WireError, match="tachyon"):
+            decode_result(payload)
+
+    def test_damaged_frame_is_a_wire_error(self):
         payload = encode_result(result_of(SAMPLE))
-        ots = list(payload["ots"])
-        ots[0] = "tachyon"
-        payload["ots"] = tuple(ots)
+        payload["block"] = payload["block"][:-1]
         with pytest.raises(WireError):
             decode_result(payload)

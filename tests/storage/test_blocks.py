@@ -124,33 +124,32 @@ class TestColumnBlock:
         )
         assert block.order_positions(range(3)) == [1, 2, 0]
 
-    def test_from_columns_matches_appended_block(self):
+    def test_from_events_matches_appended_block(self):
         events = [
             make_event(1, 1.0, agent=5, op=Operation.EXECUTE, amount=7),
             make_event(2, 2.0, agent=6, otype=EntityType.PROCESS),
+            make_event(3, 1.5, agent=5),
         ]
         appended = block_of(events)
-        decoded = ColumnBlock.from_columns(
-            {
-                "eid": [e.event_id for e in events],
-                "a": [e.agent_id for e in events],
-                "s": [e.seq for e in events],
-                "t0": [e.start_time for e in events],
-                "t1": [e.end_time for e in events],
-                "op": [e.operation.value for e in events],
-                "subj": [e.subject_id for e in events],
-                "obj": [e.object_id for e in events],
-                "ot": [e.object_type.value for e in events],
-                "amt": [e.amount for e in events],
-                "fc": [e.failure_code for e in events],
-            }
-        )
-        assert decoded.events() == appended.events()
-        assert decoded.op_universe == appended.op_universe
-        assert decoded.otype_universe == appended.otype_universe
-        assert decoded.agents == appended.agents
-        assert decoded.time_sorted
-        assert decoded.generation != appended.generation
+        built = ColumnBlock.from_events(events)
+        for column in (
+            "event_ids", "agent_codes", "seqs", "t0", "t1", "op_codes",
+            "subject_ids", "object_ids", "otype_codes", "amounts",
+            "failure_codes", "agents", "op_universe", "otype_universe",
+            "time_sorted", "min_time", "max_time", "max_event_id",
+        ):
+            assert getattr(built, column) == getattr(appended, column), column
+        assert not built.rows_materialized
+        assert built.events() == events
+        assert built.agent_code_set(frozenset({6})) == {1}
+        assert built.generation != appended.generation
+
+    def test_from_events_promotes_past_256_agents(self):
+        events = [make_event(i, float(i), agent=i) for i in range(1, 301)]
+        built = ColumnBlock.from_events(events)
+        assert built.agent_codes == block_of(events).agent_codes
+        assert built.agent_codes.typecode == "q"
+        assert ColumnBlock.from_events([]).events() == []
 
     def test_block_attribute_getters_match_row_attributes(self):
         block = block_of([make_event(4, 9.0, agent=2, amount=33)])

@@ -1,12 +1,14 @@
 """Cold tier: segment round-trips, zone-map pruning, manifest durability."""
 
 import json
+import zlib
 
 import pytest
 
 from repro.model.entities import EntityType
 from repro.model.events import Operation
 from repro.model.time import DAY, TimeWindow
+from repro.storage.codec import BLOCK_KIND, pack_frame, unpack_frame
 from repro.storage.filters import EventFilter
 from repro.storage.partition import PartitionKey
 from repro.tier.cold import ColdTier, ColdTierError, ZoneMap
@@ -67,12 +69,53 @@ class TestSegmentRoundTrip:
         with pytest.raises(ColdTierError):
             ColdTier(tmp_path / "cold", feed.ingestor.registry.get)
 
-    def test_corrupt_segment_file_is_loud(self, feed, tmp_path):
+    def test_version_1_manifest_is_refused(self, feed, tmp_path):
+        make_tier(feed, tmp_path, days=(0,))
+        path = tmp_path / "cold" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["version"] = 1  # the JSON-column segment format
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ColdTierError, match="version"):
+            ColdTier(tmp_path / "cold", feed.ingestor.registry.get)
+
+    def _other_segment(self, feed, tmp_path, rows):
+        """A well-formed segment file holding ``rows`` other events."""
+        other = make_tier(feed, tmp_path / "other", days=(5,), per_day=rows)
+        return (other.directory / other.zones[0].filename).read_bytes()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda blob, other: b"garbage",
+            # inflates fine, but is not a segment
+            lambda blob, other: zlib.compress(b"{}"),
+            # a checksummed frame that is not a block
+            lambda blob, other: pack_frame(BLOCK_KIND, b"{}", compress=True),
+            # a valid block whose columns hold one row more than the zone map
+            lambda blob, other: other,
+            lambda blob, other: blob[:-3],
+            lambda blob, other: blob[:40] + bytes([blob[40] ^ 4]) + blob[41:],
+        ],
+    )
+    def test_corrupt_segment_file_is_loud(self, feed, tmp_path, damage):
         tier = make_tier(feed, tmp_path, days=(0,))
-        zone = tier.zones[0]
-        (tmp_path / "cold" / zone.filename).write_bytes(b"garbage")
+        path = tmp_path / "cold" / tier.zones[0].filename
+        path.write_bytes(
+            damage(path.read_bytes(), self._other_segment(feed, tmp_path, 5))
+        )
         fresh = ColdTier(tmp_path / "cold", feed.ingestor.registry.get)
         with pytest.raises(ColdTierError):
+            fresh.scan(EventFilter())
+
+    def test_column_of_the_wrong_length_is_typed(self, feed, tmp_path):
+        """Columns that disagree with the declared row count, behind a
+        valid checksum: the codec's own check, not a raw TypeError."""
+        tier = make_tier(feed, tmp_path, days=(0,))
+        path = tmp_path / "cold" / tier.zones[0].filename
+        payload = bytes(unpack_frame(path.read_bytes(), BLOCK_KIND))
+        path.write_bytes(pack_frame(BLOCK_KIND, payload[:-8], compress=True))
+        fresh = ColdTier(tmp_path / "cold", feed.ingestor.registry.get)
+        with pytest.raises(ColdTierError, match="rows need"):
             fresh.scan(EventFilter())
 
 

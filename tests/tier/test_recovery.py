@@ -134,6 +134,80 @@ class TestCheckpoint:
             assert content(recovered) == reference
 
 
+class TestLegacyRefusal:
+    """Files of the JSON formats fail loudly; they never look empty."""
+
+    def test_legacy_snapshot_in_the_data_dir(self, tmp_path):
+        from repro.storage.persist import SnapshotError
+
+        root = tmp_path / "data"
+        root.mkdir()
+        legacy = root / "snapshot.jsonl"
+        legacy.write_text('{"version": 1, "entities": 0}\n')
+        with pytest.raises(SnapshotError, match="JSON format"):
+            durable_system(tmp_path)
+        assert legacy.read_text() == '{"version": 1, "entities": 0}\n'
+
+    def test_legacy_wal_is_refused_byte_identical(self, tmp_path):
+        from repro.tier.wal import WALError
+
+        root = tmp_path / "data"
+        root.mkdir()
+        content = b'{"n": 1, "eid": 1, "ents": [], "evts": [], "crc": 0}\n'
+        wal_path(root).write_bytes(content)
+        with pytest.raises(WALError):
+            durable_system(tmp_path)
+        assert wal_path(root).read_bytes() == content
+
+    def test_version_1_cold_manifest(self, tmp_path):
+        import json
+
+        from repro.tier.cold import ColdTierError
+
+        cold = tmp_path / "data" / "cold"
+        cold.mkdir(parents=True)
+        (cold / "manifest.json").write_text(
+            json.dumps({"version": 1, "next_id": 0, "segments": []})
+        )
+        with pytest.raises(ColdTierError, match="version"):
+            durable_system(tmp_path)
+
+
+class TestInterruptedCheckpoint:
+    def test_failure_before_the_rename_keeps_the_previous_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+
+        system = durable_system(tmp_path)
+        stream_days(system, days=2)
+        system.checkpoint()
+        stream_days(system, days=1, agent=2)
+        reference = content(system)
+
+        def no_rename(src, dst):
+            raise OSError("crash before the rename")
+
+        monkeypatch.setattr(os, "replace", no_rename)
+        with pytest.raises(OSError, match="before the rename"):
+            system.checkpoint()
+        monkeypatch.undo()
+        # the WAL was not reset, the old snapshot is intact: nothing is lost
+        assert wal_path(system.config.data_dir).stat().st_size > 0
+        del system
+        with AIQLSystem.recover(str(tmp_path / "data")) as recovered:
+            assert content(recovered) == reference
+
+    def test_checkpoint_builds_no_row_objects(self, tmp_path):
+        with durable_system(tmp_path) as system:
+            stream_days(system, days=2)
+            system.checkpoint()
+            assert not any(
+                block.rows_materialized
+                for block, _ in system.store.hot.column_blocks()
+            )
+
+
 class TestReconciliation:
     def test_crash_between_cold_publish_and_hot_removal(self, tmp_path):
         """Mid-migration crash: events reachable in both tiers converge."""

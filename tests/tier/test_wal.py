@@ -1,16 +1,33 @@
 """Write-ahead log: durability, torn-tail detection, idempotent replay."""
 
+import fcntl
+import io
+import os
+import struct
+
 import pytest
 
 from repro.model.entities import EntityRegistry
+from repro.storage.codec import WAL_RECORD_KIND, pack_frame, read_frame
 from repro.storage.flat import FlatStore
-from repro.tier.wal import WALError, WriteAheadLog
+from repro.tier.wal import FILE_MAGIC, WALError, WriteAheadLog
 
 from tests.tier.conftest import day_ts
 
 
 def _batch(feed, agent, day, count):
     return [feed.build(agent, day_ts(day, 60.0 * i)) for i in range(count)]
+
+
+def _frames(path):
+    """The record frames of a log file, as written."""
+    raw = path.read_bytes()
+    assert raw.startswith(FILE_MAGIC)
+    handle = io.BytesIO(raw[len(FILE_MAGIC):])
+    frames = []
+    while handle.tell() < len(raw) - len(FILE_MAGIC):
+        frames.append(read_frame(handle))
+    return frames
 
 
 class TestAppendReplay:
@@ -90,36 +107,64 @@ class TestTornTail:
         with WriteAheadLog(path) as wal:
             wal.append([], _batch(feed, 1, 0, 2))
             wal.append([], _batch(feed, 1, 1, 2))
-        lines = path.read_text().splitlines()
-        lines[1] = lines[1].replace('"eid"', '"EID"', 1)  # corrupt record 2
-        path.write_text("\n".join(lines) + "\n")
+        first, second = _frames(path)
+        corrupt = bytearray(second)
+        corrupt[-5] ^= 0x10  # one flipped bit inside record 2
+        path.write_bytes(FILE_MAGIC + first + bytes(corrupt))
         with WriteAheadLog(path) as wal:
             assert [r.number for r in wal.replay()] == [1]
 
-    def test_non_dict_and_garbage_lines_stop_replay(self, feed, tmp_path):
+    def test_garbage_after_the_last_record_stops_replay(self, feed, tmp_path):
         path = tmp_path / "wal.log"
         with WriteAheadLog(path) as wal:
             wal.append([], _batch(feed, 1, 0, 1))
-        with path.open("a") as handle:
-            handle.write("[1, 2, 3]\n")
+        with path.open("ab") as handle:
+            handle.write(b"[1, 2, 3]\n" * 4)  # no frame tag
         with WriteAheadLog(path) as wal:
             assert len(list(wal.replay())) == 1
+            assert wal.torn_tails_detected == 1
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            struct.pack("<QQ", 2, 99),  # shorter than a record header
+            struct.pack("<QQI", 2, 99, 500),  # entity blob overruns the record
+            struct.pack("<QQI", 2, 99, 0),  # no event block at all
+        ],
+    )
     def test_checksummed_but_incomplete_record_stops_replay(
-        self, feed, tmp_path
+        self, feed, tmp_path, payload
     ):
-        import json
-        import zlib
-
         path = tmp_path / "wal.log"
         with WriteAheadLog(path) as wal:
             wal.append([], _batch(feed, 1, 0, 1))
-        bogus = {"n": 2, "eid": 99}  # valid checksum, missing evts/ents
-        bogus["crc"] = zlib.crc32(
-            json.dumps({"n": 2, "eid": 99}, sort_keys=True).encode()
-        )
-        with path.open("a") as handle:
-            handle.write(json.dumps(bogus, sort_keys=True) + "\n")
+        good = path.stat().st_size
+        with path.open("ab") as handle:
+            handle.write(pack_frame(WAL_RECORD_KIND, payload))  # valid checksum
+        with WriteAheadLog(path) as wal:
+            assert [r.number for r in wal.replay()] == [1]
+        assert path.stat().st_size == good  # dropped on open, like a torn tail
+
+    def test_checksummed_but_undecodable_record_is_loud(self, feed, tmp_path):
+        """A record that passes its checksum was written on purpose; if its
+        event block does not decode, that is corruption, not a torn tail —
+        stopping quietly would drop an acknowledged batch."""
+        path = tmp_path / "wal.log"
+        with WriteAheadLog(path) as wal:
+            wal.append([], _batch(feed, 1, 0, 1))
+        bogus = struct.pack("<QQI", 2, 99, 0) + b"\x00" * 64
+        with path.open("ab") as handle:
+            handle.write(pack_frame(WAL_RECORD_KIND, bogus))
+        with WriteAheadLog(path) as wal:
+            with pytest.raises(WALError, match="undecodable"):
+                list(wal.replay())
+
+    def test_first_append_cut_inside_the_file_magic(self, feed, tmp_path):
+        path = tmp_path / "wal.log"
+        path.write_bytes(FILE_MAGIC[:3])
+        with WriteAheadLog(path) as wal:
+            assert list(wal.replay()) == []
+            assert wal.append([], _batch(feed, 1, 0, 1)) == 1
         with WriteAheadLog(path) as wal:
             assert [r.number for r in wal.replay()] == [1]
 
@@ -137,13 +182,32 @@ class TestTornTail:
         with WriteAheadLog(path) as wal:
             wal.append([], _batch(feed, 1, 0, 1))
             wal.append([], _batch(feed, 1, 1, 1))
-        lines = path.read_text().splitlines()
+        _, second = _frames(path)
         # Duplicate record 2: valid checksums but non-monotone numbering,
         # which must be loud (a silently skipped middle would lose a
-        # batch).  Opening the log replays it, so the open itself fails.
-        path.write_text(lines[1] + "\n" + lines[1] + "\n")
+        # batch).  Opening the log scans it, so the open itself fails.
+        path.write_bytes(FILE_MAGIC + second + second)
         with pytest.raises(WALError):
             WriteAheadLog(path)
+
+
+class TestForeignFiles:
+    """A file that is not a log of this format is refused, never emptied."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"n": 1, "eid": 3, "ents": [], "evts": [], "crc": 1}\n',  # JSON log
+            b"AIQLWAL\x02" + b"\x00" * 32,  # another version of the magic
+            b"\x00",
+        ],
+    )
+    def test_refused_and_left_byte_identical(self, tmp_path, content):
+        path = tmp_path / "wal.log"
+        path.write_bytes(content)
+        with pytest.raises(WALError, match="not a write-ahead log"):
+            WriteAheadLog(path)
+        assert path.read_bytes() == content
 
 
 class TestReplayInto:
@@ -220,6 +284,35 @@ class TestReset:
         assert list(wal.replay()) == []
         assert wal.append([], _batch(feed, 1, 1, 1)) == 1
         wal.close()
+
+    def test_sync_is_in_the_write_from_open_and_after_reset(self, feed, tmp_path):
+        """``sync`` opens the log O_SYNC (one blocking call per ack, not a
+        write and then an fsync), and a reset reopens it the same way."""
+
+        def synchronous(wal):
+            return bool(fcntl.fcntl(wal._handle.fileno(), fcntl.F_GETFL) & os.O_SYNC)
+
+        with WriteAheadLog(tmp_path / "wal.log") as wal:
+            assert synchronous(wal)
+            wal.append([], _batch(feed, 1, 0, 2))
+            wal.reset()
+            assert synchronous(wal)
+        with WriteAheadLog(tmp_path / "nosync.log", sync=False) as wal:
+            assert not synchronous(wal)
+            wal.reset()
+            assert not synchronous(wal)
+
+    def test_an_append_is_on_disk_when_it_returns(self, feed, tmp_path):
+        """No buffered tail: another reader of the file sees the whole
+        record as soon as ``append`` has returned, whatever its size."""
+        path = tmp_path / "wal.log"
+        with WriteAheadLog(path) as wal:
+            for count in (1, 40, 300):  # under, about and over the io buffer
+                wal.append([], _batch(feed, 1, 0, count))
+                assert len(_frames(path)[-1]) > 60 * count
+                assert path.stat().st_size == wal.size_bytes()
+        with WriteAheadLog(path) as reopened:
+            assert [len(r.block) for r in reopened.replay()] == [1, 40, 300]
 
     def test_nosync_mode_still_replays(self, feed, tmp_path):
         with WriteAheadLog(tmp_path / "wal.log", sync=False) as wal:
