@@ -13,7 +13,9 @@ trajectory (machine-readable output in ``BENCH_tier.json``):
   segments, with >= 80% of out-of-window cold segments pruned by zone
   maps without decompression (both asserted with ``--check``).
 * **Recovery time vs WAL length** — crash-recover data dirs whose WALs
-  hold growing batch counts, timing snapshotless replay.
+  hold growing batch counts, timing snapshotless replay; every restore
+  (these, and the corpus directory's snapshot under its cold tier) must
+  come back without building a row object (``recovery_builds_no_rows``).
 
 Run:  PYTHONPATH=src python benchmarks/bench_tiered_storage.py
       (``--check`` exits nonzero on acceptance failures; AIQL_BENCH_RATE
@@ -36,6 +38,7 @@ from repro.core.config import SystemConfig
 from repro.core.system import AIQLSystem
 from repro.engine import compile_query
 from repro.engine.executor import MultieventExecutor
+from repro.model.events import SystemEvent
 from repro.workload.loader import build_enterprise
 
 DAYS = 20
@@ -136,6 +139,35 @@ def measure_prune_rate(tiered_store) -> dict:
     }
 
 
+def recover_counting_rows(data_dir: str):
+    """``AIQLSystem.recover`` plus how many row objects it built.
+
+    Counts every :class:`SystemEvent` constructed while the deployment
+    comes back (snapshot load, WAL replay, cold-tier reconciliation) and
+    adds whether any hot block holds a row view afterwards: a restore path
+    that moves columns only reads ``0``.
+    """
+    built = 0
+    validate = SystemEvent.__post_init__
+
+    def counting(event) -> None:
+        nonlocal built
+        built += 1
+        validate(event)
+
+    SystemEvent.__post_init__ = counting
+    try:
+        started = time.perf_counter()
+        system = AIQLSystem.recover(data_dir)
+        seconds = time.perf_counter() - started
+    finally:
+        SystemEvent.__post_init__ = validate
+    built += sum(
+        block.rows_materialized for block, _ in system.store.hot.column_blocks()
+    )
+    return system, seconds, built
+
+
 def measure_recovery(root: Path, batch_counts=(50, 200, 800)) -> list:
     """Crash-recovery wall time as the WAL grows (no snapshot: pure replay)."""
     results = []
@@ -155,9 +187,7 @@ def measure_recovery(root: Path, batch_counts=(50, 200, 800)) -> list:
         total = system.ingestor.events_ingested
         del session, system  # crash: no close, no checkpoint
 
-        started = time.perf_counter()
-        recovered = AIQLSystem.recover(str(data_dir))
-        seconds = time.perf_counter() - started
+        recovered, seconds, rows_built = recover_counting_rows(str(data_dir))
         ok = recovered.ingestor.events_ingested == total
         recovered.close()
         results.append(
@@ -168,6 +198,7 @@ def measure_recovery(root: Path, batch_counts=(50, 200, 800)) -> list:
                 "recovery_s": round(seconds, 4),
                 "events_per_s": round(total / seconds) if seconds else None,
                 "lossless": ok,
+                "rows_built": rows_built,
             }
         )
     return results
@@ -200,6 +231,9 @@ def main() -> int:
         prune = measure_prune_rate(tiered_system.store)
         recovery = measure_recovery(root)
         tiered_system.close()
+        # The corpus directory itself: a snapshot under a cold tier.
+        reopened, _, tiered_rows_built = recover_counting_rows(str(root / "data"))
+        reopened.close()
 
         cold_stats = tiered_system.store.cold.stats()
         checks = {
@@ -209,6 +243,8 @@ def main() -> int:
             ),
             "prune_rate_ge_80pct": prune["prune_rate"] >= 0.80,
             "recovery_lossless": all(r["lossless"] for r in recovery),
+            "recovery_builds_no_rows": not tiered_rows_built
+            and not any(r["rows_built"] for r in recovery),
         }
         result = {
             "bench": "tiered_storage",

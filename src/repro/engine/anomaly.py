@@ -20,7 +20,8 @@ An anomaly query is a multievent query with a global sliding window
 
 from __future__ import annotations
 
-from typing import Dict, List
+from bisect import bisect_left, bisect_right
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.engine.result import ResultSet
 from repro.engine.scheduler import make_scheduler
@@ -30,6 +31,31 @@ from repro.lang.errors import AIQLSemanticError
 from repro.lang.expr import MappingEnv, evaluate_bool, max_history_depth
 from repro.model.time import format_timestamp
 from repro.obs.trace import trace_span
+
+
+def occupied_windows(
+    times: Sequence[float], starts: Sequence[float], window: float
+) -> Iterator[Tuple[int, int, int]]:
+    """``(k, lo, hi)`` for each window ``[starts[k], starts[k] + window)``
+    that holds rows — ``times[lo:hi]``, ``times`` ascending — in window order.
+
+    A day-long query has thousands of window positions and its rows sit in
+    a few of them, so empty windows are not visited: from a window, bisect
+    its first row; if that row starts at or past the window's end, jump to
+    the first window whose end lies beyond it.
+    """
+    ends = [start + window for start in starts]
+    k = 0
+    while k < len(starts):
+        lo = bisect_left(times, starts[k])
+        if lo == len(times):
+            return
+        hi = bisect_left(times, ends[k], lo)
+        if lo == hi:
+            k = bisect_right(ends, times[lo], k + 1)
+            continue
+        yield k, lo, hi
+        k += 1
 
 
 class AnomalyExecutor:
@@ -110,27 +136,20 @@ class AnomalyExecutor:
                 for item in group_items
             )
 
-        # Bucket rows once: row -> the window positions containing its anchor.
         rows_sorted = sorted(
             tuples.rows, key=lambda r: r[anchor_col].start_time
         )
+        times = [row[anchor_col].start_time for row in rows_sorted]
 
-        # series[group][label] = per-window list of aggregate values
+        # window_rows[k][group] = the rows whose anchor starts in window k.
         all_groups: Dict[tuple, None] = {}
-        window_rows: List[Dict[tuple, List[tuple]]] = []
-        for ws in starts:
-            we = ws + window
-            members: Dict[tuple, List[tuple]] = {}
-            for row in rows_sorted:
-                t = row[anchor_col].start_time
-                if t < ws:
-                    continue
-                if t >= we:
-                    break
+        window_rows: List[Dict[tuple, List[tuple]]] = [{} for _ in starts]
+        for k, lo, hi in occupied_windows(times, starts, window):
+            members = window_rows[k]
+            for row in rows_sorted[lo:hi]:
                 key = group_key(row)
                 members.setdefault(key, []).append(row)
                 all_groups[key] = None
-            window_rows.append(members)
 
         from repro.engine.executor import _compute_aggregate
 

@@ -7,8 +7,11 @@ service workers read, and the write path is incremental instead of
 stop-the-world:
 
 * **Batched atomic commits** — appends are staged in the session and
-  committed per batch.  Each partition publishes its sub-batch with a
-  single visibility bump (:meth:`repro.storage.table.EventTable.append_batch`),
+  committed per batch.  The commit turns the batch into one
+  :class:`~repro.storage.blocks.ColumnBlock`, which the write-ahead log
+  frames and every store appends as columns (``add_block``); each partition
+  publishes its sub-batch with a single visibility bump
+  (:meth:`repro.storage.table.EventTable.append_block`),
   and the store's committed-event watermark moves only after *every*
   partition of the batch has published, so a concurrent scan observes a
   prefix-consistent snapshot: whole batches — even ones spanning

@@ -4,15 +4,25 @@
 ``(day, agent-group)`` key the partitioned backend and the cold tier
 already use, across N ``spawn``-started worker processes
 (:mod:`repro.shard.worker`).  It exposes the common store surface
-(``register_entity`` / ``add_batch`` / ``scan_columns`` / ``scan`` /
+(``register_entity`` / ``add_block`` / ``scan_columns`` / ``scan`` /
 ``estimated_events`` / ``stats`` / ...), so everything above it —
 :class:`~repro.engine.executor.MultieventExecutor`, the scheduler's
 constrained re-query narrowing, the query service, streaming sessions —
 runs unchanged.  In particular **join narrowing pushes down for free**:
 the scheduler re-queries constrained patterns through
 ``store.scan_columns(narrowed_filter)``, and the narrowed filter (id
-sets, IN predicates, tightened windows) ships to every shard, where the
-local compiled kernel applies it before anything crosses a pipe.
+sets, IN predicates, tightened windows) ships to every shard that can hold
+a matching row (:func:`owner_shards`), where the local compiled kernel
+applies it before anything crosses a pipe.
+
+Ingest is columnar end to end: a commit reaches :meth:`ShardedStore.
+add_block` as one :class:`~repro.storage.blocks.ColumnBlock`, the shard of
+every row is computed from the block's start-time column and agent
+dictionary, each shard's slice is cut from the columns and ships as one
+block frame of :mod:`repro.storage.codec` (the ``batch`` command), and the
+worker commits the decoded block — its WAL frames the same columns, its
+stores extend theirs from them.  No row tuple is pickled and no row object
+is built on either side of the pipe.
 
 Consistency (torn-read prevention): the coordinator raises its global
 committed watermark only after *every* shard involved in a batch has
@@ -60,11 +70,14 @@ from dataclasses import dataclass, replace
 from typing import (
     Deque,
     Dict,
+    FrozenSet,
     Iterator,
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
+    Union,
 )
 
 from repro.model.entities import Entity
@@ -72,14 +85,10 @@ from repro.model.events import SystemEvent
 from repro.obs import REGISTRY, active_trace
 from repro.shard.chaos import FaultPlan, plan_from_env
 from repro.shard.supervisor import ShardSupervisor
-from repro.shard.wire import (
-    decode_events,
-    decode_result,
-    encode_events,
-    payload_nbytes,
-)
+from repro.shard.wire import decode_events, decode_result, payload_nbytes
 from repro.shard.worker import ShardSpec, shard_worker_main
-from repro.storage.blocks import BlockScanResult
+from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions
+from repro.storage.codec import encode_block
 from repro.storage.filters import EventFilter
 from repro.storage.ingest import Ingestor
 from repro.storage.partition import PartitionKey, PartitionScheme
@@ -125,9 +134,12 @@ class ShardCommitError(ShardError):
 class ScanCompleteness:
     """How partial a degraded scatter scan's answer is.
 
-    ``missing_shards`` did not answer this round (unavailable after the
-    retry budget); ``lossy_shards`` answered but previously lost state
-    to a non-durable restart.  ``estimated_missed_rows`` combines both:
+    ``total_shards`` counts the scan's *owner* shards — the ones that can
+    hold a matching row (:func:`owner_shards`) and were therefore asked.
+    ``missing_shards`` are the owners that did not answer this round
+    (unavailable after the retry budget); ``lossy_shards`` answered but
+    previously lost state to a non-durable restart.
+    ``estimated_missed_rows`` combines both:
     the acked-routing count of each missing shard plus the recovery
     shortfall of each lossy one — an upper bound on committed rows this
     result cannot contain.
@@ -151,7 +163,7 @@ class ScanCompleteness:
 
 _M_SHARD_SCANS = REGISTRY.counter(
     "aiql_shard_scatter_scans_total",
-    "Scatter scan rounds issued to all shards",
+    "Scatter scan rounds issued (each to the filter's owner shards)",
 )
 _M_SHARD_BYTES = REGISTRY.counter(
     "aiql_shard_gather_bytes_total",
@@ -194,6 +206,35 @@ _IDEMPOTENT = frozenset(
         "checkpoint",
     }
 )
+
+
+def route(key: PartitionKey, shards: int) -> int:
+    """The shard that owns partition ``key`` (stable: no process-seeded
+    hashing)."""
+    return (key.day * 31 + key.agent_group) % shards
+
+
+def owner_shards(
+    flt: EventFilter, scheme: PartitionScheme, shards: int
+) -> FrozenSet[int]:
+    """The shards that can hold a row matching ``flt``.
+
+    A filter that names its agents and bounds its window can only match
+    rows of the partitions (window day, agent group) — the same pruning a
+    worker applies to its own partitions, applied one level up, so the
+    other shards are not asked to answer "nothing here".  Every shard
+    otherwise.
+    """
+    days = flt.window.days()
+    if flt.agent_ids is None or days is None:
+        return frozenset(range(shards))
+    groups = {scheme.group_of(agent) for agent in flt.agent_ids}
+    owners: Set[int] = set()
+    for day in days:
+        owners.update(route(PartitionKey(day, group), shards) for group in groups)
+        if len(owners) == shards:
+            break
+    return frozenset(owners)
 
 
 class ShardedStore:
@@ -555,8 +596,8 @@ class ShardedStore:
             )
 
     def shard_of(self, key: PartitionKey) -> int:
-        """Stable partition-key routing (no process-seeded hashing)."""
-        return (key.day * 31 + key.agent_group) % self.shards
+        """Stable partition-key routing (:func:`route`)."""
+        return route(key, self.shards)
 
     # -- ingest ------------------------------------------------------------
 
@@ -575,8 +616,25 @@ class ShardedStore:
     def add_event(self, event: SystemEvent) -> None:
         self.add_batch((event,))
 
-    def add_batch(self, events: Sequence[SystemEvent]) -> Tuple[PartitionKey, ...]:
-        """Route a committed batch to its shards; atomic to scatter scans.
+    def add_batch(
+        self, batch: Union[ColumnBlock, Sequence[SystemEvent]]
+    ) -> Tuple[PartitionKey, ...]:
+        """One committed batch — the block a commit built, or rows — through
+        :meth:`add_block`."""
+        return self.add_block(ColumnBlock.of(batch))
+
+    def add_block(
+        self, block: ColumnBlock, positions: Optional[Positions] = None
+    ) -> Tuple[PartitionKey, ...]:
+        """Route rows ``positions`` of ``block`` (default: all; ascending)
+        to their shards as one committed batch; atomic to scatter scans.
+
+        The shard split is computed from the start-time column and the
+        agent dictionary; each shard's slice is cut from the columns and
+        ships as one block frame (:func:`~repro.storage.codec.
+        encode_block`), which the worker decodes and commits as a block —
+        no row tuple crosses the pipe and no row object is built on
+        either side.
 
         The global watermark is raised only after every involved shard
         acknowledged (and therefore published) its slice, so a scatter
@@ -589,14 +647,17 @@ class ShardedStore:
         partial batch stays invisible to every reader.  The supervisor
         still heals the failed worker so the stream can resume.
         """
-        if not events:
+        split = self.scheme.split(block, positions)
+        if not split:
             return ()
-        by_shard: Dict[int, List[SystemEvent]] = {}
-        touched: Dict[PartitionKey, None] = {}
-        for event in events:
-            key = self.scheme.key_for(event.agent_id, event.start_time)
-            touched[key] = None
-            by_shard.setdefault(self.shard_of(key), []).append(event)
+        rows_by_shard: Dict[int, List[int]] = {}
+        for key, rows in split.items():
+            rows_by_shard.setdefault(self.shard_of(key), []).extend(rows)
+        by_shard: Dict[int, ColumnBlock] = {}
+        for shard, rows in rows_by_shard.items():
+            rows.sort()  # several partitions of one shard: back to batch order
+            by_shard[shard] = ColumnBlock()
+            by_shard[shard].extend_rows(block, rows)
         with self._lock:
             self._flush_entities_locked()
             unavailable = [
@@ -619,7 +680,7 @@ class ShardedStore:
                 for shard, chunk in by_shard.items():
                     _M_SHARD_ROUTED.inc(len(chunk), shard=str(shard))
             messages = {
-                shard: ("batch", encode_events(chunk))
+                shard: ("batch", encode_block(chunk))
                 for shard, chunk in by_shard.items()
             }
             payloads: Dict[int, object] = {}
@@ -653,7 +714,7 @@ class ShardedStore:
                 # must never surface (a later commit raises the watermark
                 # past them), so quarantine their ids from every scan.
                 for shard in payloads:
-                    self._torn.update(e.event_id for e in by_shard[shard])
+                    self._torn.update(by_shard[shard].event_ids)
                     self._shard_acked[shard] += len(by_shard[shard])
                 # Heal the dead/wedged workers (not worker-reported
                 # errors: those pipes are still in sync), then fail fast.
@@ -673,18 +734,23 @@ class ShardedStore:
                 )
             for shard, chunk in by_shard.items():
                 self._shard_acked[shard] += len(chunk)
-            self._event_count += len(events)
-            top = max(e.event_id for e in events)
+            self._event_count += sum(len(chunk) for chunk in by_shard.values())
+            top = block.top_event_id(positions)
             if top > self._committed:
                 self._committed = top
-        return tuple(touched)
+        return tuple(split)
 
     # -- queries -----------------------------------------------------------
 
     def _completeness_for(
-        self, missing: Sequence[int], answered: Sequence[int], watermark: int
+        self,
+        missing: Sequence[int],
+        answered: Sequence[int],
+        watermark: int,
+        owners: int,
     ) -> Optional[ScanCompleteness]:
-        """Annotation for a scan round, ``None`` when it was complete.
+        """Annotation for a scan round over ``owners`` shards, ``None``
+        when it was complete.
 
         Missing shards contribute their acked routing count (all their
         committed rows are absent); answering shards that lost state to
@@ -703,7 +769,7 @@ class ShardedStore:
             missing_shards=tuple(sorted(missing)),
             lossy_shards=tuple(sorted(lossy)),
             estimated_missed_rows=estimated,
-            total_shards=self.shards,
+            total_shards=owners,
             watermark=watermark,
         )
 
@@ -748,9 +814,14 @@ class ShardedStore:
         parallel: bool = False,
         use_entity_index: bool = True,
     ) -> BlockScanResult:
-        """Scatter the filter, gather per-shard column slices.
+        """Scatter the filter to its owner shards, gather their column
+        slices.
 
-        Every shard prunes/scans locally (compiled kernels, partition
+        Only the shards that can hold a matching row are asked
+        (:func:`owner_shards`: every shard unless the filter names its
+        agents and bounds its window), and only an owner's absence fails
+        or degrades the scan.  Every asked shard prunes/scans locally
+        (compiled kernels, partition
         pruning, scan cache, cold tier) and replies with its survivors as
         one serialized block slice in (start_time, event_id) order,
         capped at this scan's committed watermark; parts from different
@@ -768,9 +839,13 @@ class ShardedStore:
         trace = active_trace()
         observing = REGISTRY.enabled or trace is not None
         timings: Optional[Dict[int, float]] = {} if observing else None
+        owners = owner_shards(flt, self.scheme, self.shards)
         with self._lock:
             self._flush_entities_locked()
-            serving, unavailable = self._available_targets()
+            serving, unavailable = (
+                [shard for shard in shards if shard in owners]
+                for shards in self._available_targets()
+            )
             if unavailable and self.read_policy != "degraded":
                 raise ShardError(
                     f"scan: shard(s) {sorted(unavailable)} unavailable "
@@ -795,7 +870,7 @@ class ShardedStore:
                     f"recovery (read policy fail_fast)"
                 )
             completeness = self._completeness_for(
-                missing, sorted(payloads), watermark
+                missing, sorted(payloads), watermark, len(owners)
             )
             if completeness is not None:
                 self._note_degraded(completeness)

@@ -1,11 +1,13 @@
 """Wire format for shard <-> coordinator traffic (ISSUE 7).
 
-Two payload kinds cross the worker pipes, both plain picklable dicts of
+Besides the ingest ``batch`` command — whose payload is a bare block frame
+of :mod:`repro.storage.codec`, cut and encoded by the coordinator — two
+payload kinds cross the worker pipes, both plain picklable dicts/lists of
 ``bytes``/tuples (no live objects, no code):
 
-* **event batches** (coordinator -> shard ingest, shard -> coordinator
-  ``full_scan`` replies): one compact tuple per event, with operation and
-  object type as their *value strings* — enum identity never crosses a
+* **row lists** (shard -> coordinator ``full_scan`` replies only — the
+  pruning-free test oracle): one compact tuple per event, with operation
+  and object type as their *value strings* — enum identity never crosses a
   process boundary;
 * **scan results** (shard -> coordinator): the survivor rows of a
   scatter scan as one :class:`~repro.storage.blocks.ColumnBlock` slice in

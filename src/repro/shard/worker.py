@@ -8,7 +8,10 @@ background compactor under ``<data_dir>/shard-<i>``.  The coordinator
 partitions to a worker, so partition pruning, compiled kernels, the
 scan cache and the tiered cold path all run unchanged inside it.
 
-Protocol: a strict request/response loop over one duplex pipe.  Every
+Protocol: a strict request/response loop over one duplex pipe.  The ingest
+``batch`` command carries one block frame — this shard's slice of a commit
+— which is decoded and committed as a block (``Ingestor.commit_block``: WAL
+first, then every store's ``add_block``).  Every
 command is answered with ``("ok", payload)`` or ``("err", message)`` —
 errors are contained per command, never crash the worker, and surface
 in the coordinator as raised exceptions.  On startup the worker sends
@@ -32,7 +35,8 @@ from repro.obs import REGISTRY, set_metrics_enabled
 from repro.service.cache import ScanCache
 from repro.service.pool import shutdown_shared_executor
 from repro.shard.chaos import ChaosAgent, Fault
-from repro.shard.wire import decode_events, encode_events, encode_result
+from repro.shard.wire import encode_events, encode_result
+from repro.storage.codec import decode_block
 from repro.storage.database import EventStore
 from repro.storage.flat import FlatStore
 from repro.storage.ingest import Ingestor
@@ -154,9 +158,9 @@ def shard_worker_main(conn, spec: ShardSpec) -> None:
                     ingestor.observe(rebuild_entity(registry, record))
                 reply = len(args[0])
             elif command == "batch":
-                events = decode_events(args[0])
-                ingestor.commit(events)
-                reply = len(events)
+                block = decode_block(args[0])
+                ingestor.commit_block(block)
+                reply = len(block)
             elif command == "scan":
                 flt, watermark, parallel, use_entity_index, exclude = args
                 result = store.scan_columns(

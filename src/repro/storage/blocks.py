@@ -27,12 +27,20 @@ set of per-block selections that can answer the engine's narrowing
 questions (distinct field values, time bounds, join keys) straight from
 the columns and materializes rows only for final results.
 
+A block is also the unit a *batch* travels in.  A stream commit builds one
+block from its rows (:meth:`ColumnBlock.from_events`), and that block — or
+one decoded from a WAL record, a snapshot frame or a shard frame — enters
+a table's block through :meth:`ColumnBlock.extend_rows`: a slice
+``extend`` (or a gather, for a sparse position list) per column, with the
+agent dictionaries merged and the summary fields moved once per batch.
+:meth:`ColumnBlock.append` is the single-row form, for ``emit``.
+
 Concurrency: blocks inherit the single-writer/many-readers contract of the
 tables that own them.  Appends write every column before the owner
-publishes the row (the table's visibility bump), ``bytearray``/``array``
-appends are atomic under the GIL, and the rare dictionary/universe updates
-publish immutable copies (copy-on-write) so readers never iterate a
-mutating container.
+publishes the rows (the table's visibility bump), ``bytearray``/``array``
+appends and extends are atomic under the GIL, and the rare
+dictionary/universe updates publish immutable copies (copy-on-write) so
+readers never iterate a mutating container.
 """
 
 from __future__ import annotations
@@ -189,13 +197,125 @@ class ColumnBlock:
         self._agent_code = mapping
         return code
 
+    def extend_rows(
+        self, source: "ColumnBlock", positions: Optional[Positions] = None
+    ) -> None:
+        """Append rows ``positions`` of ``source`` (default: all of them).
+
+        The bulk write primitive: a batch enters a block column by column —
+        one slice ``extend`` per column for a contiguous range, one gather
+        per column for a sparse position list — and the summary fields
+        (agent dictionary, op/otype universes, ``time_sorted``, min/max
+        time, ``max_event_id``) move once per batch, to exactly what
+        :meth:`append` row by row would have left.  ``positions`` is
+        ascending; ``source`` is sealed (or was appended to), so its own
+        summary can stand in for a pass over the rows when every row is
+        taken.  Single writer only; the owner publishes the rows afterwards.
+        """
+        if positions is None:
+            positions = range(len(source))
+        count = len(positions)
+        if not count:
+            return
+        if type(positions) is range and positions.step == 1:
+            lo, hi = positions.start, positions.stop
+
+            def take(column):
+                return column[lo:hi]
+
+        else:
+
+            def take(column):
+                return [column[p] for p in positions]
+
+        event_ids = take(source.event_ids)
+        times = take(source.t0)
+        op_codes = take(source.op_codes)
+        otype_codes = take(source.otype_codes)
+        if count == len(source):
+            in_order = source.time_sorted
+            first, last = source.min_time, source.max_time
+            top_id = source.max_event_id
+            ops, otypes = source.op_universe, source.otype_universe
+        else:
+            ordered = sorted(times)
+            in_order = list(times) == ordered
+            first, last = ordered[0], ordered[-1]
+            top_id = max(event_ids)
+            ops, otypes = frozenset(op_codes), frozenset(otype_codes)
+        own_times = self.t0
+        if not in_order or (own_times and times[0] < own_times[-1]):
+            self.time_sorted = False
+        if not ops <= self.op_universe:
+            self.op_universe |= ops
+        if not otypes <= self.otype_universe:
+            self.otype_universe |= otypes
+        agent_codes = self._merged_agent_codes(source, take(source.agent_codes))
+        column = self.agent_codes
+        if len(self.agents) > 256 and isinstance(column, bytearray):
+            # The batch brought the 257th agent: promote (see _add_agent).
+            column = array("q", list(column))
+        column.extend(agent_codes)
+        self.agent_codes = column
+        self.event_ids.extend(event_ids)
+        self.seqs.extend(take(source.seqs))
+        own_times.extend(times)
+        self.t1.extend(take(source.t1))
+        self.op_codes.extend(op_codes)
+        self.subject_ids.extend(take(source.subject_ids))
+        self.object_ids.extend(take(source.object_ids))
+        self.otype_codes.extend(otype_codes)
+        self.amounts.extend(take(source.amounts))
+        self.failure_codes.extend(take(source.failure_codes))
+        self._rows.extend([None] * count)
+        if self.min_time is None or first < self.min_time:
+            self.min_time = first
+        if self.max_time is None or last > self.max_time:
+            self.max_time = last
+        if top_id > self.max_event_id:
+            self.max_event_id = top_id
+
+    def _merged_agent_codes(
+        self, source: "ColumnBlock", codes: Union[AgentCodes, List[int]]
+    ) -> Union[bytearray, List[int]]:
+        """``codes`` of ``source`` re-expressed in this block's dictionary,
+        which gains the agents it lacks in the order the rows name them."""
+        if not isinstance(codes, bytearray):
+            # bytearray.extend would read an array's raw bytes, not its items.
+            codes = list(codes)
+        mine = self._agent_code
+        theirs = source.agents
+        fresh: List[int] = []
+        remap: Dict[int, int] = {}
+        for code in dict.fromkeys(codes):
+            agent = theirs[code]
+            own = mine.get(agent)
+            if own is None:
+                own = len(mine) + len(fresh)
+                fresh.append(agent)
+            remap[code] = own
+        if fresh:
+            base = len(mine)
+            mapping = dict(mine)
+            mapping.update((agent, base + i) for i, agent in enumerate(fresh))
+            self.agents = self.agents + tuple(fresh)
+            self._agent_code = mapping
+        if all(code == own for code, own in remap.items()):
+            return codes
+        if isinstance(codes, bytearray) and len(self.agents) <= 256:
+            table = bytearray(range(256))
+            for code, own in remap.items():
+                table[code] = own
+            return codes.translate(table)
+        return [remap[code] for code in codes]
+
     @classmethod
     def from_events(cls, events: Sequence[SystemEvent]) -> "ColumnBlock":
         """Build a block from rows in one pass per column.
 
         The bulk counterpart of :meth:`append` for callers that hold a
-        whole batch (the durable codecs): a comprehension per column
-        instead of a dozen appends per row.
+        whole batch of rows (a stream commit, a cold segment): a
+        comprehension per column instead of a dozen appends per row.
         """
         block = cls()
         block.event_ids = array("q", [e.event_id for e in events])
@@ -211,6 +331,12 @@ class ColumnBlock:
         block.set_agents([e.agent_id for e in events])
         block.seal()
         return block
+
+    @classmethod
+    def of(cls, batch: Union["ColumnBlock", Sequence[SystemEvent]]) -> "ColumnBlock":
+        """``batch`` as a block: itself when a commit already built it,
+        :meth:`from_events` when it is still rows."""
+        return batch if isinstance(batch, ColumnBlock) else cls.from_events(batch)
 
     def set_agents(self, agent_ids: Sequence[int]) -> None:
         """Dictionary-encode a whole agent-id column (codes in first-seen
@@ -300,6 +426,13 @@ class ColumnBlock:
         lo = 0 if start is None else bisect_left(t0, start, 0, stop)
         hi = stop if end is None else bisect_left(t0, end, lo, stop)
         return lo, hi
+
+    def top_event_id(self, positions: Optional[Positions] = None) -> int:
+        """Highest event id among rows ``positions`` (default: all); 0 for none."""
+        if positions is None:
+            return self.max_event_id
+        event_ids = self.event_ids
+        return max((event_ids[p] for p in positions), default=0)
 
     def agent_code_set(
         self, agent_ids: FrozenSet[int]

@@ -10,13 +10,22 @@ parallelization; the query-level half lives in :mod:`repro.engine.parallel`).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.model.entities import Entity, EntityRegistry, EntityType
 from repro.model.events import SystemEvent
 from repro.service.cache import CACHEABLE_ID_SET_LIMIT, ScanCache, cacheable_filter
 from repro.service.pool import SharedExecutor, get_shared_executor
-from repro.storage.blocks import BlockScanResult, ColumnBlock, Selection
+from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions, Selection
 from repro.storage.filters import (
     EventFilter,
     filter_fingerprint,
@@ -143,67 +152,67 @@ class EventStore:
             self.scan_cache.invalidate(key)
         self._committed = max(self._committed, event.event_id)
 
-    def add_batch(self, events: Sequence[SystemEvent]) -> Tuple[PartitionKey, ...]:
-        """Append a committed batch; returns the partitions it touched.
+    def add_block(
+        self, block: ColumnBlock, positions: Optional[Positions] = None
+    ) -> Tuple[PartitionKey, ...]:
+        """Append rows ``positions`` of ``block`` (default: all; ascending)
+        as one committed batch; returns the partitions it touched.
 
-        The incremental write path of the streaming ingestion subsystem:
-        events are grouped per partition, each partition publishes its rows
-        and index postings with one visibility bump, and the scan cache is
-        invalidated once per *touched* partition — cached scans of
-        partitions the batch did not touch stay warm, unlike the per-event
-        exclusive path which pays one invalidation per event.  The
-        committed watermark is raised last (after every partition published
-        and the touched cache entries were dropped), so a reader either
-        filters the whole batch out or — once the watermark moves — finds
-        every partition's share already published: no torn batches, and a
-        post-commit query never gets a pre-commit cache entry.
+        The one batch path — a stream commit, WAL replay, snapshot load and
+        a shard worker's slice all arrive here as a block.  The rows are
+        split per partition from the start-time column and the agent
+        dictionary (:meth:`PartitionScheme.split`), each partition extends
+        its columns and publishes its share with one visibility bump, and
+        the scan cache is invalidated once per *touched* partition — cached
+        scans of partitions the batch did not touch stay warm, unlike the
+        per-event exclusive path which pays one invalidation per event.
+        The committed watermark is raised last (after every partition
+        published and the touched cache entries were dropped), so a reader
+        either filters the whole batch out or — once the watermark moves —
+        finds every partition's share already published: no torn batches,
+        and a post-commit query never gets a pre-commit cache entry.
         """
-        by_key: Dict[PartitionKey, List[SystemEvent]] = {}
-        for event in events:
-            key = self.scheme.key_for(event.agent_id, event.start_time)
-            by_key.setdefault(key, []).append(event)
-        for key, chunk in by_key.items():
+        split = self.scheme.split(block, positions)
+        for key, rows in split.items():
             table = self._partitions.get(key)
             if table is None:
                 table = EventTable(self.registry.get)
                 self._partitions[key] = table
-            table.append_batch(chunk)
+            table.append_block(block, rows)
         if self.scan_cache is not None:
-            for key in by_key:
+            for key in split:
                 self.scan_cache.invalidate(key)
-        self._event_count += len(events)
-        if events:
-            self._committed = max(
-                self._committed, max(e.event_id for e in events)
-            )
-        return tuple(by_key)
+        self._event_count += sum(len(rows) for rows in split.values())
+        self._committed = max(self._committed, block.top_event_id(positions))
+        return tuple(split)
 
-    def remove_events(self, events: Sequence[SystemEvent]) -> int:
-        """Remove committed events (the cold-migration hand-off).
+    def add_batch(
+        self, batch: Union[ColumnBlock, Sequence[SystemEvent]]
+    ) -> Tuple[PartitionKey, ...]:
+        """One committed batch — the block a commit built, or rows — through
+        :meth:`add_block`."""
+        return self.add_block(ColumnBlock.of(batch))
 
-        Affected partitions are rebuilt without the removed rows and
-        swapped in atomically (readers mid-scan keep the old table, which
-        is still correct — the tiered scan path deduplicates by event id
-        while both copies are reachable); emptied partitions are dropped.
-        Must run on the single writer, serialized with appends.
+    def remove_events(self, event_ids: AbstractSet[int]) -> int:
+        """Remove committed events by id (the cold-migration hand-off).
+
+        Affected partitions are rebuilt from their own columns without the
+        removed rows and swapped in atomically (readers mid-scan keep the
+        old table, which is still correct — the tiered scan path
+        deduplicates by event id while both copies are reachable); emptied
+        partitions are dropped.  Must run on the single writer, serialized
+        with appends.
         """
-        by_key: Dict[PartitionKey, set] = {}
-        for event in events:
-            key = self.scheme.key_for(event.agent_id, event.start_time)
-            by_key.setdefault(key, set()).add(event.event_id)
         removed = 0
-        for key, ids in by_key.items():
-            table = self._partitions.get(key)
-            if table is None:
+        for key, table in list(self._partitions.items()):
+            fresh = table.without(event_ids)
+            if fresh is None:
                 continue
-            keep = [e for e in table if e.event_id not in ids]
-            removed += len(table) - len(keep)
-            if keep:
-                fresh = EventTable(self.registry.get)
-                fresh.append_batch(keep)
+            removed += len(table) - len(fresh)
+            if len(fresh):
                 self._partitions[key] = fresh
             else:
-                self._partitions.pop(key, None)
+                del self._partitions[key]
             if self.scan_cache is not None:
                 self.scan_cache.invalidate(key)
         self._event_count -= removed

@@ -10,11 +10,20 @@ entity-attribute indexes, but no partition pruning and no scan parallelism.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.model.entities import Entity, EntityRegistry
 from repro.model.events import SystemEvent
-from repro.storage.blocks import BlockScanResult, ColumnBlock
+from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions
 from repro.storage.filters import EventFilter
 from repro.storage.index import DEFAULT_INDEXED_ATTRIBUTES, EntityAttributeIndex
 from repro.storage.table import EventTable
@@ -44,22 +53,30 @@ class FlatStore:
     def add_event(self, event: SystemEvent) -> None:
         self._table.append(event)
 
-    def add_batch(self, events: Sequence[SystemEvent]) -> None:
-        """Append a committed batch atomically (one visibility bump)."""
-        self._table.append_batch(events)
+    def add_block(
+        self, block: ColumnBlock, positions: Optional[Positions] = None
+    ) -> None:
+        """Append rows ``positions`` of ``block`` (default: all) as one
+        committed batch: one column extend, one visibility bump."""
+        self._table.append_block(block, positions)
 
-    def remove_events(self, events: Sequence[SystemEvent]) -> int:
-        """Remove committed events (the cold-migration hand-off).
+    def add_batch(self, batch: Union[ColumnBlock, Sequence[SystemEvent]]) -> None:
+        """One committed batch — the block a commit built, or rows — through
+        :meth:`add_block`."""
+        self.add_block(ColumnBlock.of(batch))
 
-        The heap is rebuilt without the removed rows and swapped in
-        atomically; readers mid-scan keep the old (still correct) table.
-        Must run on the single writer, serialized with appends.
+    def remove_events(self, event_ids: AbstractSet[int]) -> int:
+        """Remove committed events by id (the cold-migration hand-off).
+
+        The heap is rebuilt from its own columns without the removed rows
+        and swapped in atomically; readers mid-scan keep the old (still
+        correct) table.  Must run on the single writer, serialized with
+        appends.
         """
-        ids = {e.event_id for e in events}
-        keep = [e for e in self._table if e.event_id not in ids]
-        removed = len(self._table) - len(keep)
-        fresh = EventTable(self.registry.get)
-        fresh.append_batch(keep)
+        fresh = self._table.without(event_ids)
+        if fresh is None:
+            return 0
+        removed = len(self._table) - len(fresh)
         self._table = fresh
         return removed
 

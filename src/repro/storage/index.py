@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import threading
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.model.entities import Entity, EntityType, normalize_attribute
 from repro.storage.filters import AttrPredicate, like_to_regex
@@ -177,13 +177,43 @@ class SortedTimeIndex:
 
     def add(self, start_time: float, position: int) -> None:
         with self._lock:
-            if not self._times or start_time >= self._times[-1]:
-                self._times.append(start_time)
-                self._positions.append(position)
-                return
-            idx = bisect.bisect_right(self._times, start_time)
-            self._times.insert(idx, start_time)
-            self._positions.insert(idx, position)
+            self._add(start_time, position)
+
+    def _add(self, start_time: float, position: int) -> None:
+        if not self._times or start_time >= self._times[-1]:
+            self._times.append(start_time)
+            self._positions.append(position)
+            return
+        idx = bisect.bisect_right(self._times, start_time)
+        self._times.insert(idx, start_time)
+        self._positions.insert(idx, position)
+
+    def extend(self, start_times: Sequence[float], positions: List[int]) -> None:
+        """Add one batch: ``start_times[i]`` is the time of ``positions[i]``
+        (positions ascending, and above every one the index holds).  Leaves
+        the index as :meth:`add` row by row would.
+
+        An in-order batch behind the index is two list extends.  Otherwise
+        a batch at least as large as the index is merged by one sort
+        ((time, position) order is the insort order: equal times keep
+        arrival order, and positions rise with arrival); a small batch
+        against a large index insorts its rows.
+        """
+        times = list(start_times)
+        if not times:
+            return
+        with self._lock:
+            own = self._times
+            if times == sorted(times) and (not own or times[0] >= own[-1]):
+                own.extend(times)
+                self._positions.extend(positions)
+            elif len(times) >= len(own):
+                merged = sorted(zip(own + times, self._positions + positions))
+                self._times = [time for time, _ in merged]
+                self._positions = [position for _, position in merged]
+            else:
+                for start_time, position in zip(times, positions):
+                    self._add(start_time, position)
 
     def range(
         self, start: Optional[float], end: Optional[float]

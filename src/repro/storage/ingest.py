@@ -18,6 +18,15 @@ registered into each store exactly once, no matter how many stores are
 attached or how often agents re-observe the entity.  Live ingestion goes
 through :class:`repro.service.stream.StreamSession`, which stages events
 built here and commits them in batches via :meth:`Ingestor.commit`.
+
+A batch is one block from the commit to the partition columns:
+:meth:`Ingestor.commit` builds the batch's
+:class:`~repro.storage.blocks.ColumnBlock` once and hands the same object
+to the write-ahead log (which frames its columns) and to every store
+(``add_batch(block)``, which is ``add_block(block)``: the store extends its
+own columns from it) — every batch, from a commit or from disk, enters a
+store through ``add_block``, and no row object is built after
+:meth:`Ingestor.build_event`.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from repro.model.entities import (
 )
 from repro.model.events import Operation, SystemEvent, validate_event
 from repro.model.time import ClockSynchronizer
+from repro.storage.blocks import ColumnBlock
 
 
 class IngestError(ValueError):
@@ -68,7 +78,10 @@ class Ingestor:
         self._wal_lock = contextlib.nullcontext()
 
     def attach(self, store: object) -> None:
-        """Attach a store (EventStore / FlatStore / SegmentedStore).
+        """Attach a store (EventStore / FlatStore / SegmentedStore /
+        TieredStore / ShardedStore): anything with ``register_entity``,
+        ``add_event`` (one row, for :meth:`emit`) and ``add_batch`` (a
+        commit's block).
 
         A store attached after entities were already observed receives a
         replay of the registry, so its attribute indexes match its peers'.
@@ -289,50 +302,56 @@ class Ingestor:
         )
         self._staged -= 1
         with self._wal_lock:
-            self._wal_append((event,))
+            if self.wal is not None:
+                self._wal_append(ColumnBlock.from_events((event,)))
             for store in self._stores:
                 store.add_event(event)  # type: ignore[attr-defined]
             self._events_ingested += 1
         return event
 
-    def _wal_append(self, events: Sequence[SystemEvent]) -> None:
+    def _wal_append(self, block: ColumnBlock) -> None:
         """Make a batch durable before any store publishes it.
 
         A failed append leaves the pending-entity queue intact and
         nothing published — the commit simply did not happen.
         """
-        if self.wal is None:
-            return
-        entities = self._wal_pending_entities
-        self.wal.append(entities, events)
+        self.wal.append(self._wal_pending_entities, block)
         self._wal_pending_entities = []
 
     def commit(self, events: Sequence[SystemEvent]) -> None:
         """Fan a pre-validated batch out to every attached store.
 
-        Stores exposing ``add_batch`` receive the whole batch (atomic
-        publication, one cache invalidation per touched partition); others
-        fall back to per-event appends.
+        The batch becomes one :class:`~repro.storage.blocks.ColumnBlock`
+        here, once, and :meth:`commit_block` hands that same object to the
+        write-ahead log and to every store.
         """
-        if not events:
+        if events:
+            self.commit_block(ColumnBlock.from_events(events))
+
+    def commit_block(self, block: ColumnBlock) -> None:
+        """Commit a batch that already is a block (a shard worker's slice,
+        decoded from the coordinator's frame; :meth:`commit` for rows).
+
+        Every store takes it through ``add_batch`` — which, handed a
+        block, is ``add_block``: atomic publication, one cache invalidation
+        per touched partition — after the write-ahead log, when one is
+        attached, has made it durable.
+        """
+        count = len(block)
+        if not count:
             return
-        events = tuple(events)
         # max() tolerates batches built outside build_event (e.g. replayed
         # snapshots); the staged counter must never go negative.
-        self._staged = max(0, self._staged - len(events))
+        self._staged = max(0, self._staged - count)
         # The lock spans WAL append AND publication: a checkpoint (which
         # holds the same lock) therefore sees either neither or both, so
         # its snapshot + WAL reset can never strand an acknowledged batch.
         with self._wal_lock:
-            self._wal_append(events)
+            if self.wal is not None:
+                self._wal_append(block)
             for store in self._stores:
-                add_batch = getattr(store, "add_batch", None)
-                if add_batch is not None:
-                    add_batch(events)
-                else:
-                    for event in events:
-                        store.add_event(event)  # type: ignore[attr-defined]
-            self._events_ingested += len(events)
+                store.add_batch(block)  # type: ignore[attr-defined]
+            self._events_ingested += count
 
     def emit_batch(
         self,

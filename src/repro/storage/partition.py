@@ -12,9 +12,10 @@ and temporal constraints of a data query.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.model.time import DAY, TimeWindow, day_of
+from repro.storage.blocks import ColumnBlock, Positions
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,43 @@ class PartitionScheme:
 
     def key_for(self, agent_id: int, start_time: float) -> PartitionKey:
         return PartitionKey(day=day_of(start_time), agent_group=self.group_of(agent_id))
+
+    def split(
+        self, block: ColumnBlock, positions: Optional[Positions] = None
+    ) -> Dict[PartitionKey, Positions]:
+        """Rows ``positions`` of ``block`` (default: all; ascending) grouped
+        by partition, keys in first-row order.
+
+        Read from the start-time column and the agent dictionary; no row
+        object is built.  A batch that sits inside one partition (a
+        snapshot frame, a shard slice of one partition) comes back as
+        ``positions`` itself, so a contiguous batch stays a slice.
+        """
+        if positions is None:
+            positions = range(len(block))
+        if not len(positions):
+            return {}
+        groups = [self.group_of(agent) for agent in block.agents]
+        first_day = day_of(block.min_time)
+        one_day = day_of(block.max_time) == first_day
+        if one_day and len(set(groups)) == 1:
+            return {PartitionKey(first_day, groups[0]): positions}
+        t0 = block.t0
+        codes = block.agent_codes
+        # (day, agent code) -> the position list of its partition: several
+        # codes share one list, and the key is hashed once per pair.
+        lists: Dict[Tuple[int, int], List[int]] = {}
+        out: Dict[PartitionKey, Positions] = {}
+        for p in positions:
+            pair = (first_day if one_day else int(t0[p] // DAY), codes[p])
+            rows = lists.get(pair)
+            if rows is None:
+                rows = out.setdefault(PartitionKey(pair[0], groups[pair[1]]), [])
+                lists[pair] = rows
+            rows.append(p)
+        if len(out) == 1:
+            return {key: positions for key in out}
+        return out
 
     def prune(
         self,

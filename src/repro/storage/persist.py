@@ -204,24 +204,16 @@ def rebuild_entity(registry: EntityRegistry, record: dict) -> Entity:
     return entity
 
 
-def add_events(stores: Sequence, events: Sequence[SystemEvent]) -> None:
-    """Hand restored rows to every store (batched where the store can)."""
-    for store in stores:
-        add_batch = getattr(store, "add_batch", None)
-        if add_batch is not None:
-            add_batch(events)
-        else:
-            for event in events:
-                store.add_event(event)
-
-
 def load_snapshot(
     path,
     registry: EntityRegistry,
     stores: Sequence,
 ) -> int:
     """Restore a snapshot into ``stores`` (which must share ``registry``,
-    fresh/empty).  Returns the number of events restored."""
+    fresh/empty).  Returns the number of events restored.
+
+    Each decoded block frame goes to the stores as it is (``add_block``):
+    the rows come back as columns, and no row object is built."""
     restored = 0
     try:
         with Path(path).open("rb") as handle:
@@ -240,9 +232,10 @@ def load_snapshot(
                         store.register_entity(entity)
                 entities += len(records)
             while restored < event_count:
-                events = decode_block(read_frame(handle)).events()
-                add_events(stores, events)
-                restored += len(events)
+                block = decode_block(read_frame(handle))
+                for store in stores:
+                    store.add_block(block)
+                restored += len(block)
             if entities != entity_count or restored != event_count or handle.read(1):
                 raise SnapshotError(
                     f"snapshot holds more than its declared {entity_count} "

@@ -15,13 +15,22 @@ Two distribution policies are provided:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.model.entities import Entity, EntityRegistry
 from repro.model.events import SystemEvent
 from repro.model.time import day_of
 from repro.service.pool import SharedExecutor, get_shared_executor
-from repro.storage.blocks import BlockScanResult, ColumnBlock
+from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions
 from repro.storage.filters import EventFilter
 from repro.storage.index import DEFAULT_INDEXED_ATTRIBUTES, EntityAttributeIndex
 from repro.storage.kernels import kernel_for, kernels_enabled
@@ -76,58 +85,68 @@ class SegmentedStore:
         self._indexed_entities.add(entity.id)
         self.entity_index.add(entity)
 
-    def _segment_for(self, event: SystemEvent) -> int:
+    def _segment_for(self, agent_id: int, start_time: float) -> int:
         if self.policy == "arrival":
             segment = self._rr
             self._rr = (self._rr + 1) % len(self._segments)
             return segment
-        return hash((event.agent_id, day_of(event.start_time))) % len(self._segments)
+        return hash((agent_id, day_of(start_time))) % len(self._segments)
 
     def add_event(self, event: SystemEvent) -> None:
-        self._segments[self._segment_for(event)].append(event)
+        segment = self._segment_for(event.agent_id, event.start_time)
+        self._segments[segment].append(event)
         self._event_count += 1
         self._committed = max(self._committed, event.event_id)
 
-    def add_batch(self, events: Sequence[SystemEvent]) -> None:
-        """Append a committed batch; each segment publishes its share once.
+    def add_block(
+        self, block: ColumnBlock, positions: Optional[Positions] = None
+    ) -> None:
+        """Append rows ``positions`` of ``block`` (default: all; ascending)
+        as one committed batch; each segment publishes its share once.
 
-        Segment assignment is identical to the per-event path (round-robin
-        state advances per event under ``arrival``), so a streamed ingest
-        places every event exactly where a burst ingest would have.  The
+        Segment assignment is identical to the per-event path, read from
+        the start-time column and the agent dictionary (round-robin state
+        advances per row under ``arrival``), so a streamed ingest places
+        every event exactly where a burst ingest would have.  The
         watermark moves only after every segment published, making the
         batch atomic to concurrent scans.
         """
-        by_segment: Dict[int, List[SystemEvent]] = {}
-        for event in events:
-            by_segment.setdefault(self._segment_for(event), []).append(event)
-        for segment, chunk in by_segment.items():
-            self._segments[segment].append_batch(chunk)
-        self._event_count += len(events)
-        if events:
-            self._committed = max(
-                self._committed, max(e.event_id for e in events)
-            )
+        if positions is None:
+            positions = range(len(block))
+        segment_for = self._segment_for
+        t0 = block.t0
+        agents = block.agents
+        codes = block.agent_codes
+        by_segment: Dict[int, List[int]] = {}
+        for p in positions:
+            segment = segment_for(agents[codes[p]], t0[p])
+            by_segment.setdefault(segment, []).append(p)
+        for segment, rows in by_segment.items():
+            self._segments[segment].append_block(block, rows)
+        self._event_count += len(positions)
+        self._committed = max(self._committed, block.top_event_id(positions))
 
-    def remove_events(self, events: Sequence[SystemEvent]) -> int:
-        """Remove committed events (the cold-migration hand-off).
+    def add_batch(self, batch: Union[ColumnBlock, Sequence[SystemEvent]]) -> None:
+        """One committed batch — the block a commit built, or rows — through
+        :meth:`add_block`."""
+        self.add_block(ColumnBlock.of(batch))
 
-        Each affected segment is rebuilt without the removed rows and
-        swapped in place atomically (readers mid-scan keep the old, still
-        correct, table); round-robin state is untouched, so arrival-order
-        placement of future events is unaffected.  Must run on the single
-        writer, serialized with appends.
+    def remove_events(self, event_ids: AbstractSet[int]) -> int:
+        """Remove committed events by id (the cold-migration hand-off).
+
+        Each affected segment is rebuilt from its own columns without the
+        removed rows and swapped in place atomically (readers mid-scan keep
+        the old, still correct, table); round-robin state is untouched, so
+        arrival-order placement of future events is unaffected.  Must run
+        on the single writer, serialized with appends.
         """
-        ids = {e.event_id for e in events}
         removed = 0
         for index, segment in enumerate(self._segments):
-            keep = [e for e in segment if e.event_id not in ids]
-            dropped = len(segment) - len(keep)
-            if not dropped:
+            fresh = segment.without(event_ids)
+            if fresh is None:
                 continue
-            fresh = EventTable(self.registry.get)
-            fresh.append_batch(keep)
+            removed += len(segment) - len(fresh)
             self._segments[index] = fresh
-            removed += dropped
         self._event_count -= removed
         return removed
 

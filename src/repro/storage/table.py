@@ -10,8 +10,7 @@ dictionary-encoded agent/op/object-type codes — in arrival order, with
   (time-ordered blocks answer window probes by bisecting the raw time
   column directly),
 * subject-id and object-id postings lists (the relational analogue of the
-  foreign-key indexes on the events table),
-* per-operation postings lists.
+  foreign-key indexes on the events table).
 
 :class:`SystemEvent` objects are a lazily materialized view over the block:
 scans narrow on columns and only survivors (or explicit row accesses)
@@ -22,15 +21,20 @@ it.
 Visibility model (single writer, many readers): rows and index postings are
 staged first and *published* by a single monotone ``_visible`` bump, so a
 reader never observes part of a batch.  :meth:`append` publishes per event
-(the legacy exclusive write path); :meth:`append_batch` stages a whole
-batch and publishes it with one bump, which is what makes a streaming
-commit atomic with respect to concurrent scans of this partition.
+(the exclusive ``emit`` path); :meth:`append_block` is the one batch path:
+a batch arrives as a :class:`~repro.storage.blocks.ColumnBlock` (built once
+by the commit, or decoded from a WAL record, a snapshot frame or a shard
+frame) and enters the table as column extends — no row object is built —
+with the postings and the time index derived from the new column tails and
+one bump publishing the lot, which is what makes a streaming commit atomic
+with respect to concurrent scans of this partition.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from typing import (
+    AbstractSet,
     Callable,
     Dict,
     FrozenSet,
@@ -38,12 +42,11 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Set,
 )
 
 from repro.model.entities import Entity, EntityType
-from repro.model.events import Operation, SystemEvent
+from repro.model.events import SystemEvent
 from repro.storage.blocks import ColumnBlock, Positions, Selection
 from repro.storage.filters import EventFilter, top_level_equalities
 from repro.storage.index import EntityAttributeIndex, SortedTimeIndex
@@ -64,7 +67,6 @@ class EventTable:
         self._time_index = SortedTimeIndex()
         self._by_subject: Dict[int, List[int]] = defaultdict(list)
         self._by_object: Dict[int, List[int]] = defaultdict(list)
-        self._by_operation: Dict[Operation, List[int]] = defaultdict(list)
         # Readers only see positions < _visible; the writer stages rows and
         # index entries first, then publishes them with one assignment (an
         # atomic int store under the GIL), so a batch is all-or-nothing.
@@ -83,22 +85,53 @@ class EventTable:
     def max_time(self) -> Optional[float]:
         return self._block.max_time
 
-    def _stage(self, event: SystemEvent) -> None:
+    def append(self, event: SystemEvent) -> None:
+        """Append and publish one row (the single-event ``emit`` path)."""
         position = self._block.append(event)
         self._time_index.add(event.start_time, position)
         self._by_subject[event.subject_id].append(position)
         self._by_object[event.object_id].append(position)
-        self._by_operation[event.operation].append(position)
+        self._visible = position + 1
 
-    def append(self, event: SystemEvent) -> None:
-        self._stage(event)
-        self._visible = len(self._block)
+    def append_block(
+        self, source: ColumnBlock, positions: Optional[Positions] = None
+    ) -> None:
+        """Append rows ``positions`` of ``source`` (default: all) and publish
+        them atomically: the one batch path into a table.
 
-    def append_batch(self, events: Sequence[SystemEvent]) -> None:
-        """Stage ``events`` and publish them atomically (one visibility bump)."""
-        for event in events:
-            self._stage(event)
-        self._visible = len(self._block)
+        The rows enter the block as columns
+        (:meth:`~repro.storage.blocks.ColumnBlock.extend_rows`), the
+        postings and the time index are built from the new column tails,
+        and one visibility bump publishes the lot.
+        """
+        block = self._block
+        base = len(block)
+        block.extend_rows(source, positions)
+        end = len(block)
+        # One int object per position, shared by both postings and the
+        # time index (as the row path shares it): three would cost 56
+        # bytes a row.
+        rows = list(range(base, end))
+        by_subject = self._by_subject
+        for position, entity_id in zip(rows, block.subject_ids[base:end]):
+            by_subject[entity_id].append(position)
+        by_object = self._by_object
+        for position, entity_id in zip(rows, block.object_ids[base:end]):
+            by_object[entity_id].append(position)
+        self._time_index.extend(block.t0[base:end], rows)
+        self._visible = end
+
+    def without(self, event_ids: AbstractSet[int]) -> Optional["EventTable"]:
+        """A fresh table of the visible rows whose id is not in
+        ``event_ids``, or ``None`` when no row is (the cold hand-off)."""
+        visible = self._visible
+        column = self._block.event_ids
+        keep = [p for p in range(visible) if column[p] not in event_ids]
+        if len(keep) == visible:
+            return None
+        fresh = EventTable(self._entity_lookup)
+        fresh.append_block(self._block, keep)
+        return fresh
 
     def __len__(self) -> int:
         return self._visible

@@ -55,7 +55,7 @@ from repro.model.events import SystemEvent
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import active_trace
 from repro.service.cache import ScanCache, cache_fingerprint
-from repro.storage.blocks import BlockScanResult, ColumnBlock, Selection
+from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions, Selection
 from repro.storage.codec import BlockCodecError, decode_block, encode_block
 from repro.storage.filters import EventFilter
 from repro.storage.kernels import (
@@ -445,43 +445,56 @@ class ColdTier:
         """Upper bound on matching cold events, from zone maps alone."""
         return sum(z.count for z in list(self._zones) if z.may_match(flt))
 
-    def contains_event(self, event: SystemEvent) -> bool:
-        """True when ``event`` is already stored in a cold segment.
+    def event_id_probe(self) -> Callable[[ColumnBlock, Positions], List[int]]:
+        """A bulk membership tester (WAL replay / recovery dedup).
 
-        Zone-map id ranges prefilter; only segments whose range contains
-        the id are decompressed (and those decompressions hit the LRU).
-        For bulk membership testing use :meth:`event_id_probe`.
-        """
-        return self.event_id_probe()(event)
-
-    def event_id_probe(self):
-        """A fast bulk membership tester (WAL replay / recovery dedup).
-
-        Returns ``probe(event) -> bool``.  Zone-map id ranges prefilter,
-        and each candidate segment's event-id set is materialized at most
-        once for the probe's lifetime (outside the scan LRU), so testing
-        every event of a long WAL or a large hot tier costs one
-        decompression per *overlapping* segment — not one per event.
-        Typical recovery replays recent (high-id) events against old
-        (low-id) segments and decompresses nothing at all.
+        Returns ``probe(block, positions)``: those of ``positions`` whose
+        row is already stored in a cold segment, judged by the
+        ``(event_id, agent_id)`` the block's columns hold — no row object
+        is built.  Zone maps prefilter twice: a segment whose id range or
+        agent set misses the whole block is dropped before any row is
+        read (the usual recovery replays recent, high-id events over old,
+        low-id segments and reads no row at all), and the rest test each
+        row's id against the range before anything is decompressed.  Each
+        candidate segment's event-id set is materialized at most once for
+        the probe's lifetime (outside the scan LRU).
         """
         zones = list(self._zones)
         id_sets: Dict[str, frozenset] = {}
 
-        def probe(event: SystemEvent) -> bool:
-            for zone in zones:
-                if not (zone.min_eid <= event.event_id <= zone.max_eid):
-                    continue
-                if event.agent_id not in zone.agents:
-                    continue
-                ids = id_sets.get(zone.filename)
-                if ids is None:
-                    # The raw id column suffices: no row views are built.
-                    ids = frozenset(self._decoded(zone).event_ids)
-                    id_sets[zone.filename] = ids
-                if event.event_id in ids:
-                    return True
-            return False
+        def probe(block: ColumnBlock, positions: Positions) -> List[int]:
+            if not len(positions):
+                return []
+            event_ids = block.event_ids
+            lowest, highest = min(event_ids), block.max_event_id
+            agents = block.agents
+            near = [
+                zone
+                for zone in zones
+                if zone.min_eid <= highest
+                and zone.max_eid >= lowest
+                and not zone.agents.isdisjoint(agents)
+            ]
+            if not near:
+                return []
+            codes = block.agent_codes
+            found: List[int] = []
+            for p in positions:
+                event_id = event_ids[p]
+                for zone in near:
+                    if not (zone.min_eid <= event_id <= zone.max_eid):
+                        continue
+                    if agents[codes[p]] not in zone.agents:
+                        continue
+                    ids = id_sets.get(zone.filename)
+                    if ids is None:
+                        # The raw id column suffices: no row views are built.
+                        ids = frozenset(self._decoded(zone).event_ids)
+                        id_sets[zone.filename] = ids
+                    if event_id in ids:
+                        found.append(p)
+                        break
+            return found
 
         return probe
 

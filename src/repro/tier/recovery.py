@@ -22,6 +22,13 @@ the cold tier, reconciles a half-finished migration, and fast-forwards
 the ingestor's id/sequence counters so new events continue the stream
 exactly where the last durable commit left it.
 
+Recovery moves columns, not rows: every snapshot frame and every WAL
+record decodes to a :class:`~repro.storage.blocks.ColumnBlock` that the hot
+backend extends its own columns from (``add_block``), the cold-tier probe
+and the duplicate reconciliation read ``(event_id, agent_id)`` from those
+columns, and the counters fast-forward from them — no
+:class:`~repro.model.events.SystemEvent` is built.
+
 Idempotence: WAL records whose events are covered by the snapshot (id at
 or below the snapshot's max event id) or already migrated cold are
 skipped, so replaying any prefix-plus-suffix of the log converges to the
@@ -133,7 +140,7 @@ def open_data_dir(
         registry,
         [hot],
         after_event_id=snapshot_max,
-        skip_event=in_cold,
+        skip_rows=in_cold,
     )
 
     # Reconcile a crash between cold publication and hot removal: events
@@ -141,7 +148,11 @@ def open_data_dir(
     # and len() converge instead of re-migrating duplicates forever.
     duplicates = 0
     if in_cold is not None:
-        doubled = [e for e in hot if in_cold(e)]
+        doubled = {
+            block.event_ids[p]
+            for block, visible in hot.column_blocks()
+            for p in in_cold(block, range(visible))
+        }
         if doubled:
             duplicates = hot.remove_events(doubled)
 

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.model.events import SystemEvent
 from repro.model.time import TimeWindow, day_of, day_start
 from repro.obs.metrics import REGISTRY
-from repro.storage.blocks import BlockScanResult
+from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions
 from repro.storage.filters import EventFilter
 from repro.storage.partition import PartitionKey, PartitionScheme
 from repro.tier.cold import ColdTier
@@ -115,9 +115,15 @@ class TieredStore:
         with self.writer_lock:
             self.hot.add_event(event)
 
-    def add_batch(self, events: Sequence[SystemEvent]):
+    def add_block(self, block: ColumnBlock, positions: Optional[Positions] = None):
+        """The hot backend's ``add_block`` under the writer lock."""
         with self.writer_lock:
-            return self.hot.add_batch(events)
+            return self.hot.add_block(block, positions)
+
+    def add_batch(self, batch: Union[ColumnBlock, Sequence[SystemEvent]]):
+        """The hot backend's ``add_batch`` under the writer lock."""
+        with self.writer_lock:
+            return self.hot.add_batch(batch)
 
     # -- queries ------------------------------------------------------------
 
@@ -258,7 +264,7 @@ class TieredStore:
                 (self.cold.directory / zone.filename).stat().st_size
             )
         with self.writer_lock:
-            removed = self.hot.remove_events(old)
+            removed = self.hot.remove_events({e.event_id for e in old})
         report.events_migrated = removed
         report.partitions = tuple(
             sorted(by_key, key=lambda k: (k.day, k.agent_group))

@@ -7,6 +7,13 @@ replaying the log over the last snapshot reconstructs exactly the batches
 whose commits were acknowledged — an unacknowledged batch is either absent
 from the log or detected as a torn tail record and discarded.
 
+A batch is a block on both sides of the file: :meth:`WriteAheadLog.append`
+takes the :class:`~repro.storage.blocks.ColumnBlock` the commit built (the
+object the stores then extend their columns from) and frames its columns,
+and :meth:`WriteAheadLog.replay_into` hands each record's decoded block to
+the stores' ``add_block`` — with a position list when the snapshot or the
+cold tier already covers some rows.  Neither direction builds a row object.
+
 File format: an 8-byte file magic, then one :mod:`repro.storage.codec`
 frame (length-prefixed, crc32-checked) per committed batch, whose payload is
 ::
@@ -51,12 +58,12 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.model.entities import Entity, EntityRegistry
 from repro.model.events import SystemEvent
 from repro.obs.metrics import REGISTRY
-from repro.storage.blocks import ColumnBlock
+from repro.storage.blocks import ColumnBlock, Positions
 from repro.storage.codec import (
     FRAME_HEADER_BYTES,
     WAL_RECORD_KIND,
@@ -68,7 +75,6 @@ from repro.storage.codec import (
     unpack_frame,
 )
 from repro.storage.persist import (
-    add_events,
     decode_entities,
     encode_entities,
     rebuild_entity,
@@ -200,21 +206,17 @@ class WriteAheadLog:
             opener=lambda path, flags: os.open(path, flags | extra, 0o666),
         )
 
-    def append(
-        self,
-        entities: Sequence[Entity],
-        events: Sequence[SystemEvent],
-    ) -> int:
+    def append(self, entities: Sequence[Entity], block: ColumnBlock) -> int:
         """Durably append one committed batch; returns its record number.
 
-        The record is written (synchronously when ``sync``: see the module
-        docstring) before this returns, so an acknowledged commit survives
-        any later crash.
+        ``block`` is the batch as the commit built it — the same object
+        the stores then extend their columns from.  The record is written
+        (synchronously when ``sync``: see the module docstring) before
+        this returns, so an acknowledged commit survives any later crash.
         """
         if self._handle.closed:
             raise WALError(f"write-ahead log {self.path} is closed")
         number = self._next_number
-        block = ColumnBlock.from_events(events)
         entity_blob = encode_entities(entities, compress=False) if entities else b""
         record = pack_frame(
             WAL_RECORD_KIND,
@@ -234,9 +236,9 @@ class WriteAheadLog:
         self._handle.flush()
         self._next_number = number + 1
         self.records_appended += 1
-        self.events_appended += len(events)
+        self.events_appended += len(block)
         _M_WAL_RECORDS.inc()
-        _M_WAL_EVENTS.inc(len(events))
+        _M_WAL_EVENTS.inc(len(block))
         _M_WAL_BYTES.inc(len(record))
         return number
 
@@ -277,16 +279,19 @@ class WriteAheadLog:
         registry: EntityRegistry,
         stores: Sequence,
         after_event_id: int = 0,
-        skip_event: Optional[callable] = None,
+        skip_rows: Optional[Callable[[ColumnBlock, Positions], List[int]]] = None,
     ) -> int:
         """Apply durable records to ``stores``; returns events applied.
 
-        Events with ids at or below ``after_event_id`` (already covered by
-        the snapshot the log is being replayed over) are skipped, as are
-        events for which ``skip_event`` returns true (already migrated to
-        the cold tier) — which is what makes replay idempotent.  Entities
-        re-intern through the shared registry, so replaying a record twice
-        is harmless.
+        Each record's decoded block goes to the stores as it is
+        (``add_block``), with a position list when part of it is skipped:
+        rows with ids at or below ``after_event_id`` (already covered by
+        the snapshot the log is being replayed over), and the positions
+        ``skip_rows(block, positions)`` returns (already migrated to the
+        cold tier: :meth:`~repro.tier.cold.ColdTier.event_id_probe`) —
+        which is what makes replay idempotent.  No row object is built.
+        Entities re-intern through the shared registry, so replaying a
+        record twice is harmless.
         """
         applied = 0
         for record in self.replay():
@@ -295,25 +300,26 @@ class WriteAheadLog:
                 for store in stores:
                     store.register_entity(entity)
             block = record.block
+            positions: Positions = range(len(block))
             event_ids = block.event_ids
-            batch = [
-                event
-                for event in block.events_at(
-                    [i for i in range(len(block)) if event_ids[i] > after_event_id]
-                )
-                if skip_event is None or not skip_event(event)
-            ]
-            skipped = len(block) - len(batch)
+            if after_event_id and min(event_ids, default=0) <= after_event_id:
+                positions = [p for p in positions if event_ids[p] > after_event_id]
+            if skip_rows is not None:
+                cold = set(skip_rows(block, positions))
+                if cold:
+                    positions = [p for p in positions if p not in cold]
+            skipped = len(block) - len(positions)
             if skipped:
                 # Snapshot-covered or cold-migrated: idempotence at work,
                 # but surfaced — a replay skipping *everything* is how a
                 # stale-snapshot misconfiguration shows up.
                 self.replay_events_skipped += skipped
                 _M_WAL_REPLAY_SKIPPED.inc(skipped)
-            if not batch:
+            if not positions:
                 continue
-            add_events(stores, batch)
-            applied += len(batch)
+            for store in stores:
+                store.add_block(block, positions if skipped else None)
+            applied += len(positions)
         if applied:
             self.replay_events_applied += applied
             _M_WAL_REPLAY_EVENTS.inc(applied)

@@ -188,6 +188,25 @@ class TestKillMidIngest:
         finally:
             store.close()
 
+    def test_quarantine_holds_exactly_the_acked_slices_ids(self, tmp_path):
+        """The ids the coordinator hides after the failed commit are those
+        of the slices the other shards acknowledged — read off the slice
+        columns — no more (the dead shard's slice never committed) and no
+        less."""
+        store, _, failed = self._run(tmp_path)
+        try:
+            batch, exc = failed
+            acked_ids = {
+                e.event_id
+                for e in batch
+                if store.shard_of(store.scheme.key_for(e.agent_id, e.start_time))
+                in exc.acked_shards
+            }
+            assert acked_ids and len(acked_ids) < len(batch)
+            assert store._torn == acked_ids
+        finally:
+            store.close()
+
     def test_no_acked_batch_lost_across_restart(self, tmp_path):
         """Every acknowledged batch survives a full deployment restart
         (per-shard WAL replay on the way up)."""

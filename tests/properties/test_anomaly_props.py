@@ -7,7 +7,7 @@ aggregate from scratch and compares.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.anomaly import AnomalyExecutor
+from repro.engine.anomaly import AnomalyExecutor, occupied_windows
 from repro.lang.context import compile_multievent
 from repro.lang.parser import parse
 from repro.storage.flat import FlatStore
@@ -101,3 +101,41 @@ def test_count_windows_complete(events):
     result = AnomalyExecutor(store).run(ctx)
     expected_windows = int((SPAN - WINDOW) // STEP) + 1
     assert result.meta["windows"] == expected_windows
+
+
+def rescanning_windows(times, starts, window):
+    """The reference: every window walks the sorted rows from row 0."""
+    out = []
+    for k, ws in enumerate(starts):
+        we = ws + window
+        held = []
+        for i, t in enumerate(times):
+            if t < ws:
+                continue
+            if t >= we:
+                break
+            held.append(i)
+        if held:
+            out.append((k, held[0], held[-1] + 1))
+    return out
+
+
+@given(
+    times=st.lists(
+        st.floats(min_value=-50, max_value=1500, allow_nan=False), max_size=60
+    ),
+    t0=st.floats(min_value=0, max_value=100, allow_nan=False),
+    window=st.sampled_from([0.5, 10.0, 60.0, 400.0]),
+    step=st.sampled_from([0.25, 10.0, 35.0, 90.0]),  # overlap, abut, gaps
+    count=st.integers(min_value=1, max_value=120),
+)
+@settings(max_examples=300, deadline=None)
+def test_occupied_windows_equal_the_row_rescan(times, t0, window, step, count):
+    times = sorted(times)
+    starts = []
+    start = t0
+    for _ in range(count):  # as _slide builds them: by repeated addition
+        starts.append(start)
+        start += step
+    got = list(occupied_windows(times, starts, window))
+    assert got == rescanning_windows(times, starts, window)

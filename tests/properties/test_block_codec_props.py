@@ -295,9 +295,9 @@ def test_wal_stops_cleanly_at_any_cut_or_flipped_bit(tmp_path):
     yields the records before it and nothing raises."""
     path = tmp_path / "wal.log"
     with WriteAheadLog(path, sync=False) as wal:
-        wal.append([], SAMPLE[:4])
+        wal.append([], ColumnBlock.from_events(SAMPLE[:4]))
         first = path.stat().st_size
-        wal.append([], SAMPLE[4:])
+        wal.append([], ColumnBlock.from_events(SAMPLE[4:]))
     raw = path.read_bytes()
     assert raw.startswith(FILE_MAGIC)
     damaged_logs = [raw[:cut] for cut in range(first, len(raw))]
@@ -311,7 +311,7 @@ def test_wal_stops_cleanly_at_any_cut_or_flipped_bit(tmp_path):
             records = list(wal.replay())
             assert [r.number for r in records] == [1]
             assert records[0].events == tuple(SAMPLE[:4])
-            assert wal.append([], SAMPLE[4:]) == 2  # and the log is usable
+            assert wal.append([], ColumnBlock.from_events(SAMPLE[4:])) == 2  # and the log is usable
         with WriteAheadLog(path, sync=False) as wal:
             assert [r.number for r in wal.replay()] == [1, 2]
 

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.model.entities import EntityType
 from repro.model.events import Operation, SystemEvent
+from repro.model.time import DAY, TimeWindow
+from repro.shard.coordinator import owner_shards, route
 from repro.shard.wire import (
     decode_events,
     decode_result,
@@ -16,6 +18,8 @@ from repro.shard.wire import (
     encode_result,
 )
 from repro.storage.blocks import BlockScanResult, ColumnBlock, Selection
+from repro.storage.filters import EventFilter
+from repro.storage.partition import PartitionScheme
 
 OPS = tuple(Operation)
 OTYPES = tuple(EntityType)
@@ -97,3 +101,52 @@ def test_watermark_caps_the_rows_that_cross(batch, watermark):
     assert payload["n"] == len(expected)
     got = [] if selection is None else selection.block.events()
     assert got == expected
+
+
+# -- owner shards ------------------------------------------------------------------
+
+
+@st.composite
+def spatial_temporal_filter(draw):
+    """Filters of every shape the owner rule distinguishes: with and
+    without agents, with a bounded, half-open or unbounded window."""
+    agents = draw(
+        st.none() | st.frozensets(st.integers(min_value=1, max_value=60), max_size=4)
+    )
+    start = draw(st.none() | st.floats(min_value=0, max_value=9 * DAY, allow_nan=False))
+    length = draw(st.none() | st.floats(min_value=0, max_value=4 * DAY, allow_nan=False))
+    end = None if length is None else (start or 0.0) + length
+    return EventFilter(agent_ids=agents, window=TimeWindow(start=start, end=end))
+
+
+@given(
+    batch=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=60),
+            st.floats(min_value=0, max_value=12 * DAY, allow_nan=False),
+        ),
+        max_size=60,
+    ),
+    flt=spatial_temporal_filter(),
+    shards=st.integers(min_value=1, max_value=7),
+    agents_per_group=st.sampled_from([1, 3, 10]),
+)
+@settings(max_examples=300, deadline=None)
+def test_owner_shards_cover_every_shard_holding_a_matching_row(
+    batch, flt, shards, agents_per_group
+):
+    """A row is routed by its (day, agent group); whatever the batch and
+    the filter, the shard of every row the filter's agents and window
+    admit is among the filter's owners."""
+    scheme = PartitionScheme(agents_per_group=agents_per_group)
+    owners = owner_shards(flt, scheme, shards)
+    assert owners <= set(range(shards))
+    holding = {
+        route(scheme.key_for(agent, start), shards)
+        for agent, start in batch
+        if (flt.agent_ids is None or agent in flt.agent_ids)
+        and flt.window.contains(start)
+    }
+    assert holding <= owners
+    if flt.agent_ids is None or not flt.window.is_bounded():
+        assert owners == set(range(shards))

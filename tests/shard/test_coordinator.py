@@ -10,6 +10,8 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.model.time import DAY, TimeWindow
 from repro.shard import ShardedStore, ShardError
+from repro.storage.blocks import ColumnBlock
+from repro.storage.codec import decode_block
 from repro.storage.database import EventStore
 from repro.storage.filters import (
     AttrPredicate,
@@ -225,3 +227,88 @@ class TestDurableRecovery:
             assert recovered.scan(EventFilter()) == before
         finally:
             recovered.close()
+
+
+class TestBlockIngest:
+    """A commit crosses the pipes as one block frame per shard slice."""
+
+    def test_batch_command_ships_one_frame_per_shard_slice(self, monkeypatch):
+        ingestor = Ingestor()
+        sharded = ShardedStore(ingestor, SystemConfig(shards=2))
+        reference = EventStore(
+            registry=ingestor.registry,
+            scheme=PartitionScheme(agents_per_group=10),
+        )
+        ingestor.attach(sharded)
+        ingestor.attach(reference)
+        try:
+            # agents of two groups over three days: both shards, several
+            # partitions each, rows of one shard interleaved with the other's
+            batch = []
+            for i in range(30):
+                agent = (1, 12, 2, 11)[i % 4]
+                shell = ingestor.process(agent, 100, "bash")
+                log = ingestor.file(agent, "/var/log/syslog")
+                batch.append(
+                    ingestor.build_event(
+                        agent, (i % 3) * DAY + 5.0 * i, "write", shell, log, amount=i
+                    )
+                )
+            sent = []
+            send = sharded._send
+
+            def recording(shard, message):
+                sent.append((shard, message))
+                return send(shard, message)
+
+            monkeypatch.setattr(sharded, "_send", recording)
+            ingestor.commit(batch)
+            frames = {s: m[1] for s, m in sent if m[0] == "batch"}
+            assert sorted(frames) == [0, 1]
+            assert len([m for _, m in sent if m[0] == "batch"]) == 2
+            for shard, frame in frames.items():
+                assert isinstance(frame, bytes)
+                block = decode_block(frame)
+                expected = [
+                    e
+                    for e in batch
+                    if sharded.shard_of(
+                        sharded.scheme.key_for(e.agent_id, e.start_time)
+                    )
+                    == shard
+                ]
+                assert block.events() == expected  # the slice, in batch order
+            assert len(sharded) == len(reference) == len(batch)
+            assert sharded._committed == batch[-1].event_id
+            assert sharded.scan(EventFilter()) == reference.scan(EventFilter())
+            stats = sharded.stats()
+            assert sorted(stats["shard_events"]) == sorted(
+                len(decode_block(f)) for f in frames.values()
+            )
+        finally:
+            sharded.close()
+
+    def test_add_block_with_positions_routes_only_those_rows(self):
+        ingestor = Ingestor()
+        sharded = ShardedStore(ingestor, SystemConfig(shards=2))
+        try:
+            shell = ingestor.process(1, 100, "bash")
+            log = ingestor.file(1, "/var/log/syslog")
+            sharded.register_entity(shell)
+            sharded.register_entity(log)
+            events = [
+                ingestor.build_event(1, day * DAY + 7.0, "write", shell, log)
+                for day in range(6)
+            ]
+            block = ColumnBlock.from_events(events)
+            touched = sharded.add_block(block, [1, 2, 4])
+            assert touched == tuple(
+                sharded.scheme.key_for(1, events[p].start_time) for p in (1, 2, 4)
+            )
+            assert len(sharded) == 3
+            assert sharded._committed == events[4].event_id
+            assert sharded.scan(EventFilter()) == [events[p] for p in (1, 2, 4)]
+            assert sharded.add_block(block, []) == ()
+            assert not block.rows_materialized
+        finally:
+            sharded.close()

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.model.time import DAY
+from repro.model.time import DAY, TimeWindow
 from repro.shard import ShardError, ShardTimeout, ShardedStore
 from repro.storage.filters import EventFilter
 from repro.storage.ingest import Ingestor
@@ -158,6 +158,49 @@ class TestReadPolicies:
             }
             assert surviving_ids == expected
             assert store.stats()["shard_health"]["degraded_scans"] >= 1
+        finally:
+            store.close()
+
+    def test_only_an_owner_shard_can_fail_or_degrade_a_scan(self):
+        """Agents 1-3 share group 0, so day ``d`` lives on shard ``d % 2``:
+        a filter that names its agents and bounds its window to day 0 (or
+        2) is owned by shard 0 alone and never asks the dead shard 1."""
+        store = build(shard_max_restarts=0)  # fail_fast reads
+        try:
+            day0 = EventFilter(
+                agent_ids=frozenset({1, 2}), window=TimeWindow(start=0.0, end=DAY)
+            )
+            day1 = EventFilter(
+                agent_ids=frozenset({1, 2}),
+                window=TimeWindow(start=DAY, end=2 * DAY),
+            )
+            both_days = EventFilter(
+                agent_ids=frozenset({1, 2}), window=TimeWindow(start=0.0, end=2 * DAY)
+            )
+            before = {
+                flt: store.scan(flt) for flt in (day0, day1, both_days)
+            }
+            assert all(before.values())
+            kill_worker(store, 1)
+            store.supervisor.check()  # quarantine; budget 0 -> failed
+            # the dead shard owns nothing day0 can match: a full answer
+            result = store.scan_columns(day0)
+            assert result.events() == before[day0]
+            assert result.completeness is None
+            # ... but it is an owner of these, and of any unbounded filter
+            for flt in (day1, both_days, EventFilter(agent_ids=frozenset({1}))):
+                with pytest.raises(ShardError):
+                    store.scan(flt)
+            # degraded reads: the annotation counts owners, not the fleet
+            store.read_policy = "degraded"
+            assert store.scan_columns(day0).completeness is None
+            lone = store.scan_columns(day1).completeness
+            assert lone.missing_shards == (1,) and lone.total_shards == 1
+            assert store.scan(day1) == []
+            wide = store.scan_columns(both_days)
+            assert wide.completeness.missing_shards == (1,)
+            assert wide.completeness.total_shards == 2
+            assert wide.events() == before[day0]
         finally:
             store.close()
 

@@ -103,13 +103,11 @@ class TestIngestor:
 class RecordingStore:
     """Minimal store double that records every call the fan-out makes."""
 
-    def __init__(self, registry, batched=True):
+    def __init__(self, registry):
         self.registry = registry
         self.registered = []
         self.added = []
-        self.batch_calls = 0
-        if batched:
-            self.add_batch = self._add_batch
+        self.blocks = []
 
     def register_entity(self, entity):
         self.registered.append(entity.id)
@@ -117,9 +115,9 @@ class RecordingStore:
     def add_event(self, event):
         self.added.append(event.event_id)
 
-    def _add_batch(self, events):
-        self.batch_calls += 1
-        self.added.extend(e.event_id for e in events)
+    def add_batch(self, block):
+        self.blocks.append(block)
+        self.added.extend(block.event_ids)
 
 
 class TestFanOutHoisting:
@@ -170,18 +168,27 @@ class TestFanOutHoisting:
         assert event.event_id > staged[0].event_id
         assert len(store) == 2
 
-    def test_commit_falls_back_to_per_event_appends(self):
+    def test_commit_builds_one_block_for_the_log_and_every_store(self):
         ingestor = Ingestor()
-        plain = RecordingStore(ingestor.registry, batched=False)
-        batched = RecordingStore(ingestor.registry)
-        ingestor.attach(plain)
-        ingestor.attach(batched)
+        stores = [RecordingStore(ingestor.registry) for _ in range(2)]
+        for store in stores:
+            ingestor.attach(store)
+        logged = []
+
+        class Log:
+            def append(self, entities, block):
+                logged.append(block)
+
+        ingestor.attach_wal(Log())
         p = ingestor.process(1, 5, "bash")
         f = ingestor.file(1, "/x")
         events = [
             ingestor.build_event(1, 10.0 + i, "read", p, f) for i in range(3)
         ]
         ingestor.commit(events)
-        assert plain.added == batched.added == [e.event_id for e in events]
-        assert batched.batch_calls == 1
+        (block,) = logged
+        assert all(store.blocks == [block] for store in stores)
+        assert all(store.blocks[0] is block for store in stores)
+        assert not block.rows_materialized
+        assert stores[0].added == stores[1].added == [e.event_id for e in events]
         assert ingestor.events_ingested == 3

@@ -45,3 +45,21 @@ class EventFeed:
 @pytest.fixture
 def feed():
     return EventFeed(Ingestor())
+
+
+@pytest.fixture
+def rows_built(monkeypatch):
+    """Counts every ``SystemEvent`` constructed while the fixture is live
+    (``rows_built()`` reads the count): the probe for "this path moves
+    columns, not rows"."""
+    from repro.model.events import SystemEvent
+
+    built = []
+    validate = SystemEvent.__post_init__
+
+    def counting(event):
+        built.append(event.event_id)
+        validate(event)
+
+    monkeypatch.setattr(SystemEvent, "__post_init__", counting)
+    return lambda: len(built)

@@ -1,5 +1,6 @@
 """Cold tier: segment round-trips, zone-map pruning, manifest durability."""
 
+import dataclasses
 import json
 import zlib
 
@@ -8,6 +9,7 @@ import pytest
 from repro.model.entities import EntityType
 from repro.model.events import Operation
 from repro.model.time import DAY, TimeWindow
+from repro.storage.blocks import ColumnBlock
 from repro.storage.codec import BLOCK_KIND, pack_frame, unpack_frame
 from repro.storage.filters import EventFilter
 from repro.storage.partition import PartitionKey
@@ -179,28 +181,38 @@ class TestSegmentCache:
         tier.scan(EventFilter())  # touch all three
         assert len(tier._cache) == 2  # LRU bound holds
 
-    def test_contains_event_uses_id_range_prefilter(self, feed, tmp_path):
+    def test_probe_reads_ids_and_agents_from_columns(self, feed, tmp_path):
         tier = make_tier(feed, tmp_path, days=(0,))
-        stored = tier.scan(EventFilter())[0]
-        assert tier.contains_event(stored)
+        stored = tier.scan(EventFilter())
         fresh = feed.emit(1, day_ts(5))
-        assert not tier.contains_event(fresh)
+        # same id as a stored row, but an agent the segment never saw
+        alien = dataclasses.replace(stored[1], agent_id=77)
+        block = ColumnBlock.from_events([stored[0], fresh, alien, stored[2]])
+        probe = tier.event_id_probe()
+        assert probe(block, range(len(block))) == [0, 3]
+        assert probe(block, [1, 2, 3]) == [3]
+        assert probe(block, []) == []
+        assert not block.rows_materialized
 
     def test_event_id_probe_decompresses_each_segment_once(
         self, feed, tmp_path
     ):
         tier = make_tier(feed, tmp_path, days=(0, 1, 2), per_day=5)
-        stored = tier.scan(EventFilter())
+        stored = ColumnBlock.from_events(tier.scan(EventFilter()))
         calls = []
         original = tier._decoded
         tier._decoded = lambda zone: (
             calls.append(zone.filename), original(zone)
         )[1]
         probe = tier.event_id_probe()
-        assert all(probe(e) for e in stored)
-        fresh = feed.emit(1, day_ts(9))
-        assert not probe(fresh)  # above every zone's id range: no reads
-        # one materialization per segment, however many events were probed
+        everything = list(range(len(stored)))
+        assert probe(stored, range(len(stored))) == everything
+        assert probe(stored, everything) == everything  # a second pass
+        # one materialization per segment, however many rows were probed
+        assert len(calls) == len(tier.zones)
+        fresh = ColumnBlock.from_events([feed.emit(1, day_ts(9))])
+        # above every zone's id range: dropped at block level, no reads
+        assert probe(fresh, range(1)) == []
         assert len(calls) == len(tier.zones)
 
     def test_seq_maxima_come_from_manifest(self, feed, tmp_path):

@@ -208,6 +208,90 @@ class TestInterruptedCheckpoint:
             )
 
 
+class TestRecoveryBuildsNoRows:
+    """The recovery twins of ``test_checkpoint_builds_no_row_objects``:
+    snapshot frames and WAL records come back as columns."""
+
+    @staticmethod
+    def _hot_blocks(system):
+        return [block for block, _ in system.store.hot.column_blocks()]
+
+    @pytest.mark.parametrize("backend", ["partitioned", "flat", "segmented"])
+    def test_snapshot_plus_wal_without_a_cold_tier(
+        self, tmp_path, rows_built, backend
+    ):
+        system = durable_system(tmp_path, backend=backend)
+        stream_days(system, days=3)
+        system.checkpoint()
+        total = stream_days(system, days=5, agent=12)  # the WAL tail
+        del system  # crash
+        before = rows_built()
+        recovered = AIQLSystem.recover(
+            str(tmp_path / "data"), SystemConfig(backend=backend)
+        )
+        try:
+            assert rows_built() == before
+            assert recovered.recovery.snapshot_events == 15
+            assert recovered.recovery.wal_events_replayed == 25
+            assert recovered.ingestor.events_ingested == total
+            blocks = self._hot_blocks(recovered)
+            assert sum(len(block) for block in blocks) == total
+            assert not any(block.rows_materialized for block in blocks)
+            assert len(content(recovered)) == total  # and the rows are there
+        finally:
+            recovered.close()
+
+    def test_snapshot_plus_wal_under_a_cold_tier(self, tmp_path, rows_built):
+        system = durable_system(tmp_path, retention_days=2)
+        stream_days(system, days=6)
+        assert system.compact().moved
+        system.checkpoint()
+        total = stream_days(system, days=7, agent=3)
+        reference = content(system)
+        del system
+        before = rows_built()
+        recovered = AIQLSystem.recover(str(tmp_path / "data"))
+        try:
+            assert rows_built() == before
+            assert recovered.recovery.cold_events == 20
+            assert recovered.recovery.snapshot_events == 10
+            assert recovered.recovery.wal_events_replayed == 35
+            assert not any(
+                block.rows_materialized for block in self._hot_blocks(recovered)
+            )
+            assert recovered.ingestor.events_ingested == total
+            assert content(recovered) == reference
+        finally:
+            recovered.close()
+
+    def test_reconciling_a_half_finished_migration(self, tmp_path, rows_built):
+        """The cold probe and the duplicate removal read and rebuild by
+        position: the rows a crash left in both tiers leave the hot one
+        without a row object being built."""
+        system = durable_system(tmp_path)
+        stream_days(system, days=3)
+        system.checkpoint()
+        stream_days(system, days=4, agent=2)
+        store = system.store
+        day0 = [e for e in store.hot if e.start_time < day_ts(1, 0.0)]
+        key = store.partition_scheme.key_for(1, day0[0].start_time)
+        store.cold.add_segment(key, [e for e in day0 if e.agent_id == 1])
+        reference = content(system)
+        del system, store  # crash before the hot removal
+        before = rows_built()
+        recovered = AIQLSystem.recover(str(tmp_path / "data"))
+        try:
+            assert rows_built() == before
+            assert recovered.recovery.duplicates_reconciled == 5
+            assert not any(
+                block.rows_materialized for block in self._hot_blocks(recovered)
+            )
+            assert len(recovered.store) == len(reference)
+            assert content(recovered) == reference
+        finally:
+            recovered.close()
+
+
 class TestReconciliation:
     def test_crash_between_cold_publish_and_hot_removal(self, tmp_path):
         """Mid-migration crash: events reachable in both tiers converge."""
@@ -261,10 +345,10 @@ class TestCheckpointCommitAtomicity:
         entered, release = threading.Event(), threading.Event()
         original_append = wal.append
 
-        def slow_append(entities, events):
+        def slow_append(entities, block):
             entered.set()
             assert release.wait(5)
-            return original_append(entities, events)
+            return original_append(entities, block)
 
         wal.append = slow_append
         committer = threading.Thread(target=session.commit)

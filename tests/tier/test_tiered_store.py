@@ -223,7 +223,7 @@ class TestRemoveEvents:
         ingestor.attach(hot)
         feed = EventFeed(ingestor)
         events = [feed.emit(1, day_ts(0, 60.0 * i)) for i in range(6)]
-        victims = events[:3]
+        victims = {e.event_id for e in events[:3]}
         removed = hot.remove_events(victims)
         assert removed == 3
         assert len(hot) == 3
@@ -241,10 +241,11 @@ class TestRemoveEvents:
         day0 = [feed.emit(1, day_ts(0, 60.0 * i)) for i in range(3)]
         feed.emit(1, day_ts(1))
         assert len(hot.partition_keys) == 2
-        hot.remove_events(day0)
+        day0_ids = {e.event_id for e in day0}
+        hot.remove_events(day0_ids)
         assert len(hot.partition_keys) == 1
         assert hot.estimated_events(EventFilter()) == 1
-        assert hot.remove_events(day0) == 0  # partition already gone
+        assert hot.remove_events(day0_ids) == 0  # partition already gone
 
     def test_empty_store_time_range(self):
         registry_store = FlatStore()

@@ -8,6 +8,7 @@ import struct
 import pytest
 
 from repro.model.entities import EntityRegistry
+from repro.storage.blocks import ColumnBlock
 from repro.storage.codec import WAL_RECORD_KIND, pack_frame, read_frame
 from repro.storage.flat import FlatStore
 from repro.tier.wal import FILE_MAGIC, WALError, WriteAheadLog
@@ -17,6 +18,10 @@ from tests.tier.conftest import day_ts
 
 def _batch(feed, agent, day, count):
     return [feed.build(agent, day_ts(day, 60.0 * i)) for i in range(count)]
+
+
+def _block(feed, agent, day, count):
+    return ColumnBlock.from_events(_batch(feed, agent, day, count))
 
 
 def _frames(path):
@@ -35,9 +40,9 @@ class TestAppendReplay:
         wal = WriteAheadLog(tmp_path / "wal.log")
         events = _batch(feed, 1, 0, 5)
         entities = [feed.entities(1)[0], feed.entities(1)[1]]
-        number = wal.append(entities, events)
+        number = wal.append(entities, ColumnBlock.from_events(events))
         assert number == 1
-        assert wal.append([], _batch(feed, 2, 1, 3)) == 2
+        assert wal.append([], _block(feed, 2, 1, 3)) == 2
 
         records = list(wal.replay())
         assert [r.number for r in records] == [1, 2]
@@ -50,17 +55,17 @@ class TestAppendReplay:
     def test_replay_survives_reopen(self, feed, tmp_path):
         path = tmp_path / "wal.log"
         with WriteAheadLog(path) as wal:
-            wal.append([], _batch(feed, 1, 0, 2))
+            wal.append([], _block(feed, 1, 0, 2))
         with WriteAheadLog(path) as wal:
             # record numbering continues across reopen
-            assert wal.append([], _batch(feed, 1, 0, 2)) == 2
+            assert wal.append([], _block(feed, 1, 0, 2)) == 2
             assert [r.number for r in wal.replay()] == [1, 2]
 
     def test_append_on_closed_log_raises(self, feed, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal.log")
         wal.close()
         with pytest.raises(WALError):
-            wal.append([], _batch(feed, 1, 0, 1))
+            wal.append([], _block(feed, 1, 0, 1))
 
     def test_empty_log_replays_nothing(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal.log")
@@ -73,8 +78,8 @@ class TestTornTail:
     def test_partial_last_line_is_discarded(self, feed, tmp_path):
         path = tmp_path / "wal.log"
         with WriteAheadLog(path) as wal:
-            wal.append([], _batch(feed, 1, 0, 3))
-            wal.append([], _batch(feed, 1, 1, 3))
+            wal.append([], _block(feed, 1, 0, 3))
+            wal.append([], _block(feed, 1, 1, 3))
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 20])  # crash mid-append
         with WriteAheadLog(path) as wal:
@@ -91,12 +96,12 @@ class TestTornTail:
         """
         path = tmp_path / "wal.log"
         with WriteAheadLog(path) as wal:
-            wal.append([], _batch(feed, 1, 0, 3))
-            wal.append([], _batch(feed, 1, 1, 3))
+            wal.append([], _block(feed, 1, 0, 3))
+            wal.append([], _block(feed, 1, 1, 3))
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 20])  # crash mid-append
         with WriteAheadLog(path) as wal:
-            assert wal.append([], _batch(feed, 1, 2, 2)) == 2
+            assert wal.append([], _block(feed, 1, 2, 2)) == 2
         with WriteAheadLog(path) as wal:
             records = list(wal.replay())
         assert [r.number for r in records] == [1, 2]
@@ -105,8 +110,8 @@ class TestTornTail:
     def test_checksum_failure_stops_replay(self, feed, tmp_path):
         path = tmp_path / "wal.log"
         with WriteAheadLog(path) as wal:
-            wal.append([], _batch(feed, 1, 0, 2))
-            wal.append([], _batch(feed, 1, 1, 2))
+            wal.append([], _block(feed, 1, 0, 2))
+            wal.append([], _block(feed, 1, 1, 2))
         first, second = _frames(path)
         corrupt = bytearray(second)
         corrupt[-5] ^= 0x10  # one flipped bit inside record 2
@@ -117,7 +122,7 @@ class TestTornTail:
     def test_garbage_after_the_last_record_stops_replay(self, feed, tmp_path):
         path = tmp_path / "wal.log"
         with WriteAheadLog(path) as wal:
-            wal.append([], _batch(feed, 1, 0, 1))
+            wal.append([], _block(feed, 1, 0, 1))
         with path.open("ab") as handle:
             handle.write(b"[1, 2, 3]\n" * 4)  # no frame tag
         with WriteAheadLog(path) as wal:
@@ -137,7 +142,7 @@ class TestTornTail:
     ):
         path = tmp_path / "wal.log"
         with WriteAheadLog(path) as wal:
-            wal.append([], _batch(feed, 1, 0, 1))
+            wal.append([], _block(feed, 1, 0, 1))
         good = path.stat().st_size
         with path.open("ab") as handle:
             handle.write(pack_frame(WAL_RECORD_KIND, payload))  # valid checksum
@@ -151,7 +156,7 @@ class TestTornTail:
         stopping quietly would drop an acknowledged batch."""
         path = tmp_path / "wal.log"
         with WriteAheadLog(path) as wal:
-            wal.append([], _batch(feed, 1, 0, 1))
+            wal.append([], _block(feed, 1, 0, 1))
         bogus = struct.pack("<QQI", 2, 99, 0) + b"\x00" * 64
         with path.open("ab") as handle:
             handle.write(pack_frame(WAL_RECORD_KIND, bogus))
@@ -164,14 +169,14 @@ class TestTornTail:
         path.write_bytes(FILE_MAGIC[:3])
         with WriteAheadLog(path) as wal:
             assert list(wal.replay()) == []
-            assert wal.append([], _batch(feed, 1, 0, 1)) == 1
+            assert wal.append([], _block(feed, 1, 0, 1)) == 1
         with WriteAheadLog(path) as wal:
             assert [r.number for r in wal.replay()] == [1]
 
     def test_replay_of_deleted_file_is_empty(self, feed, tmp_path):
         path = tmp_path / "wal.log"
         wal = WriteAheadLog(path)
-        wal.append([], _batch(feed, 1, 0, 1))
+        wal.append([], _block(feed, 1, 0, 1))
         path.unlink()
         assert list(wal.replay()) == []
         assert wal.size_bytes() == 0
@@ -180,8 +185,8 @@ class TestTornTail:
     def test_out_of_order_middle_raises(self, feed, tmp_path):
         path = tmp_path / "wal.log"
         with WriteAheadLog(path) as wal:
-            wal.append([], _batch(feed, 1, 0, 1))
-            wal.append([], _batch(feed, 1, 1, 1))
+            wal.append([], _block(feed, 1, 0, 1))
+            wal.append([], _block(feed, 1, 1, 1))
         _, second = _frames(path)
         # Duplicate record 2: valid checksums but non-monotone numbering,
         # which must be loud (a silently skipped middle would lose a
@@ -215,7 +220,7 @@ class TestReplayInto:
         wal = WriteAheadLog(tmp_path / "wal.log")
         events = _batch(feed, 1, 0, 4)
         proc, fobj = feed.entities(1)
-        wal.append([proc, fobj], events)
+        wal.append([proc, fobj], ColumnBlock.from_events(events))
 
         registry = EntityRegistry()
         store = FlatStore(registry=registry)
@@ -230,8 +235,8 @@ class TestReplayInto:
         first = _batch(feed, 1, 0, 3)
         second = _batch(feed, 1, 1, 3)
         proc, fobj = feed.entities(1)
-        wal.append([proc, fobj], first)
-        wal.append([], second)
+        wal.append([proc, fobj], ColumnBlock.from_events(first))
+        wal.append([], ColumnBlock.from_events(second))
 
         registry = EntityRegistry()
         store = FlatStore(registry=registry)
@@ -241,7 +246,9 @@ class TestReplayInto:
             registry,
             [store],
             after_event_id=snapshot_max,
-            skip_event=lambda e: e.event_id == skipped_id,
+            skip_rows=lambda block, positions: [
+                p for p in positions if block.event_ids[p] == skipped_id
+            ],
         )
         assert applied == 2
         assert {e.event_id for e in store} == {
@@ -254,35 +261,58 @@ class TestReplayInto:
         assert applied2 == 0
         wal.close()
 
-    def test_replay_into_store_without_add_batch(self, feed, tmp_path):
-        class PerEventStore(FlatStore):
+    def test_replay_hands_each_block_to_add_block_and_builds_no_rows(
+        self, feed, tmp_path
+    ):
+        class BlockStore(FlatStore):
             def __init__(self, registry):
                 super().__init__(registry=registry)
-                self.singles = 0
+                self.calls = []
 
-            def add_event(self, event):
-                self.singles += 1
-                super().add_event(event)
+            def add_block(self, block, positions=None):
+                self.calls.append((block, positions))
+                super().add_block(block, positions)
 
         wal = WriteAheadLog(tmp_path / "wal.log")
-        wal.append([], _batch(feed, 1, 0, 3))
+        whole = _batch(feed, 1, 0, 3)
+        partly = _batch(feed, 1, 1, 4)
+        covered = _batch(feed, 1, 2, 2)
+        for batch in (whole, partly, covered):
+            wal.append([], ColumnBlock.from_events(batch))
         registry = EntityRegistry()
-        store = PerEventStore(registry)
-        store.add_batch = None
-        assert wal.replay_into(registry, [store]) == 3
-        assert store.singles == 3
+        store = BlockStore(registry)
+        gone = {partly[0].event_id, partly[2].event_id} | {
+            e.event_id for e in covered
+        }
+        applied = wal.replay_into(
+            registry,
+            [store],
+            skip_rows=lambda block, positions: [
+                p for p in positions if block.event_ids[p] in gone
+            ],
+        )
+        assert applied == 5
+        # a whole record passes without a position list, a partly skipped
+        # one with the surviving positions, a fully skipped one not at all
+        assert [positions for _, positions in store.calls] == [None, [1, 3]]
+        assert all(not block.rows_materialized for block, _ in store.calls)
+        assert all(not block.rows_materialized for block, _ in store.column_blocks())
+        assert wal.stats()["replay_events_skipped"] == 4
+        assert {e.event_id for e in store} == {
+            e.event_id for e in whole + [partly[1], partly[3]]
+        }
         wal.close()
 
 
 class TestReset:
     def test_reset_truncates_and_restarts_numbering(self, feed, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal.log")
-        wal.append([], _batch(feed, 1, 0, 2))
+        wal.append([], _block(feed, 1, 0, 2))
         assert wal.size_bytes() > 0
         wal.reset()
         assert wal.size_bytes() == 0
         assert list(wal.replay()) == []
-        assert wal.append([], _batch(feed, 1, 1, 1)) == 1
+        assert wal.append([], _block(feed, 1, 1, 1)) == 1
         wal.close()
 
     def test_sync_is_in_the_write_from_open_and_after_reset(self, feed, tmp_path):
@@ -294,7 +324,7 @@ class TestReset:
 
         with WriteAheadLog(tmp_path / "wal.log") as wal:
             assert synchronous(wal)
-            wal.append([], _batch(feed, 1, 0, 2))
+            wal.append([], _block(feed, 1, 0, 2))
             wal.reset()
             assert synchronous(wal)
         with WriteAheadLog(tmp_path / "nosync.log", sync=False) as wal:
@@ -308,7 +338,7 @@ class TestReset:
         path = tmp_path / "wal.log"
         with WriteAheadLog(path) as wal:
             for count in (1, 40, 300):  # under, about and over the io buffer
-                wal.append([], _batch(feed, 1, 0, count))
+                wal.append([], _block(feed, 1, 0, count))
                 assert len(_frames(path)[-1]) > 60 * count
                 assert path.stat().st_size == wal.size_bytes()
         with WriteAheadLog(path) as reopened:
@@ -316,5 +346,5 @@ class TestReset:
 
     def test_nosync_mode_still_replays(self, feed, tmp_path):
         with WriteAheadLog(tmp_path / "wal.log", sync=False) as wal:
-            wal.append([], _batch(feed, 1, 0, 2))
+            wal.append([], _block(feed, 1, 0, 2))
             assert len(list(wal.replay())) == 1
