@@ -168,7 +168,7 @@ class SystemConfig:
         negligible and the disabled cost is one flag check.
     tracing
         allow query tracing: :meth:`AIQLSystem.explain` with
-        ``analyze=True`` executes the query under a span tree (parse →
+        ``analyze=True`` executes the query under a span tree (compile →
         schedule → per-pattern scans → narrowing re-queries → joins)
         with timings, cardinalities and cache/prune annotations.  When
         off, ``explain`` always returns the static plan only.  Queries

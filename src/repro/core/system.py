@@ -27,7 +27,7 @@ from dataclasses import asdict
 from typing import List, Optional
 
 from repro.core.config import SystemConfig
-from repro.engine import compile_query
+from repro.engine import PLAN_CACHE, canonical_text, compile_query
 from repro.engine.anomaly import AnomalyExecutor
 from repro.engine.executor import MultieventExecutor
 from repro.engine.result import ResultSet
@@ -290,23 +290,24 @@ class AIQLSystem:
     # -- query pipeline ------------------------------------------------------
 
     def compile(self, text: str) -> QueryContext:
-        """Parse + semantic analysis, without executing."""
+        """The prepared plan of ``text``, without executing: parsed and
+        analysed on first sight of its canonical text, from the plan cache
+        afterwards."""
         return compile_query(text)
 
     def query(self, text: str) -> ResultSet:
-        """Parse, compile, optimize and execute one AIQL query."""
+        """Prepare (once per canonical text), optimize and execute one
+        AIQL query."""
         started = time.perf_counter()
-        ctx = self.compile(text)
+        key = canonical_text(text)
+        ctx = compile_query(text, key)
         result = self.execute(ctx)
         elapsed = time.perf_counter() - started
         _M_QUERIES.inc()
         _M_QUERY_SECONDS.observe(elapsed)
         if self.slow_log is not None:
             self.slow_log.observe(
-                QueryService.canonical_text(text),
-                elapsed,
-                rows=len(result),
-                detail={"kind": ctx.kind},
+                key, elapsed, rows=len(result), detail={"kind": ctx.kind}
             )
         return result
 
@@ -344,9 +345,10 @@ class AIQLSystem:
     def explain(self, text: str, *, analyze: bool = True) -> ExplainReport:
         """Execution plan for ``text``; with ``analyze`` (EXPLAIN ANALYZE)
         the query also *runs* under a trace, so the report carries a span
-        tree (parse → schedule → per-pattern scans → narrowing re-queries
+        tree (compile → schedule → per-pattern scans → narrowing re-queries
         → joins → project) with timings, cardinalities and cache/prune
-        annotations.  ``analyze=False`` — or ``SystemConfig(tracing=False)``
+        annotations; the ``compile`` span says whether the plan was
+        ``cached``.  ``analyze=False`` — or ``SystemConfig(tracing=False)``
         — returns the static plan only (pattern scores, rel order).
 
         The report stringifies to its text rendering, so existing callers
@@ -356,11 +358,12 @@ class AIQLSystem:
             ctx = self.compile(text)
             return ExplainReport(query=text, kind=ctx.kind, plan=plan_lines(ctx))
         started = time.perf_counter()
+        key = canonical_text(text)
         mark = self._completeness_mark()
         trace = Trace("query")
         with obs_trace.activate(trace):
-            with trace_span("parse"):
-                ctx = self.compile(text)
+            with trace_span("compile"):
+                ctx = compile_query(text, key)
             if ctx.kind == "anomaly":
                 result, stats = self._anomaly.run_with_stats(ctx)
             else:
@@ -373,7 +376,7 @@ class AIQLSystem:
         _M_QUERY_SECONDS.observe(elapsed)
         if self.slow_log is not None:
             self.slow_log.observe(
-                QueryService.canonical_text(text),
+                key,
                 elapsed,
                 rows=len(result),
                 detail={"kind": ctx.kind, "explain": True},
@@ -538,6 +541,7 @@ class AIQLSystem:
 
     def stats(self) -> dict:
         stats = dict(self.store.stats())
+        stats["plan_cache"] = PLAN_CACHE.stats()
         cache = getattr(self.store, "scan_cache", None)
         if cache is not None:
             stats["scan_cache"] = cache.stats()

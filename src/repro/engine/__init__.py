@@ -11,11 +11,14 @@ the return clause.  Dependency queries are rewritten to multievent queries
 machinery (:mod:`repro.engine.anomaly`).
 """
 
+from typing import Optional
+
 from repro.engine.anomaly import AnomalyExecutor
 from repro.engine.data_query import DataQuery
 from repro.engine.dependency import compile_dependency, rewrite_dependency
 from repro.engine.executor import MultieventExecutor, evaluate_returns
 from repro.engine.parallel import scan_split, split_window
+from repro.engine.plan_cache import PlanCache, canonical_text
 from repro.engine.result import ResultSet
 from repro.engine.scheduler import (
     SCHEDULERS,
@@ -26,20 +29,38 @@ from repro.engine.scheduler import (
 )
 from repro.engine.tuples import TupleSet
 from repro.lang import ast as _ast
+from repro.lang import parser as _parser
 from repro.lang.context import QueryContext, compile_multievent
-from repro.lang.parser import parse as _parse
+from repro.obs.trace import trace_annotate
+
+#: Every compile path of the process shares these plans (they hold no data).
+PLAN_CACHE = PlanCache()
 
 
-def compile_query(text: str) -> QueryContext:
-    """Parse + semantic analysis for any AIQL query kind (no execution).
+def compile_query(text: str, key: Optional[str] = None) -> QueryContext:
+    """The prepared form of any AIQL query kind (no execution).
 
-    The one compile entry point shared by :class:`repro.AIQLSystem` and
-    the query service, so kind dispatch cannot diverge between them.
+    The one compile entry point shared by :class:`repro.AIQLSystem`, the
+    query service and the standing-query engine, so kind dispatch cannot
+    diverge between them and a text is parsed and analysed once: the plan
+    comes from :data:`PLAN_CACHE` when its canonical text was compiled
+    before.  ``key`` is ``canonical_text(text)`` for callers that already
+    computed it.  A text that fails to compile raises its typed error on
+    every call and is never cached.  Under EXPLAIN ANALYZE the enclosing
+    span is annotated ``cached``.
     """
-    tree = _parse(text)
-    if isinstance(tree, _ast.DependencyQuery):
-        return compile_dependency(tree)
-    return compile_multievent(tree)
+    if key is None:
+        key = canonical_text(text)
+    ctx = PLAN_CACHE.get(key)
+    trace_annotate(cached=ctx is not None)
+    if ctx is None:
+        tree = _parser.parse(text)
+        if isinstance(tree, _ast.DependencyQuery):
+            ctx = compile_dependency(tree)
+        else:
+            ctx = compile_multievent(tree)
+        PLAN_CACHE.put(key, ctx)
+    return ctx
 
 
 __all__ = [
@@ -47,11 +68,14 @@ __all__ = [
     "DataQuery",
     "FetchFilterScheduler",
     "MultieventExecutor",
+    "PLAN_CACHE",
+    "PlanCache",
     "RelationshipScheduler",
     "ResultSet",
     "SCHEDULERS",
     "SchedulerStats",
     "TupleSet",
+    "canonical_text",
     "compile_dependency",
     "compile_query",
     "evaluate_returns",

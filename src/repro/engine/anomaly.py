@@ -141,41 +141,50 @@ class AnomalyExecutor:
         )
         times = [row[anchor_col].start_time for row in rows_sorted]
 
-        # window_rows[k][group] = the rows whose anchor starts in window k.
+        # occupied = (k, {group: rows whose anchor starts in window k}) for
+        # the windows that hold rows; a day of 10 s steps has thousands of
+        # positions and a query's rows sit in a few of them.
         all_groups: Dict[tuple, None] = {}
-        window_rows: List[Dict[tuple, List[tuple]]] = [{} for _ in starts]
+        occupied: List[Tuple[int, Dict[tuple, List[tuple]]]] = []
         for k, lo, hi in occupied_windows(times, starts, window):
-            members = window_rows[k]
+            members: Dict[tuple, List[tuple]] = {}
             for row in rows_sorted[lo:hi]:
                 key = group_key(row)
                 members.setdefault(key, []).append(row)
                 all_groups[key] = None
+            occupied.append((k, members))
 
         from repro.engine.executor import _compute_aggregate
 
+        # Zero-filled over every window position — a group absent from a
+        # window contributes 0 to the history a having clause looks back
+        # on — and computed only where a (window, group) cell holds rows.
         series: Dict[tuple, Dict[str, List[float]]] = {
-            key: {item.label: [] for item in agg_items} for key in all_groups
+            key: {item.label: [0.0] * len(starts) for item in agg_items}
+            for key in all_groups
         }
-        for members in window_rows:
-            for key in all_groups:
-                rows = members.get(key, [])
+        for k, members in occupied:
+            for key, rows in members.items():
+                group_series = series[key]
                 for item in agg_items:
-                    value = (
-                        float(_compute_aggregate(item, rows, entity_of, col))
-                        if rows
-                        else 0.0
+                    group_series[item.label][k] = float(
+                        _compute_aggregate(item, rows, entity_of, col)
                     )
-                    series[key][item.label].append(value)
 
         min_index = (
             max_history_depth(ctx.having) if ctx.having is not None else 0
         )
 
+        # A cell without rows aggregates to all zeros and never fires, so
+        # only cells with rows are visited, in (window, first-seen group)
+        # order.
+        group_rank = {key: rank for rank, key in enumerate(all_groups)}
         out_rows: List[tuple] = []
-        for k, ws in enumerate(starts):
+        for k, members in occupied:
             if k < min_index:
                 continue
-            for key in all_groups:
+            ws = starts[k]
+            for key in sorted(members, key=group_rank.__getitem__):
                 group_series = series[key]
                 current = {
                     label: values[k] for label, values in group_series.items()

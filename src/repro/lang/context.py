@@ -151,7 +151,12 @@ class PatternContext:
 
 @dataclass(frozen=True)
 class QueryContext:
-    """Executable form of a query (multievent or anomaly)."""
+    """Executable form of a query (multievent or anomaly).
+
+    Frozen, and holds only what execution reads — not the syntax tree it
+    was compiled from: the plan cache keeps contexts for the life of the
+    process and shares them between threads.
+    """
 
     kind: str  # 'multievent' | 'anomaly'
     patterns: Tuple[PatternContext, ...]
@@ -167,7 +172,6 @@ class QueryContext:
     window: TimeWindow = field(default_factory=TimeWindow)
     agent_ids: Optional[FrozenSet[int]] = None
     sliding: Optional[ast.SlidingWindowSpec] = None
-    source: Optional[ast.MultieventQuery] = None
 
     @property
     def labels(self) -> Tuple[str, ...]:
@@ -566,5 +570,4 @@ def compile_multievent(query: ast.MultieventQuery) -> QueryContext:
         window=globals_.window,
         agent_ids=globals_.agent_ids,
         sliding=sliding,
-        source=inferred,
     )

@@ -2,7 +2,7 @@
 
 A :class:`Trace` is activated on the current context (``contextvars``)
 for the duration of one query; instrumentation sites open nested
-:func:`trace_span` blocks (parse → schedule → per-pattern scans →
+:func:`trace_span` blocks (compile → schedule → per-pattern scans →
 narrowing re-queries → joins) and attach annotations from deep inside
 the storage layer via :func:`trace_add` / :func:`trace_annotate`.
 

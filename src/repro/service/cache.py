@@ -30,6 +30,20 @@ canonicalized hashable form of an :class:`~repro.storage.filters.EventFilter`
 Cached values are immutable from the cache's point of view (selection
 vectors over append-only blocks, or tuples of frozen events), so sharing
 them across threads is safe.
+
+This is the innermost of the three read-side memo levels, and the only
+one that data invalidates:
+
+1. **plan** (:mod:`repro.engine.plan_cache`) — canonical query text to its
+   compiled ``QueryContext``; plans hold no data, so nothing invalidates
+   them and they only age out of a 256-plan LRU;
+2. **index answers** (:class:`repro.storage.index.HashIndex`) — an entity
+   constraint to the ids it resolves to; the keyspace is append-only, so
+   an insert extends an answer (new keys are tested, new ids under matched
+   keys collected) instead of discarding it;
+3. **partition scans** (this module) — ``(partition, filter)`` to the rows
+   selected; dropped when a batch lands in the partition or its block is
+   rebuilt.
 """
 
 from __future__ import annotations

@@ -10,9 +10,12 @@ complete it commit.
 
 Design, reusing the batch machinery end to end:
 
-* **Compile once at registration** — each pattern's :class:`EventFilter`
-  compiles into a :class:`~repro.storage.kernels.ScanKernel` when the
-  subscription is created (shared with the scan-path kernel cache), so the
+* **Compile once at registration** — the text goes through the shared
+  :func:`repro.engine.compile_query` (a text an analyst already ran is not
+  parsed again; the plan is immutable, so a subscription can keep it), and
+  each pattern's :class:`EventFilter` compiles into a
+  :class:`~repro.storage.kernels.ScanKernel` when the subscription is
+  created (shared with the scan-path kernel cache), so the
   per-event hot path of a commit is the same flat generated closure a
   batch scan runs.
 * **Sliding windows with incremental eviction** — events matched by a

@@ -28,7 +28,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.engine import compile_query
+from repro.engine import canonical_text, compile_query
 from repro.engine.anomaly import AnomalyExecutor
 from repro.engine.executor import MultieventExecutor
 from repro.engine.result import ResultSet
@@ -83,17 +83,28 @@ class QueryService:
 
     @staticmethod
     def canonical_text(text: str) -> str:
-        """Whitespace-insensitive form used as the in-flight dedup key."""
-        return " ".join(text.split())
+        """Whitespace-insensitive form of a text: computed once per request
+        and used as in-flight dedup key, plan-cache key and slow-log text
+        (:func:`repro.engine.canonical_text`)."""
+        return canonical_text(text)
 
     def compile(self, text: str) -> QueryContext:
         return compile_query(text)
 
     # -- execution -----------------------------------------------------------
 
-    def _execute(self, source: Union[str, QueryContext]) -> ResultSet:
+    def _execute(
+        self, source: Union[str, QueryContext], key: Optional[str] = None
+    ) -> ResultSet:
+        """Run one query: a text (``key`` its canonical form, computed here
+        when the caller has not) or an already compiled context."""
         started = time.perf_counter()
-        ctx = self.compile(source) if isinstance(source, str) else source
+        if isinstance(source, str):
+            if key is None:
+                key = canonical_text(source)
+            ctx = compile_query(source, key)
+        else:
+            ctx = source
         if ctx.kind == "anomaly":
             runner = AnomalyExecutor(
                 self.store, scheduling=self.scheduling, parallel=self.parallel
@@ -117,9 +128,8 @@ class QueryService:
         _M_QUERIES.inc()
         _M_QUERY_SECONDS.observe(elapsed)
         if self.slow_log is not None:
-            text = source if isinstance(source, str) else "<precompiled>"
             self.slow_log.observe(
-                self.canonical_text(text),
+                key if key is not None else "<precompiled>",
                 elapsed,
                 rows=len(result),
                 detail={
@@ -140,7 +150,7 @@ class QueryService:
         the ingest.  Queries submitted after the shared one completes
         always re-execute and observe the ingest.
         """
-        key = self.canonical_text(text)
+        key = canonical_text(text)
         with self._lock:
             self.stats.submitted += 1
             existing = self._inflight.get(key)
@@ -153,7 +163,7 @@ class QueryService:
 
         def task() -> None:
             try:
-                value = self._execute(text)
+                value = self._execute(text, key)
             except BaseException as exc:
                 with self._lock:
                     self._inflight.pop(key, None)

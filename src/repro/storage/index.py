@@ -6,22 +6,33 @@ destination IP of network connection".  We provide:
 
 * :class:`HashIndex` — exact-match lookup from attribute value to a set of
   ids; also serves LIKE patterns by scanning its (much smaller) keyspace
-  instead of the event table;
+  instead of the event table, and keeps its answers across inserts;
 * :class:`SortedTimeIndex` — binary-searchable index over event start times
   used for time-window scans within a partition;
 * :class:`EntityAttributeIndex` — the registry of per-(entity type,
   attribute) hash indexes used by data queries to resolve candidate entity
   ids before touching events.
+
+Index answers are the middle of the three read-side memo levels (see the
+README's query path): the plan cache (:mod:`repro.engine.plan_cache`)
+remembers what a text compiles to and is never invalidated; a
+:class:`HashIndex` remembers which entity ids an equality or LIKE
+constraint resolves to and *extends* the answer as entities arrive (an
+append-only keyspace never takes an id back); the partition-scan cache
+(:mod:`repro.service.cache`) remembers which rows of one partition a
+filter selects and drops a partition's entries when a batch lands in it.
 """
 
 from __future__ import annotations
 
 import bisect
+import re
 import threading
-from collections import defaultdict
+from collections import OrderedDict, defaultdict
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.model.entities import Entity, EntityType, normalize_attribute
+from repro.obs.metrics import REGISTRY
 from repro.storage.filters import AttrPredicate, like_to_regex
 
 # Attributes indexed by default, per the paper (+ the Sec. 7 extension
@@ -39,14 +50,55 @@ def _norm_key(value: object) -> object:
     return value.lower() if isinstance(value, str) else value
 
 
+_M_LIKE_LOOKUPS = REGISTRY.counter(
+    "aiql_index_like_lookups_total", "LIKE lookups answered by a hash index"
+)
+_M_LIKE_KEYS_TESTED = REGISTRY.counter(
+    "aiql_index_like_keys_tested_total",
+    "Index keys regex-tested by LIKE lookups (a warm lookup tests none)",
+)
+
+_NO_IDS: FrozenSet[int] = frozenset()
+
+# LIKE answers kept per index, least recently used dropped.  An answer costs
+# its matched keys and ids, so a pattern like ``%`` holds the whole keyspace.
+_LIKE_MEMO_PATTERNS = 128
+
+
+class _LikeMemo:
+    """One LIKE pattern's answer, and how much of the index it has seen."""
+
+    __slots__ = ("regex", "keys", "seen_keys", "seen_regrown", "ids")
+
+    def __init__(self, regex: "re.Pattern[str]") -> None:
+        self.regex = regex
+        self.keys: Set[str] = set()
+        self.seen_keys = 0
+        self.seen_regrown = 0
+        self.ids: FrozenSet[int] = _NO_IDS
+
+
 class HashIndex:
     """Value -> set-of-ids index with LIKE support over the keyspace.
 
     LIKE lookups scan the (deduplicated) keyspace, which is much smaller
-    than the event heap; results are memoized until the next insert, so a
-    repeated investigation pattern (the common case — Sec. 6.2.1's
-    iterative refinement reuses the same entity constraints) hits a warm
-    index.
+    than the event heap, and a repeated investigation pattern (the common
+    case — Sec. 6.2.1's iterative refinement reuses the same entity
+    constraints) hits a warm index.  The index only grows — keys and ids
+    are added, never removed — so an answer is brought up to date instead
+    of thrown away when entities arrive:
+
+    * an equality answer is the bucket frozen once and shared by every
+      caller until that bucket gets another id (:meth:`add` drops just
+      that one frozen copy);
+    * a LIKE answer remembers which keys matched and how far along two
+      append-only lists it has looked — the string keys in order of first
+      appearance, and the keys that got another id afterwards; the next
+      lookup regex-tests only the keys that appeared since and re-reads
+      the buckets of matched keys that grew.
+
+    Answers are frozen sets, replaced and never mutated once handed out.
+    :meth:`add` stays O(1): it appends to a list and touches no memo.
 
     Lookups and inserts are mutually locked: the concurrent query service
     runs reads on pool workers while an ingest thread registers entities,
@@ -54,40 +106,77 @@ class HashIndex:
     """
 
     def __init__(self) -> None:
-        self._buckets: Dict[object, Set[int]] = defaultdict(set)
-        self._like_cache: Dict[str, FrozenSet[int]] = {}
+        self._buckets: Dict[object, Set[int]] = {}
+        self._frozen: Dict[object, FrozenSet[int]] = {}
+        self._str_keys: List[str] = []
+        self._regrown: List[str] = []
+        self._like_memos: "OrderedDict[str, _LikeMemo]" = OrderedDict()
         self._lock = threading.Lock()
 
     def add(self, value: object, item_id: int) -> None:
+        key = _norm_key(value)
         with self._lock:
-            self._buckets[_norm_key(value)].add(item_id)
-            if self._like_cache:
-                self._like_cache.clear()
+            bucket = self._buckets.get(key)
+            if bucket is None:
+                self._buckets[key] = {item_id}
+                if isinstance(key, str):
+                    self._str_keys.append(key)
+            else:
+                bucket.add(item_id)
+                if self._frozen:
+                    self._frozen.pop(key, None)
+                if isinstance(key, str):
+                    self._regrown.append(key)
+
+    def _frozen_bucket(self, key: object) -> FrozenSet[int]:
+        frozen = self._frozen.get(key)
+        if frozen is None:
+            bucket = self._buckets.get(key)
+            if bucket is None:
+                return _NO_IDS
+            frozen = self._frozen[key] = frozenset(bucket)
+        return frozen
 
     def lookup(self, value: object) -> FrozenSet[int]:
         with self._lock:
-            return frozenset(self._buckets.get(_norm_key(value), frozenset()))
+            return self._frozen_bucket(_norm_key(value))
 
     def lookup_in(self, values: Iterable[object]) -> FrozenSet[int]:
-        result: Set[int] = set()
         with self._lock:
-            for value in values:
-                result |= self._buckets.get(_norm_key(value), set())
-        return frozenset(result)
+            found = [self._frozen_bucket(_norm_key(value)) for value in values]
+        if len(found) == 1:
+            return found[0]
+        return _NO_IDS.union(*found)
 
     def lookup_like(self, pattern: str) -> FrozenSet[int]:
         with self._lock:
-            cached = self._like_cache.get(pattern)
-            if cached is not None:
-                return cached
-            regex = like_to_regex(pattern)
-            result: Set[int] = set()
-            for key, ids in self._buckets.items():
-                if isinstance(key, str) and regex.match(key):
-                    result |= ids
-            frozen = frozenset(result)
-            self._like_cache[pattern] = frozen
-            return frozen
+            memo = self._like_memos.get(pattern)
+            if memo is None:
+                memo = self._like_memos[pattern] = _LikeMemo(like_to_regex(pattern))
+                if len(self._like_memos) > _LIKE_MEMO_PATTERNS:
+                    self._like_memos.popitem(last=False)
+            else:
+                self._like_memos.move_to_end(pattern)
+            tested = len(self._str_keys) - memo.seen_keys
+            if tested or memo.seen_regrown != len(self._regrown):
+                self._catch_up(memo)
+            ids = memo.ids
+        _M_LIKE_LOOKUPS.inc()
+        if tested:
+            _M_LIKE_KEYS_TESTED.inc(tested)
+        return ids
+
+    def _catch_up(self, memo: _LikeMemo) -> None:
+        """Extend ``memo`` over the keys and regrown buckets it has not seen."""
+        # Matched keys whose bucket grew, then the new keys that match.
+        grown = memo.keys.intersection(self._regrown[memo.seen_regrown :])
+        match = memo.regex.match
+        grown.update(key for key in self._str_keys[memo.seen_keys :] if match(key))
+        memo.seen_keys = len(self._str_keys)
+        memo.seen_regrown = len(self._regrown)
+        if grown:
+            memo.keys |= grown
+            memo.ids = memo.ids.union(*(self._buckets[key] for key in grown))
 
     def lookup_predicate(self, pred: AttrPredicate) -> Optional[FrozenSet[int]]:
         """Serve a predicate if this index can; ``None`` if unsupported."""
@@ -149,9 +238,9 @@ class EntityAttributeIndex:
             index = self._indexes.get((etype, attr))
             if index is None:
                 continue
-            served = index.lookup_predicate(
-                AttrPredicate(attr=attr, op=pred.op, value=pred.value)
-            )
+            # The index is picked by attribute; the lookup reads only the
+            # predicate's operator and value.
+            served = index.lookup_predicate(pred)
             if served is None:
                 continue
             result = served if result is None else (result & served)

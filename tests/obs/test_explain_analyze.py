@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.system import AIQLSystem
+from repro.engine import PLAN_CACHE
 from repro.engine.data_query import DataQuery
 from repro.obs import REGISTRY, set_metrics_enabled
 from repro.workload.corpus import by_id
@@ -34,9 +35,17 @@ class TestExplainAnalyzeGroundTruth:
         assert report.root is not None
         assert report.root.name == "query"
         names = [c.name for c in report.root.children]
-        assert names[0] == "parse"
+        assert names[0] == "compile"
         assert "schedule" in names
         assert len(report.spans("join")) >= 1
+
+    def test_compile_span_says_whether_the_plan_was_cached(self, system):
+        PLAN_CACHE.clear()
+        first = system.explain(APT_QUERY).spans("compile")[0]
+        second = system.explain(APT_QUERY).spans("compile")[0]
+        assert first.attrs["cached"] is False
+        assert second.attrs["cached"] is True
+        assert "cached=True" in system.explain(APT_QUERY).to_text()
 
     def test_per_pattern_cardinalities_match_store(self, system):
         report = system.explain(APT_QUERY)

@@ -1,12 +1,18 @@
 """Unit tests for repro.storage.index."""
 
+import repro.storage.index as index_module
 from repro.model.entities import EntityRegistry, EntityType
+from repro.obs import REGISTRY
 from repro.storage.filters import AttrPredicate
 from repro.storage.index import (
     EntityAttributeIndex,
     HashIndex,
     SortedTimeIndex,
 )
+
+
+def keys_tested() -> float:
+    return REGISTRY.get("aiql_index_like_keys_tested_total").value()
 
 
 class TestHashIndex:
@@ -48,6 +54,122 @@ class TestHashIndex:
         idx = HashIndex()
         idx.add(4444, 1)
         assert idx.lookup(4444) == frozenset({1})
+
+
+class TestAnswersSurviveInserts:
+    """The keyspace only grows, so an answer is extended, not recomputed."""
+
+    def test_like_tests_only_the_keys_added_since(self):
+        idx = HashIndex()
+        for i in range(50):
+            idx.add(f"/usr/bin/tool{i}", i)
+        before = keys_tested()
+        assert len(idx.lookup_like("/usr/bin/%")) == 50
+        assert keys_tested() == before + 50
+        idx.lookup_like("/usr/bin/%")
+        assert keys_tested() == before + 50  # warm: nothing to test
+        idx.add("/usr/bin/new", 50)
+        idx.add("/etc/passwd", 51)
+        assert idx.lookup_like("/usr/bin/%") == frozenset(range(51))
+        assert keys_tested() == before + 52
+        idx.add("/usr/bin/tool7", 52)  # no new key: a new id under a match
+        grown = idx.lookup_like("/usr/bin/%")
+        assert grown == frozenset(range(51)) | {52}
+        assert keys_tested() == before + 52
+        assert idx.lookup_like("/usr/bin/%") is grown  # caught up: no rebuild
+        idx.add("/etc/passwd", 53)  # a bucket the pattern never matched
+        assert idx.lookup_like("/usr/bin/%") is grown
+
+    def test_like_picks_up_a_new_id_under_an_already_matched_key(self):
+        idx = HashIndex()
+        idx.add("cmd.exe", 1)
+        assert idx.lookup_like("%.exe") == frozenset({1})
+        idx.add("CMD.EXE", 2)
+        idx.add("notes.txt", 3)
+        assert idx.lookup_like("%.exe") == frozenset({1, 2})
+
+    def test_a_pattern_that_matched_nothing_yet_still_sees_new_keys(self):
+        idx = HashIndex()
+        idx.add("a", 1)
+        assert idx.lookup_like("z%") == frozenset()
+        idx.add("zz", 2)
+        assert idx.lookup_like("z%") == frozenset({2})
+
+    def test_like_ignores_non_string_keys(self):
+        idx = HashIndex()
+        idx.add(4444, 1)
+        idx.add("4444", 2)
+        assert idx.lookup_like("44%") == frozenset({2})
+        idx.add(4445, 3)
+        assert idx.lookup_like("44%") == frozenset({2})
+
+    def test_like_memos_are_bounded_least_recently_used_first(self, monkeypatch):
+        monkeypatch.setattr(index_module, "_LIKE_MEMO_PATTERNS", 2)
+        idx = HashIndex()
+        idx.add("abc", 1)
+        idx.lookup_like("a%")
+        idx.lookup_like("b%")
+        idx.lookup_like("a%")
+        idx.lookup_like("c%")  # drops b%
+        before = keys_tested()
+        idx.lookup_like("a%")
+        assert keys_tested() == before
+        idx.lookup_like("b%")
+        assert keys_tested() == before + 1
+
+    def test_equality_answers_are_shared_until_the_bucket_grows(self):
+        idx = HashIndex()
+        idx.add("bash", 1)
+        first = idx.lookup("bash")
+        assert idx.lookup("BASH") is first
+        assert idx.lookup_in(["bash"]) is first
+        idx.add("zsh", 2)
+        assert idx.lookup("bash") is first  # another bucket grew
+        idx.add("bash", 3)
+        assert idx.lookup("bash") == frozenset({1, 3})
+        assert first == frozenset({1})
+
+    def test_returned_sets_are_never_mutated_after_hand_out(self):
+        idx = HashIndex()
+        handed = []  # (the set handed out, its contents at hand-out)
+
+        def look():
+            for answer in (
+                idx.lookup("/tmp/a"),
+                idx.lookup_in(["/tmp/a", "/tmp/b", "/nope"]),
+                idx.lookup_like("/tmp/%"),
+                idx.lookup_like("%"),
+                idx.lookup_predicate(AttrPredicate("name", "=", "/TMP/B")),
+            ):
+                assert isinstance(answer, frozenset)
+                handed.append((answer, set(answer)))
+
+        look()
+        for i in range(40):
+            idx.add(f"/tmp/{'abc'[i % 3]}", i)
+            if i % 5 == 0:
+                idx.add(f"/var/{i}", 1000 + i)
+            look()
+        assert all(answer == contents for answer, contents in handed)
+        assert idx.lookup_like("/tmp/%") == frozenset(range(40))
+
+    def test_candidates_hand_the_index_the_callers_predicate(self, monkeypatch):
+        """No per-scan AttrPredicate rebuild: the alias is resolved for
+        picking the index, and the lookup reads only op and value."""
+        built = []
+        real_init = AttrPredicate.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real_init(self)
+
+        reg = EntityRegistry()
+        idx = EntityAttributeIndex()
+        idx.add(reg.process(1, 10, "cmd.exe"))
+        preds = [AttrPredicate("exename", "=", "%cmd%")]
+        monkeypatch.setattr(AttrPredicate, "__post_init__", counting)
+        assert len(idx.candidates(EntityType.PROCESS, preds)) == 1
+        assert built == []
 
 
 class TestEntityAttributeIndex:
