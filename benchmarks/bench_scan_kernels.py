@@ -1,7 +1,7 @@
 """Compiled scan kernels: interpreted vs compiled filter evaluation.
 
 The ISSUE-4 acceptance benchmark (machine-readable output in
-``BENCH_scan.json``).  Four cells, every one asserting the compiled path
+``BENCH_scan.json``).  Six cells, every one asserting the compiled path
 returns *byte-identical* results to the interpreted oracle:
 
 * **single_pattern** — a LIKE+IN-heavy single-pattern filter over
@@ -16,6 +16,11 @@ returns *byte-identical* results to the interpreted oracle:
   closures, both fully compiled, on the same single-pattern hot scan.
   Floor: >= 3x scan throughput over the closure path (and >= 5.5M
   events/s absolute at the default workload rate).
+* **numeric_predicate** — the ISSUE-20 cell: an ``amount > N`` event
+  predicate over every partition block of a multi-day window, as one pass
+  over the raw ``array`` column (``kernel.select``) vs the per-row compiled
+  predicate (a getter, a type dispatch and a comparison call per row: the
+  path every non-numeric leaf still takes).  Floor: >= 3x.
 * **cold_only** — a cold-window query through the columnar cold path
   (structural prefilter on raw columns before any ``SystemEvent`` is
   materialized), with the per-segment result cache disabled so the cell
@@ -47,7 +52,13 @@ from repro.core.config import SystemConfig
 from repro.core.system import AIQLSystem
 from repro.engine import compile_query
 from repro.engine.executor import MultieventExecutor
-from repro.storage.kernels import use_columnar, use_kernels
+from repro.storage.filters import EventFilter
+from repro.storage.kernels import (
+    _compile_block_event_predicate,
+    compile_filter,
+    use_columnar,
+    use_kernels,
+)
 from repro.workload.loader import build_enterprise
 
 DAYS = 20
@@ -77,6 +88,14 @@ MULTI_PATTERN = """
     proc p2 start proc p3[cmd = "%payload%"] as evt3
     with evt1 before evt2, evt2 before evt3
     return distinct p1, p2, f1, p3
+"""
+
+# A sweep's pattern (benchmarks/e2e): no entity predicate, a multi-day
+# window, a numeric event predicate.  Amounts top out at 2**20.
+NUMERIC_PATTERN = """
+    (from "01/03/2017" to "01/10/2017")
+    proc p1 write file f1 as evt1[amount > 600000]
+    return distinct p1, f1
 """
 
 # Windows relative to the 20-day corpus (2017-01-01 .. 2017-01-21): the
@@ -169,6 +188,42 @@ def bench_columnar(store) -> dict:
     }
 
 
+def bench_numeric_predicate(store) -> dict:
+    """One pass over the raw amount column vs the per-row predicate.
+
+    Both run over the same partition blocks (every block the window
+    reaches) and the same candidates (every row), so only the evaluation
+    of the predicate differs.
+    """
+    flt = compile_query(NUMERIC_PATTERN).patterns[0].filter
+    blocks = [
+        part.block
+        for part in store.scan_columns(EventFilter(window=flt.window)).parts
+    ]
+    lookup = store.registry.get
+    select = compile_filter(EventFilter(event_pred=flt.event_pred)).select
+    per_row = _compile_block_event_predicate(flt.event_pred)
+
+    def column_pass():
+        return [list(select(b, range(len(b)), lookup)) for b in blocks]
+
+    def per_row_pass():
+        return [[i for i in range(len(b)) if per_row(b, i)] for b in blocks]
+
+    per_row_ms = median_ms(per_row_pass)
+    column_ms = median_ms(column_pass)
+    survivors = column_pass()
+    return {
+        "per_row_ms": round(per_row_ms, 3),
+        "column_ms": round(column_ms, 3),
+        "speedup": round(per_row_ms / column_ms, 2) if column_ms else None,
+        "partitions": len(blocks),
+        "events_scanned": sum(len(b) for b in blocks),
+        "rows": sum(len(positions) for positions in survivors),
+        "identical": survivors == per_row_pass(),
+    }
+
+
 def bench_multi_pattern(store) -> dict:
     ctx = compile_query(MULTI_PATTERN)
     executor = MultieventExecutor(store)
@@ -246,6 +301,7 @@ def main() -> int:
         print("running cells...", file=sys.stderr)
         single = bench_single_pattern(baseline)
         columnar = bench_columnar(baseline)
+        numeric = bench_numeric_predicate(baseline)
         multi = bench_multi_pattern(baseline)
         cold = bench_cold_only(uncached.store)
         mixed = bench_mixed_window(baseline, shipped.store)
@@ -255,11 +311,12 @@ def main() -> int:
         checks = {
             "single_pattern_3x": single["speedup"] >= 3.0,
             "columnar_3x": columnar["speedup"] >= 3.0,
+            "numeric_predicate_3x": numeric["speedup"] >= 3.0,
             "multi_pattern_1_5x": multi["speedup"] >= 1.5,
             "mixed_window_1_5x": mixed["ratio"] <= 1.5,
             "results_identical": all(
                 cell["identical"]
-                for cell in (single, columnar, multi, cold, mixed)
+                for cell in (single, columnar, numeric, multi, cold, mixed)
             ),
         }
         if rate >= 300:
@@ -280,6 +337,7 @@ def main() -> int:
             },
             "single_pattern": single,
             "columnar": columnar,
+            "numeric_predicate": numeric,
             "multi_pattern": multi,
             "cold_only": cold,
             "mixed_window": mixed,

@@ -11,11 +11,23 @@ temporal relationships narrow the pattern's time window.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.lang.context import (
     FieldRef,
     PatternContext,
+    QueryContext,
     ResolvedAttrRel,
     ResolvedTempRel,
 )
@@ -178,6 +190,101 @@ def _time_span(source) -> Optional[tuple]:
         return None
     times = [e.start_time for e in source]
     return (min(times), max(times))
+
+
+# IN lists bigger than this cost more than they prune (the classic optimizer
+# guard); id sets are exempt — postings lists serve them directly.
+MAX_NARROWING_VALUES = 256
+
+
+def unapplied_relationships(
+    ctx: QueryContext, bound: AbstractSet[int], applied: AbstractSet[object]
+) -> Tuple[List[ResolvedAttrRel], List[ResolvedTempRel]]:
+    """Every relationship of ``ctx`` not in ``applied`` whose endpoints all
+    lie in ``bound``.
+
+    With ``bound`` the patterns of two tuple sets about to be joined (or of
+    one set plus the pending pattern being attached to it), this is every
+    relationship the join must apply: each one crossing the boundary, plus
+    any single-pattern relationship not checked yet.
+    """
+    attr = [
+        rel
+        for rel in ctx.attr_relationships
+        if rel not in applied
+        and rel.left.pattern in bound
+        and rel.right.pattern in bound
+    ]
+    temp = [
+        rel
+        for rel in ctx.temp_relationships
+        if rel not in applied and rel.left in bound and rel.right in bound
+    ]
+    return attr, temp
+
+
+def constrain_by_bound(
+    query: DataQuery,
+    attr_rels: Sequence[ResolvedAttrRel],
+    temp_rels: Sequence[ResolvedTempRel],
+    events_of: Callable[[int], object],
+    entity_of,
+) -> Tuple[DataQuery, Dict[str, object]]:
+    """Constrained execution (Algorithm 1) against a whole bound tuple set.
+
+    Narrows ``query`` by every relationship in ``attr_rels``/``temp_rels``
+    that ties its pattern to another one: equality relationships become id
+    sets or IN lists (at most :data:`MAX_NARROWING_VALUES` values),
+    temporal ones windows.  ``events_of(pattern)`` gives the events bound
+    to the other endpoint, as a scan result or an event list; relationships
+    inside the query's own pattern are left to the join.  Returns the
+    narrowed query (``query`` itself when nothing narrowed) and what was
+    applied, as ``scan`` span annotations.
+    """
+    pending = query.index
+    sources: Dict[int, object] = {}
+
+    def source(pattern: int):
+        found = sources.get(pattern)
+        if found is None:
+            found = sources[pattern] = events_of(pattern)
+        return found
+
+    narrowed = query
+    narrowed_by: Set[int] = set()  # the bound patterns that narrowed
+    notes: Dict[str, object] = {}
+    for rel in attr_rels:
+        left, right = rel.left.pattern, rel.right.pattern
+        if (left == pending) == (right == pending):
+            continue  # both ends pending (or neither): nothing bound to use
+        other = right if left == pending else left
+        narrowing = attr_rel_narrowing(rel, other, source(other), entity_of)
+        if narrowing is None:
+            continue
+        ref, values = narrowing
+        if ref.attr != "id" and len(values) > MAX_NARROWING_VALUES:
+            continue
+        narrowed = narrowed.narrowed_by_values(ref, values)
+        narrowed_by.add(other)
+        notes[f"narrow_{ref.role}.{ref.attr}"] = len(values)
+    for rel in temp_rels:
+        if (rel.left == pending) == (rel.right == pending):
+            continue
+        other = rel.right if rel.left == pending else rel.left
+        window = temp_rel_narrowing(rel, other, source(other))
+        if window is None:
+            continue
+        narrowed = narrowed.narrowed_by_window(window)
+        narrowed_by.add(other)
+    notes["narrowed_by"] = sorted(narrowed_by)
+    window = narrowed.filter.window
+    if window != query.filter.window:
+        notes["narrow_window"] = (
+            f"[{window.start:.0f},{window.end:.0f})"
+            if window.start is not None and window.end is not None
+            else f"[{window.start},{window.end})"
+        )
+    return narrowed, notes
 
 
 def attr_rel_narrowing(

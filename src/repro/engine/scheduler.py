@@ -8,9 +8,27 @@ Two strategies are provided:
   patterns are handled before file event patterns and higher-scoring pairs
   first; and each data query executed against a relationship is
   *constrained* by the results already in hand.
+
+  The rule for "the results already in hand" is the bound set, not the
+  pair.  A sorted relationship names which two patterns to bring together
+  next; when that attaches a pending pattern to a tuple set, or joins two
+  executed sets, the scheduler gathers **every** relationship not yet
+  applied whose endpoints all lie in the union
+  (:func:`~repro.engine.data_query.unapplied_relationships`).  All of them
+  constrain the pending data query — id sets, IN lists and windows, each
+  from the events the set binds to the other endpoint
+  (:func:`~repro.engine.data_query.constrain_by_bound`) — and all of them
+  go to :meth:`TupleSet.join`, so every equality lands in the composite
+  hash key and none waits for a later filter.  With two patterns, or a
+  pending pattern related to a single bound one, this is Algorithm 1's
+  ``S_j <-execute-(S_i) q_j`` exactly; it is a superset when a pattern
+  relates to several bound ones (a subject shared with one, an object
+  with the same one, a temporal order with a third).  The standing-query
+  engine's delta joins use the same two helpers.
 * :class:`FetchFilterScheduler` — the strawman the paper calls
   *fetch-and-filter* (the ``AIQL FF`` baseline of Fig. 6): execute every
-  data query independently, then join and filter.
+  data query independently, then join and filter, one relationship at a
+  time.
 
 All strategies produce the same final tuple set (a correctness invariant
 the test suite checks); they differ only in how much irrelevant data they
@@ -32,8 +50,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.engine.data_query import (
     DataQuery,
-    attr_rel_narrowing,
-    temp_rel_narrowing,
+    constrain_by_bound,
+    unapplied_relationships,
 )
 from repro.engine.tuples import TupleSet
 from repro.lang.context import (
@@ -56,6 +74,10 @@ _M_CONSTRAINED = REGISTRY.counter(
 _M_JOINS = REGISTRY.counter("aiql_joins_total", "Tuple-set joins performed")
 _M_JOIN_ROWS = REGISTRY.counter(
     "aiql_join_rows_total", "Rows produced by tuple-set joins"
+)
+_M_JOIN_CROSS = REGISTRY.counter(
+    "aiql_join_cross_products_total",
+    "Tuple-set joins that had no equality relationship to hash on",
 )
 
 
@@ -85,9 +107,9 @@ class _SchedulerBase:
         self.store = store
         self.parallel = parallel
         self.stats = SchedulerStats()
-
-    def _entity_of(self, entity_id: int):
-        return self.store.registry.get(entity_id)
+        # Bound once: per-row relationship checks call this, and a tiered
+        # store resolves ``registry`` through ``__getattr__`` every time.
+        self._entity_of = store.registry.get
 
     def _execute(
         self,
@@ -124,18 +146,24 @@ class _SchedulerBase:
 
     def _join(self, left: TupleSet, right: TupleSet, attr_rels, temp_rels) -> TupleSet:
         """Join two tuple sets under a ``join`` span, with row accounting."""
+        keys = len(left.hash_keys(right, attr_rels))
         with trace_span("join") as span:
             joined = left.join(right, attr_rels, temp_rels, self._entity_of)
             self.stats.rows_joined += len(joined)
             if span is not None:
                 span.annotate(
                     patterns=sorted(joined.patterns),
+                    keys=keys,
                     rows_left=len(left),
                     rows_right=len(right),
                     rows_out=len(joined),
                 )
+                if not keys:
+                    span.annotate(cross=True)
         _M_JOINS.inc()
         _M_JOIN_ROWS.inc(len(joined))
+        if not keys:
+            _M_JOIN_CROSS.inc()
         return joined
 
     def _filter(self, ts: TupleSet, attr_rels, temp_rels) -> TupleSet:
@@ -251,100 +279,70 @@ class RelationshipScheduler(_SchedulerBase):
 
         rels_sorted = sorted(self._relationships(ctx), key=rel_key)
 
-        executed: Set[int] = set()
-        events: Dict[int, object] = {}  # pattern -> scan result
-        tuple_of: Dict[int, TupleSet] = {}  # the map M
+        tuple_of: Dict[int, TupleSet] = {}  # the map M: executed patterns
+        # Relationships some join has applied.  Invariant: every
+        # relationship with both endpoints inside one tuple set is here.
+        applied: Set[object] = set()
 
-        def replace_vals(old: TupleSet, new: TupleSet) -> None:
-            for key, value in list(tuple_of.items()):
-                if value is old:
-                    tuple_of[key] = new
+        def publish(joined: TupleSet) -> None:
+            for pattern in joined.patterns:
+                tuple_of[pattern] = joined
 
-        # Step 3: main loop over sorted relationships.  All relationships
-        # between the same pattern pair are processed together so joins can
-        # use composite keys (and the pair is constrained/filtered once).
-        processed: Set[int] = set()
+        def fetch(pattern: int) -> None:
+            tuple_of[pattern] = TupleSet.from_scan(
+                pattern, self._execute(queries[pattern])
+            )
+
+        def attach(pending: int, base: TupleSet) -> None:
+            """Execute ``pending`` constrained by everything ``base`` has
+            bound, and join it in on every relationship between them."""
+            attr_rels, temp_rels = unapplied_relationships(
+                ctx, {pending, *base.patterns}, applied
+            )
+            narrowed, narrowings = constrain_by_bound(
+                queries[pending],
+                attr_rels,
+                temp_rels,
+                base.events_of,
+                self._entity_of,
+            )
+            scan = self._execute(narrowed, constrained=True, narrowings=narrowings)
+            joined = self._join(
+                base, TupleSet.from_scan(pending, scan), attr_rels, temp_rels
+            )
+            applied.update(attr_rels, temp_rels)
+            publish(joined)
+
+        # Step 3: main loop over sorted relationships.  A relationship
+        # names the next pair to bring together; the join that does it
+        # carries every relationship crossing between the two sides, so
+        # all the equalities land in one composite hash key and a pending
+        # pattern is constrained by every pattern already bound, not only
+        # by the one this relationship names.
         for kind, rel in rels_sorted:
-            if id(rel) in processed:
+            if rel in applied:
                 continue
             i, j = _involved((kind, rel))
             if i == j:
-                continue
-            attr_rels = [
-                r
-                for r in ctx.attr_relationships
-                if {r.left.pattern, r.right.pattern} == {i, j}
-            ]
-            temp_rels = [
-                r for r in ctx.temp_relationships if {r.left, r.right} == {i, j}
-            ]
-            for r in attr_rels:
-                processed.add(id(r))
-            for r in temp_rels:
-                processed.add(id(r))
-
-            if i not in executed and j not in executed:
-                first, second = (i, j) if scores[i] >= scores[j] else (j, i)
-                first_events = self._execute(queries[first])
-                events[first] = first_events
-                executed.add(first)
-                second_events = self._constrained_execute(
-                    ctx, queries[second], first, first_events
-                )
-                events[second] = second_events
-                executed.add(second)
-                joined = self._join(
-                    TupleSet.from_scan(first, first_events),
-                    TupleSet.from_scan(second, second_events),
-                    attr_rels,
-                    temp_rels,
-                )
-                tuple_of[i] = joined
-                tuple_of[j] = joined
-            elif (i in executed) != (j in executed):
-                done, pending = (i, j) if i in executed else (j, i)
-                done_set = tuple_of.get(done)
-                done_events = (
-                    done_set.events_of(done) if done_set is not None else events[done]
-                )
-                pending_events = self._constrained_execute(
-                    ctx, queries[pending], done, done_events
-                )
-                events[pending] = pending_events
-                executed.add(pending)
-                base = (
-                    done_set
-                    if done_set is not None
-                    else TupleSet.from_scan(done, events[done])
-                )
-                joined = self._join(
-                    base,
-                    TupleSet.from_scan(pending, pending_events),
-                    attr_rels,
-                    temp_rels,
-                )
-                replace_vals(base, joined)
-                tuple_of[pending] = joined
-                tuple_of[done] = joined
+                continue  # rides the first join that binds its pattern
+            if i not in tuple_of and j not in tuple_of:
+                fetch(i if scores[i] >= scores[j] else j)
+            if (i in tuple_of) != (j in tuple_of):
+                done, pending = (i, j) if i in tuple_of else (j, i)
+                attach(pending, tuple_of[done])
             else:
                 set_i, set_j = tuple_of[i], tuple_of[j]
-                if set_i is set_j:
-                    filtered = self._filter(set_i, attr_rels, temp_rels)
-                    replace_vals(set_i, filtered)
-                else:
-                    joined = self._join(set_i, set_j, attr_rels, temp_rels)
-                    replace_vals(set_i, joined)
-                    replace_vals(set_j, joined)
+                attr_rels, temp_rels = unapplied_relationships(
+                    ctx, {*set_i.patterns, *set_j.patterns}, applied
+                )
+                joined = self._join(set_i, set_j, attr_rels, temp_rels)
+                applied.update(attr_rels, temp_rels)
+                publish(joined)
 
         # Step 4: leftover patterns without any processed relationship.
         for pattern in ctx.patterns:
-            if pattern.index not in executed:
-                fetched = self._execute(queries[pattern.index])
-                events[pattern.index] = fetched
-                executed.add(pattern.index)
-                tuple_of[pattern.index] = TupleSet.from_scan(
-                    pattern.index, fetched
-                )
+            if pattern.index not in tuple_of:
+                fetch(pattern.index)
 
         # Step 5: merge remaining distinct tuple sets (cartesian).
         distinct: List[TupleSet] = []
@@ -354,54 +352,14 @@ class RelationshipScheduler(_SchedulerBase):
         merged = distinct[0]
         for other in distinct[1:]:
             merged = merged.cross(other)
-        # Re-check every relationship on the final set: relationships whose
-        # endpoints joined through different intermediate sets may not have
-        # been applied to the merged rows yet.
-        attr_rels, temp_rels = self._rels_between(
-            ctx, set(merged.patterns)
+        # What no join applied: relationships inside one pattern that
+        # never met a join (a single-pattern query, a disconnected one).
+        attr_rels, temp_rels = unapplied_relationships(
+            ctx, set(merged.patterns), applied
         )
-        return self._filter(merged, attr_rels, temp_rels)
-
-    def _constrained_execute(
-        self,
-        ctx: QueryContext,
-        query: DataQuery,
-        executed_index: int,
-        executed_events,
-    ):
-        """Narrow ``query`` using every relationship it shares with the
-        executed pattern, then run it.  ``executed_events`` may be a scan
-        result or a plain event list (both feed the narrowing helpers)."""
-        narrowed = query
-        narrowings: Dict[str, object] = {"narrowed_by": executed_index}
-        for rel in ctx.attr_relationships:
-            if {rel.left.pattern, rel.right.pattern} == {
-                executed_index,
-                query.index,
-            }:
-                narrowing = attr_rel_narrowing(
-                    rel, executed_index, executed_events, self._entity_of
-                )
-                if narrowing is not None:
-                    ref, values = narrowing
-                    # Giant IN lists cost more than they prune (classic
-                    # optimizer guard); id sets stay — postings lists serve
-                    # them directly.
-                    if ref.attr != "id" and len(values) > 256:
-                        continue
-                    narrowed = narrowed.narrowed_by_values(ref, values)
-                    narrowings[f"narrow_{ref.role}.{ref.attr}"] = len(values)
-        for rel in ctx.temp_relationships:
-            if {rel.left, rel.right} == {executed_index, query.index}:
-                window = temp_rel_narrowing(rel, executed_index, executed_events)
-                if window is not None:
-                    narrowed = narrowed.narrowed_by_window(window)
-                    narrowings["narrow_window"] = (
-                        f"[{window.start:.0f},{window.end:.0f})"
-                        if window.start is not None and window.end is not None
-                        else f"[{window.start},{window.end})"
-                    )
-        return self._execute(narrowed, constrained=True, narrowings=narrowings)
+        if attr_rels or temp_rels:
+            merged = self._filter(merged, attr_rels, temp_rels)
+        return merged
 
 
 class FetchFilterScheduler(_SchedulerBase):

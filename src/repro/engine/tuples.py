@@ -41,6 +41,28 @@ def _norm(value: object) -> object:
     return value.lower() if isinstance(value, str) else value
 
 
+def _key_fn(
+    getters: Sequence[Callable[[object], object]], refs: Sequence[FieldRef]
+) -> Callable[[object], object]:
+    """One function from a row (or scan handle) to its hash-join key.
+
+    Values are normalized as the equality check normalizes them; ``id``
+    fields are integers and are read as they are.  A single-field key is
+    the bare value, a composite one a tuple — both sides of a join build
+    theirs from the same relationships, so the shapes agree.
+    """
+    fields = [
+        get if ref.attr == "id" else (lambda item, get=get: _norm(get(item)))
+        for get, ref in zip(getters, refs)
+    ]
+    if len(fields) == 1:
+        return fields[0]
+    if len(fields) == 2:
+        first, second = fields
+        return lambda item: (first(item), second(item))
+    return lambda item: tuple(get(item) for get in fields)
+
+
 class TupleSet:
     """Rows of events aligned to ``patterns`` (sorted pattern indices)."""
 
@@ -96,9 +118,16 @@ class TupleSet:
         except KeyError:
             raise KeyError(f"pattern {pattern} not in tuple set") from None
 
-    def events_of(self, pattern: int) -> List[SystemEvent]:
-        """Distinct events bound to ``pattern`` across all rows."""
+    def events_of(self, pattern: int):
+        """Distinct events bound to ``pattern`` across all rows.
+
+        A set still backed by its scan answers with the scan result itself
+        (narrowing then reads ids, values and time bounds off the columns);
+        otherwise a list of events.
+        """
         col = self.column_of(pattern)
+        if self._rows is None:
+            return self._scan
         seen: Dict[int, SystemEvent] = {}
         for row in self.rows:
             event = row[col]
@@ -116,7 +145,11 @@ class TupleSet:
         if ref.role == "event":
             return lambda row: row[col].attribute(attr)
         if ref.role == "subject":
+            if attr == "id":  # the registry id *is* the event's column
+                return lambda row: row[col].subject_id
             return lambda row: getattr(entity_of(row[col].subject_id), attr)
+        if attr == "id":
+            return lambda row: row[col].object_id
         return lambda row: getattr(entity_of(row[col].object_id), attr)
 
     def _compile_attr_rel(
@@ -124,6 +157,11 @@ class TupleSet:
     ) -> RowCheck:
         left = self._field_getter(rel.left, entity_of)
         right = self._field_getter(rel.right, entity_of)
+        if rel.left.attr == "id" and rel.right.attr == "id":
+            if rel.op == "=":  # entity reuse: integers, nothing to normalize
+                return lambda row: left(row) == right(row)
+            if rel.op == "!=":
+                return lambda row: left(row) != right(row)
         if rel.op == "=":  # hot path: equality joins
             return lambda row: _norm(left(row)) == _norm(right(row))
         if rel.op == "!=":
@@ -151,8 +189,10 @@ class TupleSet:
         entity_of: EntityLookup,
     ) -> "TupleSet":
         """Keep rows satisfying all given relationships (both sides bound)."""
-        if not self.rows or (not attr_rels and not temp_rels):
-            return TupleSet(patterns=self.patterns, rows=list(self.rows))
+        if not attr_rels and not temp_rels:
+            return self  # tuple sets are never mutated: nothing to copy
+        if not self.rows:
+            return TupleSet(patterns=self.patterns, rows=[])
         checks: List[RowCheck] = [
             self._compile_attr_rel(rel, entity_of) for rel in attr_rels
         ]
@@ -177,9 +217,10 @@ class TupleSet:
     ) -> "TupleSet":
         """Join two disjoint tuple sets, filtering by the relationships.
 
-        Uses the first equality attribute relationship spanning the two sets
-        as a hash-join key; remaining relationships are checked per joined
-        row.
+        Every equality attribute relationship spanning the two sets
+        (:meth:`hash_keys`) goes into one composite hash key; the remaining
+        relationships are checked per joined row.  With no such
+        relationship the join is a filtered cross product.
         """
         if set(self.patterns) & set(other.patterns):
             raise ValueError("join requires disjoint tuple sets")
@@ -197,26 +238,25 @@ class TupleSet:
             sides = (left_row, right_row)
             return tuple(sides[side][col] for side, col in permutation)
 
-        # Use a composite hash key over every equality relationship that
-        # spans the two sets: joining on (dst_ip, dst_port) at once avoids
-        # the intermediate blowup of joining on dst_ip and filtering later.
-        hash_rels: List[ResolvedAttrRel] = [
-            rel
-            for rel in attr_rels
-            if rel.is_equality and self._spans(rel, other)
-        ]
+        # Joining on (dst_ip, dst_port) at once avoids the intermediate
+        # blowup of joining on dst_ip and filtering later.
+        hash_rels = self.hash_keys(other, attr_rels)
 
         joined_rows: List[Row] = []
 
         if hash_rels:
-            left_getters = []
+            left_refs = []
             right_refs = []
             for rel in hash_rels:
                 left_ref, right_ref = rel.left, rel.right
-                if left_ref.pattern not in self.patterns:
+                if left_ref.pattern not in self._column:
                     left_ref, right_ref = right_ref, left_ref
-                left_getters.append(self._field_getter(left_ref, entity_of))
+                left_refs.append(left_ref)
                 right_refs.append(right_ref)
+            left_key = _key_fn(
+                [self._field_getter(ref, entity_of) for ref in left_refs],
+                left_refs,
+            )
             handle_getters = (
                 [
                     other._scan.field_getter(ref, entity_of)
@@ -231,26 +271,24 @@ class TupleSet:
                 # columns (entity attributes memoized per distinct id), and
                 # only build rows a probe key actually hits are ever
                 # materialized into SystemEvent objects.
+                handle_key = _key_fn(handle_getters, right_refs)
                 handle_buckets: Dict[object, list] = defaultdict(list)
                 for handle in other._scan.handles():
-                    key = tuple(_norm(g(handle)) for g in handle_getters)
-                    handle_buckets[key].append(handle)
+                    handle_buckets[handle_key(handle)].append(handle)
                 event_of = other._scan.event_of
                 for row in self.rows:
-                    key = tuple(_norm(get(row)) for get in left_getters)
-                    for handle in handle_buckets.get(key, ()):
+                    for handle in handle_buckets.get(left_key(row), ()):
                         joined_rows.append(combine(row, (event_of(handle),)))
             else:
-                right_getters = [
-                    other._field_getter(ref, entity_of) for ref in right_refs
-                ]
+                right_key = _key_fn(
+                    [other._field_getter(ref, entity_of) for ref in right_refs],
+                    right_refs,
+                )
                 buckets: Dict[object, List[Row]] = defaultdict(list)
                 for other_row in other.rows:
-                    key = tuple(_norm(get(other_row)) for get in right_getters)
-                    buckets[key].append(other_row)
+                    buckets[right_key(other_row)].append(other_row)
                 for row in self.rows:
-                    key = tuple(_norm(get(row)) for get in left_getters)
-                    for match in buckets.get(key, ()):
+                    for match in buckets.get(left_key(row), ()):
                         joined_rows.append(combine(row, match))
         else:
             for left_row in self.rows:
@@ -261,11 +299,21 @@ class TupleSet:
         residual_attr = [r for r in attr_rels if r not in hash_rels]
         return result.filter(residual_attr, temp_rels, entity_of)
 
-    def _spans(self, rel: ResolvedAttrRel, other: "TupleSet") -> bool:
-        a, b = rel.left.pattern, rel.right.pattern
-        return (a in self.patterns and b in other.patterns) or (
-            b in self.patterns and a in other.patterns
-        )
+    def hash_keys(
+        self, other: "TupleSet", attr_rels: Sequence[ResolvedAttrRel]
+    ) -> List[ResolvedAttrRel]:
+        """The relationships a join with ``other`` hashes on: every
+        equality among ``attr_rels`` with one side in each set."""
+        mine, theirs = self._column, other._column
+        return [
+            rel
+            for rel in attr_rels
+            if rel.is_equality
+            and (
+                (rel.left.pattern in mine and rel.right.pattern in theirs)
+                or (rel.right.pattern in mine and rel.left.pattern in theirs)
+            )
+        ]
 
     def cross(self, other: "TupleSet") -> "TupleSet":
         """Unfiltered cartesian product (Algorithm 1 step 5 merges)."""

@@ -71,9 +71,12 @@ class FieldRef:
         """
         if self.role == "event":
             return event.attribute(self.attr)
-        entity: Entity = entity_of(
+        entity_id = (
             event.subject_id if self.role == "subject" else event.object_id
         )
+        if self.attr == "id":
+            return entity_id  # the registry id is the event's own field
+        entity: Entity = entity_of(entity_id)
         return getattr(entity, self.attr)
 
 

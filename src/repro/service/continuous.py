@@ -32,9 +32,9 @@ Design, reusing the batch machinery end to end:
   before ``k`` and the *pre-batch* windows of patterns after ``k`` (the
   standard delta-join decomposition — every new tuple is produced exactly
   once).  Candidate windows are first narrowed through the scheduler's
-  own machinery (:func:`~repro.engine.data_query.attr_rel_narrowing` /
-  :func:`~repro.engine.data_query.temp_rel_narrowing` applied to the
-  pattern's :class:`~repro.engine.data_query.DataQuery`, then compiled and
+  own rule (:func:`~repro.engine.data_query.constrain_by_bound` applied to
+  the pattern's :class:`~repro.engine.data_query.DataQuery` with every
+  relationship into the patterns already bound, then compiled and
   kernel-tested), so a join only sees window events that can still pair.
 * **Alerts** — each new tuple emits one :class:`Alert` carrying the
   matched events in pattern order.  Alerts land in a bounded engine-level
@@ -65,8 +65,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.data_query import (
     DataQuery,
-    attr_rel_narrowing,
-    temp_rel_narrowing,
+    constrain_by_bound,
+    unapplied_relationships,
 )
 from repro.engine.tuples import TupleSet
 from repro.lang.context import QueryContext
@@ -95,10 +95,6 @@ _M_ALERT_LATENCY = REGISTRY.histogram(
 DEFAULT_WINDOW_S = 3600.0
 DEFAULT_MAX_SUBSCRIPTIONS = 64
 DEFAULT_ALERT_QUEUE = 1024
-
-# Mirrors the scheduler's optimizer guard: IN lists bigger than this cost
-# more than they prune (id sets are exempt — they stay set-membership).
-_MAX_NARROWING_VALUES = 256
 
 
 class ContinuousError(RuntimeError):
@@ -384,9 +380,12 @@ class ContinuousQueryEngine:
     ) -> List[Alert]:
         lookup = self.registry.get
         deltas: List[List[SystemEvent]] = [[] for _ in sub.kernels]
+        # The per-event closures, fetched once per batch (a kernel builds
+        # its closure on first use; the lookup is not free per event).
+        tests = [kernel.test for kernel in sub.kernels]
         for event in events:
-            for i, kernel in enumerate(sub.kernels):
-                if kernel.test(event, lookup):
+            for i, test in enumerate(tests):
+                if test(event, lookup):
                     deltas[i].append(event)
 
         # The stream high-water mark advances with every pushed event —
@@ -448,41 +447,19 @@ class ContinuousQueryEngine:
         entity_of = self.registry.get
         bound = TupleSet.from_events(k, delta)
         remaining = [p.index for p in ctx.patterns if p.index != k]
-        applied: Set[int] = set()
+        applied: Set[object] = set()
 
         # Relationships whose both endpoints are the seed pattern (entity
         # reuse inside one pattern) never ride a join; filter them now.
-        self_attr = [
-            r
-            for r in ctx.attr_relationships
-            if r.left.pattern == k and r.right.pattern == k
-        ]
-        self_temp = [
-            r for r in ctx.temp_relationships if r.left == k and r.right == k
-        ]
+        self_attr, self_temp = unapplied_relationships(ctx, {k}, applied)
         if self_attr or self_temp:
             bound = bound.filter(self_attr, self_temp, entity_of)
-            for rel in self_attr + self_temp:
-                applied.add(id(rel))
+            applied.update(self_attr, self_temp)
             if not bound.rows:
                 return []
 
         def rels_with_bound(j: int, bound_set: Set[int]):
-            attr = [
-                r
-                for r in ctx.attr_relationships
-                if id(r) not in applied
-                and {r.left.pattern, r.right.pattern} <= bound_set | {j}
-                and j in (r.left.pattern, r.right.pattern)
-            ]
-            temp = [
-                r
-                for r in ctx.temp_relationships
-                if id(r) not in applied
-                and {r.left, r.right} <= bound_set | {j}
-                and j in (r.left, r.right)
-            ]
-            return attr, temp
+            return unapplied_relationships(ctx, bound_set | {j}, applied)
 
         while remaining:
             bound_set = set(bound.patterns)
@@ -515,10 +492,7 @@ class ContinuousQueryEngine:
                 temp_rels,
                 entity_of,
             )
-            for rel in attr_rels:
-                applied.add(id(rel))
-            for rel in temp_rels:
-                applied.add(id(rel))
+            applied.update(attr_rels, temp_rels)
             if not bound.rows:
                 return []
         return bound.rows
@@ -535,43 +509,27 @@ class ContinuousQueryEngine:
         """The scheduler's narrowed re-query, answered from a window.
 
         Every relationship between pattern ``j`` and an already-bound
-        pattern narrows ``j``'s data query exactly as Algorithm 1's
-        constrained execution would; the narrowed filter compiles to a
-        kernel and prunes the window candidates before the join (the join
-        re-checks exactly, so narrowing only has to be sound).
+        pattern narrows ``j``'s data query exactly as the batch scheduler's
+        constrained execution would
+        (:func:`~repro.engine.data_query.constrain_by_bound`); the narrowed
+        filter compiles to a kernel and prunes the window candidates before
+        the join (the join re-checks exactly, so narrowing only has to be
+        sound).
         """
         if not candidates or (not attr_rels and not temp_rels):
             return candidates
-        entity_of = self.registry.get
+        lookup = self.registry.get
         query = sub.queries[j]
-        narrowed = query
-        for rel in attr_rels:
-            other = (
-                rel.right.pattern
-                if rel.left.pattern == j
-                else rel.left.pattern
-            )
-            narrowing = attr_rel_narrowing(
-                rel, other, bound.events_of(other), entity_of
-            )
-            if narrowing is None:
-                continue
-            ref, values = narrowing
-            if ref.attr != "id" and len(values) > _MAX_NARROWING_VALUES:
-                continue
-            narrowed = narrowed.narrowed_by_values(ref, values)
-        for rel in temp_rels:
-            other = rel.right if rel.left == j else rel.left
-            window = temp_rel_narrowing(rel, other, bound.events_of(other))
-            if window is not None:
-                narrowed = narrowed.narrowed_by_window(window)
+        narrowed, _ = constrain_by_bound(
+            query, attr_rels, temp_rels, bound.events_of, lookup
+        )
         if narrowed is query:
             return candidates
         kernel = kernel_for(narrowed.filter)
         if kernel.always_false:
             return []
-        lookup = self.registry.get
-        return [e for e in candidates if kernel.test(e, lookup)]
+        test = kernel.test
+        return [e for e in candidates if test(e, lookup)]
 
     def _emit(
         self,

@@ -427,6 +427,18 @@ class ColumnBlock:
         hi = stop if end is None else bisect_left(t0, end, lo, stop)
         return lo, hi
 
+    def within(self, start: Optional[float], end: Optional[float]) -> bool:
+        """True when every row's start time lies in ``[start, end)``: a
+        window pass over this block cannot drop anything (an empty block
+        holds no row to drop).  ``min_time``/``max_time`` only ever widen,
+        and a table publishes rows after the append that moved them, so
+        this holds for any visibility snapshot taken before the call."""
+        if self.min_time is None or self.max_time is None:
+            return True
+        return (start is None or start <= self.min_time) and (
+            end is None or self.max_time < end
+        )
+
     def top_event_id(self, positions: Optional[Positions] = None) -> int:
         """Highest event id among rows ``positions`` (default: all); 0 for none."""
         if positions is None:
@@ -487,6 +499,32 @@ def block_attribute_getter(
 ) -> Optional[Callable[[ColumnBlock, int], object]]:
     """Column getter behind ``SystemEvent.attribute(name)``, or ``None``."""
     return _BLOCK_ATTRIBUTE_GETTERS.get(name.strip().lower())
+
+
+# The event attributes that *are* a fixed-width numeric column (``array('q')``
+# or ``array('d')``): a comparison with a numeric literal can run over the
+# raw array.  Same aliases, same values as the getters above.
+_BLOCK_NUMERIC_COLUMNS: Dict[str, str] = {
+    "id": "event_ids",
+    "event_id": "event_ids",
+    "seq": "seqs",
+    "sequence": "seqs",
+    "starttime": "t0",
+    "start_time": "t0",
+    "endtime": "t1",
+    "end_time": "t1",
+    "amount": "amounts",
+    "failure_code": "failure_codes",
+    "failurecode": "failure_codes",
+    "subject_id": "subject_ids",
+    "object_id": "object_ids",
+}
+
+
+def block_numeric_column(name: str) -> Optional[str]:
+    """Name of the raw numeric column behind event attribute ``name``, or
+    ``None`` when the attribute is decoded (agent, operation) or unknown."""
+    return _BLOCK_NUMERIC_COLUMNS.get(name.strip().lower())
 
 
 class Selection:
@@ -633,6 +671,8 @@ class BlockScanResult:
                     else part.block.object_ids
                 )
                 ids.update(col[p] for p in part.positions)
+            if attr == "id":  # the column already holds the registry ids
+                return frozenset(ids)
             for entity_id in ids:
                 out.add(_norm(getattr(entity_of(entity_id), attr)))
             return frozenset(out)
@@ -664,6 +704,10 @@ class BlockScanResult:
                 return None
             return lambda h: getter(h[2], h[3])
         subject = ref.role == "subject"
+        if attr == "id":
+            if subject:
+                return lambda h: h[2].subject_ids[h[3]]
+            return lambda h: h[2].object_ids[h[3]]
         memo: Dict[int, object] = {}
 
         def entity_value(h: _Handle) -> object:

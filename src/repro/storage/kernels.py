@@ -8,8 +8,8 @@ row.  On the paper's workload — interactive investigation over hundreds of
 millions of events — that per-event interpretation is the dominant query
 cost once storage is in place.
 
-This module compiles a filter **once per scan** into a single specialized
-function with everything loop-invariant hoisted out of the per-event path:
+This module compiles a filter **once per scan** into specialized code with
+everything loop-invariant hoisted out of the per-event path:
 
 * absent constraints are eliminated entirely — an unconstrained branch
   costs zero instead of a ``None`` check per event;
@@ -21,9 +21,25 @@ function with everything loop-invariant hoisted out of the per-event path:
 * constant-false filters (empty window, empty scheduler-narrowed id set)
   short-circuit whole scans to an empty result.
 
-The generated function is built with ``exec`` so the per-event path is one
-flat code object whose constants are bound as default arguments (locals,
-not global lookups).  Kernels are memoized on the filter's canonical
+A kernel has two compilation targets.  Scans run ``select(block,
+candidates, lookup)``: passes over the raw columns of a
+:class:`~repro.storage.blocks.ColumnBlock`, cheapest first, each shrinking
+the selection for the next — window (bisected on a time-sorted block,
+skipped when the window holds the block's whole ``[min_time, max_time]``),
+agent / operation / object-type codes (``bytearray.find`` hops on a range,
+skipped when the block's code universe is inside the wanted set), id-set
+membership, entity predicates (one evaluation per distinct entity), then
+the event predicate: leaves that compare a fixed-width numeric column with
+a numeric literal run as one comprehension each over the raw ``array``
+(the conjuncts of an AND tree chain), every other tree per row.  The
+per-event target, ``test(event, lookup)`` / ``test_predicates``, is built
+with ``exec`` so the per-event path is one flat code object whose constants
+are bound as default arguments (locals, not global lookups); only the
+standing-query engine and the differential oracles test event by event,
+so those two closures are generated on first use — a scheduler-narrowed
+scan compiles a fresh kernel and never pays for them.
+
+Kernels are memoized on the filter's canonical
 :func:`~repro.storage.filters.filter_fingerprint` — the same key as the
 partition-scan cache — so repeated and concurrent scans of one filter
 share a single compilation.
@@ -61,6 +77,7 @@ from repro.storage.blocks import (
     ColumnBlock,
     Positions,
     block_attribute_getter,
+    block_numeric_column,
 )
 from repro.storage.filters import (
     AttrPredicate,
@@ -400,6 +417,77 @@ def _compile_block_event_predicate(
     raise AssertionError(node)
 
 
+# One pass over a raw numeric column per comparison operator: the column
+# read and the comparison run inline in the comprehension, with no call per
+# row.  ``array('q')``/``array('d')`` items are exact ``int``/``float``, for
+# which :func:`compile_value_test` with a numeric literal is this very
+# comparison.
+ColumnPass = Callable[[Sequence[object], object, Positions], List[int]]
+
+_COLUMN_PASSES: Dict[str, ColumnPass] = {
+    "=": lambda col, value, candidates: [
+        i for i in candidates if col[i] == value
+    ],
+    "!=": lambda col, value, candidates: [
+        i for i in candidates if col[i] != value
+    ],
+    "<": lambda col, value, candidates: [
+        i for i in candidates if col[i] < value
+    ],
+    "<=": lambda col, value, candidates: [
+        i for i in candidates if col[i] <= value
+    ],
+    ">": lambda col, value, candidates: [
+        i for i in candidates if col[i] > value
+    ],
+    ">=": lambda col, value, candidates: [
+        i for i in candidates if col[i] >= value
+    ],
+}
+
+# (column of the block, pass for the operator, literal)
+_EventPass = Tuple[Callable[[ColumnBlock], Sequence[object]], ColumnPass, object]
+
+
+def _split_event_predicate(node) -> Tuple[List[_EventPass], Optional[object]]:
+    """Split an event predicate tree into column passes and a per-row rest.
+
+    A leaf comparing a fixed-width numeric column with an ``int``/``float``
+    literal becomes one pass over the raw array; the conjuncts of an AND
+    tree split independently (a conjunction of pure tests holds in any
+    order).  Everything else — string literals, IN lists, decoded
+    attributes, NOT/OR trees — is returned as the residual tree, evaluated
+    per row as before.
+    """
+    passes: List[_EventPass] = []
+    residual: List[object] = []
+
+    def visit(child) -> None:
+        if isinstance(child, PredicateAnd):
+            for grandchild in child.children:
+                visit(grandchild)
+            return
+        if isinstance(child, PredicateLeaf):
+            pred = child.pred
+            column = block_numeric_column(pred.attr)
+            run = _COLUMN_PASSES.get(pred.op)
+            if (
+                column is not None
+                and run is not None
+                and type(pred.value) in (int, float)
+            ):
+                passes.append((operator.attrgetter(column), run, pred.value))
+                return
+        residual.append(child)
+
+    visit(node)
+    if not residual:
+        return passes, None
+    if len(residual) == 1:
+        return passes, residual[0]
+    return passes, PredicateAnd(tuple(residual))
+
+
 def _compile_select(
     flt: EventFilter,
     subject_pred: Optional[PredicateFn],
@@ -410,10 +498,13 @@ def _compile_select(
     Structural passes run cheapest-first over the columns (bisected window,
     dictionary-coded agents/ops/object types, id-set membership), each
     shrinking the selection before the next; predicate trees — the only
-    passes that touch entities or strings — see only the surviving tail.
-    Per-block vacuity (code universes, agent dictionary coverage) hoists
-    whole passes, generalizing the cold tier's zone-map shortcuts to every
-    block.  Results are exactly the per-event kernel's survivors.
+    passes that touch entities or strings — see only the surviving tail,
+    and the numeric leaves of the event predicate run as column passes
+    (:func:`_split_event_predicate`) ahead of whatever is left of it.
+    Per-block vacuity (a window holding the block's time range, code
+    universes, agent dictionary coverage) hoists whole passes,
+    generalizing the cold tier's zone-map shortcuts to every block.
+    Results are exactly the per-event kernel's survivors.
     """
     window_start = flt.window.start
     window_end = flt.window.end
@@ -430,11 +521,12 @@ def _compile_select(
     otype_set = frozenset((otype_code,)) if otype_code is not None else None
     subject_ids = flt.subject_ids
     object_ids = flt.object_ids
-    event_pred = (
-        _compile_block_event_predicate(flt.event_pred)
-        if flt.event_pred is not None
-        else None
-    )
+    event_passes: List[_EventPass] = []
+    event_pred = None
+    if flt.event_pred is not None:
+        event_passes, rest = _split_event_predicate(flt.event_pred)
+        if rest is not None:
+            event_pred = _compile_block_event_predicate(rest)
     # Kernel-lifetime predicate memos (kernels are LRU-cached per filter
     # fingerprint, so these amortize entity evaluation across scans too).
     # The id-keyed level is valid for exactly one registry: a single slot
@@ -453,7 +545,9 @@ def _compile_select(
     def select(
         block: ColumnBlock, candidates: Positions, lookup
     ) -> Positions:
-        if window_start is not None or window_end is not None:
+        if (
+            window_start is not None or window_end is not None
+        ) and not block.within(window_start, window_end):
             if type(candidates) is range and block.time_sorted:
                 lo, hi = block.window_bounds(
                     window_start, window_end, candidates.stop
@@ -534,6 +628,8 @@ def _compile_select(
                     candidates, block.object_ids, object_pred, lookup,
                     state[2], object_memo,
                 )
+        for column_of, run, value in event_passes:
+            candidates = run(column_of(block), value, candidates)
         if event_pred is not None:
             candidates = [i for i in candidates if event_pred(block, i)]
         return candidates
@@ -544,22 +640,27 @@ def _compile_select(
 class ScanKernel:
     """One filter compiled for the scan hot path.
 
-    ``test(event, lookup)`` is the full filter check (equivalent to
-    resolving both entities and calling ``flt.matches``); ``test_predicates``
-    checks only the subject/object/event predicate trees, for callers that
-    already applied the structural constraints exactly.  ``select(block,
-    candidates, lookup)`` is the batch target: it evaluates a whole
-    :class:`~repro.storage.blocks.ColumnBlock` and returns the surviving
-    positions, equal to filtering ``candidates`` with ``test`` row by row.
+    ``select(block, candidates, lookup)`` is the batch target every scan
+    runs: it evaluates a whole :class:`~repro.storage.blocks.ColumnBlock`
+    and returns the surviving positions, equal to filtering ``candidates``
+    with ``test`` row by row.  ``test(event, lookup)`` is the full filter
+    check on one event (equivalent to resolving both entities and calling
+    ``flt.matches``); ``test_predicates`` checks only the
+    subject/object/event predicate trees, for callers that already applied
+    the structural constraints exactly.  Only the standing-query engine
+    and the differential oracles test event by event, so the two generated
+    closures are built on first use: a scheduler-narrowed scan compiles a
+    fresh kernel and never pays for them.
     """
 
     __slots__ = (
         "fingerprint",
         "always_false",
         "has_predicates",
-        "test",
-        "test_predicates",
         "select",
+        "_closures",
+        "_test",
+        "_test_predicates",
     )
 
     def __init__(
@@ -567,16 +668,45 @@ class ScanKernel:
         fingerprint: Optional[tuple],
         always_false: bool,
         has_predicates: bool,
-        test: KernelFn,
-        test_predicates: KernelFn,
         select: SelectFn,
+        closures: Callable[[], Tuple[KernelFn, KernelFn]],
     ) -> None:
         self.fingerprint = fingerprint
         self.always_false = always_false
         self.has_predicates = has_predicates
-        self.test = test
-        self.test_predicates = test_predicates
         self.select = select
+        # Builds (test, test_predicates); dropped once it has run.
+        self._closures: Optional[Callable[[], Tuple[KernelFn, KernelFn]]] = (
+            closures
+        )
+        self._test: Optional[KernelFn] = None
+        self._test_predicates: Optional[KernelFn] = None
+
+    def _build_closures(self) -> None:
+        with _CLOSURE_LOCK:
+            build = self._closures
+            if build is not None:
+                # Publish both before dropping the builder: a reader that
+                # finds either slot set never comes back here.
+                self._test, self._test_predicates = build()
+                self._closures = None
+
+    @property
+    def test(self) -> KernelFn:
+        if self._test is None:
+            self._build_closures()
+        return self._test  # type: ignore[return-value]
+
+    @property
+    def test_predicates(self) -> KernelFn:
+        if self._test_predicates is None:
+            self._build_closures()
+        return self._test_predicates  # type: ignore[return-value]
+
+
+# Serializes the lazy closure builds of every kernel (rare: one per
+# standing-query pattern or oracle call, never on the scan path).
+_CLOSURE_LOCK = threading.Lock()
 
 
 def _generate(checks: List[Tuple[str, object]], name: str) -> KernelFn:
@@ -595,6 +725,18 @@ def _CHECK_LINES(checks: List[Tuple[str, object]]) -> Iterator[Tuple[str, str]]:
     for key, _ in checks:
         yield key, _CHECK_TEMPLATES[key]
 
+
+# Template keys of the structural constraints, in evaluation order (the
+# order ``compile_filter`` lists their values in).
+_STRUCTURAL_CHECKS = (
+    "_agent_ids",
+    "_window_start",
+    "_window_end",
+    "_operations",
+    "_object_type",
+    "_subject_ids",
+    "_object_ids",
+)
 
 _CHECK_TEMPLATES = {
     "_agent_ids": "if event.agent_id not in _agent_ids: return False",
@@ -619,52 +761,63 @@ def compile_filter(
 ) -> ScanKernel:
     """Compile ``flt`` into a :class:`ScanKernel` (no memoization here)."""
     if constant_false(flt):
-        return ScanKernel(fingerprint, True, False, _never, _never, _never_select)
-
-    checks: List[Tuple[str, object]] = []
-    if flt.agent_ids is not None:
-        checks.append(("_agent_ids", flt.agent_ids))
-    if flt.window.start is not None:
-        checks.append(("_window_start", flt.window.start))
-    if flt.window.end is not None:
-        checks.append(("_window_end", flt.window.end))
-    if flt.operations is not None:
-        checks.append(("_operations", flt.operations))
-    if flt.object_type is not None:
-        checks.append(("_object_type", flt.object_type))
-    if flt.subject_ids is not None:
-        checks.append(("_subject_ids", flt.subject_ids))
-    if flt.object_ids is not None:
-        checks.append(("_object_ids", flt.object_ids))
-
-    predicate_checks: List[Tuple[str, object]] = []
-    subject_pred: Optional[PredicateFn] = None
-    object_pred: Optional[PredicateFn] = None
-    if flt.subject_pred is not None:
-        subject_pred = compile_predicate(flt.subject_pred, "entity")
-        predicate_checks.append(("_subject_pred", subject_pred))
-    if flt.object_pred is not None:
-        object_pred = compile_predicate(flt.object_pred, "entity")
-        predicate_checks.append(("_object_pred", object_pred))
-    if flt.event_pred is not None:
-        predicate_checks.append(
-            ("_event_pred", compile_predicate(flt.event_pred, "event"))
+        return ScanKernel(
+            fingerprint, True, False, _never_select, lambda: (_never, _never)
         )
 
-    test = _generate(checks + predicate_checks, "kernel")
-    test_predicates = (
-        _generate(predicate_checks, "kernel_predicates")
-        if predicate_checks
-        else _always
+    # The entity predicate closures are shared by ``select`` and the
+    # per-event closures; everything else the latter need waits for them.
+    subject_pred: Optional[PredicateFn] = (
+        compile_predicate(flt.subject_pred, "entity")
+        if flt.subject_pred is not None
+        else None
+    )
+    object_pred: Optional[PredicateFn] = (
+        compile_predicate(flt.object_pred, "entity")
+        if flt.object_pred is not None
+        else None
+    )
+    has_predicates = (
+        subject_pred is not None
+        or object_pred is not None
+        or flt.event_pred is not None
+    )
+    structural = (
+        flt.agent_ids,
+        flt.window.start,
+        flt.window.end,
+        flt.operations,
+        flt.object_type,
+        flt.subject_ids,
+        flt.object_ids,
     )
     select = (
         _compile_select(flt, subject_pred, object_pred)
-        if checks or predicate_checks
+        if has_predicates or any(c is not None for c in structural)
         else _pass_select
     )
-    return ScanKernel(
-        fingerprint, False, bool(predicate_checks), test, test_predicates, select
-    )
+
+    def closures() -> Tuple[KernelFn, KernelFn]:
+        checks: List[Tuple[str, object]] = [
+            (key, value)
+            for key, value in zip(_STRUCTURAL_CHECKS, structural)
+            if value is not None
+        ]
+        predicate_checks: List[Tuple[str, object]] = []
+        if subject_pred is not None:
+            predicate_checks.append(("_subject_pred", subject_pred))
+        if object_pred is not None:
+            predicate_checks.append(("_object_pred", object_pred))
+        if flt.event_pred is not None:
+            predicate_checks.append(
+                ("_event_pred", compile_predicate(flt.event_pred, "event"))
+            )
+        return (
+            _generate(checks + predicate_checks, "kernel"),
+            _generate(predicate_checks, "kernel_predicates"),
+        )
+
+    return ScanKernel(fingerprint, False, has_predicates, select, closures)
 
 
 # Compile-vs-reuse metrics: shared by every KernelCache instance (they

@@ -151,8 +151,9 @@ class EventTable:
         """Pick the cheapest access path for a filter.
 
         Preference order: explicit id sets from the scheduler, entity
-        attribute indexes, the sorted time column (bisected directly while
-        the block is time-ordered, else the time index), then a full scan.
+        attribute indexes, the sorted time column when the window cuts into
+        the table (bisected directly while the block is time-ordered, else
+        the time index), then a full scan.
         Positions at or beyond ``visible`` (defaults to the current
         publication point) are staged-but-uncommitted batch rows and are
         never returned.
@@ -217,7 +218,7 @@ class EventTable:
                     candidates = {p for p in candidates if contains(t0[p])}
             return sorted(candidates)
 
-        if flt.window.start is not None or flt.window.end is not None:
+        if self._window_cuts(flt.window):
             if block.time_sorted:
                 lo, hi = block.window_bounds(
                     flt.window.start, flt.window.end, visible
@@ -226,17 +227,14 @@ class EventTable:
             positions = self._time_index.range(flt.window.start, flt.window.end)
             return [p for p in positions if p < visible]
 
+        # No window, or one that holds the whole table (a multi-day sweep
+        # over a day partition): a contiguous range keeps the kernel's
+        # byte-column passes on ``find`` hops and skips the time index.
         return range(visible)
 
     def _window_cuts(self, window) -> bool:
         """True when ``window`` excludes part of this table's time range."""
-        min_time = self._block.min_time
-        if min_time is None:
-            return False
-        if window.start is not None and window.start > min_time:
-            return True
-        # Window ends are exclusive: an end beyond max_time excludes nothing.
-        return window.end is not None and window.end <= self._block.max_time
+        return not self._block.within(window.start, window.end)
 
     def scan_select(
         self,

@@ -552,3 +552,362 @@ class TestSelectProperties:
             ]
             got = kernel.select(block, range(len(ordering)), lookup)
             assert list(got) == expected
+
+
+# -- numeric column passes (ISSUE 20) -----------------------------------------
+
+from repro.storage import kernels as kernels_module  # noqa: E402
+from repro.storage.kernels import _split_event_predicate  # noqa: E402
+
+_NUMERIC_ATTRS = (
+    "amount", "seq", "failure_code", "id", "starttime", "endtime",
+    "event_id", "start_time", "subject_id",
+)
+def _event_trees(events):
+    """Event predicate trees over the columns of ``events``.
+
+    A numeric leaf's literal sits on or next to a value its own column
+    holds, as int and as float, so every operator meets its boundary: an
+    int column against a float literal, a float column against an int.
+    """
+
+    def literals_for(attr):
+        held = sorted({ev.attribute(attr) for ev in events})
+        return st.sampled_from(held).flatmap(
+            lambda v: st.sampled_from(
+                [v, float(v), int(v), v + 0.5, int(v) - 1, -v]
+            )
+        )
+
+    numeric_leaves = st.sampled_from(_NUMERIC_ATTRS).flatmap(
+        lambda attr: st.builds(
+            leaf,
+            st.just(attr),
+            st.sampled_from(("=", "!=", "<", "<=", ">", ">=")),
+            literals_for(attr),
+        )
+    )
+    # Leaves the column passes must leave to the per-row path: a string
+    # literal (coerced per runtime type), a decoded attribute, an IN list.
+    fallback_leaves = st.one_of(
+        st.builds(
+            leaf,
+            st.sampled_from(_NUMERIC_ATTRS),
+            st.sampled_from(("=", "!=", "<", ">")),
+            st.sampled_from(["512", "5.5", "abc", "%1%", ""]),
+        ),
+        st.builds(
+            leaf, st.just("optype"), st.just("="), st.sampled_from(["read", 3])
+        ),
+        st.builds(
+            leaf, st.just("agentid"), st.sampled_from(("=", ">")), st.integers(0, 3)
+        ),
+        st.builds(
+            leaf,
+            st.just("amount"),
+            st.sampled_from(("in", "not in")),
+            st.lists(st.integers(0, 20), max_size=3).map(tuple),
+        ),
+    )
+    conjunctions = lambda children: st.lists(  # noqa: E731
+        children, min_size=2, max_size=3
+    ).map(lambda cs: PredicateAnd(tuple(cs)))
+    return st.recursive(
+        st.one_of(numeric_leaves, numeric_leaves, fallback_leaves),
+        lambda children: st.one_of(
+            conjunctions(children),
+            conjunctions(children),
+            st.builds(PredicateNot, children),
+            st.builds(lambda a, b: PredicateOr((a, b)), children, children),
+        ),
+        max_leaves=5,
+    )
+
+
+_numeric_events = st.builds(
+    lambda eid, start, length, amount, failure: SystemEvent(
+        event_id=eid,
+        agent_id=1 + eid % 3,
+        seq=eid * 7 % 50,
+        start_time=start,
+        end_time=start + length,
+        operation=Operation.WRITE if eid % 2 else Operation.READ,
+        subject_id=_PROP_PROCESSES[eid % 2].id,
+        object_id=_PROP_ENTITIES[2].id,
+        object_type=EntityType.FILE,
+        amount=amount,
+        failure_code=failure,
+    ),
+    eid=st.integers(min_value=1, max_value=200),
+    start=st.floats(min_value=0.0, max_value=5000.0, allow_nan=False)
+    | st.sampled_from([512.0, 1000.5, 0.0]),
+    length=st.sampled_from([0.0, 0.5, 1.0]),
+    amount=st.integers(min_value=-50, max_value=6000) | st.sampled_from([512, 0]),
+    failure=st.integers(min_value=-2, max_value=2),
+)
+
+
+class TestColumnPasses:
+    """Numeric event-predicate leaves run over the raw column, with exactly
+    the answer ``compile_value_test`` gives row by row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), structural=st.booleans())
+    def test_select_equals_per_row_predicate(self, data, structural):
+        events = data.draw(st.lists(_numeric_events, min_size=1, max_size=12))
+        tree = data.draw(_event_trees(events))
+        flt = EventFilter(
+            event_pred=tree,
+            # With an operation constraint the passes see a position list,
+            # without one a range.
+            operations=frozenset({Operation.WRITE}) if structural else None,
+        )
+        per_row = compile_predicate(tree, "event")
+        expected = [
+            i
+            for i, ev in enumerate(events)
+            if (not structural or ev.operation is Operation.WRITE)
+            and per_row(ev)
+        ]
+        block = _block_of(events)
+        lookup = _prop_registry.get
+        kernel = compile_filter(flt)
+        assert list(kernel.select(block, range(len(events)), lookup)) == expected
+        # ...which is also what the interpreter says.
+        assert expected == [
+            i
+            for i, ev in enumerate(events)
+            if flt.matches(ev, lookup(ev.subject_id), lookup(ev.object_id))
+        ]
+
+    def test_every_operator_at_every_boundary(self):
+        # Exhaustive where the property is random: each column, each
+        # operator, each literal on, beside and of the other numeric type
+        # than a value the column holds.
+        events = [
+            SystemEvent(
+                event_id=eid,
+                agent_id=1,
+                seq=seq,
+                start_time=start,
+                end_time=start + 0.5,
+                operation=Operation.READ,
+                subject_id=_PROP_PROCESSES[0].id,
+                object_id=_PROP_ENTITIES[2].id,
+                object_type=EntityType.FILE,
+                amount=amount,
+                failure_code=failure,
+            )
+            for eid, seq, start, amount, failure in [
+                (1, 0, 0.0, -5, 0),
+                (2, 7, 511.5, 512, -1),
+                (3, 7, 512.0, 513, 2),
+                (4, 9, 1000.5, 0, 0),
+            ]
+        ]
+        block = _block_of(events)
+        lookup = _prop_registry.get
+        checked = 0
+        for attr in _NUMERIC_ATTRS:
+            held = {ev.attribute(attr) for ev in events}
+            literals = {
+                variant
+                for v in held
+                for variant in (v, float(v), int(v), v + 0.5, v - 1)
+            }
+            for op in ("=", "!=", "<", "<=", ">", ">="):
+                for value in literals:
+                    test = compile_value_test(AttrPredicate(attr, op, value))
+                    expected = [
+                        i for i, ev in enumerate(events) if test(ev.attribute(attr))
+                    ]
+                    kernel = compile_filter(
+                        EventFilter(event_pred=leaf(attr, op, value))
+                    )
+                    got = kernel.select(block, range(len(events)), lookup)
+                    assert list(got) == expected, (attr, op, value)
+                    checked += 1
+        assert checked > 500
+
+    def test_numeric_leaves_become_passes(self):
+        passes, rest = _split_event_predicate(leaf("amount", ">", 100))
+        assert len(passes) == 1 and rest is None
+        passes, rest = _split_event_predicate(leaf("starttime", "<=", 10.5))
+        assert len(passes) == 1 and rest is None
+        tree = PredicateAnd(
+            (
+                leaf("amount", ">", 100),
+                PredicateAnd((leaf("seq", "!=", 3), leaf("optype", "=", "read"))),
+            )
+        )
+        passes, rest = _split_event_predicate(tree)
+        assert len(passes) == 2
+        assert rest == leaf("optype", "=", "read")
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            leaf("amount", ">", "100"),  # string literal: coerced per type
+            leaf("amount", "=", True),  # bool is not a numeric literal
+            leaf("amount", "in", (1, 2)),
+            leaf("optype", "=", "read"),  # decoded, not a raw column
+            leaf("no_such_attribute", ">", 1),
+            PredicateNot(leaf("amount", ">", 100)),
+            PredicateOr((leaf("amount", ">", 100), leaf("seq", "<", 3))),
+        ],
+        ids=repr,
+    )
+    def test_everything_else_stays_per_row(self, tree):
+        passes, rest = _split_event_predicate(tree)
+        assert passes == [] and rest == tree
+
+
+class TestWindowVacuity:
+    """A window that holds a whole block costs no pass and no index walk."""
+
+    def _event(self, eid, start):
+        return SystemEvent(
+            event_id=eid,
+            agent_id=1,
+            seq=eid,
+            start_time=start,
+            end_time=start + 1.0,
+            operation=Operation.READ,
+            subject_id=_PROP_PROCESSES[0].id,
+            object_id=_PROP_ENTITIES[2].id,
+            object_type=EntityType.FILE,
+        )
+
+    def _table(self, starts):
+        from repro.storage.table import EventTable
+
+        table = EventTable(_prop_registry.get)
+        for eid, start in enumerate(starts, start=1):
+            table.append(self._event(eid, start))
+        return table
+
+    def test_exclusive_end_at_max_time_is_not_vacuous(self):
+        block = _block_of([self._event(1, 1000.0), self._event(2, 2000.0)])
+        assert block.within(1000.0, None)
+        assert block.within(None, 2000.5)
+        assert not block.within(None, 2000.0)  # [.., 2000) drops t=2000
+        assert not block.within(1000.5, None)
+        flt = EventFilter(window=TimeWindow(start=1000.0, end=2000.0))
+        kernel = compile_filter(flt)
+        assert list(kernel.select(block, range(2), _prop_registry.get)) == [0]
+
+    def test_covering_window_passes_candidates_through(self):
+        block = _block_of([self._event(1, 1000.0), self._event(2, 2000.0)])
+        kernel = compile_filter(
+            EventFilter(window=TimeWindow(start=0.0, end=86400.0))
+        )
+        candidates = range(2)
+        assert kernel.select(block, candidates, _prop_registry.get) is candidates
+
+    def test_empty_block(self):
+        table = self._table([])
+        assert ColumnBlock().within(5.0, 6.0)
+        flt = EventFilter(window=TimeWindow(start=0.0, end=10.0))
+        assert table._candidate_positions(flt, None) == range(0)
+        assert table.scan(flt) == []
+
+    def test_unsorted_block_skips_the_time_index_only_when_covered(self):
+        table = self._table([3000.0, 1000.0, 2000.0])
+        assert not table.block.time_sorted
+        covering = EventFilter(window=TimeWindow(start=1000.0, end=3000.5))
+        assert table._candidate_positions(covering, None) == range(3)
+        cutting = EventFilter(window=TimeWindow(start=1000.0, end=3000.0))
+        assert sorted(table._candidate_positions(cutting, None)) == [1, 2]
+        for flt in (covering, cutting):
+            assert table.scan(flt) == table.full_scan(flt)
+
+    def test_staged_rows_beyond_visible_stay_invisible(self):
+        table = self._table([1000.0, 2000.0])
+        # A writer mid-commit: rows are in the columns (and have widened
+        # min/max) but the visibility bump has not happened.
+        staged = ColumnBlock.from_events(
+            [self._event(3, 500.0), self._event(4, 9000.0)]
+        )
+        table.block.extend_rows(staged)
+        assert len(table.block) == 4 and len(table) == 2
+        inside = EventFilter(window=TimeWindow(start=0.0, end=10_000.0))
+        assert table._candidate_positions(inside, None) == range(2)
+        assert [e.event_id for e in table.scan(inside)] == [1, 2]
+        # [1000, 2000.5) held the visible rows but no longer the block:
+        # the pass runs, and still only over the visible prefix.
+        visible_only = EventFilter(window=TimeWindow(start=1000.0, end=2000.5))
+        assert [e.event_id for e in table.scan(visible_only)] == [1, 2]
+
+
+class TestLazyClosures:
+    """``test``/``test_predicates`` are generated on first use, once."""
+
+    FILTER = EventFilter(
+        agent_ids=frozenset({1, 2}),
+        operations=frozenset({Operation.READ}),
+        subject_pred=leaf("exe_name", "=", "sshd"),
+        event_pred=leaf("amount", ">", 100),
+    )
+
+    def test_a_scan_builds_no_closure(self, world):
+        registry, _, _, _, event, net_event = world
+        kernel = compile_filter(self.FILTER)
+        block = _block_of([event, net_event])
+        assert list(kernel.select(block, range(2), registry.get)) == [0]
+        assert kernel._test is None and kernel._test_predicates is None
+
+    def test_built_once_under_threads_and_equal_to_the_interpreter(
+        self, world, monkeypatch
+    ):
+        import sys
+        import threading
+
+        registry, _, _, _, event, net_event = world
+        generated = []
+        real_generate = kernels_module._generate
+
+        def counting_generate(checks, name):
+            generated.append(name)
+            return real_generate(checks, name)
+
+        monkeypatch.setattr(kernels_module, "_generate", counting_generate)
+        kernel = compile_filter(self.FILTER)
+        assert generated == []
+        workers = 8
+        barrier = threading.Barrier(workers)
+        seen = [None] * workers
+
+        def read(slot):
+            barrier.wait(timeout=10)
+            if slot % 2:
+                seen[slot] = (kernel.test, kernel.test_predicates)
+            else:
+                predicates = kernel.test_predicates
+                seen[slot] = (kernel.test, predicates)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=read, args=(slot,), daemon=True)
+                for slot in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(generated) == ["kernel", "kernel_predicates"]
+        assert all(pair == seen[0] for pair in seen)
+        assert all(fn is not None for fn in seen[0])
+        lookup = registry.get
+        for ev in (event, net_event):
+            assert kernel.test(ev, lookup) == self.FILTER.matches(
+                ev, lookup(ev.subject_id), lookup(ev.object_id)
+            )
+        # READ by sshd with amount 512: the predicates hold for `event`
+        # whatever the structural constraints say.
+        assert kernel.test_predicates(event, lookup)
+        assert not kernel.test_predicates(net_event, lookup)  # amount 0
