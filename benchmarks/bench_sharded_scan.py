@@ -15,6 +15,12 @@ The ISSUE-7 acceptance benchmark (machine-readable output in
 * **compacted** — the same scatter scan over a durable 2-shard
   deployment after compaction pushed most days into per-shard cold
   segments: the wire path over hot+cold merged results stays exact.
+* **point_queries** — the whole query corpus (the benchmark's point
+  queries) on a 2-shard deployment.  Single-owner queries run whole on
+  their shard (routed); asserts every answer identical, row for row, to
+  the in-process one and the routed count equal to the single-owner count.
+  Reports the per-query median routed and forced onto the scatter path
+  (no speed gate).
 
 Scaling floor: >= 2.8x scan throughput from 1 to 4 shards, gated on
 ``rate >= 300`` AND ``os.cpu_count() >= 4`` — scatter/gather cannot beat
@@ -32,8 +38,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -41,8 +49,9 @@ from pathlib import Path
 
 from repro.core.config import SystemConfig
 from repro.core.system import AIQLSystem
-from repro.engine import compile_query
+from repro.engine import canonical_text, compile_query
 from repro.engine.executor import MultieventExecutor
+from repro.workload.corpus import ALL_QUERIES
 from repro.workload.loader import build_enterprise
 
 DAYS = 20
@@ -150,6 +159,55 @@ def bench_multi_pattern(system, reference) -> dict:
     }
 
 
+def bench_point_queries(system, reference) -> dict:
+    in_process = AIQLSystem.over(reference)
+    prepared = [
+        (compile_query(q.text), canonical_text(q.text)) for q in ALL_QUERIES
+    ]
+    single_owner = sum(system.store.route(ctx) is not None for ctx, _ in prepared)
+    routed_before = system.stats()["scatter_gather"]["routed_queries"]
+    identical = True
+    for query in ALL_QUERIES:
+        got, expected = system.query(query.text), in_process.query(query.text)
+        identical &= (got.columns, got.rows, got.meta) == (
+            expected.columns,
+            expected.rows,
+            expected.meta,
+        )
+    routed = system.stats()["scatter_gather"]["routed_queries"] - routed_before
+
+    def per_query_ms(use_key: bool) -> float:
+        def run():
+            for ctx, key in prepared:
+                system.execute(ctx, key if use_key else None)
+
+        return median_ms(run) / len(prepared)
+
+    return {
+        "queries": len(ALL_QUERIES),
+        "single_owner": single_owner,
+        "routed": routed,
+        "identical": identical and single_owner > 0 and routed == single_owner,
+        "routed_median_ms_per_query": round(per_query_ms(True), 3),
+        "scatter_median_ms_per_query": round(per_query_ms(False), 3),
+    }
+
+
+def git_commit() -> str:
+    """The checkout's commit, ``-dirty`` when the tree has local changes."""
+    try:
+        done = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return done.stdout.strip() if done.returncode == 0 else "unknown"
+
+
 def bench_compacted(rate: int, root: Path, references: dict) -> dict:
     system = build_sharded(
         rate, 2, data_dir=root / "compacted", retention=RETENTION_DAYS
@@ -194,6 +252,7 @@ def main() -> int:
         print("running cells...", file=sys.stderr)
         scatter = bench_scatter_scan(sharded, references)
         multi = bench_multi_pattern(sharded[2], references["partitioned"])
+        points = bench_point_queries(sharded[2], references["partitioned"])
         compacted = bench_compacted(rate, root, references)
 
         speedup_2 = scatter["shards_2"]["speedup_vs_1shard"]
@@ -204,6 +263,7 @@ def main() -> int:
                 scatter[f"shards_{n}"]["identical"] for n in SHARD_COUNTS
             ),
             "multi_pattern_identical": multi["identical"],
+            "point_queries_identical": points["identical"],
             "compacted_identical": compacted["identical"],
         }
         if rate >= 300 and cpu_count >= 4:
@@ -218,12 +278,15 @@ def main() -> int:
                 "retention_days": RETENTION_DAYS,
                 "events": len(references["partitioned"]),
                 "cpu_count": cpu_count,
+                "python": platform.python_version(),
+                "commit": git_commit(),
                 "shard_counts": list(SHARD_COUNTS),
             },
             "scatter_scan": scatter,
             "speedup_1_to_2": speedup_2,
             "speedup_1_to_4": speedup_4,
             "multi_pattern": multi,
+            "point_queries": points,
             "compacted": compacted,
             "checks": checks,
         }

@@ -27,10 +27,9 @@ from dataclasses import asdict
 from typing import List, Optional
 
 from repro.core.config import SystemConfig
-from repro.engine import PLAN_CACHE, canonical_text, compile_query
-from repro.engine.anomaly import AnomalyExecutor
-from repro.engine.executor import MultieventExecutor
+from repro.engine import PLAN_CACHE, canonical_text, compile_query, run_query
 from repro.engine.result import ResultSet
+from repro.engine.scheduler import SchedulerStats
 from repro.lang.context import QueryContext
 from repro.model.entities import EntityRegistry
 from repro.obs import trace as obs_trace
@@ -144,16 +143,7 @@ class AIQLSystem:
                         interval_s=self.config.compact_interval_s,
                     ).start()
         self.ingestor.attach(self.store)
-        self._multievent = MultieventExecutor(
-            self.store,
-            scheduling=self.config.scheduling,
-            parallel=self.config.parallel,
-        )
-        self._anomaly = AnomalyExecutor(
-            self.store,
-            scheduling=self.config.scheduling,
-            parallel=self.config.parallel,
-        )
+        self.last_scheduler_stats: Optional[SchedulerStats] = None
         self._service: Optional[QueryService] = None
         self._continuous: Optional[ContinuousQueryEngine] = None
 
@@ -192,16 +182,7 @@ class AIQLSystem:
             store.scan_cache = ScanCache(self.config.scan_cache_entries)
         self._service = None
         self._continuous = None
-        self._multievent = MultieventExecutor(
-            store,
-            scheduling=self.config.scheduling,
-            parallel=self.config.parallel,
-        )
-        self._anomaly = AnomalyExecutor(
-            store,
-            scheduling=self.config.scheduling,
-            parallel=self.config.parallel,
-        )
+        self.last_scheduler_stats = None
         return self
 
     @classmethod
@@ -301,7 +282,7 @@ class AIQLSystem:
         started = time.perf_counter()
         key = canonical_text(text)
         ctx = compile_query(text, key)
-        result = self.execute(ctx)
+        result = self.execute(ctx, key)
         elapsed = time.perf_counter() - started
         _M_QUERIES.inc()
         _M_QUERY_SECONDS.observe(elapsed)
@@ -311,36 +292,18 @@ class AIQLSystem:
             )
         return result
 
-    def execute(self, ctx: QueryContext) -> ResultSet:
-        mark = self._completeness_mark()
-        if ctx.kind == "anomaly":
-            result = self._anomaly.run(ctx)
-        else:
-            result = self._multievent.run(ctx)
-        self._attach_completeness(result, mark)
-        return result
+    def execute(self, ctx: QueryContext, key: Optional[str] = None) -> ResultSet:
+        """Execute a prepared query (:func:`repro.engine.run_query`).
 
-    def _completeness_mark(self) -> Optional[int]:
-        """Degraded-read bookkeeping mark (sharded stores only)."""
-        marker = getattr(self.store, "completeness_mark", None)
-        return marker() if marker is not None else None
-
-    def _attach_completeness(self, result: ResultSet, mark) -> None:
-        """Annotate ``result.meta`` when any scan it ran was partial.
-
-        A sharded store under the ``degraded`` read policy records a
-        completeness entry for every scatter scan that answered without
-        all shards; the merge of the entries recorded during this
-        execution (missing shards, estimated missed rows) lands in
-        ``result.meta['completeness']`` so callers — and the query
-        service's responses — can tell a complete answer from a
-        best-effort one.
+        ``key`` is the canonical text ``ctx`` was compiled from; with it a
+        sharded deployment can route a single-owner query whole to its
+        shard.  A partial answer (degraded or lossy shards) carries
+        ``result.meta['completeness']``.
         """
-        if mark is None:
-            return
-        summary = self.store.completeness_since(mark)
-        if summary is not None:
-            result.meta["completeness"] = summary
+        result, self.last_scheduler_stats = run_query(
+            self.store, ctx, key, self.config.scheduling, self.config.parallel
+        )
+        return result
 
     def explain(self, text: str, *, analyze: bool = True) -> ExplainReport:
         """Execution plan for ``text``; with ``analyze`` (EXPLAIN ANALYZE)
@@ -359,16 +322,13 @@ class AIQLSystem:
             return ExplainReport(query=text, kind=ctx.kind, plan=plan_lines(ctx))
         started = time.perf_counter()
         key = canonical_text(text)
-        mark = self._completeness_mark()
         trace = Trace("query")
         with obs_trace.activate(trace):
             with trace_span("compile"):
                 ctx = compile_query(text, key)
-            if ctx.kind == "anomaly":
-                result, stats = self._anomaly.run_with_stats(ctx)
-            else:
-                result, stats = self._multievent.run_with_stats(ctx)
-        self._attach_completeness(result, mark)
+            result, stats = run_query(
+                self.store, ctx, key, self.config.scheduling, self.config.parallel
+            )
         # EXPLAIN ANALYZE executes the query, so it counts as one (same
         # convention as PostgreSQL's statistics views).
         elapsed = time.perf_counter() - started
@@ -534,10 +494,6 @@ class AIQLSystem:
         return AIQLServer(self, host=host, port=port)
 
     # -- introspection ---------------------------------------------------------
-
-    @property
-    def last_scheduler_stats(self):
-        return self._multievent.last_stats or self._anomaly.last_stats
 
     def stats(self) -> dict:
         stats = dict(self.store.stats())

@@ -8,10 +8,11 @@ or fetch-and-filter — into tuple sets (:mod:`repro.engine.tuples`), and the
 executor (:mod:`repro.engine.executor`) projects the final tuple set through
 the return clause.  Dependency queries are rewritten to multievent queries
 (:mod:`repro.engine.dependency`); anomaly queries run the sliding-window
-machinery (:mod:`repro.engine.anomaly`).
+machinery (:mod:`repro.engine.anomaly`).  :func:`compile_query` is the one
+compile entry and :func:`run_query` the one execution entry.
 """
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.engine.anomaly import AnomalyExecutor
 from repro.engine.data_query import DataQuery
@@ -63,6 +64,46 @@ def compile_query(text: str, key: Optional[str] = None) -> QueryContext:
     return ctx
 
 
+def run_query(
+    store,
+    ctx: QueryContext,
+    key: Optional[str] = None,
+    scheduling: str = "relationship",
+    parallel: bool = False,
+) -> Tuple[ResultSet, SchedulerStats]:
+    """Execute a prepared query against ``store``; ``(result, stats)``.
+
+    The one execution entry shared by :class:`repro.AIQLSystem` (query,
+    execute, EXPLAIN ANALYZE), the query service and the shard worker, and
+    the one place routing lives.  On a store that routes (a sharded
+    deployment), a query whose every pattern one shard owns runs whole on
+    that shard when ``key`` — its canonical text, which is what ships — is
+    given; precompiled contexts (``key=None``), multi-owner queries and
+    queries the owner cannot answer run here, one scan at a time.  Either
+    way, the completeness records the store logs during the execution
+    (degraded or lossy shards) land in ``result.meta["completeness"]``.
+    """
+    marker = getattr(store, "completeness_mark", None)
+    mark = marker() if marker is not None else None
+    ran = None
+    route = getattr(store, "route", None)
+    if key is not None and route is not None:
+        shard = route(ctx)
+        if shard is not None:
+            ran = store.run_routed(shard, key, scheduling, parallel)
+    if ran is None:
+        executor = AnomalyExecutor if ctx.kind == "anomaly" else MultieventExecutor
+        ran = executor(
+            store, scheduling=scheduling, parallel=parallel
+        ).run_with_stats(ctx)
+    result, stats = ran
+    if mark is not None:
+        summary = store.completeness_since(mark)
+        if summary is not None:
+            result.meta["completeness"] = summary
+    return result, stats
+
+
 __all__ = [
     "AnomalyExecutor",
     "DataQuery",
@@ -81,6 +122,7 @@ __all__ = [
     "evaluate_returns",
     "make_scheduler",
     "rewrite_dependency",
+    "run_query",
     "scan_split",
     "split_window",
 ]

@@ -15,9 +15,9 @@ queries concurrently against one store:
   same ``(partition, filter)`` key execute once (single-flight), and later
   queries hit the warm cache until ingest invalidates the partition.
 
-Executor instances are created per call via the thread-safe
-``run_with_stats`` entry points, so any number of worker threads can share
-one service.
+Every execution goes through :func:`repro.engine.run_query`, which builds
+its executor per call, so any number of worker threads can share one
+service.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.engine import canonical_text, compile_query
-from repro.engine.anomaly import AnomalyExecutor
-from repro.engine.executor import MultieventExecutor
+from repro.engine import canonical_text, compile_query, run_query
 from repro.engine.result import ResultSet
 from repro.lang.context import QueryContext
 from repro.obs.metrics import REGISTRY
@@ -105,23 +103,9 @@ class QueryService:
             ctx = compile_query(source, key)
         else:
             ctx = source
-        if ctx.kind == "anomaly":
-            runner = AnomalyExecutor(
-                self.store, scheduling=self.scheduling, parallel=self.parallel
-            )
-        else:
-            runner = MultieventExecutor(
-                self.store, scheduling=self.scheduling, parallel=self.parallel
-            )
-        # Degraded-read annotation (sharded stores): scans recorded as
-        # partial between the mark and completion land in result.meta.
-        marker = getattr(self.store, "completeness_mark", None)
-        mark = marker() if marker is not None else None
-        result, stats = runner.run_with_stats(ctx)
-        if mark is not None:
-            summary = self.store.completeness_since(mark)
-            if summary is not None:
-                result.meta["completeness"] = summary
+        result, stats = run_query(
+            self.store, ctx, key, self.scheduling, self.parallel
+        )
         with self._lock:
             self.stats.executed += 1
         elapsed = time.perf_counter() - started

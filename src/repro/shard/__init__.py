@@ -2,8 +2,9 @@
 
 The store partitioned by ``(day, agent-group)`` across N worker
 processes — each with its own hot tier, WAL and cold segments — behind
-a coordinator that routes ingest, scatter/gathers scans as serialized
-column-block slices, and merges per-shard recovery.  Enabled through
+a coordinator that routes ingest, sends a query only one shard can answer
+whole to that shard, scatter/gathers the scans of every other query as
+serialized column-block slices, and merges per-shard recovery.  Enabled through
 ``SystemConfig(shards=N)``.
 
 Deployments are supervised: every coordinator command runs under a

@@ -15,6 +15,19 @@ sets, IN predicates, tightened windows) ships to every shard that can hold
 a matching row (:func:`owner_shards`), where the local compiled kernel
 applies it before anything crosses a pipe.
 
+Routed queries: a query whose every pattern only one shard can match
+(:meth:`ShardedStore.route`) skips the per-scan round trips —
+:func:`repro.engine.run_query` sends it whole to that shard as one
+``query`` command (:meth:`ShardedStore.run_routed`), and the worker runs
+the same executor over a view of its store whose scans are capped exactly
+like a scatter reply.  Multi-owner queries, precompiled contexts and a
+query whose owner cannot answer take the scatter path.
+
+Worker commands: ``batch`` (ingest), ``entities`` (registry broadcast),
+``scan`` (one scatter scan), ``query`` (one routed query), ``full_scan``,
+``estimate``, ``time_range``, ``compact``, ``checkpoint``, ``stats``,
+``metrics``, ``ping`` and ``stop``.
+
 Ingest is columnar end to end: a commit reaches :meth:`ShardedStore.
 add_block` as one :class:`~repro.storage.blocks.ColumnBlock`, the shard of
 every row is computed from the block's start-time column and agent
@@ -38,8 +51,8 @@ shard_command_timeout_s, shard_scan_timeout_s)``) instead of blocking
 ``recv()``.  A dead pipe or blown deadline hands the shard to the
 :class:`~repro.shard.supervisor.ShardSupervisor` — quarantine, SIGKILL,
 respawn, WAL replay, entity-registry replay, re-admission — and
-*idempotent* commands (scans, estimates, stats, metrics, heartbeats,
-maintenance) are re-issued to the recovered worker under bounded
+*idempotent* commands (scans, routed queries, estimates, stats, metrics,
+heartbeats, maintenance) are re-issued to the recovered worker under bounded
 exponential backoff with jitter (:mod:`repro.core.retry`).  The
 non-idempotent ingest commit never retries: it fails fast with a
 :class:`ShardCommitError` reporting exactly which shards acked, and the
@@ -70,7 +83,6 @@ from dataclasses import dataclass, replace
 from typing import (
     Deque,
     Dict,
-    FrozenSet,
     Iterator,
     List,
     Optional,
@@ -80,9 +92,12 @@ from typing import (
     Union,
 )
 
+from repro.engine.result import ResultSet
+from repro.engine.scheduler import SchedulerStats
+from repro.lang.context import QueryContext
 from repro.model.entities import Entity
 from repro.model.events import SystemEvent
-from repro.obs import REGISTRY, active_trace
+from repro.obs import REGISTRY, active_trace, trace_span
 from repro.shard.chaos import FaultPlan, plan_from_env
 from repro.shard.supervisor import ShardSupervisor
 from repro.shard.wire import decode_events, decode_result, payload_nbytes
@@ -91,7 +106,12 @@ from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions
 from repro.storage.codec import encode_block
 from repro.storage.filters import EventFilter
 from repro.storage.ingest import Ingestor
-from repro.storage.partition import PartitionKey, PartitionScheme
+from repro.storage.partition import (
+    PartitionKey,
+    PartitionScheme,
+    owner_shards,
+    route,
+)
 from repro.storage.persist import entity_record, rebuild_entity
 from repro.tier.recovery import RecoveryReport
 from repro.tier.store import CompactionReport
@@ -189,12 +209,18 @@ _M_DEGRADED_SCANS = REGISTRY.counter(
     "aiql_shard_degraded_scans_total",
     "Scatter scans answered without every shard",
 )
+_M_ROUTED_QUERIES = REGISTRY.counter(
+    "aiql_shard_routed_queries_total",
+    "Single-owner queries answered whole by their owner shard",
+    labelnames=("shard",),
+)
 
 # Idempotent commands may be re-issued to a recovered worker; everything
 # else fails fast (the ingest "batch" command is the only member today).
 _IDEMPOTENT = frozenset(
     {
         "scan",
+        "query",
         "full_scan",
         "estimate",
         "time_range",
@@ -206,35 +232,6 @@ _IDEMPOTENT = frozenset(
         "checkpoint",
     }
 )
-
-
-def route(key: PartitionKey, shards: int) -> int:
-    """The shard that owns partition ``key`` (stable: no process-seeded
-    hashing)."""
-    return (key.day * 31 + key.agent_group) % shards
-
-
-def owner_shards(
-    flt: EventFilter, scheme: PartitionScheme, shards: int
-) -> FrozenSet[int]:
-    """The shards that can hold a row matching ``flt``.
-
-    A filter that names its agents and bounds its window can only match
-    rows of the partitions (window day, agent group) — the same pruning a
-    worker applies to its own partitions, applied one level up, so the
-    other shards are not asked to answer "nothing here".  Every shard
-    otherwise.
-    """
-    days = flt.window.days()
-    if flt.agent_ids is None or days is None:
-        return frozenset(range(shards))
-    groups = {scheme.group_of(agent) for agent in flt.agent_ids}
-    owners: Set[int] = set()
-    for day in days:
-        owners.update(route(PartitionKey(day, group), shards) for group in groups)
-        if len(owners) == shards:
-            break
-    return frozenset(owners)
 
 
 class ShardedStore:
@@ -307,6 +304,7 @@ class ShardedStore:
             self._specs.append(
                 ShardSpec(
                     index=index,
+                    shards=self.shards,
                     backend=config.backend,
                     agents_per_group=config.agents_per_group,
                     segments=config.segments,
@@ -808,6 +806,75 @@ class ShardedStore:
             "scans_affected": len(records),
         }
 
+    def route(self, ctx: QueryContext) -> Optional[int]:
+        """The one shard that owns every pattern's filter, or ``None``.
+
+        Sound because the scheduler's constrained re-queries only narrow a
+        pattern's filter (id sets, IN lists, intersected windows), so the
+        owners of every scan the query can issue are a subset of its
+        patterns' owners; and every entity is broadcast to every shard, so
+        return-clause attributes resolve on the owner as they do here.
+        """
+        owners: Set[int] = set()
+        for pattern in ctx.patterns:
+            owners |= owner_shards(pattern.filter, self.scheme, self.shards)
+            if len(owners) > 1:
+                return None
+        return next(iter(owners), None)
+
+    def run_routed(
+        self, shard: int, key: str, scheduling: str, parallel: bool
+    ) -> Optional[Tuple[ResultSet, SchedulerStats]]:
+        """Run a query whole on its owner ``shard`` (see :meth:`route`).
+
+        One idempotent ``query`` command ships the canonical text ``key``
+        (the worker's plan cache compiles it once) with this query's
+        watermark and torn set, which cap every scan the worker runs as
+        they cap a scatter reply.  It goes through :meth:`_scatter_round`,
+        so a dead or wedged owner is healed and the command re-issued.
+        ``None`` — the owner is unavailable before or after the retries,
+        or its execution raised — sends the caller to the scatter path,
+        which raises, degrades or reports the error exactly as before.  An
+        owner that lost events to a RAM-only restart leaves one
+        completeness record per scan it ran, as its scatter scans would.
+        """
+        with trace_span("route", shard=shard) as span:
+            with self._lock:
+                self._flush_entities_locked()
+                reply = None
+                if self._supervisor.available(shard):
+                    watermark = self._committed
+                    message = (
+                        "query",
+                        key,
+                        scheduling,
+                        parallel,
+                        watermark,
+                        frozenset(self._torn) if self._torn else None,
+                    )
+                    payloads, _ = self._scatter_round(
+                        message, (shard,), self.scan_timeout_s
+                    )
+                    reply = payloads.get(shard)
+                if reply is None:
+                    if span is not None:
+                        span.annotate(fallback=True)
+                    return None
+                columns, rows, meta, stats, scans = reply
+                completeness = self._completeness_for(
+                    (), (shard,), watermark, 1
+                )
+                if completeness is not None:
+                    for _ in range(scans):
+                        self._note_degraded(completeness)
+            _M_ROUTED_QUERIES.inc(shard=str(shard))
+            if span is not None:
+                span.annotate(
+                    data_queries=stats.data_queries_executed,
+                    events_fetched=stats.events_fetched,
+                )
+        return ResultSet(columns=columns, rows=rows, meta=meta), stats
+
     def scan_columns(
         self,
         flt: EventFilter,
@@ -1052,7 +1119,9 @@ class ShardedStore:
         the coordinator-side ``scatter_gather`` accounting for that
         shard), ``scatter_gather`` is the merged roll-up — so skew
         (events per shard, bytes gathered per shard, straggler recv
-        waits) survives the merge instead of being summed away — and
+        waits) survives the merge instead of being summed away; its
+        ``routed_queries`` is a view of the process-wide
+        ``aiql_shard_routed_queries_total`` counter — and
         ``shard_health`` is the supervisor's view (restarts, timeouts,
         retries, quarantines, lost-event estimates, leaked workers).
         Introspection never raises on a degraded deployment: an
@@ -1082,6 +1151,9 @@ class ShardedStore:
                     "bytes_gathered": self._shard_bytes[shard],
                     "rows_gathered": self._shard_rows[shard],
                     "recv_seconds": self._shard_recv_s[shard],
+                    "routed_queries": int(
+                        _M_ROUTED_QUERIES.value(shard=str(shard))
+                    ),
                 }
                 for shard in range(self.shards)
             ]
@@ -1105,5 +1177,6 @@ class ShardedStore:
                 "bytes_gathered": sum(g["bytes_gathered"] for g in gather),
                 "rows_gathered": sum(g["rows_gathered"] for g in gather),
                 "recv_seconds": sum(g["recv_seconds"] for g in gather),
+                "routed_queries": sum(g["routed_queries"] for g in gather),
             },
         }

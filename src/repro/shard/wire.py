@@ -15,6 +15,12 @@ payload kinds cross the worker pipes, both plain picklable dicts/lists of
   :mod:`repro.storage.codec` — the same bytes a WAL record or a cold
   segment holds.
 
+A routed query (the ``query`` command) sends neither: its worker runs the
+whole query and replies with the answer's columns, rows and meta, the
+scheduler's stats and the count of scans it ran.  Its scans are capped by
+:func:`capped_block`, the rule a scatter reply is cut by, so both paths
+answer from the same rows.
+
 Dictionary soundness is the codec's: the frame carries the sending
 process's op/otype value-string tables and the block's agent-id table, and
 decoding remaps op/otype codes onto this process's dictionaries, so two
@@ -89,21 +95,25 @@ def decode_events(payload: Sequence[tuple]) -> Tuple[SystemEvent, ...]:
 # -- scan results -----------------------------------------------------------
 
 
-def encode_result(
+def capped_block(
     result: BlockScanResult,
     watermark: Optional[int] = None,
     exclude: Optional[frozenset] = None,
-) -> dict:
-    """Serialize a scan's survivors as one wire block, sorted and capped.
+) -> Optional[ColumnBlock]:
+    """A scan's survivors as one block, sorted and capped; ``None`` when
+    none survive.
 
-    Rows ride in the result's merged (start_time, event_id) handle order —
-    already deduplicated across tiers — and rows above ``watermark`` (the
-    coordinator's committed snapshot at scatter time) are dropped here, so
-    a batch another shard has not acknowledged yet can never leak into a
-    gathered result half-committed.  ``exclude`` drops specific event ids:
-    the coordinator's torn-commit set (slices acknowledged by some shards
-    of a batch whose commit ultimately failed), which a later watermark
-    advance must never expose.
+    The one rule for what a worker may answer, whether the rows then cross
+    the pipe (:func:`encode_result`, a scatter reply) or feed a query the
+    worker runs whole (:func:`capped_result`, a routed query).  Rows ride
+    in the result's merged (start_time, event_id) handle order — already
+    deduplicated across tiers — and rows above ``watermark`` (the
+    coordinator's committed snapshot at issue time) are dropped, so a
+    batch another shard has not acknowledged yet can never leak into an
+    answer half-committed.  ``exclude`` drops specific event ids: the
+    coordinator's torn-commit set (slices acknowledged by some shards of a
+    batch whose commit ultimately failed), which a later watermark advance
+    must never expose.
     """
     if watermark is not None:
         handles = [h for h in result.handles() if h[1] <= watermark]
@@ -117,7 +127,7 @@ def encode_result(
     # already-sorted multi-part case).
     handles.sort(key=lambda h: (h[0], h[1]))
     if not handles:
-        return {"n": 0, "block": b""}
+        return None
     block = ColumnBlock()
     agent_ids: List[int] = []
     for _, eid, source, p in handles:
@@ -133,7 +143,34 @@ def encode_result(
         block.failure_codes.append(source.failure_codes[p])
         agent_ids.append(source.agents[source.agent_codes[p]])
     block.set_agents(agent_ids)
-    return {"n": len(handles), "block": encode_block(block)}
+    return block
+
+
+def encode_result(
+    result: BlockScanResult,
+    watermark: Optional[int] = None,
+    exclude: Optional[frozenset] = None,
+) -> dict:
+    """Serialize a scan's :func:`capped_block` as one wire block frame."""
+    block = capped_block(result, watermark, exclude)
+    if block is None:
+        return {"n": 0, "block": b""}
+    return {"n": len(block), "block": encode_block(block)}
+
+
+def capped_result(
+    result: BlockScanResult,
+    watermark: Optional[int] = None,
+    exclude: Optional[frozenset] = None,
+) -> BlockScanResult:
+    """A scan's :func:`capped_block` as a local result: what the
+    coordinator would hold after gathering this shard's reply, without the
+    encode and decode between (a routed query's scans on its worker)."""
+    block = capped_block(result, watermark, exclude)
+    if block is None:
+        return BlockScanResult([])
+    block.seal()  # as decode_block leaves a received block
+    return BlockScanResult([Selection(block, range(len(block)))])
 
 
 def payload_nbytes(payload: dict) -> int:

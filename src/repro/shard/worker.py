@@ -11,7 +11,16 @@ scan cache and the tiered cold path all run unchanged inside it.
 Protocol: a strict request/response loop over one duplex pipe.  The ingest
 ``batch`` command carries one block frame — this shard's slice of a commit
 — which is decoded and committed as a block (``Ingestor.commit_block``: WAL
-first, then every store's ``add_block``).  Every
+first, then every store's ``add_block``).  Reads come two ways: ``scan``
+answers one scatter scan with its capped survivors as a block frame;
+``query`` runs a whole *routed* query — one whose every pattern only this
+shard can match — through :func:`repro.engine.run_query` over a
+:class:`CappedStore` view, and answers ``(columns, rows, meta, stats,
+scans)``, or ``None`` when execution raised (the coordinator then runs it
+on the scatter path, where the error surfaces with its own type).  The
+other commands are ``entities``, ``full_scan``, ``estimate``,
+``time_range``, ``compact``, ``checkpoint``, ``stats``, ``metrics``,
+``ping`` and ``stop``.  Every
 command is answered with ``("ok", payload)`` or ``("err", message)`` —
 errors are contained per command, never crash the worker, and surface
 in the coordinator as raised exceptions.  On startup the worker sends
@@ -30,18 +39,21 @@ import traceback
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.engine import compile_query, run_query
 from repro.model.entities import EntityRegistry
 from repro.obs import REGISTRY, set_metrics_enabled
 from repro.service.cache import ScanCache
 from repro.service.pool import shutdown_shared_executor
 from repro.shard.chaos import ChaosAgent, Fault
-from repro.shard.wire import encode_events, encode_result
+from repro.shard.wire import capped_result, encode_events, encode_result
+from repro.storage.blocks import BlockScanResult
 from repro.storage.codec import decode_block
 from repro.storage.database import EventStore
+from repro.storage.filters import EventFilter
 from repro.storage.flat import FlatStore
 from repro.storage.ingest import Ingestor
 from repro.storage.kernels import set_columnar
-from repro.storage.partition import PartitionScheme
+from repro.storage.partition import PartitionScheme, owner_shards
 from repro.storage.persist import entity_record, rebuild_entity
 from repro.storage.segments import SegmentedStore
 
@@ -51,6 +63,7 @@ class ShardSpec:
     """Everything a worker needs to build its slice (picklable)."""
 
     index: int
+    shards: int = 1
     backend: str = "partitioned"
     agents_per_group: int = 10
     segments: int = 5
@@ -87,6 +100,72 @@ def _build_hot(spec: ShardSpec, registry: EntityRegistry):
         segments=spec.segments,
         policy=spec.distribution,
     )
+
+
+def estimated_events(store, flt: EventFilter) -> int:
+    """The store's own estimate, or its size when it has none."""
+    estimator = getattr(store, "estimated_events", None)
+    return estimator(flt) if estimator is not None else len(store)
+
+
+class CappedStore:
+    """This shard's store as a routed query sees it.
+
+    Every scan gets what the scatter path would give it from this shard:
+    nothing, without a scan, when the filter is not this shard's to answer
+    (:func:`~repro.storage.partition.owner_shards`), and otherwise its
+    survivors cut by :func:`~repro.shard.wire.capped_result` at the
+    watermark and torn set the coordinator shipped with the query — the
+    rows, in the (start_time, event_id) order, a scatter reply carries.  So
+    the routed answer equals the scatter answer row for row, and ``scans``
+    counts the scatter scans this shard would have answered.  Like the
+    coordinator, the view has no ``entity_index``: the scheduler's
+    cardinality model estimates through ``estimated_events``.
+    """
+
+    def __init__(
+        self, store, spec: ShardSpec, watermark: int, exclude: Optional[frozenset]
+    ) -> None:
+        self.store = store
+        self.registry = store.registry
+        self.spec = spec
+        self.scheme = PartitionScheme(agents_per_group=spec.agents_per_group)
+        self.watermark = watermark
+        self.exclude = exclude
+        self.scans = 0
+
+    def scan_columns(
+        self,
+        flt: EventFilter,
+        parallel: bool = False,
+        use_entity_index: bool = True,
+    ) -> BlockScanResult:
+        if self.spec.index not in owner_shards(flt, self.scheme, self.spec.shards):
+            return BlockScanResult([])
+        self.scans += 1
+        result = self.store.scan_columns(
+            flt, parallel=parallel, use_entity_index=use_entity_index
+        )
+        return capped_result(result, self.watermark, self.exclude)
+
+    def estimated_events(self, flt: EventFilter) -> int:
+        return estimated_events(self.store, flt)
+
+
+def _run_routed(store, spec, text, scheduling, parallel, watermark, exclude):
+    """The ``query`` command: ``(columns, rows, meta, stats, scans)``, or
+    ``None`` when execution raised."""
+    view = CappedStore(store, spec, watermark, exclude)
+    try:
+        result, stats = run_query(
+            view,
+            compile_query(text, text),  # the text is already canonical
+            scheduling=scheduling,
+            parallel=parallel,
+        )
+    except Exception:
+        return None
+    return result.columns, result.rows, result.meta, stats, view.scans
 
 
 def shard_worker_main(conn, spec: ShardSpec) -> None:
@@ -169,11 +248,12 @@ def shard_worker_main(conn, spec: ShardSpec) -> None:
                 reply = encode_result(
                     result, watermark=watermark, exclude=exclude
                 )
+            elif command == "query":
+                reply = _run_routed(store, spec, *args)
             elif command == "full_scan":
                 reply = encode_events(store.full_scan(args[0]))
             elif command == "estimate":
-                estimator = getattr(store, "estimated_events", None)
-                reply = estimator(args[0]) if estimator else len(store)
+                reply = estimated_events(store, args[0])
             elif command == "time_range":
                 reply = store.time_range()
             elif command == "compact":

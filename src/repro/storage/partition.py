@@ -12,10 +12,13 @@ and temporal constraints of a data query.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.model.time import DAY, TimeWindow, day_of
 from repro.storage.blocks import ColumnBlock, Positions
+
+if TYPE_CHECKING:
+    from repro.storage.filters import EventFilter
 
 
 @dataclass(frozen=True)
@@ -116,3 +119,35 @@ class PartitionScheme:
         if window.end is not None and window.end <= day_start:
             return False
         return True
+
+
+# -- shard placement (repro.shard) ------------------------------------------------
+
+
+def route(key: PartitionKey, shards: int) -> int:
+    """The shard that owns partition ``key`` (stable: no process-seeded
+    hashing)."""
+    return (key.day * 31 + key.agent_group) % shards
+
+
+def owner_shards(
+    flt: EventFilter, scheme: PartitionScheme, shards: int
+) -> FrozenSet[int]:
+    """The shards that can hold a row matching ``flt``.
+
+    A filter that names its agents and bounds its window can only match
+    rows of the partitions (window day, agent group) — the same pruning a
+    worker applies to its own partitions, applied one level up, so the
+    other shards are not asked to answer "nothing here".  Every shard
+    otherwise.
+    """
+    days = flt.window.days()
+    if flt.agent_ids is None or days is None:
+        return frozenset(range(shards))
+    groups = {scheme.group_of(agent) for agent in flt.agent_ids}
+    owners: Set[int] = set()
+    for day in days:
+        owners.update(route(PartitionKey(day, group), shards) for group in groups)
+        if len(owners) == shards:
+            break
+    return frozenset(owners)

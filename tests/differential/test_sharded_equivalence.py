@@ -3,11 +3,12 @@
 The whole corpus runs against sharded deployments — the partitioned
 backend at 1, 2 and 4 shards, every baseline backend at 2 shards, and a
 durable 2-shard deployment after compaction has pushed most days into
-cold segments — asserting result sets identical to the single-process
-reference for every query.  This is the end-to-end soundness gate of
-the scatter/gather path: routing, the wire codec, watermark capping and
-the recovery-independent merge all have to be exact for the sets to
-agree.
+cold segments — asserting every answer identical, row for row, to the
+single-process reference.  This is the end-to-end soundness gate of both
+sharded read paths: single-owner queries run whole on their shard
+(routed), the rest scatter their scans; partition routing, the wire codec,
+watermark capping and the recovery-independent merge all have to be exact
+for the rows to agree.
 
 Run standalone (the CI shard-smoke job):
 
@@ -49,7 +50,7 @@ def reference():
         enterprise.store("partitioned"), ingestor=enterprise.ingestor
     )
     return {
-        query.qid: set(system.query(query.text).rows) for query in ALL_QUERIES
+        query.qid: system.query(query.text) for query in ALL_QUERIES
     }, enterprise.total_events
 
 
@@ -63,14 +64,28 @@ def build_sharded(config):
 
 
 def assert_full_corpus_agrees(system, reference, label):
+    """Every corpus answer equals the reference row for row — routed
+    (single-owner) queries and scattered ones alike — and routing ran for
+    exactly the single-owner queries."""
     answers, total = reference
     assert len(system.store) == total, f"{label} lost events"
+    routed_before = system.stats()["scatter_gather"]["routed_queries"]
+    single_owner = 0
     for query in ALL_QUERIES:
-        got = set(system.query(query.text).rows)
-        assert got == answers[query.qid], (
+        single_owner += system.store.route(system.compile(query.text)) is not None
+        got = system.query(query.text)
+        expected = answers[query.qid]
+        assert (got.columns, got.rows, got.meta) == (
+            expected.columns,
+            expected.rows,
+            expected.meta,
+        ), (
             f"{label} disagrees with the single-process reference on "
             f"{query.qid}"
         )
+    routed = system.stats()["scatter_gather"]["routed_queries"] - routed_before
+    assert single_owner > 0, "no corpus query is single-owner: routing untested"
+    assert routed == single_owner
 
 
 @pytest.mark.parametrize("config", SHARDED_CONFIGS)

@@ -83,6 +83,7 @@ def test_kill_mid_scan_recovers_to_reference(backend, reference, tmp_path):
             stream_batch_size=128,
         )
         assert len(system.store) == total
+        routed_before = system.stats()["scatter_gather"]["routed_queries"]
         for query in ALL_QUERIES:
             result = system.query(query.text)
             assert set(result.rows) == answers[query.qid], (
@@ -91,7 +92,11 @@ def test_kill_mid_scan_recovers_to_reference(backend, reference, tmp_path):
             )
             # Durable recovery is lossless: answers are never annotated.
             assert result.meta.get("completeness") is None
-        health = system.stats()["shard_health"]
+        stats = system.stats()
+        # Point queries run whole on their shard and send no ``scan``; the
+        # multi-owner ones still scatter, so the scan#0 kill must fire.
+        assert stats["scatter_gather"]["routed_queries"] > routed_before
+        health = stats["shard_health"]
         assert health["restarts"] == 1
         assert health["lost_events"] == 0
         assert health["failed_shards"] == []

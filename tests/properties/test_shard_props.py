@@ -12,6 +12,7 @@ from repro.model.events import Operation, SystemEvent
 from repro.model.time import DAY, TimeWindow
 from repro.shard.coordinator import owner_shards, route
 from repro.shard.wire import (
+    capped_result,
     decode_events,
     decode_result,
     encode_events,
@@ -101,6 +102,24 @@ def test_watermark_caps_the_rows_that_cross(batch, watermark):
     assert payload["n"] == len(expected)
     got = [] if selection is None else selection.block.events()
     assert got == expected
+
+
+@given(
+    events(),
+    st.integers(min_value=0, max_value=90),
+    st.frozensets(st.integers(min_value=1, max_value=80), max_size=10),
+)
+@settings(max_examples=60, deadline=None)
+def test_routed_scans_see_what_a_scatter_reply_carries(batch, watermark, torn):
+    """A routed query's scan (:func:`capped_result`, on the worker) holds
+    exactly the rows, in the order, that the same scan's scatter reply
+    decodes to on the coordinator."""
+    result = result_of(batch)
+    local = capped_result(result, watermark, torn)
+    selection = decode_result(encode_result(result, watermark, torn))
+    gathered = BlockScanResult([] if selection is None else [selection])
+    assert local.events() == gathered.events()
+    assert local.time_bounds() == gathered.time_bounds()
 
 
 # -- owner shards ------------------------------------------------------------------
