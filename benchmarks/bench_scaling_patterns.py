@@ -19,7 +19,7 @@ from collections import defaultdict
 
 import pytest
 
-from benchmarks.conftest import compile_text
+from benchmarks.conftest import BENCH_RATE, DEFAULT_BENCH_RATE, compile_text
 from repro.baselines.relational import MonolithicJoinEngine
 from repro.engine.executor import MultieventExecutor
 
@@ -84,5 +84,10 @@ def test_zz_scaling_summary(benchmark):
             f"per-pattern slope: AIQL {aiql_slope * 1000:.3f} ms, "
             f"PostgreSQL {pg_slope * 1000:.3f} ms"
         )
-        assert pg_slope > 5 * aiql_slope
-        assert _RESULTS["aiql"][7] < _RESULTS["postgresql"][1]
+        # Gated on the default rate only: AIQL's slope is a fixed per-pattern
+        # cost (~0.12 ms) while the baseline's grows with the data, so on the
+        # smaller smoke deployments (rates 100-300) the baseline's slope is
+        # only 3-4x AIQL's and its one-pattern query beats AIQL's chain.
+        if BENCH_RATE >= DEFAULT_BENCH_RATE:
+            assert pg_slope > 5 * aiql_slope
+            assert _RESULTS["aiql"][7] < _RESULTS["postgresql"][1]

@@ -23,7 +23,8 @@ from repro.lang.context import compile_multievent
 from repro.lang.parser import parse
 from repro.workload.loader import build_enterprise
 
-BENCH_RATE = int(os.environ.get("AIQL_BENCH_RATE", "1000"))
+DEFAULT_BENCH_RATE = 1000
+BENCH_RATE = int(os.environ.get("AIQL_BENCH_RATE", str(DEFAULT_BENCH_RATE)))
 
 
 def compile_text(text: str):

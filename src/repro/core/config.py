@@ -136,8 +136,12 @@ class SystemConfig:
         Disabling trades crash durability of the tail batch for ingest
         throughput (the OS still sees every write in order).
     cold_cache_segments
-        LRU bound of decompressed cold segments kept hot in memory for
-        repeated cold-window scans.
+        LRU bound of decompressed cold segments kept in memory for
+        repeated cold-window scans.  A segment whose decoded block is still
+        held anywhere — this LRU, a cached cold selection, an in-flight
+        result — is never decoded again, so at most one block per segment
+        file is alive: this many, plus the segments the cold scan cache's
+        entries reference, plus in-flight results.
     cold_scan_cache_entries
         LRU bound of the cold tier's per-segment scan-result cache
         (keyed by segment file + canonical filter; segments are immutable

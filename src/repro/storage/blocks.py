@@ -111,6 +111,7 @@ class ColumnBlock:
         "max_event_id",
         "generation",
         "_rows",
+        "__weakref__",  # the cold tier's one-live-block-per-segment map
     )
 
     def __init__(self) -> None:

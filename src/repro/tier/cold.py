@@ -15,9 +15,14 @@ segment carries a **zone map** in the tier manifest:
 Zone maps let the scan path — and the scheduler's cost estimates — prune
 cold segments *without opening them*: a query whose window, agent set,
 operation set or scheduler-narrowed entity-id sets are disjoint from a
-segment's zone map never pays the decompression.  Segments that do match
-decompress through a small LRU so iterative investigations over the same
-cold window stay cheap.
+segment's zone map never pays the decompression.  A segment that does
+match is decoded once while it is in memory: a small LRU keeps the most
+recently read segments, and a weak map from segment file to decoded block
+finds any block still held anywhere else — by a cached selection or an
+in-flight result — so a segment still held anywhere is never read and
+inflated again.  At most one decoded block per segment file is alive: the
+LRU's ``cache_segments``, plus the segments the scan cache's entries
+reference, plus those in-flight results.
 
 Segments that survive the zone maps decode into the same typed
 :class:`~repro.storage.blocks.ColumnBlock` representation the hot tier
@@ -46,6 +51,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,6 +86,9 @@ _M_COLD_SCANNED = REGISTRY.counter(
 )
 _M_COLD_ROWS = REGISTRY.counter(
     "aiql_cold_rows_selected_total", "Rows selected from cold segments"
+)
+_M_COLD_DECODES = REGISTRY.counter(
+    "aiql_cold_segment_decodes_total", "Cold segment files read and inflated"
 )
 
 
@@ -218,14 +227,14 @@ class ColdTier:
         self._next_id = 0
         self._cache_segments = cache_segments
         self._cache: "OrderedDict[str, ColumnBlock]" = OrderedDict()
+        # Every decoded block anything still holds (the LRU, a cached
+        # selection, an in-flight result), by segment file.  One block per
+        # file while any is alive, so its generation is stable for as long
+        # as a cached selection can be compared against it.
+        self._live: "weakref.WeakValueDictionary[str, ColumnBlock]" = (
+            weakref.WeakValueDictionary()
+        )
         self._cache_lock = threading.Lock()
-        # Stable block generation per segment file: filenames are never
-        # reused and their contents are immutable, so a re-decode after an
-        # LRU eviction restamps the fresh block with the generation of the
-        # first decode.  Cached selections then survive evictions (the
-        # shared generation check still guards them — it just compares
-        # content identity, not object identity).
-        self._generation_by_file: Dict[str, int] = {}
         # Per-segment scan results, keyed by (segment file, filter
         # fingerprint).  Segments are immutable so entries never need
         # invalidation; 0 disables.  This is the cold analogue of the hot
@@ -308,32 +317,41 @@ class ColdTier:
     # -- reads --------------------------------------------------------------
 
     def _decoded(self, zone: ZoneMap) -> ColumnBlock:
+        return self._fetch(zone)[0]
+
+    def _fetch(self, zone: ZoneMap) -> Tuple[ColumnBlock, bool]:
+        """The segment's decoded block, and whether this call decoded it.
+
+        Checks the LRU, then every block still held anywhere, and only
+        then reads and inflates the file.
+        """
+        name = zone.filename
         with self._cache_lock:
-            cached = self._cache.get(zone.filename)
-            if cached is not None:
-                self._cache.move_to_end(zone.filename)
-                return cached
-        blob = (self.directory / zone.filename).read_bytes()
-        try:
-            block = decode_block(blob)
-        except BlockCodecError as exc:
-            raise ColdTierError(
-                f"corrupt cold segment {zone.filename}: {exc}"
-            ) from exc
-        if len(block) != zone.count:
-            raise ColdTierError(
-                f"cold segment {zone.filename} holds {len(block)} events, "
-                f"its zone map {zone.count}"
-            )
-        block.generation = self._generation_by_file.setdefault(
-            zone.filename, block.generation
-        )
+            block = self._cache.get(name)
+            if block is None:
+                block = self._live.get(name)
+        decoded = block is None
+        if block is None:
+            blob = (self.directory / name).read_bytes()
+            try:
+                block = decode_block(blob)
+            except BlockCodecError as exc:
+                raise ColdTierError(f"corrupt cold segment {name}: {exc}") from exc
+            if len(block) != zone.count:
+                raise ColdTierError(
+                    f"cold segment {name} holds {len(block)} events, "
+                    f"its zone map {zone.count}"
+                )
+            _M_COLD_DECODES.inc()
         with self._cache_lock:
-            self._cache[zone.filename] = block
-            self._cache.move_to_end(zone.filename)
+            if decoded:
+                # A racing decode of the same file adopts the first block.
+                block = self._live.setdefault(name, block)
+            self._cache[name] = block
+            self._cache.move_to_end(name)
             while len(self._cache) > self._cache_segments:
                 self._cache.popitem(last=False)
-        return block
+        return block, decoded
 
     def _segment_events(self, zone: ZoneMap) -> List[SystemEvent]:
         return self._decoded(zone).events()
@@ -364,11 +382,9 @@ class ColdTier:
 
         Cached selections key on ``(segment file, filter fingerprint)``
         through the shared :class:`~repro.service.cache.ScanCache` policy
-        plus the segment's stable block generation (segments are immutable,
-        so every decode of a file restamps the same generation).  A cache
-        hit therefore needs no decode at all — the cached selection pins
-        its own block — and a generation mismatch can only mean the entry
-        belongs to a different block, never a stale view of this one.
+        plus the generation of the segment's one live block.  A cached
+        selection pins its block, so a cache hit finds that block without
+        decoding, and the generations always agree.
         """
         zones = list(self._zones)  # snapshot against concurrent publishes
         lookup = self._entity_lookup
@@ -382,7 +398,7 @@ class ColdTier:
             if cache is not None and kernel is not None
             else None
         )
-        considered = pruned = scanned = 0
+        considered = pruned = scanned = decoded = 0
         for zone in zones:
             self.segments_considered += 1
             considered += 1
@@ -392,9 +408,10 @@ class ColdTier:
                 continue
             self.segments_scanned += 1
             scanned += 1
+            block, fresh = self._fetch(zone)
+            decoded += fresh
             if kernel is None:
                 # Interpreted oracle path (use_kernels(False)).
-                block = self._decoded(zone)
                 matches = flt.matches
                 positions = []
                 for i, event in enumerate(block.events()):
@@ -404,23 +421,16 @@ class ColdTier:
                         positions.append(i)
                 selections.append(Selection(block, positions))
             elif fingerprint is not None and cache is not None:
-                generation = self._generation_by_file.get(zone.filename)
-                if generation is None:
-                    # First touch in this process: decode so the cache
-                    # entry records the segment's stable generation.
-                    generation = self._decoded(zone).generation
                 selections.append(
                     cache.get_or_compute(
                         zone.filename,
                         fingerprint,
-                        lambda z=zone: self._scan_segment(
-                            self._decoded(z), flt, kernel
-                        ),
-                        generation=generation,
+                        lambda b=block: self._scan_segment(b, flt, kernel),
+                        generation=block.generation,
                     )
                 )
             else:
-                selections.append(self._scan_segment(self._decoded(zone), flt, kernel))
+                selections.append(self._scan_segment(block, flt, kernel))
         if considered:
             trace = active_trace()
             if REGISTRY.enabled or trace is not None:
@@ -434,6 +444,7 @@ class ColdTier:
                     span.add("cold_segments_considered", considered)
                     span.add("cold_segments_pruned", pruned)
                     span.add("cold_segments_scanned", scanned)
+                    span.add("cold_segments_decoded", decoded)
                     span.add("cold_rows_selected", rows)
         return selections
 
@@ -553,6 +564,8 @@ class ColdTier:
             "segments_considered": self.segments_considered,
             "segments_pruned": self.segments_pruned,
             "segments_scanned": self.segments_scanned,
+            # process-wide, like the plan cache's counters
+            "segments_decoded": int(_M_COLD_DECODES.value()),
         }
         if self.scan_cache is not None:
             out["scan_cache"] = self.scan_cache.stats()

@@ -1,7 +1,10 @@
 """Cold tier: segment round-trips, zone-map pruning, manifest durability."""
 
 import dataclasses
+import gc
 import json
+import threading
+import weakref
 import zlib
 
 import pytest
@@ -9,10 +12,12 @@ import pytest
 from repro.model.entities import EntityType
 from repro.model.events import Operation
 from repro.model.time import DAY, TimeWindow
+from repro.obs.trace import Trace, activate
 from repro.storage.blocks import ColumnBlock
 from repro.storage.codec import BLOCK_KIND, pack_frame, unpack_frame
 from repro.storage.filters import EventFilter
 from repro.storage.partition import PartitionKey
+from repro.tier import cold
 from repro.tier.cold import ColdTier, ColdTierError, ZoneMap
 
 from tests.tier.conftest import day_ts
@@ -238,6 +243,71 @@ class TestSegmentCache:
         with pytest.raises(ValueError):
             ColdTier(tmp_path / "cold", feed.ingestor.registry.get,
                      cache_segments=0)
+
+
+class TestOneDecodedBlockPerSegment:
+    """A segment whose decoded block is still held anywhere is never
+    decoded again, and no file ever has two live decoded blocks."""
+
+    def test_cached_selections_lend_their_blocks(self, feed, tmp_path, monkeypatch):
+        tier = make_tier(feed, tmp_path, days=(0, 1, 2), cache_segments=1)
+        decodes = []
+        real = cold.decode_block
+        monkeypatch.setattr(
+            cold, "decode_block", lambda blob: decodes.append(blob) or real(blob)
+        )
+        first = tier.scan_selections(EventFilter(agent_ids=frozenset({1})))
+        second = tier.scan_selections(
+            EventFilter(operations=frozenset({Operation.WRITE}))
+        )
+        assert len(decodes) == 3  # the LRU holds one, the scan cache the rest
+        assert len(second) == 3
+        assert all(b.block is a.block for a, b in zip(first, second))
+
+    def test_dropped_blocks_are_freed(self, feed, tmp_path):
+        tier = make_tier(
+            feed, tmp_path, days=(0, 1, 2), cache_segments=1, scan_cache_entries=0
+        )
+        refs = [weakref.ref(s.block) for s in tier.scan_selections(EventFilter())]
+        assert len(refs) == 3
+        gc.collect()
+        assert sum(ref() is not None for ref in refs) <= 1  # the LRU's one
+        assert len(tier._live) <= 1
+
+    def test_racing_decodes_adopt_one_block(self, feed, tmp_path, monkeypatch):
+        tier = make_tier(feed, tmp_path, days=(0,))
+        barrier = threading.Barrier(2, timeout=10)
+        real = cold.decode_block
+
+        def decode_together(blob):
+            barrier.wait()  # both threads have missed every cache
+            return real(blob)
+
+        monkeypatch.setattr(cold, "decode_block", decode_together)
+        zone = tier.zones[0]
+        got = [None, None]
+
+        def decode(i):
+            got[i] = tier._decoded(zone)
+
+        threads = [threading.Thread(target=decode, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert got[0] is not None and got[0] is got[1]
+
+    def test_decodes_are_counted_on_the_span_and_in_stats(self, feed, tmp_path):
+        tier = make_tier(feed, tmp_path, days=(0, 1, 2))
+        before = tier.stats()["segments_decoded"]
+        counted = []
+        for _ in range(2):
+            with activate(Trace()) as trace:
+                tier.scan_selections(EventFilter())
+            counted.append(trace.root.counters["cold_segments_decoded"])
+        assert counted == [3, 0]
+        assert tier.stats()["segments_decoded"] - before == 3
 
 
 def mixed_segment_tier(feed, tmp_path, **kw):
