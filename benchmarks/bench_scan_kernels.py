@@ -1,21 +1,17 @@
 """Compiled scan kernels: interpreted vs compiled filter evaluation.
 
 The ISSUE-4 acceptance benchmark (machine-readable output in
-``BENCH_scan.json``).  Six cells, every one asserting the compiled path
+``BENCH_scan.json``).  Five cells, every one asserting the compiled path
 returns *byte-identical* results to the interpreted oracle:
 
 * **single_pattern** — a LIKE+IN-heavy single-pattern filter over
   non-indexed attributes (the worst case for index narrowing: every
   candidate event pays the full match), scanned through the partitioned
-  store with the entity indexes off.  Floor: >= 3x scan throughput.
+  store with the entity indexes off.  Floor: >= 3x scan throughput (and
+  >= 5.5M compiled events/s absolute at the default workload rate).
 * **multi_pattern** — an end-to-end APT-style investigation (parser ->
   scheduler -> constrained scans -> joins) whose patterns constrain
   non-indexed attributes, so data queries are scan-bound.  Floor: >= 1.5x.
-* **columnar** — the ISSUE-6 cell: block-at-a-time kernel dispatch
-  (``kernel.select`` over typed column blocks) vs the per-event compiled
-  closures, both fully compiled, on the same single-pattern hot scan.
-  Floor: >= 3x scan throughput over the closure path (and >= 5.5M
-  events/s absolute at the default workload rate).
 * **numeric_predicate** — the ISSUE-20 cell: an ``amount > N`` event
   predicate over every partition block of a multi-day window, as one pass
   over the raw ``array`` column (``kernel.select``) vs the per-row compiled
@@ -56,7 +52,6 @@ from repro.storage.filters import EventFilter
 from repro.storage.kernels import (
     _compile_block_event_predicate,
     compile_filter,
-    use_columnar,
     use_kernels,
 )
 from repro.workload.loader import build_enterprise
@@ -156,36 +151,6 @@ def bench_single_pattern(store) -> dict:
         events / (cell["compiled_ms"] / 1000)
     )
     return cell
-
-
-def bench_columnar(store) -> dict:
-    """Block-at-a-time kernels vs per-event compiled closures.
-
-    Both modes run fully compiled (``use_kernels(True)``); only the
-    dispatch differs — ``use_columnar`` flips between one
-    ``kernel.select`` call per column block and one closure call per
-    materialized event.
-    """
-    flt = compile_query(SINGLE_PATTERN).patterns[0].filter
-    run = lambda: store.scan(flt, use_entity_index=False)  # noqa: E731
-    with use_kernels(True):
-        with use_columnar(False):
-            closure_rows = run()
-            closure_ms = median_ms(run)
-        with use_columnar(True):
-            columnar_rows = run()
-            columnar_ms = median_ms(run)
-    events = len(store)
-    return {
-        "closure_ms": round(closure_ms, 3),
-        "columnar_ms": round(columnar_ms, 3),
-        "speedup": round(closure_ms / columnar_ms, 2) if columnar_ms else None,
-        "rows": len(columnar_rows),
-        "identical": columnar_rows == closure_rows,
-        "events_scanned": events,
-        "closure_events_per_s": round(events / (closure_ms / 1000)),
-        "columnar_events_per_s": round(events / (columnar_ms / 1000)),
-    }
 
 
 def bench_numeric_predicate(store) -> dict:
@@ -300,7 +265,6 @@ def main() -> int:
 
         print("running cells...", file=sys.stderr)
         single = bench_single_pattern(baseline)
-        columnar = bench_columnar(baseline)
         numeric = bench_numeric_predicate(baseline)
         multi = bench_multi_pattern(baseline)
         cold = bench_cold_only(uncached.store)
@@ -310,21 +274,20 @@ def main() -> int:
 
         checks = {
             "single_pattern_3x": single["speedup"] >= 3.0,
-            "columnar_3x": columnar["speedup"] >= 3.0,
             "numeric_predicate_3x": numeric["speedup"] >= 3.0,
             "multi_pattern_1_5x": multi["speedup"] >= 1.5,
             "mixed_window_1_5x": mixed["ratio"] <= 1.5,
             "results_identical": all(
                 cell["identical"]
-                for cell in (single, columnar, numeric, multi, cold, mixed)
+                for cell in (single, numeric, multi, cold, mixed)
             ),
         }
         if rate >= 300:
             # Absolute floors only hold on the full-size workload; the CI
             # perf-smoke runs a scaled-down rate where fixed overheads
             # (parse, result assembly) dominate the timings.
-            checks["columnar_5_5m_events_per_s"] = (
-                columnar["columnar_events_per_s"] >= 5_500_000
+            checks["single_pattern_5_5m_events_per_s"] = (
+                single["compiled_events_per_s"] >= 5_500_000
             )
             checks["mixed_window_1_1x"] = mixed["ratio"] <= 1.1
         result = {
@@ -336,7 +299,6 @@ def main() -> int:
                 "events": len(baseline),
             },
             "single_pattern": single,
-            "columnar": columnar,
             "numeric_predicate": numeric,
             "multi_pattern": multi,
             "cold_only": cold,

@@ -31,15 +31,6 @@ class SystemConfig:
         segment count and distribution policy of the segmented store
         (``domain`` = AIQL's semantics-aware placement, ``arrival`` =
         ingest-order placement).
-    columnar
-        evaluate compiled scan kernels in *columnar* (block-at-a-time)
-        mode: one batch-kernel call selects the survivors of a whole
-        typed column block instead of testing one materialized event per
-        call (default on).  The toggle is process-wide (it flips the
-        compiled-kernel dispatch in :mod:`repro.storage.kernels`, like
-        ``max_workers`` it affects every system in the process); disable
-        to fall back to the per-event compiled-closure path, e.g. when
-        diffing the two executions.
     scan_cache
         enable the partition-scan cache on the partitioned store
         (default on).  Scan results are memoized per
@@ -70,7 +61,7 @@ class SystemConfig:
         segments under ``<data_dir>/shard-<i>``.  Scans scatter/gather
         serialized column-block slices; CPU-bound scans scale past the
         GIL with the shard count.  ``backend``, ``scan_cache``,
-        ``columnar``, ``retention_days`` etc. configure each worker.
+        ``retention_days`` etc. configure each worker.
     shard_command_timeout_s
         deadline (seconds) for every coordinator↔worker command other
         than scatter scans: ingest acks, heartbeats, stats/metrics
@@ -167,7 +158,7 @@ class SystemConfig:
         counters/gauges/histograms across ingest, scans, joins, WAL,
         compaction, continuous queries and shard scatter/gather, exposed
         via :meth:`AIQLSystem.metrics_text` in Prometheus text format.
-        Process-wide toggle (like ``columnar``); instrumentation sites
+        Process-wide toggle (like ``max_workers``); instrumentation sites
         increment per scan/commit, never per row, so the enabled cost is
         negligible and the disabled cost is one flag check.
     tracing
@@ -210,7 +201,7 @@ class SystemConfig:
     backend: str = "partitioned"
     scheduling: str = "relationship"
     parallel: bool = False
-    columnar: bool = True
+    columnar = True  # not a field: scans are always columnar; stamps read it
     agents_per_group: int = 10
     segments: int = 5
     distribution: str = "domain"

@@ -48,7 +48,6 @@ from repro.service.continuous import ContinuousQueryEngine, Subscription
 from repro.storage.database import EventStore
 from repro.storage.flat import FlatStore
 from repro.storage.ingest import Ingestor
-from repro.storage.kernels import set_columnar
 from repro.storage.partition import PartitionScheme
 from repro.storage.segments import SegmentedStore
 
@@ -61,9 +60,6 @@ _M_QUERY_SECONDS = REGISTRY.histogram(
 
 
 def _build_store(config: SystemConfig, registry: EntityRegistry):
-    # Process-wide, like the shared executor: the last-constructed system
-    # decides whether compiled kernels run block-at-a-time.
-    set_columnar(config.columnar)
     executor = get_shared_executor(config.max_workers)
     if config.backend == "partitioned":
         return EventStore(
@@ -97,7 +93,7 @@ class AIQLSystem:
         self._wal = None
         self.compactor = None
         self.recovery = None
-        # Process-wide, like set_columnar below: the last-constructed
+        # Process-wide, like the shared executor: the last-constructed
         # system decides whether the metrics registry records.
         set_metrics_enabled(self.config.metrics)
         self.slow_log = (
@@ -115,7 +111,6 @@ class AIQLSystem:
             # recovery into the ingestor's counters and registry.
             from repro.shard import ShardedStore
 
-            set_columnar(self.config.columnar)
             self.store = ShardedStore(self.ingestor, self.config)
             self.recovery = self.store.recovery
         else:

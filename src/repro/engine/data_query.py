@@ -72,23 +72,11 @@ class DataQuery:
         parallel: bool = False,
         use_entity_index: bool = True,
     ):
-        """Like :meth:`execute`, but keep the result columnar when possible.
-
-        Stores exposing ``scan_columns`` return a
+        """Like :meth:`execute`, but keep the result columnar: a
         :class:`~repro.storage.blocks.BlockScanResult` (survivor positions
-        over typed column blocks, no rows built); anything else falls back
-        to :meth:`execute` wrapped in a :class:`MaterializedScanResult`, so
-        schedulers see one surface either way.
-        """
-        scan_columns = getattr(store, "scan_columns", None)
-        if scan_columns is not None:
-            return scan_columns(
-                self.filter,
-                parallel=parallel,
-                use_entity_index=use_entity_index,
-            )
-        return MaterializedScanResult(
-            self.execute(store, parallel=parallel, use_entity_index=use_entity_index)
+        over typed column blocks, no rows built)."""
+        return store.scan_columns(
+            self.filter, parallel=parallel, use_entity_index=use_entity_index
         )
 
     # -- narrowing ----------------------------------------------------------
@@ -124,38 +112,6 @@ class DataQuery:
 
     def narrowed_by_window(self, window: TimeWindow) -> "DataQuery":
         return replace(self, filter=self.filter.narrowed(window=window))
-
-
-class MaterializedScanResult:
-    """Adapter giving a plain event list the scan-result surface.
-
-    The columnar scheduler path consumes ``events()``, ``ref_values`` and
-    ``time_bounds``; stores (or helpers) that only produce event lists wrap
-    them here so one code path serves both representations.
-    """
-
-    __slots__ = ("_events",)
-
-    def __init__(self, events: Sequence[SystemEvent]) -> None:
-        self._events = list(events)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self):
-        return iter(self._events)
-
-    def events(self) -> List[SystemEvent]:
-        return self._events
-
-    def ref_values(self, ref: FieldRef, entity_of) -> FrozenSet[object]:
-        return values_of(ref, self._events, entity_of)
-
-    def time_bounds(self) -> Optional[tuple]:
-        if not self._events:
-            return None
-        times = [e.start_time for e in self._events]
-        return (min(times), max(times))
 
 
 def values_of(

@@ -178,17 +178,6 @@ _EVENT_ATTRIBUTE_GETTERS = {
 EVENT_ATTRIBUTES = tuple(sorted(_EVENT_ATTRIBUTE_GETTERS))
 
 
-def event_attribute_getter(name: str):
-    """The getter behind :meth:`SystemEvent.attribute`, or ``None``.
-
-    Lets the scan-kernel compiler hoist attribute resolution (alias
-    normalization + dispatch) out of the per-event loop: a known name
-    binds its getter once, an unknown name compiles to constant-false
-    (``attribute`` would raise ``AttributeError`` for every event).
-    """
-    return _EVENT_ATTRIBUTE_GETTERS.get(name.strip().lower())
-
-
 def validate_event(event: SystemEvent, subject: Entity, obj: Entity) -> None:
     """Check an event against the data model; raises ``ValueError``.
 

@@ -5,10 +5,8 @@ relationships) from a compiled query context; :class:`ExplainReport`
 pairs it with the executed span tree when the query actually ran
 (``AIQLSystem.explain(text, analyze=True)``).
 
-The report stringifies to the text rendering; the ``in`` containment
-shim for pre-observability callers that treated ``explain()`` as a
-plain string is deprecated (use ``"..." in str(report)``) and will be
-removed one release after ISSUE 10.  JSON output goes through the
+The report stringifies to the text rendering (search it with
+``"..." in str(report)``).  JSON output goes through the
 versioned :mod:`repro.api` wire schema, so ``repro explain --json``,
 ``GET /v1/explain`` and this method all emit the same
 ``explain_report`` message.
@@ -16,7 +14,6 @@ versioned :mod:`repro.api` wire schema, so ``repro explain --json``,
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -103,21 +100,8 @@ class ExplainReport:
 
         return explain_payload(self).to_json(indent=indent)
 
-    # -- string compatibility -----------------------------------------------
-    # Pre-observability callers treated explain() as a plain string.
-
     def __str__(self) -> str:
         return self.to_text()
-
-    def __contains__(self, needle: str) -> bool:
-        warnings.warn(
-            "`needle in explain_report` string-compat containment is "
-            "deprecated and will be removed one release after the v1 API; "
-            "use `needle in str(report)` or `needle in report.to_text()`",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return needle in self.to_text()
 
     # -- span access ---------------------------------------------------------
 

@@ -397,8 +397,8 @@ def flatten_gauges(prefix: str, stats: object) -> Dict[str, float]:
 
 
 #: Process-wide default registry.  ``SystemConfig.metrics`` drives the
-#: enabled flag via :func:`set_metrics_enabled` (same process-wide toggle
-#: idiom as ``storage.kernels.set_columnar``).
+#: enabled flag via :func:`set_metrics_enabled` (the last-constructed
+#: system decides, as with the shared executor).
 REGISTRY = MetricsRegistry(enabled=True)
 
 

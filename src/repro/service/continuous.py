@@ -15,9 +15,10 @@ Design, reusing the batch machinery end to end:
   parsed again; the plan is immutable, so a subscription can keep it), and
   each pattern's :class:`EventFilter` compiles into a
   :class:`~repro.storage.kernels.ScanKernel` when the subscription is
-  created (shared with the scan-path kernel cache), so the
-  per-event hot path of a commit is the same flat generated closure a
-  batch scan runs.
+  created (shared with the scan-path kernel cache).  A push builds one
+  :class:`~repro.storage.blocks.ColumnBlock` of the batch and every
+  pattern runs ``kernel.select`` over it — the same code a partition
+  scan runs over its stored columns.
 * **Sliding windows with incremental eviction** — events matched by a
   pattern accumulate into that pattern's window, a dict keyed by event id
   plus a min-heap on start time.  The stream high-water mark (the newest
@@ -35,7 +36,8 @@ Design, reusing the batch machinery end to end:
   own rule (:func:`~repro.engine.data_query.constrain_by_bound` applied to
   the pattern's :class:`~repro.engine.data_query.DataQuery` with every
   relationship into the patterns already bound, then compiled and
-  kernel-tested), so a join only sees window events that can still pair.
+  selected over a block of the window), so a join only sees window
+  events that can still pair.
 * **Alerts** — each new tuple emits one :class:`Alert` carrying the
   matched events in pattern order.  Alerts land in a bounded engine-level
   queue (oldest dropped when full, counted) and fire the subscription's
@@ -72,6 +74,7 @@ from repro.engine.tuples import TupleSet
 from repro.lang.context import QueryContext
 from repro.model.events import SystemEvent
 from repro.obs.metrics import REGISTRY
+from repro.storage.blocks import ColumnBlock
 from repro.storage.kernels import ScanKernel, kernel_for
 
 _M_PUSH_BATCHES = REGISTRY.counter(
@@ -160,7 +163,7 @@ class Subscription:
         self.horizon_s = horizon_s
         self.callback = callback
         self.active = True
-        # Compiled once here; commits only run kernel.test per event.
+        # Compiled once here; a push runs kernel.select over its block.
         self.kernels: Tuple[ScanKernel, ...] = tuple(
             kernel_for(p.filter) for p in ctx.patterns
         )
@@ -348,8 +351,11 @@ class ContinuousQueryEngine:
             _M_PUSH_EVENTS.inc(len(events))
             # Snapshot: a callback may (un)subscribe mid-push; changes
             # take effect from the next batch.
-            for sub in tuple(self._subs.values()):
-                emitted.extend(self._push_sub(sub, events, started))
+            subs = tuple(self._subs.values())
+            if subs:
+                block = ColumnBlock.from_events(events)
+            for sub in subs:
+                emitted.extend(self._push_sub(sub, events, block, started))
         return emitted
 
     def drain(self) -> List[Alert]:
@@ -376,23 +382,22 @@ class ContinuousQueryEngine:
         self,
         sub: Subscription,
         events: Sequence[SystemEvent],
+        block: ColumnBlock,
         started: Optional[float],
     ) -> List[Alert]:
+        # Positions index ``events``, so windows and alerts hold the very
+        # objects that were pushed.
         lookup = self.registry.get
-        deltas: List[List[SystemEvent]] = [[] for _ in sub.kernels]
-        # The per-event closures, fetched once per batch (a kernel builds
-        # its closure on first use; the lookup is not free per event).
-        tests = [kernel.test for kernel in sub.kernels]
-        for event in events:
-            for i, test in enumerate(tests):
-                if test(event, lookup):
-                    deltas[i].append(event)
+        every = range(len(events))
+        deltas: List[List[SystemEvent]] = [
+            [events[i] for i in kernel.select(block, every, lookup)]
+            for kernel in sub.kernels
+        ]
 
         # The stream high-water mark advances with every pushed event —
         # matched or not — so an idle pattern's window still slides.
-        batch_high = max(e.start_time for e in events)
-        if batch_high > sub.high_water:
-            sub.high_water = batch_high
+        if block.max_time > sub.high_water:
+            sub.high_water = block.max_time
         cutoff = sub.cutoff
 
         # Evict before snapshotting the pre-batch windows: an event that
@@ -528,8 +533,11 @@ class ContinuousQueryEngine:
         kernel = kernel_for(narrowed.filter)
         if kernel.always_false:
             return []
-        test = kernel.test
-        return [e for e in candidates if test(e, lookup)]
+        block = ColumnBlock.from_events(candidates)
+        return [
+            candidates[i]
+            for i in kernel.select(block, range(len(candidates)), lookup)
+        ]
 
     def _emit(
         self,

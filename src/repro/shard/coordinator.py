@@ -309,7 +309,6 @@ class ShardedStore:
                     agents_per_group=config.agents_per_group,
                     segments=config.segments,
                     distribution=config.distribution,
-                    columnar=config.columnar,
                     scan_cache=config.scan_cache,
                     scan_cache_entries=config.scan_cache_entries,
                     data_dir=(

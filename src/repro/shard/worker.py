@@ -52,7 +52,6 @@ from repro.storage.database import EventStore
 from repro.storage.filters import EventFilter
 from repro.storage.flat import FlatStore
 from repro.storage.ingest import Ingestor
-from repro.storage.kernels import set_columnar
 from repro.storage.partition import PartitionScheme, owner_shards
 from repro.storage.persist import entity_record, rebuild_entity
 from repro.storage.segments import SegmentedStore
@@ -68,7 +67,6 @@ class ShardSpec:
     agents_per_group: int = 10
     segments: int = 5
     distribution: str = "domain"
-    columnar: bool = True
     scan_cache: bool = True
     scan_cache_entries: int = 512
     data_dir: Optional[str] = None
@@ -170,7 +168,6 @@ def _run_routed(store, spec, text, scheduling, parallel, watermark, exclude):
 
 def shard_worker_main(conn, spec: ShardSpec) -> None:
     """Worker entry point (the ``spawn`` target)."""
-    set_columnar(spec.columnar)
     # Metrics registries are process-local: the worker keeps its own, the
     # coordinator pulls a snapshot over the pipe with the ``metrics``
     # command instead of sharing mutable state across the spawn boundary.

@@ -1,4 +1,4 @@
-"""Compiled scan kernels: one-shot ``EventFilter`` -> closure compilation.
+"""Compiled scan kernels: one-shot ``EventFilter`` -> block selection.
 
 Every scan in the system funnels per-candidate events through
 :meth:`EventFilter.matches`, which re-interprets up to nine constraint
@@ -11,8 +11,7 @@ cost once storage is in place.
 This module compiles a filter **once per scan** into specialized code with
 everything loop-invariant hoisted out of the per-event path:
 
-* absent constraints are eliminated entirely — an unconstrained branch
-  costs zero instead of a ``None`` check per event;
+* absent constraints cost one ``None`` check per block, not per event;
 * LIKE patterns carry their precompiled regex; IN lists their normalized
   frozenset; literals are pre-coerced against every runtime type an
   attribute can take, so no ``_coerce`` runs per row;
@@ -21,8 +20,8 @@ everything loop-invariant hoisted out of the per-event path:
 * constant-false filters (empty window, empty scheduler-narrowed id set)
   short-circuit whole scans to an empty result.
 
-A kernel has two compilation targets.  Scans run ``select(block,
-candidates, lookup)``: passes over the raw columns of a
+A kernel has one compilation target, ``select(block, candidates,
+lookup)``: passes over the raw columns of a
 :class:`~repro.storage.blocks.ColumnBlock`, cheapest first, each shrinking
 the selection for the next — window (bisected on a time-sorted block,
 skipped when the window holds the block's whole ``[min_time, max_time]``),
@@ -31,13 +30,11 @@ skipped when the block's code universe is inside the wanted set), id-set
 membership, entity predicates (one evaluation per distinct entity), then
 the event predicate: leaves that compare a fixed-width numeric column with
 a numeric literal run as one comprehension each over the raw ``array``
-(the conjuncts of an AND tree chain), every other tree per row.  The
-per-event target, ``test(event, lookup)`` / ``test_predicates``, is built
-with ``exec`` so the per-event path is one flat code object whose constants
-are bound as default arguments (locals, not global lookups); only the
-standing-query engine and the differential oracles test event by event,
-so those two closures are generated on first use — a scheduler-narrowed
-scan compiles a fresh kernel and never pays for them.
+(the conjuncts of an AND tree chain), every other tree per row.  Every
+caller evaluates blocks: partition and cold-segment scans select over
+their stored columns, and the standing-query engine over the block of a
+pushed batch.  The interpreter (:meth:`EventFilter.matches`, behind
+``use_kernels(False)``) is the one differential oracle.
 
 Kernels are memoized on the filter's canonical
 :func:`~repro.storage.filters.filter_fingerprint` — the same key as the
@@ -55,19 +52,9 @@ import operator
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.model.entities import ATTRIBUTES_BY_TYPE, normalize_attribute
-from repro.model.events import SystemEvent, event_attribute_getter
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import trace_add
 from repro.service.cache import cache_fingerprint
@@ -94,9 +81,9 @@ from repro.storage.filters import (
 # runtime value and returns whether the predicate holds.
 ValueTest = Callable[[object], bool]
 
-# A compiled predicate tree; receives the target object itself (an Entity
-# for subject/object trees, a SystemEvent for event trees) — attribute
-# resolution is hoisted to compile time, unlike PredicateNode.evaluate.
+# A compiled subject/object predicate tree; receives the Entity itself —
+# attribute resolution is hoisted to compile time, unlike
+# PredicateNode.evaluate.
 PredicateFn = Callable[[object], bool]
 
 # Every canonical attribute any entity type exposes.  For these names,
@@ -107,9 +94,6 @@ PredicateFn = Callable[[object], bool]
 _ENTITY_DATA_ATTRS = frozenset(
     attr for attrs in ATTRIBUTES_BY_TYPE.values() for attr in attrs
 )
-
-# The compiled whole-filter check: ``test(event, entity_lookup) -> bool``.
-KernelFn = Callable[[SystemEvent, Callable[[int], object]], bool]
 
 _ORDERED_OPS = {
     "<": operator.lt,
@@ -242,21 +226,15 @@ def compile_value_test(pred: AttrPredicate) -> ValueTest:
     return interpreted
 
 
-def _compile_leaf(pred: AttrPredicate, role: str) -> PredicateFn:
-    """One leaf with its attribute getter resolved at compile time.
+def _compile_leaf(pred: AttrPredicate) -> PredicateFn:
+    """One entity leaf with its attribute getter resolved at compile time.
 
     The interpreted path pays alias normalization, a validity check and a
-    dict dispatch *per row per leaf* (``Entity.attribute`` /
-    ``SystemEvent.attribute``); here the getter binds once and an
-    attribute no target can have compiles to constant-false (the
-    interpreter's ``AttributeError -> False``).
+    dict dispatch *per row per leaf* (``Entity.attribute``); here the
+    getter binds once and an attribute no entity can have compiles to
+    constant-false (the interpreter's ``AttributeError -> False``).
     """
     test = compile_value_test(pred)
-    if role == "event":
-        getter = event_attribute_getter(pred.attr)
-        if getter is None:
-            return lambda event: False
-        return lambda event: test(getter(event))
     canonical = normalize_attribute(None, pred.attr)
     if canonical not in _ENTITY_DATA_ATTRS:
         return lambda entity: False
@@ -274,20 +252,17 @@ def _compile_leaf(pred: AttrPredicate, role: str) -> PredicateFn:
     return run_leaf
 
 
-def compile_predicate(node, role: str = "entity") -> PredicateFn:
-    """Compile a predicate tree into a closure over its target object.
-
-    ``role`` selects attribute resolution: ``"entity"`` trees receive an
-    :class:`~repro.model.entities.Entity`, ``"event"`` trees the
-    :class:`SystemEvent` itself.
-    """
+def compile_predicate(node) -> PredicateFn:
+    """Compile a subject/object predicate tree into a closure over an
+    :class:`~repro.model.entities.Entity` (event trees compile against
+    columns, :func:`_compile_block_event_predicate`)."""
     if isinstance(node, PredicateLeaf):
-        return _compile_leaf(node.pred, role)
+        return _compile_leaf(node.pred)
     if isinstance(node, PredicateNot):
-        child = compile_predicate(node.child, role)
+        child = compile_predicate(node.child)
         return lambda target: not child(target)
     if isinstance(node, (PredicateAnd, PredicateOr)):
-        children = tuple(compile_predicate(c, role) for c in node.children)
+        children = tuple(compile_predicate(c) for c in node.children)
         if isinstance(node, PredicateAnd):
             if len(children) == 2:
                 first, second = children
@@ -315,25 +290,13 @@ def constant_false(flt: EventFilter) -> bool:
     return False
 
 
-def _never(event: SystemEvent, lookup) -> bool:
-    return False
-
-
-def _always(event: SystemEvent, lookup) -> bool:
-    return True
-
-
-# The batch compilation target: evaluate a whole column block per call and
+# The compilation target: evaluate a whole column block per call and
 # return the surviving positions (a subset of ``candidates``).
 SelectFn = Callable[[ColumnBlock, Positions, Callable[[int], object]], Positions]
 
 
 def _never_select(block: ColumnBlock, candidates: Positions, lookup) -> List[int]:
     return []
-
-
-def _pass_select(block: ColumnBlock, candidates: Positions, lookup) -> Positions:
-    return candidates
 
 
 def _byte_positions(column: bytearray, code: int, lo: int, hi: int) -> List[int]:
@@ -363,7 +326,7 @@ def _entity_pass(
 ) -> List[int]:
     """Filter by an entity predicate, evaluated once per distinct entity.
 
-    Equivalent to the per-event path (the predicate is a pure function of
+    Equivalent to evaluating every row (the predicate is a pure function of
     the registry's frozen entities), but survivors sharing a subject/object
     pay one dict probe instead of one evaluation per row.  Two memo levels,
     both kernel-lifetime: ``id_memo`` is valid for one registry (the
@@ -373,7 +336,7 @@ def _entity_pass(
     hash by value, so equal entities from different registries share an
     answer) — survives registry switches.  Ids never resolve through
     ``lookup`` unless a surviving row references them, so an unregistered
-    entity raises :class:`KeyError` exactly when the row path would.
+    entity raises :class:`KeyError` only when such a row reaches this pass.
     """
     out: List[int] = []
     append = out.append
@@ -504,7 +467,7 @@ def _compile_select(
     Per-block vacuity (a window holding the block's time range, code
     universes, agent dictionary coverage) hoists whole passes,
     generalizing the cold tier's zone-map shortcuts to every block.
-    Results are exactly the per-event kernel's survivors.
+    Results are exactly the rows the interpreter accepts.
     """
     window_start = flt.window.start
     window_end = flt.window.end
@@ -638,122 +601,24 @@ def _compile_select(
 
 
 class ScanKernel:
-    """One filter compiled for the scan hot path.
+    """One filter compiled for every filter evaluation outside the oracle.
 
-    ``select(block, candidates, lookup)`` is the batch target every scan
-    runs: it evaluates a whole :class:`~repro.storage.blocks.ColumnBlock`
-    and returns the surviving positions, equal to filtering ``candidates``
-    with ``test`` row by row.  ``test(event, lookup)`` is the full filter
-    check on one event (equivalent to resolving both entities and calling
-    ``flt.matches``); ``test_predicates`` checks only the
-    subject/object/event predicate trees, for callers that already applied
-    the structural constraints exactly.  Only the standing-query engine
-    and the differential oracles test event by event, so the two generated
-    closures are built on first use: a scheduler-narrowed scan compiles a
-    fresh kernel and never pays for them.
+    ``select(block, candidates, lookup)`` evaluates a whole
+    :class:`~repro.storage.blocks.ColumnBlock` and returns the surviving
+    positions: exactly the ``candidates`` whose row ``flt.matches`` with
+    both entities resolved through ``lookup``.  Entities resolve only for
+    rows that survive the structural passes, so a filter without
+    subject/object predicates never touches the registry.
     """
 
-    __slots__ = (
-        "fingerprint",
-        "always_false",
-        "has_predicates",
-        "select",
-        "_closures",
-        "_test",
-        "_test_predicates",
-    )
+    __slots__ = ("fingerprint", "always_false", "select")
 
     def __init__(
-        self,
-        fingerprint: Optional[tuple],
-        always_false: bool,
-        has_predicates: bool,
-        select: SelectFn,
-        closures: Callable[[], Tuple[KernelFn, KernelFn]],
+        self, fingerprint: Optional[tuple], always_false: bool, select: SelectFn
     ) -> None:
         self.fingerprint = fingerprint
         self.always_false = always_false
-        self.has_predicates = has_predicates
         self.select = select
-        # Builds (test, test_predicates); dropped once it has run.
-        self._closures: Optional[Callable[[], Tuple[KernelFn, KernelFn]]] = (
-            closures
-        )
-        self._test: Optional[KernelFn] = None
-        self._test_predicates: Optional[KernelFn] = None
-
-    def _build_closures(self) -> None:
-        with _CLOSURE_LOCK:
-            build = self._closures
-            if build is not None:
-                # Publish both before dropping the builder: a reader that
-                # finds either slot set never comes back here.
-                self._test, self._test_predicates = build()
-                self._closures = None
-
-    @property
-    def test(self) -> KernelFn:
-        if self._test is None:
-            self._build_closures()
-        return self._test  # type: ignore[return-value]
-
-    @property
-    def test_predicates(self) -> KernelFn:
-        if self._test_predicates is None:
-            self._build_closures()
-        return self._test_predicates  # type: ignore[return-value]
-
-
-# Serializes the lazy closure builds of every kernel (rare: one per
-# standing-query pattern or oracle call, never on the scan path).
-_CLOSURE_LOCK = threading.Lock()
-
-
-def _generate(checks: List[Tuple[str, object]], name: str) -> KernelFn:
-    """exec one flat test function; constants bind as default args (locals)."""
-    if not checks:
-        return _always
-    params = ", ".join(f"{key}={key}" for key, _ in checks)
-    body = "\n    ".join(line for _, line in _CHECK_LINES(checks))
-    source = f"def {name}(event, lookup, {params}):\n    {body}\n    return True"
-    env = {key: value for key, value in checks}
-    exec(source, env)  # noqa: S102 - the source is template-generated here
-    return env[name]
-
-
-def _CHECK_LINES(checks: List[Tuple[str, object]]) -> Iterator[Tuple[str, str]]:
-    for key, _ in checks:
-        yield key, _CHECK_TEMPLATES[key]
-
-
-# Template keys of the structural constraints, in evaluation order (the
-# order ``compile_filter`` lists their values in).
-_STRUCTURAL_CHECKS = (
-    "_agent_ids",
-    "_window_start",
-    "_window_end",
-    "_operations",
-    "_object_type",
-    "_subject_ids",
-    "_object_ids",
-)
-
-_CHECK_TEMPLATES = {
-    "_agent_ids": "if event.agent_id not in _agent_ids: return False",
-    "_window_start": "if event.start_time < _window_start: return False",
-    "_window_end": "if event.start_time >= _window_end: return False",
-    "_operations": "if event.operation not in _operations: return False",
-    "_object_type": "if event.object_type is not _object_type: return False",
-    "_subject_ids": "if event.subject_id not in _subject_ids: return False",
-    "_object_ids": "if event.object_id not in _object_ids: return False",
-    "_subject_pred": (
-        "if not _subject_pred(lookup(event.subject_id)): return False"
-    ),
-    "_object_pred": (
-        "if not _object_pred(lookup(event.object_id)): return False"
-    ),
-    "_event_pred": "if not _event_pred(event): return False",
-}
 
 
 def compile_filter(
@@ -761,63 +626,20 @@ def compile_filter(
 ) -> ScanKernel:
     """Compile ``flt`` into a :class:`ScanKernel` (no memoization here)."""
     if constant_false(flt):
-        return ScanKernel(
-            fingerprint, True, False, _never_select, lambda: (_never, _never)
-        )
-
-    # The entity predicate closures are shared by ``select`` and the
-    # per-event closures; everything else the latter need waits for them.
+        return ScanKernel(fingerprint, True, _never_select)
     subject_pred: Optional[PredicateFn] = (
-        compile_predicate(flt.subject_pred, "entity")
+        compile_predicate(flt.subject_pred)
         if flt.subject_pred is not None
         else None
     )
     object_pred: Optional[PredicateFn] = (
-        compile_predicate(flt.object_pred, "entity")
+        compile_predicate(flt.object_pred)
         if flt.object_pred is not None
         else None
     )
-    has_predicates = (
-        subject_pred is not None
-        or object_pred is not None
-        or flt.event_pred is not None
+    return ScanKernel(
+        fingerprint, False, _compile_select(flt, subject_pred, object_pred)
     )
-    structural = (
-        flt.agent_ids,
-        flt.window.start,
-        flt.window.end,
-        flt.operations,
-        flt.object_type,
-        flt.subject_ids,
-        flt.object_ids,
-    )
-    select = (
-        _compile_select(flt, subject_pred, object_pred)
-        if has_predicates or any(c is not None for c in structural)
-        else _pass_select
-    )
-
-    def closures() -> Tuple[KernelFn, KernelFn]:
-        checks: List[Tuple[str, object]] = [
-            (key, value)
-            for key, value in zip(_STRUCTURAL_CHECKS, structural)
-            if value is not None
-        ]
-        predicate_checks: List[Tuple[str, object]] = []
-        if subject_pred is not None:
-            predicate_checks.append(("_subject_pred", subject_pred))
-        if object_pred is not None:
-            predicate_checks.append(("_object_pred", object_pred))
-        if flt.event_pred is not None:
-            predicate_checks.append(
-                ("_event_pred", compile_predicate(flt.event_pred, "event"))
-            )
-        return (
-            _generate(checks + predicate_checks, "kernel"),
-            _generate(predicate_checks, "kernel_predicates"),
-        )
-
-    return ScanKernel(fingerprint, False, has_predicates, select, closures)
 
 
 # Compile-vs-reuse metrics: shared by every KernelCache instance (they
@@ -896,7 +718,6 @@ class KernelCache:
 
 _shared_cache = KernelCache()
 _enabled = True
-_columnar = True
 
 
 def kernel_for(flt: EventFilter) -> ScanKernel:
@@ -929,37 +750,3 @@ def use_kernels(enabled: bool):
         yield
     finally:
         _enabled = previous
-
-
-def columnar_enabled() -> bool:
-    """Whether scans evaluate whole blocks via ``ScanKernel.select``.
-
-    Off, scans with kernels enabled walk candidates through the per-event
-    compiled closure (the pre-columnar behaviour); with kernels *also* off
-    they fall back to the interpreted oracle.  Only consulted when kernels
-    are enabled — the interpreted path is always row-at-a-time.
-    """
-    return _columnar
-
-
-def set_columnar(enabled: bool) -> None:
-    """Process-wide columnar toggle (see ``SystemConfig.columnar``)."""
-    global _columnar
-    _columnar = bool(enabled)
-
-
-@contextmanager
-def use_columnar(enabled: bool):
-    """Force block-at-a-time or per-event compiled scans within the block.
-
-    The benchmark's ``columnar`` cell and the differential suites flip
-    this; like :func:`use_kernels` it is not safe to flip concurrently
-    with scans on other threads.
-    """
-    global _columnar
-    previous = _columnar
-    _columnar = enabled
-    try:
-        yield
-    finally:
-        _columnar = previous

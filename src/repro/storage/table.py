@@ -50,12 +50,7 @@ from repro.model.events import SystemEvent
 from repro.storage.blocks import ColumnBlock, Positions, Selection
 from repro.storage.filters import EventFilter, top_level_equalities
 from repro.storage.index import EntityAttributeIndex, SortedTimeIndex
-from repro.storage.kernels import (
-    ScanKernel,
-    columnar_enabled,
-    kernel_for,
-    kernels_enabled,
-)
+from repro.storage.kernels import ScanKernel, kernel_for, kernels_enabled
 
 
 class EventTable:
@@ -246,9 +241,8 @@ class EventTable:
 
         The block-native scan: candidates narrow through the batch kernel
         (``ScanKernel.select``) without materializing a single row.  The
-        per-event compiled closure remains behind ``use_columnar(False)``
-        and the interpreted ``flt.matches`` path behind ``use_kernels
-        (False)`` — both as differential oracles.
+        interpreted ``flt.matches`` path remains behind ``use_kernels
+        (False)`` as the differential oracle.
         """
         lookup = self._entity_lookup
         visible = self._visible  # one snapshot: the whole scan sees one prefix
@@ -260,14 +254,7 @@ class EventTable:
         candidates = self._candidate_positions(flt, entity_index, visible)
         matched: Positions
         if kernel is not None:
-            if columnar_enabled():
-                matched = kernel.select(block, candidates, lookup)
-            else:
-                test = kernel.test
-                event_at = block.event_at
-                matched = [
-                    p for p in candidates if test(event_at(p), lookup)
-                ]
+            matched = kernel.select(block, candidates, lookup)
         else:
             matches = flt.matches
             event_at = block.event_at
@@ -289,7 +276,7 @@ class EventTable:
         """Return all events matching ``flt``, sorted by (start_time, event_id).
 
         Matching runs through a compiled scan kernel (one specialized
-        batch/closure pair per filter, memoized on the filter fingerprint);
+        block selection per filter, memoized on the filter fingerprint);
         stores scanning many partitions compile once and pass ``kernel``
         down.  This is :meth:`scan_select` plus row materialization.
         """

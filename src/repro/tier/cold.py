@@ -64,12 +64,7 @@ from repro.service.cache import ScanCache, cache_fingerprint
 from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions, Selection
 from repro.storage.codec import BlockCodecError, decode_block, encode_block
 from repro.storage.filters import EventFilter
-from repro.storage.kernels import (
-    ScanKernel,
-    columnar_enabled,
-    kernel_for,
-    kernels_enabled,
-)
+from repro.storage.kernels import ScanKernel, kernel_for, kernels_enabled
 from repro.storage.partition import PartitionKey
 
 MANIFEST_VERSION = 2
@@ -364,17 +359,9 @@ class ColdTier:
         The batch kernel runs straight on the decoded columns; the block's
         op/otype universes and agent dictionary give it the same vacuity
         hoisting the zone maps provided the old structural prefilter, and
-        no :class:`SystemEvent` is built unless the per-event oracle path
-        is active (``use_columnar(False)``).
+        no :class:`SystemEvent` is built.
         """
-        lookup = self._entity_lookup
-        candidates = range(len(block))
-        if columnar_enabled():
-            positions = kernel.select(block, candidates, lookup)
-        else:
-            test = kernel.test
-            event_at = block.event_at
-            positions = [i for i in candidates if test(event_at(i), lookup)]
+        positions = kernel.select(block, range(len(block)), self._entity_lookup)
         return Selection(block, positions)
 
     def scan_selections(self, flt: EventFilter) -> List[Selection]:

@@ -8,6 +8,13 @@ of background noise + every attack scenario) streams through one session
 feeding four storage backends and a continuous engine; at the end — and
 at an intermediate prefix — every standing query's alert keys are
 compared against a fresh batch execution on every backend.
+
+Every corpus query a standing query can express stands over the same
+stream and is checked against the interpreted ``EventFilter.matches``
+path: its alert keys against an interpreted batch run, and each pattern's
+window against the events the interpreter accepts.  A push selects its
+matches with ``kernel.select`` over one column block of the batch, so
+this is the corpus-wide evidence that the block path changes nothing.
 """
 
 from __future__ import annotations
@@ -15,11 +22,13 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import compile_query, make_scheduler
-from repro.service.continuous import ContinuousQueryEngine
+from repro.model.entities import EntityRegistry
+from repro.service.continuous import ContinuousError, ContinuousQueryEngine
 from repro.service.stream import StreamSession
 from repro.storage.database import EventStore
 from repro.storage.flat import FlatStore
 from repro.storage.ingest import Ingestor
+from repro.storage.kernels import use_kernels
 from repro.storage.partition import PartitionScheme
 from repro.storage.segments import SegmentedStore
 from repro.workload.attacks import inject_apt2, inject_apt_case_study
@@ -28,6 +37,7 @@ from repro.workload.behaviors import (
     inject_dependency_behaviors,
     inject_malware_behaviors,
 )
+from repro.workload.corpus import ALL_QUERIES
 from repro.workload.generator import BackgroundGenerator, GeneratorConfig
 from repro.workload.topology import HOSTS
 
@@ -68,6 +78,19 @@ STANDING = {
 }
 
 
+def _can_stand(text):
+    """Whether the continuous engine accepts ``text`` as a standing query."""
+    try:
+        ContinuousQueryEngine(EntityRegistry()).subscribe(text)
+    except ContinuousError:
+        return False
+    return True
+
+
+# The corpus queries that can stand: multievent, no aggregation.
+CORPUS = {q.qid: q.text for q in ALL_QUERIES if _can_stand(q.text)}
+
+
 def batch_keys(store, text):
     """Tuple keys the batch scheduler produces for ``text`` on ``store``."""
     ctx = compile_query(text)
@@ -81,9 +104,20 @@ def batch_keys(store, text):
     }
 
 
+def interpreted_keys(store, text):
+    """:func:`batch_keys` with every scan on the interpreted path."""
+    with use_kernels(False):
+        return batch_keys(store, text)
+
+
 @pytest.fixture(scope="module")
 def streamed():
-    """Stream the whole workload into four backends + standing queries."""
+    """Stream the whole workload into four backends + standing queries.
+
+    Returns the stores, the subscriptions by name, their alert keys and
+    the batch keys after the background-only prefix, and every pushed
+    event in push order.
+    """
     ingestor = Ingestor()
     stores = {
         "partitioned": EventStore(
@@ -103,10 +137,16 @@ def streamed():
     engine = ContinuousQueryEngine(ingestor.registry)
     subs = {
         name: engine.subscribe(text, window_s=float("inf"), name=name)
-        for name, text in STANDING.items()
+        for name, text in {**STANDING, **CORPUS}.items()
     }
+    pushed = []
     session = StreamSession(ingestor, batch_size=97)
-    session.on_commit(lambda batch, started: engine.push(batch, started))
+
+    def on_commit(batch, started):
+        pushed.extend(batch)
+        engine.push(batch, started)
+
+    session.on_commit(on_commit)
 
     BackgroundGenerator(
         session,
@@ -122,6 +162,10 @@ def streamed():
         name: batch_keys(stores["partitioned"], text)
         for name, text in STANDING.items()
     }
+    prefix_batch.update(
+        (qid, interpreted_keys(stores["partitioned"], text))
+        for qid, text in CORPUS.items()
+    )
 
     inject_apt_case_study(session)
     inject_apt2(session)
@@ -129,14 +173,14 @@ def streamed():
     inject_malware_behaviors(session)
     inject_abnormal_behaviors(session)
     session.commit()
-    return stores, subs, prefix_keys, prefix_batch
+    return stores, subs, prefix_keys, prefix_batch, pushed
 
 
 class TestContinuousEqualsBatch:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("query", sorted(STANDING))
     def test_final_prefix_equivalence(self, streamed, backend, query):
-        stores, subs, _, _ = streamed
+        stores, subs, _, _, _ = streamed
         expected = batch_keys(stores[backend], STANDING[query])
         assert subs[query].seen == expected
         # the attack scenarios make every standing query non-vacuous
@@ -144,10 +188,40 @@ class TestContinuousEqualsBatch:
 
     @pytest.mark.parametrize("query", sorted(STANDING))
     def test_intermediate_prefix_equivalence(self, streamed, query):
-        _, _, prefix_keys, prefix_batch = streamed
+        _, _, prefix_keys, prefix_batch, _ = streamed
         assert prefix_keys[query] == prefix_batch[query]
 
     def test_alert_events_carry_matched_tuples(self, streamed):
-        stores, subs, _, _ = streamed
+        stores, subs, _, _, _ = streamed
         sub = subs["pair-join"]
         assert sub.alerts_emitted == len(sub.seen)
+
+
+class TestCorpusStandingEqualsInterpreter:
+    @pytest.mark.parametrize("qid", sorted(CORPUS))
+    def test_alerts_equal_interpreted_batch(self, streamed, qid):
+        stores, subs, _, _, _ = streamed
+        expected = interpreted_keys(stores["partitioned"], CORPUS[qid])
+        assert subs[qid].seen == expected
+        assert expected, f"corpus query {qid} matched nothing"
+
+    @pytest.mark.parametrize("qid", sorted(CORPUS))
+    def test_intermediate_prefix_equals_interpreted_batch(self, streamed, qid):
+        _, _, prefix_keys, prefix_batch, _ = streamed
+        assert prefix_keys[qid] == prefix_batch[qid]
+
+    @pytest.mark.parametrize("qid", sorted(CORPUS))
+    def test_windows_hold_exactly_the_interpreted_matches(self, streamed, qid):
+        stores, subs, _, _, pushed = streamed
+        entity = stores["partitioned"].registry.get
+        sub = subs[qid]
+        for i, pattern in enumerate(sub.ctx.patterns):
+            matches = pattern.filter.matches
+            expected = {
+                e.event_id
+                for e in pushed
+                if matches(e, entity(e.subject_id), entity(e.object_id))
+            }
+            assert set(sub.window_snapshot()[i]) == expected, (
+                f"pattern {i} of {qid}: window differs from the interpreter"
+            )

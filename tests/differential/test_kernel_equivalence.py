@@ -5,12 +5,13 @@ a scan matches:
 
 * **Corpus equivalence** — every corpus query answers identically with
   kernels on vs. the interpreted ``EventFilter.matches`` path, on all four
-  storage backends *and* on a compacted tiered store (hot+cold windows
-  through the columnar cold path and the sorted-run merge).
+  storage backends *and* on a compacted tiered store (hot block slices
+  merged with decoded cold segments through the sorted-run merge).
 * **Property equivalence** — hypothesis generates random filters (every
   comparison operator, LIKE patterns, IN lists, cross-type literals,
-  NOT/OR/AND trees, windows, id sets) against random events and asserts
-  ``kernel.test(event) == flt.matches(event, subject, obj)`` case by case.
+  NOT/OR/AND trees, windows, id sets) against blocks of random events,
+  time-sorted and shuffled, and asserts ``kernel.select(block)`` keeps
+  exactly the positions ``flt.matches(event, subject, obj)`` accepts.
 
 Run standalone (the CI differential job):
 
@@ -28,6 +29,7 @@ from repro.engine.executor import MultieventExecutor
 from repro.model.entities import EntityRegistry, EntityType
 from repro.model.events import Operation, SystemEvent
 from repro.model.time import TimeWindow
+from repro.storage.blocks import ColumnBlock
 from repro.storage.filters import (
     AttrPredicate,
     EventFilter,
@@ -204,12 +206,23 @@ _events = st.builds(
 
 class TestPropertyEquivalence:
     @settings(max_examples=400, deadline=None)
-    @given(flt=_filters, event=_events)
-    def test_kernel_agrees_with_interpreter(self, flt, event):
+    @given(
+        flt=_filters,
+        events=st.lists(_events, max_size=8),
+        data=st.data(),
+    )
+    def test_kernel_agrees_with_interpreter(self, flt, events, data):
         kernel = compile_filter(flt)
-        subject = _registry.get(event.subject_id)
-        obj = _registry.get(event.object_id)
-        interpreted = flt.matches(event, subject, obj)
-        assert kernel.test(event, _registry.get) == interpreted
-        if kernel.always_false:
-            assert not interpreted
+        lookup = _registry.get
+        shuffled = data.draw(st.permutations(events))
+        for ordering in (sorted(events, key=lambda e: e.start_time), shuffled):
+            expected = [
+                i
+                for i, ev in enumerate(ordering)
+                if flt.matches(ev, lookup(ev.subject_id), lookup(ev.object_id))
+            ]
+            block = ColumnBlock.from_events(ordering)
+            got = kernel.select(block, range(len(ordering)), lookup)
+            assert list(got) == expected
+            if kernel.always_false:
+                assert not expected

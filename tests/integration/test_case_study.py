@@ -114,6 +114,10 @@ class TestAIQLSystemFacade:
             SystemConfig(backend="cloud")
         with pytest.raises(ValueError):
             SystemConfig(scheduling="magic")
+        # Scans always select over column blocks: there is no switch.
+        with pytest.raises(TypeError):
+            SystemConfig(columnar=False)
+        assert SystemConfig().columnar
 
     def test_facade_dependency_dispatch(self):
         system = AIQLSystem()

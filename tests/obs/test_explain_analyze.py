@@ -117,9 +117,6 @@ class TestExplainAnalyzeGroundTruth:
         assert report.root is None
         assert report.pattern_spans() == []
         assert "score=" in str(report)
-        # The containment shim still works but is deprecated (v1 API).
-        with pytest.warns(DeprecationWarning):
-            assert "score=" in report
 
     def test_tracing_disabled_falls_back_to_static(self):
         system = AIQLSystem(SystemConfig(tracing=False))

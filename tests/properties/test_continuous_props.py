@@ -4,8 +4,9 @@ Two invariants of :mod:`repro.service.continuous`:
 
 * **Windows are exactly the in-horizon matches** — whatever the batch
   sizes and timestamp order, after every push a pattern's window holds
-  precisely the matching events with ``start_time > high_water - horizon``
-  (the high-water mark being the newest start time pushed so far).
+  precisely the events the interpreter (``EventFilter.matches``) accepts
+  with ``start_time > high_water - horizon`` (the high-water mark being
+  the newest start time pushed so far).
 * **Delta evaluation == full re-evaluation** — the alerts accumulated by
   the incremental engine equal an oracle that, after every batch, joins
   the full in-horizon windows from scratch and accumulates every tuple it
@@ -17,12 +18,21 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import compile_query
 from repro.service.continuous import ContinuousQueryEngine
 from repro.storage.ingest import Ingestor
 
 DAY0 = 1_483_228_800.0  # 2017-01-01
 
 SINGLE = "proc p1 read file f1 as evt1 return p1, f1"
+# Single-pattern standing queries whose matches the window test checks
+# against the interpreter: structural only, a subject LIKE, an event
+# ``amount`` leaf.
+SINGLES = (
+    SINGLE,
+    'proc p1["%proc1%"] read file f1 as evt1 return p1, f1',
+    "proc p1 read file f1 as evt1[amount > 100] return p1, f1",
+)
 PAIR = """
     proc p1 write file f1 as evt1
     proc p2 read file f1 as evt2
@@ -37,14 +47,15 @@ def build_entities(ingestor):
     return procs, files
 
 
-# One stream: a list of (offset_seconds, op, proc_index, file_index)
-# observations, plus a batch split and a horizon.
+# One stream: a list of (offset_seconds, op, proc_index, file_index,
+# amount) observations, plus a batch split and a horizon.
 events_strategy = st.lists(
     st.tuples(
         st.floats(min_value=0, max_value=500),
         st.sampled_from(["read", "write"]),
         st.integers(min_value=0, max_value=2),
         st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=200),
     ),
     min_size=1,
     max_size=30,
@@ -67,20 +78,27 @@ def batches_of(events, splits):
 
 
 @settings(max_examples=60, deadline=None)
-@given(events=events_strategy, horizon=horizon_strategy, splits=split_strategy)
+@given(
+    events=events_strategy,
+    horizon=horizon_strategy,
+    splits=split_strategy,
+    text=st.sampled_from(SINGLES),
+)
 def test_window_contents_are_exactly_the_in_horizon_matches(
-    events, horizon, splits
+    events, horizon, splits, text
 ):
     ingestor = Ingestor()
     procs, files = build_entities(ingestor)
     engine = ContinuousQueryEngine(
         ingestor.registry, default_window_s=horizon
     )
-    sub = engine.subscribe(SINGLE)
+    sub = engine.subscribe(text)
+    flt = compile_query(text).patterns[0].filter
+    entity = ingestor.registry.get
 
     built = [
-        ingestor.build_event(1, DAY0 + off, op, procs[p], files[f])
-        for off, op, p, f in events
+        ingestor.build_event(1, DAY0 + off, op, procs[p], files[f], amount=amount)
+        for off, op, p, f, amount in events
     ]
     pushed = []
     for batch in batches_of(built, splits):
@@ -90,7 +108,7 @@ def test_window_contents_are_exactly_the_in_horizon_matches(
         expected = {
             e.event_id
             for e in pushed
-            if e.operation.value == "read"
+            if flt.matches(e, entity(e.subject_id), entity(e.object_id))
             and e.start_time > high_water - horizon
         }
         assert set(sub.window_snapshot()[0]) == expected
@@ -107,8 +125,8 @@ def test_delta_evaluation_matches_full_recompute(events, horizon, splits):
     sub = engine.subscribe(PAIR)
 
     built = [
-        ingestor.build_event(1, DAY0 + off, op, procs[p], files[f])
-        for off, op, p, f in events
+        ingestor.build_event(1, DAY0 + off, op, procs[p], files[f], amount=amount)
+        for off, op, p, f, amount in events
     ]
     # Oracle: after each batch, join the full in-horizon windows from
     # scratch and accumulate every tuple ever producible.

@@ -5,6 +5,7 @@ import pytest
 from repro.model.entities import EntityRegistry, EntityType
 from repro.model.events import Operation, SystemEvent
 from repro.model.time import TimeWindow
+from repro.storage.blocks import ColumnBlock
 from repro.storage.filters import (
     AttrPredicate,
     EventFilter,
@@ -131,10 +132,10 @@ class TestPredicateTrees:
                 ),
             )
         )
-        compiled = compile_predicate(node, "entity")
+        compiled = compile_predicate(node)
         assert compiled(proc) == node.evaluate(proc.attribute)
         negated = PredicateNot(node)
-        assert compile_predicate(negated, "entity")(proc) == negated.evaluate(
+        assert compile_predicate(negated)(proc) == negated.evaluate(
             proc.attribute
         )
 
@@ -146,37 +147,26 @@ class TestPredicateTrees:
         wide_or = PredicateOr(
             tuple(leaf("pid", "=", i) for i in (1, 2, 4242))
         )
-        assert compile_predicate(wide_and, "entity")(proc)
-        assert compile_predicate(wide_or, "entity")(proc)
+        assert compile_predicate(wide_and)(proc)
+        assert compile_predicate(wide_or)(proc)
 
     def test_unknown_attribute_is_false(self, world):
         _, proc, *_ = world
         node = leaf("no_such_attr", "=", 1)
-        assert compile_predicate(node, "entity")(proc) is False
+        assert compile_predicate(node)(proc) is False
         assert node.evaluate(proc.attribute) is False
 
     def test_attribute_aliases_resolve(self, world):
         _, _, _, conn, *_ = world
         node = leaf("dstport", "=", 4444)  # alias of dst_port
-        assert compile_predicate(node, "entity")(conn)
+        assert compile_predicate(node)(conn)
         assert node.evaluate(conn.attribute)
 
     def test_other_entity_types_attribute_is_false(self, world):
         _, proc, *_ = world
         node = leaf("dst_port", "=", 4444)  # valid attr, wrong entity type
-        assert compile_predicate(node, "entity")(proc) is False
+        assert compile_predicate(node)(proc) is False
         assert node.evaluate(proc.attribute) is False
-
-    def test_event_trees_bind_getters(self, world):
-        _, _, _, _, event, _ = world
-        node = PredicateAnd(
-            (leaf("optype", "=", "read"), leaf("amount", ">=", 512))
-        )
-        assert compile_predicate(node, "event")(event)
-        assert node.evaluate(event.attribute)
-        unknown = leaf("no_such_event_attr", "=", 1)
-        assert compile_predicate(unknown, "event")(event) is False
-        assert unknown.evaluate(event.attribute) is False
 
 
 class TestCompileFilter:
@@ -185,7 +175,9 @@ class TestCompileFilter:
         subject = registry.get(event.subject_id)
         obj = registry.get(event.object_id)
         interpreted = flt.matches(event, subject, obj)
-        assert kernel.test(event, registry.get) == interpreted
+        block = ColumnBlock.from_events([event])
+        selected = list(kernel.select(block, range(1), registry.get))
+        assert selected == ([0] if interpreted else [])
         return interpreted
 
     def test_unconstrained_filter_matches_everything(self, world):
@@ -233,24 +225,8 @@ class TestCompileFilter:
         def exploding_lookup(_entity_id):
             raise AssertionError("no predicates: lookup must not be called")
 
-        assert kernel.test(event, exploding_lookup)
-
-    def test_test_predicates_checks_only_trees(self, world):
-        registry, _, _, _, event, _ = world
-        flt = EventFilter(
-            agent_ids=frozenset({999}),  # structurally false...
-            event_pred=leaf("amount", ">", 100),
-        )
-        kernel = compile_filter(flt)
-        assert not kernel.test(event, registry.get)
-        assert kernel.test_predicates(event, registry.get)  # ...preds hold
-        assert kernel.has_predicates
-
-    def test_no_predicates_test_predicates_is_true(self, world):
-        registry, _, _, _, event, _ = world
-        kernel = compile_filter(EventFilter(agent_ids=frozenset({1})))
-        assert not kernel.has_predicates
-        assert kernel.test_predicates(event, registry.get)
+        block = ColumnBlock.from_events([event])
+        assert list(kernel.select(block, range(1), exploding_lookup)) == [0]
 
 
 class TestConstantFalse:
@@ -273,7 +249,8 @@ class TestConstantFalse:
         assert constant_false(flt)
         kernel = compile_filter(flt)
         assert kernel.always_false
-        assert not kernel.test(None, None)  # never inspects its arguments
+        # never inspects its arguments
+        assert kernel.select(None, range(3), None) == []
 
     def test_satisfiable_filter_is_not_constant_false(self):
         assert not constant_false(EventFilter(agent_ids=frozenset({1})))
@@ -350,14 +327,12 @@ class TestToggle:
 
 
 # ---------------------------------------------------------------------------
-# batch (columnar) selection
+# block selection against the interpreter
 # ---------------------------------------------------------------------------
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.storage.blocks import ColumnBlock  # noqa: E402
-from repro.storage.kernels import columnar_enabled, use_columnar  # noqa: E402
 
 
 def _block_of(events):
@@ -367,8 +342,17 @@ def _block_of(events):
     return block
 
 
+def interpreted_positions(flt, events, lookup):
+    """The positions of ``events`` the interpreter (the oracle) accepts."""
+    return [
+        i
+        for i, ev in enumerate(events)
+        if flt.matches(ev, lookup(ev.subject_id), lookup(ev.object_id))
+    ]
+
+
 class TestSelect:
-    """kernel.select(block, candidates) == [i for i if kernel.test(row_i)]."""
+    """kernel.select(block, candidates) == the rows flt.matches accepts."""
 
     def _events(self, world):
         registry, proc, fobj, conn, event, net_event = world
@@ -377,9 +361,7 @@ class TestSelect:
     def assert_equivalent(self, flt, events, lookup):
         kernel = compile_filter(flt)
         block = _block_of(events)
-        expected = [
-            i for i, ev in enumerate(events) if kernel.test(ev, lookup)
-        ]
+        expected = interpreted_positions(flt, events, lookup)
         assert list(kernel.select(block, range(len(events)), lookup)) == expected
 
     def test_unconstrained_select_passes_candidates_through(self, world):
@@ -439,15 +421,6 @@ class TestSelect:
                 block = _block_of(events)
                 got = kernel.select(block, range(len(events)), registry.get)
                 assert list(got) == list(range(len(events)))
-
-    def test_columnar_toggle(self):
-        assert columnar_enabled()
-        with use_columnar(False):
-            assert not columnar_enabled()
-            with use_columnar(True):
-                assert columnar_enabled()
-            assert not columnar_enabled()
-        assert columnar_enabled()
 
 
 # -- property equivalence ----------------------------------------------------
@@ -541,22 +514,19 @@ _prop_events = st.builds(
 class TestSelectProperties:
     @settings(max_examples=120, deadline=None)
     @given(flt=_prop_filters, events=st.lists(_prop_events, max_size=12))
-    def test_select_equals_per_event_kernel(self, flt, events):
+    def test_select_equals_interpreter(self, flt, events):
         # sorted + unsorted blocks exercise both window pass shapes
         for ordering in (events, sorted(events, key=lambda e: e.start_time)):
             block = _block_of(ordering)
             kernel = compile_filter(flt)
             lookup = _prop_registry.get
-            expected = [
-                i for i, ev in enumerate(ordering) if kernel.test(ev, lookup)
-            ]
+            expected = interpreted_positions(flt, ordering, lookup)
             got = kernel.select(block, range(len(ordering)), lookup)
             assert list(got) == expected
 
 
 # -- numeric column passes (ISSUE 20) -----------------------------------------
 
-from repro.storage import kernels as kernels_module  # noqa: E402
 from repro.storage.kernels import _split_event_predicate  # noqa: E402
 
 _NUMERIC_ATTRS = (
@@ -649,7 +619,7 @@ _numeric_events = st.builds(
 
 class TestColumnPasses:
     """Numeric event-predicate leaves run over the raw column, with exactly
-    the answer ``compile_value_test`` gives row by row."""
+    the answer the interpreter gives row by row."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), structural=st.booleans())
@@ -662,23 +632,11 @@ class TestColumnPasses:
             # without one a range.
             operations=frozenset({Operation.WRITE}) if structural else None,
         )
-        per_row = compile_predicate(tree, "event")
-        expected = [
-            i
-            for i, ev in enumerate(events)
-            if (not structural or ev.operation is Operation.WRITE)
-            and per_row(ev)
-        ]
         block = _block_of(events)
         lookup = _prop_registry.get
         kernel = compile_filter(flt)
+        expected = interpreted_positions(flt, events, lookup)
         assert list(kernel.select(block, range(len(events)), lookup)) == expected
-        # ...which is also what the interpreter says.
-        assert expected == [
-            i
-            for i, ev in enumerate(events)
-            if flt.matches(ev, lookup(ev.subject_id), lookup(ev.object_id))
-        ]
 
     def test_every_operator_at_every_boundary(self):
         # Exhaustive where the property is random: each column, each
@@ -837,77 +795,3 @@ class TestWindowVacuity:
         # the pass runs, and still only over the visible prefix.
         visible_only = EventFilter(window=TimeWindow(start=1000.0, end=2000.5))
         assert [e.event_id for e in table.scan(visible_only)] == [1, 2]
-
-
-class TestLazyClosures:
-    """``test``/``test_predicates`` are generated on first use, once."""
-
-    FILTER = EventFilter(
-        agent_ids=frozenset({1, 2}),
-        operations=frozenset({Operation.READ}),
-        subject_pred=leaf("exe_name", "=", "sshd"),
-        event_pred=leaf("amount", ">", 100),
-    )
-
-    def test_a_scan_builds_no_closure(self, world):
-        registry, _, _, _, event, net_event = world
-        kernel = compile_filter(self.FILTER)
-        block = _block_of([event, net_event])
-        assert list(kernel.select(block, range(2), registry.get)) == [0]
-        assert kernel._test is None and kernel._test_predicates is None
-
-    def test_built_once_under_threads_and_equal_to_the_interpreter(
-        self, world, monkeypatch
-    ):
-        import sys
-        import threading
-
-        registry, _, _, _, event, net_event = world
-        generated = []
-        real_generate = kernels_module._generate
-
-        def counting_generate(checks, name):
-            generated.append(name)
-            return real_generate(checks, name)
-
-        monkeypatch.setattr(kernels_module, "_generate", counting_generate)
-        kernel = compile_filter(self.FILTER)
-        assert generated == []
-        workers = 8
-        barrier = threading.Barrier(workers)
-        seen = [None] * workers
-
-        def read(slot):
-            barrier.wait(timeout=10)
-            if slot % 2:
-                seen[slot] = (kernel.test, kernel.test_predicates)
-            else:
-                predicates = kernel.test_predicates
-                seen[slot] = (kernel.test, predicates)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=read, args=(slot,), daemon=True)
-                for slot in range(workers)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=10)
-                assert not thread.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(generated) == ["kernel", "kernel_predicates"]
-        assert all(pair == seen[0] for pair in seen)
-        assert all(fn is not None for fn in seen[0])
-        lookup = registry.get
-        for ev in (event, net_event):
-            assert kernel.test(ev, lookup) == self.FILTER.matches(
-                ev, lookup(ev.subject_id), lookup(ev.object_id)
-            )
-        # READ by sshd with amount 512: the predicates hold for `event`
-        # whatever the structural constraints say.
-        assert kernel.test_predicates(event, lookup)
-        assert not kernel.test_predicates(net_event, lookup)  # amount 0
