@@ -17,11 +17,11 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import compile_text
+from repro.baselines.segmented import SegmentedStore
 from repro.engine.executor import MultieventExecutor
 from repro.engine.scheduler import FetchFilterScheduler, RelationshipScheduler
 from repro.model.time import DAY, TimeWindow
 from repro.storage.filters import EventFilter
-from repro.storage.segments import SegmentedStore
 from repro.workload.corpus import by_id
 from repro.workload.loader import build_enterprise
 from repro.workload.topology import APT_DAY

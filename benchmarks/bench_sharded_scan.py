@@ -7,7 +7,8 @@ The ISSUE-7 acceptance benchmark (machine-readable output in
   attributes (entity indexes off, so every shard pays the full compiled
   scan of its slice) at 1, 2 and 4 shards; speedups are 1-shard latency
   over N-shard latency.  Every cell asserts the gathered results are
-  identical to the single-process reference on ALL FOUR backends.
+  identical to the single-process reference.  (That the baseline stores
+  answer like the partitioned one is ``test_backend_equivalence``'s job.)
 * **multi_pattern** — an end-to-end APT-style investigation through the
   scheduler on a 2-shard deployment: join narrowing pushes the
   constrained re-query filters down to every shard.  Asserts identical
@@ -58,7 +59,6 @@ DAYS = 20
 RETENTION_DAYS = 2
 REPEATS = 11
 SHARD_COUNTS = (1, 2, 4)
-BACKENDS = ("partitioned", "flat", "segmented_domain", "segmented_arrival")
 
 _USERS = '"u1", "u2", "u3", "u4", "u5", "root", "www-data"'
 
@@ -115,16 +115,9 @@ def build_sharded(rate: int, shards: int, data_dir=None, retention=None):
     return system
 
 
-def bench_scatter_scan(sharded: dict, references: dict) -> dict:
+def bench_scatter_scan(sharded: dict, reference) -> dict:
     flt = compile_query(SELECTIVE_PATTERN).patterns[0].filter
-    expected = None
-    identical_backends = {}
-    for backend in BACKENDS:
-        rows = by_time(references[backend].scan(flt, use_entity_index=False))
-        if expected is None:
-            expected = rows
-        identical_backends[backend] = rows == expected
-
+    expected = by_time(reference.scan(flt, use_entity_index=False))
     cells = {}
     base_ms = None
     for shards, system in sorted(sharded.items()):
@@ -139,9 +132,7 @@ def bench_scatter_scan(sharded: dict, references: dict) -> dict:
             "identical": rows == expected,
             "speedup_vs_1shard": round(base_ms / ms, 2) if base_ms else None,
         }
-    cells["events_scanned"] = len(references["partitioned"])
-    cells["reference_backends_agree"] = all(identical_backends.values())
-    cells["identical_per_backend"] = identical_backends
+    cells["events_scanned"] = len(reference)
     return cells
 
 
@@ -208,16 +199,14 @@ def git_commit() -> str:
     return done.stdout.strip() if done.returncode == 0 else "unknown"
 
 
-def bench_compacted(rate: int, root: Path, references: dict) -> dict:
+def bench_compacted(rate: int, root: Path, reference) -> dict:
     system = build_sharded(
         rate, 2, data_dir=root / "compacted", retention=RETENTION_DAYS
     )
     try:
         report = system.store.compact(retention_days=RETENTION_DAYS)
         flt = compile_query(SELECTIVE_PATTERN).patterns[0].filter
-        expected = by_time(
-            references["partitioned"].scan(flt, use_entity_index=False)
-        )
+        expected = by_time(reference.scan(flt, use_entity_index=False))
         run = lambda: system.store.scan(flt, use_entity_index=False)  # noqa: E731
         rows = run()
         return {
@@ -243,22 +232,19 @@ def main() -> int:
     sharded = {}
     try:
         print(f"building {DAYS}-day corpora at rate={rate}...", file=sys.stderr)
-        references = build_enterprise(
-            stores=BACKENDS, events_per_host_day=rate, days=DAYS
-        ).stores
+        reference = build_enterprise(events_per_host_day=rate, days=DAYS).store()
         for shards in SHARD_COUNTS:
             sharded[shards] = build_sharded(rate, shards)
 
         print("running cells...", file=sys.stderr)
-        scatter = bench_scatter_scan(sharded, references)
-        multi = bench_multi_pattern(sharded[2], references["partitioned"])
-        points = bench_point_queries(sharded[2], references["partitioned"])
-        compacted = bench_compacted(rate, root, references)
+        scatter = bench_scatter_scan(sharded, reference)
+        multi = bench_multi_pattern(sharded[2], reference)
+        points = bench_point_queries(sharded[2], reference)
+        compacted = bench_compacted(rate, root, reference)
 
         speedup_2 = scatter["shards_2"]["speedup_vs_1shard"]
         speedup_4 = scatter["shards_4"]["speedup_vs_1shard"]
         checks = {
-            "reference_backends_agree": scatter["reference_backends_agree"],
             "scatter_identical_all_shard_counts": all(
                 scatter[f"shards_{n}"]["identical"] for n in SHARD_COUNTS
             ),
@@ -276,7 +262,7 @@ def main() -> int:
                 "rate": rate,
                 "days": DAYS,
                 "retention_days": RETENTION_DAYS,
-                "events": len(references["partitioned"]),
+                "events": len(reference),
                 "cpu_count": cpu_count,
                 "python": platform.python_version(),
                 "commit": git_commit(),

@@ -1,5 +1,9 @@
 """Baseline query systems the paper compares against (Sec. 6).
 
+* :mod:`repro.baselines.flat` — the unpartitioned event heap (the stock
+  PostgreSQL data layout);
+* :mod:`repro.baselines.segmented` — MPP segments with arrival-order vs
+  domain distribution (the Greenplum substrate);
 * :mod:`repro.baselines.relational` — PostgreSQL: one big written-order
   nested-loop join;
 * :mod:`repro.baselines.graph` — Neo4j: property graph + Cypher-style
@@ -9,6 +13,11 @@
 * :mod:`repro.baselines.translators` — semantically equivalent SQL /
   Cypher / SPL query generation;
 * :mod:`repro.baselines.conciseness` — the Sec. 6.4 metrics.
+
+The two stores are comparison substrates only: they ingest beside the
+partitioned :class:`~repro.storage.database.EventStore` through the same
+ingestor (``build_enterprise(stores=...)``) and answer scans; durable,
+tiered, sharded and served deployments never hold them.
 """
 
 from repro.baselines.conciseness import (
@@ -20,6 +29,7 @@ from repro.baselines.conciseness import (
     text_metrics,
     translate_all,
 )
+from repro.baselines.flat import FlatStore
 from repro.baselines.graph import GraphEngine, GraphStore
 from repro.baselines.mpp import (
     aiql_parallel_anomaly_engine,
@@ -27,6 +37,7 @@ from repro.baselines.mpp import (
     greenplum_engine,
 )
 from repro.baselines.relational import MonolithicJoinEngine
+from repro.baselines.segmented import SegmentedStore
 from repro.baselines.translators import (
     TranslatedQuery,
     to_cypher,
@@ -36,10 +47,12 @@ from repro.baselines.translators import (
 
 __all__ = [
     "ConcisenessRow",
+    "FlatStore",
     "GraphEngine",
     "GraphStore",
     "LANGUAGES",
     "MonolithicJoinEngine",
+    "SegmentedStore",
     "TranslatedQuery",
     "aiql_parallel_anomaly_engine",
     "aiql_parallel_engine",

@@ -6,24 +6,20 @@ index designs ... but they do not employ our domain-specific data storage
 optimizations such as spatial and temporal partitioning".  The
 :class:`FlatStore` is exactly that: one monolithic event heap with the same
 entity-attribute indexes, but no partition pruning and no scan parallelism.
+
+A comparison store only: it ingests beside the partitioned store (attached
+to the same :class:`~repro.storage.ingest.Ingestor`) and answers scans,
+but it is never a durable, tiered or sharded deployment's hot tier.
 """
 
 from __future__ import annotations
 
-from typing import (
-    AbstractSet,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterator, List, Optional
 
 from repro.model.entities import Entity, EntityRegistry
 from repro.model.events import SystemEvent
 from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions
+from repro.storage.database import narrow_with_index
 from repro.storage.filters import EventFilter
 from repro.storage.index import DEFAULT_INDEXED_ATTRIBUTES, EntityAttributeIndex
 from repro.storage.table import EventTable
@@ -60,29 +56,7 @@ class FlatStore:
         committed batch: one column extend, one visibility bump."""
         self._table.append_block(block, positions)
 
-    def add_batch(self, batch: Union[ColumnBlock, Sequence[SystemEvent]]) -> None:
-        """One committed batch — the block a commit built, or rows — through
-        :meth:`add_block`."""
-        self.add_block(ColumnBlock.of(batch))
-
-    def remove_events(self, event_ids: AbstractSet[int]) -> int:
-        """Remove committed events by id (the cold-migration hand-off).
-
-        The heap is rebuilt from its own columns without the removed rows
-        and swapped in atomically; readers mid-scan keep the old (still
-        correct) table.  Must run on the single writer, serialized with
-        appends.
-        """
-        fresh = self._table.without(event_ids)
-        if fresh is None:
-            return 0
-        removed = len(self._table) - len(fresh)
-        self._table = fresh
-        return removed
-
-    def time_range(self):
-        """(min, max) event start time over the hot heap."""
-        return (self._table.min_time, self._table.max_time)
+    add_batch = add_block  # the name Ingestor.commit_block calls
 
     def scan_columns(
         self,
@@ -94,8 +68,6 @@ class FlatStore:
         # ``parallel`` accepted for interface compatibility; a flat heap has
         # no partitions to parallelize over.  The table compiles the filter
         # into a scan kernel itself (one heap, one compilation).
-        from repro.storage.database import narrow_with_index
-
         if use_entity_index:
             flt = narrow_with_index(flt, self.entity_index)
         return BlockScanResult([self._table.scan_select(flt, None)])
@@ -116,10 +88,6 @@ class FlatStore:
 
     def __iter__(self) -> Iterator[SystemEvent]:
         return iter(self._table)
-
-    def column_blocks(self) -> Iterator[Tuple[ColumnBlock, int]]:
-        """``(block, visible rows)`` of the heap (see ``EventStore``)."""
-        yield self._table.block, len(self._table)
 
     def stats(self) -> Dict[str, object]:
         return {

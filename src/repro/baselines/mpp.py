@@ -6,7 +6,7 @@ segment may hold matching rows, so nothing can be skipped.  AIQL's
 semantics-aware model distributes by (agent, day), letting the scheduler
 prune whole segments and run the relationship-based plan on top.
 
-Both run against :class:`~repro.storage.segments.SegmentedStore`; the
+Both run against :class:`~repro.baselines.segmented.SegmentedStore`; the
 difference is the distribution policy of the store plus the scheduling
 strategy:
 
@@ -17,9 +17,9 @@ strategy:
 from __future__ import annotations
 
 from repro.baselines.relational import MonolithicJoinEngine
+from repro.baselines.segmented import SegmentedStore
 from repro.engine.anomaly import AnomalyExecutor
 from repro.engine.executor import MultieventExecutor
-from repro.storage.segments import SegmentedStore
 
 
 def greenplum_engine(store: SegmentedStore) -> MonolithicJoinEngine:

@@ -25,7 +25,7 @@ even hours."
   the optimized store, partition pruning still apply — those model the
   B-tree on ``start_time`` that PostgreSQL *can* use).
 
-Run it over a :class:`~repro.storage.flat.FlatStore` for the end-to-end
+Run it over a :class:`~repro.baselines.flat.FlatStore` for the end-to-end
 setting (no storage optimizations, Table 3 / Fig. 5) or over the optimized
 :class:`~repro.storage.database.EventStore` for the scheduling-only
 comparison (Fig. 6).

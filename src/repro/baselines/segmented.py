@@ -11,26 +11,22 @@ Two distribution policies are provided:
 
 * ``arrival`` — round-robin on ingest order (stock Greenplum behaviour);
 * ``domain``  — hash of ``(agent_id, day)`` (AIQL's semantics-aware model).
+
+A comparison store only, like :class:`~repro.baselines.flat.FlatStore`: it
+ingests beside the partitioned store and answers scans, but it is never a
+durable, tiered or sharded deployment's hot tier.
 """
 
 from __future__ import annotations
 
-from typing import (
-    AbstractSet,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterator, List, Optional
 
 from repro.model.entities import Entity, EntityRegistry
 from repro.model.events import SystemEvent
 from repro.model.time import day_of
 from repro.service.pool import SharedExecutor, get_shared_executor
 from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions
+from repro.storage.database import narrow_with_index
 from repro.storage.filters import EventFilter
 from repro.storage.index import DEFAULT_INDEXED_ATTRIBUTES, EntityAttributeIndex
 from repro.storage.kernels import kernel_for, kernels_enabled
@@ -126,35 +122,7 @@ class SegmentedStore:
         self._event_count += len(positions)
         self._committed = max(self._committed, block.top_event_id(positions))
 
-    def add_batch(self, batch: Union[ColumnBlock, Sequence[SystemEvent]]) -> None:
-        """One committed batch — the block a commit built, or rows — through
-        :meth:`add_block`."""
-        self.add_block(ColumnBlock.of(batch))
-
-    def remove_events(self, event_ids: AbstractSet[int]) -> int:
-        """Remove committed events by id (the cold-migration hand-off).
-
-        Each affected segment is rebuilt from its own columns without the
-        removed rows and swapped in place atomically (readers mid-scan keep
-        the old, still correct, table); round-robin state is untouched, so
-        arrival-order placement of future events is unaffected.  Must run
-        on the single writer, serialized with appends.
-        """
-        removed = 0
-        for index, segment in enumerate(self._segments):
-            fresh = segment.without(event_ids)
-            if fresh is None:
-                continue
-            removed += len(segment) - len(fresh)
-            self._segments[index] = fresh
-        self._event_count -= removed
-        return removed
-
-    def time_range(self):
-        """(min, max) event start time over the hot segments."""
-        mins = [s.min_time for s in self._segments if s.min_time is not None]
-        maxs = [s.max_time for s in self._segments if s.max_time is not None]
-        return (min(mins) if mins else None, max(maxs) if maxs else None)
+    add_batch = add_block  # the name Ingestor.commit_block calls
 
     def _relevant_segments(self, flt: EventFilter) -> List[EventTable]:
         """Segment pruning, only possible under the domain policy.
@@ -183,8 +151,6 @@ class SegmentedStore:
         use_entity_index: bool = True,
     ) -> BlockScanResult:
         """Survivors as per-segment selections (see ``EventStore.scan_columns``)."""
-        from repro.storage.database import narrow_with_index
-
         committed = self._committed  # snapshot before touching any segment
         if use_entity_index:
             flt = narrow_with_index(flt, self.entity_index)
@@ -234,11 +200,6 @@ class SegmentedStore:
             for event in segment:
                 if event.event_id <= committed:
                     yield event
-
-    def column_blocks(self) -> Iterator[Tuple[ColumnBlock, int]]:
-        """``(block, visible rows)`` per segment (see ``EventStore``)."""
-        for segment in self._segments:
-            yield segment.block, len(segment)
 
     def segment_sizes(self) -> List[int]:
         return [len(s) for s in self._segments]

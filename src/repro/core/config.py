@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-BACKENDS = ("partitioned", "flat", "segmented")
 SCHEDULINGS = ("relationship", "relationship_cardinality", "fetch_filter")
 SHARD_READ_POLICIES = ("fail_fast", "degraded")
 
@@ -14,10 +13,10 @@ SHARD_READ_POLICIES = ("fail_fast", "degraded")
 class SystemConfig:
     """Storage + engine configuration.
 
-    backend
-        ``partitioned`` — the AIQL-optimized store (default);
-        ``flat`` — single heap (the stock-PostgreSQL data layout);
-        ``segmented`` — MPP segments (the Greenplum substrate).
+    The store is always the partitioned :class:`~repro.storage.database.
+    EventStore`; the Sec. 6 comparison stores are built through
+    ``build_enterprise(stores=...)`` (:mod:`repro.baselines`), never here.
+
     scheduling
         ``relationship`` (Algorithm 1, constraint-count scores),
         ``relationship_cardinality`` (the Sec. 7 statistical scoring
@@ -27,10 +26,6 @@ class SystemConfig:
         parallelization, paper Sec. 5.2).
     agents_per_group
         spatial partition width of the partitioned store.
-    segments / distribution
-        segment count and distribution policy of the segmented store
-        (``domain`` = AIQL's semantics-aware placement, ``arrival`` =
-        ingest-order placement).
     scan_cache
         enable the partition-scan cache on the partitioned store
         (default on).  Scan results are memoized per
@@ -56,11 +51,11 @@ class SystemConfig:
         ``0`` (default) keeps the store in-process.  ``N >= 1`` deploys
         it sharded across N ``spawn``-started worker processes
         (:mod:`repro.shard`), partitioned by (day, agent-group): each
-        worker owns its own hot backend (of ``backend``), scan cache and
+        worker owns its own partitioned hot store, scan cache and
         — when ``data_dir`` is set — its own WAL, snapshot and cold
         segments under ``<data_dir>/shard-<i>``.  Scans scatter/gather
         serialized column-block slices; CPU-bound scans scale past the
-        GIL with the shard count.  ``backend``, ``scan_cache``,
+        GIL with the shard count.  ``agents_per_group``, ``scan_cache``,
         ``retention_days`` etc. configure each worker.
     shard_command_timeout_s
         deadline (seconds) for every coordinator↔worker command other
@@ -198,13 +193,11 @@ class SystemConfig:
         beyond it).
     """
 
-    backend: str = "partitioned"
+    backend = "partitioned"  # not a field: the only store; stamps read it
     scheduling: str = "relationship"
     parallel: bool = False
     columnar = True  # not a field: scans are always columnar; stamps read it
     agents_per_group: int = 10
-    segments: int = 5
-    distribution: str = "domain"
     scan_cache: bool = True
     scan_cache_entries: int = 512
     stream_batch_size: int = 256
@@ -239,10 +232,6 @@ class SystemConfig:
     server_max_body_bytes: int = 1024 * 1024
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
-            )
         if self.scheduling not in SCHEDULINGS:
             raise ValueError(
                 f"unknown scheduling {self.scheduling!r}; "

@@ -31,7 +31,6 @@ from repro.engine import PLAN_CACHE, canonical_text, compile_query, run_query
 from repro.engine.result import ResultSet
 from repro.engine.scheduler import SchedulerStats
 from repro.lang.context import QueryContext
-from repro.model.entities import EntityRegistry
 from repro.obs import trace as obs_trace
 from repro.obs.explain import ExplainReport, plan_lines
 from repro.obs.metrics import REGISTRY, flatten_gauges, set_metrics_enabled
@@ -46,10 +45,8 @@ from repro.service import (
 )
 from repro.service.continuous import ContinuousQueryEngine, Subscription
 from repro.storage.database import EventStore
-from repro.storage.flat import FlatStore
 from repro.storage.ingest import Ingestor
 from repro.storage.partition import PartitionScheme
-from repro.storage.segments import SegmentedStore
 
 # Same metric names the query service registers — the registry dedups by
 # name, so facade queries and service queries accumulate into one series.
@@ -57,27 +54,6 @@ _M_QUERIES = REGISTRY.counter("aiql_queries_total", "Queries executed")
 _M_QUERY_SECONDS = REGISTRY.histogram(
     "aiql_query_seconds", "End-to-end query latency"
 )
-
-
-def _build_store(config: SystemConfig, registry: EntityRegistry):
-    executor = get_shared_executor(config.max_workers)
-    if config.backend == "partitioned":
-        return EventStore(
-            registry=registry,
-            scheme=PartitionScheme(agents_per_group=config.agents_per_group),
-            executor=executor,
-            scan_cache=ScanCache(config.scan_cache_entries)
-            if config.scan_cache
-            else None,
-        )
-    if config.backend == "flat":
-        return FlatStore(registry=registry)
-    return SegmentedStore(
-        registry=registry,
-        segments=config.segments,
-        policy=config.distribution,
-        executor=executor,
-    )
 
 
 class AIQLSystem:
@@ -114,12 +90,21 @@ class AIQLSystem:
             self.store = ShardedStore(self.ingestor, self.config)
             self.recovery = self.store.recovery
         else:
-            self.store = _build_store(self.config, self.ingestor.registry)
+            self.store = EventStore(
+                registry=self.ingestor.registry,
+                scheme=PartitionScheme(
+                    agents_per_group=self.config.agents_per_group
+                ),
+                executor=get_shared_executor(self.config.max_workers),
+                scan_cache=ScanCache(self.config.scan_cache_entries)
+                if self.config.scan_cache
+                else None,
+            )
             if self.config.data_dir is not None:
                 # Durable tiered deployment: opening the data dir *is*
                 # crash recovery (an empty directory recovers to an empty
-                # system).  The hot backend built above becomes the hot
-                # tier; every commit hits the WAL before it publishes.
+                # system).  The store built above becomes the hot tier;
+                # every commit hits the WAL before it publishes.
                 from repro.tier import Compactor, open_data_dir
 
                 self.store, self._wal, self.recovery = open_data_dir(
@@ -188,7 +173,7 @@ class AIQLSystem:
     ) -> "AIQLSystem":
         """Recover a durable deployment from its data directory.
 
-        Replays ``snapshot + WAL`` into a fresh hot backend, attaches the
+        Replays ``snapshot + WAL`` into a fresh hot store, attaches the
         cold tier and continues the event stream where the last durable
         commit left it.  Equivalent to constructing a system whose config
         points at ``data_dir``; the explicit name exists for the recovery

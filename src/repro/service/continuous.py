@@ -47,7 +47,7 @@ Design, reusing the batch machinery end to end:
 Equivalence invariant (differential-tested): with an unbounded horizon,
 the set of alert keys a subscription has emitted after a committed prefix
 equals the tuple set the batch scheduler produces for the same query over
-the same prefix — on every storage backend.
+the same prefix.
 
 Thread-safety: ``push`` is called from the streaming writer (inside the
 :class:`~repro.service.stream.StreamSession` commit, via its commit

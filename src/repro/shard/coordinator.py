@@ -1,7 +1,7 @@
 """Sharded deployment coordinator: scatter/gather over worker processes.
 
 :class:`ShardedStore` partitions the store horizontally by the same
-``(day, agent-group)`` key the partitioned backend and the cold tier
+``(day, agent-group)`` key the partitioned store and the cold tier
 already use, across N ``spawn``-started worker processes
 (:mod:`repro.shard.worker`).  It exposes the common store surface
 (``register_entity`` / ``add_block`` / ``scan_columns`` / ``scan`` /
@@ -89,7 +89,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 from repro.engine.result import ResultSet
@@ -305,10 +304,7 @@ class ShardedStore:
                 ShardSpec(
                     index=index,
                     shards=self.shards,
-                    backend=config.backend,
                     agents_per_group=config.agents_per_group,
-                    segments=config.segments,
-                    distribution=config.distribution,
                     scan_cache=config.scan_cache,
                     scan_cache_entries=config.scan_cache_entries,
                     data_dir=(
@@ -611,14 +607,7 @@ class ShardedStore:
             self._pending_entities.append(entity_record(entity))
 
     def add_event(self, event: SystemEvent) -> None:
-        self.add_batch((event,))
-
-    def add_batch(
-        self, batch: Union[ColumnBlock, Sequence[SystemEvent]]
-    ) -> Tuple[PartitionKey, ...]:
-        """One committed batch — the block a commit built, or rows — through
-        :meth:`add_block`."""
-        return self.add_block(ColumnBlock.of(batch))
+        self.add_block(ColumnBlock.from_events((event,)))
 
     def add_block(
         self, block: ColumnBlock, positions: Optional[Positions] = None
@@ -736,6 +725,10 @@ class ShardedStore:
             if top > self._committed:
                 self._committed = top
         return tuple(split)
+
+    # The name Ingestor.commit_block calls; benchmarks/e2e/layers.py times
+    # the scatter-route and acks through it.
+    add_batch = add_block
 
     # -- queries -----------------------------------------------------------
 

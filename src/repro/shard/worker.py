@@ -1,7 +1,7 @@
 """Shard worker: one process owning one horizontal slice of the store.
 
 Each worker is a miniature single-process deployment — its own entity
-registry, ingestor, hot backend (any of the four), and when the
+registry, ingestor, partitioned hot store, and when the
 deployment is durable, its own WAL, snapshot, cold segments and
 background compactor under ``<data_dir>/shard-<i>``.  The coordinator
 (:mod:`repro.shard.coordinator`) routes whole ``(day, agent-group)``
@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.engine import compile_query, run_query
-from repro.model.entities import EntityRegistry
 from repro.obs import REGISTRY, set_metrics_enabled
 from repro.service.cache import ScanCache
 from repro.service.pool import shutdown_shared_executor
@@ -50,11 +49,9 @@ from repro.storage.blocks import BlockScanResult
 from repro.storage.codec import decode_block
 from repro.storage.database import EventStore
 from repro.storage.filters import EventFilter
-from repro.storage.flat import FlatStore
 from repro.storage.ingest import Ingestor
 from repro.storage.partition import PartitionScheme, owner_shards
 from repro.storage.persist import entity_record, rebuild_entity
-from repro.storage.segments import SegmentedStore
 
 
 @dataclass(frozen=True)
@@ -63,10 +60,7 @@ class ShardSpec:
 
     index: int
     shards: int = 1
-    backend: str = "partitioned"
     agents_per_group: int = 10
-    segments: int = 5
-    distribution: str = "domain"
     scan_cache: bool = True
     scan_cache_entries: int = 512
     data_dir: Optional[str] = None
@@ -80,30 +74,6 @@ class ShardSpec:
     # as its command loop runs.  Always () on a supervised respawn —
     # plans target a shard's first incarnation only.
     faults: Tuple[Fault, ...] = ()
-
-
-def _build_hot(spec: ShardSpec, registry: EntityRegistry):
-    if spec.backend == "partitioned":
-        return EventStore(
-            registry=registry,
-            scheme=PartitionScheme(agents_per_group=spec.agents_per_group),
-            scan_cache=ScanCache(spec.scan_cache_entries)
-            if spec.scan_cache
-            else None,
-        )
-    if spec.backend == "flat":
-        return FlatStore(registry=registry)
-    return SegmentedStore(
-        registry=registry,
-        segments=spec.segments,
-        policy=spec.distribution,
-    )
-
-
-def estimated_events(store, flt: EventFilter) -> int:
-    """The store's own estimate, or its size when it has none."""
-    estimator = getattr(store, "estimated_events", None)
-    return estimator(flt) if estimator is not None else len(store)
 
 
 class CappedStore:
@@ -147,7 +117,7 @@ class CappedStore:
         return capped_result(result, self.watermark, self.exclude)
 
     def estimated_events(self, flt: EventFilter) -> int:
-        return estimated_events(self.store, flt)
+        return self.store.estimated_events(flt)
 
 
 def _run_routed(store, spec, text, scheduling, parallel, watermark, exclude):
@@ -174,7 +144,11 @@ def shard_worker_main(conn, spec: ShardSpec) -> None:
     set_metrics_enabled(spec.metrics)
     ingestor = Ingestor()
     registry = ingestor.registry
-    store = _build_hot(spec, registry)
+    store = EventStore(
+        registry=registry,
+        scheme=PartitionScheme(agents_per_group=spec.agents_per_group),
+        scan_cache=ScanCache(spec.scan_cache_entries) if spec.scan_cache else None,
+    )
     wal = None
     compactor = None
     report = None
@@ -250,7 +224,7 @@ def shard_worker_main(conn, spec: ShardSpec) -> None:
             elif command == "full_scan":
                 reply = encode_events(store.full_scan(args[0]))
             elif command == "estimate":
-                reply = estimated_events(store, args[0])
+                reply = store.estimated_events(args[0])
             elif command == "time_range":
                 reply = store.time_range()
             elif command == "compact":

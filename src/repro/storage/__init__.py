@@ -1,14 +1,16 @@
-"""Storage substrates (paper Sec. 3.2).
+"""Storage (paper Sec. 3.2).
 
 * :class:`~repro.storage.database.EventStore` — the AIQL-optimized store:
   (day, agent-group) partitions, attribute indexes, partition pruning,
-  parallel scans.
-* :class:`~repro.storage.flat.FlatStore` — the unpartitioned baseline the
-  PostgreSQL/Neo4j comparisons run against.
-* :class:`~repro.storage.segments.SegmentedStore` — the MPP (Greenplum)
-  substrate with arrival-order vs domain distribution policies.
+  parallel scans.  The one production store: every in-process, durable,
+  sharded and served deployment holds it as its hot tier.
 * :class:`~repro.storage.ingest.Ingestor` — the agent→server pipeline that
   fans identical data out to all attached stores.
+* blocks, kernels, tables, indexes, partitioning, the block codec and
+  snapshots — the pieces the store is built from.
+
+The Sec. 6 comparison substrates (the flat PostgreSQL heap and the MPP
+Greenplum segments) live under :mod:`repro.baselines`.
 """
 
 from repro.storage.database import EventStore
@@ -23,7 +25,6 @@ from repro.storage.filters import (
     like_to_regex,
     top_level_equalities,
 )
-from repro.storage.flat import FlatStore
 from repro.storage.index import (
     DEFAULT_INDEXED_ATTRIBUTES,
     EntityAttributeIndex,
@@ -33,7 +34,6 @@ from repro.storage.index import (
 from repro.storage.ingest import IngestError, Ingestor
 from repro.storage.partition import PartitionKey, PartitionScheme
 from repro.storage.persist import SnapshotError, load_snapshot, save_snapshot
-from repro.storage.segments import SegmentedStore
 from repro.storage.table import EventTable
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "EventFilter",
     "EventStore",
     "EventTable",
-    "FlatStore",
     "HashIndex",
     "IngestError",
     "Ingestor",
@@ -53,7 +52,6 @@ __all__ = [
     "PredicateLeaf",
     "PredicateNot",
     "PredicateOr",
-    "SegmentedStore",
     "SnapshotError",
     "SortedTimeIndex",
     "conjoin",

@@ -333,12 +333,6 @@ class ColumnBlock:
         block.seal()
         return block
 
-    @classmethod
-    def of(cls, batch: Union["ColumnBlock", Sequence[SystemEvent]]) -> "ColumnBlock":
-        """``batch`` as a block: itself when a commit already built it,
-        :meth:`from_events` when it is still rows."""
-        return batch if isinstance(batch, ColumnBlock) else cls.from_events(batch)
-
     def set_agents(self, agent_ids: Sequence[int]) -> None:
         """Dictionary-encode a whole agent-id column (codes in first-seen
         order; byte-wide unless the column names more than 256 agents)."""

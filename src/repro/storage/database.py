@@ -10,16 +10,7 @@ parallelization; the query-level half lives in :mod:`repro.engine.parallel`).
 
 from __future__ import annotations
 
-from typing import (
-    AbstractSet,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import AbstractSet, Dict, Iterator, List, Optional, Tuple
 
 from repro.model.entities import Entity, EntityRegistry, EntityType
 from repro.model.events import SystemEvent
@@ -186,12 +177,9 @@ class EventStore:
         self._committed = max(self._committed, block.top_event_id(positions))
         return tuple(split)
 
-    def add_batch(
-        self, batch: Union[ColumnBlock, Sequence[SystemEvent]]
-    ) -> Tuple[PartitionKey, ...]:
-        """One committed batch — the block a commit built, or rows — through
-        :meth:`add_block`."""
-        return self.add_block(ColumnBlock.of(batch))
+    # The name Ingestor.commit_block calls; benchmarks/e2e/layers.py times
+    # the hot store's commit through it.
+    add_batch = add_block
 
     def remove_events(self, event_ids: AbstractSet[int]) -> int:
         """Remove committed events by id (the cold-migration hand-off).

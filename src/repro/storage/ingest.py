@@ -78,10 +78,11 @@ class Ingestor:
         self._wal_lock = contextlib.nullcontext()
 
     def attach(self, store: object) -> None:
-        """Attach a store (EventStore / FlatStore / SegmentedStore /
-        TieredStore / ShardedStore): anything with ``register_entity``,
-        ``add_event`` (one row, for :meth:`emit`) and ``add_batch`` (a
-        commit's block).
+        """Attach a store (EventStore / TieredStore / ShardedStore, or a
+        :mod:`repro.baselines` comparison store): anything with
+        ``register_entity``, ``add_event`` (one row, for :meth:`emit`) and
+        ``add_batch`` (a commit's block; every store defines it as
+        ``add_block``).
 
         A store attached after entities were already observed receives a
         replay of the registry, so its attribute indexes match its peers'.
@@ -332,10 +333,10 @@ class Ingestor:
         """Commit a batch that already is a block (a shard worker's slice,
         decoded from the coordinator's frame; :meth:`commit` for rows).
 
-        Every store takes it through ``add_batch`` — which, handed a
-        block, is ``add_block``: atomic publication, one cache invalidation
-        per touched partition — after the write-ahead log, when one is
-        attached, has made it durable.
+        Every store takes it through ``add_batch`` — its ``add_block``:
+        atomic publication, one cache invalidation per touched partition —
+        after the write-ahead log, when one is attached, has made it
+        durable.
         """
         count = len(block)
         if not count:

@@ -2,15 +2,16 @@
 
 The paper's deployment keeps "at least a 0.5-1 year worth of data" on
 disk; this package is our reproduction of that capacity/durability story
-over the in-memory backends:
+over the in-memory partitioned store:
 
 * :mod:`repro.tier.wal` — every committed stream batch is durable before
   it publishes; replay over the last snapshot recovers a crash.
 * :mod:`repro.tier.cold` — immutable, compressed, columnar segments with
   zone maps that prune cold scans (and cost estimates) without
   decompression.
-* :mod:`repro.tier.store` — :class:`TieredStore` wraps any hot backend
-  with the cold-scan path and the migration machinery.
+* :mod:`repro.tier.store` — :class:`TieredStore` wraps the partitioned
+  :class:`~repro.storage.database.EventStore` as its hot tier with the
+  cold-scan path and the migration machinery.
 * :mod:`repro.tier.compactor` — the background retention enforcer.
 * :mod:`repro.tier.recovery` — data-dir layout, ``open_data_dir`` (fresh
   start and crash recovery are one code path) and ``checkpoint``.

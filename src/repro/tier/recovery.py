@@ -17,14 +17,14 @@ file magic :class:`~repro.tier.wal.WALError`, a version-1 cold manifest
 
 :func:`open_data_dir` is the single entry point for both a fresh start
 and crash recovery — an empty directory recovers to an empty system, a
-populated one replays ``snapshot + WAL`` into the hot backend, attaches
+populated one replays ``snapshot + WAL`` into the hot store, attaches
 the cold tier, reconciles a half-finished migration, and fast-forwards
 the ingestor's id/sequence counters so new events continue the stream
 exactly where the last durable commit left it.
 
 Recovery moves columns, not rows: every snapshot frame and every WAL
 record decodes to a :class:`~repro.storage.blocks.ColumnBlock` that the hot
-backend extends its own columns from (``add_block``), the cold-tier probe
+store extends its own columns from (``add_block``), the cold-tier probe
 and the duplicate reconciliation read ``(event_id, agent_id)`` from those
 columns, and the counters fast-forward from them — no
 :class:`~repro.model.events.SystemEvent` is built.
@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
+from repro.storage.database import EventStore
 from repro.storage.ingest import Ingestor
 from repro.storage.persist import SnapshotError, load_snapshot, write_snapshot
 from repro.tier.cold import ColdTier
@@ -93,14 +94,14 @@ class RecoveryReport:
 
 def open_data_dir(
     data_dir,
-    hot,
+    hot: EventStore,
     ingestor: Ingestor,
     retention_days: Optional[int] = None,
     wal_sync: bool = True,
     cold_cache_segments: int = 4,
     cold_scan_cache_entries: int = 128,
 ) -> Tuple[TieredStore, WriteAheadLog, RecoveryReport]:
-    """Open (or create) a durable data directory over a fresh hot backend.
+    """Open (or create) a durable data directory over a fresh hot store.
 
     Returns the wired ``(tiered store, write-ahead log, recovery report)``
     triple; the caller owns attaching the tiered store to the ingestor's
@@ -144,7 +145,7 @@ def open_data_dir(
     )
 
     # Reconcile a crash between cold publication and hot removal: events
-    # reachable in both tiers leave the hot backend now, so compaction
+    # reachable in both tiers leave the hot store now, so compaction
     # and len() converge instead of re-migrating duplicates forever.
     duplicates = 0
     if in_cold is not None:

@@ -1,24 +1,24 @@
-"""Tiered store: a hot in-memory backend plus the cold on-disk tier.
+"""Tiered store: the partitioned hot store plus the cold on-disk tier.
 
-:class:`TieredStore` wraps any of the four storage backends (partitioned,
-flat, both MPP segment distributions) behind the same scan/ingest surface
-the engine already uses, adding:
+:class:`TieredStore` wraps the in-memory :class:`~repro.storage.database.
+EventStore` behind the same scan/ingest surface the engine already uses,
+adding:
 
-* a **cold-scan path** — scans merge the hot backend's results with the
+* a **cold-scan path** — scans merge the hot store's results with the
   zone-map-pruned cold tier, deduplicated by event id, so a query whose
   window reaches past the retention horizon still answers correctly;
 * **compaction** (:meth:`compact`) — committed events older than the
   retention horizon migrate out of RAM into compressed cold segments.
 
 Migration safety: a partition's events are written and published cold
-*before* they are removed from the hot backend, so a concurrent scan
+*before* they are removed from the hot store, so a concurrent scan
 always finds them in at least one tier; during the brief hand-off window
 they are reachable in both, which the merge deduplicates.  Removal
-rebuilds only the affected hot partitions/segments and invalidates the
+rebuilds only the affected hot partitions and invalidates the
 scan cache for exactly those partition keys.  All mutations (ingest
 appends, migration removals, checkpoints) serialize on
 :attr:`writer_lock`, preserving the single-writer/multi-reader contract
-of the wrapped backends — so a query never observes a partition
+of the hot store — so a query never observes a partition
 mid-migration, only pre- (hot), during- (both, deduplicated) or post-
 (cold).
 """
@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.model.events import SystemEvent
 from repro.model.time import TimeWindow, day_of, day_start
 from repro.obs.metrics import REGISTRY
 from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions
+from repro.storage.database import EventStore
 from repro.storage.filters import EventFilter
 from repro.storage.partition import PartitionKey, PartitionScheme
 from repro.tier.cold import ColdTier
@@ -67,11 +68,11 @@ class CompactionReport:
 
 
 class TieredStore:
-    """Hot backend + cold tier behind the common store interface."""
+    """Hot partitioned store + cold tier behind the common store interface."""
 
     def __init__(
         self,
-        hot,
+        hot: EventStore,
         cold: ColdTier,
         retention_days: Optional[int] = None,
     ) -> None:
@@ -80,14 +81,10 @@ class TieredStore:
         self.hot = hot
         self.cold = cold
         self.retention_days = retention_days
-        # Cold segments are keyed exactly like the partitioned backend's
-        # hot partitions; non-partitioned backends reuse the default
-        # scheme so their cold tier still prunes by (day, agent-group).
-        self.partition_scheme: PartitionScheme = getattr(
-            hot, "scheme", None
-        ) or PartitionScheme()
+        # Cold segments are keyed exactly like the hot partitions.
+        self.partition_scheme: PartitionScheme = hot.scheme
         # Serializes ingest appends, migration removals and checkpoints:
-        # the wrapped backends are single-writer, and compaction is a
+        # the hot store is single-writer, and compaction is a
         # second mutator that must never interleave with an append.
         self.writer_lock = threading.RLock()
         # Serializes whole compaction passes (the background thread vs a
@@ -101,7 +98,7 @@ class TieredStore:
 
     def __getattr__(self, name: str):
         # Long-tail surface (registry, entity_index, scan_cache, scheme,
-        # partition_keys, segment_sizes, ...) belongs to the hot backend.
+        # partition_keys, ...) belongs to the hot store.
         if name == "hot":  # not yet set: avoid recursing during __init__
             raise AttributeError(name)
         return getattr(self.hot, name)
@@ -116,14 +113,15 @@ class TieredStore:
             self.hot.add_event(event)
 
     def add_block(self, block: ColumnBlock, positions: Optional[Positions] = None):
-        """The hot backend's ``add_block`` under the writer lock."""
+        """The hot store's ``add_block`` under the writer lock."""
         with self.writer_lock:
             return self.hot.add_block(block, positions)
 
-    def add_batch(self, batch: Union[ColumnBlock, Sequence[SystemEvent]]):
-        """The hot backend's ``add_batch`` under the writer lock."""
+    def add_batch(self, block: ColumnBlock):
+        """A commit's block, through the hot store's ``add_batch`` (the call
+        the benchmark's layer trace times) under the writer lock."""
         with self.writer_lock:
-            return self.hot.add_batch(batch)
+            return self.hot.add_batch(block)
 
     # -- queries ------------------------------------------------------------
 
@@ -203,9 +201,7 @@ class TieredStore:
         """Cost estimate spanning tiers: pruned hot size + unpruned cold
         zone-map counts (the scheduler's zone-map-aware cardinality input).
         """
-        estimator = getattr(self.hot, "estimated_events", None)
-        hot_bound = estimator(flt) if estimator is not None else len(self.hot)
-        return hot_bound + self.cold.estimated_events(flt)
+        return self.hot.estimated_events(flt) + self.cold.estimated_events(flt)
 
     # -- compaction ---------------------------------------------------------
 
@@ -247,7 +243,7 @@ class TieredStore:
         cutoff_ts = day_start(cutoff_day)
         flt = EventFilter(window=TimeWindow(end=cutoff_ts))
         # Committed-only by construction: the hot scan path filters by the
-        # backend's committed-event watermark, so a batch mid-commit can
+        # store's committed-event watermark, so a batch mid-commit can
         # never be half-migrated.
         old = self.hot.scan(flt, parallel=False, use_entity_index=False)
         report = CompactionReport(cutoff_day=cutoff_day)

@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
+from repro.baselines.flat import FlatStore
+from repro.baselines.segmented import SegmentedStore
 from repro.model.entities import EntityRegistry
 from repro.service.stream import StreamSession
 from repro.storage.database import EventStore
-from repro.storage.flat import FlatStore
 from repro.storage.ingest import Ingestor
 from repro.storage.partition import PartitionScheme
-from repro.storage.segments import SegmentedStore
 from repro.workload.attacks import inject_apt2, inject_apt_case_study
 from repro.workload.behaviors import (
     inject_abnormal_behaviors,

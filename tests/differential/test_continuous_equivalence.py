@@ -5,9 +5,11 @@ set of tuples a standing query has alerted on after a committed stream
 prefix is exactly the tuple set the batch scheduler produces for the same
 query over the same prefix.  Here the whole evaluation workload (16 days
 of background noise + every attack scenario) streams through one session
-feeding four storage backends and a continuous engine; at the end — and
+feeding the partitioned store and a continuous engine; at the end — and
 at an intermediate prefix — every standing query's alert keys are
-compared against a fresh batch execution on every backend.
+compared against a fresh batch execution over the store.  (The engine
+never reads a store, and the baseline stores answer like the partitioned
+one by ``test_backend_equivalence``.)
 
 Every corpus query a standing query can express stands over the same
 stream and is checked against the interpreted ``EventFilter.matches``
@@ -26,11 +28,9 @@ from repro.model.entities import EntityRegistry
 from repro.service.continuous import ContinuousError, ContinuousQueryEngine
 from repro.service.stream import StreamSession
 from repro.storage.database import EventStore
-from repro.storage.flat import FlatStore
 from repro.storage.ingest import Ingestor
 from repro.storage.kernels import use_kernels
 from repro.storage.partition import PartitionScheme
-from repro.storage.segments import SegmentedStore
 from repro.workload.attacks import inject_apt2, inject_apt_case_study
 from repro.workload.behaviors import (
     inject_abnormal_behaviors,
@@ -40,8 +40,6 @@ from repro.workload.behaviors import (
 from repro.workload.corpus import ALL_QUERIES
 from repro.workload.generator import BackgroundGenerator, GeneratorConfig
 from repro.workload.topology import HOSTS
-
-BACKENDS = ("partitioned", "flat", "segmented_domain", "segmented_arrival")
 
 # Standing queries covering the shapes the engine evaluates: unwindowed
 # and windowed, one to three patterns, temporal + entity-join
@@ -112,27 +110,15 @@ def interpreted_keys(store, text):
 
 @pytest.fixture(scope="module")
 def streamed():
-    """Stream the whole workload into four backends + standing queries.
+    """Stream the whole workload into the store + standing queries.
 
-    Returns the stores, the subscriptions by name, their alert keys and
+    Returns the store, the subscriptions by name, their alert keys and
     the batch keys after the background-only prefix, and every pushed
     event in push order.
     """
     ingestor = Ingestor()
-    stores = {
-        "partitioned": EventStore(
-            registry=ingestor.registry, scheme=PartitionScheme()
-        ),
-        "flat": FlatStore(registry=ingestor.registry),
-        "segmented_domain": SegmentedStore(
-            registry=ingestor.registry, segments=5, policy="domain"
-        ),
-        "segmented_arrival": SegmentedStore(
-            registry=ingestor.registry, segments=5, policy="arrival"
-        ),
-    }
-    for store in stores.values():
-        ingestor.attach(store)
+    store = EventStore(registry=ingestor.registry, scheme=PartitionScheme())
+    ingestor.attach(store)
 
     engine = ContinuousQueryEngine(ingestor.registry)
     subs = {
@@ -159,11 +145,11 @@ def streamed():
         for name, sub in subs.items()
     }
     prefix_batch = {
-        name: batch_keys(stores["partitioned"], text)
+        name: batch_keys(store, text)
         for name, text in STANDING.items()
     }
     prefix_batch.update(
-        (qid, interpreted_keys(stores["partitioned"], text))
+        (qid, interpreted_keys(store, text))
         for qid, text in CORPUS.items()
     )
 
@@ -173,15 +159,14 @@ def streamed():
     inject_malware_behaviors(session)
     inject_abnormal_behaviors(session)
     session.commit()
-    return stores, subs, prefix_keys, prefix_batch, pushed
+    return store, subs, prefix_keys, prefix_batch, pushed
 
 
 class TestContinuousEqualsBatch:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("query", sorted(STANDING))
-    def test_final_prefix_equivalence(self, streamed, backend, query):
-        stores, subs, _, _, _ = streamed
-        expected = batch_keys(stores[backend], STANDING[query])
+    def test_final_prefix_equivalence(self, streamed, query):
+        store, subs, _, _, _ = streamed
+        expected = batch_keys(store, STANDING[query])
         assert subs[query].seen == expected
         # the attack scenarios make every standing query non-vacuous
         assert expected, f"standing query {query} matched nothing"
@@ -192,7 +177,7 @@ class TestContinuousEqualsBatch:
         assert prefix_keys[query] == prefix_batch[query]
 
     def test_alert_events_carry_matched_tuples(self, streamed):
-        stores, subs, _, _, _ = streamed
+        _, subs, _, _, _ = streamed
         sub = subs["pair-join"]
         assert sub.alerts_emitted == len(sub.seen)
 
@@ -200,8 +185,8 @@ class TestContinuousEqualsBatch:
 class TestCorpusStandingEqualsInterpreter:
     @pytest.mark.parametrize("qid", sorted(CORPUS))
     def test_alerts_equal_interpreted_batch(self, streamed, qid):
-        stores, subs, _, _, _ = streamed
-        expected = interpreted_keys(stores["partitioned"], CORPUS[qid])
+        store, subs, _, _, _ = streamed
+        expected = interpreted_keys(store, CORPUS[qid])
         assert subs[qid].seen == expected
         assert expected, f"corpus query {qid} matched nothing"
 
@@ -212,8 +197,8 @@ class TestCorpusStandingEqualsInterpreter:
 
     @pytest.mark.parametrize("qid", sorted(CORPUS))
     def test_windows_hold_exactly_the_interpreted_matches(self, streamed, qid):
-        stores, subs, _, _, pushed = streamed
-        entity = stores["partitioned"].registry.get
+        store, subs, _, _, pushed = streamed
+        entity = store.registry.get
         sub = subs[qid]
         for i, pattern in enumerate(sub.ctx.patterns):
             matches = pattern.filter.matches

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.baselines.flat import FlatStore
 from repro.engine.anomaly import AnomalyExecutor
 from repro.lang.errors import AIQLSemanticError
-from repro.storage.flat import FlatStore
 from repro.storage.ingest import Ingestor
 from repro.workload.topology import BASE_DAY
 from tests.conftest import compile_text

@@ -104,16 +104,16 @@ class TestAIQLSystemFacade:
         assert "score=" in str(plan)
         assert "agents: [1]" in str(plan)
 
-    def test_facade_backends(self):
-        for backend in ("partitioned", "flat", "segmented"):
-            system = AIQLSystem(SystemConfig(backend=backend))
-            assert system.stats()["events"] == 0
-
     def test_invalid_config(self):
         with pytest.raises(ValueError):
-            SystemConfig(backend="cloud")
-        with pytest.raises(ValueError):
             SystemConfig(scheduling="magic")
+        # The partitioned store is the only store: no backend knobs.
+        for knob in (
+            {"backend": "flat"}, {"segments": 3}, {"distribution": "arrival"}
+        ):
+            with pytest.raises(TypeError):
+                SystemConfig(**knob)
+        assert SystemConfig().backend == "partitioned"
         # Scans always select over column blocks: there is no switch.
         with pytest.raises(TypeError):
             SystemConfig(columnar=False)

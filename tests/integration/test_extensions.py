@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.flat import FlatStore
 from repro.baselines.translators import to_cypher, to_sql
 from repro.engine.executor import MultieventExecutor
 from repro.model.entities import (
@@ -11,7 +12,6 @@ from repro.model.entities import (
     default_attribute,
 )
 from repro.model.events import OPERATIONS_BY_OBJECT, Operation
-from repro.storage.flat import FlatStore
 from repro.storage.ingest import IngestError, Ingestor
 from repro.workload.topology import BASE_DAY
 from tests.conftest import compile_text

@@ -5,8 +5,7 @@ The differential proofs behind the fault-tolerant sharded deployment:
 * a seeded :class:`FaultPlan` SIGKILLs 1 of 4 shard workers at its first
   scatter scan; supervised recovery (respawn + WAL replay + entity
   replay) brings it back and the full corpus still answers byte-equal
-  to the never-faulted single-process reference — on all four hot
-  backends;
+  to the never-faulted single-process reference;
 * a worker SIGKILLed mid-commit fails the batch fast with the precise
   acked/failed shard split, the torn slices never surface in any scan
   (even after later commits raise the watermark), and every batch that
@@ -38,14 +37,6 @@ RATE = 20
 # the victim dies at its very first scatter scan, mid-corpus.
 SCAN_KILL_SEED = "7"
 
-FAULTED_CONFIGS = (
-    pytest.param("partitioned", id="partitioned"),
-    pytest.param("flat", id="flat"),
-    pytest.param("segmented-domain", id="segmented-domain"),
-    pytest.param("segmented-arrival", id="segmented-arrival"),
-)
-
-
 @pytest.fixture(scope="module")
 def reference():
     """Never-faulted single-process answers for every corpus query."""
@@ -60,14 +51,10 @@ def reference():
     }, enterprise.total_events
 
 
-@pytest.mark.parametrize("backend", FAULTED_CONFIGS)
-def test_kill_mid_scan_recovers_to_reference(backend, reference, tmp_path):
+def test_kill_mid_scan_recovers_to_reference(reference, tmp_path):
     """Seeded kill at the first scatter scan; corpus equals reference."""
-    name, _, distribution = backend.partition("-")
     config = SystemConfig(
         shards=4,
-        backend=name,
-        distribution=distribution or "domain",
         data_dir=str(tmp_path),
         wal_sync=False,
         shard_chaos=SCAN_KILL_SEED,
@@ -87,7 +74,7 @@ def test_kill_mid_scan_recovers_to_reference(backend, reference, tmp_path):
         for query in ALL_QUERIES:
             result = system.query(query.text)
             assert set(result.rows) == answers[query.qid], (
-                f"{backend} diverged from the never-faulted reference on "
+                f"the deployment diverged from the never-faulted reference on "
                 f"{query.qid} after supervised recovery"
             )
             # Durable recovery is lossless: answers are never annotated.

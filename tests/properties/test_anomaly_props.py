@@ -7,10 +7,10 @@ aggregate from scratch and compares.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.flat import FlatStore
 from repro.engine.anomaly import AnomalyExecutor, occupied_windows
 from repro.lang.context import compile_multievent
 from repro.lang.parser import parse
-from repro.storage.flat import FlatStore
 from repro.storage.ingest import Ingestor
 from repro.workload.topology import BASE_DAY
 

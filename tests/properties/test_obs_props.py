@@ -12,14 +12,14 @@ scheduler property suite uses:
 
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.flat import FlatStore
+from repro.baselines.segmented import SegmentedStore
 from repro.engine.scheduler import RelationshipScheduler
 from repro.model.time import DAY
 from repro.obs.trace import Trace, activate
 from repro.storage.database import EventStore
-from repro.storage.flat import FlatStore
 from repro.storage.ingest import Ingestor
 from repro.storage.partition import PartitionScheme
-from repro.storage.segments import SegmentedStore
 from tests.conftest import compile_text
 
 EXES = ("bash", "vim", "sshd")

@@ -7,10 +7,10 @@ join differ only in cost, never in results.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.flat import FlatStore
 from repro.baselines.relational import MonolithicJoinEngine
 from repro.engine.scheduler import FetchFilterScheduler, RelationshipScheduler
 from repro.model.time import DAY
-from repro.storage.flat import FlatStore
 from repro.storage.ingest import Ingestor
 from tests.conftest import compile_text
 

@@ -2,6 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.flat import FlatStore
+from repro.baselines.segmented import SegmentedStore
 from repro.model.entities import EntityType
 from repro.model.time import DAY, TimeWindow
 from repro.storage.database import EventStore
@@ -10,10 +12,8 @@ from repro.storage.filters import (
     EventFilter,
     PredicateLeaf,
 )
-from repro.storage.flat import FlatStore
 from repro.storage.ingest import Ingestor
 from repro.storage.partition import PartitionScheme
-from repro.storage.segments import SegmentedStore
 
 EXES = ("bash", "vim", "nmap", "sshd", "cmd.exe")
 FILES = ("/etc/passwd", "/var/log/syslog", "/home/u/x", "C:/Windows/SAM")

@@ -37,7 +37,7 @@ class TestNoPoolPerScan:
         scan_split and EventStore.scan is gone for good."""
         import repro.engine.parallel as parallel_mod
         import repro.storage.database as database_mod
-        import repro.storage.segments as segments_mod
+        import repro.baselines.segmented as segments_mod
 
         for mod in (parallel_mod, database_mod, segments_mod):
             assert not hasattr(mod, "ThreadPoolExecutor"), mod.__name__

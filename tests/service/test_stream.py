@@ -2,15 +2,15 @@
 
 import pytest
 
+from repro.baselines.flat import FlatStore
+from repro.baselines.segmented import SegmentedStore
 from repro.model.time import DAY
 from repro.service.cache import ScanCache
 from repro.service.stream import StreamSession
 from repro.storage.database import EventStore
 from repro.storage.filters import EventFilter
-from repro.storage.flat import FlatStore
 from repro.storage.ingest import IngestError, Ingestor
 from repro.storage.partition import PartitionScheme
-from repro.storage.segments import SegmentedStore
 
 
 def make_session(batch_size=4, cache=True, extra_stores=()):

@@ -5,7 +5,7 @@ The reference is the single-row path that ``emit`` still uses
 independent implementation that touches every column, posting and index
 entry one row at a time.  A store fed the same rows in the same order as
 blocks must end in the *same physical state* — columns, agent dictionary,
-universes, ``time_sorted``, postings, time index — on every backend, for
+universes, ``time_sorted``, postings, time index — on every store, for
 whole blocks, ``range`` positions and sparse position lists, and must
 answer every filter the same.
 """
@@ -17,16 +17,16 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.flat import FlatStore
+from repro.baselines.segmented import SegmentedStore
 from repro.model.entities import EntityRegistry, EntityType
 from repro.model.events import Operation, SystemEvent
 from repro.model.time import DAY, TimeWindow
 from repro.storage.blocks import ColumnBlock
 from repro.storage.database import EventStore
 from repro.storage.filters import AttrPredicate, EventFilter, PredicateLeaf
-from repro.storage.flat import FlatStore
 from repro.storage.index import SortedTimeIndex
 from repro.storage.partition import PartitionKey, PartitionScheme
-from repro.storage.segments import SegmentedStore
 from repro.storage.table import EventTable
 
 BACKENDS = ("partitioned", "flat", "domain", "arrival")
@@ -206,24 +206,12 @@ def test_positions_equal_row_appends_of_those_rows(name, spec, data):
     assert_same_store(by_block, by_row)
 
 
-@pytest.mark.parametrize("name", BACKENDS)
-def test_add_batch_is_add_block(name):
-    world = World()
-    by_batch, by_block = world.stores(name)
-    events = [world.event(1 + i % 5, 40.0 * DAY / 100 * i) for i in range(40)]
-    by_batch.add_batch(events[:25])  # rows ...
-    by_batch.add_batch(ColumnBlock.from_events(events[25:]))  # ... or the block
-    by_block.add_block(ColumnBlock.from_events(events[:25]))
-    by_block.add_block(ColumnBlock.from_events(events[25:]))
-    assert_same_store(by_batch, by_block)
-
-
-@pytest.mark.parametrize("name", BACKENDS)
 @settings(max_examples=25, deadline=None)
 @given(spec=batches(), data=st.data())
-def test_remove_events_rebuilds_as_if_never_appended(name, spec, data):
+def test_remove_events_rebuilds_as_if_never_appended(spec, data):
+    """The partitioned store's cold-migration hand-off."""
     world = World()
-    pruned, never = world.stores(name)
+    pruned, never = world.stores("partitioned")
     events = [world.event(*row) for rows in spec for row in rows]
     pruned.add_block(ColumnBlock.from_events(events))
     victims = data.draw(st.sets(st.sampled_from([e.event_id for e in events])))
@@ -236,14 +224,11 @@ def test_remove_events_rebuilds_as_if_never_appended(name, spec, data):
         assert pruned.scan(flt) == [
             e for e in _reference_scan(world, events, flt) if e.event_id not in victims
         ]
-    if name != "arrival":  # arrival placement depends on what came before
-        never.add_block(
-            ColumnBlock.from_events([e for e in events if e.event_id not in victims])
-        )
-        # An emptied partitioned table is dropped, an emptied segment stays.
-        live = {k: s for k, s in store_state(pruned).items() if s["rows"]}
-        assert live == {k: s for k, s in store_state(never).items() if s["rows"]}
-        assert len(pruned) == len(never)
+    never.add_block(
+        ColumnBlock.from_events([e for e in events if e.event_id not in victims])
+    )
+    assert store_state(pruned) == store_state(never)  # emptied tables dropped
+    assert len(pruned) == len(never)
 
 
 def _reference_scan(world, events, flt):

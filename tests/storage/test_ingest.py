@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.baselines.flat import FlatStore
 from repro.model.entities import EntityRegistry
 from repro.model.time import ClockSynchronizer
-from repro.storage.flat import FlatStore
 from repro.storage.ingest import IngestError, Ingestor
 
 

@@ -5,10 +5,10 @@ import struct
 
 import pytest
 
+from repro.baselines.flat import FlatStore
 from repro.engine.executor import MultieventExecutor
 from repro.model.entities import EntityRegistry
 from repro.storage.database import EventStore
-from repro.storage.flat import FlatStore
 from repro.storage.ingest import Ingestor
 from repro.storage.codec import (
     ENTITY_KIND,
@@ -29,18 +29,18 @@ from tests.conftest import compile_text
 
 @pytest.fixture(scope="module")
 def small_enterprise():
-    return build_enterprise(stores=("flat",), events_per_host_day=30)
+    return build_enterprise(events_per_host_day=30)
 
 
 class TestRoundTrip:
     def test_events_and_entities_preserved(self, small_enterprise, tmp_path):
-        source = small_enterprise.store("flat")
+        source = small_enterprise.store()
         path = tmp_path / "snap.blk"
         written = save_snapshot(path, small_enterprise.registry, iter(source))
         assert written == len(source)
 
         registry = EntityRegistry()
-        restored = FlatStore(registry=registry)
+        restored = EventStore(registry=registry)
         loaded = load_snapshot(path, registry, [restored])
         assert loaded == written
         assert len(restored) == len(source)
@@ -49,12 +49,12 @@ class TestRoundTrip:
     def test_query_results_identical_after_restore(
         self, small_enterprise, tmp_path
     ):
-        source = small_enterprise.store("flat")
+        source = small_enterprise.store()
         path = tmp_path / "snap.blk"
         save_snapshot(path, small_enterprise.registry, iter(source))
 
         registry = EntityRegistry()
-        restored = EventStore(registry=registry)  # different backend!
+        restored = FlatStore(registry=registry)  # a baseline store
         load_snapshot(path, registry, [restored])
 
         query = by_id("c5-7").text
@@ -65,7 +65,7 @@ class TestRoundTrip:
 
     def test_restore_into_multiple_backends(self, small_enterprise, tmp_path):
         path = tmp_path / "snap.blk"
-        source = small_enterprise.store("flat")
+        source = small_enterprise.store()
         save_snapshot(path, small_enterprise.registry, iter(source))
         registry = EntityRegistry()
         flat = FlatStore(registry=registry)
@@ -75,7 +75,7 @@ class TestRoundTrip:
 
     def test_extension_entities_survive(self, tmp_path):
         ingestor = Ingestor()
-        store = FlatStore(registry=ingestor.registry)
+        store = EventStore(registry=ingestor.registry)
         ingestor.attach(store)
         proc = ingestor.process(1, 10, "evil.exe")
         key = ingestor.registry_value(1, "HKCU/Run", "evil")
@@ -86,7 +86,7 @@ class TestRoundTrip:
         path = tmp_path / "snap.blk"
         save_snapshot(path, ingestor.registry, iter(store))
         registry = EntityRegistry()
-        restored = FlatStore(registry=registry)
+        restored = EventStore(registry=registry)
         load_snapshot(path, registry, [restored])
         events = list(restored)
         assert len(events) == 2
@@ -96,7 +96,7 @@ class TestRoundTrip:
 
 def _populated(events=2):
     ingestor = Ingestor()
-    store = FlatStore(registry=ingestor.registry)
+    store = EventStore(registry=ingestor.registry)
     ingestor.attach(store)
     p = ingestor.process(1, 10, "a")
     f = ingestor.file(1, "/x")
@@ -122,7 +122,7 @@ class TestBlockWriter:
         (block, _), = store.column_blocks()
         assert not block.rows_materialized
         registry = EntityRegistry()
-        restored = FlatStore(registry=registry)
+        restored = EventStore(registry=registry)
         assert load_snapshot(path, registry, [restored]) == 6
         assert list(restored) == list(store)
 
@@ -132,7 +132,7 @@ class TestBlockWriter:
         (block, visible), = store.column_blocks()
         assert write_snapshot(path, ingestor.registry, [(block, visible - 2)]) == 4
         registry = EntityRegistry()
-        restored = FlatStore(registry=registry)
+        restored = EventStore(registry=registry)
         assert load_snapshot(path, registry, [restored]) == 4
         assert list(restored) == list(store)[:4]
 
@@ -151,7 +151,7 @@ class TestBlockWriter:
         assert save_snapshot(path, ingestor.registry, iter(store)) == 10
         assert len(_frames(path.read_bytes())) == frames
         registry = EntityRegistry()
-        restored = FlatStore(registry=registry)
+        restored = EventStore(registry=registry)
         assert load_snapshot(path, registry, [restored]) == 10
         assert list(restored) == list(store)
         assert list(registry) == list(ingestor.registry)
@@ -193,7 +193,7 @@ class TestErrors:
 
     def test_non_fresh_registry_detected(self, tmp_path):
         ingestor = Ingestor()
-        store = FlatStore(registry=ingestor.registry)
+        store = EventStore(registry=ingestor.registry)
         ingestor.attach(store)
         p = ingestor.process(1, 10, "a")
         f = ingestor.file(1, "/x")
@@ -204,7 +204,7 @@ class TestErrors:
         dirty = EntityRegistry()
         dirty.file(9, "/occupies-id-1")  # shifts id allocation
         with pytest.raises(SnapshotError, match="mismatch"):
-            load_snapshot(path, dirty, [FlatStore(registry=dirty)])
+            load_snapshot(path, dirty, [EventStore(registry=dirty)])
 
 
 class TestDamage:
@@ -222,7 +222,7 @@ class TestDamage:
 
     def _load(self, path):
         registry = EntityRegistry()
-        return load_snapshot(path, registry, [FlatStore(registry=registry)])
+        return load_snapshot(path, registry, [EventStore(registry=registry)])
 
     def test_truncated_at_a_frame_boundary(self, tmp_path, monkeypatch):
         path, raw = self._snapshot(tmp_path, monkeypatch)
@@ -285,7 +285,7 @@ class TestAtomicity:
         assert not list(tmp_path.glob("*.tmp"))  # temp file cleaned up
 
         registry = EntityRegistry()
-        restored = FlatStore(registry=registry)
+        restored = EventStore(registry=registry)
         assert load_snapshot(path, registry, [restored]) == len(store)
 
     def test_success_leaves_no_temp_file(self, tmp_path):
@@ -309,5 +309,5 @@ class TestAtomicity:
         written = save_snapshot(path, ingestor.registry, tracking())
         assert written == 5 and len(consumed) == 5
         registry = EntityRegistry()
-        restored = FlatStore(registry=registry)
+        restored = EventStore(registry=registry)
         assert load_snapshot(path, registry, [restored]) == 5

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.model.time import DAY, TimeWindow
 from repro.service.cache import ScanCache
 from repro.service.stream import StreamSession
+from repro.storage.blocks import ColumnBlock
 from repro.storage.database import EventStore
 from repro.storage.filters import (
     AttrPredicate,
@@ -286,7 +287,7 @@ class TestEventStoreIntegration:
         assert store.scan_cache.hits == 1
         assert result == store.full_scan(flt)
 
-    def test_add_batch_invalidates_touched_partitions_once(self):
+    def test_add_block_invalidates_touched_partitions_once(self):
         ingestor, store = self._store()
         proc = ingestor.process(1, 10, "bash")
         target = ingestor.file(1, "/etc/passwd")
@@ -300,7 +301,7 @@ class TestEventStoreIntegration:
             ingestor.build_event(1, 6.0 + i, "write", proc, target)
             for i in range(10)
         ]
-        touched = store.add_batch(batch)
+        touched = store.add_block(ColumnBlock.from_events(batch))
         assert len(touched) == 1  # all ten events land in day 0
         assert cache.invalidations == invalidations_before + 1
         result = store.scan(flt)

@@ -2,14 +2,14 @@
 
 import pytest
 
+from repro.baselines.flat import FlatStore
+from repro.baselines.segmented import SegmentedStore
 from repro.model.entities import EntityType
 from repro.model.time import DAY, TimeWindow
 from repro.storage.database import EventStore
 from repro.storage.filters import AttrPredicate, EventFilter, PredicateLeaf
-from repro.storage.flat import FlatStore
 from repro.storage.ingest import Ingestor
 from repro.storage.partition import PartitionScheme
-from repro.storage.segments import SegmentedStore
 from repro.workload.topology import APT_DAY, ATTACKER_IP
 
 

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.storage.flat import FlatStore
+from repro.storage.database import EventStore
 from repro.storage.ingest import Ingestor
 from repro.tier.cold import ColdTier
 from repro.tier.compactor import Compactor
@@ -16,7 +16,7 @@ from tests.tier.conftest import EventFeed, day_ts
 @pytest.fixture
 def deployment(tmp_path):
     ingestor = Ingestor()
-    hot = FlatStore(registry=ingestor.registry)
+    hot = EventStore(registry=ingestor.registry)
     store = TieredStore(
         hot, ColdTier(tmp_path / "cold", ingestor.registry.get)
     )

@@ -4,10 +4,10 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.system import AIQLSystem
+from repro.storage.database import EventStore
 from repro.storage.filters import EventFilter
 from repro.tier import checkpoint, open_data_dir, snapshot_path, wal_path
 from repro.storage.ingest import Ingestor
-from repro.storage.flat import FlatStore
 
 from tests.tier.conftest import EventFeed, day_ts
 
@@ -216,19 +216,14 @@ class TestRecoveryBuildsNoRows:
     def _hot_blocks(system):
         return [block for block, _ in system.store.hot.column_blocks()]
 
-    @pytest.mark.parametrize("backend", ["partitioned", "flat", "segmented"])
-    def test_snapshot_plus_wal_without_a_cold_tier(
-        self, tmp_path, rows_built, backend
-    ):
-        system = durable_system(tmp_path, backend=backend)
+    def test_snapshot_plus_wal_without_a_cold_tier(self, tmp_path, rows_built):
+        system = durable_system(tmp_path)
         stream_days(system, days=3)
         system.checkpoint()
         total = stream_days(system, days=5, agent=12)  # the WAL tail
         del system  # crash
         before = rows_built()
-        recovered = AIQLSystem.recover(
-            str(tmp_path / "data"), SystemConfig(backend=backend)
-        )
+        recovered = AIQLSystem.recover(str(tmp_path / "data"))
         try:
             assert rows_built() == before
             assert recovered.recovery.snapshot_events == 15
@@ -296,7 +291,7 @@ class TestReconciliation:
     def test_crash_between_cold_publish_and_hot_removal(self, tmp_path):
         """Mid-migration crash: events reachable in both tiers converge."""
         ingestor = Ingestor()
-        hot = FlatStore(registry=ingestor.registry)
+        hot = EventStore(registry=ingestor.registry)
         data_dir = tmp_path / "data"
         store, wal, _ = open_data_dir(data_dir, hot, ingestor)
         ingestor.attach(store)
@@ -312,7 +307,7 @@ class TestReconciliation:
         wal.close()
 
         ingestor2 = Ingestor()
-        hot2 = FlatStore(registry=ingestor2.registry)
+        hot2 = EventStore(registry=ingestor2.registry)
         store2, wal2, report = open_data_dir(data_dir, hot2, ingestor2)
         assert report.duplicates_reconciled == 4
         assert report.cold_events == 4

@@ -1,34 +1,20 @@
-"""TieredStore: cold-scan merge, compaction safety, estimates — all backends."""
+"""TieredStore: cold-scan merge, compaction safety, estimates."""
 
 import pytest
 
 from repro.model.time import DAY, TimeWindow
 from repro.storage.database import EventStore
 from repro.storage.filters import EventFilter
-from repro.storage.flat import FlatStore
 from repro.storage.ingest import Ingestor
-from repro.storage.segments import SegmentedStore
 from repro.tier.cold import ColdTier
 from repro.tier.store import TieredStore
 
 from tests.tier.conftest import EventFeed, day_ts
 
-BACKENDS = ("partitioned", "flat", "segmented_domain", "segmented_arrival")
-
-
-def build_hot(name, registry):
-    if name == "partitioned":
-        return EventStore(registry=registry)
-    if name == "flat":
-        return FlatStore(registry=registry)
-    policy = "domain" if name.endswith("domain") else "arrival"
-    return SegmentedStore(registry=registry, segments=3, policy=policy)
-
-
-@pytest.fixture(params=BACKENDS)
-def tiered(request, tmp_path):
+@pytest.fixture
+def tiered(tmp_path):
     ingestor = Ingestor()
-    hot = build_hot(request.param, ingestor.registry)
+    hot = EventStore(registry=ingestor.registry)
     cold = ColdTier(tmp_path / "cold", ingestor.registry.get)
     store = TieredStore(hot, cold, retention_days=2)
     ingestor.attach(store)
@@ -118,7 +104,7 @@ class TestCompaction:
 
     def test_compact_requires_a_horizon(self, tmp_path):
         ingestor = Ingestor()
-        hot = FlatStore(registry=ingestor.registry)
+        hot = EventStore(registry=ingestor.registry)
         store = TieredStore(
             hot, ColdTier(tmp_path / "c", ingestor.registry.get)
         )
@@ -130,7 +116,7 @@ class TestCompaction:
 
     def test_retention_validation(self, tmp_path):
         ingestor = Ingestor()
-        hot = FlatStore(registry=ingestor.registry)
+        hot = EventStore(registry=ingestor.registry)
         with pytest.raises(ValueError):
             TieredStore(
                 hot,
@@ -214,12 +200,11 @@ class TestStoreSurface:
 
 
 class TestRemoveEvents:
-    """The backend-side migration hand-off used by compaction."""
+    """The hot-store side of the migration hand-off used by compaction."""
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_remove_then_readd_roundtrip(self, name, tmp_path):
+    def test_remove_then_readd_roundtrip(self, tmp_path):
         ingestor = Ingestor()
-        hot = build_hot(name, ingestor.registry)
+        hot = EventStore(registry=ingestor.registry)
         ingestor.attach(hot)
         feed = EventFeed(ingestor)
         events = [feed.emit(1, day_ts(0, 60.0 * i)) for i in range(6)]
@@ -248,7 +233,4 @@ class TestRemoveEvents:
         assert hot.remove_events(day0_ids) == 0  # partition already gone
 
     def test_empty_store_time_range(self):
-        registry_store = FlatStore()
-        assert registry_store.time_range() == (None, None)
         assert EventStore().time_range() == (None, None)
-        assert SegmentedStore().time_range() == (None, None)

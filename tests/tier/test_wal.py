@@ -10,7 +10,7 @@ import pytest
 from repro.model.entities import EntityRegistry
 from repro.storage.blocks import ColumnBlock
 from repro.storage.codec import WAL_RECORD_KIND, pack_frame, read_frame
-from repro.storage.flat import FlatStore
+from repro.storage.database import EventStore
 from repro.tier.wal import FILE_MAGIC, WALError, WriteAheadLog
 
 from tests.tier.conftest import day_ts
@@ -223,7 +223,7 @@ class TestReplayInto:
         wal.append([proc, fobj], ColumnBlock.from_events(events))
 
         registry = EntityRegistry()
-        store = FlatStore(registry=registry)
+        store = EventStore(registry=registry)
         applied = wal.replay_into(registry, [store])
         assert applied == 4
         assert len(store) == 4
@@ -239,7 +239,7 @@ class TestReplayInto:
         wal.append([], ColumnBlock.from_events(second))
 
         registry = EntityRegistry()
-        store = FlatStore(registry=registry)
+        store = EventStore(registry=registry)
         snapshot_max = first[-1].event_id  # "already in the snapshot"
         skipped_id = second[0].event_id  # "already migrated cold"
         applied = wal.replay_into(
@@ -264,7 +264,7 @@ class TestReplayInto:
     def test_replay_hands_each_block_to_add_block_and_builds_no_rows(
         self, feed, tmp_path
     ):
-        class BlockStore(FlatStore):
+        class BlockStore(EventStore):
             def __init__(self, registry):
                 super().__init__(registry=registry)
                 self.calls = []

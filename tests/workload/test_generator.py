@@ -1,6 +1,6 @@
 """Background generator tests: determinism, volume, realism."""
 
-from repro.storage.flat import FlatStore
+from repro.baselines.flat import FlatStore
 from repro.storage.ingest import Ingestor
 from repro.workload.generator import BackgroundGenerator, GeneratorConfig
 from repro.workload.topology import BASE_DAY, HOSTS
