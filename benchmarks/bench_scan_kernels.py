@@ -23,7 +23,8 @@ returns *byte-identical* results to the interpreted oracle:
   measures the scan itself, not memoization.
 * **mixed_window** — the BENCH_tier regression cell: a window spanning
   both tiers, tiered store vs the RAM-only baseline, with the shipped
-  defaults (partition-scan cache + per-segment cold result cache).
+  defaults (cold result cache only: the per-segment cache; hot partition
+  scans are never memoized).
   Floor: ratio <= 1.5x (down from 5.02x in BENCH_tier.json); the
   columnar refactor holds it <= 1.1x at the default rate.
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import shutil
 import statistics
 import sys
@@ -55,6 +57,8 @@ from repro.storage.kernels import (
     use_kernels,
 )
 from repro.workload.loader import build_enterprise
+
+from bench_sharded_scan import git_commit
 
 DAYS = 20
 RETENTION_DAYS = 2
@@ -297,6 +301,9 @@ def main() -> int:
                 "days": DAYS,
                 "retention_days": RETENTION_DAYS,
                 "events": len(baseline),
+                "cpu_count": os.cpu_count(),
+                "python": platform.python_version(),
+                "commit": git_commit(),
             },
             "single_pattern": single,
             "numeric_predicate": numeric,

@@ -47,8 +47,8 @@ SHARDS = int(os.environ.get("AIQL_BENCH_SHARDS", "2"))
 
 # A small rotating set of cheap selective queries: the cell measures the
 # *service* (admission, protocol, executor handoff), not cold scans —
-# the in-flight dedup and scan caches keep the engine leg warm, which is
-# exactly how a dashboard-style workload behaves.
+# the in-flight dedup and the plan cache keep the engine leg cheap, which
+# is exactly how a dashboard-style workload behaves.
 QUERIES = (
     "agentid = 1\nproc p1 start proc p2\nreturn p1, p2",
     'agentid = 2\nproc p1["%cmd%"] start proc p2\nreturn p1, p2',

@@ -15,7 +15,7 @@ provides:
 * :mod:`repro.workload` -- the synthetic enterprise and the paper's attack
   scenarios (APT case study, dependency chains, malware, abnormal behavior);
 * :mod:`repro.service` -- the concurrent query service: shared executor,
-  partition-scan cache, batched/deduplicated query submission;
+  batched/deduplicated query submission, live ingest, standing queries;
 * :mod:`repro.api` -- the versioned public wire schema (v1): query/page/
   alert/error messages with lossless JSON codecs and the stable error
   taxonomy, shared by the network service, the CLI and clients;
@@ -25,7 +25,7 @@ provides:
 The documented public surface is ``__all__`` below: the system facade
 (:class:`AIQLSystem`, :class:`SystemConfig`, :class:`ResultSet`), the
 language entry points (:func:`parse` and the ``AIQL*Error`` types), the
-concurrent service (:class:`QueryService`, :class:`ScanCache`) and the
+concurrent service (:class:`QueryService`) and the
 network layer (:class:`AIQLServer`, lazily imported).  Everything else
 is implementation detail and may move between releases.
 """
@@ -35,7 +35,7 @@ from repro.core.system import AIQLSystem
 from repro.engine.result import ResultSet
 from repro.lang.errors import AIQLError, AIQLSemanticError, AIQLSyntaxError
 from repro.lang.parser import parse
-from repro.service import QueryService, ScanCache
+from repro.service import QueryService
 
 __version__ = "1.2.0"
 
@@ -47,7 +47,6 @@ __all__ = [
     "AIQLSystem",
     "QueryService",
     "ResultSet",
-    "ScanCache",
     "SystemConfig",
     "parse",
     "__version__",

@@ -49,7 +49,6 @@ def _fail(exc: BaseException, prefix: str = "") -> int:
 
 def _build_system(
     rate: int,
-    cache: bool = True,
     data_dir: Optional[str] = None,
     retention: Optional[int] = None,
     shards: int = 0,
@@ -63,9 +62,7 @@ def _build_system(
               file=sys.stderr)
         enterprise = build_enterprise(events_per_host_day=rate)
         system = AIQLSystem.over(
-            enterprise.store("partitioned"),
-            ingestor=enterprise.ingestor,
-            config=SystemConfig(scan_cache=cache),
+            enterprise.store("partitioned"), ingestor=enterprise.ingestor
         )
         print(f"{enterprise.total_events} events ready", file=sys.stderr)
         return system
@@ -77,7 +74,6 @@ def _build_system(
     # populated dir reuses the recovered state.
     system = AIQLSystem(
         SystemConfig(
-            scan_cache=cache,
             data_dir=data_dir,
             retention_days=retention,
             shards=shards,
@@ -182,7 +178,6 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if args.run:
         system = _build_system(
             args.rate,
-            cache=not args.no_cache,
             data_dir=args.data_dir,
             retention=args.retention,
             shards=args.shards,
@@ -264,9 +259,6 @@ def cmd_corpus(args: argparse.Namespace) -> int:
                       f"({stats.achieved_rate:.0f} ev/s, target "
                       f"{stats.target_rate:.0f}); watermark "
                       f"{session.watermark}")
-                cache = getattr(system.store, "scan_cache", None)
-                if cache is not None:
-                    print(f"scan cache under live ingest: {cache.stats()}")
             if watch is not None:
                 print(f"standing query {watch.name!r}: "
                       f"{watch.alerts_emitted} alert(s), "
@@ -461,8 +453,6 @@ def make_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--jobs", "-j", type=int, default=1,
                         help="run the corpus through the concurrent query "
                              "service with this many workers")
-    corpus.add_argument("--no-cache", action="store_true",
-                        help="disable the partition-scan cache")
     corpus.add_argument("--live", type=float, default=0, metavar="RATE",
                         help="with --run: stream live background events at "
                              "RATE events/sec while the corpus executes")

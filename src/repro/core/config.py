@@ -26,21 +26,12 @@ class SystemConfig:
         parallelization, paper Sec. 5.2).
     agents_per_group
         spatial partition width of the partitioned store.
-    scan_cache
-        enable the partition-scan cache on the partitioned store
-        (default on).  Scan results are memoized per
-        ``(partition, canonical filter)`` and invalidated automatically
-        when ingest appends to a partition; disable for memory-constrained
-        deployments or write-dominated workloads.
-    scan_cache_entries
-        LRU bound of the scan cache: the maximum number of cached
-        per-partition scan results (default 512).
     stream_batch_size
         auto-commit threshold of :meth:`AIQLSystem.stream` sessions: a
-        live-ingestion batch is committed (published atomically, touched
-        partitions invalidated) once this many events are staged.  Smaller
-        batches shrink ingest-to-visibility latency; larger batches
-        amortize commit overhead and cache invalidations.
+        live-ingestion batch is committed (published atomically) once
+        this many events are staged.  Smaller batches shrink
+        ingest-to-visibility latency; larger batches amortize commit
+        overhead.
     max_workers
         size of the process-wide shared executor that serves both
         concurrent queries and partition/sub-window scan fan-out.
@@ -51,12 +42,12 @@ class SystemConfig:
         ``0`` (default) keeps the store in-process.  ``N >= 1`` deploys
         it sharded across N ``spawn``-started worker processes
         (:mod:`repro.shard`), partitioned by (day, agent-group): each
-        worker owns its own partitioned hot store, scan cache and
-        — when ``data_dir`` is set — its own WAL, snapshot and cold
-        segments under ``<data_dir>/shard-<i>``.  Scans scatter/gather
-        serialized column-block slices; CPU-bound scans scale past the
-        GIL with the shard count.  ``agents_per_group``, ``scan_cache``,
-        ``retention_days`` etc. configure each worker.
+        worker owns its own partitioned hot store and — when
+        ``data_dir`` is set — its own WAL, snapshot and cold segments
+        under ``<data_dir>/shard-<i>``.  Scans scatter/gather serialized
+        column-block slices; CPU-bound scans scale past the GIL with the
+        shard count.  ``agents_per_group``, ``retention_days`` etc.
+        configure each worker.
     shard_command_timeout_s
         deadline (seconds) for every coordinator↔worker command other
         than scatter scans: ingest acks, heartbeats, stats/metrics
@@ -198,8 +189,7 @@ class SystemConfig:
     parallel: bool = False
     columnar = True  # not a field: scans are always columnar; stamps read it
     agents_per_group: int = 10
-    scan_cache: bool = True
-    scan_cache_entries: int = 512
+    scan_cache = False  # not a field: hot scans are never memoized; stamps read it
     stream_batch_size: int = 256
     max_workers: Optional[int] = None
     shards: int = 0
@@ -237,8 +227,6 @@ class SystemConfig:
                 f"unknown scheduling {self.scheduling!r}; "
                 f"expected one of {SCHEDULINGS}"
             )
-        if self.scan_cache_entries < 1:
-            raise ValueError("scan_cache_entries must be >= 1")
         if self.stream_batch_size < 1:
             raise ValueError("stream_batch_size must be >= 1")
         if self.max_workers is not None and self.max_workers < 1:

@@ -38,7 +38,6 @@ from repro.obs.slowlog import SlowQuery, SlowQueryLog
 from repro.obs.trace import Trace, trace_span
 from repro.service import (
     QueryService,
-    ScanCache,
     StreamSession,
     get_shared_executor,
     shutdown_shared_executor,
@@ -96,9 +95,6 @@ class AIQLSystem:
                     agents_per_group=self.config.agents_per_group
                 ),
                 executor=get_shared_executor(self.config.max_workers),
-                scan_cache=ScanCache(self.config.scan_cache_entries)
-                if self.config.scan_cache
-                else None,
             )
             if self.config.data_dir is not None:
                 # Durable tiered deployment: opening the data dir *is*
@@ -154,12 +150,6 @@ class AIQLSystem:
             ingestor.attach(store)
         self.ingestor = ingestor
         self.store = store
-        if (
-            self.config.scan_cache
-            and isinstance(store, EventStore)
-            and store.scan_cache is None
-        ):
-            store.scan_cache = ScanCache(self.config.scan_cache_entries)
         self._service = None
         self._continuous = None
         self.last_scheduler_stats = None
@@ -358,8 +348,7 @@ class AIQLSystem:
     def service(self) -> QueryService:
         """The concurrent query front-end over this system's store.
 
-        Created lazily; all submissions share the process-wide executor
-        and the store's partition-scan cache.
+        Created lazily; all submissions share the process-wide executor.
         """
         if self._service is None:
             self._service = QueryService(
@@ -380,9 +369,8 @@ class AIQLSystem:
         """Open a live-ingestion session over this system's ingestor.
 
         Events appended to the session become visible to queries at each
-        batch commit (atomic per partition, monotone watermark); only the
-        scan-cache entries of partitions a batch touches are invalidated,
-        so concurrent queries over other partitions stay cache-warm.  Every
+        batch commit (atomic across partitions, monotone watermark); a
+        concurrent query sees a batch whole or not at all.  Every
         committed batch is also pushed through the continuous query engine,
         so standing queries registered via :meth:`subscribe` alert from
         this session's commits (even when registered later).
@@ -478,9 +466,6 @@ class AIQLSystem:
     def stats(self) -> dict:
         stats = dict(self.store.stats())
         stats["plan_cache"] = PLAN_CACHE.stats()
-        cache = getattr(self.store, "scan_cache", None)
-        if cache is not None:
-            stats["scan_cache"] = cache.stats()
         if self._wal is not None:
             stats["wal"] = self._wal.stats()
         if self.compactor is not None:

@@ -18,7 +18,7 @@ Routes (all JSON payloads are :mod:`repro.api` messages):
 =========================  ======================================================
 
 Queries execute on the existing :class:`~repro.service.QueryService`
-(in-flight dedup, scan caches, sharded scatter/gather — nothing engine-
+(in-flight dedup, sharded scatter/gather — nothing engine-
 side changed) via ``asyncio``-wrapped futures; the event loop never
 blocks on a scan.  Admission control
 (:class:`~repro.server.admission.AdmissionController`) bounds in-flight

@@ -1,22 +1,20 @@
 """Concurrent query service subsystem.
 
-Three pieces, layered:
+Five pieces, layered:
 
 * :mod:`repro.service.pool` — the process-wide shared thread pool that
   replaced every per-call ``ThreadPoolExecutor``;
-* :mod:`repro.service.cache` — the LRU partition-scan cache (keyed by
-  partition + canonical filter fingerprint, invalidated on ingest);
+* :mod:`repro.service.cache` — the single-flight LRU result cache the cold
+  tier keeps per segment (keyed by segment + canonical filter fingerprint);
 * :mod:`repro.service.query_service` — the batch front-end that runs many
   AIQL queries concurrently and deduplicates overlapping work;
 * :mod:`repro.service.stream` — live streaming ingestion: batched atomic
-  commits concurrent with query execution, with a monotone watermark and
-  partition-scoped cache invalidation;
+  commits concurrent with query execution, with a monotone watermark;
 * :mod:`repro.service.continuous` — standing queries over the live
   stream: per-pattern compiled kernels, sliding windows, delta joins and
   alert callbacks driven by the stream's commit hooks.
 """
 
-from repro.service.cache import ScanCache
 from repro.service.pool import (
     SharedExecutor,
     get_shared_executor,
@@ -29,7 +27,6 @@ __all__ = [
     "ContinuousError",
     "ContinuousQueryEngine",
     "QueryService",
-    "ScanCache",
     "ServiceStats",
     "SharedExecutor",
     "StreamSession",

@@ -1,49 +1,36 @@
-"""Partition-scan cache: shareable, amortized scan work (ROADMAP scaling).
+"""Segment-scan cache: the cold tier's memo of per-segment selections.
 
-Investigation workloads repeat themselves: iterative refinement (paper
-Sec. 6.2.1) re-issues the same event patterns with small variations, and
-concurrent analysts fire queries whose data queries overlap.  The seed
-implementation re-scanned every partition on every call.
+Cold segments are immutable, so a segment's survivors under one filter
+never change: :class:`ScanCache` memoizes them, keyed by ``(segment file,
+filter fingerprint)`` where the fingerprint is the canonicalized hashable
+form of an :class:`~repro.storage.filters.EventFilter` (see
+:func:`repro.storage.filters.filter_fingerprint`).  Properties:
 
-:class:`ScanCache` memoizes per-partition scan results, keyed by
-``(PartitionKey, filter fingerprint)`` where the fingerprint is the
-canonicalized hashable form of an :class:`~repro.storage.filters.EventFilter`
-(see :func:`repro.storage.filters.filter_fingerprint`).  Properties:
-
-* **LRU-bounded** — at most ``max_entries`` cached partition scans.
-* **Invalidation on ingest** — ``EventStore.add_event`` invalidates the
-  entries of the partition the event lands in (and only those).
+* **LRU-bounded** — at most ``max_entries`` cached segment scans.
 * **Single-flight** — concurrent misses on the same key execute the scan
-  once; the other callers wait on the winner's future.  This is the
-  storage-level half of the query service's sub-query deduplication.
-* **Write-race safety** — a result computed while its partition was
-  invalidated is returned to callers (equivalent to a scan racing an
-  ingest without the cache) but never inserted into the cache.
-* **Generation keying** — callers may tag a value with the *block
-  generation* of its source (see :mod:`repro.storage.blocks`); a hit whose
-  recorded generation differs from the caller's is a miss.  This is the
-  shared invalidation path for selection-vector values: hot partition
-  scans key on the partition's live block, cold segment scans on the
-  decoded block, so a rebuilt/re-decoded block can never serve another
-  block's positions.
+  once; the other callers wait on the winner's future.
+* **Generation keying** — callers tag a value with the *block generation*
+  of its source (see :mod:`repro.storage.blocks`); a hit whose recorded
+  generation differs from the caller's is a miss, so a re-decoded block
+  can never serve another block's positions.
 
-Cached values are immutable from the cache's point of view (selection
-vectors over append-only blocks, or tuples of frozen events), so sharing
-them across threads is safe.
+Nothing invalidates an entry: the sources are immutable, and entries only
+age out of the LRU.  Cached values are immutable from the cache's point of
+view (selection vectors over sealed blocks), so sharing them across
+threads is safe.
 
-This is the innermost of the three read-side memo levels, and the only
-one that data invalidates:
+Besides this cache the read path has two memo levels, neither of which
+data invalidates:
 
 1. **plan** (:mod:`repro.engine.plan_cache`) — canonical query text to its
-   compiled ``QueryContext``; plans hold no data, so nothing invalidates
-   them and they only age out of a 256-plan LRU;
+   compiled ``QueryContext``; plans hold no data, so they only age out of a
+   256-plan LRU;
 2. **index answers** (:class:`repro.storage.index.HashIndex`) — an entity
    constraint to the ids it resolves to; the keyspace is append-only, so
    an insert extends an answer (new keys are tested, new ids under matched
-   keys collected) instead of discarding it;
-3. **partition scans** (this module) — ``(partition, filter)`` to the rows
-   selected; dropped when a batch lands in the partition or its block is
-   rebuilt.
+   keys collected) instead of discarding it.
+
+Hot partitions are never memoized: every hot scan computes its selection.
 """
 
 from __future__ import annotations
@@ -53,15 +40,15 @@ from collections import OrderedDict
 from concurrent.futures import Future
 from typing import Callable, Dict, Hashable, Optional, Tuple, TypeVar
 
-_Key = Tuple[Hashable, Hashable]  # (partition key, filter fingerprint)
+_Key = Tuple[Hashable, Hashable]  # (segment file, filter fingerprint)
 
 _V = TypeVar("_V")
 
 # Scheduler-narrowed sub-queries can carry join-derived id sets with
 # thousands of members; their fingerprints are one-off (query-result-
 # dependent), so caching them churns the LRU and evicts the reusable
-# base-pattern entries.  Shared by the hot partition-scan cache, the cold
-# per-segment result cache and kernel memoization.
+# base-pattern entries.  Shared by the cold per-segment result cache and
+# kernel memoization.
 CACHEABLE_ID_SET_LIMIT = 128
 
 
@@ -80,8 +67,8 @@ def cache_fingerprint(
     for cacheable filters and ``None`` for ones that should bypass every
     fingerprint-keyed cache (giant scheduler-narrowed id sets: one-off
     keys whose fingerprints cost an O(n log n) sort each).  The kernel
-    cache, the hot partition-scan cache and the cold per-segment cache all
-    key through here instead of duplicating the guard+fingerprint pair.
+    cache and the cold per-segment cache both key through here instead of
+    duplicating the guard+fingerprint pair.
     """
     if not cacheable_filter(flt, limit):
         return None
@@ -92,7 +79,7 @@ def cache_fingerprint(
 
 
 class ScanCache:
-    """Thread-safe LRU cache of per-partition scan results."""
+    """Thread-safe LRU cache of per-segment scan results."""
 
     def __init__(self, max_entries: int = 512) -> None:
         if max_entries < 1:
@@ -104,14 +91,9 @@ class ScanCache:
             OrderedDict()
         )
         self._inflight: Dict[_Key, "Future[object]"] = {}
-        self._generations: Dict[Hashable, int] = {}
-        # Per-partition key index so ingest-time invalidation is
-        # O(entries for that partition), not a walk of the whole cache.
-        self._keys_by_partition: Dict[Hashable, set] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.invalidations = 0
         self.shared_waits = 0
         self.generation_mismatches = 0
 
@@ -121,22 +103,21 @@ class ScanCache:
 
     def get_or_compute(
         self,
-        partition: Hashable,
+        segment: Hashable,
         fingerprint: Hashable,
         compute: Callable[[], _V],
         generation: Optional[int] = None,
     ) -> _V:
-        """Cached scan result for ``(partition, fingerprint)``.
+        """Cached scan result for ``(segment, fingerprint)``.
 
         On a miss, ``compute`` runs exactly once even under concurrent
-        callers (single-flight); its result is cached as returned unless
-        the partition was invalidated while it ran.  ``generation``, when
-        given, is the block generation of the value's source: a cached
-        entry recorded under a different generation is treated as a miss
-        (and replaced), so selections over a rebuilt block are never
-        served against its successor.
+        callers (single-flight) and its result is cached as returned.
+        ``generation``, when given, is the block generation of the value's
+        source: a cached entry recorded under a different generation is
+        treated as a miss (and replaced), so selections over one decoded
+        block are never served against another.
         """
-        key = (partition, fingerprint)
+        key = (segment, fingerprint)
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
@@ -144,14 +125,13 @@ class ScanCache:
                     self._entries.move_to_end(key)
                     self.hits += 1
                     return cached[1]  # type: ignore[return-value]
-                # Stale generation: the source block was rebuilt, so the
+                # Stale generation: the source block was re-decoded, so the
                 # cached selection can never be served again.  Evict it
                 # now (the recompute below re-inserts under the new
                 # generation) and count the mismatch distinctly from
                 # plain misses — a high rate means block churn, not a
                 # cold cache.
                 del self._entries[key]
-                self._discard_key(key)
                 self.generation_mismatches += 1
             future = self._inflight.get(key)
             if future is not None:
@@ -161,73 +141,25 @@ class ScanCache:
                 owner = True
                 future = Future()
                 self._inflight[key] = future
-                invalidation_gen = self._generations.get(partition, 0)
         if not owner:
             return future.result()  # type: ignore[return-value]
         try:
             value = compute()
         except BaseException as exc:
             with self._lock:
-                if self._inflight.get(key) is future:
-                    del self._inflight[key]
+                del self._inflight[key]
             future.set_exception(exc)
             raise
         with self._lock:
-            # Invalidation may have detached this future and a fresh owner
-            # may have registered since: only remove our own entry.
-            if self._inflight.get(key) is future:
-                del self._inflight[key]
+            del self._inflight[key]
             self.misses += 1
-            if self._generations.get(partition, 0) == invalidation_gen:
-                self._entries[key] = (generation, value)
-                self._entries.move_to_end(key)
-                self._keys_by_partition.setdefault(partition, set()).add(key)
-                while len(self._entries) > self.max_entries:
-                    evicted_key, _ = self._entries.popitem(last=False)
-                    self._discard_key(evicted_key)
-                    self.evictions += 1
+            self._entries[key] = (generation, value)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self.evictions += 1
         future.set_result(value)
         return value
-
-    def _discard_key(self, key: _Key) -> None:
-        keys = self._keys_by_partition.get(key[0])
-        if keys is not None:
-            keys.discard(key)
-            if not keys:
-                del self._keys_by_partition[key[0]]
-
-    def invalidate(self, partition: Hashable) -> int:
-        """Drop every cached scan of ``partition``; returns entries dropped.
-
-        Also bumps the partition's generation so in-flight scans started
-        before the invalidation are not inserted when they complete.
-        """
-        with self._lock:
-            self._generations[partition] = self._generations.get(partition, 0) + 1
-            # Detach in-flight computes too: a miss arriving after this
-            # invalidation must scan fresh (read-your-writes), not join a
-            # single-flight started before the ingest.  The detached owner
-            # still resolves its waiters; it just won't be cached/joined.
-            for key in [k for k in self._inflight if k[0] == partition]:
-                del self._inflight[key]
-            stale = self._keys_by_partition.pop(partition, None)
-            if not stale:
-                return 0
-            for key in stale:
-                del self._entries[key]
-            self.invalidations += 1
-            return len(stale)
-
-    def clear(self) -> None:
-        """Drop everything (in-flight scans will not be inserted either)."""
-        with self._lock:
-            for key in self._inflight:
-                partition = key[0]
-                self._generations[partition] = (
-                    self._generations.get(partition, 0) + 1
-                )
-            self._entries.clear()
-            self._keys_by_partition.clear()
 
     def stats(self) -> Dict[str, int]:
         """One consistent snapshot of the cache counters.
@@ -243,7 +175,6 @@ class ScanCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "invalidations": self.invalidations,
                 "shared_waits": self.shared_waits,
                 "generation_mismatches": self.generation_mismatches,
             }

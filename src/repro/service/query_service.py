@@ -8,12 +8,7 @@ queries concurrently against one store:
   (``submit`` returns a future; ``submit_many``/``run_many`` batch);
 * identical in-flight queries are deduplicated — submitting a query whose
   canonical text is already executing returns the existing future instead
-  of spawning a second execution;
-* overlapping *sub*-queries (the per-partition data-query scans) are
-  deduplicated and amortized by the store's
-  :class:`~repro.service.cache.ScanCache` — concurrent cache misses on the
-  same ``(partition, filter)`` key execute once (single-flight), and later
-  queries hit the warm cache until ingest invalidates the partition.
+  of spawning a second execution.
 
 Every execution goes through :func:`repro.engine.run_query`, which builds
 its executor per call, so any number of worker threads can share one
@@ -176,18 +171,10 @@ class QueryService:
 
     # -- introspection -------------------------------------------------------
 
-    @property
-    def scan_cache(self):
-        return getattr(self.store, "scan_cache", None)
-
     def stats_snapshot(self) -> Dict[str, object]:
         with self._lock:
-            snapshot: Dict[str, object] = {
+            return {
                 "submitted": self.stats.submitted,
                 "executed": self.stats.executed,
                 "deduped": self.stats.deduped,
             }
-        cache = self.scan_cache
-        if cache is not None:
-            snapshot["scan_cache"] = cache.stats()
-        return snapshot

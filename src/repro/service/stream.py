@@ -19,10 +19,6 @@ stop-the-world:
 * **Monotone ingest watermark** — :meth:`commit` returns the total number of
   events durably visible in the attached stores.  A query issued after
   observing watermark *W* sees every event counted by *W* (read-your-writes).
-* **Partition-scoped cache invalidation** — a commit evicts only the scan
-  cache entries of partitions the batch actually touched (once per
-  partition, not once per event); cached scans of every other partition
-  stay hit-warm.
 * **Exactly-once validation** — events are validated at :meth:`append` time
   through :meth:`repro.storage.ingest.Ingestor.build_event`; the commit
   fan-out appends the already-validated batch to every store.
@@ -63,7 +59,7 @@ _M_EVENTS = REGISTRY.counter(
 )
 _M_COMMIT_SECONDS = REGISTRY.histogram(
     "aiql_ingest_commit_seconds",
-    "Commit latency: publish + cache invalidation + commit hooks",
+    "Commit latency: publish + commit hooks",
 )
 
 # A commit hook receives the just-published batch and the committing

@@ -35,13 +35,7 @@ from repro.shard.coordinator import (
 )
 from repro.shard.supervisor import ShardHealth, ShardSupervisor
 from repro.shard.worker import ShardSpec, shard_worker_main
-from repro.shard.wire import (
-    WireError,
-    decode_events,
-    decode_result,
-    encode_events,
-    encode_result,
-)
+from repro.shard.wire import WireError, decode_result, encode_result
 
 __all__ = [
     "ChaosAgent",
@@ -58,9 +52,7 @@ __all__ = [
     "ShardTimeout",
     "ShardedStore",
     "WireError",
-    "decode_events",
     "decode_result",
-    "encode_events",
     "encode_result",
     "plan_from_env",
     "shard_worker_main",

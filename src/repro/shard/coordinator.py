@@ -99,7 +99,7 @@ from repro.model.events import SystemEvent
 from repro.obs import REGISTRY, active_trace, trace_span
 from repro.shard.chaos import FaultPlan, plan_from_env
 from repro.shard.supervisor import ShardSupervisor
-from repro.shard.wire import decode_events, decode_result, payload_nbytes
+from repro.shard.wire import decode_result, payload_nbytes
 from repro.shard.worker import ShardSpec, shard_worker_main
 from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions
 from repro.storage.codec import encode_block
@@ -305,8 +305,6 @@ class ShardedStore:
                     index=index,
                     shards=self.shards,
                     agents_per_group=config.agents_per_group,
-                    scan_cache=config.scan_cache,
-                    scan_cache_entries=config.scan_cache_entries,
                     data_dir=(
                         f"{config.data_dir}/shard-{index:02d}"
                         if config.data_dir is not None
@@ -984,16 +982,10 @@ class ShardedStore:
     def full_scan(self, flt: EventFilter) -> List[SystemEvent]:
         """Pruning- and index-free scatter scan (the soundness oracle)."""
         payloads = self._scatter(("full_scan", flt), self.scan_timeout_s)
+        parts = [decode_result(payloads[shard]) for shard in sorted(payloads)]
+        merged = BlockScanResult([s for s in parts if s is not None]).events()
         torn = self._torn
-        merged: List[SystemEvent] = []
-        for shard in sorted(payloads):
-            merged.extend(
-                e
-                for e in decode_events(payloads[shard])
-                if e.event_id not in torn
-            )
-        merged.sort(key=lambda e: (e.start_time, e.event_id))
-        return merged
+        return [e for e in merged if e.event_id not in torn]
 
     def estimated_events(self, flt: EventFilter) -> int:
         return sum(self._scatter(("estimate", flt)).values())

@@ -1,21 +1,15 @@
 """Wire format for shard <-> coordinator traffic (ISSUE 7).
 
 Besides the ingest ``batch`` command — whose payload is a bare block frame
-of :mod:`repro.storage.codec`, cut and encoded by the coordinator — two
-payload kinds cross the worker pipes, both plain picklable dicts/lists of
-``bytes``/tuples (no live objects, no code):
+of :mod:`repro.storage.codec`, cut and encoded by the coordinator — one
+payload kind crosses the worker pipes, a plain picklable dict of ``bytes``
+(no live objects, no code): **scan results** (shard -> coordinator), the
+survivor rows of a scatter scan or of a pruning-free ``full_scan`` as one
+:class:`~repro.storage.blocks.ColumnBlock` slice in (start_time, event_id)
+order, packed as one raw block frame of :mod:`repro.storage.codec` — the
+same bytes a WAL record or a cold segment holds.
 
-* **row lists** (shard -> coordinator ``full_scan`` replies only — the
-  pruning-free test oracle): one compact tuple per event, with operation
-  and object type as their *value strings* — enum identity never crosses a
-  process boundary;
-* **scan results** (shard -> coordinator): the survivor rows of a
-  scatter scan as one :class:`~repro.storage.blocks.ColumnBlock` slice in
-  (start_time, event_id) order, packed as one raw block frame of
-  :mod:`repro.storage.codec` — the same bytes a WAL record or a cold
-  segment holds.
-
-A routed query (the ``query`` command) sends neither: its worker runs the
+A routed query (the ``query`` command) sends no scan result: its worker runs the
 whole query and replies with the answer's columns, rows and meta, the
 scheduler's stats and the count of scans it ran.  Its scans are capped by
 :func:`capped_block`, the rule a scatter reply is cut by, so both paths
@@ -30,66 +24,15 @@ raises :class:`WireError` instead of aliasing to a wrong code.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
-from repro.model.entities import EntityType
-from repro.model.events import Operation, SystemEvent
 from repro.storage.blocks import BlockScanResult, ColumnBlock, Selection
 from repro.storage.codec import BlockCodecError, decode_block, encode_block
-
-_OP_BY_VALUE: Dict[str, Operation] = {op.value: op for op in Operation}
-_OTYPE_BY_VALUE: Dict[str, EntityType] = {t.value: t for t in EntityType}
 
 
 class WireError(ValueError):
     """Raised for a payload that is malformed or whose dictionary tables
     cannot be reconciled."""
-
-
-# -- event batches ----------------------------------------------------------
-
-
-def encode_events(events: Sequence[SystemEvent]) -> List[tuple]:
-    """Pack events as primitive tuples (ops/otypes by value string)."""
-    return [
-        (
-            e.event_id,
-            e.agent_id,
-            e.seq,
-            e.start_time,
-            e.end_time,
-            e.operation.value,
-            e.subject_id,
-            e.object_id,
-            e.object_type.value,
-            e.amount,
-            e.failure_code,
-        )
-        for e in events
-    ]
-
-
-def decode_events(payload: Sequence[tuple]) -> Tuple[SystemEvent, ...]:
-    """Rebuild :func:`encode_events` tuples into events, in order."""
-    try:
-        return tuple(
-            SystemEvent(
-                event_id=eid,
-                agent_id=agent,
-                seq=seq,
-                start_time=t0,
-                end_time=t1,
-                operation=_OP_BY_VALUE[op],
-                subject_id=subj,
-                object_id=obj,
-                object_type=_OTYPE_BY_VALUE[ot],
-                amount=amt,
-                failure_code=fc,
-            )
-            for eid, agent, seq, t0, t1, op, subj, obj, ot, amt, fc in payload
-        )
-    except KeyError as exc:
-        raise WireError(f"unknown enum value in event batch: {exc}") from exc
 
 
 # -- scan results -----------------------------------------------------------

@@ -5,8 +5,8 @@ registry, ingestor, partitioned hot store, and when the
 deployment is durable, its own WAL, snapshot, cold segments and
 background compactor under ``<data_dir>/shard-<i>``.  The coordinator
 (:mod:`repro.shard.coordinator`) routes whole ``(day, agent-group)``
-partitions to a worker, so partition pruning, compiled kernels, the
-scan cache and the tiered cold path all run unchanged inside it.
+partitions to a worker, so partition pruning, compiled kernels and the
+tiered cold path all run unchanged inside it.
 
 Protocol: a strict request/response loop over one duplex pipe.  The ingest
 ``batch`` command carries one block frame — this shard's slice of a commit
@@ -17,8 +17,9 @@ answers one scatter scan with its capped survivors as a block frame;
 shard can match — through :func:`repro.engine.run_query` over a
 :class:`CappedStore` view, and answers ``(columns, rows, meta, stats,
 scans)``, or ``None`` when execution raised (the coordinator then runs it
-on the scatter path, where the error surfaces with its own type).  The
-other commands are ``entities``, ``full_scan``, ``estimate``,
+on the scatter path, where the error surfaces with its own type).
+``full_scan``, the pruning-free test oracle, answers in the scan reply's
+block frame.  The other commands are ``entities``, ``estimate``,
 ``time_range``, ``compact``, ``checkpoint``, ``stats``, ``metrics``,
 ``ping`` and ``stop``.  Every
 command is answered with ``("ok", payload)`` or ``("err", message)`` —
@@ -41,11 +42,10 @@ from typing import Optional, Tuple
 
 from repro.engine import compile_query, run_query
 from repro.obs import REGISTRY, set_metrics_enabled
-from repro.service.cache import ScanCache
 from repro.service.pool import shutdown_shared_executor
 from repro.shard.chaos import ChaosAgent, Fault
-from repro.shard.wire import capped_result, encode_events, encode_result
-from repro.storage.blocks import BlockScanResult
+from repro.shard.wire import capped_result, encode_result
+from repro.storage.blocks import BlockScanResult, ColumnBlock, Selection
 from repro.storage.codec import decode_block
 from repro.storage.database import EventStore
 from repro.storage.filters import EventFilter
@@ -61,8 +61,6 @@ class ShardSpec:
     index: int
     shards: int = 1
     agents_per_group: int = 10
-    scan_cache: bool = True
-    scan_cache_entries: int = 512
     data_dir: Optional[str] = None
     retention_days: Optional[int] = None
     compact_interval_s: float = 30.0
@@ -136,6 +134,13 @@ def _run_routed(store, spec, text, scheduling, parallel, watermark, exclude):
     return result.columns, result.rows, result.meta, stats, view.scans
 
 
+def full_scan_reply(store, flt: EventFilter) -> dict:
+    """The ``full_scan`` command: the store's pruning-free survivors in the
+    block frame a scan reply uses (the coordinator drops torn ids)."""
+    block = ColumnBlock.from_events(store.full_scan(flt))
+    return encode_result(BlockScanResult([Selection(block, range(len(block)))]))
+
+
 def shard_worker_main(conn, spec: ShardSpec) -> None:
     """Worker entry point (the ``spawn`` target)."""
     # Metrics registries are process-local: the worker keeps its own, the
@@ -147,7 +152,6 @@ def shard_worker_main(conn, spec: ShardSpec) -> None:
     store = EventStore(
         registry=registry,
         scheme=PartitionScheme(agents_per_group=spec.agents_per_group),
-        scan_cache=ScanCache(spec.scan_cache_entries) if spec.scan_cache else None,
     )
     wal = None
     compactor = None
@@ -222,7 +226,7 @@ def shard_worker_main(conn, spec: ShardSpec) -> None:
             elif command == "query":
                 reply = _run_routed(store, spec, *args)
             elif command == "full_scan":
-                reply = encode_events(store.full_scan(args[0]))
+                reply = full_scan_reply(store, args[0])
             elif command == "estimate":
                 reply = store.estimated_events(args[0])
             elif command == "time_range":

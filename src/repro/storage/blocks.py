@@ -75,10 +75,10 @@ OTYPE_CODE: Dict[EntityType, int] = {t: i for i, t in enumerate(OTYPE_BY_CODE)}
 OTYPE_VALUE_BY_CODE: Tuple[str, ...] = tuple(t.value for t in OTYPE_BY_CODE)
 
 # Block generations: a process-wide monotone counter stamped at block
-# construction.  A rebuilt partition (cold migration, remove_events) gets a
-# fresh block and therefore a fresh generation, which is what the shared
-# scan-result cache keys its entries on — a selection cached against one
-# generation can never be served for a different physical block.
+# construction.  A re-decoded cold segment gets a fresh block and
+# therefore a fresh generation, which is what the cold scan-result cache
+# keys its entries on — a selection cached against one generation can
+# never be served for a different physical block.
 _generations = itertools.count(1)
 
 Positions = Union[range, List[int]]

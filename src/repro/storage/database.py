@@ -14,14 +14,9 @@ from typing import AbstractSet, Dict, Iterator, List, Optional, Tuple
 
 from repro.model.entities import Entity, EntityRegistry, EntityType
 from repro.model.events import SystemEvent
-from repro.service.cache import CACHEABLE_ID_SET_LIMIT, ScanCache, cacheable_filter
 from repro.service.pool import SharedExecutor, get_shared_executor
 from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions, Selection
-from repro.storage.filters import (
-    EventFilter,
-    filter_fingerprint,
-    top_level_equalities,
-)
+from repro.storage.filters import EventFilter, top_level_equalities
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import active_trace
 from repro.storage.index import DEFAULT_INDEXED_ATTRIBUTES, EntityAttributeIndex
@@ -47,14 +42,6 @@ _M_PARTS_SCANNED = REGISTRY.counter(
 _M_PARTS_PRUNED = REGISTRY.counter(
     "aiql_scan_partitions_pruned_total",
     "Partitions eliminated by (day, agent-group) pruning",
-)
-_M_CACHE_HITS = REGISTRY.counter(
-    "aiql_scan_cache_hits_total",
-    "Partition selections served from the scan cache",
-)
-_M_CACHE_MISSES = REGISTRY.counter(
-    "aiql_scan_cache_misses_total",
-    "Partition selections computed (scan-cache miss or cache bypass)",
 )
 
 
@@ -102,7 +89,6 @@ class EventStore:
         scheme: Optional[PartitionScheme] = None,
         indexed_attributes=None,
         executor: Optional[SharedExecutor] = None,
-        scan_cache: Optional[ScanCache] = None,
     ) -> None:
         self.registry = registry if registry is not None else EntityRegistry()
         self.scheme = scheme or PartitionScheme()
@@ -117,10 +103,8 @@ class EventStore:
         # what makes a multi-partition batch commit atomic to scans.
         self._committed = 0
         # Parallel scans run on the process-wide shared pool (never a
-        # per-call one); the scan cache is optional and owner-provided so
-        # several stores can share or disable it.
+        # per-call one).
         self._executor = executor
-        self.scan_cache = scan_cache
 
     # -- ingestion ---------------------------------------------------------
 
@@ -139,8 +123,6 @@ class EventStore:
             self._partitions[key] = table
         table.append(event)
         self._event_count += 1
-        if self.scan_cache is not None:
-            self.scan_cache.invalidate(key)
         self._committed = max(self._committed, event.event_id)
 
     def add_block(
@@ -152,16 +134,12 @@ class EventStore:
         The one batch path — a stream commit, WAL replay, snapshot load and
         a shard worker's slice all arrive here as a block.  The rows are
         split per partition from the start-time column and the agent
-        dictionary (:meth:`PartitionScheme.split`), each partition extends
-        its columns and publishes its share with one visibility bump, and
-        the scan cache is invalidated once per *touched* partition — cached
-        scans of partitions the batch did not touch stay warm, unlike the
-        per-event exclusive path which pays one invalidation per event.
-        The committed watermark is raised last (after every partition
-        published and the touched cache entries were dropped), so a reader
-        either filters the whole batch out or — once the watermark moves —
-        finds every partition's share already published: no torn batches,
-        and a post-commit query never gets a pre-commit cache entry.
+        dictionary (:meth:`PartitionScheme.split`) and each partition
+        extends its columns and publishes its share with one visibility
+        bump.  The committed watermark is raised last (after every
+        partition published), so a reader either filters the whole batch
+        out or — once the watermark moves — finds every partition's share
+        already published: no torn batches.
         """
         split = self.scheme.split(block, positions)
         for key, rows in split.items():
@@ -170,9 +148,6 @@ class EventStore:
                 table = EventTable(self.registry.get)
                 self._partitions[key] = table
             table.append_block(block, rows)
-        if self.scan_cache is not None:
-            for key in split:
-                self.scan_cache.invalidate(key)
         self._event_count += sum(len(rows) for rows in split.values())
         self._committed = max(self._committed, block.top_event_id(positions))
         return tuple(split)
@@ -201,8 +176,6 @@ class EventStore:
                 self._partitions[key] = fresh
             else:
                 del self._partitions[key]
-            if self.scan_cache is not None:
-                self.scan_cache.invalidate(key)
         self._event_count -= removed
         return removed
 
@@ -241,14 +214,6 @@ class EventStore:
         """
         return sum(len(table) for table in self._pruned(flt))
 
-    # Skip the cache for filters carrying giant scheduler-narrowed id sets
-    # (one-off fingerprints; see service.cache.cacheable_filter).
-    CACHEABLE_ID_SET_LIMIT = CACHEABLE_ID_SET_LIMIT
-
-    @classmethod
-    def _cacheable(cls, flt: EventFilter) -> bool:
-        return cacheable_filter(flt, cls.CACHEABLE_ID_SET_LIMIT)
-
     def scan_columns(
         self,
         flt: EventFilter,
@@ -267,19 +232,10 @@ class EventStore:
         LIKE predicates (stock PostgreSQL/Greenplum seq-scan in that case);
         partition pruning and the time index still apply.
 
-        Per-partition selections are served from :attr:`scan_cache` when
-        one is attached; entries are keyed by the *narrowed* filter plus
-        the partition block's generation (a rebuilt partition gets a fresh
-        block, so its old selections can never be replayed), and the
-        committed-watermark cut is applied per scan, never cached.
+        Every partition's selection is computed by this scan; the
+        committed-watermark cut is applied to it before it is returned.
         """
-        # Cacheability is judged on the incoming filter: id sets already
-        # present were injected by the scheduler from join results (one-off
-        # keys), while the index narrowing below derives from the stable
-        # entity population and only shapes the cache key.
         committed = self._committed  # snapshot before touching any partition
-        cache = self.scan_cache
-        cacheable = cache is not None and self._cacheable(flt)
         obs = REGISTRY.enabled
         trace = active_trace()
         observing = obs or trace is not None
@@ -292,72 +248,44 @@ class EventStore:
         kernel = kernel_for(flt) if kernels_enabled() else None
         if kernel is not None and kernel.always_false:
             if observing:
-                self._observe_scan(obs, trace, considered, 0, 0, 0, 0, 0)
+                self._observe_scan(obs, trace, considered, 0, 0, 0)
             return BlockScanResult(())
         keys = self._pruned_keys(flt)
         if not keys:
             if observing:
-                self._observe_scan(obs, trace, considered, 0, 0, 0, 0, 0)
+                self._observe_scan(obs, trace, considered, 0, 0, 0)
             return BlockScanResult(())
-        # Cache accounting for *this* scan: pool workers don't inherit the
-        # caller's contextvars, so per-partition outcomes are collected via
-        # this thread-safe list and folded into span/metrics on the calling
-        # thread after the gather.
-        computed: List[None] = []
-        # Partition sizes are recorded inside scan_one (same thread-safe
-        # list pattern) so the observing path never re-fetches tables.
+        # Partition sizes are recorded inside scan_one so the observing path
+        # never re-fetches tables; pool workers don't inherit the caller's
+        # contextvars, so they append to this thread-safe list and the
+        # calling thread folds it into span/metrics after the gather.
         sizes: Optional[List[int]] = [] if observing else None
+
         # .get: a partition may be migrated cold (popped) between pruning
         # and the per-partition scan; its events are then served by the
         # cold tier, so an empty result here is correct, not a lost read.
-        if cacheable:
-            fingerprint = filter_fingerprint(flt)
-
-            def scan_one(key: PartitionKey) -> Optional[Selection]:
-                table = self._partitions.get(key)
-                if table is None:
-                    return None
-                if sizes is not None:
-                    sizes.append(len(table))
-
-                def compute() -> Selection:
-                    computed.append(None)
-                    return table.scan_select(flt, None, kernel)
-
-                return cache.get_or_compute(
-                    key,
-                    fingerprint,
-                    compute,
-                    generation=table.block.generation,
-                )
-
-        else:
-
-            def scan_one(key: PartitionKey) -> Optional[Selection]:
-                table = self._partitions.get(key)
-                if table is None:
-                    return None
-                if sizes is not None:
-                    sizes.append(len(table))
-                return table.scan_select(flt, None, kernel)
+        def scan_one(key: PartitionKey) -> Optional[Selection]:
+            table = self._partitions.get(key)
+            if table is None:
+                return None
+            if sizes is not None:
+                sizes.append(len(table))
+            return table.scan_select(flt, None, kernel)
 
         if parallel and len(keys) > 1:
             selections = self.executor.map_all(scan_one, keys)
         else:
             selections = [scan_one(key) for key in keys]
-        # Rows published by a still-committing batch (or cached by a later
-        # scan) sit above our committed snapshot; dropping them per scan
-        # keeps multi-partition commits atomic to this scan.
+        # Rows published by a still-committing batch sit above our
+        # committed snapshot; dropping them per scan keeps multi-partition
+        # commits atomic to this scan.
         final = [s.committed_only(committed) for s in selections if s is not None]
         if observing:
             scanned = sum(1 for s in selections if s is not None)
-            misses = len(computed) if cacheable else scanned
-            hits = scanned - misses if cacheable else 0
             rows_scanned = sum(sizes or ())
             rows_selected = sum(len(s) for s in final)
             self._observe_scan(
-                obs, trace, considered, scanned,
-                rows_scanned, rows_selected, hits, misses,
+                obs, trace, considered, scanned, rows_scanned, rows_selected
             )
         return BlockScanResult(final)
 
@@ -369,8 +297,6 @@ class EventStore:
         scanned: int,
         rows_scanned: int,
         rows_selected: int,
-        hits: int,
-        misses: int,
     ) -> None:
         """Fold one scan's outcome into metrics and the active span."""
         pruned = max(0, considered - scanned)
@@ -380,18 +306,12 @@ class EventStore:
             _M_ROWS_SELECTED.inc(rows_selected)
             _M_PARTS_SCANNED.inc(scanned)
             _M_PARTS_PRUNED.inc(pruned)
-            if hits:
-                _M_CACHE_HITS.inc(hits)
-            if misses:
-                _M_CACHE_MISSES.inc(misses)
         if trace is not None:
             span = trace.current
             span.add("rows_scanned", rows_scanned)
             span.add("rows_selected", rows_selected)
             span.add("partitions_scanned", scanned)
             span.add("partitions_pruned", pruned)
-            span.add("cache_hits", hits)
-            span.add("cache_misses", misses)
 
     def scan(
         self,

@@ -13,14 +13,14 @@ destination IP of network connection".  We provide:
   attribute) hash indexes used by data queries to resolve candidate entity
   ids before touching events.
 
-Index answers are the middle of the three read-side memo levels (see the
+Index answers are the second of the two read-side memo levels (see the
 README's query path): the plan cache (:mod:`repro.engine.plan_cache`)
 remembers what a text compiles to and is never invalidated; a
 :class:`HashIndex` remembers which entity ids an equality or LIKE
 constraint resolves to and *extends* the answer as entities arrive (an
-append-only keyspace never takes an id back); the partition-scan cache
-(:mod:`repro.service.cache`) remembers which rows of one partition a
-filter selects and drops a partition's entries when a batch lands in it.
+append-only keyspace never takes an id back).  Hot partition scans are
+not memoized; only immutable cold segments keep their selections
+(:mod:`repro.service.cache`).
 """
 
 from __future__ import annotations

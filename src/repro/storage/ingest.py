@@ -334,7 +334,7 @@ class Ingestor:
         decoded from the coordinator's frame; :meth:`commit` for rows).
 
         Every store takes it through ``add_batch`` — its ``add_block``:
-        atomic publication, one cache invalidation per touched partition —
+        atomic publication, one visibility bump per touched partition —
         after the write-ahead log, when one is attached, has made it
         durable.
         """

@@ -38,8 +38,8 @@ pushed batch.  The interpreter (:meth:`EventFilter.matches`, behind
 
 Kernels are memoized on the filter's canonical
 :func:`~repro.storage.filters.filter_fingerprint` — the same key as the
-partition-scan cache — so repeated and concurrent scans of one filter
-share a single compilation.
+cold tier's segment-scan cache — so repeated and concurrent scans of one
+filter share a single compilation.
 
 Semantics are bit-for-bit those of the interpreted path (differential- and
 property-tested); exotic runtime value types fall back to
@@ -655,7 +655,7 @@ _M_KERNEL_REUSED = REGISTRY.counter(
 class KernelCache:
     """Thread-safe LRU of compiled kernels keyed by filter fingerprint.
 
-    Shares its key space with the partition-scan cache: two filters with
+    Shares its key space with the cold segment-scan cache: two filters with
     equal fingerprints select the same events, so one kernel serves both.
     Scheduler-narrowed filters carrying giant join-derived id sets get
     one-off fingerprints (and pay an O(n log n) sort to compute them), so

@@ -32,10 +32,9 @@ only on the surviving tail.  :class:`~repro.model.events.SystemEvent`
 objects are lazily materialized row views; a segment none of whose rows
 survive never pays object construction.  Per-segment survivor selections
 are memoized in a scan cache keyed by ``(segment file, filter
-fingerprint)`` plus the decoded block's generation (the same shared
-invalidation policy as the hot partition-scan cache), which is the reason
-iterative mixed hot+cold investigations stop re-scanning the cold tier
-per query.
+fingerprint)`` plus the decoded block's generation
+(:class:`~repro.service.cache.ScanCache`), which is the reason iterative
+mixed hot+cold investigations stop re-scanning the cold tier per query.
 
 The manifest (``manifest.json``) is the tier's source of truth and is
 rewritten atomically (temp file + rename); segment files are written
@@ -232,9 +231,9 @@ class ColdTier:
         self._cache_lock = threading.Lock()
         # Per-segment scan results, keyed by (segment file, filter
         # fingerprint).  Segments are immutable so entries never need
-        # invalidation; 0 disables.  This is the cold analogue of the hot
-        # partition-scan cache and what keeps iterative investigations
-        # over mixed hot+cold windows from re-scanning the cold tier.
+        # invalidation; 0 disables.  This is what keeps iterative
+        # investigations over mixed hot+cold windows from re-scanning the
+        # cold tier.
         self.scan_cache: Optional[ScanCache] = (
             ScanCache(scan_cache_entries) if scan_cache_entries else None
         )

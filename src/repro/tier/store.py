@@ -14,8 +14,7 @@ Migration safety: a partition's events are written and published cold
 *before* they are removed from the hot store, so a concurrent scan
 always finds them in at least one tier; during the brief hand-off window
 they are reachable in both, which the merge deduplicates.  Removal
-rebuilds only the affected hot partitions and invalidates the
-scan cache for exactly those partition keys.  All mutations (ingest
+rebuilds only the affected hot partitions.  All mutations (ingest
 appends, migration removals, checkpoints) serialize on
 :attr:`writer_lock`, preserving the single-writer/multi-reader contract
 of the hot store — so a query never observes a partition
@@ -97,7 +96,7 @@ class TieredStore:
     # -- delegation ---------------------------------------------------------
 
     def __getattr__(self, name: str):
-        # Long-tail surface (registry, entity_index, scan_cache, scheme,
+        # Long-tail surface (registry, entity_index, scheme,
         # partition_keys, ...) belongs to the hot store.
         if name == "hot":  # not yet set: avoid recursing during __init__
             raise AttributeError(name)

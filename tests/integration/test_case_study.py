@@ -118,6 +118,11 @@ class TestAIQLSystemFacade:
         with pytest.raises(TypeError):
             SystemConfig(columnar=False)
         assert SystemConfig().columnar
+        # Hot scans are never memoized: there is no scan-cache knob.
+        for knob in ({"scan_cache": True}, {"scan_cache_entries": 1}):
+            with pytest.raises(TypeError):
+                SystemConfig(**knob)
+        assert not SystemConfig().scan_cache
 
     def test_facade_dependency_dispatch(self):
         system = AIQLSystem()

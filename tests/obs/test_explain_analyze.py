@@ -82,16 +82,6 @@ class TestExplainAnalyzeGroundTruth:
         fetched = sum(s.attrs["rows"] for s in spans)
         assert fetched == report.scheduler["events_fetched"]
 
-    def test_second_run_is_served_from_scan_cache(self, system):
-        system.explain(APT_QUERY)  # warm every partition entry
-        report = system.explain(APT_QUERY)
-        first = report.pattern_spans()[0]
-        assert first.counters["cache_misses"] == 0
-        assert (
-            first.counters["cache_hits"]
-            == first.counters["partitions_scanned"]
-        )
-
     def test_traced_result_equals_untraced(self, system):
         traced = system.explain(APT_QUERY)
         plain = system.query(APT_QUERY)

@@ -1,19 +1,13 @@
-"""Property tests: window splitting and scan-cache invalidation.
+"""Property tests: window splitting.
 
-``split_window`` drives the temporal parallelization (paper Sec. 5.2); the
-scan cache must stay coherent under arbitrary interleavings of scans and
-ingest.  Both get the randomized treatment here.
+``split_window`` drives the temporal parallelization (paper Sec. 5.2); it
+gets the randomized treatment here.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.parallel import split_window
 from repro.model.time import DAY, HOUR, MINUTE, TimeWindow
-from repro.service.cache import ScanCache
-from repro.storage.database import EventStore
-from repro.storage.filters import AttrPredicate, EventFilter, PredicateLeaf
-from repro.storage.ingest import Ingestor
-from repro.storage.partition import PartitionScheme
 
 # Exactly representable floats so boundary arithmetic stays exact.
 GRANULARITIES = (0.5, 1.0, MINUTE, HOUR, 97.0, DAY)
@@ -88,75 +82,3 @@ def test_boundary_aligned_window_yields_whole_cells(cell, cells, granularity):
     pieces = split_window(window, granularity)
     assert len(pieces) == cells
     assert all(p.end - p.start == granularity for p in pieces)
-
-
-# -- scan-cache coherence under ingest ------------------------------------
-
-EXES = ("bash", "vim", "nmap", "sshd")
-FILES = ("/etc/passwd", "/var/log/syslog", "/home/u/x")
-
-
-@st.composite
-def event_stream(draw):
-    n = draw(st.integers(min_value=1, max_value=40))
-    return [
-        (
-            draw(st.integers(min_value=1, max_value=3)),
-            draw(st.floats(min_value=0, max_value=3 * DAY, allow_nan=False)),
-            draw(st.sampled_from(("read", "write", "delete"))),
-            draw(st.sampled_from(EXES)),
-            draw(st.sampled_from(FILES)),
-        )
-        for _ in range(n)
-    ]
-
-
-@st.composite
-def random_filter(draw):
-    kwargs = {}
-    if draw(st.booleans()):
-        kwargs["agent_ids"] = frozenset(
-            draw(st.sets(st.integers(min_value=1, max_value=3), min_size=1,
-                         max_size=2))
-        )
-    if draw(st.booleans()):
-        start = draw(st.floats(min_value=0, max_value=2 * DAY, allow_nan=False))
-        length = draw(st.floats(min_value=0, max_value=2 * DAY, allow_nan=False))
-        kwargs["window"] = TimeWindow(start=start, end=start + length)
-    if draw(st.booleans()):
-        kwargs["subject_pred"] = PredicateLeaf(
-            AttrPredicate("exe_name", "=", draw(st.sampled_from(EXES)))
-        )
-    return EventFilter(**kwargs)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    stream=event_stream(),
-    flt=random_filter(),
-    split=st.integers(min_value=0, max_value=40),
-)
-def test_cached_scans_stay_coherent_across_ingest(stream, flt, split):
-    """Scan, ingest more events, scan again: the cached store must always
-    agree with the index-free oracle."""
-    ingestor = Ingestor()
-    store = EventStore(
-        registry=ingestor.registry,
-        scheme=PartitionScheme(agents_per_group=1),
-        scan_cache=ScanCache(max_entries=32),
-    )
-    ingestor.attach(store)
-
-    def emit(record):
-        agent, t, op, exe, fname = record
-        proc = ingestor.process(agent, 7, exe)
-        ingestor.emit(agent, t, op, proc, ingestor.file(agent, fname))
-
-    split = min(split, len(stream))
-    for record in stream[:split]:
-        emit(record)
-    assert store.scan(flt) == store.full_scan(flt)  # populate cache
-    for record in stream[split:]:
-        emit(record)
-    assert store.scan(flt) == store.full_scan(flt)  # post-ingest coherence
-    assert store.scan(flt) == store.full_scan(flt)  # warm-hit coherence

@@ -11,13 +11,8 @@ from repro.model.entities import EntityType
 from repro.model.events import Operation, SystemEvent
 from repro.model.time import DAY, TimeWindow
 from repro.shard.coordinator import owner_shards, route
-from repro.shard.wire import (
-    capped_result,
-    decode_events,
-    decode_result,
-    encode_events,
-    encode_result,
-)
+from repro.shard.wire import capped_result, decode_result, encode_result
+from repro.shard.worker import full_scan_reply
 from repro.storage.blocks import BlockScanResult, ColumnBlock, Selection
 from repro.storage.filters import EventFilter
 from repro.storage.partition import PartitionScheme
@@ -66,8 +61,17 @@ def by_time(batch):
 
 @given(events())
 @settings(max_examples=60, deadline=None)
-def test_event_batch_round_trip(batch):
-    assert decode_events(encode_events(batch)) == tuple(batch)
+def test_full_scan_reply_round_trip(batch):
+    """A worker's ``full_scan`` rows reach the coordinator value-identical,
+    in (start_time, event_id) order."""
+
+    class RowStore:
+        def full_scan(self, flt):
+            return by_time(batch)
+
+    selection = decode_result(full_scan_reply(RowStore(), EventFilter()))
+    got = [] if selection is None else selection.block.events()
+    assert got == by_time(batch)
 
 
 @given(events())

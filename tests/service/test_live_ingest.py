@@ -15,7 +15,6 @@ The live-ingestion contract under test:
 import threading
 
 from repro.model.time import DAY, TimeWindow
-from repro.service.cache import ScanCache
 from repro.service.query_service import QueryService
 from repro.service.stream import StreamSession
 from repro.storage.database import EventStore
@@ -28,12 +27,11 @@ BATCHES = 40
 READERS = 4
 
 
-def make_live_store(cache=True):
+def make_live_store():
     ingestor = Ingestor()
     store = EventStore(
         registry=ingestor.registry,
         scheme=PartitionScheme(agents_per_group=1),
-        scan_cache=ScanCache(max_entries=128) if cache else None,
     )
     ingestor.attach(store)
     session = StreamSession(ingestor, batch_size=10**9)  # manual commits only

@@ -1,11 +1,11 @@
-"""QueryService: concurrent execution, dedup, cache wiring, correctness."""
+"""QueryService: concurrent execution, dedup, correctness."""
 
 import threading
 
 import pytest
 
-from repro import AIQLSystem, SystemConfig
-from repro.service import QueryService, ScanCache, SharedExecutor
+from repro import AIQLSystem
+from repro.service import QueryService, SharedExecutor
 from repro.workload.corpus import ALL_QUERIES
 
 BASE = 1483228800.0  # 2017-01-01 UTC
@@ -20,8 +20,8 @@ DROPPER_QUERY = '''
 '''
 
 
-def _dropper_system(**config_kwargs) -> AIQLSystem:
-    system = AIQLSystem(config=SystemConfig(**config_kwargs))
+def _dropper_system() -> AIQLSystem:
+    system = AIQLSystem()
     ing = system.ingestor
     shell = ing.process(1, 100, "bash", user="alice")
     wget = ing.process(1, 102, "wget", user="alice")
@@ -63,20 +63,6 @@ class TestConcurrentCorrectness:
         actual = [sorted(r.rows) for r in service.run_many(queries)]
         assert actual == expected
 
-    def test_repeat_batches_hit_scan_cache(self, enterprise):
-        store = enterprise.store("partitioned")
-        store.scan_cache = ScanCache(max_entries=256)
-        try:
-            service = QueryService(store)
-            queries = [q.text for q in _corpus_sample(3)]
-            first = [r.rows for r in service.run_many(queries)]
-            warm = store.scan_cache.hits
-            second = [r.rows for r in service.run_many(queries)]
-            assert second == first
-            assert store.scan_cache.hits > warm
-        finally:
-            store.scan_cache = None
-
     def test_error_propagates_through_future(self):
         system = _dropper_system()
         from repro.lang.errors import AIQLError
@@ -117,7 +103,7 @@ class TestInflightDedup:
         assert service.stats.deduped == 0
 
 
-class TestIngestInvalidation:
+class TestIngestVisibility:
     def test_new_events_visible_after_ingest(self):
         system = _dropper_system()
         ing = system.ingestor
@@ -133,14 +119,6 @@ class TestIngestInvalidation:
             ("curl", "/tmp/.stage2", ".stage2"),
             ("wget", "/tmp/.dropper", ".dropper"),
         ]
-
-    def test_cache_disabled_by_config(self):
-        system = _dropper_system(scan_cache=False)
-        assert system.store.scan_cache is None
-        assert system.service.run(DROPPER_QUERY).rows == [
-            ("wget", "/tmp/.dropper", ".dropper")
-        ]
-        assert "scan_cache" not in system.stats()
 
 
 class TestAnomalyThroughService:

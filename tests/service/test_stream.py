@@ -5,7 +5,6 @@ import pytest
 from repro.baselines.flat import FlatStore
 from repro.baselines.segmented import SegmentedStore
 from repro.model.time import DAY
-from repro.service.cache import ScanCache
 from repro.service.stream import StreamSession
 from repro.storage.database import EventStore
 from repro.storage.filters import EventFilter
@@ -13,12 +12,11 @@ from repro.storage.ingest import IngestError, Ingestor
 from repro.storage.partition import PartitionScheme
 
 
-def make_session(batch_size=4, cache=True, extra_stores=()):
+def make_session(batch_size=4, extra_stores=()):
     ingestor = Ingestor()
     store = EventStore(
         registry=ingestor.registry,
         scheme=PartitionScheme(agents_per_group=1),
-        scan_cache=ScanCache(max_entries=64) if cache else None,
     )
     ingestor.attach(store)
     for name in extra_stores:
@@ -178,40 +176,7 @@ class TestValidationHoisting:
         assert sorted(e.event_id for e in segmented) == reference
 
 
-class TestPartitionScopedInvalidation:
-    def test_commit_invalidates_only_touched_partitions(self):
-        _, store, session = make_session(batch_size=100)
-        proc1, target1 = entities(session, agent_id=1)
-        proc2, target2 = entities(session, agent_id=2)
-        session.append(1, 5.0, "read", proc1, target1)
-        session.append(2, 5.0, "read", proc2, target2)
-        session.commit()
-        flt1 = EventFilter(agent_ids=frozenset({1}))
-        flt2 = EventFilter(agent_ids=frozenset({2}))
-        store.scan(flt1)
-        store.scan(flt2)
-        cache = store.scan_cache
-        hits_before = cache.hits
-        # Batch touches only agent 1's partition.
-        session.append(1, 6.0, "write", proc1, target1)
-        session.append(1, 7.0, "write", proc1, target1)
-        session.commit()
-        assert store.scan(flt2) and cache.hits == hits_before + 1  # warm
-        assert len(store.scan(flt1)) == 3  # fresh, sees the batch
-
-    def test_commit_invalidates_once_per_partition_not_per_event(self):
-        _, store, session = make_session(batch_size=100)
-        proc, target = entities(session)
-        session.append(1, 5.0, "read", proc, target)
-        session.commit()
-        store.scan(EventFilter(agent_ids=frozenset({1})))
-        cache = store.scan_cache
-        invalidations_before = cache.invalidations
-        for i in range(20):  # one partition, twenty events
-            session.append(1, 6.0 + i, "write", proc, target)
-        session.commit()
-        assert cache.invalidations == invalidations_before + 1
-
+class TestMultiPartitionBatches:
     def test_batch_spanning_partitions_touches_each_once(self):
         _, store, session = make_session(batch_size=100)
         proc, target = entities(session)

@@ -103,6 +103,23 @@ class TestScatterGatherScans:
             reference.full_scan(flt), key=lambda e: (e.start_time, e.event_id)
         )
 
+    def test_full_scan_excludes_torn_ids(self, deployment):
+        """Ids of a torn commit's acknowledged slices never surface in the
+        oracle scan either, whichever shard holds them."""
+        sharded, reference = deployment
+        everything = sorted(
+            reference.full_scan(EventFilter()),
+            key=lambda e: (e.start_time, e.event_id),
+        )
+        torn = {e.event_id for e in everything[::3]}
+        sharded._torn.update(torn)
+        try:
+            got = sharded.full_scan(EventFilter())
+        finally:
+            sharded._torn.difference_update(torn)
+        assert got == [e for e in everything if e.event_id not in torn]
+        assert sharded.full_scan(EventFilter()) == everything
+
     def test_scan_columns_result_is_globally_ordered(self, deployment):
         sharded, _ = deployment
         handles = sharded.scan_columns(EventFilter()).handles()

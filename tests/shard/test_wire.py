@@ -1,4 +1,4 @@
-"""Wire codec: event batches and serialized scan-result blocks."""
+"""Wire codec: serialized scan-result blocks and full-scan replies."""
 
 from array import array
 
@@ -6,13 +6,8 @@ import pytest
 
 from repro.model.entities import EntityType
 from repro.model.events import Operation, SystemEvent
-from repro.shard.wire import (
-    WireError,
-    decode_events,
-    decode_result,
-    encode_events,
-    encode_result,
-)
+from repro.shard.wire import WireError, decode_result, encode_result
+from repro.shard.worker import full_scan_reply
 from repro.storage import codec
 from repro.storage.blocks import (
     OP_VALUE_BY_CODE,
@@ -21,6 +16,7 @@ from repro.storage.blocks import (
     ColumnBlock,
     Selection,
 )
+from repro.storage.filters import EventFilter
 
 
 def make_event(
@@ -63,21 +59,40 @@ SAMPLE = [
 ]
 
 
-class TestEventBatches:
+class RowStore:
+    """A store whose pruning-free scan answers a fixed row list."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def full_scan(self, flt):
+        return list(self.events)
+
+
+class TestFullScanReply:
+    """``full_scan`` answers in the block frame a scan reply uses."""
+
     def test_round_trip(self):
-        assert decode_events(encode_events(SAMPLE)) == tuple(SAMPLE)
+        payload = full_scan_reply(RowStore(SAMPLE), EventFilter())
+        assert decode_result(payload).block.events() == SAMPLE
 
-    def test_enums_cross_as_value_strings(self):
-        payload = encode_events(SAMPLE)
-        assert payload[0][5] == Operation.WRITE.value
-        assert payload[1][8] == EntityType.NETWORK.value
+    def test_enums_survive_as_members(self):
+        events = decode_result(
+            full_scan_reply(RowStore(SAMPLE), EventFilter())
+        ).block.events()
+        assert events[0].operation is Operation.WRITE
+        assert events[1].object_type is EntityType.NETWORK
 
-    def test_unknown_operation_value_raises(self):
-        payload = encode_events(SAMPLE[:1])
-        bad = list(payload[0])
-        bad[5] = "transmogrify"
-        with pytest.raises(WireError):
-            decode_events([tuple(bad)])
+    def test_no_rows_decodes_to_none(self):
+        assert decode_result(full_scan_reply(RowStore([]), EventFilter())) is None
+
+    def test_unknown_operation_value_raises(self, monkeypatch):
+        ops = ("transmogrify",) + tuple(OP_VALUE_BY_CODE[1:])
+        monkeypatch.setattr(codec, "OP_VALUE_BY_CODE", ops)
+        payload = full_scan_reply(RowStore(SAMPLE), EventFilter())
+        monkeypatch.undo()
+        with pytest.raises(WireError, match="transmogrify"):
+            decode_result(payload)
 
 
 class TestResultRoundTrip:

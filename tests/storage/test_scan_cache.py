@@ -1,14 +1,9 @@
-"""ScanCache + filter fingerprinting: LRU bounds, invalidation, dedup."""
+"""ScanCache + filter fingerprinting: LRU bounds, generations, dedup."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.model.time import DAY, TimeWindow
 from repro.service.cache import ScanCache
-from repro.service.stream import StreamSession
-from repro.storage.blocks import ColumnBlock
-from repro.storage.database import EventStore
 from repro.storage.filters import (
     AttrPredicate,
     EventFilter,
@@ -19,8 +14,6 @@ from repro.storage.filters import (
     canonical_predicate,
     filter_fingerprint,
 )
-from repro.storage.ingest import Ingestor
-from repro.storage.partition import PartitionScheme
 
 
 def leaf(attr, op, value):
@@ -110,57 +103,6 @@ class TestScanCacheCore:
         cache.get_or_compute("p1", "b", lambda: [8])
         assert cache.misses == 4  # b was recomputed
 
-    def test_invalidate_drops_only_that_partition(self):
-        cache = ScanCache(max_entries=8)
-        cache.get_or_compute("p1", "a", lambda: [1])
-        cache.get_or_compute("p2", "a", lambda: [2])
-        assert cache.invalidate("p1") == 1
-        assert cache.get_or_compute("p2", "a", lambda: [9]) == [2]  # hit
-        assert cache.get_or_compute("p1", "a", lambda: [7]) == [7]  # recomputed
-
-    def test_invalidation_during_compute_prevents_stale_insert(self):
-        cache = ScanCache(max_entries=8)
-
-        def compute():
-            # An ingest lands in partition p1 while this scan is running.
-            cache.invalidate("p1")
-            return [1]
-
-        assert cache.get_or_compute("p1", "a", compute) == [1]
-        # The raced result must not have been cached.
-        assert cache.get_or_compute("p1", "a", lambda: [2]) == [2]
-
-    def test_miss_after_invalidate_does_not_join_stale_inflight(self):
-        """Read-your-writes: a scan submitted after an ingest must compute
-        fresh, not join a single-flight started before the ingest."""
-        import threading
-
-        cache = ScanCache(max_entries=8)
-        release = threading.Event()
-        started = threading.Event()
-        results = {}
-
-        def slow_pre_ingest_scan():
-            started.set()
-            assert release.wait(5)
-            return [1]  # the pre-ingest view
-
-        worker = threading.Thread(
-            target=lambda: results.setdefault(
-                "old", cache.get_or_compute("p1", "a", slow_pre_ingest_scan)
-            )
-        )
-        worker.start()
-        assert started.wait(5)
-        cache.invalidate("p1")  # the ingest lands
-        fresh = cache.get_or_compute("p1", "a", lambda: [2])
-        assert fresh == [2]  # computed fresh, did not join the stale owner
-        release.set()
-        worker.join()
-        assert results["old"] == [1]  # detached owner still resolved
-        # The fresh (post-ingest) value is the one that stayed cached.
-        assert cache.get_or_compute("p1", "a", lambda: [9]) == [2]
-
     def test_compute_error_not_cached(self):
         cache = ScanCache(max_entries=8)
         with pytest.raises(ZeroDivisionError):
@@ -192,14 +134,12 @@ class TestStatsSnapshot:
         cache.get_or_compute("p", "a", lambda: [3], generation=2)  # gen miss
         cache.get_or_compute("p", "b", lambda: [4])                # miss
         cache.get_or_compute("p", "c", lambda: [5])                # miss+evict
-        cache.invalidate("p")
         stats = cache.stats()
         assert stats == {
-            "entries": 0,
+            "entries": 2,
             "hits": 1,
             "misses": 4,
             "evictions": 1,
-            "invalidations": 1,
             "shared_waits": 0,
             "generation_mismatches": 1,
         }
@@ -246,135 +186,8 @@ class TestStatsSnapshot:
         assert stats["misses"] == 1  # one compute, shared by both callers
 
 
-class TestEventStoreIntegration:
-    def _store(self):
-        ingestor = Ingestor()
-        store = EventStore(
-            registry=ingestor.registry,
-            scheme=PartitionScheme(agents_per_group=1),
-            scan_cache=ScanCache(max_entries=64),
-        )
-        ingestor.attach(store)
-        return ingestor, store
-
-    def test_repeated_scan_served_from_cache(self):
-        ingestor, store = self._store()
-        proc = ingestor.process(1, 10, "bash")
-        target = ingestor.file(1, "/etc/passwd")
-        for day in range(3):
-            ingestor.emit(1, day * DAY + 5.0, "read", proc, target)
-        flt = EventFilter(window=TimeWindow(start=0.0, end=3 * DAY))
-        first = store.scan(flt)
-        assert store.scan_cache.misses == 3  # one per partition
-        second = store.scan(flt)
-        assert second == first
-        assert store.scan_cache.hits == 3
-
-    def test_ingest_invalidates_only_touched_partition(self):
-        ingestor, store = self._store()
-        proc = ingestor.process(1, 10, "bash")
-        target = ingestor.file(1, "/etc/passwd")
-        ingestor.emit(1, 5.0, "read", proc, target)
-        ingestor.emit(1, DAY + 5.0, "read", proc, target)
-        flt = EventFilter(window=TimeWindow(start=0.0, end=2 * DAY))
-        store.scan(flt)
-        misses_before = store.scan_cache.misses
-        # New event lands in day 0 only; day 1's entry stays warm.
-        ingestor.emit(1, 6.0, "write", proc, target)
-        result = store.scan(flt)
-        assert len(result) == 3
-        assert store.scan_cache.misses == misses_before + 1
-        assert store.scan_cache.hits == 1
-        assert result == store.full_scan(flt)
-
-    def test_add_block_invalidates_touched_partitions_once(self):
-        ingestor, store = self._store()
-        proc = ingestor.process(1, 10, "bash")
-        target = ingestor.file(1, "/etc/passwd")
-        ingestor.emit(1, 5.0, "read", proc, target)
-        ingestor.emit(1, DAY + 5.0, "read", proc, target)
-        flt = EventFilter(window=TimeWindow(start=0.0, end=2 * DAY))
-        store.scan(flt)  # warm both day partitions
-        cache = store.scan_cache
-        invalidations_before = cache.invalidations
-        batch = [
-            ingestor.build_event(1, 6.0 + i, "write", proc, target)
-            for i in range(10)
-        ]
-        touched = store.add_block(ColumnBlock.from_events(batch))
-        assert len(touched) == 1  # all ten events land in day 0
-        assert cache.invalidations == invalidations_before + 1
-        result = store.scan(flt)
-        assert result == store.full_scan(flt)
-        assert cache.hits == 1  # day 1's entry stayed warm
-
-
-# Random interleavings of batch commits and cached scans.  Three agents with
-# agents_per_group=1 and same-day timestamps give three distinct partitions;
-# the invariants: a scan never returns stale rows for a partition a commit
-# touched, and a commit never evicts the cached scans of untouched
-# partitions (their next scan is a hit, not a recompute).
-
-_AGENTS = (1, 2, 3)
-
-_ops = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("commit"),
-            st.lists(st.sampled_from(_AGENTS), min_size=1, max_size=3),
-        ),
-        st.tuples(st.just("scan"), st.sampled_from(_AGENTS)),
-    ),
-    min_size=1,
-    max_size=40,
-)
-
-
-class TestPartitionScopedInvalidationProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(ops=_ops)
-    def test_random_interleavings_never_stale_never_overevict(self, ops):
-        ingestor = Ingestor()
-        store = EventStore(
-            registry=ingestor.registry,
-            scheme=PartitionScheme(agents_per_group=1),
-            scan_cache=ScanCache(max_entries=64),
-        )
-        ingestor.attach(store)
-        session = StreamSession(ingestor, batch_size=10**9)
-        procs = {a: ingestor.process(a, 10, "bash") for a in _AGENTS}
-        files = {a: ingestor.file(a, f"/data/{a}") for a in _AGENTS}
-        filters = {a: EventFilter(agent_ids=frozenset({a})) for a in _AGENTS}
-        cache = store.scan_cache
-        clock = {a: 0.0 for a in _AGENTS}
-        warm = set()  # agents whose partition has a cached scan
-        for op in ops:
-            if op[0] == "commit":
-                _, agents = op
-                for agent in agents:
-                    clock[agent] += 1.0
-                    session.append(
-                        agent, 5.0 + clock[agent], "read",
-                        procs[agent], files[agent],
-                    )
-                session.commit()
-                warm -= set(agents)  # touched partitions are invalidated...
-            else:
-                _, agent = op
-                hits_before = cache.hits
-                result = store.scan(filters[agent])
-                # ...and a scan never returns stale rows (oracle equality).
-                assert result == store.full_scan(filters[agent])
-                if agent in warm:
-                    # Untouched partitions were NOT evicted: warm entries
-                    # are served from cache, not recomputed.
-                    assert cache.hits == hits_before + 1
-                if clock[agent] > 0:  # partition exists => entry now cached
-                    warm.add(agent)
-
-
 class TestGenerationKeying:
-    """Block-generation keyed entries: the unified invalidation path."""
+    """Block-generation keyed entries: a re-decoded block never hits."""
 
     def test_hit_requires_generation_match(self):
         cache = ScanCache(max_entries=8)
