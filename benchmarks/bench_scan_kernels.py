@@ -16,7 +16,8 @@ returns *byte-identical* results to the interpreted oracle:
   predicate over every partition block of a multi-day window, as one pass
   over the raw ``array`` column (``kernel.select``) vs the per-row compiled
   predicate (a getter, a type dispatch and a comparison call per row: the
-  path every non-numeric leaf still takes).  Floor: >= 3x.
+  path every non-numeric leaf still takes), timed alternately sample by
+  sample.  Floor: the median per-sample ratio >= 3x.
 * **cold_only** — a cold-window query through the columnar cold path
   (structural prefilter on raw columns before any ``SystemEvent`` is
   materialized), with the per-segment result cache disabled so the cell
@@ -125,6 +126,21 @@ def median_ms(runner) -> float:
     return statistics.median(samples)
 
 
+def interleaved_samples_ms(first, second, repeats: int = REPEATS):
+    """``repeats`` timings of each runner, taken alternately (which runs
+    first alternates too), after one warm-up call of each."""
+    first()
+    second()
+    samples: tuple = ([], [])
+    for round_no in range(repeats):
+        order = ((0, first), (1, second))
+        for slot, runner in order if round_no % 2 == 0 else order[::-1]:
+            started = time.perf_counter()
+            runner()
+            samples[slot].append((time.perf_counter() - started) * 1000)
+    return samples
+
+
 def compare_modes(run_interpreted, run_compiled, rows_of) -> dict:
     """Median latency per mode + identical-results assertion material."""
     with use_kernels(False):
@@ -179,13 +195,16 @@ def bench_numeric_predicate(store) -> dict:
     def per_row_pass():
         return [[i for i in range(len(b)) if per_row(b, i)] for b in blocks]
 
-    per_row_ms = median_ms(per_row_pass)
-    column_ms = median_ms(column_pass)
+    per_row_ms, column_ms = interleaved_samples_ms(per_row_pass, column_pass)
     survivors = column_pass()
     return {
-        "per_row_ms": round(per_row_ms, 3),
-        "column_ms": round(column_ms, 3),
-        "speedup": round(per_row_ms / column_ms, 2) if column_ms else None,
+        "per_row_ms": round(statistics.median(per_row_ms), 3),
+        "column_ms": round(statistics.median(column_ms), 3),
+        # The median of per-sample ratios: the two runners alternate sample
+        # by sample, so drift between them cancels within each pair.
+        "speedup": round(
+            statistics.median(r / c for r, c in zip(per_row_ms, column_ms)), 2
+        ),
         "partitions": len(blocks),
         "events_scanned": sum(len(b) for b in blocks),
         "rows": sum(len(positions) for positions in survivors),

@@ -19,7 +19,7 @@ from repro.engine.data_query import DataQuery
 from repro.engine.dependency import compile_dependency, rewrite_dependency
 from repro.engine.executor import MultieventExecutor, evaluate_returns
 from repro.engine.parallel import scan_split, split_window
-from repro.engine.plan_cache import PlanCache, canonical_text
+from repro.engine.plan_cache import BIND, HIT, PlanCache, canonical_text
 from repro.engine.result import ResultSet
 from repro.engine.scheduler import (
     SCHEDULERS,
@@ -32,6 +32,7 @@ from repro.engine.tuples import TupleSet
 from repro.lang import ast as _ast
 from repro.lang import parser as _parser
 from repro.lang.context import QueryContext, compile_multievent
+from repro.lang.slots import PlanTemplate, SlotScan
 from repro.obs.trace import trace_annotate
 
 #: Every compile path of the process shares these plans (they hold no data).
@@ -45,23 +46,39 @@ def compile_query(text: str, key: Optional[str] = None) -> QueryContext:
     query service and the standing-query engine, so kind dispatch cannot
     diverge between them and a text is parsed and analysed once: the plan
     comes from :data:`PLAN_CACHE` when its canonical text was compiled
-    before.  ``key`` is ``canonical_text(text)`` for callers that already
-    computed it.  A text that fails to compile raises its typed error on
-    every call and is never cached.  Under EXPLAIN ANALYZE the enclosing
-    span is annotated ``cached``.
+    before, and is bound from a cached template when only its slot
+    literals (window dates, numeric thresholds) differ from a text that
+    was (:mod:`repro.lang.slots`).  ``key`` is ``canonical_text(text)`` for
+    callers that already computed it.  A text that fails to compile raises
+    its typed error on every call and is never cached.  Under EXPLAIN
+    ANALYZE the enclosing span is annotated ``cached``, and ``bound`` on a
+    template hit.
     """
     if key is None:
         key = canonical_text(text)
-    ctx = PLAN_CACHE.get(key)
-    trace_annotate(cached=ctx is not None)
-    if ctx is None:
+
+    def compile_text(
+        scan: Optional[SlotScan],
+    ) -> Tuple[QueryContext, Optional[PlanTemplate]]:
         tree = _parser.parse(text)
-        if isinstance(tree, _ast.DependencyQuery):
-            ctx = compile_dependency(tree)
-        else:
-            ctx = compile_multievent(tree)
-        PLAN_CACHE.put(key, ctx)
+        if scan is not None:
+            template = PlanTemplate.build(tree, scan, _compile_tree)
+            if template is not None:
+                return template.bind(scan.literals), template
+        return _compile_tree(tree), None
+
+    ctx, how = PLAN_CACHE.plan(key, compile_text)
+    if how == BIND:
+        trace_annotate(cached=False, bound=True)
+    else:
+        trace_annotate(cached=how == HIT)
     return ctx
+
+
+def _compile_tree(tree: _ast.Query) -> QueryContext:
+    if isinstance(tree, _ast.DependencyQuery):
+        return compile_dependency(tree)
+    return compile_multievent(tree)
 
 
 def run_query(

@@ -4,6 +4,8 @@ Pipeline: source text -> :func:`~repro.lang.lexer.tokenize` ->
 :func:`~repro.lang.parser.parse` (AST) ->
 :func:`~repro.lang.context.compile_multievent` /
 :func:`~repro.engine.dependency.compile_dependency` (QueryContext).
+:mod:`repro.lang.slots` binds a text that differs from a compiled one only
+in window dates or bracketed numeric thresholds without that pipeline.
 """
 
 from repro.lang.ast import DependencyQuery, MultieventQuery, Query

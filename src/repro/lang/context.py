@@ -36,7 +36,7 @@ from repro.model.events import (
     SystemEvent,
     event_type_of,
 )
-from repro.model.time import TimeWindow
+from repro.model.time import TimeParseError, TimeWindow, parse_datetime
 from repro.storage.filters import (
     AttrPredicate,
     EventFilter,
@@ -292,13 +292,51 @@ def compile_operations(
     return legal
 
 
+def time_window(
+    kind: str, start_text: str, end_text: Optional[str] = None
+) -> TimeWindow:
+    """The window an ``(at "D")`` (``kind == "at"``) or ``(from "A" to "B")``
+    literal names.
+
+    The one conversion of a window literal, shared by the compiler and by
+    plan-template binding (:mod:`repro.lang.slots`), so both raise the same
+    :class:`AIQLSemanticError` — naming the literal — for a datetime that
+    does not parse or a range that ends before it starts.
+    """
+    try:
+        if kind == "at":
+            return TimeWindow.at_day(start_text)
+        start = parse_datetime(start_text)
+        end = parse_datetime(end_text or "")
+    except TimeParseError as exc:
+        raise AIQLSemanticError(
+            f"time window {_window_literal(kind, start_text, end_text)}: {exc}"
+        ) from None
+    if end < start:
+        raise AIQLSemanticError(
+            f"time window {_window_literal(kind, start_text, end_text)} "
+            "ends before it starts"
+        )
+    return TimeWindow(start=start, end=end)
+
+
+def _window_literal(kind: str, start_text: str, end_text: Optional[str]) -> str:
+    if kind == "at":
+        return f'(at "{start_text}")'
+    return f'(from "{start_text}" to "{end_text}")'
+
+
 def _window_from_spec(spec: Optional[ast.TimeWindowSpec]) -> TimeWindow:
     if spec is None:
         return TimeWindow()
-    if spec.kind == "at":
-        return TimeWindow.at_day(spec.start_text)
-    assert spec.end_text is not None
-    return TimeWindow.span(spec.start_text, spec.end_text)
+    return time_window(spec.kind, spec.start_text, spec.end_text)
+
+
+def _agent_id(value: object) -> int:
+    try:
+        return int(value)  # type: ignore[call-overload]
+    except (TypeError, ValueError):
+        raise AIQLSemanticError(f"agent id {value!r} is not an integer") from None
 
 
 def _extract_agent_ids(pred) -> Optional[FrozenSet[int]]:
@@ -308,9 +346,9 @@ def _extract_agent_ids(pred) -> Optional[FrozenSet[int]]:
         if leaf.attr != "agent_id":
             continue
         if leaf.op == "=" and not leaf.is_like:
-            found = frozenset({int(leaf.value)})  # type: ignore[arg-type]
+            found = frozenset({_agent_id(leaf.value)})
         elif leaf.op == "in":
-            found = frozenset(int(v) for v in leaf.value)  # type: ignore[union-attr]
+            found = frozenset(_agent_id(v) for v in leaf.value)  # type: ignore[union-attr]
         else:
             continue
         ids = found if ids is None else (ids & found)
@@ -356,9 +394,9 @@ def _compile_globals(items: Sequence[ast.GlobalItem]) -> _Globals:
             attr = normalize_attribute(None, comparison.attr or "")
             if attr == "agent_id" and comparison.op in ("=", "in"):
                 if comparison.op == "=":
-                    ids = frozenset({int(comparison.value)})  # type: ignore[arg-type]
+                    ids = frozenset({_agent_id(comparison.value)})
                 else:
-                    ids = frozenset(int(v) for v in comparison.value)  # type: ignore[union-attr]
+                    ids = frozenset(_agent_id(v) for v in comparison.value)  # type: ignore[union-attr]
                 agent_ids = _merge_agent_ids(agent_ids, ids)
             else:
                 canonical = _validate_event_attr(comparison.attr or "")

@@ -25,6 +25,8 @@ _SIMPLE_TOKENS = {
     "/": TokenType.SLASH,
 }
 
+_DIGITS = frozenset("0123456789")
+
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize AIQL source text; raises :class:`AIQLSyntaxError`."""
@@ -152,20 +154,23 @@ def tokenize(source: str) -> List[Token]:
             i = j + 1
             continue
 
-        # numbers (int or float)
-        if ch.isdigit():
+        # numbers (int or float; ASCII digits only, which int() accepts)
+        if ch in _DIGITS:
             j = i
             seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
+            while j < n and (source[j] in _DIGITS or (source[j] == "." and not seen_dot)):
                 if source[j] == ".":
                     # Do not absorb a trailing dot that belongs to attribute
                     # access after a number-like identifier (rare; be safe).
-                    if j + 1 >= n or not source[j + 1].isdigit():
+                    if j + 1 >= n or source[j + 1] not in _DIGITS:
                         break
                     seen_dot = True
                 j += 1
             text = source[i:j]
-            value: object = float(text) if "." in text else int(text)
+            try:
+                value: object = float(text) if "." in text else int(text)
+            except ValueError:  # more digits than int() converts
+                raise error("number literal too long") from None
             tokens.append(Token(TokenType.NUMBER, text, value, start_line, start_col))
             col += j - i
             i = j

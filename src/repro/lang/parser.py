@@ -116,7 +116,10 @@ class _ParserState:
 def parse(source: str) -> ast.Query:
     """Parse one AIQL query; raises :class:`AIQLSyntaxError`."""
     state = _ParserState(tokenize(source), source)
-    query = _parse_query(state)
+    try:
+        query = _parse_query(state)
+    except RecursionError:
+        raise state.error("query nests too deeply") from None
     if not state.check(TokenType.EOF):
         state._unexpected("end of query")
     return query
@@ -439,8 +442,11 @@ def _parse_relationship(state: _ParserState) -> ast.Relationship:
                 high_token = state.expect(TokenType.NUMBER, "a number")
                 unit = state.expect(TokenType.IDENT, "a time unit")
                 state.expect(TokenType.RBRACKET, "']'")
-                low = parse_duration(float(low_token.value), unit.text)
-                high = parse_duration(float(high_token.value), unit.text)
+                try:
+                    low = parse_duration(float(low_token.value), unit.text)
+                    high = parse_duration(float(high_token.value), unit.text)
+                except ValueError as exc:
+                    raise state.error(str(exc))
                 if low > high:
                     raise state.error("temporal range low bound exceeds high bound")
             right = state.expect(TokenType.IDENT, "an event id").text

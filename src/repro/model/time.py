@@ -13,6 +13,7 @@ its own clock (an NTP-style offset correction).
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -71,8 +72,12 @@ class TimeParseError(ValueError):
     """Raised when a datetime or duration literal cannot be parsed."""
 
 
+@functools.lru_cache(maxsize=1024)
 def parse_datetime(text: str) -> float:
     """Parse a datetime literal into an epoch timestamp (UTC).
+
+    Memoized (a failure is not): an investigation re-asks the same few
+    days, and ``strptime`` tries the formats in order at ~3 us each.
 
     Accepts US formats (``01/01/2017``, ``01/01/2017 10:30:00``) and
     ISO 8601 at any granularity (``2017-01-01``, ``2017-01-01T10:30``,

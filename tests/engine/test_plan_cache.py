@@ -1,15 +1,25 @@
 """The plan cache behind ``compile_query``: a query is prepared once."""
 
+import re
 import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.lang.parser as parser_module
 from repro import AIQLSystem, SystemConfig
 from repro.engine import PLAN_CACHE, PlanCache, canonical_text, compile_query
 from repro.engine.plan_cache import PLAN_CACHE_PLANS
-from repro.lang.errors import AIQLSemanticError, AIQLSyntaxError
+from benchmarks.e2e.tape import (
+    SWEEP_TEMPLATE,
+    hunt_candidates,
+    hunt_text,
+    round_queries,
+)
+from repro.api.errors import Code, classify
+from repro.lang.errors import AIQLError, AIQLSemanticError, AIQLSyntaxError
+from repro.lang.slots import scan_slots
 from repro.obs import REGISTRY
 from repro.workload.corpus import ALL_QUERIES
 from tests.conftest import compile_text
@@ -275,3 +285,214 @@ class TestSharedPlanUnderConcurrency:
             assert wrong == []
             assert all(calls)
             assert system.store.stats()["events"] > 2
+
+
+# ---------------------------------------------------------------------------
+# parameterised plans: a text whose skeleton is cached is bound, not compiled
+# ---------------------------------------------------------------------------
+
+
+def outcome(compile_fn, text):
+    """``("plan", ctx)`` or ``("error", type, message)``."""
+    try:
+        return ("plan", compile_fn(text))
+    except AIQLError as exc:
+        return ("error", type(exc), str(exc))
+
+
+def shifted(text: str) -> str:
+    """``text`` with every corpus day moved to another day (same skeleton)."""
+    def other_day(match):
+        return '"01/%02d/2017"' % (int(match.group(1)) % 9 + 1)
+
+    return re.sub(r'"01/(\d\d)/2017"', other_day, text)
+
+
+class TestBoundEqualsCompiled:
+    def test_every_corpus_query(self):
+        for query in ALL_QUERIES:
+            compile_query(shifted(query.text))  # caches the skeleton
+            binds = counter("aiql_plan_cache_binds_total")
+            bound = compile_query(query.text)
+            assert counter("aiql_plan_cache_binds_total") == binds + 1, query.qid
+            assert bound == compile_text(query.text), query.qid
+
+    def test_every_hunt_candidate_and_window(self):
+        for query in hunt_candidates():
+            for before in (1, 2, 3):
+                for after in (1, 2, 3):
+                    text = hunt_text(query, before, after)
+                    assert compile_query(text) == compile_text(text), text
+        assert len(PLAN_CACHE) == len(hunt_candidates())
+
+    def test_the_sweep_template(self):
+        texts = [
+            SWEEP_TEMPLATE.format(
+                start=f"01/0{day}/2017", end="01/09/2017", amount=amount
+            )
+            for day in (1, 3, 5)
+            for amount in (600_000, 777_777, 999_999)
+        ]
+        misses = counter("aiql_plan_cache_misses_total")
+        for text in texts:
+            assert compile_query(text) == compile_text(text)
+        assert counter("aiql_plan_cache_misses_total") == misses + 1
+        assert PLAN_CACHE.stats()["templates"] == 1
+
+    def test_an_exact_repeat_is_a_hit_not_a_bind(self):
+        text = SWEEP_TEMPLATE.format(start="01/02/2017", end="01/04/2017", amount=5)
+        plan = compile_query(text)
+        binds = counter("aiql_plan_cache_binds_total")
+        assert compile_query(text) is plan
+        assert counter("aiql_plan_cache_binds_total") == binds
+
+    def test_a_bound_plan_answers_like_a_compiled_one(self):
+        with dropper_system() as system:
+            system.query(DROPPER_QUERY.replace("01/01/2017", "01/02/2017"))
+            binds = counter("aiql_plan_cache_binds_total")
+            rows = system.query(DROPPER_QUERY).rows
+            assert counter("aiql_plan_cache_binds_total") == binds + 1
+            compiled = system.service._execute(compile_text(DROPPER_QUERY))
+            assert sorted(rows) == sorted(compiled.rows)
+            assert len(rows) == 1
+
+    def test_explain_analyze_marks_a_bound_compile(self):
+        primer = DROPPER_QUERY.replace("01/01/2017", "01/02/2017")
+        with dropper_system() as system:
+            system.query(primer)
+            for _ in range(2):  # a bound plan is not cached under its text
+                span = system.explain(DROPPER_QUERY).spans("compile")[0]
+                assert span.attrs["bound"] is True
+                assert span.attrs["cached"] is False
+            span = system.explain(primer).spans("compile")[0]
+            assert span.attrs["cached"] is True and "bound" not in span.attrs
+
+    def test_stats_view_counts_binds(self):
+        binds = counter("aiql_plan_cache_binds_total")
+        compile_query(numbered(1))
+        compile_query(numbered(1).replace("01/01/2017", "01/03/2017"))
+        view = PLAN_CACHE.stats()
+        assert view["binds"] == binds + 1
+        assert view["plans"] == 1 and view["templates"] == 1
+
+
+class TestBadWindowLiterals:
+    INVERTED = '(from "01/05/2017" to "01/01/2017") proc p read file f return p'
+    UNPARSEABLE = '(at "13/45/2017") proc p read file f return p'
+
+    @pytest.mark.parametrize(
+        "text, literal",
+        [
+            (INVERTED, '(from "01/05/2017" to "01/01/2017")'),
+            (UNPARSEABLE, '(at "13/45/2017")'),
+        ],
+    )
+    def test_a_bad_window_is_a_semantic_error_naming_the_literal(self, text, literal):
+        for _ in range(2):
+            with pytest.raises(AIQLSemanticError) as caught:
+                compile_query(text)
+            assert literal in str(caught.value)
+        assert len(PLAN_CACHE) == 0
+        envelope = classify(caught.value)
+        assert envelope.code == Code.SEMANTIC and envelope.http_status == 400
+
+    def test_the_facade_raises_it_too(self):
+        with AIQLSystem() as system:
+            for text in (self.INVERTED, self.UNPARSEABLE):
+                with pytest.raises(AIQLSemanticError):
+                    system.query(text)
+
+    @pytest.mark.parametrize("text", [INVERTED, UNPARSEABLE])
+    def test_binding_raises_what_compiling_raises(self, text):
+        compile_query(text.replace("13/45", "01/01").replace('to "01/01', 'to "01/09'))
+        assert PLAN_CACHE.stats()["templates"] == 1
+        binds = counter("aiql_plan_cache_binds_total")
+        bound = outcome(compile_query, text)
+        assert counter("aiql_plan_cache_binds_total") == binds + 1
+        assert bound == outcome(compile_text, text)
+        assert bound[0] == "error"
+        assert len(PLAN_CACHE) == 1
+
+
+DATES = st.sampled_from(
+    ["01/01/2017", "01/05/2017", "01/09/2017", "2017-01-03", "01/07/2017 10:30",
+     "2017-01-04T23:59:59Z", "13/45/2017", "yesterday", ""]
+)
+
+
+@st.composite
+def numbers(draw):
+    """The written magnitude of a number slot: an int or a float."""
+    if draw(st.booleans()):
+        return str(draw(st.integers(min_value=0, max_value=10**9)))
+    whole = draw(st.integers(min_value=0, max_value=10**6))
+    return f"{whole}.{draw(st.integers(min_value=0, max_value=999)):03d}"
+
+
+@st.composite
+def slot_queries(draw):
+    """Two texts with one skeleton: a shape (window kinds, per-pattern
+    windows, signs) drawn once, and the slot literals drawn twice."""
+    global_kind = draw(st.sampled_from(["at", "from", None]))
+    pattern_kind = draw(st.sampled_from(["at", "from", None]))
+    signs = [draw(st.sampled_from(["", "-"])) for _ in range(3)]
+    ops = [draw(st.sampled_from(["=", "!=", "<", "<=", ">", ">="])) for _ in range(3)]
+
+    def window(kind):
+        if kind == "at":
+            return f'(at "{draw(DATES)}")'
+        if kind == "from":
+            return f'(from "{draw(DATES)}" to "{draw(DATES)}")'
+        return ""
+
+    def text():
+        n = [f"{sign}{draw(numbers())}" for sign in signs]
+        return " ".join(
+            part
+            for part in (
+                window(global_kind),
+                f"proc p1[pid {ops[0]} {n[0]}] write file f1"
+                f" as evt1[amount {ops[1]} {n[1]}]",
+                window(pattern_kind),
+                f"proc p2 read file f1 as evt2[amount {ops[2]} {n[2]} || amount = 0]",
+                "with evt1 before evt2 return distinct p1, f1, p2",
+            )
+            if part
+        )
+
+    return text(), text()
+
+
+class TestBindingProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(slot_queries())
+    def test_bound_equals_compiled_for_perturbed_literals(self, pair):
+        primer, text = pair
+        PLAN_CACHE.clear()
+        primed = outcome(compile_query, primer)
+        cached = len(PLAN_CACHE)
+        assert cached == (1 if primed[0] == "plan" else 0)
+        bound = outcome(compile_query, text)
+        assert bound == outcome(compile_text, text)
+        if bound[0] == "error":
+            assert len(PLAN_CACHE) == cached  # an error caches nothing
+        if primed[0] == "plan" and canonical_text(text) != canonical_text(primer):
+            assert PLAN_CACHE.stats()["templates"] == 1
+            assert len(PLAN_CACHE) == 1  # bound, not compiled and cached
+
+
+class TestOneParsePerSkeleton:
+    def test_eight_rounds_parse_each_skeleton_once(self, parses):
+        texts = [q.text for r in range(8) for q in round_queries(11, r)]
+        skeletons = set()
+        for text in texts:
+            key = canonical_text(text)
+            scan = scan_slots(key)
+            skeletons.add(scan.skeleton if scan is not None else key)
+        misses = counter("aiql_plan_cache_misses_total")
+        binds = counter("aiql_plan_cache_binds_total")
+        for text in texts:
+            compile_query(text)
+        assert len(parses) == len(skeletons) < len({canonical_text(t) for t in texts})
+        assert counter("aiql_plan_cache_misses_total") - misses == len(skeletons)
+        assert counter("aiql_plan_cache_binds_total") > binds
