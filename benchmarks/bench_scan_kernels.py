@@ -1,7 +1,7 @@
 """Compiled scan kernels: interpreted vs compiled filter evaluation.
 
 The ISSUE-4 acceptance benchmark (machine-readable output in
-``BENCH_scan.json``).  Five cells, every one asserting the compiled path
+``BENCH_scan.json``).  Six cells, every one asserting the compiled path
 returns *byte-identical* results to the interpreted oracle:
 
 * **single_pattern** — a LIKE+IN-heavy single-pattern filter over
@@ -18,6 +18,13 @@ returns *byte-identical* results to the interpreted oracle:
   predicate (a getter, a type dispatch and a comparison call per row: the
   path every non-numeric leaf still takes), timed alternately sample by
   sample.  Floor: the median per-sample ratio >= 3x.
+* **code_pass** — the agent / operation / object-type passes alone (a
+  filter with only those three constraints) over every partition block of
+  a 7-day window: ``kernel.select``'s ``translate`` masks and one
+  ``compress`` vs the reference the masks replaced (``find`` hops, one
+  Python step per hit, for a pass wanting one code; a per-row walk for one
+  wanting several), timed alternately sample by sample.  Floor: the median
+  per-sample ratio >= 1.8x.
 * **cold_only** — a cold-window query through the columnar cold path
   (structural prefilter on raw columns before any ``SystemEvent`` is
   materialized), with the per-segment result cache disabled so the cell
@@ -51,6 +58,9 @@ from repro.core.config import SystemConfig
 from repro.core.system import AIQLSystem
 from repro.engine import compile_query
 from repro.engine.executor import MultieventExecutor
+from repro.model.entities import EntityType
+from repro.model.events import Operation
+from repro.storage.blocks import OP_CODE, OTYPE_CODE
 from repro.storage.filters import EventFilter
 from repro.storage.kernels import (
     _compile_block_event_predicate,
@@ -97,6 +107,13 @@ NUMERIC_PATTERN = """
     proc p1 write file f1 as evt1[amount > 600000]
     return distinct p1, f1
 """
+
+# The code-pass cell's filter: agent, operation and object type only.  The
+# agents span both agent groups (1-9 and 10-15 partition apart), so every
+# block of the window wants several of its agent codes, not all of them.
+CODE_AGENTS = frozenset({1, 2, 3, 4, 5, 10, 11, 12})
+CODE_OPERATION = Operation.READ
+CODE_OBJECT_TYPE = EntityType.FILE
 
 # Windows relative to the 20-day corpus (2017-01-01 .. 2017-01-21): the
 # last two days stay hot, everything earlier compacts cold.
@@ -212,6 +229,90 @@ def bench_numeric_predicate(store) -> dict:
     }
 
 
+def _find_hop_select(block, agent_ids, op_codes, otype_codes) -> list:
+    """The code passes as they ran before the translate masks.
+
+    Over the whole block, the first pass that the block does not prove
+    vacuous hops from hit to hit with ``bytearray.find`` (one Python step
+    per hit) when it wants one code, and walks every row when it wants
+    several; each later pass takes one comprehension step per survivor.
+    """
+    passes = []
+    wanted = block.agent_code_set(agent_ids)
+    if wanted is not None:
+        passes.append((block.agent_codes, wanted))
+    if not block.op_universe <= op_codes:
+        passes.append((block.op_codes, op_codes))
+    if not block.otype_universe <= otype_codes:
+        passes.append((block.otype_codes, otype_codes))
+    rows = range(len(block))
+    for column, codes in passes:
+        if type(rows) is range and len(codes) == 1:
+            (code,) = codes
+            hits = []
+            find = column.find
+            i = find(code, 0, rows.stop)
+            while i >= 0:
+                hits.append(i)
+                i = find(code, i + 1, rows.stop)
+            rows = hits
+        else:
+            rows = [i for i in rows if column[i] in codes]
+    return list(rows)
+
+
+def bench_code_pass(store) -> dict:
+    """The agent / operation / object-type passes: translate masks vs hops.
+
+    ``kernel.select`` (one ``translate`` mask per code column, ANDed, one
+    ``compress``) against the per-hit reference the masks replaced
+    (:func:`_find_hop_select`).  Both run over every partition block of a
+    7-day window with every row a candidate, timed alternately sample by
+    sample.
+    """
+    window = compile_query(NUMERIC_PATTERN).patterns[0].filter.window
+    blocks = [
+        part.block
+        for part in store.scan_columns(EventFilter(window=window)).parts
+    ]
+    lookup = store.registry.get
+    select = compile_filter(
+        EventFilter(
+            agent_ids=CODE_AGENTS,
+            operations=frozenset({CODE_OPERATION}),
+            object_type=CODE_OBJECT_TYPE,
+        )
+    ).select
+    op_codes = frozenset({OP_CODE[CODE_OPERATION]})
+    otype_codes = frozenset({OTYPE_CODE[CODE_OBJECT_TYPE]})
+
+    def fused_pass():
+        return [list(select(b, range(len(b)), lookup)) for b in blocks]
+
+    def find_hop_pass():
+        return [
+            _find_hop_select(b, CODE_AGENTS, op_codes, otype_codes)
+            for b in blocks
+        ]
+
+    hop_ms, fused_ms = interleaved_samples_ms(find_hop_pass, fused_pass)
+    survivors = fused_pass()
+    events = sum(len(b) for b in blocks)
+    rows = sum(len(positions) for positions in survivors)
+    return {
+        "find_hop_ms": round(statistics.median(hop_ms), 3),
+        "fused_ms": round(statistics.median(fused_ms), 3),
+        "speedup": round(
+            statistics.median(h / f for h, f in zip(hop_ms, fused_ms)), 2
+        ),
+        "partitions": len(blocks),
+        "events_scanned": events,
+        "rows": rows,
+        "density": round(rows / events, 3) if events else None,
+        "identical": survivors == find_hop_pass(),
+    }
+
+
 def bench_multi_pattern(store) -> dict:
     ctx = compile_query(MULTI_PATTERN)
     executor = MultieventExecutor(store)
@@ -289,6 +390,7 @@ def main() -> int:
         print("running cells...", file=sys.stderr)
         single = bench_single_pattern(baseline)
         numeric = bench_numeric_predicate(baseline)
+        code = bench_code_pass(baseline)
         multi = bench_multi_pattern(baseline)
         cold = bench_cold_only(uncached.store)
         mixed = bench_mixed_window(baseline, shipped.store)
@@ -298,11 +400,12 @@ def main() -> int:
         checks = {
             "single_pattern_3x": single["speedup"] >= 3.0,
             "numeric_predicate_3x": numeric["speedup"] >= 3.0,
+            "code_pass_1_8x": code["speedup"] >= 1.8,
             "multi_pattern_1_5x": multi["speedup"] >= 1.5,
             "mixed_window_1_5x": mixed["ratio"] <= 1.5,
             "results_identical": all(
                 cell["identical"]
-                for cell in (single, numeric, multi, cold, mixed)
+                for cell in (single, numeric, code, multi, cold, mixed)
             ),
         }
         if rate >= 300:
@@ -326,6 +429,7 @@ def main() -> int:
             },
             "single_pattern": single,
             "numeric_predicate": numeric,
+            "code_pass": code,
             "multi_pattern": multi,
             "cold_only": cold,
             "mixed_window": mixed,

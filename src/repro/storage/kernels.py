@@ -25,8 +25,9 @@ lookup)``: passes over the raw columns of a
 :class:`~repro.storage.blocks.ColumnBlock`, cheapest first, each shrinking
 the selection for the next — window (bisected on a time-sorted block,
 skipped when the window holds the block's whole ``[min_time, max_time]``),
-agent / operation / object-type codes (``bytearray.find`` hops on a range,
-skipped when the block's code universe is inside the wanted set), id-set
+agent / operation / object-type codes (on a range, one ``translate`` 0/1
+mask per byte column, ANDed, and one ``compress``; skipped when the
+block's code universe is inside the wanted set), id-set
 membership, entity predicates (one evaluation per distinct entity), then
 the event predicate: leaves that compare a fixed-width numeric column with
 a numeric literal run as one comprehension each over the raw ``array``
@@ -52,6 +53,7 @@ import operator
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
+from itertools import compress
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.model.entities import ATTRIBUTES_BY_TYPE, normalize_attribute
@@ -299,21 +301,38 @@ def _never_select(block: ColumnBlock, candidates: Positions, lookup) -> List[int
     return []
 
 
-def _byte_positions(column: bytearray, code: int, lo: int, hi: int) -> List[int]:
-    """Positions of ``code`` in ``column[lo:hi]`` via C-speed ``find`` hops.
+def _code_table(codes: FrozenSet[int]) -> bytes:
+    """A ``bytes.translate`` table mapping each byte in ``codes`` to 1 and
+    every other byte to 0.  (A code past 255 cannot sit in a byte column,
+    so it has no entry.)"""
+    table = bytearray(256)
+    for code in codes:
+        if code < 256:
+            table[code] = 1
+    return bytes(table)
 
-    The single-code membership pass over a contiguous candidate range is
-    the workhorse of hot scans (one operation, one object type); skipping
-    from match to match costs Python per *hit*, not per row.
+
+def _code_mask_positions(
+    candidates: range, passes: List[Tuple[bytearray, bytes]]
+) -> List[int]:
+    """Positions in ``candidates`` whose byte in every column maps to 1.
+
+    Each ``(column, table)`` pass is one ``translate`` over the range's
+    slice of its column, a 0/1 mask; the masks AND as integers (0/1 bytes
+    AND bytewise), and one ``compress`` yields the survivors — C per row,
+    no Python step per hit.  Each column is read once, up to the range's
+    ``stop`` (the caller's visibility snapshot): rows a writer has staged
+    past it never reach a mask.
     """
-    out: List[int] = []
-    append = out.append
-    find = column.find
-    i = find(code, lo, hi)
-    while i >= 0:
-        append(i)
-        i = find(code, i + 1, hi)
-    return out
+    lo, hi = candidates.start, candidates.stop
+    (column, table), *rest = passes
+    mask = column[lo:hi].translate(table)
+    if rest:
+        bits = int.from_bytes(mask, "little")
+        for column, table in rest:
+            bits &= int.from_bytes(column[lo:hi].translate(table), "little")
+        mask = bits.to_bytes(len(mask), "little")
+    return list(compress(candidates, mask))
 
 
 def _entity_pass(
@@ -477,11 +496,15 @@ def _compile_select(
         if flt.operations is not None
         else None
     )
-    single_op = next(iter(op_codes)) if op_codes and len(op_codes) == 1 else None
-    otype_code = (
-        OTYPE_CODE[flt.object_type] if flt.object_type is not None else None
+    otype_set: Optional[FrozenSet[int]] = (
+        frozenset((OTYPE_CODE[flt.object_type],))
+        if flt.object_type is not None
+        else None
     )
-    otype_set = frozenset((otype_code,)) if otype_code is not None else None
+    # 256-byte translate tables, built once per kernel (the agent table
+    # depends on the block's dictionary, so it is built per call).
+    op_table = _code_table(op_codes) if op_codes is not None else b""
+    otype_table = _code_table(otype_set) if otype_set is not None else b""
     subject_ids = flt.subject_ids
     object_ids = flt.object_ids
     event_passes: List[_EventPass] = []
@@ -532,43 +555,34 @@ def _compile_select(
                         for i in candidates
                         if window_start <= t0[i] < window_end
                     ]
+        # The dictionary-code passes: over a range, one translate mask per
+        # byte column and one compress for all of them; over a position
+        # list (or the wide agent column), a comprehension each.
+        code_passes: List[Tuple[bytearray, bytes]] = []
         if agent_ids is not None:
             wanted = block.agent_code_set(agent_ids)
             if wanted is not None:
                 if not wanted:
                     return []
                 codes = block.agent_codes
-                if len(wanted) == 1:
-                    (code,) = wanted
-                    if type(candidates) is range and isinstance(
-                        codes, bytearray
-                    ):
-                        candidates = _byte_positions(
-                            codes, code, candidates.start, candidates.stop
-                        )
-                    else:
-                        candidates = [i for i in candidates if codes[i] == code]
+                if type(candidates) is range and isinstance(codes, bytearray):
+                    code_passes.append((codes, _code_table(wanted)))
                 else:
                     candidates = [i for i in candidates if codes[i] in wanted]
         if op_codes is not None and not block.op_universe <= op_codes:
-            ops = block.op_codes
-            if single_op is not None:
-                if type(candidates) is range:
-                    candidates = _byte_positions(
-                        ops, single_op, candidates.start, candidates.stop
-                    )
-                else:
-                    candidates = [i for i in candidates if ops[i] == single_op]
+            if type(candidates) is range:
+                code_passes.append((block.op_codes, op_table))
             else:
+                ops = block.op_codes
                 candidates = [i for i in candidates if ops[i] in op_codes]
         if otype_set is not None and not block.otype_universe <= otype_set:
-            otypes = block.otype_codes
             if type(candidates) is range:
-                candidates = _byte_positions(
-                    otypes, otype_code, candidates.start, candidates.stop
-                )
+                code_passes.append((block.otype_codes, otype_table))
             else:
-                candidates = [i for i in candidates if otypes[i] == otype_code]
+                otypes = block.otype_codes
+                candidates = [i for i in candidates if otypes[i] in otype_set]
+        if code_passes:
+            candidates = _code_mask_positions(candidates, code_passes)
         if subject_ids is not None:
             col = block.subject_ids
             candidates = [i for i in candidates if col[i] in subject_ids]

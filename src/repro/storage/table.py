@@ -224,7 +224,7 @@ class EventTable:
 
         # No window, or one that holds the whole table (a multi-day sweep
         # over a day partition): a contiguous range keeps the kernel's
-        # byte-column passes on ``find`` hops and skips the time index.
+        # byte-column passes on ``translate`` masks and skips the time index.
         return range(visible)
 
     def _window_cuts(self, window) -> bool:

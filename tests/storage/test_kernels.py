@@ -469,7 +469,8 @@ _prop_trees = st.recursive(
 
 _prop_filters = st.builds(
     EventFilter,
-    agent_ids=st.none() | st.frozensets(st.integers(1, 3), max_size=2),
+    # events carry agents 1-3: a set may hit zero, one or several codes
+    agent_ids=st.none() | st.frozensets(st.integers(1, 5), max_size=3),
     window=st.just(TimeWindow())
     | st.builds(
         lambda start, length: TimeWindow(start=start, end=start + length),
@@ -477,7 +478,7 @@ _prop_filters = st.builds(
         length=st.floats(min_value=0.0, max_value=3000.0, allow_nan=False),
     ),
     operations=st.none()
-    | st.frozensets(st.sampled_from(list(Operation)), max_size=3),
+    | st.frozensets(st.sampled_from(list(Operation)), max_size=4),
     object_type=st.none() | st.sampled_from(list(EntityType)),
     subject_pred=st.none() | _prop_trees,
     object_pred=st.none() | _prop_trees,
@@ -511,18 +512,116 @@ _prop_events = st.builds(
 )
 
 
+def _filler_event(k):
+    """Row ``k`` of a block prefix: its own agent (1000 + k), time 0."""
+    return SystemEvent(
+        event_id=1000 + k,
+        agent_id=1000 + k,
+        seq=1000 + k,
+        start_time=0.0,
+        end_time=1.0,
+        operation=Operation.READ,
+        subject_id=_PROP_PROCESSES[0].id,
+        object_id=_PROP_ENTITIES[2].id,
+        object_type=EntityType.FILE,
+    )
+
+
+# Rows ahead of the generated events: none, a few (a byte agent column with
+# more agents than the filter names), or 257 distinct agents (the block
+# promotes its agent column to the wide ``array('q')``).
+_PREFIXES = {
+    "none": [],
+    "narrow": [_filler_event(k) for k in range(3)],
+    "wide": [_filler_event(k) for k in range(257)],
+}
+
+
+def _draw_candidates(data, n):
+    """A full range, a sub-range (often starting past 0) or a sorted
+    position list over ``n`` rows."""
+    kind = data.draw(st.sampled_from(("full", "range", "list")))
+    if kind == "full":
+        return range(n)
+    if kind == "range":
+        lo = data.draw(st.integers(0, n))
+        return range(lo, data.draw(st.integers(lo, n)))
+    return sorted(data.draw(st.sets(st.integers(0, n - 1)))) if n else []
+
+
+# Filters with only the dictionary-code constraints, each always present:
+# on a range over a byte agent column, all three passes mask together.
+_code_filters = st.builds(
+    EventFilter,
+    agent_ids=st.frozensets(st.integers(1, 5), min_size=1, max_size=3),
+    operations=st.frozensets(
+        st.sampled_from(list(Operation)), min_size=1, max_size=4
+    ),
+    object_type=st.sampled_from(list(EntityType)),
+)
+
+
 class TestSelectProperties:
-    @settings(max_examples=120, deadline=None)
-    @given(flt=_prop_filters, events=st.lists(_prop_events, max_size=12))
-    def test_select_equals_interpreter(self, flt, events):
+    def assert_select_equals_interpreter(self, flt, events, prefix, data):
         # sorted + unsorted blocks exercise both window pass shapes
+        lookup = _prop_registry.get
+        kernel = compile_filter(flt)
         for ordering in (events, sorted(events, key=lambda e: e.start_time)):
-            block = _block_of(ordering)
-            kernel = compile_filter(flt)
-            lookup = _prop_registry.get
-            expected = interpreted_positions(flt, ordering, lookup)
-            got = kernel.select(block, range(len(ordering)), lookup)
+            rows = _PREFIXES[prefix] + ordering
+            block = _block_of(rows)
+            assert isinstance(block.agent_codes, bytearray) == (prefix != "wide")
+            candidates = _draw_candidates(data, len(rows))
+            expected = [
+                i
+                for i in candidates
+                if flt.matches(
+                    rows[i], lookup(rows[i].subject_id), lookup(rows[i].object_id)
+                )
+            ]
+            got = kernel.select(block, candidates, lookup)
             assert list(got) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        flt=_prop_filters,
+        events=st.lists(_prop_events, max_size=12),
+        prefix=st.sampled_from(sorted(_PREFIXES)),
+        data=st.data(),
+    )
+    def test_select_equals_interpreter(self, flt, events, prefix, data):
+        self.assert_select_equals_interpreter(flt, events, prefix, data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        flt=_code_filters,
+        events=st.lists(_prop_events, max_size=12),
+        prefix=st.sampled_from(sorted(_PREFIXES)),
+        data=st.data(),
+    )
+    def test_code_passes_equal_interpreter(self, flt, events, prefix, data):
+        self.assert_select_equals_interpreter(flt, events, prefix, data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        events=st.lists(_prop_events, min_size=1, max_size=12),
+        prefix=st.sampled_from(sorted(_PREFIXES)),
+        data=st.data(),
+    )
+    def test_all_vacuous_code_filter_returns_the_candidates(
+        self, events, prefix, data
+    ):
+        rows = _PREFIXES[prefix] + events
+        block = _block_of(rows)
+        types = {e.object_type for e in rows}
+        flt = EventFilter(
+            agent_ids=frozenset(e.agent_id for e in rows),
+            operations=frozenset(e.operation for e in rows)
+            | data.draw(st.frozensets(st.sampled_from(list(Operation)))),
+            object_type=types.pop() if len(types) == 1 else None,
+        )
+        candidates = _draw_candidates(data, len(rows))
+        select = compile_filter(flt).select
+        assert select(block, candidates, _prop_registry.get) is candidates
 
 
 # -- numeric column passes (ISSUE 20) -----------------------------------------
@@ -795,3 +894,54 @@ class TestWindowVacuity:
         # the pass runs, and still only over the visible prefix.
         visible_only = EventFilter(window=TimeWindow(start=1000.0, end=2000.5))
         assert [e.event_id for e in table.scan(visible_only)] == [1, 2]
+
+
+class TestCodeMaskVisibility:
+    """The code masks end at the range's stop, not at the column's end."""
+
+    def test_staged_rows_matching_every_code_stay_invisible(self):
+        from repro.storage.table import EventTable
+
+        def event(eid, agent, operation, obj):
+            return SystemEvent(
+                event_id=eid,
+                agent_id=agent,
+                seq=eid,
+                start_time=1000.0 + eid,
+                end_time=1001.0 + eid,
+                operation=operation,
+                subject_id=_PROP_PROCESSES[0].id,
+                object_id=obj.id,
+                object_type=obj.entity_type,
+            )
+
+        fobj, conn = _PROP_ENTITIES[2], _PROP_ENTITIES[4]
+        table = EventTable(_prop_registry.get)
+        # Visible rows: one match and one miss on each code, so no pass is
+        # vacuous for the block.
+        for row in (
+            event(1, 1, Operation.READ, fobj),
+            event(2, 2, Operation.READ, fobj),
+            event(3, 1, Operation.WRITE, fobj),
+            event(4, 1, Operation.READ, conn),
+        ):
+            table.append(row)
+        # A writer mid-commit: staged rows match agent, operation and
+        # object type, but the visibility bump has not happened.
+        staged = [event(eid, 1, Operation.READ, fobj) for eid in (5, 6, 7)]
+        table.block.extend_rows(ColumnBlock.from_events(staged))
+        assert len(table.block) == 7 and len(table) == 4
+        flt = EventFilter(
+            agent_ids=frozenset({1}),
+            operations=frozenset({Operation.READ}),
+            object_type=EntityType.FILE,
+        )
+        assert table._candidate_positions(flt, None) == range(4)
+        assert [e.event_id for e in table.scan(flt)] == [1]
+        # every single-code filter stops at the snapshot too
+        for single in (
+            EventFilter(agent_ids=frozenset({1})),
+            EventFilter(operations=frozenset({Operation.READ})),
+            EventFilter(object_type=EntityType.FILE),
+        ):
+            assert max(e.event_id for e in table.scan(single)) <= 4
