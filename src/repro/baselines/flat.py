@@ -22,6 +22,7 @@ from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions
 from repro.storage.database import narrow_with_index
 from repro.storage.filters import EventFilter
 from repro.storage.index import DEFAULT_INDEXED_ATTRIBUTES, EntityAttributeIndex
+from repro.storage.kernels import ScanKernel
 from repro.storage.table import EventTable
 
 
@@ -63,14 +64,15 @@ class FlatStore:
         flt: EventFilter,
         parallel: bool = False,
         use_entity_index: bool = True,
+        kernel: Optional[ScanKernel] = None,
     ) -> BlockScanResult:
         """Survivors as a single-heap selection (see ``EventStore.scan_columns``)."""
         # ``parallel`` accepted for interface compatibility; a flat heap has
-        # no partitions to parallelize over.  The table compiles the filter
-        # into a scan kernel itself (one heap, one compilation).
+        # no partitions to parallelize over.  Without ``kernel`` the table
+        # compiles the filter itself (one heap, one compilation).
         if use_entity_index:
             flt = narrow_with_index(flt, self.entity_index)
-        return BlockScanResult([self._table.scan_select(flt, None)])
+        return BlockScanResult([self._table.scan_select(flt, None, kernel)])
 
     def scan(
         self,

@@ -29,7 +29,12 @@ from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions
 from repro.storage.database import narrow_with_index
 from repro.storage.filters import EventFilter
 from repro.storage.index import DEFAULT_INDEXED_ATTRIBUTES, EntityAttributeIndex
-from repro.storage.kernels import kernel_for, kernels_enabled
+from repro.storage.kernels import (
+    ScanKernel,
+    compile_filter,
+    constant_false,
+    kernels_enabled,
+)
 from repro.storage.table import EventTable
 
 DISTRIBUTION_POLICIES = ("arrival", "domain")
@@ -149,15 +154,17 @@ class SegmentedStore:
         flt: EventFilter,
         parallel: bool = True,
         use_entity_index: bool = True,
+        kernel: Optional[ScanKernel] = None,
     ) -> BlockScanResult:
         """Survivors as per-segment selections (see ``EventStore.scan_columns``)."""
         committed = self._committed  # snapshot before touching any segment
         if use_entity_index:
             flt = narrow_with_index(flt, self.entity_index)
-        # One compiled kernel shared by every segment scan (see EventStore).
-        kernel = kernel_for(flt) if kernels_enabled() else None
-        if kernel is not None and kernel.always_false:
+        if constant_false(flt):
             return BlockScanResult(())
+        # One compiled kernel shared by every segment scan (see EventStore).
+        if kernel is None and kernels_enabled():
+            kernel = compile_filter(flt)
         segments = self._relevant_segments(flt)
         if parallel and len(segments) > 1:
             if self._executor is None:

@@ -210,7 +210,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
                 _fail(exc, prefix="--watch: ")
                 return 2
             print(f"standing query {watch.name!r} registered "
-                  f"({len(watch.kernels)} pattern(s), "
+                  f"({len(watch.queries)} pattern(s), "
                   f"window {watch.horizon_s:.0f}s)", file=sys.stderr)
         if args.live:
             from repro.workload.live import LiveReplay

@@ -33,24 +33,33 @@ from repro.lang.context import (
 )
 from repro.model.events import SystemEvent
 from repro.model.time import TimeWindow
+from repro.storage.blocks import ColumnBlock, Positions
 from repro.storage.filters import (
     AttrPredicate,
     EventFilter,
     PredicateLeaf,
     conjoin,
 )
+from repro.storage.kernels import ScanKernel, compile_filter
 
 
 @dataclass
 class DataQuery:
-    """One executable pattern search against a store."""
+    """One executable pattern search against a store.
+
+    ``kernel`` is the pattern's compiled kernel while ``filter`` differs
+    from the pattern's own only in window and id sets — the narrowings a
+    kernel takes at scan time — and ``None`` once a narrowing changed a
+    predicate (an IN list), when each scan compiles its own.
+    """
 
     pattern: PatternContext
     filter: EventFilter
+    kernel: Optional[ScanKernel] = None
 
     @classmethod
     def for_pattern(cls, pattern: PatternContext) -> "DataQuery":
-        return cls(pattern=pattern, filter=pattern.filter)
+        return cls(pattern, pattern.filter, pattern.kernel)
 
     @property
     def index(self) -> int:
@@ -62,9 +71,7 @@ class DataQuery:
         parallel: bool = False,
         use_entity_index: bool = True,
     ) -> List[SystemEvent]:
-        return store.scan(
-            self.filter, parallel=parallel, use_entity_index=use_entity_index
-        )
+        return self.execute_scan(store, parallel, use_entity_index).events()
 
     def execute_scan(
         self,
@@ -76,7 +83,19 @@ class DataQuery:
         :class:`~repro.storage.blocks.BlockScanResult` (survivor positions
         over typed column blocks, no rows built)."""
         return store.scan_columns(
-            self.filter, parallel=parallel, use_entity_index=use_entity_index
+            self.filter,
+            parallel=parallel,
+            use_entity_index=use_entity_index,
+            kernel=self.kernel,
+        )
+
+    def select(self, block: ColumnBlock, candidates: Positions, lookup) -> Positions:
+        """The ``candidates`` of ``block`` this query matches (the
+        standing-query engine's scan of a pushed batch or a window)."""
+        flt = self.filter
+        kernel = self.kernel if self.kernel is not None else compile_filter(flt)
+        return kernel.select(
+            block, candidates, lookup, flt.window, flt.subject_ids, flt.object_ids
         )
 
     # -- narrowing ----------------------------------------------------------
@@ -94,12 +113,12 @@ class DataQuery:
         assert ref.pattern == self.index
         values = tuple(values)
         if not values:
-            return replace(self, filter=self.filter.narrowed(subject_ids=frozenset()))
+            return self._over(self.filter.narrowed(subject_ids=frozenset()))
         if ref.attr == "id" and ref.role in ("subject", "object"):
             ids = frozenset(int(v) for v in values)  # type: ignore[arg-type]
             if ref.role == "subject":
-                return replace(self, filter=self.filter.narrowed(subject_ids=ids))
-            return replace(self, filter=self.filter.narrowed(object_ids=ids))
+                return self._over(self.filter.narrowed(subject_ids=ids))
+            return self._over(self.filter.narrowed(object_ids=ids))
         leaf = PredicateLeaf(AttrPredicate(attr=ref.attr, op="in", value=values))
         flt = self.filter
         if ref.role == "subject":
@@ -108,10 +127,15 @@ class DataQuery:
             flt = replace(flt, object_pred=conjoin([flt.object_pred, leaf]))
         else:
             flt = replace(flt, event_pred=conjoin([flt.event_pred, leaf]))
-        return replace(self, filter=flt)
+        return DataQuery(self.pattern, flt, None)
 
     def narrowed_by_window(self, window: TimeWindow) -> "DataQuery":
-        return replace(self, filter=self.filter.narrowed(window=window))
+        return self._over(self.filter.narrowed(window=window))
+
+    def _over(self, flt: EventFilter) -> "DataQuery":
+        """This query over ``flt``, a narrowing the kernel takes at scan
+        time (window or id sets)."""
+        return DataQuery(self.pattern, flt, self.kernel)
 
 
 def values_of(

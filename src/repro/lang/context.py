@@ -15,7 +15,7 @@ all the required information for the query execution."  Compilation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.lang import ast
@@ -47,6 +47,7 @@ from repro.storage.filters import (
     conjoin,
     top_level_equalities,
 )
+from repro.storage.kernels import ScanKernel, compile_filter
 
 # ---------------------------------------------------------------------------
 # resolved references
@@ -133,7 +134,13 @@ class ResolvedReturnItem:
 
 @dataclass(frozen=True)
 class PatternContext:
-    """Everything the engine needs about one event pattern."""
+    """Everything the engine needs about one event pattern.
+
+    The pattern owns the scan kernel of its filter
+    (:attr:`kernel`), compiled on first use and kept for the life of the
+    plan: every scan of the pattern runs it with that scan's window and id
+    sets, however the scheduler narrowed them.
+    """
 
     index: int
     event_name: str
@@ -141,6 +148,25 @@ class PatternContext:
     object_name: str
     object_type: EntityType
     filter: EventFilter
+
+    @property
+    def kernel(self) -> ScanKernel:
+        """The compiled static part of :attr:`filter` (not a field: equal
+        patterns compare equal whether or not theirs is compiled yet)."""
+        kernel = self.__dict__.get("_kernel")
+        if kernel is None:
+            kernel = compile_filter(self.filter)
+            object.__setattr__(self, "_kernel", kernel)
+        return kernel
+
+    def with_filter(self, flt: EventFilter, same_kernel: bool) -> "PatternContext":
+        """This pattern over ``flt``.  ``same_kernel``: ``flt`` differs
+        from :attr:`filter` only in its window, which a kernel takes at
+        scan time, so the new pattern shares this one's kernel."""
+        pattern = replace(self, filter=flt)
+        if same_kernel:
+            object.__setattr__(pattern, "_kernel", self.kernel)
+        return pattern
 
     @property
     def event_type(self) -> EventType:

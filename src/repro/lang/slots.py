@@ -329,7 +329,7 @@ class PlanTemplate:
                     for name in fields
                 },
             )
-            patterns.append(replace(pattern, filter=flt))
+            patterns.append(pattern.with_filter(flt, same_kernel=not fields))
         return replace(self._base, patterns=tuple(patterns), window=window)
 
 

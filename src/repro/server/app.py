@@ -446,7 +446,7 @@ class AIQLServer:
             await ws.send_text(
                 api.SubscribeAck(
                     name=subscription.name,
-                    patterns=len(subscription.kernels),
+                    patterns=len(subscription.queries),
                     window_s=subscription.horizon_s,
                 ).to_json()
             )

@@ -24,7 +24,9 @@ data invalidates:
 
 1. **plan** (:mod:`repro.engine.plan_cache`) — canonical query text to its
    compiled ``QueryContext``; plans hold no data, so they only age out of a
-   256-plan LRU;
+   256-plan LRU.  Each plan pattern owns its compiled scan kernel, so
+   kernels live and age out with their plans; a scan hands the kernel its
+   window and id sets, and nothing looks a kernel up by fingerprint;
 2. **index answers** (:class:`repro.storage.index.HashIndex`) — an entity
    constraint to the ids it resolves to; the keyspace is append-only, so
    an insert extends an answer (new keys are tested, new ids under matched
@@ -40,6 +42,8 @@ from collections import OrderedDict
 from concurrent.futures import Future
 from typing import Callable, Dict, Hashable, Optional, Tuple, TypeVar
 
+from repro.storage.filters import filter_fingerprint
+
 _Key = Tuple[Hashable, Hashable]  # (segment file, filter fingerprint)
 
 _V = TypeVar("_V")
@@ -47,34 +51,22 @@ _V = TypeVar("_V")
 # Scheduler-narrowed sub-queries can carry join-derived id sets with
 # thousands of members; their fingerprints are one-off (query-result-
 # dependent), so caching them churns the LRU and evicts the reusable
-# base-pattern entries.  Shared by the cold per-segment result cache and
-# kernel memoization.
+# base-pattern entries.  The guard of the cold per-segment result cache.
 CACHEABLE_ID_SET_LIMIT = 128
-
-
-def cacheable_filter(flt, limit: int = CACHEABLE_ID_SET_LIMIT) -> bool:
-    """Whether ``flt`` is worth a cache entry (narrowed id sets bounded)."""
-    ids = len(flt.subject_ids or ()) + len(flt.object_ids or ())
-    return ids <= limit
 
 
 def cache_fingerprint(
     flt, limit: int = CACHEABLE_ID_SET_LIMIT
 ) -> Optional[tuple]:
-    """The fingerprint-keyed caches' shared key policy, in one place.
+    """The cold per-segment cache's key policy, in one place.
 
     Returns the canonical :func:`~repro.storage.filters.filter_fingerprint`
-    for cacheable filters and ``None`` for ones that should bypass every
-    fingerprint-keyed cache (giant scheduler-narrowed id sets: one-off
-    keys whose fingerprints cost an O(n log n) sort each).  The kernel
-    cache and the cold per-segment cache both key through here instead of
-    duplicating the guard+fingerprint pair.
+    for cacheable filters and ``None`` for ones that should bypass the
+    cache (giant scheduler-narrowed id sets: one-off keys whose
+    fingerprints cost an O(n log n) sort each).
     """
-    if not cacheable_filter(flt, limit):
+    if len(flt.subject_ids or ()) + len(flt.object_ids or ()) > limit:
         return None
-    # Imported lazily: storage modules import this one at module load.
-    from repro.storage.filters import filter_fingerprint
-
     return filter_fingerprint(flt)
 
 

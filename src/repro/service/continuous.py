@@ -13,9 +13,9 @@ Design, reusing the batch machinery end to end:
 * **Compile once at registration** — the text goes through the shared
   :func:`repro.engine.compile_query` (a text an analyst already ran is not
   parsed again; the plan is immutable, so a subscription can keep it), and
-  each pattern's :class:`EventFilter` compiles into a
-  :class:`~repro.storage.kernels.ScanKernel` when the subscription is
-  created (shared with the scan-path kernel cache).  A push builds one
+  each pattern runs its plan's
+  :class:`~repro.storage.kernels.ScanKernel` — the one the scan path
+  runs for that plan.  A push builds one
   :class:`~repro.storage.blocks.ColumnBlock` of the batch and every
   pattern runs ``kernel.select`` over it — the same code a partition
   scan runs over its stored columns.
@@ -75,7 +75,7 @@ from repro.lang.context import QueryContext
 from repro.model.events import SystemEvent
 from repro.obs.metrics import REGISTRY
 from repro.storage.blocks import ColumnBlock
-from repro.storage.kernels import ScanKernel, kernel_for
+from repro.storage.kernels import constant_false
 
 _M_PUSH_BATCHES = REGISTRY.counter(
     "aiql_continuous_batches_total", "Stream batches pushed through standing queries"
@@ -163,10 +163,7 @@ class Subscription:
         self.horizon_s = horizon_s
         self.callback = callback
         self.active = True
-        # Compiled once here; a push runs kernel.select over its block.
-        self.kernels: Tuple[ScanKernel, ...] = tuple(
-            kernel_for(p.filter) for p in ctx.patterns
-        )
+        # Each pattern's kernel is its plan's; a push runs it over its block.
         self.queries: Tuple[DataQuery, ...] = tuple(
             DataQuery.for_pattern(p) for p in ctx.patterns
         )
@@ -214,7 +211,7 @@ class Subscription:
     def stats(self) -> Dict[str, object]:
         return {
             "name": self.name,
-            "patterns": len(self.kernels),
+            "patterns": len(self.queries),
             "horizon_s": self.horizon_s,
             "window_sizes": [len(w.events) for w in self.windows],
             "events_matched": self.events_matched,
@@ -390,8 +387,8 @@ class ContinuousQueryEngine:
         lookup = self.registry.get
         every = range(len(events))
         deltas: List[List[SystemEvent]] = [
-            [events[i] for i in kernel.select(block, every, lookup)]
-            for kernel in sub.kernels
+            [events[i] for i in query.select(block, every, lookup)]
+            for query in sub.queries
         ]
 
         # The stream high-water mark advances with every pushed event —
@@ -516,10 +513,10 @@ class ContinuousQueryEngine:
         Every relationship between pattern ``j`` and an already-bound
         pattern narrows ``j``'s data query exactly as the batch scheduler's
         constrained execution would
-        (:func:`~repro.engine.data_query.constrain_by_bound`); the narrowed
-        filter compiles to a kernel and prunes the window candidates before
-        the join (the join re-checks exactly, so narrowing only has to be
-        sound).
+        (:func:`~repro.engine.data_query.constrain_by_bound`); the
+        pattern's kernel, given the narrowed window and id sets, prunes
+        the window candidates before the join (the join re-checks exactly,
+        so narrowing only has to be sound).
         """
         if not candidates or (not attr_rels and not temp_rels):
             return candidates
@@ -530,13 +527,12 @@ class ContinuousQueryEngine:
         )
         if narrowed is query:
             return candidates
-        kernel = kernel_for(narrowed.filter)
-        if kernel.always_false:
+        if constant_false(narrowed.filter):
             return []
         block = ColumnBlock.from_events(candidates)
         return [
             candidates[i]
-            for i in kernel.select(block, range(len(candidates)), lookup)
+            for i in narrowed.select(block, range(len(candidates)), lookup)
         ]
 
     def _emit(

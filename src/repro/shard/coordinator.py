@@ -105,6 +105,7 @@ from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions
 from repro.storage.codec import encode_block
 from repro.storage.filters import EventFilter
 from repro.storage.ingest import Ingestor
+from repro.storage.kernels import ScanKernel
 from repro.storage.partition import (
     PartitionKey,
     PartitionScheme,
@@ -870,9 +871,13 @@ class ShardedStore:
         flt: EventFilter,
         parallel: bool = False,
         use_entity_index: bool = True,
+        kernel: Optional[ScanKernel] = None,
     ) -> BlockScanResult:
         """Scatter the filter to its owner shards, gather their column
         slices.
+
+        ``kernel`` is not sent: a compiled kernel does not cross the wire,
+        so each asked shard compiles the filter for the one scan.
 
         Only the shards that can hold a matching row are asked
         (:func:`owner_shards`: every shard unless the filter names its

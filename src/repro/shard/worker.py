@@ -50,6 +50,7 @@ from repro.storage.codec import decode_block
 from repro.storage.database import EventStore
 from repro.storage.filters import EventFilter
 from repro.storage.ingest import Ingestor
+from repro.storage.kernels import ScanKernel
 from repro.storage.partition import PartitionScheme, owner_shards
 from repro.storage.persist import entity_record, rebuild_entity
 
@@ -105,12 +106,16 @@ class CappedStore:
         flt: EventFilter,
         parallel: bool = False,
         use_entity_index: bool = True,
+        kernel: Optional[ScanKernel] = None,
     ) -> BlockScanResult:
         if self.spec.index not in owner_shards(flt, self.scheme, self.spec.shards):
             return BlockScanResult([])
         self.scans += 1
         result = self.store.scan_columns(
-            flt, parallel=parallel, use_entity_index=use_entity_index
+            flt,
+            parallel=parallel,
+            use_entity_index=use_entity_index,
+            kernel=kernel,
         )
         return capped_result(result, self.watermark, self.exclude)
 

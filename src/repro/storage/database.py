@@ -20,7 +20,12 @@ from repro.storage.filters import EventFilter, top_level_equalities
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import active_trace
 from repro.storage.index import DEFAULT_INDEXED_ATTRIBUTES, EntityAttributeIndex
-from repro.storage.kernels import kernel_for, kernels_enabled
+from repro.storage.kernels import (
+    ScanKernel,
+    compile_filter,
+    constant_false,
+    kernels_enabled,
+)
 from repro.storage.partition import PartitionKey, PartitionScheme
 from repro.storage.table import EventTable
 
@@ -31,6 +36,11 @@ _M_SCANS = REGISTRY.counter("aiql_scan_total", "Hot-store scans executed")
 _M_ROWS_SCANNED = REGISTRY.counter(
     "aiql_scan_rows_scanned_total",
     "Rows resident in the partitions each hot scan examined",
+)
+_M_ROWS_VISITED = REGISTRY.counter(
+    "aiql_scan_rows_visited_total",
+    "Candidate rows hot scans handed to the kernel after index and "
+    "postings narrowing",
 )
 _M_ROWS_SELECTED = REGISTRY.counter(
     "aiql_scan_rows_selected_total", "Rows selected by hot scans"
@@ -219,6 +229,7 @@ class EventStore:
         flt: EventFilter,
         parallel: bool = False,
         use_entity_index: bool = True,
+        kernel: Optional[ScanKernel] = None,
     ) -> BlockScanResult:
         """Survivors of ``flt`` as per-partition selections over the blocks.
 
@@ -234,6 +245,11 @@ class EventStore:
 
         Every partition's selection is computed by this scan; the
         committed-watermark cut is applied to it before it is returned.
+
+        ``kernel`` is the compiled static part of ``flt`` (a plan
+        pattern's, :attr:`~repro.lang.context.PatternContext.kernel`);
+        without one the scan compiles ``flt`` for itself.  Either way
+        every surviving partition runs the one kernel.
         """
         committed = self._committed  # snapshot before touching any partition
         obs = REGISTRY.enabled
@@ -242,24 +258,28 @@ class EventStore:
         considered = len(self._partitions) if observing else 0
         if use_entity_index:
             flt = narrow_with_index(flt, self.entity_index)
-        # Compile the filter once for the whole scan; every surviving
-        # partition shares the kernel.  A constant-false filter (empty
-        # window, empty narrowed id set) skips pruning and scanning alike.
-        kernel = kernel_for(flt) if kernels_enabled() else None
-        if kernel is not None and kernel.always_false:
+        # A constant-false filter (empty window, empty agent, operation or
+        # narrowed id set) skips compiling, pruning and scanning alike.
+        if constant_false(flt):
             if observing:
-                self._observe_scan(obs, trace, considered, 0, 0, 0)
+                self._observe_scan(obs, trace, considered, 0, 0, 0, 0)
             return BlockScanResult(())
         keys = self._pruned_keys(flt)
         if not keys:
             if observing:
-                self._observe_scan(obs, trace, considered, 0, 0, 0)
+                self._observe_scan(obs, trace, considered, 0, 0, 0, 0)
             return BlockScanResult(())
-        # Partition sizes are recorded inside scan_one so the observing path
-        # never re-fetches tables; pool workers don't inherit the caller's
-        # contextvars, so they append to this thread-safe list and the
-        # calling thread folds it into span/metrics after the gather.
+        if not kernels_enabled():
+            kernel = None
+        elif kernel is None:
+            kernel = compile_filter(flt)
+        # Partition sizes and candidate counts are recorded inside
+        # scan_one so the observing path never re-fetches tables; pool
+        # workers don't inherit the caller's contextvars, so they append to
+        # these thread-safe lists and the calling thread folds them into
+        # span/metrics after the gather.
         sizes: Optional[List[int]] = [] if observing else None
+        visits: Optional[List[int]] = [] if observing else None
 
         # .get: a partition may be migrated cold (popped) between pruning
         # and the per-partition scan; its events are then served by the
@@ -270,7 +290,7 @@ class EventStore:
                 return None
             if sizes is not None:
                 sizes.append(len(table))
-            return table.scan_select(flt, None, kernel)
+            return table.scan_select(flt, None, kernel, visits)
 
         if parallel and len(keys) > 1:
             selections = self.executor.map_all(scan_one, keys)
@@ -282,10 +302,10 @@ class EventStore:
         final = [s.committed_only(committed) for s in selections if s is not None]
         if observing:
             scanned = sum(1 for s in selections if s is not None)
-            rows_scanned = sum(sizes or ())
             rows_selected = sum(len(s) for s in final)
             self._observe_scan(
-                obs, trace, considered, scanned, rows_scanned, rows_selected
+                obs, trace, considered, scanned, sum(sizes or ()),
+                sum(visits or ()), rows_selected,
             )
         return BlockScanResult(final)
 
@@ -296,6 +316,7 @@ class EventStore:
         considered: int,
         scanned: int,
         rows_scanned: int,
+        rows_visited: int,
         rows_selected: int,
     ) -> None:
         """Fold one scan's outcome into metrics and the active span."""
@@ -303,12 +324,14 @@ class EventStore:
         if obs:
             _M_SCANS.inc()
             _M_ROWS_SCANNED.inc(rows_scanned)
+            _M_ROWS_VISITED.inc(rows_visited)
             _M_ROWS_SELECTED.inc(rows_selected)
             _M_PARTS_SCANNED.inc(scanned)
             _M_PARTS_PRUNED.inc(pruned)
         if trace is not None:
             span = trace.current
             span.add("rows_scanned", rows_scanned)
+            span.add("rows_visited", rows_visited)
             span.add("rows_selected", rows_selected)
             span.add("partitions_scanned", scanned)
             span.add("partitions_pruned", pruned)

@@ -336,24 +336,22 @@ class EventFilter:
         window: Optional[TimeWindow] = None,
     ) -> "EventFilter":
         """A copy narrowed by scheduler-provided id sets / time bounds."""
-        new = self
+        changes: dict = {}
         if subject_ids is not None:
-            merged = (
+            changes["subject_ids"] = (
                 subject_ids
-                if new.subject_ids is None
-                else new.subject_ids & subject_ids
+                if self.subject_ids is None
+                else self.subject_ids & subject_ids
             )
-            new = replace(new, subject_ids=merged)
         if object_ids is not None:
-            merged = (
+            changes["object_ids"] = (
                 object_ids
-                if new.object_ids is None
-                else new.object_ids & object_ids
+                if self.object_ids is None
+                else self.object_ids & object_ids
             )
-            new = replace(new, object_ids=merged)
         if window is not None:
-            new = replace(new, window=new.window.intersect(window))
-        return new
+            changes["window"] = self.window.intersect(window)
+        return replace(self, **changes) if changes else self
 
     def matches(
         self,

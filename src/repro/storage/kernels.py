@@ -1,4 +1,4 @@
-"""Compiled scan kernels: one-shot ``EventFilter`` -> block selection.
+"""Compiled scan kernels: an ``EventFilter``'s static part -> block selection.
 
 Every scan in the system funnels per-candidate events through
 :meth:`EventFilter.matches`, which re-interprets up to nine constraint
@@ -8,8 +8,9 @@ row.  On the paper's workload — interactive investigation over hundreds of
 millions of events — that per-event interpretation is the dominant query
 cost once storage is in place.
 
-This module compiles a filter **once per scan** into specialized code with
-everything loop-invariant hoisted out of the per-event path:
+This module compiles the **static** part of a filter — agents,
+operations, object type and the three predicate trees — into specialized
+code with everything loop-invariant hoisted out of the per-event path:
 
 * absent constraints cost one ``None`` check per block, not per event;
 * LIKE patterns carry their precompiled regex; IN lists their normalized
@@ -17,11 +18,21 @@ everything loop-invariant hoisted out of the per-event path:
   attribute can take, so no ``_coerce`` runs per row;
 * entities are resolved lazily — a filter without subject/object
   predicates never touches the registry;
-* constant-false filters (empty window, empty scheduler-narrowed id set)
-  short-circuit whole scans to an empty result.
+* a filter whose agent or operation set is empty compiles to a kernel
+  that selects nothing.
 
-A kernel has one compilation target, ``select(block, candidates,
-lookup)``: passes over the raw columns of a
+The rest of a filter — its window and its subject/object id sets — is
+what the paper's constrained execution (Algorithm 1) changes from scan to
+scan, so it is an argument, not part of the compiled code:
+``select(block, candidates, lookup, window, subject_ids, object_ids)``.
+Each plan pattern owns one kernel
+(:attr:`~repro.lang.context.PatternContext.kernel`), compiled once for the
+life of the plan and run by every scan of the pattern, narrowed or not,
+and by every plan bound from it whose thresholds did not move.  A caller
+without a plan (a shard worker answering a wire filter, a direct
+``store.scan(flt)``) compiles per call.
+
+``select`` runs passes over the raw columns of a
 :class:`~repro.storage.blocks.ColumnBlock`, cheapest first, each shrinking
 the selection for the next — window (bisected on a time-sorted block,
 skipped when the window holds the block's whole ``[min_time, max_time]``),
@@ -31,16 +42,13 @@ block's code universe is inside the wanted set), id-set
 membership, entity predicates (one evaluation per distinct entity), then
 the event predicate: leaves that compare a fixed-width numeric column with
 a numeric literal run as one comprehension each over the raw ``array``
-(the conjuncts of an AND tree chain), every other tree per row.  Every
-caller evaluates blocks: partition and cold-segment scans select over
-their stored columns, and the standing-query engine over the block of a
-pushed batch.  The interpreter (:meth:`EventFilter.matches`, behind
+(the conjuncts of an AND tree chain), every other tree per row.  A hot
+table hands ``select`` candidates its time index and postings already cut
+to the window and id sets, so it passes neither.  Every caller evaluates
+blocks: partition and cold-segment scans select over their stored
+columns, and the standing-query engine over the block of a pushed batch.
+The interpreter (:meth:`EventFilter.matches`, behind
 ``use_kernels(False)``) is the one differential oracle.
-
-Kernels are memoized on the filter's canonical
-:func:`~repro.storage.filters.filter_fingerprint` — the same key as the
-cold tier's segment-scan cache — so repeated and concurrent scans of one
-filter share a single compilation.
 
 Semantics are bit-for-bit those of the interpreted path (differential- and
 property-tested); exotic runtime value types fall back to
@@ -50,16 +58,14 @@ property-tested); exotic runtime value types fall back to
 from __future__ import annotations
 
 import operator
-import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from itertools import compress
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.model.entities import ATTRIBUTES_BY_TYPE, normalize_attribute
+from repro.model.time import TimeWindow
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import trace_add
-from repro.service.cache import cache_fingerprint
 from repro.storage.blocks import (
     OP_CODE,
     OTYPE_CODE,
@@ -293,11 +299,19 @@ def constant_false(flt: EventFilter) -> bool:
 
 
 # The compilation target: evaluate a whole column block per call and
-# return the surviving positions (a subset of ``candidates``).
-SelectFn = Callable[[ColumnBlock, Positions, Callable[[int], object]], Positions]
+# return the surviving positions (a subset of ``candidates``), narrowed by
+# the scan's window and subject/object id sets (``None``: no narrowing).
+SelectFn = Callable[..., Positions]
 
 
-def _never_select(block: ColumnBlock, candidates: Positions, lookup) -> List[int]:
+def _never_select(
+    block: ColumnBlock,
+    candidates: Positions,
+    lookup,
+    window: Optional[TimeWindow] = None,
+    subject_ids: Optional[FrozenSet[int]] = None,
+    object_ids: Optional[FrozenSet[int]] = None,
+) -> List[int]:
     return []
 
 
@@ -475,21 +489,20 @@ def _compile_select(
     subject_pred: Optional[PredicateFn],
     object_pred: Optional[PredicateFn],
 ) -> SelectFn:
-    """Compile the whole-block evaluation order for ``flt``.
+    """Compile the whole-block evaluation order for ``flt``'s static part.
 
-    Structural passes run cheapest-first over the columns (bisected window,
-    dictionary-coded agents/ops/object types, id-set membership), each
-    shrinking the selection before the next; predicate trees — the only
-    passes that touch entities or strings — see only the surviving tail,
-    and the numeric leaves of the event predicate run as column passes
-    (:func:`_split_event_predicate`) ahead of whatever is left of it.
-    Per-block vacuity (a window holding the block's time range, code
-    universes, agent dictionary coverage) hoists whole passes,
+    Structural passes run cheapest-first over the columns (bisected
+    window, dictionary-coded agents/ops/object types, id-set membership),
+    each shrinking the selection before the next; predicate trees — the
+    only passes that touch entities or strings — see only the surviving
+    tail, and the numeric leaves of the event predicate run as column
+    passes (:func:`_split_event_predicate`) ahead of whatever is left of
+    it.  The window and id sets are ``select``'s arguments; ``flt``'s own
+    are ignored.  Per-block vacuity (a window holding the block's time
+    range, code universes, agent dictionary coverage) hoists whole passes,
     generalizing the cold tier's zone-map shortcuts to every block.
     Results are exactly the rows the interpreter accepts.
     """
-    window_start = flt.window.start
-    window_end = flt.window.end
     agent_ids = flt.agent_ids
     op_codes: Optional[FrozenSet[int]] = (
         frozenset(OP_CODE[op] for op in flt.operations)
@@ -505,23 +518,22 @@ def _compile_select(
     # depends on the block's dictionary, so it is built per call).
     op_table = _code_table(op_codes) if op_codes is not None else b""
     otype_table = _code_table(otype_set) if otype_set is not None else b""
-    subject_ids = flt.subject_ids
-    object_ids = flt.object_ids
     event_passes: List[_EventPass] = []
     event_pred = None
     if flt.event_pred is not None:
         event_passes, rest = _split_event_predicate(flt.event_pred)
         if rest is not None:
             event_pred = _compile_block_event_predicate(rest)
-    # Kernel-lifetime predicate memos (kernels are LRU-cached per filter
-    # fingerprint, so these amortize entity evaluation across scans too).
-    # The id-keyed level is valid for exactly one registry: a single slot
-    # holds an (owner, subject-memo, object-memo) triple keyed by the
-    # lookup's owner (every partition of a store shares one registry, so
-    # iterative scans stay warm; switching stores resets).  The triple is
-    # read and swapped whole, so parallel scans against different stores
-    # can never write one registry's verdicts into another's memo — a
-    # racing swap only loses warm entries.
+    # Kernel-lifetime predicate memos: a kernel lives as long as its plan
+    # pattern, so these amortize entity evaluation across every scan of
+    # the pattern, and each is tied to the one predicate it was compiled
+    # from.  The id-keyed level is valid for exactly one registry: a
+    # single slot holds an (owner, subject-memo, object-memo) triple keyed
+    # by the lookup's owner (every partition of a store shares one
+    # registry, so iterative scans stay warm; switching stores resets).
+    # The triple is read and swapped whole, so parallel scans against
+    # different stores can never write one registry's verdicts into
+    # another's memo — a racing swap only loses warm entries.
     subject_memo: Dict[object, bool] = {}
     object_memo: Dict[object, bool] = {}
     memo_slot: List[Tuple[object, Dict[int, bool], Dict[int, bool]]] = [
@@ -529,8 +541,15 @@ def _compile_select(
     ]
 
     def select(
-        block: ColumnBlock, candidates: Positions, lookup
+        block: ColumnBlock,
+        candidates: Positions,
+        lookup,
+        window: Optional[TimeWindow] = None,
+        subject_ids: Optional[FrozenSet[int]] = None,
+        object_ids: Optional[FrozenSet[int]] = None,
     ) -> Positions:
+        window_start = window.start if window is not None else None
+        window_end = window.end if window is not None else None
         if (
             window_start is not None or window_end is not None
         ) and not block.within(window_start, window_end):
@@ -615,32 +634,46 @@ def _compile_select(
 
 
 class ScanKernel:
-    """One filter compiled for every filter evaluation outside the oracle.
+    """The static part of one filter, compiled for every evaluation outside
+    the oracle.
 
-    ``select(block, candidates, lookup)`` evaluates a whole
+    ``select(block, candidates, lookup, window=None, subject_ids=None,
+    object_ids=None)`` evaluates a whole
     :class:`~repro.storage.blocks.ColumnBlock` and returns the surviving
-    positions: exactly the ``candidates`` whose row ``flt.matches`` with
-    both entities resolved through ``lookup``.  Entities resolve only for
-    rows that survive the structural passes, so a filter without
-    subject/object predicates never touches the registry.
+    positions: exactly the ``candidates`` whose row matches the compiled
+    filter with its window and id sets replaced by the arguments (``None``
+    leaves that dimension open), both entities resolved through
+    ``lookup``.  Entities resolve only for rows that survive the
+    structural passes, so a filter without subject/object predicates
+    never touches the registry.  ``always_false``: the agent or operation
+    set is empty, and ``select`` returns ``[]`` without reading anything.
     """
 
-    __slots__ = ("fingerprint", "always_false", "select")
+    __slots__ = ("always_false", "select")
 
-    def __init__(
-        self, fingerprint: Optional[tuple], always_false: bool, select: SelectFn
-    ) -> None:
-        self.fingerprint = fingerprint
+    def __init__(self, always_false: bool, select: SelectFn) -> None:
         self.always_false = always_false
         self.select = select
 
 
-def compile_filter(
-    flt: EventFilter, fingerprint: Optional[tuple] = None
-) -> ScanKernel:
-    """Compile ``flt`` into a :class:`ScanKernel` (no memoization here)."""
-    if constant_false(flt):
-        return ScanKernel(fingerprint, True, _never_select)
+_M_KERNEL_COMPILED = REGISTRY.counter(
+    "aiql_kernel_compiled_total",
+    "Scan kernels compiled (once per plan pattern, or per plan-less scan)",
+)
+
+
+def compile_filter(flt: EventFilter) -> ScanKernel:
+    """Compile the static part of ``flt`` into a :class:`ScanKernel`.
+
+    ``flt``'s window and id sets are not compiled in: pass them (or a
+    scan's narrower ones) to ``select``.
+    """
+    _M_KERNEL_COMPILED.inc()
+    trace_add("kernel_compiled")
+    if (flt.agent_ids is not None and not flt.agent_ids) or (
+        flt.operations is not None and not flt.operations
+    ):
+        return ScanKernel(True, _never_select)
     subject_pred: Optional[PredicateFn] = (
         compile_predicate(flt.subject_pred)
         if flt.subject_pred is not None
@@ -651,96 +684,10 @@ def compile_filter(
         if flt.object_pred is not None
         else None
     )
-    return ScanKernel(
-        fingerprint, False, _compile_select(flt, subject_pred, object_pred)
-    )
+    return ScanKernel(False, _compile_select(flt, subject_pred, object_pred))
 
 
-# Compile-vs-reuse metrics: shared by every KernelCache instance (they
-# all feed one process-wide compilation economy).
-_M_KERNEL_COMPILED = REGISTRY.counter(
-    "aiql_kernel_compiled_total", "Scan kernels compiled (cache miss or uncacheable)"
-)
-_M_KERNEL_REUSED = REGISTRY.counter(
-    "aiql_kernel_reused_total", "Scan kernels served from the kernel cache"
-)
-
-
-class KernelCache:
-    """Thread-safe LRU of compiled kernels keyed by filter fingerprint.
-
-    Shares its key space with the cold segment-scan cache: two filters with
-    equal fingerprints select the same events, so one kernel serves both.
-    Scheduler-narrowed filters carrying giant join-derived id sets get
-    one-off fingerprints (and pay an O(n log n) sort to compute them), so
-    those compile uncached (``service.cache.cacheable_filter``, the same
-    guard every fingerprint-keyed cache shares) — compilation is a few
-    closures, far cheaper than fingerprinting thousands of ids per scan.
-    """
-
-    def __init__(self, max_entries: int = 512) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple, ScanKernel]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def kernel_for(self, flt: EventFilter) -> ScanKernel:
-        fingerprint = cache_fingerprint(flt)
-        if fingerprint is None:
-            # Uncacheable (giant narrowed id set): compiled fresh per scan.
-            _M_KERNEL_COMPILED.inc()
-            trace_add("kernel_compiled")
-            return compile_filter(flt)
-        with self._lock:
-            kernel = self._entries.get(fingerprint)
-            if kernel is not None:
-                self._entries.move_to_end(fingerprint)
-                self.hits += 1
-                _M_KERNEL_REUSED.inc()
-                trace_add("kernel_reused")
-                return kernel
-        kernel = compile_filter(flt, fingerprint)
-        _M_KERNEL_COMPILED.inc()
-        trace_add("kernel_compiled")
-        with self._lock:
-            self.misses += 1
-            self._entries[fingerprint] = kernel
-            self._entries.move_to_end(fingerprint)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-        return kernel
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
-
-
-_shared_cache = KernelCache()
 _enabled = True
-
-
-def kernel_for(flt: EventFilter) -> ScanKernel:
-    """The process-wide memoized kernel for ``flt``."""
-    return _shared_cache.kernel_for(flt)
-
-
-def kernel_cache_stats() -> Dict[str, int]:
-    return _shared_cache.stats()
 
 
 def kernels_enabled() -> bool:

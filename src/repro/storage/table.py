@@ -33,6 +33,7 @@ with respect to concurrent scans of this partition.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import chain, repeat
 from typing import (
     AbstractSet,
     Callable,
@@ -50,7 +51,12 @@ from repro.model.events import SystemEvent
 from repro.storage.blocks import ColumnBlock, Positions, Selection
 from repro.storage.filters import EventFilter, top_level_equalities
 from repro.storage.index import EntityAttributeIndex, SortedTimeIndex
-from repro.storage.kernels import ScanKernel, kernel_for, kernels_enabled
+from repro.storage.kernels import (
+    ScanKernel,
+    compile_filter,
+    constant_false,
+    kernels_enabled,
+)
 
 
 class EventTable:
@@ -161,10 +167,8 @@ class EventTable:
         def positions_for_ids(
             ids: FrozenSet[int], postings: Dict[int, List[int]]
         ) -> Set[int]:
-            out: Set[int] = set()
-            for entity_id in ids:
-                out.update(postings.get(entity_id, ()))
-            return out
+            # One C-level union of every id's postings list.
+            return set(chain.from_iterable(map(postings.get, ids, repeat(()))))
 
         if flt.subject_ids is not None:
             position_sets.append(positions_for_ids(flt.subject_ids, self._by_subject))
@@ -236,22 +240,31 @@ class EventTable:
         flt: EventFilter,
         entity_index: Optional[EntityAttributeIndex] = None,
         kernel: Optional[ScanKernel] = None,
+        visits: Optional[List[int]] = None,
     ) -> Selection:
         """Survivor positions for ``flt``, in (start_time, event_id) order.
 
         The block-native scan: candidates narrow through the batch kernel
-        (``ScanKernel.select``) without materializing a single row.  The
-        interpreted ``flt.matches`` path remains behind ``use_kernels
+        (``ScanKernel.select``, the compiled static part of ``flt``;
+        compiled here when not given) without materializing a single row.
+        The candidates already hold only rows inside ``flt``'s window and
+        id sets (:meth:`_candidate_positions`), so the kernel runs without
+        them.  ``visits``, when given, receives the number of candidates.
+        The interpreted ``flt.matches`` path remains behind ``use_kernels
         (False)`` as the differential oracle.
         """
         lookup = self._entity_lookup
         visible = self._visible  # one snapshot: the whole scan sees one prefix
         block = self._block
-        if kernel is None and kernels_enabled():
-            kernel = kernel_for(flt)
-        if kernel is not None and kernel.always_false:
+        if constant_false(flt):
             return Selection(block, [])
+        if not kernels_enabled():
+            kernel = None
+        elif kernel is None:
+            kernel = compile_filter(flt)
         candidates = self._candidate_positions(flt, entity_index, visible)
+        if visits is not None:
+            visits.append(len(candidates))
         matched: Positions
         if kernel is not None:
             matched = kernel.select(block, candidates, lookup)
@@ -276,8 +289,8 @@ class EventTable:
         """Return all events matching ``flt``, sorted by (start_time, event_id).
 
         Matching runs through a compiled scan kernel (one specialized
-        block selection per filter, memoized on the filter fingerprint);
-        stores scanning many partitions compile once and pass ``kernel``
+        block selection per filter); stores scanning many partitions
+        compile once, or take a plan pattern's kernel, and pass ``kernel``
         down.  This is :meth:`scan_select` plus row materialization.
         """
         return self.scan_select(flt, entity_index, kernel).events()

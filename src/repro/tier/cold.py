@@ -63,7 +63,12 @@ from repro.service.cache import ScanCache, cache_fingerprint
 from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions, Selection
 from repro.storage.codec import BlockCodecError, decode_block, encode_block
 from repro.storage.filters import EventFilter
-from repro.storage.kernels import ScanKernel, kernel_for, kernels_enabled
+from repro.storage.kernels import (
+    ScanKernel,
+    compile_filter,
+    constant_false,
+    kernels_enabled,
+)
 from repro.storage.partition import PartitionKey
 
 MANIFEST_VERSION = 2
@@ -355,35 +360,45 @@ class ColdTier:
     ) -> Selection:
         """One decoded segment's survivors (sorted: segments are stored sorted).
 
-        The batch kernel runs straight on the decoded columns; the block's
-        op/otype universes and agent dictionary give it the same vacuity
-        hoisting the zone maps provided the old structural prefilter, and
-        no :class:`SystemEvent` is built.
+        The batch kernel runs straight on the decoded columns with the
+        scan's window and id sets; the block's op/otype universes and
+        agent dictionary give it the same vacuity hoisting the zone maps
+        provided the old structural prefilter, and no
+        :class:`SystemEvent` is built.
         """
-        positions = kernel.select(block, range(len(block)), self._entity_lookup)
+        positions = kernel.select(
+            block,
+            range(len(block)),
+            self._entity_lookup,
+            flt.window,
+            flt.subject_ids,
+            flt.object_ids,
+        )
         return Selection(block, positions)
 
-    def scan_selections(self, flt: EventFilter) -> List[Selection]:
+    def scan_selections(
+        self, flt: EventFilter, kernel: Optional[ScanKernel] = None
+    ) -> List[Selection]:
         """Per-segment survivor selections, zone-map pruned.
 
-        Cached selections key on ``(segment file, filter fingerprint)``
-        through the shared :class:`~repro.service.cache.ScanCache` policy
-        plus the generation of the segment's one live block.  A cached
-        selection pins its block, so a cache hit finds that block without
-        decoding, and the generations always agree.
+        ``kernel`` is the compiled static part of ``flt`` (a plan
+        pattern's); without one, ``flt`` compiles once a segment survives
+        pruning.  Cached selections key on ``(segment file, filter
+        fingerprint)`` through the shared
+        :class:`~repro.service.cache.ScanCache` policy plus the generation
+        of the segment's one live block; the fingerprint, too, is taken
+        only once a segment survives.  A cached selection pins its block,
+        so a cache hit finds that block without decoding, and the
+        generations always agree.
         """
         zones = list(self._zones)  # snapshot against concurrent publishes
-        lookup = self._entity_lookup
         selections: List[Selection] = []
-        kernel = kernel_for(flt) if kernels_enabled() else None
-        if kernel is not None and kernel.always_false:
+        if not zones or constant_false(flt):
             return selections
-        cache = self.scan_cache
-        fingerprint = (
-            cache_fingerprint(flt)
-            if cache is not None and kernel is not None
-            else None
-        )
+        lookup = self._entity_lookup
+        compiled = kernels_enabled()
+        cache = self.scan_cache if compiled else None
+        fingerprint: Optional[tuple] = None
         considered = pruned = scanned = decoded = 0
         for zone in zones:
             self.segments_considered += 1
@@ -396,7 +411,7 @@ class ColdTier:
             scanned += 1
             block, fresh = self._fetch(zone)
             decoded += fresh
-            if kernel is None:
+            if not compiled:
                 # Interpreted oracle path (use_kernels(False)).
                 matches = flt.matches
                 positions = []
@@ -406,12 +421,19 @@ class ColdTier:
                     ):
                         positions.append(i)
                 selections.append(Selection(block, positions))
-            elif fingerprint is not None and cache is not None:
+                continue
+            if kernel is None:
+                kernel = compile_filter(flt)
+            if cache is not None and fingerprint is None:
+                fingerprint = cache_fingerprint(flt)
+                if fingerprint is None:
+                    cache = None  # a giant narrowed id set: not worth caching
+            if cache is not None:
                 selections.append(
                     cache.get_or_compute(
                         zone.filename,
                         fingerprint,
-                        lambda b=block: self._scan_segment(b, flt, kernel),
+                        lambda b=block, k=kernel: self._scan_segment(b, flt, k),
                         generation=block.generation,
                     )
                 )

@@ -34,6 +34,7 @@ from repro.obs.metrics import REGISTRY
 from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions
 from repro.storage.database import EventStore
 from repro.storage.filters import EventFilter
+from repro.storage.kernels import ScanKernel
 from repro.storage.partition import PartitionKey, PartitionScheme
 from repro.tier.cold import ColdTier
 
@@ -168,17 +169,22 @@ class TieredStore:
         flt: EventFilter,
         parallel: bool = False,
         use_entity_index: bool = True,
+        kernel: Optional[ScanKernel] = None,
     ) -> BlockScanResult:
         """Survivors across both tiers as block selections, deduplicated.
 
         Hot parts come first, so when a migration hand-off leaves an event
         reachable in both tiers, the merged handle list keeps the hot copy
-        (the stable sort preserves part order for equal keys).
+        (the stable sort preserves part order for equal keys).  Both tiers
+        run ``kernel`` (see :meth:`EventStore.scan_columns`).
         """
         hot = self.hot.scan_columns(
-            flt, parallel=parallel, use_entity_index=use_entity_index
+            flt,
+            parallel=parallel,
+            use_entity_index=use_entity_index,
+            kernel=kernel,
         )
-        cold_parts = self.cold.scan_selections(flt)
+        cold_parts = self.cold.scan_selections(flt, kernel)
         if not cold_parts:
             return hot
         return BlockScanResult(list(hot.parts) + cold_parts, dedup=True)

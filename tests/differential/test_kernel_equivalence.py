@@ -222,7 +222,14 @@ class TestPropertyEquivalence:
                 if flt.matches(ev, lookup(ev.subject_id), lookup(ev.object_id))
             ]
             block = ColumnBlock.from_events(ordering)
-            got = kernel.select(block, range(len(ordering)), lookup)
+            got = kernel.select(
+                block,
+                range(len(ordering)),
+                lookup,
+                flt.window,
+                flt.subject_ids,
+                flt.object_ids,
+            )
             assert list(got) == expected
             if kernel.always_false:
                 assert not expected

@@ -496,3 +496,98 @@ class TestOneParsePerSkeleton:
         assert len(parses) == len(skeletons) < len({canonical_text(t) for t in texts})
         assert counter("aiql_plan_cache_misses_total") - misses == len(skeletons)
         assert counter("aiql_plan_cache_binds_total") > binds
+
+
+# ---------------------------------------------------------------------------
+# kernels belong to the plan: compiled once per pattern, narrowed per scan
+# ---------------------------------------------------------------------------
+
+# ``pid >= N`` is a threshold slot on the subject predicate; wget (pid 102)
+# is the one process that writes under /tmp.
+PID_QUERY = """
+    agentid = 1
+    (at "01/01/2017")
+    proc p[pid >= {pid}] write file f["/tmp/%"] as evt1
+    return distinct p
+"""
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """``aiql_kernel_compiled_total`` so far, counting whatever system the
+    test builds (a deployment may switch the registry off)."""
+    monkeypatch.setattr(REGISTRY, "enabled", True)
+    return lambda: counter("aiql_kernel_compiled_total")
+
+
+class TestKernelsBelongToThePlan:
+    def test_rerunning_a_hit_plan_compiles_no_kernel(self, compiles):
+        with dropper_system() as system:
+            REGISTRY.enabled = True
+            first = system.query(DROPPER_QUERY).rows
+            before = compiles()
+            for _ in range(3):
+                assert system.query(DROPPER_QUERY).rows == first
+            assert compiles() == before
+
+    def test_a_window_only_bind_compiles_no_kernel(self, compiles):
+        with dropper_system() as system:
+            REGISTRY.enabled = True
+            system.query(DROPPER_QUERY.replace("01/01/2017", "01/02/2017"))
+            before = compiles()
+            binds = counter("aiql_plan_cache_binds_total")
+            rows = system.query(DROPPER_QUERY).rows
+            assert counter("aiql_plan_cache_binds_total") == binds + 1
+            assert compiles() == before
+            assert len(rows) == 1
+
+    def test_a_threshold_bind_compiles_its_own_kernel(self, compiles):
+        plan = compile_query(PID_QUERY.format(pid=50))
+        kernel = plan.patterns[0].kernel
+        before = compiles()
+        bound = compile_query(PID_QUERY.format(pid=100))
+        assert bound.patterns[0].kernel is not kernel
+        assert compiles() == before + 1
+
+    @pytest.mark.parametrize("pids", [(100, 200), (200, 100)], ids=str)
+    def test_threshold_binds_over_one_entity_do_not_share_verdicts(self, pids):
+        # Each bind's subject predicate decides wget differently; a kernel
+        # (and its per-entity memo) shared across them would answer the
+        # second from the first one's verdict.
+        with dropper_system() as system:
+            system.query(PID_QUERY.format(pid=50))  # the template
+            for pid in pids:
+                text = PID_QUERY.format(pid=pid)
+                binds = counter("aiql_plan_cache_binds_total")
+                rows = system.query(text).rows
+                assert counter("aiql_plan_cache_binds_total") == binds + 1
+                fresh = system.service._execute(compile_text(text))
+                assert rows == fresh.rows
+                assert len(rows) == (1 if pid <= 102 else 0)
+
+    def test_eight_fixed_rounds_compile_at_most_400_kernels(
+        self, compiles, tmp_path
+    ):
+        from benchmarks.e2e import lifecycle
+        from benchmarks.e2e import workloads as wl
+
+        seed = 20170101
+        inputs = lifecycle.make_inputs(seed)
+        setup = lifecycle.set_up(
+            wl.BY_NAME["investigate_hot"], inputs, tmp_path / "data", None
+        )
+        deployment = setup.deployment
+        try:
+            REGISTRY.enabled = True
+            before = compiles()
+            for index in range(wl.FIXED_ROUNDS):
+                segment = deployment.run_queries(
+                    lifecycle.tape.round_queries(seed, index)
+                )
+                assert segment.failed == 0
+                deployment.ingest(inputs.live.take(wl.SEGMENT_EVENTS))
+            # 849 when every narrowed scan looked its filter up in a
+            # process-wide kernel memo.
+            assert compiles() - before <= 400
+        finally:
+            deployment.close()

@@ -171,3 +171,56 @@ class TestSystemObservabilitySurface:
         finally:
             system.close()
             set_metrics_enabled(True)
+
+
+class TestRowsVisited:
+    """``rows_visited``: the candidates a hot scan hands the kernel after
+    index and postings narrowing, between the rows resident in the
+    scanned partitions and the rows selected."""
+
+    def test_every_scan_span_brackets_its_visits(self, system):
+        spans = system.explain(APT_QUERY).pattern_spans()
+        for span in spans:
+            counters = span.counters
+            assert (
+                counters["rows_selected"]
+                <= counters["rows_visited"]
+                <= counters["rows_scanned"]
+            )
+        # A constrained scan visits what its postings hold, not the
+        # partitions it scans.
+        assert any(
+            s.counters["rows_visited"] < s.counters["rows_scanned"]
+            for s in spans
+            if s.attrs.get("constrained")
+        )
+
+    def test_the_counter_sums_the_spans(self, system):
+        previous = REGISTRY.enabled
+        set_metrics_enabled(True)
+        try:
+            metric = REGISTRY.get("aiql_scan_rows_visited_total")
+            before = metric.value()
+            spans = system.explain(APT_QUERY).pattern_spans()
+            visited = sum(s.counters["rows_visited"] for s in spans)
+            assert visited > 0
+            assert metric.value() - before == visited
+        finally:
+            set_metrics_enabled(previous)
+
+    def test_an_untraced_scan_without_metrics_counts_nothing(
+        self, system, monkeypatch
+    ):
+        from repro.storage.table import EventTable
+
+        handed = []
+        real = EventTable.scan_select
+
+        def scan_select(self, flt, entity_index=None, kernel=None, visits=None):
+            handed.append(visits)
+            return real(self, flt, entity_index, kernel, visits)
+
+        monkeypatch.setattr(EventTable, "scan_select", scan_select)
+        monkeypatch.setattr(REGISTRY, "enabled", False)
+        system.query(APT_QUERY)
+        assert handed and all(visits is None for visits in handed)

@@ -127,6 +127,11 @@ def test_scan_spans_report_scheduler_cardinalities(events, query_index):
         # scheduler's cardinality for the same execution.
         assert span.counters["rows_selected"] == span.attrs["rows"]
         assert span.counters["rows_scanned"] >= span.attrs["rows"]
+        assert (
+            span.counters["rows_scanned"]
+            >= span.counters["rows_visited"]
+            >= span.attrs["rows"]
+        )
 
 
 @settings(max_examples=25, deadline=None)

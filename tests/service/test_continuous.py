@@ -47,7 +47,7 @@ class TestSubscribe:
     def test_subscribe_compiles_kernels_once(self):
         _, engine = make_engine()
         sub = engine.subscribe(PAIR)
-        assert len(sub.kernels) == 2
+        assert len(sub.queries) == 2
         assert sub.active
         assert engine.subscriptions == (sub,)
 

@@ -1,4 +1,4 @@
-"""Compiled scan kernels: specialization, equivalence, memoization."""
+"""Compiled scan kernels: specialization, equivalence, scan-time narrowing."""
 
 import pytest
 
@@ -15,16 +15,21 @@ from repro.storage.filters import (
     PredicateOr,
 )
 from repro.storage.kernels import (
-    KernelCache,
     compile_filter,
     compile_predicate,
     compile_value_test,
     constant_false,
-    kernel_cache_stats,
-    kernel_for,
     kernels_enabled,
     use_kernels,
 )
+
+
+def narrowed_select(kernel, flt, block, candidates, lookup):
+    """``kernel.select`` narrowed by ``flt``'s window and id sets — what a
+    scan of ``flt`` runs when ``kernel`` is ``flt``'s compiled static part."""
+    return kernel.select(
+        block, candidates, lookup, flt.window, flt.subject_ids, flt.object_ids
+    )
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +181,7 @@ class TestCompileFilter:
         obj = registry.get(event.object_id)
         interpreted = flt.matches(event, subject, obj)
         block = ColumnBlock.from_events([event])
-        selected = list(kernel.select(block, range(1), registry.get))
+        selected = list(narrowed_select(kernel, flt, block, range(1), registry.get))
         assert selected == ([0] if interpreted else [])
         return interpreted
 
@@ -233,18 +238,13 @@ class TestConstantFalse:
     def test_empty_window(self):
         flt = EventFilter(window=TimeWindow(start=5.0, end=5.0))
         assert constant_false(flt)
-        assert compile_filter(flt).always_false
+        # the window is a scan-time argument, not compiled in
+        assert not compile_filter(flt).always_false
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"agent_ids": frozenset()},
-            {"operations": frozenset()},
-            {"subject_ids": frozenset()},
-            {"object_ids": frozenset()},
-        ],
+        "kwargs", [{"agent_ids": frozenset()}, {"operations": frozenset()}]
     )
-    def test_empty_sets(self, kwargs):
+    def test_empty_static_sets(self, kwargs):
         flt = EventFilter(**kwargs)
         assert constant_false(flt)
         kernel = compile_filter(flt)
@@ -252,54 +252,21 @@ class TestConstantFalse:
         # never inspects its arguments
         assert kernel.select(None, range(3), None) == []
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"subject_ids": frozenset()}, {"object_ids": frozenset()}]
+    )
+    def test_empty_id_sets_select_nothing_at_scan_time(self, kwargs, world):
+        registry, _, _, _, event, net_event = world
+        flt = EventFilter(**kwargs)
+        assert constant_false(flt)
+        kernel = compile_filter(flt)
+        assert not kernel.always_false
+        block = ColumnBlock.from_events([event, net_event])
+        assert narrowed_select(kernel, flt, block, range(2), registry.get) == []
+
     def test_satisfiable_filter_is_not_constant_false(self):
         assert not constant_false(EventFilter(agent_ids=frozenset({1})))
         assert not compile_filter(EventFilter()).always_false
-
-
-class TestKernelCache:
-    def test_fingerprint_sharing(self):
-        cache = KernelCache(max_entries=8)
-        a = EventFilter(agent_ids=frozenset({1, 2}))
-        b = EventFilter(agent_ids=frozenset({2, 1}))
-        assert cache.kernel_for(a) is cache.kernel_for(b)
-        assert cache.hits == 1 and cache.misses == 1
-        assert len(cache) == 1
-
-    def test_lru_bound(self):
-        cache = KernelCache(max_entries=2)
-        for agent in range(4):
-            cache.kernel_for(EventFilter(agent_ids=frozenset({agent})))
-        assert len(cache) == 2
-        assert cache.stats()["misses"] == 4
-
-    def test_giant_id_sets_compile_uncached(self):
-        from repro.service.cache import CACHEABLE_ID_SET_LIMIT
-
-        cache = KernelCache(max_entries=8)
-        ids = frozenset(range(CACHEABLE_ID_SET_LIMIT + 1))
-        flt = EventFilter(subject_ids=ids)
-        first = cache.kernel_for(flt)
-        second = cache.kernel_for(flt)
-        assert first is not second
-        assert len(cache) == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            KernelCache(max_entries=0)
-
-    def test_clear(self):
-        cache = KernelCache(max_entries=4)
-        cache.kernel_for(EventFilter(agent_ids=frozenset({1})))
-        assert len(cache) == 1
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_shared_cache_helpers(self):
-        before = kernel_cache_stats()
-        kernel_for(EventFilter(agent_ids=frozenset({123456})))
-        after = kernel_cache_stats()
-        assert after["hits"] + after["misses"] >= before["hits"] + before["misses"]
 
 
 class TestToggle:
@@ -362,7 +329,8 @@ class TestSelect:
         kernel = compile_filter(flt)
         block = _block_of(events)
         expected = interpreted_positions(flt, events, lookup)
-        assert list(kernel.select(block, range(len(events)), lookup)) == expected
+        got = narrowed_select(kernel, flt, block, range(len(events)), lookup)
+        assert list(got) == expected
 
     def test_unconstrained_select_passes_candidates_through(self, world):
         registry = world[0]
@@ -376,7 +344,7 @@ class TestSelect:
         flt = EventFilter(subject_ids=frozenset())
         kernel = compile_filter(flt)
         block = _block_of(self._events(world))
-        assert kernel.select(block, range(2), registry.get) == []
+        assert narrowed_select(kernel, flt, block, range(2), registry.get) == []
 
     def test_window_bisects_sorted_blocks(self, world):
         registry = world[0]
@@ -578,7 +546,7 @@ class TestSelectProperties:
                     rows[i], lookup(rows[i].subject_id), lookup(rows[i].object_id)
                 )
             ]
-            got = kernel.select(block, candidates, lookup)
+            got = narrowed_select(kernel, flt, block, candidates, lookup)
             assert list(got) == expected
 
     @settings(max_examples=200, deadline=None)
@@ -851,15 +819,16 @@ class TestWindowVacuity:
         assert not block.within(1000.5, None)
         flt = EventFilter(window=TimeWindow(start=1000.0, end=2000.0))
         kernel = compile_filter(flt)
-        assert list(kernel.select(block, range(2), _prop_registry.get)) == [0]
+        got = narrowed_select(kernel, flt, block, range(2), _prop_registry.get)
+        assert list(got) == [0]
 
     def test_covering_window_passes_candidates_through(self):
         block = _block_of([self._event(1, 1000.0), self._event(2, 2000.0)])
-        kernel = compile_filter(
-            EventFilter(window=TimeWindow(start=0.0, end=86400.0))
-        )
+        flt = EventFilter(window=TimeWindow(start=0.0, end=86400.0))
+        kernel = compile_filter(flt)
         candidates = range(2)
-        assert kernel.select(block, candidates, _prop_registry.get) is candidates
+        got = narrowed_select(kernel, flt, block, candidates, _prop_registry.get)
+        assert got is candidates
 
     def test_empty_block(self):
         table = self._table([])
@@ -945,3 +914,99 @@ class TestCodeMaskVisibility:
             EventFilter(object_type=EntityType.FILE),
         ):
             assert max(e.event_id for e in table.scan(single)) <= 4
+
+
+# -- one kernel, narrowed at scan time ------------------------------------------
+
+import tempfile  # noqa: E402
+from dataclasses import replace  # noqa: E402
+
+from repro.storage.partition import PartitionKey  # noqa: E402
+from repro.storage.table import EventTable  # noqa: E402
+from repro.tier.cold import ColdTier  # noqa: E402
+
+# The static part of a filter: what a kernel compiles.
+_static_filters = st.builds(
+    EventFilter,
+    agent_ids=st.none() | st.frozensets(st.integers(1, 5), max_size=3),
+    operations=st.none()
+    | st.frozensets(st.sampled_from(list(Operation)), max_size=4),
+    object_type=st.none() | st.sampled_from(list(EntityType)),
+    subject_pred=st.none() | _prop_trees,
+    object_pred=st.none() | _prop_trees,
+    event_pred=st.none() | _prop_trees,
+)
+
+_scan_windows = st.one_of(
+    st.just(TimeWindow()),
+    st.floats(0.0, 5000.0, allow_nan=False).map(
+        lambda t: TimeWindow(start=t, end=t)  # empty
+    ),
+    st.builds(
+        lambda start, length: TimeWindow(start=start, end=start + length),
+        start=st.floats(min_value=0.0, max_value=5000.0, allow_nan=False),
+        length=st.floats(min_value=0.0, max_value=5000.0, allow_nan=False),
+    ),
+    st.floats(0.0, 5000.0, allow_nan=False).map(lambda t: TimeWindow(start=t)),
+    st.floats(0.0, 5000.0, allow_nan=False).map(lambda t: TimeWindow(end=t)),
+)
+_scan_ids = st.none() | st.frozensets(
+    st.sampled_from([e.id for e in _PROP_ENTITIES] + [99]), max_size=3
+)
+# (window, subject ids, object ids): one scan's narrowing.
+_narrowings = st.tuples(_scan_windows, _scan_ids, _scan_ids)
+
+
+class TestScanTimeNarrowing:
+    """One kernel, compiled once from a static filter, answers every
+    narrowing of it exactly as the interpreter answers the narrowed
+    filter: over a hot table (its postings and time index serve the
+    narrowing), a decoded cold segment and a pushed batch block."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        static=_static_filters,
+        events=st.lists(_prop_events, min_size=1, max_size=12),
+        narrowings=st.lists(_narrowings, min_size=1, max_size=5),
+    )
+    def test_one_kernel_under_a_sequence_of_narrowings(
+        self, static, events, narrowings
+    ):
+        lookup = _prop_registry.get
+        kernel = compile_filter(static)
+        events = sorted(events, key=lambda e: (e.start_time, e.event_id))
+        table = EventTable(lookup)
+        for event in events:
+            table.append(event)
+        batch = ColumnBlock.from_events(events)
+        with tempfile.TemporaryDirectory() as directory:
+            cold = ColdTier(directory, lookup)
+            cold.add_segment(PartitionKey(0, 0), events)
+            for window, subject_ids, object_ids in narrowings:
+                flt = replace(
+                    static,
+                    window=window,
+                    subject_ids=subject_ids,
+                    object_ids=object_ids,
+                )
+                with use_kernels(False):
+                    hot_oracle = table.scan_select(flt).positions
+                    cold_oracle = [
+                        list(s.positions) for s in cold.scan_selections(flt)
+                    ]
+                batch_oracle = interpreted_positions(flt, events, lookup)
+                hot = table.scan_select(flt, None, kernel).positions
+                assert list(hot) == list(hot_oracle)
+                got_cold = [
+                    list(s.positions) for s in cold.scan_selections(flt, kernel)
+                ]
+                assert got_cold == cold_oracle
+                got_batch = kernel.select(
+                    batch,
+                    range(len(events)),
+                    lookup,
+                    window,
+                    subject_ids,
+                    object_ids,
+                )
+                assert list(got_batch) == batch_oracle

@@ -148,3 +148,41 @@ class TestIdSetTimeIntersection:
         # id-set path alone decides.
         assert not table._window_cuts(flt.window)
         assert table.scan(flt, index) == table.full_scan(flt)
+
+
+class TestPostingsUnion:
+    """Id sets resolve through one union of their postings lists."""
+
+    @pytest.mark.parametrize(
+        "subjects,objects",
+        [
+            ({"shell"}, None),
+            ({"shell", "editor", 9999}, None),  # an id with no postings
+            ({9999}, None),
+            (None, {"passwd", "editor"}),
+            ({"shell", "editor"}, {"passwd", "editor", 9999}),
+        ],
+        ids=str,
+    )
+    def test_candidates_are_the_rows_the_id_sets_name(
+        self, populated, subjects, objects
+    ):
+        table, _, keys = populated
+
+        def ids(names):
+            if names is None:
+                return None
+            return frozenset(
+                keys[n].id if isinstance(n, str) else n for n in names
+            )
+
+        flt = EventFilter(subject_ids=ids(subjects), object_ids=ids(objects))
+        block = table.block
+        expected = [
+            p
+            for p in range(len(table))
+            if (flt.subject_ids is None or block.subject_ids[p] in flt.subject_ids)
+            and (flt.object_ids is None or block.object_ids[p] in flt.object_ids)
+        ]
+        assert list(table._candidate_positions(flt, None)) == expected
+        assert table.scan(flt) == table.full_scan(flt)

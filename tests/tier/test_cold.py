@@ -436,3 +436,58 @@ class TestColdScanResultCache:
             feed, tmp_path / "other", scan_cache_entries=0
         )
         assert "scan_cache" not in tier_off.stats()
+
+
+class TestKernelAndFingerprintOnlyForSurvivors:
+    """An empty or fully pruned tier costs a scan no kernel and no cache
+    fingerprint; a surviving segment costs one of each per scan."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = {"compile": 0, "fingerprint": 0}
+        real_compile, real_fingerprint = cold.compile_filter, cold.cache_fingerprint
+
+        def compile_filter(flt):
+            seen["compile"] += 1
+            return real_compile(flt)
+
+        def cache_fingerprint(flt):
+            seen["fingerprint"] += 1
+            return real_fingerprint(flt)
+
+        monkeypatch.setattr(cold, "compile_filter", compile_filter)
+        monkeypatch.setattr(cold, "cache_fingerprint", cache_fingerprint)
+        return seen
+
+    def test_an_empty_tier(self, feed, tmp_path, calls):
+        tier = ColdTier(tmp_path / "cold", feed.ingestor.registry.get)
+        assert tier.scan_selections(EventFilter(agent_ids=frozenset({1}))) == []
+        assert calls == {"compile": 0, "fingerprint": 0}
+
+    def test_a_fully_pruned_tier(self, feed, tmp_path, calls):
+        tier = make_tier(feed, tmp_path, days=(0, 1))
+        far = TimeWindow(start=day_ts(9), end=day_ts(10))
+        assert tier.scan_selections(EventFilter(window=far)) == []
+        assert tier.segments_pruned == 2
+        assert calls == {"compile": 0, "fingerprint": 0}
+
+    def test_surviving_segments_compile_and_fingerprint_once(
+        self, feed, tmp_path, calls
+    ):
+        tier = make_tier(feed, tmp_path, days=(0, 1, 2))
+        flt = EventFilter(agent_ids=frozenset({1}))
+        assert len(tier.scan_selections(flt)) == 3
+        assert calls == {"compile": 1, "fingerprint": 1}
+
+    def test_a_given_kernel_is_not_recompiled(self, feed, tmp_path, calls):
+        from repro.storage.kernels import compile_filter
+
+        tier = make_tier(feed, tmp_path, days=(0, 1))
+        flt = EventFilter(agent_ids=frozenset({1}))
+        kernel = compile_filter(flt)
+        narrowed = dataclasses.replace(
+            flt, window=TimeWindow(start=day_ts(1, 0.0), end=day_ts(2, 0.0))
+        )
+        got = tier.scan_selections(narrowed, kernel)
+        assert [len(s) for s in got] == [4]
+        assert calls["compile"] == 0
