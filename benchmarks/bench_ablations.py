@@ -9,7 +9,8 @@
   store vs the flat heap;
 * distribution policy — domain vs arrival segment placement under the
   *same* scheduler (isolates the Sec. 6.3.3 claim from the join strategy);
-* segment count sweep — parallel scan scaling of the MPP substrate.
+* segment count sweep — scan cost of the MPP substrate as the segment
+  count grows (segments scan serially in process).
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ class TestDistributionPolicyAblation:
     def test_policy(self, benchmark, enterprise, policy):
         store = enterprise.store(f"segmented_{policy}")
         ctx = compile_text(by_id(HEAVY_QUERY).text)
-        executor = MultieventExecutor(store, parallel=True)
+        executor = MultieventExecutor(store)
         result = benchmark.pedantic(
             lambda: executor.run(ctx), rounds=3, iterations=1
         )

@@ -4,8 +4,9 @@ The 19 performance queries over the 5-segment store: *Greenplum
 scheduling* (monolithic hash-join plan over arrival-order-distributed
 segments, every scan touching the whole fleet) vs *AIQL* (relationship
 scheduling over the semantics-aware (agent, day) distribution, with
-segment pruning and parallel scans).  The paper reports a 16x average
-speedup and near-parity on the cheap queries.
+segment pruning).  Both engines scan their segments serially in process,
+so the bars compare distribution and scheduling, not thread counts.  The
+paper reports a 16x average speedup and near-parity on the cheap queries.
 
 Run: ``pytest benchmarks/bench_fig7_scheduling_greenplum.py --benchmark-only``
 """

@@ -13,7 +13,11 @@ import os
 import pytest
 
 from repro.baselines.graph import GraphEngine, GraphStore
-from repro.baselines.mpp import aiql_parallel_engine, greenplum_engine
+from repro.baselines.mpp import (
+    aiql_parallel_anomaly_engine,
+    aiql_parallel_engine,
+    greenplum_engine,
+)
 from repro.baselines.relational import MonolithicJoinEngine
 from repro.engine.anomaly import AnomalyExecutor
 from repro.engine.dependency import compile_dependency
@@ -66,17 +70,13 @@ def engines(enterprise):
         # parallel comparison (Fig. 7)
         "greenplum": greenplum_engine(enterprise.store("segmented_arrival")),
         "greenplum_anomaly": AnomalyExecutor(
-            enterprise.store("segmented_arrival"),
-            scheduling="fetch_filter",
-            parallel=True,
+            enterprise.store("segmented_arrival"), scheduling="fetch_filter"
         ),
         "aiql_parallel": aiql_parallel_engine(
             enterprise.store("segmented_domain")
         ),
-        "aiql_parallel_anomaly": AnomalyExecutor(
-            enterprise.store("segmented_domain"),
-            scheduling="relationship",
-            parallel=True,
+        "aiql_parallel_anomaly": aiql_parallel_anomaly_engine(
+            enterprise.store("segmented_domain")
         ),
     }
 

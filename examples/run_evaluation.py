@@ -89,9 +89,7 @@ def main() -> None:
         "greenplum": AnomalyExecutor(
             enterprise.store("segmented_arrival"), scheduling="fetch_filter"
         ),
-        "aiql_par": AnomalyExecutor(
-            enterprise.store("segmented_domain"), parallel=True
-        ),
+        "aiql_par": AnomalyExecutor(enterprise.store("segmented_domain")),
     }
 
     results: Dict[str, Dict[str, float]] = {name: {} for name in engines}

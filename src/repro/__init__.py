@@ -9,7 +9,7 @@ provides:
   language (multievent, dependency and anomaly syntax);
 * :mod:`repro.storage` -- partitioned/flat/MPP event stores;
 * :mod:`repro.engine` -- relationship-based and fetch-and-filter schedulers,
-  anomaly sliding windows, dependency rewriting, parallel execution;
+  anomaly sliding windows, dependency rewriting;
 * :mod:`repro.baselines` -- the PostgreSQL-, Neo4j- and Greenplum-like
   comparison systems and the SQL/Cypher/SPL conciseness corpus;
 * :mod:`repro.workload` -- the synthetic enterprise and the paper's attack

@@ -8,8 +8,8 @@
   nested-loop join;
 * :mod:`repro.baselines.graph` — Neo4j: property graph + Cypher-style
   backtracking path matching;
-* :mod:`repro.baselines.mpp` — Greenplum scheduling vs AIQL parallel
-  scheduling over the segmented store;
+* :mod:`repro.baselines.mpp` — Greenplum scheduling vs AIQL scheduling
+  over the segmented store (the paper's Fig. 7 "parallel" bars);
 * :mod:`repro.baselines.translators` — semantically equivalent SQL /
   Cypher / SPL query generation;
 * :mod:`repro.baselines.conciseness` — the Sec. 6.4 metrics.

@@ -5,7 +5,7 @@ baselines "store the same copies of data and employ the same schema and
 index designs ... but they do not employ our domain-specific data storage
 optimizations such as spatial and temporal partitioning".  The
 :class:`FlatStore` is exactly that: one monolithic event heap with the same
-entity-attribute indexes, but no partition pruning and no scan parallelism.
+entity-attribute indexes, but no partition pruning.
 
 A comparison store only: it ingests beside the partitioned store (attached
 to the same :class:`~repro.storage.ingest.Ingestor`) and answers scans,
@@ -62,14 +62,12 @@ class FlatStore:
     def scan_columns(
         self,
         flt: EventFilter,
-        parallel: bool = False,
         use_entity_index: bool = True,
         kernel: Optional[ScanKernel] = None,
     ) -> BlockScanResult:
         """Survivors as a single-heap selection (see ``EventStore.scan_columns``)."""
-        # ``parallel`` accepted for interface compatibility; a flat heap has
-        # no partitions to parallelize over.  Without ``kernel`` the table
-        # compiles the filter itself (one heap, one compilation).
+        # Without ``kernel`` the table compiles the filter itself (one heap,
+        # one compilation).
         if use_entity_index:
             flt = narrow_with_index(flt, self.entity_index)
         return BlockScanResult([self._table.scan_select(flt, None, kernel)])
@@ -77,10 +75,9 @@ class FlatStore:
     def scan(
         self,
         flt: EventFilter,
-        parallel: bool = False,
         use_entity_index: bool = True,
     ) -> List[SystemEvent]:
-        return self.scan_columns(flt, parallel, use_entity_index).events()
+        return self.scan_columns(flt, use_entity_index).events()
 
     def full_scan(self, flt: EventFilter) -> List[SystemEvent]:
         return self._table.full_scan(flt)

@@ -12,6 +12,10 @@ strategy:
 
 * ``greenplum_engine(store_arrival)``  — Fig. 7's "Greenplum" bars;
 * ``aiql_parallel_engine(store_domain)`` — Fig. 7's "AIQL" bars.
+
+Both engines scan the segments serially in process: the bars compare
+distribution policy and scheduling, not thread counts.  The process-level
+parallel path is :mod:`repro.shard`.
 """
 
 from __future__ import annotations
@@ -38,19 +42,25 @@ def greenplum_engine(store: SegmentedStore) -> MonolithicJoinEngine:
 
 
 def aiql_parallel_engine(store: SegmentedStore) -> MultieventExecutor:
-    """AIQL scheduling over the domain-distributed segmented store."""
+    """AIQL scheduling over the domain-distributed segmented store.
+
+    Named for the paper's "AIQL parallel" bars; segments scan serially in
+    process.
+    """
     if store.policy != "domain":
         raise ValueError(
             "AIQL's parallel engine expects the semantics-aware (domain) "
             f"distribution; got {store.policy!r}"
         )
-    return MultieventExecutor(store, scheduling="relationship", parallel=True)
+    return MultieventExecutor(store, scheduling="relationship")
 
 
 def aiql_parallel_anomaly_engine(store: SegmentedStore) -> AnomalyExecutor:
+    """The anomaly-query twin of :func:`aiql_parallel_engine` (serial
+    segment scans in process)."""
     if store.policy != "domain":
         raise ValueError(
             "AIQL's parallel engine expects the semantics-aware (domain) "
             f"distribution; got {store.policy!r}"
         )
-    return AnomalyExecutor(store, scheduling="relationship", parallel=True)
+    return AnomalyExecutor(store, scheduling="relationship")

@@ -1,6 +1,7 @@
 """MPP segmented storage (the Greenplum substrate, paper Secs. 3.2 & 6.3.3).
 
-Greenplum distributes rows across *segments* that scan in parallel.  The
+Greenplum distributes rows across *segments* that scan in parallel (here
+they scan serially in process; the distribution is what is compared).  The
 paper's key observation (Sec. 6.3.3) is that "without our semantics-aware
 model, Greenplum distributes the storage of events based on their incoming
 orders (which is arbitrary)", whereas the AIQL data model distributes by the
@@ -24,7 +25,6 @@ from typing import Dict, Iterator, List, Optional
 from repro.model.entities import Entity, EntityRegistry
 from repro.model.events import SystemEvent
 from repro.model.time import day_of
-from repro.service.pool import SharedExecutor, get_shared_executor
 from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions
 from repro.storage.database import narrow_with_index
 from repro.storage.filters import EventFilter
@@ -41,7 +41,12 @@ DISTRIBUTION_POLICIES = ("arrival", "domain")
 
 
 class SegmentedStore:
-    """N-segment parallel event store."""
+    """N-segment event store; segments scan serially in process.
+
+    The segmentation (and, under ``domain``, segment pruning) is what the
+    Fig. 7 comparison measures; kernel code holds the GIL, so a thread
+    fan-out over segments would only add hand-off cost.
+    """
 
     def __init__(
         self,
@@ -49,7 +54,6 @@ class SegmentedStore:
         segments: int = 5,
         policy: str = "domain",
         indexed_attributes=None,
-        executor: Optional[SharedExecutor] = None,
     ) -> None:
         if segments < 1:
             raise ValueError("segments must be >= 1")
@@ -68,7 +72,6 @@ class SegmentedStore:
         ]
         self._indexed_entities: set[int] = set()
         self._rr = 0
-        self._executor = executor
         # Committed-event watermark (see EventStore): raised after every
         # segment of a batch published, filtered on by readers, so a batch
         # spanning segments is atomic to concurrent scans, iteration and
@@ -152,7 +155,6 @@ class SegmentedStore:
     def scan_columns(
         self,
         flt: EventFilter,
-        parallel: bool = True,
         use_entity_index: bool = True,
         kernel: Optional[ScanKernel] = None,
     ) -> BlockScanResult:
@@ -165,28 +167,19 @@ class SegmentedStore:
         # One compiled kernel shared by every segment scan (see EventStore).
         if kernel is None and kernels_enabled():
             kernel = compile_filter(flt)
-        segments = self._relevant_segments(flt)
-        if parallel and len(segments) > 1:
-            if self._executor is None:
-                self._executor = get_shared_executor()
-            selections = self._executor.map_all(
-                lambda s: s.scan_select(flt, None, kernel), segments
-            )
-        else:
-            selections = [
-                segment.scan_select(flt, None, kernel) for segment in segments
-            ]
         return BlockScanResult(
-            [s.committed_only(committed) for s in selections]
+            [
+                segment.scan_select(flt, None, kernel).committed_only(committed)
+                for segment in self._relevant_segments(flt)
+            ]
         )
 
     def scan(
         self,
         flt: EventFilter,
-        parallel: bool = True,
         use_entity_index: bool = True,
     ) -> List[SystemEvent]:
-        return self.scan_columns(flt, parallel, use_entity_index).events()
+        return self.scan_columns(flt, use_entity_index).events()
 
     def full_scan(self, flt: EventFilter) -> List[SystemEvent]:
         committed = self._committed

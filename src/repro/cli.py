@@ -300,7 +300,6 @@ def _run_corpus_concurrent(system: AIQLSystem, queries, jobs: int) -> int:
     service = QueryService(
         system.store,
         scheduling=system.config.scheduling,
-        parallel=system.config.parallel,
         executor=SharedExecutor(max_workers=jobs),
     )
     started = time.perf_counter()

@@ -21,9 +21,6 @@ class SystemConfig:
         ``relationship`` (Algorithm 1, constraint-count scores),
         ``relationship_cardinality`` (the Sec. 7 statistical scoring
         extension) or ``fetch_filter`` (the FF baseline).
-    parallel
-        parallelize scans over partitions/segments (temporal & spatial
-        parallelization, paper Sec. 5.2).
     agents_per_group
         spatial partition width of the partitioned store.
     stream_batch_size
@@ -33,8 +30,8 @@ class SystemConfig:
         ingest-to-visibility latency; larger batches amortize commit
         overhead.
     max_workers
-        size of the process-wide shared executor that serves both
-        concurrent queries and partition/sub-window scan fan-out.
+        size of the process-wide shared executor that serves concurrent
+        queries (scans never fan out on it; see :mod:`repro.service.pool`).
         ``None`` uses the stdlib heuristic (cpu count + 4, capped at 32).
         Only effective for the config that first touches the shared pool;
         later systems in the same process reuse it.
@@ -186,7 +183,6 @@ class SystemConfig:
 
     backend = "partitioned"  # not a field: the only store; stamps read it
     scheduling: str = "relationship"
-    parallel: bool = False
     columnar = True  # not a field: scans are always columnar; stamps read it
     agents_per_group: int = 10
     scan_cache = False  # not a field: hot scans are never memoized; stamps read it

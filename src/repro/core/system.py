@@ -94,7 +94,6 @@ class AIQLSystem:
                 scheme=PartitionScheme(
                     agents_per_group=self.config.agents_per_group
                 ),
-                executor=get_shared_executor(self.config.max_workers),
             )
             if self.config.data_dir is not None:
                 # Durable tiered deployment: opening the data dir *is*
@@ -271,7 +270,7 @@ class AIQLSystem:
         ``result.meta['completeness']``.
         """
         result, self.last_scheduler_stats = run_query(
-            self.store, ctx, key, self.config.scheduling, self.config.parallel
+            self.store, ctx, key, self.config.scheduling
         )
         return result
 
@@ -297,7 +296,7 @@ class AIQLSystem:
             with trace_span("compile"):
                 ctx = compile_query(text, key)
             result, stats = run_query(
-                self.store, ctx, key, self.config.scheduling, self.config.parallel
+                self.store, ctx, key, self.config.scheduling
             )
         # EXPLAIN ANALYZE executes the query, so it counts as one (same
         # convention as PostgreSQL's statistics views).
@@ -348,13 +347,14 @@ class AIQLSystem:
     def service(self) -> QueryService:
         """The concurrent query front-end over this system's store.
 
-        Created lazily; all submissions share the process-wide executor.
+        Created lazily; all submissions share the process-wide executor
+        (sized by ``config.max_workers`` if this is its first user).
         """
         if self._service is None:
             self._service = QueryService(
                 self.store,
                 scheduling=self.config.scheduling,
-                parallel=self.config.parallel,
+                executor=get_shared_executor(self.config.max_workers),
                 slow_log=self.slow_log,
             )
         return self._service

@@ -18,7 +18,6 @@ from repro.engine.anomaly import AnomalyExecutor
 from repro.engine.data_query import DataQuery
 from repro.engine.dependency import compile_dependency, rewrite_dependency
 from repro.engine.executor import MultieventExecutor, evaluate_returns
-from repro.engine.parallel import scan_split, split_window
 from repro.engine.plan_cache import BIND, HIT, PlanCache, canonical_text
 from repro.engine.result import ResultSet
 from repro.engine.scheduler import (
@@ -86,7 +85,6 @@ def run_query(
     ctx: QueryContext,
     key: Optional[str] = None,
     scheduling: str = "relationship",
-    parallel: bool = False,
 ) -> Tuple[ResultSet, SchedulerStats]:
     """Execute a prepared query against ``store``; ``(result, stats)``.
 
@@ -107,12 +105,10 @@ def run_query(
     if key is not None and route is not None:
         shard = route(ctx)
         if shard is not None:
-            ran = store.run_routed(shard, key, scheduling, parallel)
+            ran = store.run_routed(shard, key, scheduling)
     if ran is None:
         executor = AnomalyExecutor if ctx.kind == "anomaly" else MultieventExecutor
-        ran = executor(
-            store, scheduling=scheduling, parallel=parallel
-        ).run_with_stats(ctx)
+        ran = executor(store, scheduling=scheduling).run_with_stats(ctx)
     result, stats = ran
     if mark is not None:
         summary = store.completeness_since(mark)
@@ -140,6 +136,4 @@ __all__ = [
     "make_scheduler",
     "rewrite_dependency",
     "run_query",
-    "scan_split",
-    "split_window",
 ]

@@ -65,11 +65,9 @@ class AnomalyExecutor:
         self,
         store,
         scheduling: str = "relationship",
-        parallel: bool = False,
     ) -> None:
         self.store = store
         self.scheduling = scheduling
-        self.parallel = parallel
         self.last_stats = None
 
     def run(self, ctx: QueryContext) -> ResultSet:
@@ -90,7 +88,7 @@ class AnomalyExecutor:
                 "anomaly queries require a bounded global time window"
             )
 
-        scheduler = make_scheduler(self.scheduling, self.store, self.parallel)
+        scheduler = make_scheduler(self.scheduling, self.store)
         with trace_span("schedule", scheduling=self.scheduling) as span:
             tuples = scheduler.run(ctx)
             if span is not None:

@@ -68,15 +68,13 @@ class DataQuery:
     def execute(
         self,
         store,
-        parallel: bool = False,
         use_entity_index: bool = True,
     ) -> List[SystemEvent]:
-        return self.execute_scan(store, parallel, use_entity_index).events()
+        return self.execute_scan(store, use_entity_index).events()
 
     def execute_scan(
         self,
         store,
-        parallel: bool = False,
         use_entity_index: bool = True,
     ):
         """Like :meth:`execute`, but keep the result columnar: a
@@ -84,7 +82,6 @@ class DataQuery:
         over typed column blocks, no rows built)."""
         return store.scan_columns(
             self.filter,
-            parallel=parallel,
             use_entity_index=use_entity_index,
             kernel=self.kernel,
         )

@@ -25,11 +25,9 @@ class MultieventExecutor:
         self,
         store,
         scheduling: str = "relationship",
-        parallel: bool = False,
     ) -> None:
         self.store = store
         self.scheduling = scheduling
-        self.parallel = parallel
         self.last_stats = None
 
     def run(self, ctx: QueryContext) -> ResultSet:
@@ -49,7 +47,7 @@ class MultieventExecutor:
                 "MultieventExecutor cannot run anomaly queries",
                 hint="use repro.engine.anomaly.AnomalyExecutor",
             )
-        scheduler = make_scheduler(self.scheduling, self.store, self.parallel)
+        scheduler = make_scheduler(self.scheduling, self.store)
         with trace_span("schedule", scheduling=self.scheduling) as span:
             tuples = scheduler.run(ctx)
             if span is not None:

@@ -46,7 +46,7 @@ pattern's result size from index statistics and prioritize the smallest).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.engine.data_query import (
     DataQuery,
@@ -103,9 +103,8 @@ def _involved(rel: _Relationship) -> Tuple[int, int]:
 
 
 class _SchedulerBase:
-    def __init__(self, store, parallel: bool = False) -> None:
+    def __init__(self, store) -> None:
         self.store = store
-        self.parallel = parallel
         self.stats = SchedulerStats()
         # Bound once: per-row relationship checks call this, and a tiered
         # store resolves ``registry`` through ``__getattr__`` every time.
@@ -131,7 +130,7 @@ class _SchedulerBase:
         if narrowings:
             attrs.update(narrowings)
         with trace_span("scan", **attrs) as span:
-            scan = query.execute_scan(self.store, parallel=self.parallel)
+            scan = query.execute_scan(self.store)
             self.stats.data_queries_executed += 1
             if constrained:
                 self.stats.constrained_executions += 1
@@ -209,10 +208,9 @@ class RelationshipScheduler(_SchedulerBase):
     def __init__(
         self,
         store,
-        parallel: bool = False,
         score_model: str = "constraints",
     ) -> None:
-        super().__init__(store, parallel=parallel)
+        super().__init__(store)
         if score_model not in SCORE_MODELS:
             raise ValueError(
                 f"unknown score model {score_model!r}; "
@@ -411,24 +409,20 @@ class FetchFilterScheduler(_SchedulerBase):
         return self._filter(merged, attr_rels, temp_rels)
 
 
-SCHEDULERS = {
-    "relationship": lambda store, parallel: RelationshipScheduler(
-        store, parallel=parallel
+SCHEDULERS: Dict[str, Callable[[Any], _SchedulerBase]] = {
+    "relationship": RelationshipScheduler,
+    "relationship_cardinality": lambda store: RelationshipScheduler(
+        store, score_model="cardinality"
     ),
-    "relationship_cardinality": lambda store, parallel: RelationshipScheduler(
-        store, parallel=parallel, score_model="cardinality"
-    ),
-    "fetch_filter": lambda store, parallel: FetchFilterScheduler(
-        store, parallel=parallel
-    ),
+    "fetch_filter": FetchFilterScheduler,
 }
 
 
-def make_scheduler(name: str, store, parallel: bool = False) -> _SchedulerBase:
+def make_scheduler(name: str, store) -> _SchedulerBase:
     try:
         factory = SCHEDULERS[name]
     except KeyError:
         raise ValueError(
             f"unknown scheduler {name!r}; expected one of {sorted(SCHEDULERS)}"
         ) from None
-    return factory(store, parallel)
+    return factory(store)

@@ -8,7 +8,7 @@ all the required information for the query execution."  Compilation
   compatibility,
 * compiles entity/event constraints into storage-layer predicate trees,
 * extracts the spatial (agent) and temporal (window) constraints used for
-  partition pruning and parallelization,
+  partition pruning and shard routing,
 * resolves relationships, returns, group-by, having, sort and top clauses
   into index-based references the engine can execute without the AST.
 """

@@ -7,11 +7,9 @@ narrowing re-queries → joins) and attach annotations from deep inside
 the storage layer via :func:`trace_add` / :func:`trace_annotate`.
 
 When no trace is active — the common case — every hook is a single
-``ContextVar.get`` returning ``None``.  Thread-pool workers do *not*
-inherit the active trace (contextvars don't propagate into pool
-threads), which is deliberate: parallel partition scans aggregate their
-annotations on the calling thread inside ``EventStore.scan_columns``
-instead of racing on one span.
+``ContextVar.get`` returning ``None``.  A query runs on one thread, scans
+included (partitions scan serially), so every span of its trace is
+opened and annotated by that thread.
 """
 
 from __future__ import annotations
@@ -86,8 +84,7 @@ class Trace:
     """A span tree under construction for one query execution.
 
     Spans are opened/closed on a stack; query execution is
-    single-threaded at span granularity (parallelism only happens below
-    span level, inside one scan), so a plain list suffices.
+    single-threaded, so a plain list suffices.
     """
 
     def __init__(self, name: str = "query", **attrs: Any) -> None:

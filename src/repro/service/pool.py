@@ -1,24 +1,12 @@
-"""Process-wide shared thread pool for scan and query parallelism.
+"""Process-wide shared thread pool for request concurrency.
 
-The seed implementation constructed a fresh ``ThreadPoolExecutor`` inside
-every parallel scan (``engine/parallel.scan_split`` and the partition scan
-of ``storage/database.EventStore``), paying thread spawn/teardown on every
-call and making concurrent queries fight over unbounded thread counts.
+:class:`SharedExecutor` is one lazily created pool, reused for the life
+of the process, on which the query service runs concurrent queries.
+:func:`get_shared_executor` returns the process-wide default instance.
 
-:class:`SharedExecutor` replaces all of those call sites: one lazily
-created pool, reused for the life of the process, shared between the query
-service (query-level concurrency) and the storage layer (partition/
-sub-window fan-out).  :func:`get_shared_executor` returns the process-wide
-default instance.
-
-Nested-submission protection: a bounded pool deadlocks when a task running
-on a worker blocks on sub-tasks that cannot be scheduled because every
-worker is busy.  :meth:`SharedExecutor.map_all` therefore runs the fan-out
-inline (serially) when invoked from one of the *same* pool's workers —
-query tasks keep the workers, partition scans inside them degrade
-gracefully to serial execution, and cross-query parallelism is preserved.
-A worker of one pool fanning out on a different pool cannot deadlock and
-stays parallel.
+Scans never fan out on it: kernel code holds the GIL, so every scan runs
+serially on the thread that issued it, and parallel scans belong to
+process shards (:mod:`repro.shard`).
 """
 
 from __future__ import annotations
@@ -26,9 +14,8 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Iterable, List, Optional, TypeVar
+from typing import Callable, Optional, TypeVar
 
-_T = TypeVar("_T")
 _R = TypeVar("_R")
 
 _THREAD_NAME_PREFIX = "aiql-shared"
@@ -44,16 +31,14 @@ class SharedExecutor:
 
     The underlying pool is constructed on first use and reused for every
     subsequent call; :attr:`pools_created` counts constructions so tests can
-    assert that repeated scans never build per-call pools.
+    assert that repeated submissions never build per-call pools.
     """
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = max_workers or _default_max_workers()
         self._pool: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
-        # Unique per instance: only a fan-out submitted back into the SAME
-        # pool can deadlock, so a worker of pool A may still parallelize
-        # on pool B.
+        # Unique per instance, so in_worker names THIS pool's threads only.
         self._prefix = f"{_THREAD_NAME_PREFIX}-{id(self):x}"
         self.pools_created = 0
 
@@ -73,20 +58,6 @@ class SharedExecutor:
 
     def submit(self, fn: Callable[..., _R], *args, **kwargs) -> "Future[_R]":
         return self._ensure().submit(fn, *args, **kwargs)
-
-    def map_all(
-        self, fn: Callable[[_T], _R], items: Iterable[_T]
-    ) -> List[_R]:
-        """Apply ``fn`` to every item, in parallel when that is safe.
-
-        Runs inline when there is at most one item or when called from one
-        of this pool's own workers (see module docstring); either way the
-        results come back in input order.
-        """
-        items = list(items)
-        if len(items) <= 1 or self.in_worker():
-            return [fn(item) for item in items]
-        return list(self._ensure().map(fn, items))
 
     def shutdown(self, wait: bool = True) -> None:
         with self._lock:

@@ -57,13 +57,11 @@ class QueryService:
         self,
         store,
         scheduling: str = "relationship",
-        parallel: bool = False,
         executor: Optional[SharedExecutor] = None,
         slow_log: Optional[SlowQueryLog] = None,
     ) -> None:
         self.store = store
         self.scheduling = scheduling
-        self.parallel = parallel
         self._executor = (
             executor if executor is not None else get_shared_executor()
         )
@@ -98,9 +96,7 @@ class QueryService:
             ctx = compile_query(source, key)
         else:
             ctx = source
-        result, stats = run_query(
-            self.store, ctx, key, self.scheduling, self.parallel
-        )
+        result, stats = run_query(self.store, ctx, key, self.scheduling)
         with self._lock:
             self.stats.executed += 1
         elapsed = time.perf_counter() - started

@@ -814,7 +814,7 @@ class ShardedStore:
         return next(iter(owners), None)
 
     def run_routed(
-        self, shard: int, key: str, scheduling: str, parallel: bool
+        self, shard: int, key: str, scheduling: str
     ) -> Optional[Tuple[ResultSet, SchedulerStats]]:
         """Run a query whole on its owner ``shard`` (see :meth:`route`).
 
@@ -839,7 +839,6 @@ class ShardedStore:
                         "query",
                         key,
                         scheduling,
-                        parallel,
                         watermark,
                         frozenset(self._torn) if self._torn else None,
                     )
@@ -869,7 +868,6 @@ class ShardedStore:
     def scan_columns(
         self,
         flt: EventFilter,
-        parallel: bool = False,
         use_entity_index: bool = True,
         kernel: Optional[ScanKernel] = None,
     ) -> BlockScanResult:
@@ -883,12 +881,11 @@ class ShardedStore:
         (:func:`owner_shards`: every shard unless the filter names its
         agents and bounds its window), and only an owner's absence fails
         or degrades the scan.  Every asked shard prunes/scans locally
-        (compiled kernels, partition
-        pruning, scan cache, cold tier) and replies with its survivors as
-        one serialized block slice in (start_time, event_id) order,
-        capped at this scan's committed watermark; parts from different
-        shards are disjoint by construction, so no cross-shard dedup is
-        needed.
+        (compiled kernel, partition pruning, cold tier) and replies with
+        its survivors as one serialized block slice in (start_time,
+        event_id) order, capped at this scan's committed watermark; parts
+        from different shards are disjoint by construction, so no
+        cross-shard dedup is needed.
 
         Fault behaviour: a shard that misses its deadline or dies is
         recovered and the scan re-issued (idempotent) under bounded
@@ -918,7 +915,6 @@ class ShardedStore:
                 "scan",
                 flt,
                 watermark,
-                parallel,
                 use_entity_index,
                 frozenset(self._torn) if self._torn else None,
             )
@@ -979,10 +975,9 @@ class ShardedStore:
     def scan(
         self,
         flt: EventFilter,
-        parallel: bool = False,
         use_entity_index: bool = True,
     ) -> List[SystemEvent]:
-        return self.scan_columns(flt, parallel, use_entity_index).events()
+        return self.scan_columns(flt, use_entity_index).events()
 
     def full_scan(self, flt: EventFilter) -> List[SystemEvent]:
         """Pruning- and index-free scatter scan (the soundness oracle)."""

@@ -104,7 +104,6 @@ class CappedStore:
     def scan_columns(
         self,
         flt: EventFilter,
-        parallel: bool = False,
         use_entity_index: bool = True,
         kernel: Optional[ScanKernel] = None,
     ) -> BlockScanResult:
@@ -112,10 +111,7 @@ class CappedStore:
             return BlockScanResult([])
         self.scans += 1
         result = self.store.scan_columns(
-            flt,
-            parallel=parallel,
-            use_entity_index=use_entity_index,
-            kernel=kernel,
+            flt, use_entity_index=use_entity_index, kernel=kernel
         )
         return capped_result(result, self.watermark, self.exclude)
 
@@ -123,7 +119,7 @@ class CappedStore:
         return self.store.estimated_events(flt)
 
 
-def _run_routed(store, spec, text, scheduling, parallel, watermark, exclude):
+def _run_routed(store, spec, text, scheduling, watermark, exclude):
     """The ``query`` command: ``(columns, rows, meta, stats, scans)``, or
     ``None`` when execution raised."""
     view = CappedStore(store, spec, watermark, exclude)
@@ -132,7 +128,6 @@ def _run_routed(store, spec, text, scheduling, parallel, watermark, exclude):
             view,
             compile_query(text, text),  # the text is already canonical
             scheduling=scheduling,
-            parallel=parallel,
         )
     except Exception:
         return None
@@ -221,10 +216,8 @@ def shard_worker_main(conn, spec: ShardSpec) -> None:
                 ingestor.commit_block(block)
                 reply = len(block)
             elif command == "scan":
-                flt, watermark, parallel, use_entity_index, exclude = args
-                result = store.scan_columns(
-                    flt, parallel=parallel, use_entity_index=use_entity_index
-                )
+                flt, watermark, use_entity_index, exclude = args
+                result = store.scan_columns(flt, use_entity_index)
                 reply = encode_result(
                     result, watermark=watermark, exclude=exclude
                 )

@@ -1,8 +1,8 @@
 """Storage (paper Sec. 3.2).
 
 * :class:`~repro.storage.database.EventStore` — the AIQL-optimized store:
-  (day, agent-group) partitions, attribute indexes, partition pruning,
-  parallel scans.  The one production store: every in-process, durable,
+  (day, agent-group) partitions, attribute indexes, partition pruning.
+  The one production store: every in-process, durable,
   sharded and served deployment holds it as its hot tier.
 * :class:`~repro.storage.ingest.Ingestor` — the agent→server pipeline that
   fans identical data out to all attached stores.

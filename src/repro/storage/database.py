@@ -3,9 +3,10 @@
 :class:`EventStore` is the domain-optimized storage backend: events are
 partitioned by (day, agent-group), entities are indexed on the frequently
 queried attributes, and scans prune partitions using the spatial/temporal
-constraints of the data query.  Scans over many partitions may run in
-parallel (the storage-level half of the paper's temporal & spatial
-parallelization; the query-level half lives in :mod:`repro.engine.parallel`).
+constraints of the data query.  Surviving partitions scan serially in
+process: kernel code holds the GIL, so a thread fan-out only adds hand-off
+cost.  The paper's temporal & spatial parallelization (Sec. 5.2) is served
+by process shards (:mod:`repro.shard`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import AbstractSet, Dict, Iterator, List, Optional, Tuple
 
 from repro.model.entities import Entity, EntityRegistry, EntityType
 from repro.model.events import SystemEvent
-from repro.service.pool import SharedExecutor, get_shared_executor
 from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions, Selection
 from repro.storage.filters import EventFilter, top_level_equalities
 from repro.obs.metrics import REGISTRY
@@ -98,7 +98,6 @@ class EventStore:
         registry: Optional[EntityRegistry] = None,
         scheme: Optional[PartitionScheme] = None,
         indexed_attributes=None,
-        executor: Optional[SharedExecutor] = None,
     ) -> None:
         self.registry = registry if registry is not None else EntityRegistry()
         self.scheme = scheme or PartitionScheme()
@@ -112,9 +111,6 @@ class EventStore:
         # bumped).  Readers drop rows above their snapshot of this, which is
         # what makes a multi-partition batch commit atomic to scans.
         self._committed = 0
-        # Parallel scans run on the process-wide shared pool (never a
-        # per-call one).
-        self._executor = executor
 
     # -- ingestion ---------------------------------------------------------
 
@@ -198,12 +194,6 @@ class EventStore:
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def executor(self) -> SharedExecutor:
-        if self._executor is None:
-            self._executor = get_shared_executor()
-        return self._executor
-
     def _pruned_keys(self, flt: EventFilter) -> List[PartitionKey]:
         # list() snapshots atomically; pruning must not iterate the live
         # dict while a single-writer ingest inserts a new partition.
@@ -227,7 +217,6 @@ class EventStore:
     def scan_columns(
         self,
         flt: EventFilter,
-        parallel: bool = False,
         use_entity_index: bool = True,
         kernel: Optional[ScanKernel] = None,
     ) -> BlockScanResult:
@@ -273,39 +262,32 @@ class EventStore:
             kernel = None
         elif kernel is None:
             kernel = compile_filter(flt)
-        # Partition sizes and candidate counts are recorded inside
-        # scan_one so the observing path never re-fetches tables; pool
-        # workers don't inherit the caller's contextvars, so they append to
-        # these thread-safe lists and the calling thread folds them into
-        # span/metrics after the gather.
-        sizes: Optional[List[int]] = [] if observing else None
+        # Candidate counts are appended by each table's scan; the observing
+        # path sums them with the partition sizes after the loop.
         visits: Optional[List[int]] = [] if observing else None
-
-        # .get: a partition may be migrated cold (popped) between pruning
-        # and the per-partition scan; its events are then served by the
-        # cold tier, so an empty result here is correct, not a lost read.
-        def scan_one(key: PartitionKey) -> Optional[Selection]:
+        rows_scanned = 0
+        final: List[Selection] = []
+        for key in keys:
+            # .get: a partition may be migrated cold (popped) between
+            # pruning and here; its events are then served by the cold
+            # tier, so skipping it is correct, not a lost read.
             table = self._partitions.get(key)
             if table is None:
-                return None
-            if sizes is not None:
-                sizes.append(len(table))
-            return table.scan_select(flt, None, kernel, visits)
-
-        if parallel and len(keys) > 1:
-            selections = self.executor.map_all(scan_one, keys)
-        else:
-            selections = [scan_one(key) for key in keys]
-        # Rows published by a still-committing batch sit above our
-        # committed snapshot; dropping them per scan keeps multi-partition
-        # commits atomic to this scan.
-        final = [s.committed_only(committed) for s in selections if s is not None]
+                continue
+            if observing:
+                rows_scanned += len(table)
+            # Rows published by a still-committing batch sit above our
+            # committed snapshot; dropping them per scan keeps
+            # multi-partition commits atomic to this scan.
+            final.append(
+                table.scan_select(flt, None, kernel, visits).committed_only(
+                    committed
+                )
+            )
         if observing:
-            scanned = sum(1 for s in selections if s is not None)
-            rows_selected = sum(len(s) for s in final)
             self._observe_scan(
-                obs, trace, considered, scanned, sum(sizes or ()),
-                sum(visits or ()), rows_selected,
+                obs, trace, considered, len(final), rows_scanned,
+                sum(visits or ()), sum(len(s) for s in final),
             )
         return BlockScanResult(final)
 
@@ -339,7 +321,6 @@ class EventStore:
     def scan(
         self,
         flt: EventFilter,
-        parallel: bool = False,
         use_entity_index: bool = True,
     ) -> List[SystemEvent]:
         """All events matching ``flt``, sorted by (start_time, event_id).
@@ -347,7 +328,7 @@ class EventStore:
         Materializing wrapper over :meth:`scan_columns` (same semantics,
         row objects built for every survivor).
         """
-        return self.scan_columns(flt, parallel, use_entity_index).events()
+        return self.scan_columns(flt, use_entity_index).events()
 
     def full_scan(self, flt: EventFilter) -> List[SystemEvent]:
         """Index- and pruning-free scan; the soundness oracle for tests."""

@@ -531,7 +531,7 @@ def _compile_select(
     # single slot holds an (owner, subject-memo, object-memo) triple keyed
     # by the lookup's owner (every partition of a store shares one
     # registry, so iterative scans stay warm; switching stores resets).
-    # The triple is read and swapped whole, so parallel scans against
+    # The triple is read and swapped whole, so concurrent scans against
     # different stores can never write one registry's verdicts into
     # another's memo — a racing swap only loses warm entries.
     subject_memo: Dict[object, bool] = {}

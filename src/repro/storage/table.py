@@ -15,7 +15,7 @@ dictionary-encoded agent/op/object-type codes — in arrival order, with
 :class:`SystemEvent` objects are a lazily materialized view over the block:
 scans narrow on columns and only survivors (or explicit row accesses)
 construct events.  The table itself is semantics-agnostic; domain
-optimizations (partition pruning, spatial/temporal parallelism) live above
+optimizations (partition pruning, spatial/temporal sharding) live above
 it.
 
 Visibility model (single writer, many readers): rows and index postings are

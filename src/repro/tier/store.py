@@ -34,7 +34,12 @@ from repro.obs.metrics import REGISTRY
 from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions
 from repro.storage.database import EventStore
 from repro.storage.filters import EventFilter
-from repro.storage.kernels import ScanKernel
+from repro.storage.kernels import (
+    ScanKernel,
+    compile_filter,
+    constant_false,
+    kernels_enabled,
+)
 from repro.storage.partition import PartitionKey, PartitionScheme
 from repro.tier.cold import ColdTier
 
@@ -167,7 +172,6 @@ class TieredStore:
     def scan_columns(
         self,
         flt: EventFilter,
-        parallel: bool = False,
         use_entity_index: bool = True,
         kernel: Optional[ScanKernel] = None,
     ) -> BlockScanResult:
@@ -176,13 +180,13 @@ class TieredStore:
         Hot parts come first, so when a migration hand-off leaves an event
         reachable in both tiers, the merged handle list keeps the hot copy
         (the stable sort preserves part order for equal keys).  Both tiers
-        run ``kernel`` (see :meth:`EventStore.scan_columns`).
+        run ``kernel`` (see :meth:`EventStore.scan_columns`); without one,
+        ``flt`` compiles here once and both tiers share it.
         """
+        if kernel is None and kernels_enabled() and not constant_false(flt):
+            kernel = compile_filter(flt)
         hot = self.hot.scan_columns(
-            flt,
-            parallel=parallel,
-            use_entity_index=use_entity_index,
-            kernel=kernel,
+            flt, use_entity_index=use_entity_index, kernel=kernel
         )
         cold_parts = self.cold.scan_selections(flt, kernel)
         if not cold_parts:
@@ -192,12 +196,9 @@ class TieredStore:
     def scan(
         self,
         flt: EventFilter,
-        parallel: bool = False,
         use_entity_index: bool = True,
     ) -> List[SystemEvent]:
-        return self.scan_columns(
-            flt, parallel=parallel, use_entity_index=use_entity_index
-        ).events()
+        return self.scan_columns(flt, use_entity_index).events()
 
     def full_scan(self, flt: EventFilter) -> List[SystemEvent]:
         return self._merge(self.hot.full_scan(flt), self.cold.scan(flt))
@@ -250,7 +251,7 @@ class TieredStore:
         # Committed-only by construction: the hot scan path filters by the
         # store's committed-event watermark, so a batch mid-commit can
         # never be half-migrated.
-        old = self.hot.scan(flt, parallel=False, use_entity_index=False)
+        old = self.hot.scan(flt, use_entity_index=False)
         report = CompactionReport(cutoff_day=cutoff_day)
         if not old:
             return report

@@ -278,7 +278,7 @@ def test_sparse_emit_equals_the_dense_loop(events, window, step, having):
                       amount=amount)
     text = SLIDE_QUERY.format(window=window, step=step, having=having)
     ctx = compile_multievent(parse(text))
-    tuples = make_scheduler("relationship", store, False).run(ctx)
+    tuples = make_scheduler("relationship", store).run(ctx)
     result = AnomalyExecutor(store)._slide(ctx, tuples)
     assert result.rows == dense_slide(store, ctx, tuples)
     assert result.meta["windows"] == int((SPAN - ctx.sliding.window_seconds)

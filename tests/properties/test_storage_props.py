@@ -13,6 +13,7 @@ from repro.storage.filters import (
     PredicateLeaf,
 )
 from repro.storage.ingest import Ingestor
+from repro.storage.kernels import compile_filter
 from repro.storage.partition import PartitionScheme
 
 EXES = ("bash", "vim", "nmap", "sshd", "cmd.exe")
@@ -110,7 +111,10 @@ def test_all_backends_agree(stream, flt):
 
 @settings(max_examples=25, deadline=None)
 @given(stream=event_stream(), flt=random_filter())
-def test_parallel_scan_matches_serial(stream, flt):
+def test_supplied_kernel_matches_planless_scan(stream, flt):
+    """Every backend selects the same rows with a precompiled kernel as
+    when it compiles ``flt`` for itself."""
     stores = build_stores(stream)
-    store = stores["partitioned"]
-    assert store.scan(flt, parallel=True) == store.scan(flt, parallel=False)
+    kernel = compile_filter(flt)
+    for store in stores.values():
+        assert store.scan_columns(flt, kernel=kernel).events() == store.scan(flt)

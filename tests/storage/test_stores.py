@@ -1,4 +1,4 @@
-"""Store-level tests: pruning soundness, policy equivalence, parallelism."""
+"""Store-level tests: pruning soundness, policy equivalence."""
 
 import pytest
 
@@ -9,6 +9,7 @@ from repro.model.time import DAY, TimeWindow
 from repro.storage.database import EventStore
 from repro.storage.filters import AttrPredicate, EventFilter, PredicateLeaf
 from repro.storage.ingest import Ingestor
+from repro.storage.kernels import compile_filter
 from repro.storage.partition import PartitionScheme
 from repro.workload.topology import APT_DAY, ATTACKER_IP
 
@@ -35,9 +36,16 @@ class TestEventStoreSoundness:
         assert store.scan(flt) == store.full_scan(flt)
 
     @pytest.mark.parametrize("flt", FILTERS)
-    def test_parallel_scan_equals_serial(self, enterprise, flt):
+    def test_scan_without_entity_index_equals_scan(self, enterprise, flt):
         store = enterprise.store("partitioned")
-        assert store.scan(flt, parallel=True) == store.scan(flt, parallel=False)
+        assert store.scan(flt, use_entity_index=False) == store.scan(flt)
+
+    @pytest.mark.parametrize("flt", FILTERS)
+    def test_supplied_kernel_equals_self_compiled(self, enterprise, flt):
+        """A plan's precompiled kernel selects what a plan-less scan does."""
+        store = enterprise.store("partitioned")
+        supplied = store.scan_columns(flt, kernel=compile_filter(flt))
+        assert supplied.events() == store.scan(flt)
 
     def test_partitions_exist_per_day_and_group(self, enterprise):
         store = enterprise.store("partitioned")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.model.time import DAY, TimeWindow
+from repro.obs import REGISTRY
 from repro.storage.database import EventStore
 from repro.storage.filters import EventFilter
 from repro.storage.ingest import Ingestor
@@ -197,6 +198,36 @@ class TestStoreSurface:
         lo, hi = store.time_range()
         store.compact()
         assert store.time_range() == (lo, hi)
+
+
+class TestPlanlessScanCompilesOnce:
+    """Without a plan's kernel (a shard worker answering a wire filter, a
+    direct ``store.scan``), both tiers share one compilation."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        monkeypatch.setattr(REGISTRY, "enabled", True)
+        return lambda: REGISTRY.get("aiql_kernel_compiled_total").value()
+
+    def test_hot_and_cold_survivors_compile_one_kernel(self, tiered, compiles):
+        store, _ = tiered
+        store.compact()
+        mixed = EventFilter(
+            window=TimeWindow(start=day_ts(2, 0.0), end=day_ts(5, 0.0) + DAY)
+        )
+        before = compiles()
+        result = store.scan_columns(mixed)
+        assert compiles() == before + 1
+        days = {int((e.start_time - day_ts(0, 0.0)) // DAY) for e in result.events()}
+        assert days == {2, 3, 4, 5}  # survivors from both tiers
+        assert len(result) == 36
+
+    def test_constant_false_filter_compiles_nothing(self, tiered, compiles):
+        store, _ = tiered
+        store.compact()
+        before = compiles()
+        assert not store.scan(EventFilter(subject_ids=frozenset()))
+        assert compiles() == before
 
 
 class TestRemoveEvents:
