@@ -1,9 +1,9 @@
 """Baseline query systems the paper compares against (Sec. 6).
 
 * :mod:`repro.baselines.flat` — the unpartitioned event heap (the stock
-  PostgreSQL data layout);
+  PostgreSQL data layout) as an ``EventStore`` placement;
 * :mod:`repro.baselines.segmented` — MPP segments with arrival-order vs
-  domain distribution (the Greenplum substrate);
+  domain distribution (the Greenplum substrate), likewise a placement;
 * :mod:`repro.baselines.relational` — PostgreSQL: one big written-order
   nested-loop join;
 * :mod:`repro.baselines.graph` — Neo4j: property graph + Cypher-style
@@ -14,10 +14,14 @@
   Cypher / SPL query generation;
 * :mod:`repro.baselines.conciseness` — the Sec. 6.4 metrics.
 
-The two stores are comparison substrates only: they ingest beside the
-partitioned :class:`~repro.storage.database.EventStore` through the same
-ingestor (``build_enterprise(stores=...)``) and answer scans; durable,
-tiered, sharded and served deployments never hold them.
+The two stores are placements of the partitioned
+:class:`~repro.storage.database.EventStore`: each is that store run under
+its own :class:`~repro.storage.partition.PartitionScheme` subclass, so the
+paper's comparison differs in layout alone (the same schema, indexes,
+ingest and scan, Sec. 6.2.2).  They are comparison substrates only: they
+ingest beside the partitioned store through the same ingestor
+(``build_enterprise(stores=...)``) and answer scans; durable, tiered,
+sharded and served deployments never hold them.
 """
 
 from repro.baselines.conciseness import (

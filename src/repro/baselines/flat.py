@@ -4,8 +4,11 @@ For the end-to-end comparison (Sec. 6.2.2) the PostgreSQL and Neo4j
 baselines "store the same copies of data and employ the same schema and
 index designs ... but they do not employ our domain-specific data storage
 optimizations such as spatial and temporal partitioning".  The
-:class:`FlatStore` is exactly that: one monolithic event heap with the same
-entity-attribute indexes, but no partition pruning.
+:class:`FlatStore` is exactly that: an
+:class:`~repro.storage.database.EventStore` placed by :class:`FlatScheme`,
+which puts every row in one heap and prunes nothing.  Ingest, the entity
+indexes, the committed watermark and the scan are the partitioned store's
+own; only the layout differs.
 
 A comparison store only: it ingests beside the partitioned store (attached
 to the same :class:`~repro.storage.ingest.Ingestor`) and answers scans,
@@ -14,19 +17,41 @@ but it is never a durable, tiered or sharded deployment's hot tier.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
-from repro.model.entities import Entity, EntityRegistry
-from repro.model.events import SystemEvent
-from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions
-from repro.storage.database import narrow_with_index
-from repro.storage.filters import EventFilter
-from repro.storage.index import DEFAULT_INDEXED_ATTRIBUTES, EntityAttributeIndex
-from repro.storage.kernels import ScanKernel
-from repro.storage.table import EventTable
+from repro.model.entities import EntityRegistry
+from repro.model.time import TimeWindow
+from repro.storage.blocks import ColumnBlock, Positions
+from repro.storage.database import EventStore
+from repro.storage.partition import PartitionKey, PartitionScheme
+
+# The key of the one heap every row lands in.
+HEAP = PartitionKey(day=0, agent_group=0)
 
 
-class FlatStore:
+class FlatScheme(PartitionScheme):
+    """One partition for every row; pruning keeps it."""
+
+    def key_for(self, agent_id: int, start_time: float) -> PartitionKey:
+        return HEAP
+
+    def split(
+        self, block: ColumnBlock, positions: Optional[Positions] = None
+    ) -> Dict[PartitionKey, Positions]:
+        if positions is None:
+            positions = range(len(block))
+        return {HEAP: positions} if len(positions) else {}
+
+    def prune(
+        self,
+        keys: Iterable[PartitionKey],
+        agent_ids: Optional[FrozenSet[int]],
+        window: TimeWindow,
+    ) -> List[PartitionKey]:
+        return list(keys)
+
+
+class FlatStore(EventStore):
     """Single-heap event storage with attribute indexes."""
 
     def __init__(
@@ -34,63 +59,4 @@ class FlatStore:
         registry: Optional[EntityRegistry] = None,
         indexed_attributes=None,
     ) -> None:
-        self.registry = registry if registry is not None else EntityRegistry()
-        self.entity_index = EntityAttributeIndex(
-            indexed_attributes or DEFAULT_INDEXED_ATTRIBUTES
-        )
-        self._table = EventTable(self.registry.get)
-        self._indexed_entities: set[int] = set()
-
-    def register_entity(self, entity: Entity) -> None:
-        if entity.id in self._indexed_entities:
-            return
-        self._indexed_entities.add(entity.id)
-        self.entity_index.add(entity)
-
-    def add_event(self, event: SystemEvent) -> None:
-        self._table.append(event)
-
-    def add_block(
-        self, block: ColumnBlock, positions: Optional[Positions] = None
-    ) -> None:
-        """Append rows ``positions`` of ``block`` (default: all) as one
-        committed batch: one column extend, one visibility bump."""
-        self._table.append_block(block, positions)
-
-    add_batch = add_block  # the name Ingestor.commit_block calls
-
-    def scan_columns(
-        self,
-        flt: EventFilter,
-        use_entity_index: bool = True,
-        kernel: Optional[ScanKernel] = None,
-    ) -> BlockScanResult:
-        """Survivors as a single-heap selection (see ``EventStore.scan_columns``)."""
-        # Without ``kernel`` the table compiles the filter itself (one heap,
-        # one compilation).
-        if use_entity_index:
-            flt = narrow_with_index(flt, self.entity_index)
-        return BlockScanResult([self._table.scan_select(flt, None, kernel)])
-
-    def scan(
-        self,
-        flt: EventFilter,
-        use_entity_index: bool = True,
-    ) -> List[SystemEvent]:
-        return self.scan_columns(flt, use_entity_index).events()
-
-    def full_scan(self, flt: EventFilter) -> List[SystemEvent]:
-        return self._table.full_scan(flt)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __iter__(self) -> Iterator[SystemEvent]:
-        return iter(self._table)
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "events": len(self._table),
-            "entities": len(self.registry),
-            "partitions": 1,
-        }
+        super().__init__(registry, FlatScheme(), indexed_attributes)

@@ -6,9 +6,10 @@ segment may hold matching rows, so nothing can be skipped.  AIQL's
 semantics-aware model distributes by (agent, day), letting the scheduler
 prune whole segments and run the relationship-based plan on top.
 
-Both run against :class:`~repro.baselines.segmented.SegmentedStore`; the
-difference is the distribution policy of the store plus the scheduling
-strategy:
+Both run against :class:`~repro.baselines.segmented.SegmentedStore` — an
+:class:`~repro.storage.database.EventStore` placed by segment — so the
+difference is the distribution policy of the placement plus the
+scheduling strategy:
 
 * ``greenplum_engine(store_arrival)``  — Fig. 7's "Greenplum" bars;
 * ``aiql_parallel_engine(store_domain)`` — Fig. 7's "AIQL" bars.

@@ -25,10 +25,11 @@ even hours."
   the optimized store, partition pruning still apply — those model the
   B-tree on ``start_time`` that PostgreSQL *can* use).
 
-Run it over a :class:`~repro.baselines.flat.FlatStore` for the end-to-end
-setting (no storage optimizations, Table 3 / Fig. 5) or over the optimized
-:class:`~repro.storage.database.EventStore` for the scheduling-only
-comparison (Fig. 6).
+Run it over a :class:`~repro.baselines.flat.FlatStore` (the
+:class:`~repro.storage.database.EventStore` placed as one heap: no
+storage optimizations) for the end-to-end setting (Table 3 / Fig. 5), or
+over the partitioned ``EventStore`` for the scheduling-only comparison
+(Fig. 6).
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ class SystemConfig:
     """Storage + engine configuration.
 
     The store is always the partitioned :class:`~repro.storage.database.
-    EventStore`; the Sec. 6 comparison stores are built through
-    ``build_enterprise(stores=...)`` (:mod:`repro.baselines`), never here.
+    EventStore`; the Sec. 6 comparison stores (:mod:`repro.baselines`:
+    the same ``EventStore`` under a flat or segmented placement) are
+    built through ``build_enterprise(stores=...)``, never here.
 
     scheduling
         ``relationship`` (Algorithm 1, constraint-count scores),

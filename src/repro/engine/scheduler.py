@@ -229,23 +229,17 @@ class RelationshipScheduler(_SchedulerBase):
         """Result-size estimate from index statistics (Sec. 7 proposal).
 
         The candidate entity-id sets the attribute indexes would serve
-        bound the number of matching events.  Stores exposing
+        bound the number of matching events.  Without them, the store's
         ``estimated_events`` (partition pruning on the hot tier, zone-map
-        pruning over cold segments — see :mod:`repro.tier`) refine the
-        no-index fallback: a spatially/temporally constrained pattern is
-        estimated at the events its surviving partitions and unpruned
-        cold segments could hold, not the full store size.
+        pruning over cold segments — see :mod:`repro.tier`) is the bound:
+        a spatially/temporally constrained pattern is estimated at the
+        events its surviving partitions and unpruned cold segments could
+        hold, not the full store size.  Sharded views have no entity
+        index.
         """
         entity_index = getattr(self.store, "entity_index", None)
-        estimator = getattr(self.store, "estimated_events", None)
-
-        def store_bound(flt) -> int:
-            if estimator is not None:
-                return estimator(flt)
-            return len(self.store)
-
         if entity_index is None:
-            return store_bound(pattern.filter)
+            return self.store.estimated_events(pattern.filter)
         from repro.storage.database import narrow_with_index
 
         flt = narrow_with_index(pattern.filter, entity_index)
@@ -254,7 +248,7 @@ class RelationshipScheduler(_SchedulerBase):
             bounds.append(len(flt.subject_ids))
         if flt.object_ids is not None:
             bounds.append(len(flt.object_ids))
-        return min(bounds) if bounds else store_bound(flt)
+        return min(bounds) if bounds else self.store.estimated_events(flt)
 
     def run(self, ctx: QueryContext) -> TupleSet:
         queries = {p.index: DataQuery.for_pattern(p) for p in ctx.patterns}

@@ -20,12 +20,7 @@ from repro.storage.filters import EventFilter, top_level_equalities
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import active_trace
 from repro.storage.index import DEFAULT_INDEXED_ATTRIBUTES, EntityAttributeIndex
-from repro.storage.kernels import (
-    ScanKernel,
-    compile_filter,
-    constant_false,
-    kernels_enabled,
-)
+from repro.storage.kernels import ScanKernel, constant_false, scan_kernel
 from repro.storage.partition import PartitionKey, PartitionScheme
 from repro.storage.table import EventTable
 
@@ -258,10 +253,7 @@ class EventStore:
             if observing:
                 self._observe_scan(obs, trace, considered, 0, 0, 0, 0)
             return BlockScanResult(())
-        if not kernels_enabled():
-            kernel = None
-        elif kernel is None:
-            kernel = compile_filter(flt)
+        kernel = scan_kernel(flt, kernel)
         # Candidate counts are appended by each table's scan; the observing
         # path sums them with the partition sizes after the loop.
         visits: Optional[List[int]] = [] if observing else None

@@ -48,7 +48,8 @@ to the window and id sets, so it passes neither.  Every caller evaluates
 blocks: partition and cold-segment scans select over their stored
 columns, and the standing-query engine over the block of a pushed batch.
 The interpreter (:meth:`EventFilter.matches`, behind
-``use_kernels(False)``) is the one differential oracle.
+``use_kernels(False)``) is the one differential oracle; every scan site
+takes its kernel from :func:`scan_kernel`, the one place that chooses.
 
 Semantics are bit-for-bit those of the interpreted path (differential- and
 property-tested); exotic runtime value types fall back to
@@ -647,13 +648,18 @@ class ScanKernel:
     structural passes, so a filter without subject/object predicates
     never touches the registry.  ``always_false``: the agent or operation
     set is empty, and ``select`` returns ``[]`` without reading anything.
+    ``interpreted``: the ``use_kernels(False)`` oracle (:func:`scan_kernel`),
+    whose selections no cache may keep.
     """
 
-    __slots__ = ("always_false", "select")
+    __slots__ = ("always_false", "select", "interpreted")
 
-    def __init__(self, always_false: bool, select: SelectFn) -> None:
+    def __init__(
+        self, always_false: bool, select: SelectFn, interpreted: bool = False
+    ) -> None:
         self.always_false = always_false
         self.select = select
+        self.interpreted = interpreted
 
 
 _M_KERNEL_COMPILED = REGISTRY.counter(
@@ -691,8 +697,43 @@ _enabled = True
 
 
 def kernels_enabled() -> bool:
-    """Whether scan sites should compile filters (True outside tests)."""
+    """Whether scans compile filters (True outside ``use_kernels(False)``)."""
     return _enabled
+
+
+def scan_kernel(
+    flt: EventFilter, kernel: Optional[ScanKernel] = None
+) -> ScanKernel:
+    """The kernel a scan of ``flt`` runs: ``kernel`` (a plan pattern's) or a
+    fresh :func:`compile_filter`.
+
+    Under ``use_kernels(False)`` it is the interpreter oracle instead, built
+    for this scan from ``flt`` itself: its ``select`` runs
+    :meth:`EventFilter.matches` (window and id sets included, so the
+    scan-time arguments are ignored) on each candidate, the entities
+    resolved through ``lookup``.
+    """
+    if _enabled:
+        return kernel if kernel is not None else compile_filter(flt)
+    matches = flt.matches
+
+    def select(
+        block: ColumnBlock,
+        candidates: Positions,
+        lookup,
+        window: Optional[TimeWindow] = None,
+        subject_ids: Optional[FrozenSet[int]] = None,
+        object_ids: Optional[FrozenSet[int]] = None,
+    ) -> List[int]:
+        event_at = block.event_at
+        selected = []
+        for position in candidates:
+            event = event_at(position)
+            if matches(event, lookup(event.subject_id), lookup(event.object_id)):
+                selected.append(position)
+        return selected
+
+    return ScanKernel(False, select, interpreted=True)
 
 
 @contextmanager

@@ -51,12 +51,7 @@ from repro.model.events import SystemEvent
 from repro.storage.blocks import ColumnBlock, Positions, Selection
 from repro.storage.filters import EventFilter, top_level_equalities
 from repro.storage.index import EntityAttributeIndex, SortedTimeIndex
-from repro.storage.kernels import (
-    ScanKernel,
-    compile_filter,
-    constant_false,
-    kernels_enabled,
-)
+from repro.storage.kernels import ScanKernel, constant_false, scan_kernel
 
 
 class EventTable:
@@ -250,34 +245,18 @@ class EventTable:
         The candidates already hold only rows inside ``flt``'s window and
         id sets (:meth:`_candidate_positions`), so the kernel runs without
         them.  ``visits``, when given, receives the number of candidates.
-        The interpreted ``flt.matches`` path remains behind ``use_kernels
-        (False)`` as the differential oracle.
+        Under ``use_kernels(False)`` the kernel is the interpreter oracle
+        (:func:`~repro.storage.kernels.scan_kernel`).
         """
-        lookup = self._entity_lookup
         visible = self._visible  # one snapshot: the whole scan sees one prefix
         block = self._block
         if constant_false(flt):
             return Selection(block, [])
-        if not kernels_enabled():
-            kernel = None
-        elif kernel is None:
-            kernel = compile_filter(flt)
+        kernel = scan_kernel(flt, kernel)
         candidates = self._candidate_positions(flt, entity_index, visible)
         if visits is not None:
             visits.append(len(candidates))
-        matched: Positions
-        if kernel is not None:
-            matched = kernel.select(block, candidates, lookup)
-        else:
-            matches = flt.matches
-            event_at = block.event_at
-            matched = []
-            for position in candidates:
-                event = event_at(position)
-                subject = lookup(event.subject_id)
-                obj = lookup(event.object_id)
-                if matches(event, subject, obj):
-                    matched.append(position)
+        matched = kernel.select(block, candidates, self._entity_lookup)
         return Selection(block, block.order_positions(matched))
 
     def scan(

@@ -67,7 +67,7 @@ from repro.storage.kernels import (
     ScanKernel,
     compile_filter,
     constant_false,
-    kernels_enabled,
+    scan_kernel,
 )
 from repro.storage.partition import PartitionKey
 
@@ -383,21 +383,21 @@ class ColdTier:
 
         ``kernel`` is the compiled static part of ``flt`` (a plan
         pattern's); without one, ``flt`` compiles once a segment survives
-        pruning.  Cached selections key on ``(segment file, filter
-        fingerprint)`` through the shared
-        :class:`~repro.service.cache.ScanCache` policy plus the generation
-        of the segment's one live block; the fingerprint, too, is taken
-        only once a segment survives.  A cached selection pins its block,
-        so a cache hit finds that block without decoding, and the
-        generations always agree.
+        pruning.  :func:`~repro.storage.kernels.scan_kernel` swaps in the
+        ``use_kernels(False)`` oracle, whose selections bypass the cache.
+        Cached selections key on ``(segment file, filter fingerprint)``
+        through the shared :class:`~repro.service.cache.ScanCache` policy
+        plus the generation of the segment's one live block; the
+        fingerprint, too, is taken only once a segment survives.  A cached
+        selection pins its block, so a cache hit finds that block without
+        decoding, and the generations always agree.
         """
         zones = list(self._zones)  # snapshot against concurrent publishes
         selections: List[Selection] = []
         if not zones or constant_false(flt):
             return selections
-        lookup = self._entity_lookup
-        compiled = kernels_enabled()
-        cache = self.scan_cache if compiled else None
+        cache = self.scan_cache
+        chosen: Optional[ScanKernel] = None
         fingerprint: Optional[tuple] = None
         considered = pruned = scanned = decoded = 0
         for zone in zones:
@@ -411,19 +411,12 @@ class ColdTier:
             scanned += 1
             block, fresh = self._fetch(zone)
             decoded += fresh
-            if not compiled:
-                # Interpreted oracle path (use_kernels(False)).
-                matches = flt.matches
-                positions = []
-                for i, event in enumerate(block.events()):
-                    if matches(
-                        event, lookup(event.subject_id), lookup(event.object_id)
-                    ):
-                        positions.append(i)
-                selections.append(Selection(block, positions))
-                continue
-            if kernel is None:
-                kernel = compile_filter(flt)
+            if chosen is None:
+                if kernel is None:
+                    kernel = compile_filter(flt)
+                chosen = scan_kernel(flt, kernel)
+                if chosen.interpreted:
+                    cache = None
             if cache is not None and fingerprint is None:
                 fingerprint = cache_fingerprint(flt)
                 if fingerprint is None:
@@ -433,12 +426,12 @@ class ColdTier:
                     cache.get_or_compute(
                         zone.filename,
                         fingerprint,
-                        lambda b=block, k=kernel: self._scan_segment(b, flt, k),
+                        lambda b=block, k=chosen: self._scan_segment(b, flt, k),
                         generation=block.generation,
                     )
                 )
             else:
-                selections.append(self._scan_segment(block, flt, kernel))
+                selections.append(self._scan_segment(block, flt, chosen))
         if considered:
             trace = active_trace()
             if REGISTRY.enabled or trace is not None:

@@ -34,12 +34,7 @@ from repro.obs.metrics import REGISTRY
 from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions
 from repro.storage.database import EventStore
 from repro.storage.filters import EventFilter
-from repro.storage.kernels import (
-    ScanKernel,
-    compile_filter,
-    constant_false,
-    kernels_enabled,
-)
+from repro.storage.kernels import ScanKernel, constant_false, scan_kernel
 from repro.storage.partition import PartitionKey, PartitionScheme
 from repro.tier.cold import ColdTier
 
@@ -183,8 +178,8 @@ class TieredStore:
         run ``kernel`` (see :meth:`EventStore.scan_columns`); without one,
         ``flt`` compiles here once and both tiers share it.
         """
-        if kernel is None and kernels_enabled() and not constant_false(flt):
-            kernel = compile_filter(flt)
+        if kernel is None and not constant_false(flt):
+            kernel = scan_kernel(flt)
         hot = self.hot.scan_columns(
             flt, use_entity_index=use_entity_index, kernel=kernel
         )

@@ -30,6 +30,7 @@ from repro.model.time import DAY
 from repro.service.continuous import Alert
 from repro.workload.attacks import inject_apt_case_study
 from repro.workload.generator import BackgroundGenerator, GeneratorConfig
+from repro.workload.live import _PacedFeed
 from repro.workload.topology import (
     ATTACKER_IP,
     BASE_DAY,
@@ -161,29 +162,6 @@ class AlertScore:
         }
 
 
-class _PacedSession:
-    """Session proxy pacing ``emit`` to a target events/second rate."""
-
-    def __init__(self, session, rate: float) -> None:
-        self._session = session
-        self._rate = rate
-        self._started = time.monotonic()
-        self.count = 0
-
-    def __getattr__(self, name):
-        return getattr(self._session, name)
-
-    def emit(self, *args, **kwargs):
-        if self._rate > 0:
-            due = self._started + self.count / self._rate
-            delay = due - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-        event = self._session.emit(*args, **kwargs)
-        self.count += 1
-        return event
-
-
 class AlertReplay:
     """Replays background noise + the APT through standing queries."""
 
@@ -233,7 +211,7 @@ class AlertReplay:
         ]
 
         session = self.system.stream(batch_size=self.batch_size)
-        feed = _PacedSession(session, self.rate) if self.rate else session
+        feed = _PacedFeed(session, self.rate, None, None) if self.rate else session
         generator = BackgroundGenerator(
             feed,
             GeneratorConfig(

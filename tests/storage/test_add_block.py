@@ -80,11 +80,13 @@ class World:
 
 
 def tables(store):
-    if isinstance(store, EventStore):
-        return dict(store._partitions)
-    if isinstance(store, FlatStore):
-        return {0: store._table}
-    return dict(enumerate(store._segments))
+    return dict(store._partitions)
+
+
+def heap_block(store):
+    """The one column block of a flat store."""
+    ((block, _),) = store.column_blocks()
+    return block
 
 
 def table_state(table):
@@ -258,7 +260,7 @@ class TestAgentDictionaryMerge:
             by_block.add_block(ColumnBlock.from_events(batch))
             for event in batch:
                 by_row.add_event(event)
-        block = by_block._table.block
+        block = heap_block(by_block)
         assert isinstance(block.agent_codes, array)
         assert block.agent_codes.typecode == "q"
         assert len(block.agents) == 300
@@ -270,7 +272,7 @@ class TestAgentDictionaryMerge:
         (store,) = world.stores("flat", count=1)
         store.add_block(ColumnBlock.from_events(self._events(world, agents[:100])))
         store.add_block(ColumnBlock.from_events(self._events(world, agents[100:])))
-        block = store._table.block
+        block = heap_block(store)
         assert isinstance(block.agent_codes, bytearray)
         assert [block.agents[c] for c in block.agent_codes] == agents
 
@@ -285,7 +287,7 @@ class TestAgentDictionaryMerge:
         picks = [3, 10, 299]
         by_block.add_block(wide, picks)
         by_block.add_block(ColumnBlock.from_events(few))
-        assert isinstance(by_block._table.block.agent_codes, bytearray)
+        assert isinstance(heap_block(by_block).agent_codes, bytearray)
         # ... and the whole of it promotes the table
         by_block.add_block(wide)
         for event in [wide.event_at(p) for p in picks] + few + wide.events():
@@ -302,7 +304,7 @@ class TestAgentDictionaryMerge:
             by_block.add_block(ColumnBlock.from_events(batch))
             for event in batch:
                 by_row.add_event(event)
-        assert by_block._table.block.agents == (1, 2, 3, 5)
+        assert heap_block(by_block).agents == (1, 2, 3, 5)
         assert_same_store(by_block, by_row)
 
     def test_sparse_positions_add_only_the_agents_they_name(self):
@@ -310,7 +312,7 @@ class TestAgentDictionaryMerge:
         (store,) = world.stores("flat", count=1)
         block = ColumnBlock.from_events(self._events(world, [1, 2, 3, 4, 5]))
         store.add_block(block, [1, 3])
-        assert store._table.block.agents == (2, 4)
+        assert heap_block(store).agents == (2, 4)
 
 
 # -- the sorted time index -------------------------------------------------------

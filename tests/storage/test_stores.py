@@ -92,8 +92,7 @@ class TestSegmentedStore:
             agent_ids=frozenset({3}),
             window=TimeWindow(APT_DAY, APT_DAY + DAY),
         )
-        relevant = store._relevant_segments(flt)
-        assert len(relevant) < store.segment_count
+        assert len(store._pruned(flt)) < store.segment_count
 
     def test_arrival_policy_cannot_prune(self, enterprise):
         store = enterprise.store("segmented_arrival")
@@ -101,7 +100,7 @@ class TestSegmentedStore:
             agent_ids=frozenset({3}),
             window=TimeWindow(APT_DAY, APT_DAY + DAY),
         )
-        assert len(store._relevant_segments(flt)) == store.segment_count
+        assert len(store._pruned(flt)) == store.segment_count
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -110,6 +109,25 @@ class TestSegmentedStore:
     def test_invalid_segment_count_rejected(self):
         with pytest.raises(ValueError):
             SegmentedStore(segments=0)
+
+
+class TestPlacements:
+    """The baselines are EventStore layouts, not store implementations."""
+
+    def test_baselines_are_event_store_placements(self, enterprise):
+        flat = enterprise.store("flat")
+        domain = enterprise.store("segmented_domain")
+        arrival = enterprise.store("segmented_arrival")
+        for store in (flat, domain, arrival):
+            assert isinstance(store, EventStore)
+        apt_host_day = EventFilter(
+            agent_ids=frozenset({3}),
+            window=TimeWindow(APT_DAY, APT_DAY + DAY),
+        )
+        assert flat.estimated_events(apt_host_day) == len(flat)
+        kept = sum(len(table) for table in domain._pruned(apt_host_day))
+        assert domain.estimated_events(apt_host_day) == kept < len(domain)
+        assert arrival.estimated_events(apt_host_day) == len(arrival)
 
 
 class TestSmallStoreBehaviors:
