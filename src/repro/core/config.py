@@ -118,9 +118,11 @@ class SystemConfig:
         file is alive: this many, plus the segments the cold scan cache's
         entries reference, plus in-flight results.
     cold_scan_cache_entries
-        LRU bound of the cold tier's per-segment scan-result cache
-        (keyed by segment file + canonical filter; segments are immutable
-        so entries never need invalidation).  ``0`` disables it.
+        LRU bound of the cold tier's per-segment selection cache, keyed by
+        segment file + canonical filter (segments are immutable, so entries
+        never need invalidation).  A hit answers a surviving segment before
+        it is fetched, and every entry pins its decoded block.  ``0``
+        disables it.
     continuous_window_s
         default sliding-window horizon (seconds of data time) of standing
         queries registered through :meth:`AIQLSystem.subscribe`: matched

@@ -206,16 +206,6 @@ class QueryContext:
     def labels(self) -> Tuple[str, ...]:
         return tuple(item.label for item in self.return_items)
 
-    def relationships_for(
-        self, left: int, right: int
-    ) -> List[ResolvedAttrRel]:
-        pair = {left, right}
-        return [
-            rel
-            for rel in self.attr_relationships
-            if {rel.left.pattern, rel.right.pattern} == pair
-        ]
-
 
 # ---------------------------------------------------------------------------
 # constraint compilation

@@ -1,11 +1,9 @@
 """Concurrent query service subsystem.
 
-Five pieces, layered:
+Four pieces, layered:
 
 * :mod:`repro.service.pool` — the process-wide shared thread pool that
   replaced every per-call ``ThreadPoolExecutor``;
-* :mod:`repro.service.cache` — the single-flight LRU result cache the cold
-  tier keeps per segment (keyed by segment + canonical filter fingerprint);
 * :mod:`repro.service.query_service` — the batch front-end that runs many
   AIQL queries concurrently and deduplicates overlapping work;
 * :mod:`repro.service.stream` — live streaming ingestion: batched atomic
@@ -37,9 +35,8 @@ __all__ = [
 
 _LAZY = {
     # QueryService and the continuous engine pull in the whole engine/lang
-    # stack; resolving them lazily lets the storage layer import pool/cache
-    # without creating an import cycle (storage -> service -> engine ->
-    # lang -> storage).
+    # stack; resolving them lazily keeps an import of the pool or the stream
+    # session (the shard worker's, the workload loader's) from pulling it in.
     "QueryService": "repro.service.query_service",
     "ServiceStats": "repro.service.query_service",
     "Alert": "repro.service.continuous",

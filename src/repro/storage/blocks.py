@@ -45,7 +45,6 @@ readers never iterate a mutating container.
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from bisect import bisect_left
 from typing import (
@@ -73,13 +72,6 @@ OP_VALUE_BY_CODE: Tuple[str, ...] = tuple(op.value for op in OP_BY_CODE)
 OTYPE_BY_CODE: Tuple[EntityType, ...] = tuple(EntityType)
 OTYPE_CODE: Dict[EntityType, int] = {t: i for i, t in enumerate(OTYPE_BY_CODE)}
 OTYPE_VALUE_BY_CODE: Tuple[str, ...] = tuple(t.value for t in OTYPE_BY_CODE)
-
-# Block generations: a process-wide monotone counter stamped at block
-# construction.  A re-decoded cold segment gets a fresh block and
-# therefore a fresh generation, which is what the cold scan-result cache
-# keys its entries on — a selection cached against one generation can
-# never be served for a different physical block.
-_generations = itertools.count(1)
 
 Positions = Union[range, List[int]]
 
@@ -109,7 +101,6 @@ class ColumnBlock:
         "min_time",
         "max_time",
         "max_event_id",
-        "generation",
         "_rows",
         "__weakref__",  # the cold tier's one-live-block-per-segment map
     )
@@ -140,7 +131,6 @@ class ColumnBlock:
         self.min_time: Optional[float] = None
         self.max_time: Optional[float] = None
         self.max_event_id = 0
-        self.generation = next(_generations)
         self._rows: List[Optional[SystemEvent]] = []
 
     # -- writing -----------------------------------------------------------

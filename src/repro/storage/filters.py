@@ -275,8 +275,8 @@ def filter_fingerprint(flt: "EventFilter") -> tuple:
 
     Two filters with equal fingerprints select the same events from the
     same table: every field that influences matching is included, in a
-    canonical order-independent form.  Used as the partition-scan cache
-    key and for sub-query deduplication in the query service.
+    canonical order-independent form.  The cold tier keys its
+    per-segment selection cache on it.
     """
     return (
         tuple(sorted(flt.agent_ids)) if flt.agent_ids is not None else None,

@@ -20,7 +20,7 @@ remembers what a text compiles to and is never invalidated; a
 constraint resolves to and *extends* the answer as entities arrive (an
 append-only keyspace never takes an id back).  Hot partition scans are
 not memoized; only immutable cold segments keep their selections
-(:mod:`repro.service.cache`).
+(:mod:`repro.tier.cold`).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ recently read segments, and a weak map from segment file to decoded block
 finds any block still held anywhere else — by a cached selection or an
 in-flight result — so a segment still held anywhere is never read and
 inflated again.  At most one decoded block per segment file is alive: the
-LRU's ``cache_segments``, plus the segments the scan cache's entries
+LRU's ``cache_segments``, plus the segments the cached selections
 reference, plus those in-flight results.
 
 Segments that survive the zone maps decode into the same typed
@@ -30,11 +30,13 @@ stores natively, and scans run the batch kernel straight on those columns
 — set membership against dictionary codes, bisected windows, predicates
 only on the surviving tail.  :class:`~repro.model.events.SystemEvent`
 objects are lazily materialized row views; a segment none of whose rows
-survive never pays object construction.  Per-segment survivor selections
-are memoized in a scan cache keyed by ``(segment file, filter
-fingerprint)`` plus the decoded block's generation
-(:class:`~repro.service.cache.ScanCache`), which is the reason iterative
-mixed hot+cold investigations stop re-scanning the cold tier per query.
+survive never pays object construction.  Segments are immutable, so a
+segment's survivors under one filter never change: an LRU of per-segment
+selections keyed by ``(segment file, filter fingerprint)`` answers a
+repeated scan of a surviving segment before the segment is fetched, and
+never needs invalidation.  Its entries pin their blocks, which is what
+keeps a query's working set decoded when it spans more segments than the
+decoded-block LRU holds.
 
 The manifest (``manifest.json``) is the tier's source of truth and is
 rewritten atomically (temp file + rename); segment files are written
@@ -59,19 +61,33 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.model.events import SystemEvent
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import active_trace
-from repro.service.cache import ScanCache, cache_fingerprint
 from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions, Selection
 from repro.storage.codec import BlockCodecError, decode_block, encode_block
-from repro.storage.filters import EventFilter
-from repro.storage.kernels import (
-    ScanKernel,
-    compile_filter,
-    constant_false,
-    scan_kernel,
-)
+from repro.storage.filters import EventFilter, filter_fingerprint
+from repro.storage.kernels import ScanKernel, constant_false, scan_kernel
 from repro.storage.partition import PartitionKey
 
 MANIFEST_VERSION = 2
+
+# Scheduler-narrowed sub-queries can carry join-derived id sets with
+# thousands of members; their fingerprints are one-off (query-result-
+# dependent), so caching them churns the selection LRU and evicts the
+# reusable base-pattern entries.
+CACHEABLE_ID_SET_LIMIT = 128
+
+
+def cache_fingerprint(flt: EventFilter) -> Optional[tuple]:
+    """The selection LRU's key policy, in one place.
+
+    Returns the canonical :func:`~repro.storage.filters.filter_fingerprint`
+    for cacheable filters and ``None`` for ones that should bypass the
+    cache (giant scheduler-narrowed id sets: one-off keys whose
+    fingerprints cost an O(n log n) sort each).
+    """
+    size = len(flt.subject_ids or ()) + len(flt.object_ids or ())
+    if size > CACHEABLE_ID_SET_LIMIT:
+        return None
+    return filter_fingerprint(flt)
 
 
 _M_COLD_CONSIDERED = REGISTRY.counter(
@@ -219,6 +235,8 @@ class ColdTier:
     ) -> None:
         if cache_segments < 1:
             raise ValueError("cache_segments must be >= 1")
+        if scan_cache_entries < 0:
+            raise ValueError("scan_cache_entries must be >= 0")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._entity_lookup = entity_lookup
@@ -227,21 +245,22 @@ class ColdTier:
         self._cache_segments = cache_segments
         self._cache: "OrderedDict[str, ColumnBlock]" = OrderedDict()
         # Every decoded block anything still holds (the LRU, a cached
-        # selection, an in-flight result), by segment file.  One block per
-        # file while any is alive, so its generation is stable for as long
-        # as a cached selection can be compared against it.
+        # selection, an in-flight result), by segment file: one block per
+        # file while any is alive.
         self._live: "weakref.WeakValueDictionary[str, ColumnBlock]" = (
             weakref.WeakValueDictionary()
         )
         self._cache_lock = threading.Lock()
-        # Per-segment scan results, keyed by (segment file, filter
-        # fingerprint).  Segments are immutable so entries never need
-        # invalidation; 0 disables.  This is what keeps iterative
-        # investigations over mixed hot+cold windows from re-scanning the
-        # cold tier.
-        self.scan_cache: Optional[ScanCache] = (
-            ScanCache(scan_cache_entries) if scan_cache_entries else None
+        # Per-segment selections by (segment file, filter fingerprint),
+        # guarded by ``_cache_lock``; at most ``scan_cache_entries``, 0
+        # disables.  Segments are immutable, so entries only age out.
+        self._scan_cache_entries = scan_cache_entries
+        self._selections: "OrderedDict[Tuple[str, tuple], Selection]" = (
+            OrderedDict()
         )
+        self.scan_cache_hits = 0
+        self.scan_cache_misses = 0
+        self.scan_cache_evictions = 0
         # Pruning observability (the benchmark's zone-map probe).
         self.segments_considered = 0
         self.segments_pruned = 0
@@ -382,21 +401,18 @@ class ColdTier:
         """Per-segment survivor selections, zone-map pruned.
 
         ``kernel`` is the compiled static part of ``flt`` (a plan
-        pattern's); without one, ``flt`` compiles once a segment survives
-        pruning.  :func:`~repro.storage.kernels.scan_kernel` swaps in the
-        ``use_kernels(False)`` oracle, whose selections bypass the cache.
-        Cached selections key on ``(segment file, filter fingerprint)``
-        through the shared :class:`~repro.service.cache.ScanCache` policy
-        plus the generation of the segment's one live block; the
-        fingerprint, too, is taken only once a segment survives.  A cached
-        selection pins its block, so a cache hit finds that block without
-        decoding, and the generations always agree.
+        pattern's); :func:`~repro.storage.kernels.scan_kernel` picks what
+        runs once a segment survives pruning: that kernel, a fresh compile
+        of ``flt`` without one, or the ``use_kernels(False)`` oracle, whose
+        selections bypass the cache.  A surviving segment is looked up by
+        ``(segment file, filter fingerprint)`` first — the fingerprint,
+        too, is taken only once a segment survives — and fetched and
+        scanned only on a miss.
         """
         zones = list(self._zones)  # snapshot against concurrent publishes
         selections: List[Selection] = []
         if not zones or constant_false(flt):
             return selections
-        cache = self.scan_cache
         chosen: Optional[ScanKernel] = None
         fingerprint: Optional[tuple] = None
         considered = pruned = scanned = decoded = 0
@@ -409,29 +425,23 @@ class ColdTier:
                 continue
             self.segments_scanned += 1
             scanned += 1
+            if chosen is None:
+                chosen = scan_kernel(flt, kernel)
+                if self._scan_cache_entries and not chosen.interpreted:
+                    # None for a giant narrowed id set: not worth caching
+                    fingerprint = cache_fingerprint(flt)
+            if fingerprint is not None:
+                key = (zone.filename, fingerprint)
+                cached = self._recall(key)
+                if cached is not None:
+                    selections.append(cached)
+                    continue
             block, fresh = self._fetch(zone)
             decoded += fresh
-            if chosen is None:
-                if kernel is None:
-                    kernel = compile_filter(flt)
-                chosen = scan_kernel(flt, kernel)
-                if chosen.interpreted:
-                    cache = None
-            if cache is not None and fingerprint is None:
-                fingerprint = cache_fingerprint(flt)
-                if fingerprint is None:
-                    cache = None  # a giant narrowed id set: not worth caching
-            if cache is not None:
-                selections.append(
-                    cache.get_or_compute(
-                        zone.filename,
-                        fingerprint,
-                        lambda b=block, k=chosen: self._scan_segment(b, flt, k),
-                        generation=block.generation,
-                    )
-                )
-            else:
-                selections.append(self._scan_segment(block, flt, chosen))
+            selection = self._scan_segment(block, flt, chosen)
+            if fingerprint is not None:
+                self._remember(key, selection)
+            selections.append(selection)
         if considered:
             trace = active_trace()
             if REGISTRY.enabled or trace is not None:
@@ -448,6 +458,24 @@ class ColdTier:
                     span.add("cold_segments_decoded", decoded)
                     span.add("cold_rows_selected", rows)
         return selections
+
+    def _recall(self, key: Tuple[str, tuple]) -> Optional[Selection]:
+        with self._cache_lock:
+            selection = self._selections.get(key)
+            if selection is None:
+                self.scan_cache_misses += 1
+            else:
+                self._selections.move_to_end(key)
+                self.scan_cache_hits += 1
+            return selection
+
+    def _remember(self, key: Tuple[str, tuple], selection: Selection) -> None:
+        with self._cache_lock:
+            self._selections[key] = selection
+            self._selections.move_to_end(key)
+            while len(self._selections) > self._scan_cache_entries:
+                self._selections.popitem(last=False)
+                self.scan_cache_evictions += 1
 
     def scan(self, flt: EventFilter) -> List[SystemEvent]:
         """Matching cold events, zone-map pruned, sorted by (time, id)."""
@@ -568,6 +596,12 @@ class ColdTier:
             # process-wide, like the plan cache's counters
             "segments_decoded": int(_M_COLD_DECODES.value()),
         }
-        if self.scan_cache is not None:
-            out["scan_cache"] = self.scan_cache.stats()
+        if self._scan_cache_entries:
+            with self._cache_lock:
+                out["scan_cache"] = {
+                    "entries": len(self._selections),
+                    "hits": self.scan_cache_hits,
+                    "misses": self.scan_cache_misses,
+                    "evictions": self.scan_cache_evictions,
+                }
         return out

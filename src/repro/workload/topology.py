@@ -111,10 +111,3 @@ DEV_STATION = HOSTS_BY_ID[5]
 
 def day_window(day_start: float) -> Tuple[float, float]:
     return day_start, day_start + DAY
-
-
-def at_text(day_start: float) -> str:
-    """The ``(at "...")`` literal selecting ``day_start``'s calendar day."""
-    return _dt.datetime.fromtimestamp(day_start, tz=_dt.timezone.utc).strftime(
-        "%m/%d/%Y"
-    )

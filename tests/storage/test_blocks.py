@@ -8,7 +8,6 @@ import pytest
 from repro.model.entities import EntityType
 from repro.model.events import Operation, SystemEvent
 from repro.storage.blocks import (
-    OP_BY_CODE,
     OP_CODE,
     OTYPE_CODE,
     BlockScanResult,
@@ -142,7 +141,6 @@ class TestColumnBlock:
         assert not built.rows_materialized
         assert built.events() == events
         assert built.agent_code_set(frozenset({6})) == {1}
-        assert built.generation != appended.generation
 
     def test_from_events_promotes_past_256_agents(self):
         events = [make_event(i, float(i), agent=i) for i in range(1, 301)]

@@ -404,21 +404,153 @@ class TestColdScanResultCache:
         tier, _ = mixed_segment_tier(feed, tmp_path)
         flt = EventFilter(agent_ids=frozenset({1}))
         first = tier.scan(flt)
-        assert tier.scan_cache.stats()["misses"] == 1
+        assert tier.stats()["scan_cache"]["misses"] == 1
         assert tier.scan(flt) == first
-        assert tier.scan_cache.stats()["hits"] == 1
+        assert tier.stats()["scan_cache"]["hits"] == 1
+
+    def test_hits_fetch_no_segment(self, feed, tmp_path, monkeypatch):
+        tier = make_tier(feed, tmp_path, days=(0, 1, 2))
+        flt = EventFilter(agent_ids=frozenset({1}))
+        first = tier.scan_selections(flt)
+        fetched = []
+        real = tier._fetch
+        monkeypatch.setattr(
+            tier, "_fetch", lambda zone: fetched.append(zone) or real(zone)
+        )
+        again = tier.scan_selections(flt)
+        assert fetched == []
+        assert [s.block for s in again] == [s.block for s in first]
+        assert tier.stats()["scan_cache"]["hits"] == 3
+
+    def test_lru_eviction_respects_bound(self, feed, tmp_path):
+        tier = make_tier(feed, tmp_path, days=(0, 1, 2), scan_cache_entries=2)
+        flts = [
+            EventFilter(
+                window=TimeWindow(start=day_ts(day, 0.0), end=day_ts(day + 1, 0.0))
+            )
+            for day in (0, 1, 2)
+        ]
+        tier.scan(flts[0])
+        tier.scan(flts[1])
+        tier.scan(flts[0])  # refresh day 0
+        tier.scan(flts[2])  # evicts day 1
+        tier.scan(flts[0])  # still cached
+        tier.scan(flts[1])  # scanned again
+        assert tier.stats()["scan_cache"] == {
+            "entries": 2,
+            "hits": 2,
+            "misses": 4,
+            "evictions": 2,
+        }
+
+    def test_a_failed_segment_read_caches_nothing(self, feed, tmp_path):
+        tier = make_tier(feed, tmp_path, days=(0,))
+        path = tmp_path / "cold" / tier.zones[0].filename
+        blob = path.read_bytes()
+        path.write_bytes(b"garbage")
+        with pytest.raises(ColdTierError):
+            tier.scan(EventFilter())
+        assert tier.stats()["scan_cache"]["entries"] == 0
+        path.write_bytes(blob)
+        assert len(tier.scan(EventFilter())) == 4
+        assert tier.stats()["scan_cache"]["entries"] == 1
+
+    def test_negative_bound_rejected(self, feed, tmp_path):
+        with pytest.raises(ValueError):
+            ColdTier(tmp_path / "cold", feed.ingestor.registry.get,
+                     scan_cache_entries=-1)
+
+    @pytest.mark.parametrize(
+        "flt_kwargs",
+        [
+            {"agent_ids": frozenset({1})},
+            {"operations": frozenset({Operation.READ, Operation.CONNECT})},
+            {"object_type": EntityType.FILE},
+            {"window": TimeWindow(start=day_ts(0, 0.0), end=day_ts(0, 330.0))},
+        ],
+    )
+    def test_cached_answers_equal_the_interpreter(
+        self, feed, tmp_path, flt_kwargs
+    ):
+        from repro.storage.kernels import use_kernels
+
+        tier, _ = mixed_segment_tier(feed, tmp_path)
+        flt = EventFilter(**flt_kwargs)
+        tier.scan(flt)
+        cached = tier.scan(flt)
+        assert tier.stats()["scan_cache"]["hits"] == 1
+        with use_kernels(False):
+            assert cached == tier.scan(flt)
+
+    @pytest.mark.parametrize(
+        "extra, cached", [(0, True), (1, False)], ids=["at-limit", "over-limit"]
+    )
+    def test_id_set_limit_boundary(self, feed, tmp_path, extra, cached):
+        tier, _ = mixed_segment_tier(feed, tmp_path)
+        proc, _ = feed.entities(1)
+        size = cold.CACHEABLE_ID_SET_LIMIT + extra
+        ids = frozenset(range(10**6, 10**6 + size - 1)) | {proc.id}
+        assert len(ids) == size
+        tier.scan(EventFilter(subject_ids=ids))
+        assert tier.stats()["scan_cache"]["entries"] == int(cached)
+
+    def test_racing_misses_agree_on_one_block(self, feed, tmp_path, monkeypatch):
+        tier = make_tier(feed, tmp_path, days=(0,))
+        barrier = threading.Barrier(2, timeout=10)
+        real = cold.decode_block
+
+        def decode_together(blob):
+            barrier.wait()  # both threads have missed the selection cache
+            return real(blob)
+
+        monkeypatch.setattr(cold, "decode_block", decode_together)
+        flt = EventFilter(agent_ids=frozenset({1}))
+        got = [None, None]
+
+        def scan(i):
+            got[i] = tier.scan_selections(flt)
+
+        threads = [threading.Thread(target=scan, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        (first,), (second,) = got
+        assert first.block is second.block
+        assert list(first.positions) == list(second.positions)
+        assert tier.stats()["scan_cache"]["misses"] == 2
+        (again,) = tier.scan_selections(flt)
+        assert again.block is first.block
+        assert tier.stats()["scan_cache"]["entries"] == 1
+
+    def test_evicted_selections_release_their_blocks(self, feed, tmp_path):
+        tier = make_tier(
+            feed, tmp_path, days=(0, 1, 2), cache_segments=1, scan_cache_entries=1
+        )
+        refs = []
+        for day in (0, 1, 2):
+            window = TimeWindow(start=day_ts(day, 0.0), end=day_ts(day + 1, 0.0))
+            (selection,) = tier.scan_selections(EventFilter(window=window))
+            refs.append(weakref.ref(selection.block))
+            del selection
+        gc.collect()
+        assert refs[0]() is None  # neither in the LRU nor in a cached entry
+        assert refs[2]() is not None
+        assert len(tier._live) <= 2
 
     def test_giant_narrowed_id_sets_skip_the_cache(self, feed, tmp_path):
         tier, _ = mixed_segment_tier(feed, tmp_path)
         flt = EventFilter(subject_ids=frozenset(range(1000)))
         tier.scan(flt)
-        assert tier.scan_cache.stats()["entries"] == 0
+        assert tier.stats()["scan_cache"]["entries"] == 0
 
     def test_cache_disabled(self, feed, tmp_path):
         tier, _ = mixed_segment_tier(feed, tmp_path, scan_cache_entries=0)
-        assert tier.scan_cache is None
         flt = EventFilter(agent_ids=frozenset({2}))
         assert tier.scan(flt) == tier.scan(flt)
+        assert "scan_cache" not in tier.stats()
+        assert not tier._selections
 
     def test_interpreted_path_bypasses_the_cache(self, feed, tmp_path):
         from repro.storage.kernels import use_kernels
@@ -426,7 +558,7 @@ class TestColdScanResultCache:
         tier, _ = mixed_segment_tier(feed, tmp_path)
         with use_kernels(False):
             tier.scan(EventFilter(agent_ids=frozenset({1})))
-        assert tier.scan_cache.stats()["misses"] == 0
+        assert tier.stats()["scan_cache"]["misses"] == 0
 
     def test_stats_include_scan_cache(self, feed, tmp_path):
         tier, _ = mixed_segment_tier(feed, tmp_path)
@@ -444,8 +576,11 @@ class TestKernelAndFingerprintOnlyForSurvivors:
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        from repro.storage import kernels
+
         seen = {"compile": 0, "fingerprint": 0}
-        real_compile, real_fingerprint = cold.compile_filter, cold.cache_fingerprint
+        real_compile = kernels.compile_filter
+        real_fingerprint = cold.cache_fingerprint
 
         def compile_filter(flt):
             seen["compile"] += 1
@@ -455,7 +590,7 @@ class TestKernelAndFingerprintOnlyForSurvivors:
             seen["fingerprint"] += 1
             return real_fingerprint(flt)
 
-        monkeypatch.setattr(cold, "compile_filter", compile_filter)
+        monkeypatch.setattr(kernels, "compile_filter", compile_filter)
         monkeypatch.setattr(cold, "cache_fingerprint", cache_fingerprint)
         return seen
 
@@ -485,9 +620,10 @@ class TestKernelAndFingerprintOnlyForSurvivors:
         tier = make_tier(feed, tmp_path, days=(0, 1))
         flt = EventFilter(agent_ids=frozenset({1}))
         kernel = compile_filter(flt)
+        before = calls["compile"]
         narrowed = dataclasses.replace(
             flt, window=TimeWindow(start=day_ts(1, 0.0), end=day_ts(2, 0.0))
         )
         got = tier.scan_selections(narrowed, kernel)
         assert [len(s) for s in got] == [4]
-        assert calls["compile"] == 0
+        assert calls["compile"] == before

@@ -170,6 +170,19 @@ class TestStoreSurface:
         assert stats["cold"]["events"] == store.cold.event_count
         assert stats["compactions"] == 1
 
+    def test_cold_selection_cache_counts_reach_store_stats(self, tiered):
+        # benchmarks/e2e/layers.py::cache_counters reads these two keys
+        store, _ = tiered
+        store.compact()
+        cold_window = EventFilter(
+            window=TimeWindow(start=day_ts(0, 0.0), end=day_ts(1, 0.0))
+        )
+        first = store.scan(cold_window)
+        assert first and store.scan(cold_window) == first
+        counts = store.stats()["cold"]["scan_cache"]
+        assert counts["hits"] >= 1
+        assert counts["misses"] == counts["hits"]
+
     def test_estimated_events_prunes_cold_by_zone_map(self, tiered):
         store, _ = tiered
         store.compact()
