@@ -39,10 +39,10 @@ DISTRIBUTION_POLICIES = ("arrival", "domain")
 class SegmentScheme(PartitionScheme):
     """``segments`` partitions, keyed ``PartitionKey(0, segment)``.
 
-    Under ``arrival`` the segment counter advances once per placed row, on
-    the row path (:meth:`key_for`) and the block path (:meth:`split`)
-    alike, so a streamed ingest places every event exactly where a burst
-    ingest would have.  Only ``domain`` can prune.
+    Under ``arrival`` the segment counter advances once per placed row
+    (:meth:`split` asks :meth:`key_for` row by row), so one-row commits
+    place every event exactly where whole batches would have.  Only
+    ``domain`` can prune.
     """
 
     def __init__(self, segments: int, policy: str) -> None:

@@ -116,8 +116,9 @@ class _SchedulerBase:
         constrained: bool = False,
         narrowings: Optional[Dict[str, object]] = None,
     ):
-        """Run ``query``, returning a scan result (columnar when the store
-        supports it) — rows are materialized only where a join needs them.
+        """Run ``query``, returning the store's
+        :class:`~repro.storage.blocks.BlockScanResult` — rows are
+        materialized only where a join needs them.
 
         Under an active trace this opens one ``scan`` span per pattern
         execution; the storage layer folds its prune/cache annotations

@@ -88,10 +88,10 @@ class TupleSet:
     def from_scan(cls, pattern: int, scan) -> "TupleSet":
         """A single-pattern tuple set over a scan result, rows still columnar.
 
-        ``scan`` is anything with ``events()``/``__len__`` (a
-        :class:`~repro.storage.blocks.BlockScanResult` or the materialized
-        adapter); rows are built only when something needs row objects, and
-        scan-backed hash-join build sides never build non-matching rows.
+        ``scan`` is the :class:`~repro.storage.blocks.BlockScanResult` a
+        store's ``scan_columns`` returned; rows are built only when
+        something needs row objects, and scan-backed hash-join build sides
+        never build non-matching rows.
         """
         ts = cls.__new__(cls)
         ts.patterns = (pattern,)
@@ -263,7 +263,6 @@ class TupleSet:
                     for ref in right_refs
                 ]
                 if other._rows is None
-                and hasattr(other._scan, "field_getter")
                 else []
             )
             if handle_getters and all(g is not None for g in handle_getters):

@@ -605,9 +605,6 @@ class ShardedStore:
         with self._lock:
             self._pending_entities.append(entity_record(entity))
 
-    def add_event(self, event: SystemEvent) -> None:
-        self.add_block(ColumnBlock.from_events((event,)))
-
     def add_block(
         self, block: ColumnBlock, positions: Optional[Positions] = None
     ) -> Tuple[PartitionKey, ...]:

@@ -33,7 +33,8 @@ one decoded from a WAL record, a snapshot frame or a shard frame — enters
 a table's block through :meth:`ColumnBlock.extend_rows`: a slice
 ``extend`` (or a gather, for a sparse position list) per column, with the
 agent dictionaries merged and the summary fields moved once per batch.
-:meth:`ColumnBlock.append` is the single-row form, for ``emit``.
+An emitted event is a one-row block, which both take row-wise
+(:meth:`ColumnBlock.append`, the row-at-a-time definition).
 
 Concurrency: blocks inherit the single-writer/many-readers contract of the
 tables that own them.  Appends write every column before the owner
@@ -136,39 +137,50 @@ class ColumnBlock:
     # -- writing -----------------------------------------------------------
 
     def append(self, event: SystemEvent) -> int:
-        """Append one row; returns its position.  Single writer only."""
-        start = event.start_time
+        """Append one row; returns its position.  The row-at-a-time
+        definition of :meth:`extend_rows`; writes reach it only as a
+        one-row batch (an emitted event)."""
+        return self._append_row(
+            event.event_id, event.agent_id, event.seq, event.start_time,
+            event.end_time, OP_CODE[event.operation], event.subject_id,
+            event.object_id, OTYPE_CODE[event.object_type], event.amount,
+            event.failure_code,
+        )
+
+    def _append_row(
+        self, event_id: int, agent_id: int, seq: int, start: float,
+        end: float, op_code: int, subject_id: int, object_id: int,
+        otype_code: int, amount: int, failure_code: int,
+    ) -> int:
         t0 = self.t0
         if t0 and start < t0[-1]:
             self.time_sorted = False
-        agent_code = self._agent_code.get(event.agent_id)
+        agent_code = self._agent_code.get(agent_id)
         if agent_code is None:
-            agent_code = self._add_agent(event.agent_id)
-        op_code = OP_CODE[event.operation]
+            agent_code = self._add_agent(agent_id)
         if op_code not in self.op_universe:
             self.op_universe |= {op_code}
-        otype_code = OTYPE_CODE[event.object_type]
         if otype_code not in self.otype_universe:
             self.otype_universe |= {otype_code}
         position = len(self.event_ids)
-        self.event_ids.append(event.event_id)
+        self.event_ids.append(event_id)
         self.agent_codes.append(agent_code)
-        self.seqs.append(event.seq)
+        self.seqs.append(seq)
         t0.append(start)
-        self.t1.append(event.end_time)
+        self.t1.append(end)
         self.op_codes.append(op_code)
-        self.subject_ids.append(event.subject_id)
-        self.object_ids.append(event.object_id)
+        self.subject_ids.append(subject_id)
+        self.object_ids.append(object_id)
         self.otype_codes.append(otype_code)
-        self.amounts.append(event.amount)
-        self.failure_codes.append(event.failure_code)
+        self.amounts.append(amount)
+        self.failure_codes.append(failure_code)
         self._rows.append(None)
         if self.min_time is None or start < self.min_time:
             self.min_time = start
         if self.max_time is None or start > self.max_time:
             self.max_time = start
-        if event.event_id > self.max_event_id:
-            self.max_event_id = event.event_id
+        if event_id > self.max_event_id:
+            self.max_event_id = event_id
         return position
 
     def _add_agent(self, agent_id: int) -> int:
@@ -198,15 +210,26 @@ class ColumnBlock:
         per column for a sparse position list — and the summary fields
         (agent dictionary, op/otype universes, ``time_sorted``, min/max
         time, ``max_event_id``) move once per batch, to exactly what
-        :meth:`append` row by row would have left.  ``positions`` is
-        ascending; ``source`` is sealed (or was appended to), so its own
-        summary can stand in for a pass over the rows when every row is
-        taken.  Single writer only; the owner publishes the rows afterwards.
+        :meth:`append` row by row would have left.  ``positions`` may come
+        in any order; the rows land in that order.  ``source`` is sealed
+        (or was appended to), so its own summary can stand in for a pass
+        over the rows when every row is taken in place; one position is
+        appended as a row.  Single writer only; the owner publishes the
+        rows afterwards.
         """
         if positions is None:
             positions = range(len(source))
         count = len(positions)
         if not count:
+            return
+        if count == 1:
+            p = positions[0]
+            self._append_row(
+                source.event_ids[p], source.agents[source.agent_codes[p]],
+                source.seqs[p], source.t0[p], source.t1[p], source.op_codes[p],
+                source.subject_ids[p], source.object_ids[p],
+                source.otype_codes[p], source.amounts[p], source.failure_codes[p],
+            )
             return
         if type(positions) is range and positions.step == 1:
             lo, hi = positions.start, positions.stop
@@ -223,7 +246,7 @@ class ColumnBlock:
         times = take(source.t0)
         op_codes = take(source.op_codes)
         otype_codes = take(source.otype_codes)
-        if count == len(source):
+        if positions == range(len(source)):
             in_order = source.time_sorted
             first, last = source.min_time, source.max_time
             top_id = source.max_event_id
@@ -306,9 +329,14 @@ class ColumnBlock:
 
         The bulk counterpart of :meth:`append` for callers that hold a
         whole batch of rows (a stream commit, a cold segment): a
-        comprehension per column instead of a dozen appends per row.
+        comprehension per column instead of a dozen appends per row (one
+        row, an emitted event, is cheaper appended).
         """
         block = cls()
+        if len(events) == 1:
+            block.append(events[0])
+            block.max_event_id = events[0].event_id  # as seal(), even if <= 0
+            return block
         block.event_ids = array("q", [e.event_id for e in events])
         block.seqs = array("q", [e.seq for e in events])
         block.t0 = array("d", [e.start_time for e in events])

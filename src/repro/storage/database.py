@@ -116,16 +116,6 @@ class EventStore:
         self._indexed_entities.add(entity.id)
         self.entity_index.add(entity)
 
-    def add_event(self, event: SystemEvent) -> None:
-        key = self.scheme.key_for(event.agent_id, event.start_time)
-        table = self._partitions.get(key)
-        if table is None:
-            table = EventTable(self.registry.get)
-            self._partitions[key] = table
-        table.append(event)
-        self._event_count += 1
-        self._committed = max(self._committed, event.event_id)
-
     def add_block(
         self, block: ColumnBlock, positions: Optional[Positions] = None
     ) -> Tuple[PartitionKey, ...]:
@@ -149,7 +139,7 @@ class EventStore:
                 table = EventTable(self.registry.get)
                 self._partitions[key] = table
             table.append_block(block, rows)
-        self._event_count += sum(len(rows) for rows in split.values())
+        self._event_count += len(block) if positions is None else len(positions)
         self._committed = max(self._committed, block.top_event_id(positions))
         return tuple(split)
 

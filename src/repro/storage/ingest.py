@@ -24,9 +24,9 @@ A batch is one block from the commit to the partition columns:
 :class:`~repro.storage.blocks.ColumnBlock` once and hands the same object
 to the write-ahead log (which frames its columns) and to every store
 (``add_batch(block)``, which is ``add_block(block)``: the store extends its
-own columns from it) — every batch, from a commit or from disk, enters a
-store through ``add_block``, and no row object is built after
-:meth:`Ingestor.build_event`.
+own columns from it) — every batch, from a commit or from disk, and every
+single :meth:`Ingestor.emit` enters a store through ``add_block``, and no
+row object is built after :meth:`Ingestor.build_event`.
 """
 
 from __future__ import annotations
@@ -80,9 +80,8 @@ class Ingestor:
     def attach(self, store: object) -> None:
         """Attach a store (EventStore / TieredStore / ShardedStore, or a
         :mod:`repro.baselines` comparison store): anything with
-        ``register_entity``, ``add_event`` (one row, for :meth:`emit`) and
-        ``add_batch`` (a commit's block; every store defines it as
-        ``add_block``).
+        ``register_entity`` and ``add_batch`` (a commit's block, a single
+        :meth:`emit` included; every store defines it as ``add_block``).
 
         A store attached after entities were already observed receives a
         replay of the registry, so its attribute indexes match its peers'.
@@ -286,6 +285,11 @@ class Ingestor:
     ) -> SystemEvent:
         """Ingest one event; returns the stored (corrected) form.
 
+        The event is committed on its own: a one-row block through
+        :meth:`commit_block`, the path every batch takes (for many events,
+        a :class:`~repro.service.stream.StreamSession` commits them as one
+        block instead).
+
         Refused while a streaming batch is staged: the stores' commit
         watermarks require event ids to become visible in issue order, and
         a single-event append racing ahead of staged (lower-id) events
@@ -301,23 +305,8 @@ class Ingestor:
             agent_id, timestamp, operation, subject, obj,
             duration=duration, amount=amount, failure_code=failure_code,
         )
-        self._staged -= 1
-        with self._wal_lock:
-            if self.wal is not None:
-                self._wal_append(ColumnBlock.from_events((event,)))
-            for store in self._stores:
-                store.add_event(event)  # type: ignore[attr-defined]
-            self._events_ingested += 1
+        self.commit_block(ColumnBlock.from_events((event,)))
         return event
-
-    def _wal_append(self, block: ColumnBlock) -> None:
-        """Make a batch durable before any store publishes it.
-
-        A failed append leaves the pending-entity queue intact and
-        nothing published — the commit simply did not happen.
-        """
-        self.wal.append(self._wal_pending_entities, block)
-        self._wal_pending_entities = []
 
     def commit(self, events: Sequence[SystemEvent]) -> None:
         """Fan a pre-validated batch out to every attached store.
@@ -349,20 +338,10 @@ class Ingestor:
         # its snapshot + WAL reset can never strand an acknowledged batch.
         with self._wal_lock:
             if self.wal is not None:
-                self._wal_append(block)
+                # Durable before any store publishes; a failed append
+                # leaves the pending entities queued and nothing published.
+                self.wal.append(self._wal_pending_entities, block)
+                self._wal_pending_entities = []
             for store in self._stores:
                 store.add_batch(block)  # type: ignore[attr-defined]
             self._events_ingested += count
-
-    def emit_batch(
-        self,
-        agent_id: int,
-        records: Sequence[tuple],
-    ) -> List[SystemEvent]:
-        """Ingest ``(timestamp, operation, subject, object, amount)`` tuples."""
-        out = []
-        for timestamp, operation, subject, obj, amount in records:
-            out.append(
-                self.emit(agent_id, timestamp, operation, subject, obj, amount=amount)
-            )
-        return out

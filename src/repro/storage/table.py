@@ -20,11 +20,11 @@ it.
 
 Visibility model (single writer, many readers): rows and index postings are
 staged first and *published* by a single monotone ``_visible`` bump, so a
-reader never observes part of a batch.  :meth:`append` publishes per event
-(the exclusive ``emit`` path); :meth:`append_block` is the one batch path:
-a batch arrives as a :class:`~repro.storage.blocks.ColumnBlock` (built once
-by the commit, or decoded from a WAL record, a snapshot frame or a shard
-frame) and enters the table as column extends — no row object is built —
+reader never observes part of a batch.  :meth:`append_block` is the one
+write path: a batch — a single emitted event is a one-row batch — arrives
+as a :class:`~repro.storage.blocks.ColumnBlock` (built once by the commit,
+or decoded from a WAL record, a snapshot frame or a shard frame) and
+enters the table as column extends — no row object is built —
 with the postings and the time index derived from the new column tails and
 one bump publishing the lot, which is what makes a streaming commit atomic
 with respect to concurrent scans of this partition.
@@ -81,19 +81,11 @@ class EventTable:
     def max_time(self) -> Optional[float]:
         return self._block.max_time
 
-    def append(self, event: SystemEvent) -> None:
-        """Append and publish one row (the single-event ``emit`` path)."""
-        position = self._block.append(event)
-        self._time_index.add(event.start_time, position)
-        self._by_subject[event.subject_id].append(position)
-        self._by_object[event.object_id].append(position)
-        self._visible = position + 1
-
     def append_block(
         self, source: ColumnBlock, positions: Optional[Positions] = None
     ) -> None:
         """Append rows ``positions`` of ``source`` (default: all) and publish
-        them atomically: the one batch path into a table.
+        them atomically: the one write path into a table.
 
         The rows enter the block as columns
         (:meth:`~repro.storage.blocks.ColumnBlock.extend_rows`), the
@@ -104,9 +96,15 @@ class EventTable:
         base = len(block)
         block.extend_rows(source, positions)
         end = len(block)
+        if end - base == 1:
+            # One row (an emitted event): its index entries directly.
+            self._by_subject[block.subject_ids[base]].append(base)
+            self._by_object[block.object_ids[base]].append(base)
+            self._time_index.add(block.t0[base], base)
+            self._visible = end
+            return
         # One int object per position, shared by both postings and the
-        # time index (as the row path shares it): three would cost 56
-        # bytes a row.
+        # time index: three would cost 56 bytes a row.
         rows = list(range(base, end))
         by_subject = self._by_subject
         for position, entity_id in zip(rows, block.subject_ids[base:end]):

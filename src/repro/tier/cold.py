@@ -61,7 +61,14 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.model.events import SystemEvent
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import active_trace
-from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions, Selection
+from repro.storage.blocks import (
+    OP_VALUE_BY_CODE,
+    OTYPE_VALUE_BY_CODE,
+    BlockScanResult,
+    ColumnBlock,
+    Positions,
+    Selection,
+)
 from repro.storage.codec import BlockCodecError, decode_block, encode_block
 from repro.storage.filters import EventFilter, filter_fingerprint
 from repro.storage.kernels import ScanKernel, constant_false, scan_kernel
@@ -198,27 +205,32 @@ class ZoneMap:
         )
 
     @classmethod
-    def for_events(
-        cls, filename: str, key: PartitionKey, events: Sequence[SystemEvent]
+    def for_block(
+        cls, filename: str, key: PartitionKey, block: ColumnBlock
     ) -> "ZoneMap":
+        """A non-empty segment block's zone map, read off its columns and
+        the summary fields the block keeps."""
+        agents = block.agents
         seqs: Dict[int, int] = {}
-        for event in events:
-            if event.seq > seqs.get(event.agent_id, 0):
-                seqs[event.agent_id] = event.seq
+        for code, seq in zip(block.agent_codes, block.seqs):
+            if seq > seqs.get(agents[code], 0):
+                seqs[agents[code]] = seq
         return cls(
             filename=filename,
             day=key.day,
             agent_group=key.agent_group,
-            count=len(events),
-            min_time=min(e.start_time for e in events),
-            max_time=max(e.start_time for e in events),
-            min_eid=min(e.event_id for e in events),
-            max_eid=max(e.event_id for e in events),
-            agents=frozenset(e.agent_id for e in events),
-            operations=frozenset(e.operation.value for e in events),
-            object_types=frozenset(e.object_type.value for e in events),
-            subjects=frozenset(e.subject_id for e in events),
-            objects=frozenset(e.object_id for e in events),
+            count=len(block),
+            min_time=block.min_time,
+            max_time=block.max_time,
+            min_eid=min(block.event_ids),
+            max_eid=block.max_event_id,
+            agents=frozenset(agents),
+            operations=frozenset(OP_VALUE_BY_CODE[c] for c in block.op_universe),
+            object_types=frozenset(
+                OTYPE_VALUE_BY_CODE[c] for c in block.otype_universe
+            ),
+            subjects=frozenset(block.subject_ids),
+            objects=frozenset(block.object_ids),
             seqs=tuple(sorted(seqs.items())),
         )
 
@@ -304,26 +316,28 @@ class ColdTier:
 
     # -- writes -------------------------------------------------------------
 
-    def add_segment(
-        self, key: PartitionKey, events: Sequence[SystemEvent]
-    ) -> ZoneMap:
+    def add_segment(self, key: PartitionKey, block: ColumnBlock) -> ZoneMap:
         """Durably write one immutable segment and publish it.
 
+        A segment's rows are stored in (start_time, event_id) order; a
+        block that is not gets gathered into that order first.
         Publication order: segment file (fsync'd) -> manifest (atomic
         rename) -> in-memory zone list.  Readers only ever see fully
         durable segments.
         """
-        if not events:
+        if not len(block):
             raise ValueError("cold segments must not be empty")
-        events = tuple(
-            sorted(events, key=lambda e: (e.start_time, e.event_id))
-        )
+        rows = range(len(block))
+        order = block.order_positions(rows)
+        if order != list(rows):
+            block, source = ColumnBlock(), block
+            block.extend_rows(source, order)
         filename = f"seg-{key.day}-{key.agent_group}-{self._next_id:06d}.seg"
-        zone = ZoneMap.for_events(filename, key, events)
+        zone = ZoneMap.for_block(filename, key, block)
         path = self.directory / filename
         tmp = path.with_name(filename + ".tmp")
         with tmp.open("wb") as handle:
-            handle.write(encode_block(ColumnBlock.from_events(events), compress=True))
+            handle.write(encode_block(block, compress=True))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

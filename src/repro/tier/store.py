@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.model.events import SystemEvent
 from repro.model.time import TimeWindow, day_of, day_start
@@ -108,10 +108,6 @@ class TieredStore:
     def register_entity(self, entity) -> None:
         self.hot.register_entity(entity)
 
-    def add_event(self, event: SystemEvent) -> None:
-        with self.writer_lock:
-            self.hot.add_event(event)
-
     def add_block(self, block: ColumnBlock, positions: Optional[Positions] = None):
         """The hot store's ``add_block`` under the writer lock."""
         with self.writer_lock:
@@ -124,45 +120,6 @@ class TieredStore:
             return self.hot.add_batch(block)
 
     # -- queries ------------------------------------------------------------
-
-    @staticmethod
-    def _merge(
-        hot_events: List[SystemEvent], cold_events: List[SystemEvent]
-    ) -> List[SystemEvent]:
-        """Merge two (start_time, event_id)-sorted tier runs, deduplicated.
-
-        Both tiers emit sorted runs (each store and the cold tier sort
-        their results), so a mixed hot+cold window needs one linear merge
-        — not a hot-id set plus a full re-sort of the concatenation.
-        During a migration hand-off the same event can be reachable in
-        both tiers; a duplicate pair shares its (start_time, event_id)
-        sort key, so the copies meet at the merge point and the cold one
-        drops (hot wins).
-        """
-        if not cold_events:
-            return hot_events
-        if not hot_events:
-            return cold_events
-        merged: List[SystemEvent] = []
-        append = merged.append
-        i = j = 0
-        hot_len, cold_len = len(hot_events), len(cold_events)
-        while i < hot_len and j < cold_len:
-            hot = hot_events[i]
-            cold = cold_events[j]
-            hot_key = (hot.start_time, hot.event_id)
-            cold_key = (cold.start_time, cold.event_id)
-            if hot_key <= cold_key:
-                append(hot)
-                i += 1
-                if hot_key == cold_key:
-                    j += 1  # same event in both tiers: drop the cold copy
-            else:
-                append(cold)
-                j += 1
-        merged.extend(hot_events[i:])
-        merged.extend(cold_events[j:])
-        return merged
 
     def scan_columns(
         self,
@@ -196,7 +153,11 @@ class TieredStore:
         return self.scan_columns(flt, use_entity_index).events()
 
     def full_scan(self, flt: EventFilter) -> List[SystemEvent]:
-        return self._merge(self.hot.full_scan(flt), self.cold.scan(flt))
+        """Both tiers' pruning-free matches, deduplicated by event id (the
+        hot copy wins during a migration hand-off) and sorted."""
+        by_id = {e.event_id: e for e in self.cold.scan(flt)}
+        by_id.update((e.event_id, e) for e in self.hot.full_scan(flt))
+        return sorted(by_id.values(), key=lambda e: (e.start_time, e.event_id))
 
     def estimated_events(self, flt: EventFilter) -> int:
         """Cost estimate spanning tiers: pruned hot size + unpruned cold
@@ -245,27 +206,41 @@ class TieredStore:
         flt = EventFilter(window=TimeWindow(end=cutoff_ts))
         # Committed-only by construction: the hot scan path filters by the
         # store's committed-event watermark, so a batch mid-commit can
-        # never be half-migrated.
-        old = self.hot.scan(flt, use_entity_index=False)
+        # never be half-migrated.  Each part is one hot partition, its
+        # rows in (start_time, event_id) order: it becomes one segment,
+        # gathered column by column into a fresh block.  The positions go
+        # in as a list, never as the whole-block range whose summary fields
+        # extend_rows would reuse: no writer lock is held here, so a late
+        # event may land in the live partition meanwhile, and its time, id
+        # and codes must not reach the segment's zone map.
+        old = self.hot.scan_columns(flt, use_entity_index=False)
         report = CompactionReport(cutoff_day=cutoff_day)
-        if not old:
+        segments: Dict[PartitionKey, ColumnBlock] = {}
+        for part in old.parts:
+            if not len(part):
+                continue
+            block, first = part.block, part.positions[0]
+            key = self.partition_scheme.key_for(
+                block.agents[block.agent_codes[first]], block.t0[first]
+            )
+            segments.setdefault(key, ColumnBlock()).extend_rows(
+                block, list(part.positions)
+            )
+        if not segments:
             return report
-        by_key: Dict[PartitionKey, List[SystemEvent]] = {}
-        for event in old:
-            key = self.partition_scheme.key_for(event.agent_id, event.start_time)
-            by_key.setdefault(key, []).append(event)
-        for key in sorted(by_key, key=lambda k: (k.day, k.agent_group)):
-            zone = self.cold.add_segment(key, by_key[key])
+        keys = sorted(segments, key=lambda k: (k.day, k.agent_group))
+        migrated: Set[int] = set()
+        for key in keys:
+            zone = self.cold.add_segment(key, segments[key])
+            migrated.update(segments[key].event_ids)
             report.segments_written += 1
             report.cold_bytes += (
                 (self.cold.directory / zone.filename).stat().st_size
             )
         with self.writer_lock:
-            removed = self.hot.remove_events({e.event_id for e in old})
+            removed = self.hot.remove_events(migrated)
         report.events_migrated = removed
-        report.partitions = tuple(
-            sorted(by_key, key=lambda k: (k.day, k.agent_group))
-        )
+        report.partitions = tuple(keys)
         self.compactions += 1
         self.events_migrated += removed
         _M_COMPACTIONS.inc()

@@ -29,6 +29,8 @@ from repro.workload.generator import BackgroundGenerator, GeneratorConfig
 from repro.workload.topology import HOSTS
 
 DEFAULT_STORES = ("partitioned",)
+# Events per commit of a burst load: one-row commits cost far more per event.
+BURST_BATCH_SIZE = 4096
 ALL_STORES = ("partitioned", "flat", "segmented_domain", "segmented_arrival")
 
 
@@ -40,8 +42,8 @@ class Enterprise:
     stores: Dict[str, object]
     truths: Dict[str, object] = field(default_factory=dict)
     background_events: int = 0
-    # Set when the deployment was populated through a live StreamSession
-    # (build_enterprise(stream_batch_size=...)) instead of a burst load.
+    # The live StreamSession, set only when the caller asked to stream
+    # (build_enterprise(stream_batch_size=...)), not for a burst load.
     session: Optional[StreamSession] = None
 
     @property
@@ -74,13 +76,14 @@ def build_enterprise(
     16 days ~ 30k background events) keeps the test suite fast; benchmarks
     raise it.
 
-    ``stream_batch_size`` switches population from a burst load to live
-    streaming: the whole workload (background and attacks) is appended
-    through a :class:`StreamSession` and committed in batches of that size,
-    exercising the exact write path a production deployment uses.  The
-    session is returned on :attr:`Enterprise.session` for further live
-    appends.  Either way every attached store ingests the identical event
-    sequence (the Sec. 6.2.2 fairness requirement).
+    The whole workload (background and attacks) is appended through a
+    :class:`StreamSession`, the write path a production deployment uses.
+    A burst load (``stream_batch_size=None``) commits it in batches of
+    :data:`BURST_BATCH_SIZE`; ``stream_batch_size`` asks for live
+    streaming in batches of that size, and the session is returned on
+    :attr:`Enterprise.session` for further live appends.  Either way every
+    attached store ingests the identical event sequence (the Sec. 6.2.2
+    fairness requirement).
 
     ``ingestor`` feeds the workload into an externally wired deployment
     (e.g. a durable :class:`~repro.core.system.AIQLSystem` whose tiered
@@ -123,10 +126,9 @@ def build_enterprise(
         events_per_host_day=events_per_host_day,
     )
     session: Optional[StreamSession] = None
-    feed = ingestor
     if stream_batch_size is not None:
         session = StreamSession(ingestor, batch_size=stream_batch_size)
-        feed = session
+    feed = session or StreamSession(ingestor, batch_size=BURST_BATCH_SIZE)
     background = BackgroundGenerator(feed, config).run()
 
     truths: Dict[str, object] = {}
@@ -137,8 +139,7 @@ def build_enterprise(
         truths["malware"] = inject_malware_behaviors(feed)
         truths["abnormal"] = inject_abnormal_behaviors(feed)
 
-    if session is not None:
-        session.commit()
+    feed.commit()
 
     return Enterprise(
         ingestor=ingestor,

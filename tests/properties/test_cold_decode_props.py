@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.model.events import Operation
 from repro.model.time import DAY, TimeWindow
-from repro.storage.blocks import BlockScanResult
+from repro.storage.blocks import BlockScanResult, ColumnBlock
 from repro.storage.filters import AttrPredicate, EventFilter, PredicateLeaf
 from repro.storage.ingest import Ingestor
 from repro.storage.kernels import use_kernels
@@ -64,7 +64,9 @@ def corpus(tmp_path_factory):
                 for i in range(6)
             ]
             ordinal = int(day_ts(day) // DAY)
-            tier.add_segment(PartitionKey(ordinal, agent // 10), events)
+            tier.add_segment(
+                PartitionKey(ordinal, agent // 10), ColumnBlock.from_events(events)
+            )
     pool = filter_pool(feed)
     with use_kernels(False):
         oracle = [tier.scan(flt) for flt in pool]

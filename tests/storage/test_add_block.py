@@ -1,13 +1,15 @@
 """``add_block`` is the row-wise append, done by columns.
 
-The reference is the single-row path that ``emit`` still uses
-(``add_event`` -> ``EventTable.append`` -> ``ColumnBlock.append``): an
-independent implementation that touches every column, posting and index
-entry one row at a time.  A store fed the same rows in the same order as
-blocks must end in the *same physical state* — columns, agent dictionary,
-universes, ``time_sorted``, postings, time index — on every store, for
-whole blocks, ``range`` positions and sparse position lists, and must
-answer every filter the same.
+``add_block`` is the one write path, so three references stand in for it:
+
+* a store fed the same rows one single-row block at a time (what ``emit``
+  does) must end in the *same physical state* — columns, agent
+  dictionary, universes, ``time_sorted``, postings, time index — on every
+  store, for whole blocks, ``range`` positions and sparse position lists;
+* a flat store's heap block must equal a block built by
+  :meth:`ColumnBlock.append`, the row-at-a-time definition that touches
+  every column one row at a time;
+* every scan must equal :meth:`EventFilter.matches` over the input rows.
 """
 
 import sys
@@ -89,11 +91,22 @@ def heap_block(store):
     return block
 
 
-def table_state(table):
-    block = table.block
-    n = len(block)
+def feed_rows(store, events):
+    """What ``emit`` does: one single-row block per event."""
+    for event in events:
+        store.add_block(ColumnBlock.from_events([event]))
+
+
+def appended_block(events):
+    """The row-at-a-time definition: ``ColumnBlock.append`` per row."""
+    block = ColumnBlock()
+    for event in events:
+        block.append(event)
+    return block
+
+
+def block_state(block):
     return {
-        "visible": len(table),
         "event_ids": list(block.event_ids),
         "agent_ids": [block.agents[c] for c in block.agent_codes],
         "agents": block.agents,
@@ -113,7 +126,14 @@ def table_state(table):
         "min_time": block.min_time,
         "max_time": block.max_time,
         "max_event_id": block.max_event_id,
-        "rows": n,
+        "rows": len(block),
+    }
+
+
+def table_state(table):
+    return {
+        **block_state(table.block),
+        "visible": len(table),
         "by_subject": {k: list(v) for k, v in table._by_subject.items()},
         "by_object": {k: list(v) for k, v in table._by_object.items()},
         "time_index": (
@@ -142,11 +162,29 @@ FILTERS = (
 )
 
 
-def assert_same_store(got, want):
+def matching(world, events, flt):
+    """``flt.matches`` over the input rows, in scan order."""
+    lookup = world.registry.get
+    return sorted(
+        (
+            e
+            for e in events
+            if flt.matches(e, lookup(e.subject_id), lookup(e.object_id))
+        ),
+        key=lambda e: (e.start_time, e.event_id),
+    )
+
+
+def assert_same_store(world, got, want, rows):
+    """``got`` (fed blocks) against ``want`` (fed the same ``rows`` one
+    single-row block each), the appended reference block and the filter
+    semantics."""
     assert store_state(got) == store_state(want)
-    assert len(got) == len(want)
+    assert len(got) == len(want) == len(rows)
+    if isinstance(got, FlatStore) and rows:
+        assert block_state(heap_block(got)) == block_state(appended_block(rows))
     for flt in FILTERS:
-        assert got.scan(flt) == want.scan(flt)
+        assert got.scan(flt) == want.scan(flt) == matching(world, rows, flt)
 
 
 @st.composite
@@ -168,20 +206,21 @@ def batches(draw):
 def test_whole_blocks_equal_row_appends(name, spec, sort_some):
     world = World()
     by_block, by_row = world.stores(name)
+    added = []
     for index, rows in enumerate(spec):
         if sort_some and index % 2 == 0:
             rows = sorted(rows, key=lambda r: r[1])
         events = [world.event(*row) for row in rows]
         touched = by_block.add_block(ColumnBlock.from_events(events))
-        for event in events:
-            by_row.add_event(event)
+        feed_rows(by_row, events)
+        added.extend(events)
         if name == "partitioned":
             scheme = by_block.scheme
             first_seen = dict.fromkeys(
                 scheme.key_for(e.agent_id, e.start_time) for e in events
             )
             assert touched == tuple(first_seen)
-    assert_same_store(by_block, by_row)
+    assert_same_store(world, by_block, by_row, added)
 
 
 @pytest.mark.parametrize("name", BACKENDS)
@@ -192,6 +231,7 @@ def test_positions_equal_row_appends_of_those_rows(name, spec, data):
     in that order, as if appended one by one."""
     world = World()
     by_block, by_row = world.stores(name)
+    added = []
     for rows in spec:
         events = [world.event(*row) for row in rows]
         block = ColumnBlock.from_events(events)
@@ -202,10 +242,31 @@ def test_positions_equal_row_appends_of_those_rows(name, spec, data):
         )
         for positions in (range(lo, hi), sparse):
             by_block.add_block(block, positions)
-            for p in positions:
-                by_row.add_event(events[p])
+            feed_rows(by_row, [events[p] for p in positions])
+            added.extend(events[p] for p in positions)
         assert not block.rows_materialized
-    assert_same_store(by_block, by_row)
+    assert_same_store(world, by_block, by_row, added)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=batches(), data=st.data())
+def test_positions_in_any_order_land_in_that_order(spec, data):
+    """Compaction gathers a selection in (start_time, event_id) order, not
+    position order: a permutation of every row is not the block itself."""
+    world = World()
+    events = [world.event(*row) for rows in spec for row in rows]
+    block = ColumnBlock.from_events(events)
+    by_time = block.order_positions(range(len(events)))
+    for order in (
+        by_time,
+        by_time[::-1],
+        data.draw(st.permutations(range(len(events)))),
+    ):
+        gathered = ColumnBlock()
+        gathered.extend_rows(block, order)
+        assert block_state(gathered) == block_state(
+            appended_block([events[p] for p in order])
+        )
 
 
 @settings(max_examples=25, deadline=None)
@@ -224,20 +285,13 @@ def test_remove_events_rebuilds_as_if_never_appended(spec, data):
     )
     for flt in FILTERS:
         assert pruned.scan(flt) == [
-            e for e in _reference_scan(world, events, flt) if e.event_id not in victims
+            e for e in matching(world, events, flt) if e.event_id not in victims
         ]
     never.add_block(
         ColumnBlock.from_events([e for e in events if e.event_id not in victims])
     )
     assert store_state(pruned) == store_state(never)  # emptied tables dropped
     assert len(pruned) == len(never)
-
-
-def _reference_scan(world, events, flt):
-    reference = FlatStore(registry=world.registry)
-    for event in events:
-        reference.add_event(event)
-    return reference.full_scan(flt)
 
 
 # -- the agent dictionary ------------------------------------------------------
@@ -258,13 +312,12 @@ class TestAgentDictionaryMerge:
         third = self._events(world, agents[280:], start=5000.0)
         for batch in (first, second, third):
             by_block.add_block(ColumnBlock.from_events(batch))
-            for event in batch:
-                by_row.add_event(event)
+            feed_rows(by_row, batch)
         block = heap_block(by_block)
         assert isinstance(block.agent_codes, array)
         assert block.agent_codes.typecode == "q"
         assert len(block.agents) == 300
-        assert_same_store(by_block, by_row)
+        assert_same_store(world, by_block, by_row, first + second + third)
 
     def test_narrow_until_exactly_256_agents(self):
         agents = list(range(1, 257))
@@ -290,9 +343,9 @@ class TestAgentDictionaryMerge:
         assert isinstance(heap_block(by_block).agent_codes, bytearray)
         # ... and the whole of it promotes the table
         by_block.add_block(wide)
-        for event in [wide.event_at(p) for p in picks] + few + wide.events():
-            by_row.add_event(event)
-        assert_same_store(by_block, by_row)
+        rows = [wide.event_at(p) for p in picks] + few + wide.events()
+        feed_rows(by_row, rows)
+        assert_same_store(world, by_block, by_row, rows)
 
     def test_codes_are_remapped_not_copied(self):
         world = World()
@@ -302,10 +355,9 @@ class TestAgentDictionaryMerge:
         second = self._events(world, [3, 2, 5, 1], start=50.0)
         for batch in (first, second):
             by_block.add_block(ColumnBlock.from_events(batch))
-            for event in batch:
-                by_row.add_event(event)
+            feed_rows(by_row, batch)
         assert heap_block(by_block).agents == (1, 2, 3, 5)
-        assert_same_store(by_block, by_row)
+        assert_same_store(world, by_block, by_row, first + second)
 
     def test_sparse_positions_add_only_the_agents_they_name(self):
         world = World()

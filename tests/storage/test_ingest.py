@@ -83,16 +83,6 @@ class TestIngestor:
         with pytest.raises(ValueError):
             ingestor.attach(foreign)
 
-    def test_emit_batch(self):
-        ingestor, store = make_ingestor()
-        p = ingestor.process(1, 5, "bash")
-        f = ingestor.file(1, "/x")
-        events = ingestor.emit_batch(
-            1, [(10.0, "read", p, f, 100), (11.0, "write", p, f, 200)]
-        )
-        assert len(events) == 2
-        assert ingestor.events_ingested == 2
-
     def test_entity_helpers_deduplicate(self):
         ingestor, _ = make_ingestor()
         a = ingestor.file(1, "/etc/passwd")
@@ -111,9 +101,6 @@ class RecordingStore:
 
     def register_entity(self, entity):
         self.registered.append(entity.id)
-
-    def add_event(self, event):
-        self.added.append(event.event_id)
 
     def add_batch(self, block):
         self.blocks.append(block)
@@ -192,3 +179,28 @@ class TestFanOutHoisting:
         assert not block.rows_materialized
         assert stores[0].added == stores[1].added == [e.event_id for e in events]
         assert ingestor.events_ingested == 3
+
+    def test_emit_commits_a_one_row_block_to_the_log_and_every_store(self):
+        ingestor = Ingestor()
+        stores = [RecordingStore(ingestor.registry) for _ in range(2)]
+        for store in stores:
+            ingestor.attach(store)
+        logged = []
+
+        class Log:
+            def append(self, entities, block):
+                logged.append((list(entities), block))
+
+        ingestor.attach_wal(Log())
+        p = ingestor.process(1, 5, "bash")
+        f = ingestor.file(1, "/x")
+        first = ingestor.emit(1, 10.0, "read", p, f)
+        second = ingestor.emit(1, 11.0, "write", p, f, amount=7)
+        assert [entities for entities, _ in logged] == [[p, f], []]
+        blocks = [block for _, block in logged]
+        assert [b.events() for b in blocks] == [[first], [second]]
+        assert all(store.blocks == blocks for store in stores)
+        assert all(
+            got is want for store in stores for got, want in zip(store.blocks, blocks)
+        )
+        assert ingestor.events_ingested == 2

@@ -284,7 +284,7 @@ class TestToggle:
         from repro.storage.table import EventTable
 
         table = EventTable(registry.get)
-        table.append(event)
+        table.append_block(ColumnBlock.from_events([event]))
         flt = EventFilter(subject_pred=leaf("exe_name", "=", "%ssh%"))
         with use_kernels(False):
             interpreted = table.scan(flt)
@@ -807,8 +807,11 @@ class TestWindowVacuity:
         from repro.storage.table import EventTable
 
         table = EventTable(_prop_registry.get)
-        for eid, start in enumerate(starts, start=1):
-            table.append(self._event(eid, start))
+        table.append_block(
+            ColumnBlock.from_events(
+                [self._event(eid, start) for eid, start in enumerate(starts, 1)]
+            )
+        )
         return table
 
     def test_exclusive_end_at_max_time_is_not_vacuous(self):
@@ -894,7 +897,7 @@ class TestCodeMaskVisibility:
             event(3, 1, Operation.WRITE, fobj),
             event(4, 1, Operation.READ, conn),
         ):
-            table.append(row)
+            table.append_block(ColumnBlock.from_events([row]))
         # A writer mid-commit: staged rows match agent, operation and
         # object type, but the visibility bump has not happened.
         staged = [event(eid, 1, Operation.READ, fobj) for eid in (5, 6, 7)]
@@ -976,12 +979,11 @@ class TestScanTimeNarrowing:
         kernel = compile_filter(static)
         events = sorted(events, key=lambda e: (e.start_time, e.event_id))
         table = EventTable(lookup)
-        for event in events:
-            table.append(event)
         batch = ColumnBlock.from_events(events)
+        table.append_block(batch)
         with tempfile.TemporaryDirectory() as directory:
             cold = ColdTier(directory, lookup)
-            cold.add_segment(PartitionKey(0, 0), events)
+            cold.add_segment(PartitionKey(0, 0), batch)
             for window, subject_ids, object_ids in narrowings:
                 flt = replace(
                     static,

@@ -24,8 +24,8 @@ def populated():
         def register_entity(self, entity):
             index.add(entity)
 
-        def add_event(self, event):
-            table.append(event)
+        def add_batch(self, block):
+            table.append_block(block)
 
     ingestor.attach(_Sink())
     shell = ingestor.process(1, 10, "bash")

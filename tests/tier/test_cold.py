@@ -35,7 +35,7 @@ def make_tier(feed, tmp_path, days=(0, 1, 2), agents=(1,), per_day=4, **kw):
                 feed.emit(agent, day_ts(day, 120.0 * i)) for i in range(per_day)
             ]
             key = PartitionKey(day=day_ordinal(day), agent_group=agent // 10)
-            tier.add_segment(key, events)
+            tier.add_segment(key, ColumnBlock.from_events(events))
     return tier
 
 
@@ -59,7 +59,7 @@ class TestSegmentRoundTrip:
     def test_empty_segment_rejected(self, feed, tmp_path):
         tier = ColdTier(tmp_path / "cold", feed.ingestor.registry.get)
         with pytest.raises(ValueError):
-            tier.add_segment(PartitionKey(day=0, agent_group=0), [])
+            tier.add_segment(PartitionKey(day=0, agent_group=0), ColumnBlock())
 
     def test_corrupt_manifest_is_loud(self, feed, tmp_path):
         make_tier(feed, tmp_path, days=(0,))
@@ -321,7 +321,10 @@ def mixed_segment_tier(feed, tmp_path, **kw):
     events += [feed.emit(1, day_ts(0, 300.0 + 60.0 * i), "read") for i in range(2)]
     events.append(ingestor.emit(1, day_ts(0, 600.0), "connect", proc, conn))
     events += [feed.emit(2, day_ts(0, 7200.0 + 60.0 * i)) for i in range(3)]
-    tier.add_segment(PartitionKey(day=day_ordinal(0), agent_group=0), events)
+    tier.add_segment(
+        PartitionKey(day=day_ordinal(0), agent_group=0),
+        ColumnBlock.from_events(events),
+    )
     return tier, events
 
 

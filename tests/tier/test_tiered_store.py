@@ -4,6 +4,8 @@ import pytest
 
 from repro.model.time import DAY, TimeWindow
 from repro.obs import REGISTRY
+from repro.storage.blocks import ColumnBlock
+from repro.storage.codec import encode_block
 from repro.storage.database import EventStore
 from repro.storage.filters import EventFilter
 from repro.storage.ingest import Ingestor
@@ -126,34 +128,106 @@ class TestCompaction:
             )
 
 
-class TestSortedRunMerge:
-    """_merge interleaves two sorted tier runs and drops hand-off dupes."""
+class TestCompactionByColumn:
+    def test_no_row_is_built_and_segments_match_the_row_encoding(
+        self, tiered, monkeypatch
+    ):
+        """Compaction gathers columns: it never asks a block for a row, and
+        each segment file is byte for byte the encoding of its partition's
+        rows, sorted — so the on-disk format cannot move."""
+        store, feed = tiered
+        feed.emit(1, day_ts(0, 50.0))  # out of order inside its partition
+        feed.emit(25, day_ts(1, 10.0))
+        before = list(store.hot)
+        calls = []
+        event_at = ColumnBlock.event_at
 
-    def build(self, feed, agent, times):
-        return [feed.emit(agent, day_ts(0, t)) for t in times]
+        def spy(block, position):
+            calls.append(position)
+            return event_at(block, position)
 
-    def test_interleave_and_dedup(self, tmp_path):
-        feed = EventFeed(Ingestor())
-        a, b, c, d = self.build(feed, 1, (10.0, 20.0, 30.0, 40.0))
-        hot = [a, c, d]
-        cold = [a, b, d]  # a and d reachable in both tiers mid-migration
-        merged = TieredStore._merge(hot, cold)
-        assert merged == [a, b, c, d]
-        key = lambda e: (e.start_time, e.event_id)  # noqa: E731
-        assert merged == sorted(merged, key=key)
+        monkeypatch.setattr(ColumnBlock, "event_at", spy)
+        report = store.compact()
+        monkeypatch.undo()
+        assert report.moved
+        assert calls == []
+        key_for = store.partition_scheme.key_for
+        zones = store.cold.zones
+        assert [z.key for z in zones] == list(report.partitions)
+        assert sum(z.count for z in zones) == report.events_migrated
+        for zone in zones:
+            rows = sorted(
+                (e for e in before if key_for(e.agent_id, e.start_time) == zone.key),
+                key=lambda e: (e.start_time, e.event_id),
+            )
+            written = (store.cold.directory / zone.filename).read_bytes()
+            assert written == encode_block(
+                ColumnBlock.from_events(rows), compress=True
+            )
+            assert zone.count == len(rows)
+            assert zone.min_time == rows[0].start_time
+            assert zone.max_eid == max(e.event_id for e in rows)
+            assert zone.agents == {e.agent_id for e in rows}
 
-    def test_empty_runs_short_circuit(self, tmp_path):
-        feed = EventFeed(Ingestor())
-        run = self.build(feed, 1, (10.0, 20.0))
-        assert TieredStore._merge(run, []) is run
-        assert TieredStore._merge([], run) is run
-        assert TieredStore._merge([], []) == []
+    def test_a_late_event_stays_out_of_the_segment_zone_map(
+        self, tiered, monkeypatch
+    ):
+        """Compaction gathers from live partitions without the writer lock.
+        An event committed into an old partition while its rows are being
+        gathered (here: right after the gather reads the partition's
+        length) is not migrated, and its time and id do not widen the
+        segment's zone map."""
+        store, feed = tiered
+        key_for = store.partition_scheme.key_for
+        key = key_for(1, day_ts(0, 900.0))
+        rows = [e for e in store.hot if key_for(e.agent_id, e.start_time) == key]
+        hot_block = store.hot._partitions[key].block
+        scan_columns = store.hot.scan_columns
+        length = ColumnBlock.__len__
+        armed, late = [], []
 
-    def test_equal_start_times_order_by_event_id(self, tmp_path):
-        feed = EventFeed(Ingestor())
-        x, y = self.build(feed, 1, (10.0, 10.0))
-        merged = TieredStore._merge([y], [x])
-        assert merged == [x, y]
+        def scan_then_arm(*args, **kwargs):
+            result = scan_columns(*args, **kwargs)
+            armed.append(True)
+            return result
+
+        def commit_after_length(block):
+            n = length(block)
+            if block is hot_block and armed:
+                armed.clear()
+                late.append(feed.emit(1, day_ts(0, 900.0)))
+            return n
+
+        monkeypatch.setattr(store.hot, "scan_columns", scan_then_arm)
+        monkeypatch.setattr(ColumnBlock, "__len__", commit_after_length)
+        report = store.compact()
+        monkeypatch.undo()
+        (event,) = late
+        (zone,) = [z for z in store.cold.zones if z.key == key]
+        assert key_for(event.agent_id, event.start_time) == key
+        assert zone.count == len(rows) == 6
+        assert zone.max_time == max(e.start_time for e in rows) < event.start_time
+        assert zone.max_eid == max(e.event_id for e in rows) < event.event_id
+        assert report.events_migrated == 4 * 3 * 3
+        assert store.hot.scan(EventFilter())[0] == event
+
+
+class TestFullScan:
+    def test_an_event_in_both_tiers_appears_once_in_order(self, tiered):
+        """Mid-migration: a segment written from hot rows not yet removed."""
+        store, feed = tiered
+        feed.emit(1, day_ts(0, 50.0))
+        expected = store.hot.full_scan(EventFilter())
+        day0 = [e for e in store.hot if e.start_time < day_ts(1, 0.0)]
+        key = store.partition_scheme.key_for(1, day0[0].start_time)
+        store.cold.add_segment(
+            key, ColumnBlock.from_events([e for e in day0 if e.agent_id == 1])
+        )
+        got = store.full_scan(EventFilter())
+        assert got == sorted(got, key=lambda e: (e.start_time, e.event_id))
+        assert len({e.event_id for e in got}) == len(got)
+        assert got == expected
+        assert got == store.scan(EventFilter())
 
 
 class TestStoreSurface:
