@@ -55,20 +55,19 @@ def narrow_with_index(flt: EventFilter, index: EntityAttributeIndex) -> EventFil
 
     Resolving candidates once per scan (instead of once per partition or
     segment) keeps index probing off the per-table hot path; tables then
-    serve the id sets straight from their postings lists.
+    serve the id sets straight from their postings lists, and a tiered
+    scan hands the same narrowed filter to the cold tier's zone maps.
     """
     subject = index.candidates(
         EntityType.PROCESS, top_level_equalities(flt.subject_pred)
     )
-    if subject is not None:
-        flt = flt.narrowed(subject_ids=subject)
+    obj = None
     if flt.object_type is not None:
         obj = index.candidates(
             flt.object_type, top_level_equalities(flt.object_pred)
         )
-        if obj is not None:
-            flt = flt.narrowed(object_ids=obj)
-    return flt
+    # One copy for both sets (``narrowed`` returns ``flt`` for neither).
+    return flt.narrowed(subject_ids=subject, object_ids=obj)
 
 
 class EventStore:

@@ -14,8 +14,13 @@ segment carries a **zone map** in the tier manifest:
 
 Zone maps let the scan path — and the scheduler's cost estimates — prune
 cold segments *without opening them*: a query whose window, agent set,
-operation set or scheduler-narrowed entity-id sets are disjoint from a
-segment's zone map never pays the decompression.  A segment that does
+operation set or entity-id sets are disjoint from a segment's zone map
+never pays the decompression.  The id sets are the scheduler's join
+narrowings intersected with the ids the hot store's entity attribute
+index resolves a pattern's entity predicates to (the tiered scan narrows
+once, for both tiers), so ``proc p["%cmd%"]`` prunes every segment none
+of whose subjects match, and a surviving segment's rows are cut by id
+before the entity predicate runs.  A segment that does
 match is decoded once while it is in memory: a small LRU keeps the most
 recently read segments, and a weak map from segment file to decoded block
 finds any block still held anywhere else — by a cached selection or an
@@ -34,13 +39,16 @@ survive never pays object construction.  Segments are immutable, so a
 segment's survivors under one filter never change: an LRU of per-segment
 selections keyed by ``(segment file, filter fingerprint)`` answers a
 repeated scan of a surviving segment before the segment is fetched, and
-never needs invalidation.  Its entries pin their blocks, which is what
+never needs invalidation: the fingerprint covers the index-resolved id
+sets, so a newly registered entity that matches a pattern changes its
+key.  Its entries pin their blocks, which is what
 keeps a query's working set decoded when it spans more segments than the
 decoded-block LRU holds.
 
 The manifest (``manifest.json``) is the tier's source of truth and is
-rewritten atomically (temp file + rename); segment files are written
-durably *before* the manifest references them, so a crash mid-migration
+rewritten atomically (temp file + rename), once per batch of segments (a
+compaction pass); segment files are written durably *before* the
+manifest references them, so a crash mid-migration
 leaves at worst an orphaned segment file, never a manifest pointing at a
 missing or torn segment.  The manifest is version 2; a version-1 directory
 (JSON-column segments) is refused with :class:`ColdTierError` rather than
@@ -105,6 +113,10 @@ _M_COLD_PRUNED = REGISTRY.counter(
 )
 _M_COLD_SCANNED = REGISTRY.counter(
     "aiql_cold_segments_scanned_total", "Cold segments decoded and scanned"
+)
+_M_COLD_VISITED = REGISTRY.counter(
+    "aiql_cold_rows_visited_total",
+    "In-window rows of the cold segments that survived zone-map pruning",
 )
 _M_COLD_ROWS = REGISTRY.counter(
     "aiql_cold_rows_selected_total", "Rows selected from cold segments"
@@ -317,34 +329,46 @@ class ColdTier:
     # -- writes -------------------------------------------------------------
 
     def add_segment(self, key: PartitionKey, block: ColumnBlock) -> ZoneMap:
-        """Durably write one immutable segment and publish it.
+        """Durably write one immutable segment and publish it
+        (:meth:`add_segments` of one)."""
+        return self.add_segments([(key, block)])[0]
+
+    def add_segments(
+        self, items: Sequence[Tuple[PartitionKey, ColumnBlock]]
+    ) -> List[ZoneMap]:
+        """Durably write immutable segments and publish them together.
 
         A segment's rows are stored in (start_time, event_id) order; a
         block that is not gets gathered into that order first.
-        Publication order: segment file (fsync'd) -> manifest (atomic
-        rename) -> in-memory zone list.  Readers only ever see fully
-        durable segments.
+        Publication order: every segment file (fsync'd) -> one manifest
+        rewrite (atomic rename) -> in-memory zone list.  Readers only ever
+        see fully durable segments, and a failure before the manifest is
+        replaced leaves the old manifest and zones as they were (the files
+        already written are orphans no manifest names).
         """
-        if not len(block):
+        if any(not len(block) for _, block in items):
             raise ValueError("cold segments must not be empty")
-        rows = range(len(block))
-        order = block.order_positions(rows)
-        if order != list(rows):
-            block, source = ColumnBlock(), block
-            block.extend_rows(source, order)
-        filename = f"seg-{key.day}-{key.agent_group}-{self._next_id:06d}.seg"
-        zone = ZoneMap.for_block(filename, key, block)
-        path = self.directory / filename
-        tmp = path.with_name(filename + ".tmp")
-        with tmp.open("wb") as handle:
-            handle.write(encode_block(block, compress=True))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        self._save_manifest(self._zones + [zone], self._next_id + 1)
-        self._next_id += 1
-        self._zones.append(zone)  # publish to readers last
-        return zone
+        zones: List[ZoneMap] = []
+        for key, block in items:
+            rows = range(len(block))
+            order = block.order_positions(rows)
+            if order != list(rows):
+                block, source = ColumnBlock(), block
+                block.extend_rows(source, order)
+            number = self._next_id + len(zones)
+            filename = f"seg-{key.day}-{key.agent_group}-{number:06d}.seg"
+            path = self.directory / filename
+            tmp = path.with_name(filename + ".tmp")
+            with tmp.open("wb") as handle:
+                handle.write(encode_block(block, compress=True))
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+            zones.append(ZoneMap.for_block(filename, key, block))
+        self._save_manifest(self._zones + zones, self._next_id + len(zones))
+        self._next_id += len(zones)
+        self._zones.extend(zones)  # publish to readers last
+        return zones
 
     # -- reads --------------------------------------------------------------
 
@@ -429,15 +453,11 @@ class ColdTier:
             return selections
         chosen: Optional[ScanKernel] = None
         fingerprint: Optional[tuple] = None
-        considered = pruned = scanned = decoded = 0
+        pruned = scanned = decoded = 0
         for zone in zones:
-            self.segments_considered += 1
-            considered += 1
             if not zone.may_match(flt):
-                self.segments_pruned += 1
                 pruned += 1
                 continue
-            self.segments_scanned += 1
             scanned += 1
             if chosen is None:
                 chosen = scan_kernel(flt, kernel)
@@ -456,21 +476,36 @@ class ColdTier:
             if fingerprint is not None:
                 self._remember(key, selection)
             selections.append(selection)
-        if considered:
-            trace = active_trace()
-            if REGISTRY.enabled or trace is not None:
-                rows = sum(len(s) for s in selections)
-                _M_COLD_CONSIDERED.inc(considered)
-                _M_COLD_PRUNED.inc(pruned)
-                _M_COLD_SCANNED.inc(scanned)
-                _M_COLD_ROWS.inc(rows)
-                if trace is not None:
-                    span = trace.current
-                    span.add("cold_segments_considered", considered)
-                    span.add("cold_segments_pruned", pruned)
-                    span.add("cold_segments_scanned", scanned)
-                    span.add("cold_segments_decoded", decoded)
-                    span.add("cold_rows_selected", rows)
+        considered = len(zones)
+        self.segments_considered += considered
+        self.segments_pruned += pruned
+        self.segments_scanned += scanned
+        trace = active_trace()
+        if REGISTRY.enabled or trace is not None:
+            rows = sum(len(s) for s in selections)
+            # Segments are stored time-sorted: a bisect per surviving
+            # segment counts the rows inside the scan's window, what
+            # the kernel visits on that segment (a memo hit counts
+            # what its scan visited).
+            start, end = flt.window.start, flt.window.end
+            visited = 0
+            for selection in selections:
+                block = selection.block
+                lo, hi = block.window_bounds(start, end, len(block))
+                visited += hi - lo
+            _M_COLD_CONSIDERED.inc(considered)
+            _M_COLD_PRUNED.inc(pruned)
+            _M_COLD_SCANNED.inc(scanned)
+            _M_COLD_VISITED.inc(visited)
+            _M_COLD_ROWS.inc(rows)
+            if trace is not None:
+                span = trace.current
+                span.add("cold_segments_considered", considered)
+                span.add("cold_segments_pruned", pruned)
+                span.add("cold_segments_scanned", scanned)
+                span.add("cold_segments_decoded", decoded)
+                span.add("cold_rows_visited", visited)
+                span.add("cold_rows_selected", rows)
         return selections
 
     def _recall(self, key: Tuple[str, tuple]) -> Optional[Selection]:

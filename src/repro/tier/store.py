@@ -32,7 +32,7 @@ from repro.model.events import SystemEvent
 from repro.model.time import TimeWindow, day_of, day_start
 from repro.obs.metrics import REGISTRY
 from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions
-from repro.storage.database import EventStore
+from repro.storage.database import EventStore, narrow_with_index
 from repro.storage.filters import EventFilter
 from repro.storage.kernels import ScanKernel, constant_false, scan_kernel
 from repro.storage.partition import PartitionKey, PartitionScheme
@@ -134,12 +134,22 @@ class TieredStore:
         (the stable sort preserves part order for equal keys).  Both tiers
         run ``kernel`` (see :meth:`EventStore.scan_columns`); without one,
         ``flt`` compiles here once and both tiers share it.
+
+        With ``use_entity_index`` the entity predicates the hot store's
+        attribute index can serve resolve to id sets here, once, and both
+        tiers scan that narrowed filter: the hot tier serves the ids from
+        its postings, the cold tier prunes segments whose zone-map
+        subjects/objects miss them and cuts a surviving segment's rows by
+        id before any predicate runs.  The index covers every entity a
+        cold segment references: the registry is one across tiers, every
+        entity is indexed as it is registered (ingest, snapshot load and
+        WAL replay alike), and migration never drops one.
         """
+        if use_entity_index:
+            flt = narrow_with_index(flt, self.hot.entity_index)
         if kernel is None and not constant_false(flt):
             kernel = scan_kernel(flt)
-        hot = self.hot.scan_columns(
-            flt, use_entity_index=use_entity_index, kernel=kernel
-        )
+        hot = self.hot.scan_columns(flt, use_entity_index=False, kernel=kernel)
         cold_parts = self.cold.scan_selections(flt, kernel)
         if not cold_parts:
             return hot
@@ -229,14 +239,16 @@ class TieredStore:
         if not segments:
             return report
         keys = sorted(segments, key=lambda k: (k.day, k.agent_group))
+        # One manifest rewrite for the whole pass, after every file.
+        zones = self.cold.add_segments([(key, segments[key]) for key in keys])
         migrated: Set[int] = set()
         for key in keys:
-            zone = self.cold.add_segment(key, segments[key])
             migrated.update(segments[key].event_ids)
-            report.segments_written += 1
-            report.cold_bytes += (
-                (self.cold.directory / zone.filename).stat().st_size
-            )
+        report.segments_written = len(zones)
+        report.cold_bytes = sum(
+            (self.cold.directory / zone.filename).stat().st_size
+            for zone in zones
+        )
         with self.writer_lock:
             removed = self.hot.remove_events(migrated)
         report.events_migrated = removed

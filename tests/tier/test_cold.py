@@ -15,7 +15,7 @@ from repro.model.time import DAY, TimeWindow
 from repro.obs.trace import Trace, activate
 from repro.storage.blocks import ColumnBlock
 from repro.storage.codec import BLOCK_KIND, pack_frame, unpack_frame
-from repro.storage.filters import EventFilter
+from repro.storage.filters import AttrPredicate, EventFilter, PredicateLeaf
 from repro.storage.partition import PartitionKey
 from repro.tier import cold
 from repro.tier.cold import ColdTier, ColdTierError, ZoneMap
@@ -308,6 +308,133 @@ class TestOneDecodedBlockPerSegment:
             counted.append(trace.root.counters["cold_segments_decoded"])
         assert counted == [3, 0]
         assert tier.stats()["segments_decoded"] - before == 3
+
+
+class TestColdRowsVisited:
+    """The cold scan reports the in-window rows of its surviving segments
+    beside the rows it selects, on the span and in the registry."""
+
+    def test_span_and_counter_count_in_window_rows(
+        self, feed, tmp_path, monkeypatch
+    ):
+        tier = make_tier(feed, tmp_path, days=(0, 1, 2), per_day=4)
+        monkeypatch.setattr(cold.REGISTRY, "enabled", True)
+        counter = cold.REGISTRY.get("aiql_cold_rows_visited_total")
+        before = counter.value()
+        # Day 1 from its second event on; day 0 and day 2 are pruned.  The
+        # second scan's predicate matches no process: it visits the same
+        # rows and selects none.
+        window = TimeWindow(start=day_ts(1, 120.0), end=day_ts(1, 0.0) + DAY)
+        nobody = PredicateLeaf(AttrPredicate("exe_name", "=", "nosuch.exe"))
+        with activate(Trace()) as trace:
+            assert len(tier.scan(EventFilter(window=window))) == 3
+            assert tier.scan(EventFilter(window=window, subject_pred=nobody)) == []
+        counters = trace.root.counters
+        assert counters["cold_segments_pruned"] == 2 * 2
+        assert counters["cold_rows_visited"] == 2 * 3
+        assert counters["cold_rows_selected"] == 3
+        assert counter.value() - before == 2 * 3
+
+    def test_nothing_counted_untraced_with_metrics_off(
+        self, feed, tmp_path, monkeypatch
+    ):
+        tier = make_tier(feed, tmp_path, days=(0,))
+        monkeypatch.setattr(cold.REGISTRY, "enabled", False)
+        counter = cold.REGISTRY.get("aiql_cold_rows_visited_total")
+        before = counter.value()
+        assert len(tier.scan(EventFilter())) == 4
+        assert counter.value() == before
+
+
+def segment_items(feed, days=(0, 1, 2), agent=1, per_day=3):
+    """``(key, block)`` pairs, one segment per day, for ``add_segments``."""
+    items = []
+    for day in days:
+        events = [feed.emit(agent, day_ts(day, 120.0 * i)) for i in range(per_day)]
+        items.append(
+            (
+                PartitionKey(day=day_ordinal(day), agent_group=agent // 10),
+                ColumnBlock.from_events(events),
+            )
+        )
+    return items
+
+
+class TestBatchedPublication:
+    """``add_segments``: every file first, then one manifest rewrite."""
+
+    def test_one_manifest_write_per_batch(self, feed, tmp_path, monkeypatch):
+        tier = ColdTier(tmp_path / "cold", feed.ingestor.registry.get)
+        saves = []
+        save = ColdTier._save_manifest
+        monkeypatch.setattr(
+            ColdTier,
+            "_save_manifest",
+            lambda self, zones, next_id: saves.append(len(zones))
+            or save(self, zones, next_id),
+        )
+        zones = tier.add_segments(segment_items(feed))
+        assert saves == [3]
+        assert tier.zones == tuple(zones)
+
+    def test_manifest_and_files_match_one_by_one(self, feed, tmp_path):
+        items = segment_items(feed)
+        single = ColdTier(tmp_path / "single", feed.ingestor.registry.get)
+        for key, block in items:
+            single.add_segment(key, block)
+        batched = ColdTier(tmp_path / "batched", feed.ingestor.registry.get)
+        batched.add_segments(items)
+        assert (single.directory / "manifest.json").read_bytes() == (
+            batched.directory / "manifest.json"
+        ).read_bytes()
+        for zone in single.zones:
+            assert (single.directory / zone.filename).read_bytes() == (
+                batched.directory / zone.filename
+            ).read_bytes()
+
+    def test_empty_block_rejected_before_any_write(self, feed, tmp_path):
+        tier = ColdTier(tmp_path / "cold", feed.ingestor.registry.get)
+        items = segment_items(feed, days=(0,))
+        items.append((PartitionKey(day=0, agent_group=0), ColumnBlock()))
+        with pytest.raises(ValueError):
+            tier.add_segments(items)
+        assert list(tier.directory.iterdir()) == []
+
+    def test_failure_mid_batch_keeps_old_manifest_and_zones(
+        self, feed, tmp_path, monkeypatch
+    ):
+        tier = make_tier(feed, tmp_path, days=(0,))
+        manifest = (tier.directory / "manifest.json").read_bytes()
+        old_zones = tier.zones
+        before = tier.scan(EventFilter())
+        encode = cold.encode_block
+        calls = []
+
+        def failing(block, compress=False):
+            calls.append(len(block))
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return encode(block, compress=compress)
+
+        monkeypatch.setattr(cold, "encode_block", failing)
+        with pytest.raises(OSError):
+            tier.add_segments(segment_items(feed, days=(1, 2, 3)))
+        monkeypatch.setattr(cold, "encode_block", encode)
+        # Two files were written; no manifest names them.
+        written = {p.name for p in tier.directory.glob("*.seg")}
+        assert len(written) == 1 + 2
+        assert (tier.directory / "manifest.json").read_bytes() == manifest
+        assert tier.zones == old_zones
+        assert tier.scan(EventFilter()) == before
+        # Recovery reads the old zones; the orphans are invisible.
+        reopened = ColdTier(tmp_path / "cold", feed.ingestor.registry.get)
+        assert reopened.zones == old_zones
+        assert reopened.scan(EventFilter()) == before
+        # The failed batch did not advance the segment counter; the next
+        # batch publishes cleanly.
+        zones = reopened.add_segments(segment_items(feed, days=(4,)))
+        assert zones[0].filename.endswith("-000001.seg")
+        assert len(reopened.scan(EventFilter())) == len(before) + 3
 
 
 def mixed_segment_tier(feed, tmp_path, **kw):
