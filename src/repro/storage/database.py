@@ -169,6 +169,12 @@ class EventStore:
         self._event_count -= removed
         return removed
 
+    @property
+    def committed(self) -> int:
+        """The committed-event watermark: every batch whose ids reach no
+        higher has published in every partition it touches."""
+        return self._committed
+
     def time_range(self) -> Tuple[Optional[float], Optional[float]]:
         """(min, max) event start time over the hot partitions."""
         tables = list(self._partitions.values())

@@ -39,9 +39,11 @@ survive never pays object construction.  Segments are immutable, so a
 segment's survivors under one filter never change: an LRU of per-segment
 selections keyed by ``(segment file, filter fingerprint)`` answers a
 repeated scan of a surviving segment before the segment is fetched, and
-never needs invalidation: the fingerprint covers the index-resolved id
-sets, so a newly registered entity that matches a pattern changes its
-key.  Its entries pin their blocks, which is what
+never needs invalidation.  The key is the filter as the scan was asked
+for it, before index resolution: a segment's entities were all indexed
+before it was published, so the narrowed and the raw filter select the
+same rows of it, and an entity registered later changes no key.  Its
+entries pin their blocks, which is what
 keeps a query's working set decoded when it spans more segments than the
 decoded-block LRU holds.
 
@@ -328,11 +330,6 @@ class ColdTier:
 
     # -- writes -------------------------------------------------------------
 
-    def add_segment(self, key: PartitionKey, block: ColumnBlock) -> ZoneMap:
-        """Durably write one immutable segment and publish it
-        (:meth:`add_segments` of one)."""
-        return self.add_segments([(key, block)])[0]
-
     def add_segments(
         self, items: Sequence[Tuple[PartitionKey, ColumnBlock]]
     ) -> List[ZoneMap]:
@@ -434,7 +431,11 @@ class ColdTier:
         return Selection(block, positions)
 
     def scan_selections(
-        self, flt: EventFilter, kernel: Optional[ScanKernel] = None
+        self,
+        flt: EventFilter,
+        kernel: Optional[ScanKernel] = None,
+        narrowed: Optional[EventFilter] = None,
+        committed: Optional[int] = None,
     ) -> List[Selection]:
         """Per-segment survivor selections, zone-map pruned.
 
@@ -446,6 +447,21 @@ class ColdTier:
         ``(segment file, filter fingerprint)`` first — the fingerprint,
         too, is taken only once a segment survives — and fetched and
         scanned only on a miss.
+
+        A tiered scan passes ``narrowed``, ``flt`` with its entity
+        predicates resolved to id sets through the entity index
+        (:func:`~repro.storage.database.narrow_with_index`), and
+        ``committed``, the committed-event watermark it read before
+        resolving.  A segment whose events all lie at or below the
+        watermark references only entities indexed by then, so it is
+        pruned and scanned with ``narrowed``, which selects exactly what
+        ``flt`` does there.  A younger segment (compacted while the scan
+        ran) may hold an entity the resolution never saw: it is scanned
+        with ``flt`` and its rows above the watermark are dropped, as the
+        hot tier drops them, so a batch committed meanwhile is seen whole
+        or not at all.  The memo keys on ``flt`` either way, so an entity
+        registered later leaves the entries valid, and a pattern resolving
+        to many ids still caches.
         """
         zones = list(self._zones)  # snapshot against concurrent publishes
         selections: List[Selection] = []
@@ -455,26 +471,29 @@ class ColdTier:
         fingerprint: Optional[tuple] = None
         pruned = scanned = decoded = 0
         for zone in zones:
-            if not zone.may_match(flt):
+            young = committed is not None and zone.max_eid > committed
+            zone_flt = flt if young or narrowed is None else narrowed
+            if not zone.may_match(zone_flt):
                 pruned += 1
                 continue
             scanned += 1
             if chosen is None:
                 chosen = scan_kernel(flt, kernel)
                 if self._scan_cache_entries and not chosen.interpreted:
-                    # None for a giant narrowed id set: not worth caching
+                    # None for a giant scheduler-narrowed id set: not worth caching
                     fingerprint = cache_fingerprint(flt)
+            selection = None
             if fingerprint is not None:
                 key = (zone.filename, fingerprint)
-                cached = self._recall(key)
-                if cached is not None:
-                    selections.append(cached)
-                    continue
-            block, fresh = self._fetch(zone)
-            decoded += fresh
-            selection = self._scan_segment(block, flt, chosen)
-            if fingerprint is not None:
-                self._remember(key, selection)
+                selection = self._recall(key)
+            if selection is None:
+                block, fresh = self._fetch(zone)
+                decoded += fresh
+                selection = self._scan_segment(block, zone_flt, chosen)
+                if fingerprint is not None:
+                    self._remember(key, selection)
+            if young:
+                selection = selection.committed_only(committed)
             selections.append(selection)
         considered = len(zones)
         self.segments_considered += considered

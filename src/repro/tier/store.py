@@ -93,6 +93,10 @@ class TieredStore:
         self._compact_lock = threading.Lock()
         self.compactions = 0
         self.events_migrated = 0
+        # Segments already on disk hold events this hot store never
+        # committed (they were recovered, not compacted here): the scan
+        # watermark starts above them.
+        self._recovered_eid = cold.max_event_id()
 
     # -- delegation ---------------------------------------------------------
 
@@ -144,16 +148,35 @@ class TieredStore:
         cold segment references: the registry is one across tiers, every
         entity is indexed as it is registered (ingest, snapshot load and
         WAL replay alike), and migration never drops one.
+
+        An entity is indexed before its first batch commits, not before
+        the ids are resolved, so the narrowed filter is complete only for
+        what had committed by then.  The committed watermark is therefore
+        read before resolving, and both tiers drop rows above it (a cold
+        segment holding such rows is scanned with ``flt`` itself, see
+        :meth:`ColdTier.scan_selections`): a batch committing meanwhile
+        is seen whole or not at all, even when a compaction moves part of
+        it cold mid-scan.
         """
-        if use_entity_index:
-            flt = narrow_with_index(flt, self.hot.entity_index)
-        if kernel is None and not constant_false(flt):
-            kernel = scan_kernel(flt)
-        hot = self.hot.scan_columns(flt, use_entity_index=False, kernel=kernel)
-        cold_parts = self.cold.scan_selections(flt, kernel)
-        if not cold_parts:
+        hot_committed = self.hot.committed
+        committed = max(hot_committed, self._recovered_eid)
+        narrowed = (
+            narrow_with_index(flt, self.hot.entity_index)
+            if use_entity_index
+            else flt
+        )
+        if kernel is None and not constant_false(narrowed):
+            kernel = scan_kernel(narrowed)
+        hot = self.hot.scan_columns(narrowed, use_entity_index=False, kernel=kernel)
+        cold_parts = self.cold.scan_selections(flt, kernel, narrowed, committed)
+        hot_parts = hot.parts
+        if self.hot.committed != hot_committed:
+            # A batch committed during the scan; the hot store's own,
+            # later snapshot may have let it in.
+            hot_parts = [part.committed_only(committed) for part in hot_parts]
+        elif not cold_parts:
             return hot
-        return BlockScanResult(list(hot.parts) + cold_parts, dedup=True)
+        return BlockScanResult(list(hot_parts) + cold_parts, dedup=True)
 
     def scan(
         self,

@@ -321,8 +321,8 @@ def test_wal_stops_cleanly_at_any_cut_or_flipped_bit(tmp_path):
 def test_cold_segment_damage_is_a_cold_tier_error(tmp_path_factory, data):
     directory = tmp_path_factory.mktemp("cold")
     tier = ColdTier(directory, lambda entity_id: None)
-    zone = tier.add_segment(
-        PartitionKey(day=0, agent_group=0), ColumnBlock.from_events(SAMPLE)
+    (zone,) = tier.add_segments(
+        [(PartitionKey(day=0, agent_group=0), ColumnBlock.from_events(SAMPLE))]
     )
     path = directory / zone.filename
     raw = path.read_bytes()

@@ -64,8 +64,8 @@ def corpus(tmp_path_factory):
                 for i in range(6)
             ]
             ordinal = int(day_ts(day) // DAY)
-            tier.add_segment(
-                PartitionKey(ordinal, agent // 10), ColumnBlock.from_events(events)
+            tier.add_segments(
+                [(PartitionKey(ordinal, agent // 10), ColumnBlock.from_events(events))]
             )
     pool = filter_pool(feed)
     with use_kernels(False):

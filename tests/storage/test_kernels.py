@@ -983,7 +983,7 @@ class TestScanTimeNarrowing:
         table.append_block(batch)
         with tempfile.TemporaryDirectory() as directory:
             cold = ColdTier(directory, lookup)
-            cold.add_segment(PartitionKey(0, 0), batch)
+            cold.add_segments([(PartitionKey(0, 0), batch)])
             for window, subject_ids, object_ids in narrowings:
                 flt = replace(
                     static,

@@ -35,7 +35,7 @@ def make_tier(feed, tmp_path, days=(0, 1, 2), agents=(1,), per_day=4, **kw):
                 feed.emit(agent, day_ts(day, 120.0 * i)) for i in range(per_day)
             ]
             key = PartitionKey(day=day_ordinal(day), agent_group=agent // 10)
-            tier.add_segment(key, ColumnBlock.from_events(events))
+            tier.add_segments([(key, ColumnBlock.from_events(events))])
     return tier
 
 
@@ -59,7 +59,7 @@ class TestSegmentRoundTrip:
     def test_empty_segment_rejected(self, feed, tmp_path):
         tier = ColdTier(tmp_path / "cold", feed.ingestor.registry.get)
         with pytest.raises(ValueError):
-            tier.add_segment(PartitionKey(day=0, agent_group=0), ColumnBlock())
+            tier.add_segments([(PartitionKey(day=0, agent_group=0), ColumnBlock())])
 
     def test_corrupt_manifest_is_loud(self, feed, tmp_path):
         make_tier(feed, tmp_path, days=(0,))
@@ -381,7 +381,7 @@ class TestBatchedPublication:
         items = segment_items(feed)
         single = ColdTier(tmp_path / "single", feed.ingestor.registry.get)
         for key, block in items:
-            single.add_segment(key, block)
+            single.add_segments([(key, block)])
         batched = ColdTier(tmp_path / "batched", feed.ingestor.registry.get)
         batched.add_segments(items)
         assert (single.directory / "manifest.json").read_bytes() == (
@@ -448,10 +448,8 @@ def mixed_segment_tier(feed, tmp_path, **kw):
     events += [feed.emit(1, day_ts(0, 300.0 + 60.0 * i), "read") for i in range(2)]
     events.append(ingestor.emit(1, day_ts(0, 600.0), "connect", proc, conn))
     events += [feed.emit(2, day_ts(0, 7200.0 + 60.0 * i)) for i in range(3)]
-    tier.add_segment(
-        PartitionKey(day=day_ordinal(0), agent_group=0),
-        ColumnBlock.from_events(events),
-    )
+    key = PartitionKey(day=day_ordinal(0), agent_group=0)
+    tier.add_segments([(key, ColumnBlock.from_events(events))])
     return tier, events
 
 

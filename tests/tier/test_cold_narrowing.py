@@ -11,7 +11,10 @@ kernel cuts a surviving segment's rows by id.  These tests pin:
 * a segment whose zone-map subjects miss the resolved ids is never
   fetched;
 * the index still covers entities only cold segments reference after a
-  full restart (snapshot + WAL + cold).
+  full restart (snapshot + WAL + cold);
+* a batch that commits while a scan runs (and stays hot, is compacted
+  cold, or is split across the tiers) is seen whole or not at all, and
+  the selection memo keys on the filter before resolution.
 """
 
 import pytest
@@ -23,7 +26,8 @@ from repro.model.time import DAY
 from repro.storage.database import EventStore, narrow_with_index
 from repro.storage.filters import AttrPredicate, EventFilter, PredicateLeaf
 from repro.storage.ingest import Ingestor
-from repro.tier.cold import ColdTier
+from repro.tier import store as tier_store
+from repro.tier.cold import CACHEABLE_ID_SET_LIMIT, ColdTier
 from repro.tier.store import TieredStore
 from repro.workload.corpus import ALL_QUERIES
 from repro.workload.loader import build_enterprise
@@ -207,20 +211,32 @@ class TestZonePruningById:
         assert store.scan(exe_is("nosuch.exe")) == []
         assert fetched == []
 
-    def test_memo_keys_on_resolved_ids(self, tmp_path):
+
+def exe_like(pattern: str) -> EventFilter:
+    return EventFilter(
+        subject_pred=PredicateLeaf(AttrPredicate("exe_name", "=", pattern))
+    )
+
+
+def memo_tiered(tmp_path, retention_days=1):
+    """An empty tiered store with the selection memo on, and its feed."""
+    ingestor = Ingestor()
+    hot = EventStore(registry=ingestor.registry)
+    cold = ColdTier(tmp_path / "cold", ingestor.registry.get)
+    store = TieredStore(hot, cold, retention_days=retention_days)
+    ingestor.attach(store)
+    return store, EventFeed(ingestor)
+
+
+class TestSelectionMemo:
+    def test_new_matching_entity_keeps_the_memo(self, tmp_path):
         # A LIKE pattern's resolution grows when a newly registered entity
-        # matches it; the memo keys on the resolved ids, so the scan after
-        # that runs under a new key and finds the old segments' matches
-        # and the new entity's alike.
-        ingestor = Ingestor()
-        hot = EventStore(registry=ingestor.registry)
-        cold = ColdTier(tmp_path / "cold", ingestor.registry.get)
-        store = TieredStore(hot, cold, retention_days=1)
-        ingestor.attach(store)
-        feed = EventFeed(ingestor)
-        like = EventFilter(
-            subject_pred=PredicateLeaf(AttrPredicate("exe_name", "=", "%.exe"))
-        )
+        # matches it.  The memo keys on the filter before resolution, so
+        # the old segments' entries keep answering, and the new entity's
+        # events, in a segment published since, are found as well.
+        store, feed = memo_tiered(tmp_path)
+        cold, ingestor = store.cold, feed.ingestor
+        like = exe_like("%.exe")
         for day in range(3):
             feed.emit(1, day_ts(day))
         store.compact()
@@ -232,10 +248,126 @@ class TestZonePruningById:
         fobj = ingestor.file(1, "/tmp/other.log")
         ingestor.emit(1, day_ts(0, 7200.0), "write", other, fobj)
         store.compact(now=day_ts(2))
-        assert len(hot) == 1
+        assert len(store.hot) == 1
+        hits = cold.scan_cache_hits
         again = store.scan(like)
+        assert cold.scan_cache_hits - hits == 2  # the two older segments
         assert len(again) == 4
         assert ids(again) == ids(store.scan(like, use_entity_index=False))
+
+    def test_broad_resolution_still_caches(self, tmp_path):
+        # A pattern resolving to more ids than a scheduler join set may
+        # carry into the memo key still caches: the key holds no ids.
+        store, feed = memo_tiered(tmp_path)
+        ingestor = feed.ingestor
+        fobj = ingestor.file(1, "/tmp/many.log")
+        for pid in range(CACHEABLE_ID_SET_LIMIT + 10):
+            proc = ingestor.process(1, 1000 + pid, f"tool{pid}.exe")
+            ingestor.emit(1, day_ts(0, 10.0 * pid), "write", proc, fobj)
+        feed.emit(1, day_ts(2))
+        store.compact()
+        like = exe_like("tool%")
+        resolved = narrow_with_index(like, store.entity_index).subject_ids
+        assert len(resolved) > CACHEABLE_ID_SET_LIMIT
+        first = store.scan(like)
+        assert len(first) == len(resolved)
+        hits = store.cold.scan_cache_hits
+        assert store.scan(like) == first
+        assert store.cold.scan_cache_hits > hits
+
+
+def run_once(during):
+    """A wrapper for ``inner`` that calls ``during()`` once, right after
+    the first call of ``inner`` returns."""
+    pending = [during]
+
+    def wrap(inner):
+        def racing(*args, **kwargs):
+            result = inner(*args, **kwargs)
+            while pending:
+                pending.pop()()
+            return result
+
+        return racing
+
+    return wrap
+
+
+class TestResolutionRaces:
+    """A batch that commits while a tiered scan runs is seen whole or not
+    at all, wherever the scan is when it lands."""
+
+    def commit_with_newcomer(self, feed, days):
+        """Commit one batch: a row of the known ``worker1.exe`` and one of
+        a ``worker9.exe`` registered just now, on two agents of one agent
+        group (rows of one day land in one partition, one segment)."""
+        ingestor = feed.ingestor
+        proc, fobj = feed.entities(1)
+        newcomer = ingestor.process(2, 909, "worker9.exe")
+        nfile = ingestor.file(2, "/tmp/new.log")
+        events = [
+            ingestor.build_event(1, day_ts(days[0], 600.0), "write", proc, fobj),
+            ingestor.build_event(2, day_ts(days[1], 900.0), "write", newcomer, nfile),
+        ]
+        ingestor.commit(events)
+        return {e.event_id for e in events}
+
+    def scan_racing(self, store, monkeypatch, target, attr, during):
+        """The ids a ``worker%`` scan sees when ``during()`` runs right
+        after its first call of ``target.attr``."""
+        monkeypatch.setattr(target, attr, run_once(during)(getattr(target, attr)))
+        return {e.event_id for e in store.scan(exe_like("worker%"))}
+
+    @pytest.mark.parametrize("compact", [False, True], ids=["hot", "compacted"])
+    def test_batch_committed_after_resolving(self, tmp_path, monkeypatch, compact):
+        # Right after the ids resolve: the newcomer's rows would be lost
+        # to the narrowed filter, in the hot store or, once compacted, in
+        # a segment the scan meets.
+        store, feed = memo_tiered(tmp_path)
+        for day in (0, 2):
+            feed.emit(1, day_ts(day))
+        store.compact()
+        batch = set()
+        segments = len(store.cold.zones)
+
+        def commit():
+            batch.update(self.commit_with_newcomer(feed, (0, 0)))
+            if compact:
+                store.compact()
+
+        first = self.scan_racing(
+            store, monkeypatch, tier_store, "narrow_with_index", commit
+        )
+        assert len(batch) == 2
+        assert len(store.cold.zones) == segments + compact
+        assert first & batch in (set(), batch)
+        hits = store.cold.scan_cache_hits
+        assert batch <= {e.event_id for e in store.scan(exe_like("worker%"))}
+        if compact:
+            # The young segment was memoized under the raw filter, whole.
+            assert store.cold.scan_cache_hits > hits
+
+    def test_batch_split_across_tiers_mid_scan(self, tmp_path, monkeypatch):
+        # After the hot scan and before the cold one, a batch on an old
+        # and a new day commits and its old-day row is compacted cold: the
+        # hot scan never saw the new-day row, so the cold one must not
+        # show the old-day row.
+        store, feed = memo_tiered(tmp_path)
+        for day in (0, 3):
+            feed.emit(1, day_ts(day))
+        store.compact()
+        batch = set()
+
+        def commit_and_compact():
+            batch.update(self.commit_with_newcomer(feed, (0, 3)))
+            store.compact()
+
+        first = self.scan_racing(
+            store, monkeypatch, store.hot, "scan_columns", commit_and_compact
+        )
+        assert len(batch) == 2 and len(store.hot) == 2  # one row moved cold
+        assert first & batch in (set(), batch)
+        assert batch <= {e.event_id for e in store.scan(exe_like("worker%"))}
 
 
 class TestRestartCoverage:

@@ -271,8 +271,8 @@ class TestRecoveryBuildsNoRows:
         store = system.store
         day0 = [e for e in store.hot if e.start_time < day_ts(1, 0.0)]
         key = store.partition_scheme.key_for(1, day0[0].start_time)
-        store.cold.add_segment(
-            key, ColumnBlock.from_events([e for e in day0 if e.agent_id == 1])
+        store.cold.add_segments(
+            [(key, ColumnBlock.from_events([e for e in day0 if e.agent_id == 1]))]
         )
         reference = content(system)
         del system, store  # crash before the hot removal
@@ -306,7 +306,7 @@ class TestReconciliation:
         # ... then a migration publishes its cold segment and crashes
         # before the hot removal (and before any further checkpoint)
         key = store.partition_scheme.key_for(1, old_day[0].start_time)
-        store.cold.add_segment(key, ColumnBlock.from_events(old_day))
+        store.cold.add_segments([(key, ColumnBlock.from_events(old_day))])
         wal.close()
 
         ingestor2 = Ingestor()

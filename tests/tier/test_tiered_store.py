@@ -220,8 +220,8 @@ class TestFullScan:
         expected = store.hot.full_scan(EventFilter())
         day0 = [e for e in store.hot if e.start_time < day_ts(1, 0.0)]
         key = store.partition_scheme.key_for(1, day0[0].start_time)
-        store.cold.add_segment(
-            key, ColumnBlock.from_events([e for e in day0 if e.agent_id == 1])
+        store.cold.add_segments(
+            [(key, ColumnBlock.from_events([e for e in day0 if e.agent_id == 1]))]
         )
         got = store.full_scan(EventFilter())
         assert got == sorted(got, key=lambda e: (e.start_time, e.event_id))
