@@ -102,14 +102,14 @@ class TestPartitionPruningAblation:
     def test_partitioned_scan(self, benchmark, enterprise):
         store = enterprise.store("partitioned")
         events = benchmark.pedantic(
-            lambda: store.scan(self.FLT), rounds=5, iterations=1
+            lambda: store.scan_columns(self.FLT).events(), rounds=5, iterations=1
         )
         assert events
 
     def test_flat_scan(self, benchmark, enterprise):
         store = enterprise.store("flat")
         events = benchmark.pedantic(
-            lambda: store.scan(self.FLT), rounds=5, iterations=1
+            lambda: store.scan_columns(self.FLT).events(), rounds=5, iterations=1
         )
         assert events
 
@@ -147,6 +147,6 @@ class TestSegmentCountSweep:
         assert isinstance(store, SegmentedStore)
         flt = EventFilter(window=TimeWindow(APT_DAY, APT_DAY + DAY))
         events = benchmark.pedantic(
-            lambda: store.scan(flt), rounds=3, iterations=1
+            lambda: store.scan_columns(flt).events(), rounds=3, iterations=1
         )
         assert events

@@ -90,7 +90,7 @@ def bench_push_throughput(enterprise) -> dict:
     # Replay in data-time order (the loader appends the attack scenarios
     # after all background days, so id order would push them pre-expired).
     events = sorted(
-        enterprise.store("partitioned").scan(EventFilter()),
+        enterprise.store("partitioned").scan_columns(EventFilter()).events(),
         key=lambda e: (e.start_time, e.event_id),
     )
     # One-day horizon (matching AlertReplay): the corpus compresses a day

@@ -132,12 +132,12 @@ def bench_recovery(rate: int, root: Path) -> dict:
         )
         total = len(system.store)
         flt = EventFilter()
-        healthy_ms = median_ms(lambda: system.store.scan(flt))
+        healthy_ms = median_ms(lambda: system.store.scan_columns(flt).events())
 
         victim = 2
         _kill_worker(system.store, victim)
         started = time.perf_counter()
-        rows = system.store.scan(flt)  # dead pipe -> inline recovery
+        rows = system.store.scan_columns(flt).events()  # dead pipe -> inline recovery
         recovery_s = time.perf_counter() - started
         health = system.stats()["shard_health"]
         return {
@@ -178,7 +178,7 @@ def bench_durability(root: Path) -> dict:
             failed = (batch, exc)
     acked_ids = {e.event_id for batch in committed for e in batch}
     torn_ids = {e.event_id for e in failed[0]} if failed else set()
-    scanned = {e.event_id for e in store.scan(EventFilter())}
+    scanned = {e.event_id for e in store.scan_columns(EventFilter()).events()}
     health = store.stats()["shard_health"]
     store.close()
 
@@ -192,7 +192,9 @@ def bench_durability(root: Path) -> dict:
         ),
     )
     try:
-        survived = {e.event_id for e in reopened.scan(EventFilter())}
+        survived = {
+            e.event_id for e in reopened.scan_columns(EventFilter()).events()
+        }
     finally:
         reopened.close()
     lost_batches = sum(

@@ -117,11 +117,13 @@ def build_sharded(rate: int, shards: int, data_dir=None, retention=None):
 
 def bench_scatter_scan(sharded: dict, reference) -> dict:
     flt = compile_query(SELECTIVE_PATTERN).patterns[0].filter
-    expected = by_time(reference.scan(flt, use_entity_index=False))
+    expected = by_time(reference.scan_columns(flt, use_entity_index=False).events())
     cells = {}
     base_ms = None
     for shards, system in sorted(sharded.items()):
-        run = lambda: system.store.scan(flt, use_entity_index=False)  # noqa: E731
+        run = lambda: system.store.scan_columns(  # noqa: E731
+            flt, use_entity_index=False
+        ).events()
         rows = run()  # gathered results arrive already (t0, id)-sorted
         ms = median_ms(run)
         if shards == 1:
@@ -206,8 +208,10 @@ def bench_compacted(rate: int, root: Path, reference) -> dict:
     try:
         report = system.store.compact(retention_days=RETENTION_DAYS)
         flt = compile_query(SELECTIVE_PATTERN).patterns[0].filter
-        expected = by_time(reference.scan(flt, use_entity_index=False))
-        run = lambda: system.store.scan(flt, use_entity_index=False)  # noqa: E731
+        expected = by_time(reference.scan_columns(flt, use_entity_index=False).events())
+        run = lambda: system.store.scan_columns(  # noqa: E731
+            flt, use_entity_index=False
+        ).events()
         rows = run()
         return {
             "median_ms": round(median_ms(run), 3),

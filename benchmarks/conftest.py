@@ -25,6 +25,7 @@ from repro.engine.executor import MultieventExecutor
 from repro.lang.ast import DependencyQuery
 from repro.lang.context import compile_multievent
 from repro.lang.parser import parse
+from repro.storage.filters import EventFilter
 from repro.workload.loader import build_enterprise
 
 DEFAULT_BENCH_RATE = 1000
@@ -56,7 +57,9 @@ def engines(enterprise):
     """Every engine of the evaluation, over identical data."""
     partitioned = enterprise.store("partitioned")
     flat = enterprise.store("flat")
-    graph = GraphStore.from_events(enterprise.registry, iter(flat))
+    graph = GraphStore.from_events(
+        enterprise.registry, flat.scan_columns(EventFilter()).events()
+    )
     return {
         # end-to-end systems (Table 3 / Fig. 5)
         "aiql": MultieventExecutor(partitioned, scheduling="relationship"),

@@ -90,20 +90,20 @@ def run_query(
 
     The one execution entry shared by :class:`repro.AIQLSystem` (query,
     execute, EXPLAIN ANALYZE), the query service and the shard worker, and
-    the one place routing lives.  On a store that routes (a sharded
-    deployment), a query whose every pattern one shard owns runs whole on
-    that shard when ``key`` — its canonical text, which is what ships — is
-    given; precompiled contexts (``key=None``), multi-owner queries and
-    queries the owner cannot answer run here, one scan at a time.  Either
-    way, the completeness records the store logs during the execution
-    (degraded or lossy shards) land in ``result.meta["completeness"]``.
+    the one place routing lives.  On a store that routes (``store.route``
+    is not ``None``: a sharded deployment), a query whose every pattern
+    one shard owns runs whole on that shard when ``key`` — its canonical
+    text, which is what ships — is given; precompiled contexts
+    (``key=None``), multi-owner queries and queries the owner cannot
+    answer run here, one scan at a time.  Either way, the completeness
+    records the store logs during the execution (degraded or lossy
+    shards) land in ``result.meta["completeness"]``.
     """
-    marker = getattr(store, "completeness_mark", None)
+    marker = store.completeness_mark
     mark = marker() if marker is not None else None
     ran = None
-    route = getattr(store, "route", None)
-    if key is not None and route is not None:
-        shard = route(ctx)
+    if key is not None and store.route is not None:
+        shard = store.route(ctx)
         if shard is not None:
             ran = store.run_routed(shard, key, scheduling)
     if ran is None:

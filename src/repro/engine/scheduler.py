@@ -238,7 +238,7 @@ class RelationshipScheduler(_SchedulerBase):
         hold, not the full store size.  Sharded views have no entity
         index.
         """
-        entity_index = getattr(self.store, "entity_index", None)
+        entity_index = self.store.entity_index
         if entity_index is None:
             return self.store.estimated_events(pattern.filter)
         from repro.storage.database import narrow_with_index

@@ -4,7 +4,7 @@
 ``(day, agent-group)`` key the partitioned store and the cold tier
 already use, across N ``spawn``-started worker processes
 (:mod:`repro.shard.worker`).  It exposes the common store surface
-(``register_entity`` / ``add_block`` / ``scan_columns`` / ``scan`` /
+(``register_entity`` / ``add_block`` / ``scan_columns`` /
 ``estimated_events`` / ``stats`` / ...), so everything above it —
 :class:`~repro.engine.executor.MultieventExecutor`, the scheduler's
 constrained re-query narrowing, the query service, streaming sessions —
@@ -24,9 +24,9 @@ like a scatter reply.  Multi-owner queries, precompiled contexts and a
 query whose owner cannot answer take the scatter path.
 
 Worker commands: ``batch`` (ingest), ``entities`` (registry broadcast),
-``scan`` (one scatter scan), ``query`` (one routed query), ``full_scan``,
-``estimate``, ``time_range``, ``compact``, ``checkpoint``, ``stats``,
-``metrics``, ``ping`` and ``stop``.
+``scan`` (one scatter scan), ``query`` (one routed query), ``estimate``,
+``time_range``, ``compact``, ``checkpoint``, ``stats``, ``metrics``,
+``ping`` and ``stop``.
 
 Ingest is columnar end to end: a commit reaches :meth:`ShardedStore.
 add_block` as one :class:`~repro.storage.blocks.ColumnBlock`, the shard of
@@ -83,7 +83,6 @@ from dataclasses import dataclass, replace
 from typing import (
     Deque,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -95,7 +94,6 @@ from repro.engine.result import ResultSet
 from repro.engine.scheduler import SchedulerStats
 from repro.lang.context import QueryContext
 from repro.model.entities import Entity
-from repro.model.events import SystemEvent
 from repro.obs import REGISTRY, active_trace, trace_span
 from repro.shard.chaos import FaultPlan, plan_from_env
 from repro.shard.supervisor import ShardSupervisor
@@ -221,7 +219,6 @@ _IDEMPOTENT = frozenset(
     {
         "scan",
         "query",
-        "full_scan",
         "estimate",
         "time_range",
         "stats",
@@ -244,6 +241,10 @@ class ShardedStore:
     workers computing concurrently *within* a round, which is the point
     of sharding.
     """
+
+    # Shards hold the entity indexes; the scheduler's cardinality model
+    # estimates through ``estimated_events``.
+    entity_index = None
 
     def __init__(self, ingestor: Ingestor, config) -> None:
         if config.shards < 1:
@@ -969,21 +970,6 @@ class ShardedStore:
         result.completeness = completeness
         return result
 
-    def scan(
-        self,
-        flt: EventFilter,
-        use_entity_index: bool = True,
-    ) -> List[SystemEvent]:
-        return self.scan_columns(flt, use_entity_index).events()
-
-    def full_scan(self, flt: EventFilter) -> List[SystemEvent]:
-        """Pruning- and index-free scatter scan (the soundness oracle)."""
-        payloads = self._scatter(("full_scan", flt), self.scan_timeout_s)
-        parts = [decode_result(payloads[shard]) for shard in sorted(payloads)]
-        merged = BlockScanResult([s for s in parts if s is not None]).events()
-        torn = self._torn
-        return [e for e in merged if e.event_id not in torn]
-
     def estimated_events(self, flt: EventFilter) -> int:
         return sum(self._scatter(("estimate", flt)).values())
 
@@ -1070,10 +1056,6 @@ class ShardedStore:
 
     def __len__(self) -> int:
         return self._event_count
-
-    def __iter__(self) -> Iterator[SystemEvent]:
-        """All committed events, in (start_time, event_id) order."""
-        return iter(self.scan_columns(EventFilter()).events())
 
     @property
     def supervisor(self) -> ShardSupervisor:

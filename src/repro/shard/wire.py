@@ -4,7 +4,7 @@ Besides the ingest ``batch`` command — whose payload is a bare block frame
 of :mod:`repro.storage.codec`, cut and encoded by the coordinator — one
 payload kind crosses the worker pipes, a plain picklable dict of ``bytes``
 (no live objects, no code): **scan results** (shard -> coordinator), the
-survivor rows of a scatter scan or of a pruning-free ``full_scan`` as one
+survivor rows of a scatter scan as one
 :class:`~repro.storage.blocks.ColumnBlock` slice in (start_time, event_id)
 order, packed as one raw block frame of :mod:`repro.storage.codec` — the
 same bytes a WAL record or a cold segment holds.

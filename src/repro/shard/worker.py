@@ -18,15 +18,13 @@ shard can match — through :func:`repro.engine.run_query` over a
 :class:`CappedStore` view, and answers ``(columns, rows, meta, stats,
 scans)``, or ``None`` when execution raised (the coordinator then runs it
 on the scatter path, where the error surfaces with its own type).
-``full_scan``, the pruning-free test oracle, answers in the scan reply's
-block frame.  The other commands are ``entities``, ``estimate``,
-``time_range``, ``compact``, ``checkpoint``, ``stats``, ``metrics``,
-``ping`` and ``stop``.  Every
-command is answered with ``("ok", payload)`` or ``("err", message)`` —
-errors are contained per command, never crash the worker, and surface
-in the coordinator as raised exceptions.  On startup the worker sends
-one *hello* carrying its recovery state (entity records in id order,
-next event id, per-agent seq maxima, event count), which the
+The other commands are ``entities``, ``estimate``, ``time_range``,
+``compact``, ``checkpoint``, ``stats``, ``metrics``, ``ping`` and
+``stop``.  Every command is answered with ``("ok", payload)`` or
+``("err", message)`` — errors are contained per command, never crash the
+worker, and surface in the coordinator as raised exceptions.  On startup
+the worker sends one *hello* carrying its recovery state (entity records
+in id order, next event id, per-agent seq maxima, event count), which the
 coordinator merges across shards; each shard replays its own WAL.
 
 Workers are started with the ``spawn`` method: a forked child would
@@ -45,7 +43,7 @@ from repro.obs import REGISTRY, set_metrics_enabled
 from repro.service.pool import shutdown_shared_executor
 from repro.shard.chaos import ChaosAgent, Fault
 from repro.shard.wire import capped_result, encode_result
-from repro.storage.blocks import BlockScanResult, ColumnBlock, Selection
+from repro.storage.blocks import BlockScanResult
 from repro.storage.codec import decode_block
 from repro.storage.database import EventStore
 from repro.storage.filters import EventFilter
@@ -86,9 +84,15 @@ class CappedStore:
     rows, in the (start_time, event_id) order, a scatter reply carries.  So
     the routed answer equals the scatter answer row for row, and ``scans``
     counts the scatter scans this shard would have answered.  Like the
-    coordinator, the view has no ``entity_index``: the scheduler's
-    cardinality model estimates through ``estimated_events``.
+    coordinator, the view's ``entity_index`` is ``None``: the scheduler's
+    cardinality model estimates through ``estimated_events``.  It neither
+    routes nor logs completeness (``route`` and ``completeness_mark`` are
+    ``None``): the query already runs on its owner.
     """
+
+    entity_index = None
+    route = None
+    completeness_mark = None
 
     def __init__(
         self, store, spec: ShardSpec, watermark: int, exclude: Optional[frozenset]
@@ -132,13 +136,6 @@ def _run_routed(store, spec, text, scheduling, watermark, exclude):
     except Exception:
         return None
     return result.columns, result.rows, result.meta, stats, view.scans
-
-
-def full_scan_reply(store, flt: EventFilter) -> dict:
-    """The ``full_scan`` command: the store's pruning-free survivors in the
-    block frame a scan reply uses (the coordinator drops torn ids)."""
-    block = ColumnBlock.from_events(store.full_scan(flt))
-    return encode_result(BlockScanResult([Selection(block, range(len(block)))]))
 
 
 def shard_worker_main(conn, spec: ShardSpec) -> None:
@@ -223,8 +220,6 @@ def shard_worker_main(conn, spec: ShardSpec) -> None:
                 )
             elif command == "query":
                 reply = _run_routed(store, spec, *args)
-            elif command == "full_scan":
-                reply = full_scan_reply(store, args[0])
             elif command == "estimate":
                 reply = store.estimated_events(args[0])
             elif command == "time_range":

@@ -33,7 +33,7 @@ from repro.storage.index import (
 )
 from repro.storage.ingest import IngestError, Ingestor
 from repro.storage.partition import PartitionKey, PartitionScheme
-from repro.storage.persist import SnapshotError, load_snapshot, save_snapshot
+from repro.storage.persist import SnapshotError, load_snapshot
 from repro.storage.table import EventTable
 
 __all__ = [
@@ -57,6 +57,5 @@ __all__ = [
     "conjoin",
     "like_to_regex",
     "load_snapshot",
-    "save_snapshot",
     "top_level_equalities",
 ]

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import AbstractSet, Dict, Iterator, List, Optional, Tuple
 
 from repro.model.entities import Entity, EntityRegistry, EntityType
-from repro.model.events import SystemEvent
 from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions, Selection
 from repro.storage.filters import EventFilter, top_level_equalities
 from repro.obs.metrics import REGISTRY
@@ -85,7 +84,15 @@ class EventStore:
     raised only after every partition of the batch has published.  A scan
     racing a multi-partition commit therefore sees the whole batch or none
     of it — never one partition's share without another's.
+
+    :meth:`scan_columns` is the one read; :meth:`column_blocks` is the raw,
+    pruning-free view a checkpoint writes.  An in-process store neither
+    routes queries nor logs degraded reads, so ``route`` and
+    ``completeness_mark`` are ``None`` (a sharded store defines both).
     """
+
+    route = None
+    completeness_mark = None
 
     def __init__(
         self,
@@ -214,8 +221,8 @@ class EventStore:
 
         The block-native scan: nothing is materialized here — callers read
         join keys, narrowing values and time bounds straight off the
-        columns and only final results become rows (:meth:`scan` is this
-        plus materialization).
+        columns and only final results become rows (``.events()`` on the
+        result).
 
         ``use_entity_index=False`` disables the attribute hash indexes and
         models engines whose B-tree indexes cannot serve leading-wildcard
@@ -305,40 +312,10 @@ class EventStore:
             span.add("partitions_scanned", scanned)
             span.add("partitions_pruned", pruned)
 
-    def scan(
-        self,
-        flt: EventFilter,
-        use_entity_index: bool = True,
-    ) -> List[SystemEvent]:
-        """All events matching ``flt``, sorted by (start_time, event_id).
-
-        Materializing wrapper over :meth:`scan_columns` (same semantics,
-        row objects built for every survivor).
-        """
-        return self.scan_columns(flt, use_entity_index).events()
-
-    def full_scan(self, flt: EventFilter) -> List[SystemEvent]:
-        """Index- and pruning-free scan; the soundness oracle for tests."""
-        committed = self._committed
-        matched: List[SystemEvent] = []
-        for table in list(self._partitions.values()):
-            matched.extend(
-                e for e in table.full_scan(flt) if e.event_id <= committed
-            )
-        matched.sort(key=lambda e: (e.start_time, e.event_id))
-        return matched
-
     # -- introspection -----------------------------------------------------
 
     def __len__(self) -> int:
         return self._event_count
-
-    def __iter__(self) -> Iterator[SystemEvent]:
-        committed = self._committed
-        for key in sorted(list(self._partitions), key=lambda k: (k.day, k.agent_group)):
-            for event in self._partitions[key]:
-                if event.event_id <= committed:
-                    yield event
 
     def column_blocks(self) -> Iterator[Tuple[ColumnBlock, int]]:
         """``(block, visible rows)`` per partition, in key order.

@@ -30,7 +30,7 @@ Each plan pattern owns one kernel
 life of the plan and run by every scan of the pattern, narrowed or not,
 and by every plan bound from it whose thresholds did not move.  A caller
 without a plan (a shard worker answering a wire filter, a direct
-``store.scan(flt)``) compiles per call.
+``store.scan_columns(flt)``) compiles per call.
 
 ``select`` runs passes over the raw columns of a
 :class:`~repro.storage.blocks.ColumnBlock`, cheapest first, each shrinking

@@ -14,9 +14,9 @@ each length-prefixed and checksummed —
 * entity frames: the deflated JSON list of :func:`entity_record` dicts, in
   id order, ``_CHUNK_ROWS`` entities to a frame (entities are irregular and
   a fraction of the volume; events are the volume);
-* block frames, deflated: one per hot table when a checkpoint writes it
-  (straight from the table's columns — no :class:`SystemEvent` is built),
-  one per ``_CHUNK_ROWS`` events when a plain iterable is saved.
+* block frames, deflated: one per hot table a checkpoint writes
+  (straight from the table's columns — no
+  :class:`~repro.model.events.SystemEvent` is built).
 
 The loader trusts nothing it has not counted: a file cut anywhere, a
 flipped bit or trailing bytes raise :class:`SnapshotError`, never a
@@ -36,12 +36,11 @@ with the write-ahead log (:mod:`repro.tier.wal`) and the shard pipe
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import struct
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from repro.model.entities import (
     Entity,
@@ -52,7 +51,6 @@ from repro.model.entities import (
     ProcessEntity,
     RegistryEntity,
 )
-from repro.model.events import SystemEvent
 from repro.storage.blocks import ColumnBlock
 from repro.storage.codec import (
     ENTITY_KIND,
@@ -154,18 +152,6 @@ def write_snapshot(
         tmp.unlink(missing_ok=True)
         raise
     return count
-
-
-def _chunked(events: Iterable[SystemEvent]) -> Iterator[Tuple[ColumnBlock, int]]:
-    events = iter(events)
-    while chunk := list(itertools.islice(events, _CHUNK_ROWS)):
-        yield ColumnBlock.from_events(chunk), len(chunk)
-
-
-def save_snapshot(path, registry: EntityRegistry, events: Iterable[SystemEvent]) -> int:
-    """:func:`write_snapshot` for a plain event iterable (consumed lazily,
-    ``_CHUNK_ROWS`` events per block frame)."""
-    return write_snapshot(path, registry, _chunked(events))
 
 
 def rebuild_entity(registry: EntityRegistry, record: dict) -> Entity:

@@ -39,15 +39,12 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterable,
-    Iterator,
     List,
     Optional,
     Set,
 )
 
 from repro.model.entities import Entity, EntityType
-from repro.model.events import SystemEvent
 from repro.storage.blocks import ColumnBlock, Positions, Selection
 from repro.storage.filters import EventFilter, top_level_equalities
 from repro.storage.index import EntityAttributeIndex, SortedTimeIndex
@@ -129,12 +126,6 @@ class EventTable:
 
     def __len__(self) -> int:
         return self._visible
-
-    def __iter__(self) -> Iterator[SystemEvent]:
-        return iter(self._block.events(self._visible))
-
-    def events_at(self, positions: Iterable[int]) -> List[SystemEvent]:
-        return self._block.events_at(positions)
 
     def _candidate_positions(
         self,
@@ -256,29 +247,3 @@ class EventTable:
             visits.append(len(candidates))
         matched = kernel.select(block, candidates, self._entity_lookup)
         return Selection(block, block.order_positions(matched))
-
-    def scan(
-        self,
-        flt: EventFilter,
-        entity_index: Optional[EntityAttributeIndex] = None,
-        kernel: Optional[ScanKernel] = None,
-    ) -> List[SystemEvent]:
-        """Return all events matching ``flt``, sorted by (start_time, event_id).
-
-        Matching runs through a compiled scan kernel (one specialized
-        block selection per filter); stores scanning many partitions
-        compile once, or take a plan pattern's kernel, and pass ``kernel``
-        down.  This is :meth:`scan_select` plus row materialization.
-        """
-        return self.scan_select(flt, entity_index, kernel).events()
-
-    def full_scan(self, flt: EventFilter) -> List[SystemEvent]:
-        """Index-free scan; the oracle for partition-pruning soundness tests."""
-        lookup = self._entity_lookup
-        matched = [
-            event
-            for event in self._block.events(self._visible)
-            if flt.matches(event, lookup(event.subject_id), lookup(event.object_id))
-        ]
-        matched.sort(key=lambda e: (e.start_time, e.event_id))
-        return matched

@@ -68,13 +68,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.model.events import SystemEvent
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import active_trace
 from repro.storage.blocks import (
     OP_VALUE_BY_CODE,
     OTYPE_VALUE_BY_CODE,
-    BlockScanResult,
     ColumnBlock,
     Positions,
     Selection,
@@ -406,9 +404,6 @@ class ColdTier:
                 self._cache.popitem(last=False)
         return block, decoded
 
-    def _segment_events(self, zone: ZoneMap) -> List[SystemEvent]:
-        return self._decoded(zone).events()
-
     def _scan_segment(
         self, block: ColumnBlock, flt: EventFilter, kernel: ScanKernel
     ) -> Selection:
@@ -545,10 +540,6 @@ class ColdTier:
                 self._selections.popitem(last=False)
                 self.scan_cache_evictions += 1
 
-    def scan(self, flt: EventFilter) -> List[SystemEvent]:
-        """Matching cold events, zone-map pruned, sorted by (time, id)."""
-        return BlockScanResult(self.scan_selections(flt)).events()
-
     def estimated_events(self, flt: EventFilter) -> int:
         """Upper bound on matching cold events, from zone maps alone."""
         return sum(z.count for z in list(self._zones) if z.may_match(flt))
@@ -636,11 +627,13 @@ class ColdTier:
             max(z.max_time for z in self._zones),
         )
 
-    def __iter__(self) -> Iterator[SystemEvent]:
+    def column_blocks(self) -> Iterator[Tuple[ColumnBlock, int]]:
+        """``(block, rows)`` per segment, in key order: the raw,
+        pruning-free view (:meth:`EventStore.column_blocks`' cold twin)."""
         for zone in sorted(
             list(self._zones), key=lambda z: (z.day, z.agent_group, z.min_eid)
         ):
-            yield from self._segment_events(zone)
+            yield self._decoded(zone), zone.count
 
     def prune_rate(self) -> float:
         """Fraction of considered segments skipped via zone maps."""

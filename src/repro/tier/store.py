@@ -1,12 +1,16 @@
 """Tiered store: the partitioned hot store plus the cold on-disk tier.
 
 :class:`TieredStore` wraps the in-memory :class:`~repro.storage.database.
-EventStore` behind the same scan/ingest surface the engine already uses,
-adding:
+EventStore` behind the same scan/ingest surface the engine already uses
+(``scan_columns``, ``add_block``/``add_batch``, ``estimated_events``, and
+the explicit ``registry``/``entity_index`` it shares with the hot store;
+nothing else is forwarded), adding:
 
-* a **cold-scan path** — scans merge the hot store's results with the
-  zone-map-pruned cold tier, deduplicated by event id, so a query whose
-  window reaches past the retention horizon still answers correctly;
+* a **cold-scan path** — :meth:`~TieredStore.scan_columns` merges the hot
+  store's selections with the zone-map-pruned cold tier's, deduplicated by
+  event id, so a query whose window reaches past the retention horizon
+  still answers correctly; :meth:`~TieredStore.column_blocks` is the raw
+  view of both tiers, cold segments first;
 * **compaction** (:meth:`compact`) — committed events older than the
   retention horizon migrate out of RAM into compressed cold segments.
 
@@ -26,9 +30,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
-from repro.model.events import SystemEvent
 from repro.model.time import TimeWindow, day_of, day_start
 from repro.obs.metrics import REGISTRY
 from repro.storage.blocks import BlockScanResult, ColumnBlock, Positions
@@ -70,6 +73,9 @@ class CompactionReport:
 class TieredStore:
     """Hot partitioned store + cold tier behind the common store interface."""
 
+    route = None
+    completeness_mark = None
+
     def __init__(
         self,
         hot: EventStore,
@@ -80,6 +86,10 @@ class TieredStore:
             raise ValueError("retention_days must be >= 1 (or None)")
         self.hot = hot
         self.cold = cold
+        # One registry and one entity index across tiers: every entity a
+        # cold segment references is indexed in the hot store.
+        self.registry = hot.registry
+        self.entity_index = hot.entity_index
         self.retention_days = retention_days
         # Cold segments are keyed exactly like the hot partitions.
         self.partition_scheme: PartitionScheme = hot.scheme
@@ -97,15 +107,6 @@ class TieredStore:
         # committed (they were recovered, not compacted here): the scan
         # watermark starts above them.
         self._recovered_eid = cold.max_event_id()
-
-    # -- delegation ---------------------------------------------------------
-
-    def __getattr__(self, name: str):
-        # Long-tail surface (registry, entity_index, scheme,
-        # partition_keys, ...) belongs to the hot store.
-        if name == "hot":  # not yet set: avoid recursing during __init__
-            raise AttributeError(name)
-        return getattr(self.hot, name)
 
     # -- ingestion ----------------------------------------------------------
 
@@ -177,20 +178,6 @@ class TieredStore:
         elif not cold_parts:
             return hot
         return BlockScanResult(list(hot_parts) + cold_parts, dedup=True)
-
-    def scan(
-        self,
-        flt: EventFilter,
-        use_entity_index: bool = True,
-    ) -> List[SystemEvent]:
-        return self.scan_columns(flt, use_entity_index).events()
-
-    def full_scan(self, flt: EventFilter) -> List[SystemEvent]:
-        """Both tiers' pruning-free matches, deduplicated by event id (the
-        hot copy wins during a migration hand-off) and sorted."""
-        by_id = {e.event_id: e for e in self.cold.scan(flt)}
-        by_id.update((e.event_id, e) for e in self.hot.full_scan(flt))
-        return sorted(by_id.values(), key=lambda e: (e.start_time, e.event_id))
 
     def estimated_events(self, flt: EventFilter) -> int:
         """Cost estimate spanning tiers: pruned hot size + unpruned cold
@@ -289,14 +276,19 @@ class TieredStore:
     def __len__(self) -> int:
         return len(self.hot) + self.cold.event_count
 
-    def __iter__(self) -> Iterator[SystemEvent]:
-        seen = set()
-        for event in self.cold:
-            seen.add(event.event_id)
-            yield event
-        for event in self.hot:
-            if event.event_id not in seen:
-                yield event
+    @property
+    def committed(self) -> int:
+        """The committed-event watermark across both tiers (recovered cold
+        segments hold events this hot store never committed)."""
+        return max(self.hot.committed, self._recovered_eid)
+
+    def column_blocks(self) -> Iterator[Tuple[ColumnBlock, int]]:
+        """``(block, visible rows)`` per cold segment, then per hot
+        partition: every stored row, unpruned.  During a migration hand-off
+        an event sits in both tiers; a reader keeps the later (hot) copy.
+        """
+        yield from self.cold.column_blocks()
+        yield from self.hot.column_blocks()
 
     def time_range(self) -> Tuple[Optional[float], Optional[float]]:
         hot_min, hot_max = self.hot.time_range()

@@ -6,8 +6,10 @@ from repro.baselines.graph import GraphEngine, GraphStore
 from repro.baselines.mpp import aiql_parallel_engine, greenplum_engine
 from repro.baselines.relational import MonolithicJoinEngine
 from repro.engine.executor import MultieventExecutor
+from repro.storage.filters import EventFilter
 from repro.workload.corpus import CASE_STUDY_QUERIES, PERFORMANCE_QUERIES
 from tests.conftest import compile_text
+from tests.oracle import rows
 
 NON_ANOMALY = [
     q for q in CASE_STUDY_QUERIES + PERFORMANCE_QUERIES if q.kind != "anomaly"
@@ -21,7 +23,7 @@ SAMPLE = [q for q in NON_ANOMALY if q.qid in (
 @pytest.fixture(scope="module")
 def engines(enterprise):
     flat = enterprise.store("flat")
-    graph = GraphStore.from_events(enterprise.registry, iter(flat))
+    graph = GraphStore.from_events(enterprise.registry, rows(flat, EventFilter()))
     return {
         "aiql": MultieventExecutor(enterprise.store("partitioned")),
         "postgres": MonolithicJoinEngine(flat),
@@ -89,13 +91,14 @@ class TestMppGuards:
 class TestGraphStore:
     def test_edge_counts(self, enterprise):
         flat = enterprise.store("flat")
-        graph = GraphStore.from_events(enterprise.registry, iter(flat))
+        graph = GraphStore.from_events(enterprise.registry, rows(flat, EventFilter()))
         assert len(graph) == len(flat)
 
     def test_adjacency_lists(self, enterprise):
         flat = enterprise.store("flat")
-        graph = GraphStore.from_events(enterprise.registry, iter(flat))
-        event = next(iter(flat))
+        events = rows(flat, EventFilter())
+        graph = GraphStore.from_events(enterprise.registry, events)
+        event = events[0]
         assert any(
             graph.edges[i] is event
             for i in graph.out_edges[event.subject_id]

@@ -20,6 +20,7 @@ from repro.engine.executor import MultieventExecutor
 from repro.workload.corpus import ALL_QUERIES
 from repro.workload.loader import build_enterprise
 from tests.conftest import compile_text
+from tests.oracle import stored_rows
 
 BACKENDS = ("partitioned", "flat", "segmented_domain", "segmented_arrival")
 BASELINES = BACKENDS[1:]
@@ -73,11 +74,11 @@ class TestStreamedMatchesBurst:
         )
         streamed_events = [
             (e.agent_id, e.seq, e.start_time, e.operation, e.amount)
-            for e in streamed.store("partitioned")
+            for e in stored_rows(streamed.store("partitioned"))
         ]
         burst_events = [
             (e.agent_id, e.seq, e.start_time, e.operation, e.amount)
-            for e in burst.store("partitioned")
+            for e in stored_rows(burst.store("partitioned"))
         ]
         assert streamed_events == burst_events
         assert (

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from repro.core.system import AIQLSystem
 from repro.storage.filters import EventFilter
+from tests.oracle import rows
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 CHILD = REPO_ROOT / "tests" / "integration" / "crash_ingest_child.py"
@@ -73,7 +74,7 @@ def test_sigkill_mid_ingest_loses_no_acknowledged_batch(tmp_path):
         )
         # ... and what survived is a consistent stream prefix: contiguous
         # event ids, contiguous per-agent seqs, scan == watermark.
-        events = recovered.store.scan(EventFilter())
+        events = rows(recovered.store, EventFilter())
         assert len(events) == total == len(recovered.store)
         assert [e.event_id for e in events] == list(range(1, total + 1))
         assert [e.seq for e in events] == list(range(1, total + 1))

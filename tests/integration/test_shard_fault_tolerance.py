@@ -26,10 +26,13 @@ from repro.core.config import SystemConfig
 from repro.core.system import AIQLSystem
 from repro.model.time import DAY
 from repro.shard import ShardCommitError, ShardedStore
+from repro.storage.blocks import ColumnBlock
+from repro.storage.database import EventStore
 from repro.storage.filters import EventFilter
 from repro.storage.ingest import Ingestor
 from repro.workload.corpus import ALL_QUERIES
 from repro.workload.loader import build_enterprise
+from tests.oracle import oracle_rows, rows
 
 RATE = 20
 
@@ -172,11 +175,16 @@ class TestKillMidIngest:
             committed_ids = {
                 e.event_id for batch in committed for e in batch
             }
-            scanned = {e.event_id for e in store.scan(EventFilter())}
-            assert scanned == committed_ids
-            assert not scanned & failed_ids
-            full = {e.event_id for e in store.full_scan(EventFilter())}
-            assert not full & failed_ids
+            scanned = rows(store, EventFilter())
+            scanned_ids = {e.event_id for e in scanned}
+            assert scanned_ids == committed_ids
+            assert not scanned_ids & failed_ids
+            # Row for row what an in-process store fed only the committed
+            # batches holds.
+            reference = EventStore(registry=store.registry)
+            for batch in committed:
+                reference.add_block(ColumnBlock.from_events(batch))
+            assert scanned == oracle_rows(reference, EventFilter())
         finally:
             store.close()
 
@@ -217,7 +225,7 @@ class TestKillMidIngest:
             ),
         )
         try:
-            scanned = {e.event_id for e in reopened.scan(EventFilter())}
+            scanned = {e.event_id for e in rows(reopened, EventFilter())}
             missing = committed_ids - scanned
             assert not missing, f"acked events lost across restart: {missing}"
         finally:

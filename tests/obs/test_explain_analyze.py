@@ -14,6 +14,7 @@ from repro.engine.data_query import DataQuery
 from repro.obs import REGISTRY, set_metrics_enabled
 from repro.workload.corpus import by_id
 from repro.workload.loader import build_enterprise
+from tests.oracle import rows
 
 APT_QUERY = by_id("c1-1").text  # Fig. 4: outlook -> IMAP ip -> %.xlsm
 
@@ -60,7 +61,7 @@ class TestExplainAnalyzeGroundTruth:
         first = spans[0]
         assert "constrained" not in first.attrs
         flt = DataQuery.for_pattern(ctx.patterns[order[0]]).filter
-        truth = len(system.store.scan(flt))
+        truth = len(rows(system.store, flt))
         assert first.attrs["rows"] == truth
         assert first.counters["rows_selected"] == truth
         assert first.counters["rows_scanned"] >= truth

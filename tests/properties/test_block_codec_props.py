@@ -38,6 +38,7 @@ from repro.storage.filters import EventFilter
 from repro.storage.partition import PartitionKey
 from repro.tier.cold import ColdTier, ColdTierError
 from repro.tier.wal import FILE_MAGIC, WriteAheadLog
+from tests.oracle import cold_rows
 
 OPS = tuple(Operation)
 OTYPES = tuple(EntityType)
@@ -337,4 +338,4 @@ def test_cold_segment_damage_is_a_cold_tier_error(tmp_path_factory, data):
     path.write_bytes(damaged)
     fresh = ColdTier(directory, lambda entity_id: None)
     with pytest.raises(ColdTierError):
-        fresh.scan(EventFilter())
+        cold_rows(fresh, EventFilter())

@@ -28,6 +28,7 @@ from repro.storage.partition import PartitionKey
 from repro.tier.cold import ColdTier
 
 from tests.tier.conftest import EventFeed, day_ts
+from tests.oracle import cold_rows
 
 AGENTS = (1, 25)  # two agent groups, so a day holds two segments
 
@@ -69,7 +70,7 @@ def corpus(tmp_path_factory):
             )
     pool = filter_pool(feed)
     with use_kernels(False):
-        oracle = [tier.scan(flt) for flt in pool]
+        oracle = [cold_rows(tier, flt) for flt in pool]
     return directory, feed.ingestor.registry.get, pool, oracle
 
 

@@ -32,6 +32,7 @@ from repro.tier.cold import ColdTier
 from repro.tier.store import TieredStore
 
 from tests.tier.conftest import day_ts
+from tests.oracle import rows
 
 AGENTS = (1, 2, 25)  # two agent groups
 EXES = ("sshd", "bash", "cmd.exe", "Word.EXE", "svchost.exe")
@@ -152,4 +153,4 @@ def test_narrowed_cold_scan_equals_raw(events, cut, retentions, filters):
                 assert {e.subject_id for e in raw} <= narrowed.subject_ids
             if narrowed.object_ids is not None:
                 assert {e.object_id for e in raw} <= narrowed.object_ids
-            assert store.scan(flt) == store.scan(flt, use_entity_index=False)
+            assert rows(store, flt) == rows(store, flt, use_entity_index=False)

@@ -13,6 +13,7 @@ from repro.engine.scheduler import FetchFilterScheduler, RelationshipScheduler
 from repro.model.time import DAY
 from repro.storage.ingest import Ingestor
 from tests.conftest import compile_text
+from tests.oracle import rows
 
 EXES = ("bash", "vim", "sshd")
 FILES = ("/a", "/b", "/c")
@@ -96,7 +97,7 @@ def test_single_pattern_matches_direct_scan(events):
     rel, ff, mono = row_sets(store, ctx)
     direct = {
         (e.event_id,)
-        for e in store.scan(ctx.patterns[0].filter)
+        for e in rows(store, ctx.patterns[0].filter)
     }
     assert rel == ff == mono == direct
 
@@ -205,7 +206,7 @@ def nested_loop(store, ctx):
     import itertools
 
     entity_of = store.registry.get
-    per_pattern = [store.scan(p.filter) for p in ctx.patterns]
+    per_pattern = [rows(store, p.filter) for p in ctx.patterns]
 
     def norm(value):
         return value.lower() if isinstance(value, str) else value

@@ -12,7 +12,6 @@ from repro.model.events import Operation, SystemEvent
 from repro.model.time import DAY, TimeWindow
 from repro.shard.coordinator import owner_shards, route
 from repro.shard.wire import capped_result, decode_result, encode_result
-from repro.shard.worker import full_scan_reply
 from repro.storage.blocks import BlockScanResult, ColumnBlock, Selection
 from repro.storage.filters import EventFilter
 from repro.storage.partition import PartitionScheme
@@ -57,21 +56,6 @@ def result_of(batch):
 
 def by_time(batch):
     return sorted(batch, key=lambda e: (e.start_time, e.event_id))
-
-
-@given(events())
-@settings(max_examples=60, deadline=None)
-def test_full_scan_reply_round_trip(batch):
-    """A worker's ``full_scan`` rows reach the coordinator value-identical,
-    in (start_time, event_id) order."""
-
-    class RowStore:
-        def full_scan(self, flt):
-            return by_time(batch)
-
-    selection = decode_result(full_scan_reply(RowStore(), EventFilter()))
-    got = [] if selection is None else selection.block.events()
-    assert got == by_time(batch)
 
 
 @given(events())

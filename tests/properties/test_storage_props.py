@@ -15,6 +15,7 @@ from repro.storage.filters import (
 from repro.storage.ingest import Ingestor
 from repro.storage.kernels import compile_filter
 from repro.storage.partition import PartitionScheme
+from tests.oracle import oracle_rows, rows
 
 EXES = ("bash", "vim", "nmap", "sshd", "cmd.exe")
 FILES = ("/etc/passwd", "/var/log/syslog", "/home/u/x", "C:/Windows/SAM")
@@ -93,10 +94,10 @@ def build_stores(stream):
 @settings(max_examples=40, deadline=None)
 @given(stream=event_stream(), flt=random_filter())
 def test_partition_pruning_is_sound(stream, flt):
-    """EventStore with pruning+indexes == index-free full scan."""
+    """EventStore with pruning+indexes == the pruning-free oracle."""
     stores = build_stores(stream)
     store = stores["partitioned"]
-    assert store.scan(flt) == store.full_scan(flt)
+    assert rows(store, flt) == oracle_rows(store, flt)
 
 
 @settings(max_examples=40, deadline=None)
@@ -104,9 +105,9 @@ def test_partition_pruning_is_sound(stream, flt):
 def test_all_backends_agree(stream, flt):
     """Partitioned / flat / both segment policies return identical scans."""
     stores = build_stores(stream)
-    reference = stores["flat"].scan(flt)
+    reference = rows(stores["flat"], flt)
     for name in ("partitioned", "domain", "arrival"):
-        assert stores[name].scan(flt) == reference
+        assert rows(stores[name], flt) == reference
 
 
 @settings(max_examples=25, deadline=None)
@@ -117,4 +118,4 @@ def test_supplied_kernel_matches_planless_scan(stream, flt):
     stores = build_stores(stream)
     kernel = compile_filter(flt)
     for store in stores.values():
-        assert store.scan_columns(flt, kernel=kernel).events() == store.scan(flt)
+        assert store.scan_columns(flt, kernel=kernel).events() == rows(store, flt)

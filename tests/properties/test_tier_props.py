@@ -23,6 +23,7 @@ from repro.core.system import AIQLSystem
 from repro.storage.filters import EventFilter
 
 from tests.tier.conftest import day_ts
+from tests.oracle import rows
 
 OPS = ("write", "read")
 
@@ -61,7 +62,7 @@ def batch_plan(draw):
 def content(system):
     return [
         (e.event_id, e.agent_id, e.seq, e.start_time, e.operation.value)
-        for e in system.store.scan(EventFilter())
+        for e in rows(system.store, EventFilter())
     ]
 
 

@@ -21,6 +21,7 @@ from repro.storage.database import EventStore
 from repro.storage.filters import EventFilter
 from repro.storage.ingest import Ingestor
 from repro.storage.partition import PartitionScheme
+from tests.oracle import rows
 
 BATCH = 8
 BATCHES = 40
@@ -70,7 +71,7 @@ class TestTornBatches:
 
         def reader():
             while not done.is_set():
-                events = store.scan(make_filter())
+                events = rows(store, make_filter())
                 if len(events) % BATCH != 0:
                     failures.append(f"torn batch: saw {len(events)} events")
                     return
@@ -89,7 +90,7 @@ class TestTornBatches:
         assert not failures, failures
         assert session.watermark == BATCH * BATCHES
         assert len(store.partition_keys) == 2
-        final = store.scan(make_filter())
+        final = rows(store, make_filter())
         assert len(final) == BATCH * BATCHES
 
     def test_unconstrained_scan_path(self):
@@ -123,7 +124,7 @@ class TestTornBatches:
         def reader():
             flt = EventFilter(subject_ids=subject_ids)
             while not done.is_set():
-                count = len(store.scan(flt))
+                count = len(rows(store, flt))
                 if count % BATCH != 0:
                     failures.append(f"torn batch via postings: {count}")
                     return

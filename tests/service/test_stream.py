@@ -10,6 +10,7 @@ from repro.storage.database import EventStore
 from repro.storage.filters import EventFilter
 from repro.storage.ingest import IngestError, Ingestor
 from repro.storage.partition import PartitionScheme
+from tests.oracle import rows
 
 
 def make_session(batch_size=4, extra_stores=()):
@@ -68,7 +69,7 @@ class TestStreamSession:
             marks.append(session.commit())
             # Read-your-writes: a scan after observing the watermark sees
             # every committed event.
-            assert len(store.scan(EventFilter())) == marks[-1]
+            assert len(rows(store, EventFilter())) == marks[-1]
         assert marks == sorted(marks) == [4, 8, 12]
 
     def test_empty_commit_is_noop(self):
@@ -171,9 +172,9 @@ class TestValidationHoisting:
             session.append(1, float(i), "read", proc, target)
         session.commit()
         flat, segmented = ingestor._stores[1], ingestor._stores[2]
-        reference = [e.event_id for e in store]
-        assert sorted(e.event_id for e in flat) == reference
-        assert sorted(e.event_id for e in segmented) == reference
+        reference = [e.event_id for e in rows(store, EventFilter())]
+        assert sorted(e.event_id for e in rows(flat, EventFilter())) == reference
+        assert sorted(e.event_id for e in rows(segmented, EventFilter())) == reference
 
 
 class TestMultiPartitionBatches:

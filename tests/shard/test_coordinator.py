@@ -20,6 +20,7 @@ from repro.storage.filters import (
 )
 from repro.storage.ingest import Ingestor
 from repro.storage.partition import PartitionKey, PartitionScheme
+from tests.oracle import oracle_rows, rows
 
 
 def populate(ingestor, agents=(1, 2, 3), days=4, per_day=3):
@@ -94,44 +95,32 @@ class TestScatterGatherScans:
     @pytest.mark.parametrize("flt", FILTERS, ids=lambda f: repr(f)[:40])
     def test_scan_matches_reference(self, deployment, flt):
         sharded, reference = deployment
-        assert sharded.scan(flt) == reference.scan(flt)
+        assert rows(sharded, flt) == rows(reference, flt)
 
-    @pytest.mark.parametrize("flt", FILTERS[:3], ids=lambda f: repr(f)[:40])
-    def test_full_scan_matches_reference(self, deployment, flt):
+    @pytest.mark.parametrize("flt", FILTERS, ids=lambda f: repr(f)[:40])
+    def test_scan_matches_reference_oracle(self, deployment, flt):
         sharded, reference = deployment
-        assert sharded.full_scan(flt) == sorted(
-            reference.full_scan(flt), key=lambda e: (e.start_time, e.event_id)
-        )
+        assert rows(sharded, flt) == oracle_rows(reference, flt)
 
-    def test_full_scan_excludes_torn_ids(self, deployment):
-        """Ids of a torn commit's acknowledged slices never surface in the
-        oracle scan either, whichever shard holds them."""
+    def test_scan_excludes_torn_ids(self, deployment):
+        """Ids of a torn commit's acknowledged slices never surface in a
+        scan, whichever shard holds them."""
         sharded, reference = deployment
-        everything = sorted(
-            reference.full_scan(EventFilter()),
-            key=lambda e: (e.start_time, e.event_id),
-        )
+        everything = oracle_rows(reference, EventFilter())
         torn = {e.event_id for e in everything[::3]}
         sharded._torn.update(torn)
         try:
-            got = sharded.full_scan(EventFilter())
+            got = rows(sharded, EventFilter())
         finally:
             sharded._torn.difference_update(torn)
         assert got == [e for e in everything if e.event_id not in torn]
-        assert sharded.full_scan(EventFilter()) == everything
+        assert rows(sharded, EventFilter()) == everything
 
     def test_scan_columns_result_is_globally_ordered(self, deployment):
         sharded, _ = deployment
         handles = sharded.scan_columns(EventFilter()).handles()
         order = [(t, eid) for t, eid, _, _ in handles]
         assert order == sorted(order)
-
-    def test_iter_yields_the_whole_store(self, deployment):
-        sharded, reference = deployment
-        assert list(sharded) == sorted(
-            reference.scan(EventFilter()),
-            key=lambda e: (e.start_time, e.event_id),
-        )
 
     def test_estimated_events_sums_shards(self, deployment):
         sharded, _ = deployment
@@ -159,7 +148,7 @@ class TestErrorContainment:
         with pytest.raises(ShardError, match="not durable"):
             sharded.checkpoint()
         # … but the workers keep answering: errors are per command.
-        assert sharded.scan(EventFilter()) == reference.scan(EventFilter())
+        assert rows(sharded, EventFilter()) == rows(reference, EventFilter())
 
 
 class TestEntityBroadcast:
@@ -172,8 +161,8 @@ class TestEntityBroadcast:
         flt = EventFilter(
             subject_pred=PredicateLeaf(AttrPredicate("exe_name", "=", "nmap"))
         )
-        got = sharded.scan(flt)
-        assert got == reference.scan(flt)
+        got = rows(sharded, flt)
+        assert got == rows(reference, flt)
         assert len(got) == 1
 
 
@@ -199,7 +188,7 @@ class TestDurableRecovery:
         sharded = ShardedStore(ingestor, config)
         ingestor.attach(sharded)
         populate(ingestor, days=3)
-        before = sharded.scan(EventFilter())
+        before = rows(sharded, EventFilter())
         count = len(sharded)
         next_id = ingestor.events_ingested
         sharded.close()
@@ -213,7 +202,7 @@ class TestDurableRecovery:
             assert report.wal_events_replayed == count  # no checkpoint ran
             assert report.next_event_id == next_id + 1
             assert len(recovered) == count
-            assert recovered.scan(EventFilter()) == before
+            assert rows(recovered, EventFilter()) == before
             # The merged registry lets ingest continue seamlessly.
             agent = 1
             shell = ingestor2.process(agent, 100, "bash", cmd="bash -l")
@@ -233,7 +222,7 @@ class TestDurableRecovery:
         count = len(sharded)
         snapshotted = sharded.checkpoint()
         assert snapshotted == count
-        before = sharded.scan(EventFilter())
+        before = rows(sharded, EventFilter())
         sharded.close()
 
         ingestor2 = Ingestor()
@@ -241,7 +230,7 @@ class TestDurableRecovery:
         try:
             assert recovered.recovery.snapshot_events == count
             assert recovered.recovery.wal_events_replayed == 0
-            assert recovered.scan(EventFilter()) == before
+            assert rows(recovered, EventFilter()) == before
         finally:
             recovered.close()
 
@@ -297,7 +286,7 @@ class TestBlockIngest:
                 assert block.events() == expected  # the slice, in batch order
             assert len(sharded) == len(reference) == len(batch)
             assert sharded._committed == batch[-1].event_id
-            assert sharded.scan(EventFilter()) == reference.scan(EventFilter())
+            assert rows(sharded, EventFilter()) == rows(reference, EventFilter())
             stats = sharded.stats()
             assert sorted(stats["shard_events"]) == sorted(
                 len(decode_block(f)) for f in frames.values()
@@ -324,7 +313,7 @@ class TestBlockIngest:
             )
             assert len(sharded) == 3
             assert sharded._committed == events[4].event_id
-            assert sharded.scan(EventFilter()) == [events[p] for p in (1, 2, 4)]
+            assert rows(sharded, EventFilter()) == [events[p] for p in (1, 2, 4)]
             assert sharded.add_block(block, []) == ()
             assert not block.rows_materialized
         finally:

@@ -8,6 +8,7 @@ from repro.shard import ShardedStore
 from repro.shard.wire import encode_result, payload_nbytes
 from repro.storage.filters import EventFilter
 from repro.storage.ingest import Ingestor
+from tests.oracle import rows
 
 
 def populate(ingestor, agents=(1, 2, 3), days=3, per_day=2):
@@ -44,7 +45,7 @@ class TestPayloadNbytes:
 
 class TestPerShardStats:
     def test_merged_keys_preserved(self, sharded):
-        sharded.scan(EventFilter())
+        rows(sharded, EventFilter())
         stats = sharded.stats()
         assert stats["shards"] == 2
         assert stats["events"] == len(sharded)
@@ -52,7 +53,7 @@ class TestPerShardStats:
         assert len(stats["per_shard"]) == 2
 
     def test_per_shard_scatter_gather_detail(self, sharded):
-        rows = len(sharded.scan(EventFilter()))
+        gathered_rows = len(rows(sharded, EventFilter()))
         stats = sharded.stats()
         for shard, entry in enumerate(stats["per_shard"]):
             sg = entry["scatter_gather"]
@@ -69,10 +70,10 @@ class TestPerShardStats:
         gathered = [e["scatter_gather"]["bytes_gathered"]
                     for e in stats["per_shard"]]
         assert all(b > 0 for b in gathered)
-        assert rows > 0
+        assert gathered_rows > 0
 
     def test_merged_scatter_gather_is_sum_of_per_shard(self, sharded):
-        sharded.scan(EventFilter())
+        rows(sharded, EventFilter())
         stats = sharded.stats()
         merged = stats["scatter_gather"]
         per = [e["scatter_gather"] for e in stats["per_shard"]]
@@ -85,7 +86,7 @@ class TestPerShardStats:
 
     def test_gather_accounting_accumulates_per_round(self, sharded):
         before = sharded.stats()["scatter_gather"]
-        sharded.scan(EventFilter(agent_ids=frozenset({1})))
+        rows(sharded, EventFilter(agent_ids=frozenset({1})))
         after = sharded.stats()["scatter_gather"]
         assert after["scan_rounds"] == before["scan_rounds"] + 1
         assert after["rows_gathered"] > before["rows_gathered"]
@@ -93,7 +94,7 @@ class TestPerShardStats:
 
 class TestWorkerMetrics:
     def test_metrics_returns_one_snapshot_per_shard(self, sharded):
-        sharded.scan(EventFilter())
+        rows(sharded, EventFilter())
         snapshots = sharded.metrics()
         assert len(snapshots) == 2
         for snap in snapshots:
@@ -109,7 +110,7 @@ class TestWorkerMetrics:
         try:
             ingestor.attach(store)
             populate(ingestor, agents=(1,), days=1, per_day=1)
-            store.scan(EventFilter())
+            rows(store, EventFilter())
             for snap in store.metrics():
                 assert snap["aiql_scan_total"]["values"] == {}
         finally:

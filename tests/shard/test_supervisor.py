@@ -15,6 +15,7 @@ from repro.model.time import DAY, TimeWindow
 from repro.shard import ShardError, ShardTimeout, ShardedStore
 from repro.storage.filters import EventFilter
 from repro.storage.ingest import Ingestor
+from tests.oracle import rows
 
 
 def populate(ingestor, agents=(1, 2, 3), days=3, per_day=2):
@@ -57,7 +58,7 @@ class TestSentinelRecovery:
     def test_check_detects_and_restarts_dead_worker(self, tmp_path):
         store = build(tmp_path)
         try:
-            before = len(store.scan(EventFilter()))
+            before = len(rows(store, EventFilter()))
             kill_worker(store, 1)
             recovered = store.supervisor.check()
             assert recovered == [1]
@@ -67,7 +68,7 @@ class TestSentinelRecovery:
             assert health.lost_events == 0  # durable: WAL replay restores
             assert health.last_recovery_s is not None
             # The deployment serves the full answer again.
-            assert len(store.scan(EventFilter())) == before
+            assert len(rows(store, EventFilter())) == before
         finally:
             store.close()
 
@@ -75,9 +76,9 @@ class TestSentinelRecovery:
         """A scan hitting a dead pipe recovers and retries by itself."""
         store = build(tmp_path)
         try:
-            before = len(store.scan(EventFilter()))
+            before = len(rows(store, EventFilter()))
             kill_worker(store, 0)
-            assert len(store.scan(EventFilter())) == before
+            assert len(rows(store, EventFilter())) == before
             assert store.supervisor.health[0].restarts == 1
             assert store.supervisor.health[0].retries >= 1
         finally:
@@ -109,7 +110,7 @@ class TestWedgedWorker:
         )
         try:
             started = time.monotonic()
-            events = store.scan(EventFilter())
+            events = rows(store, EventFilter())
             elapsed = time.monotonic() - started
             assert events  # full answer after recovery
             health = store.supervisor.health[1]
@@ -127,7 +128,7 @@ class TestReadPolicies:
         try:
             kill_worker(store, 1)
             with pytest.raises((ShardError, ShardTimeout)):
-                store.scan(EventFilter())
+                rows(store, EventFilter())
             assert store.supervisor.health[1].failed
         finally:
             store.close()
@@ -135,7 +136,7 @@ class TestReadPolicies:
     def test_degraded_answers_from_survivors_with_annotation(self):
         store = build(shard_max_restarts=0, shard_read_policy="degraded")
         try:
-            full = store.scan(EventFilter())
+            full = rows(store, EventFilter())
             acked = store._shard_acked[1]
             kill_worker(store, 1)
             result = store.scan_columns(EventFilter())
@@ -178,7 +179,7 @@ class TestReadPolicies:
                 agent_ids=frozenset({1, 2}), window=TimeWindow(start=0.0, end=2 * DAY)
             )
             before = {
-                flt: store.scan(flt) for flt in (day0, day1, both_days)
+                flt: rows(store, flt) for flt in (day0, day1, both_days)
             }
             assert all(before.values())
             kill_worker(store, 1)
@@ -190,13 +191,13 @@ class TestReadPolicies:
             # ... but it is an owner of these, and of any unbounded filter
             for flt in (day1, both_days, EventFilter(agent_ids=frozenset({1}))):
                 with pytest.raises(ShardError):
-                    store.scan(flt)
+                    rows(store, flt)
             # degraded reads: the annotation counts owners, not the fleet
             store.read_policy = "degraded"
             assert store.scan_columns(day0).completeness is None
             lone = store.scan_columns(day1).completeness
             assert lone.missing_shards == (1,) and lone.total_shards == 1
-            assert store.scan(day1) == []
+            assert rows(store, day1) == []
             wide = store.scan_columns(both_days)
             assert wide.completeness.missing_shards == (1,)
             assert wide.completeness.total_shards == 2
@@ -307,6 +308,6 @@ class TestHeartbeatThread:
                     break
                 time.sleep(0.05)
             assert store.supervisor.health[1].restarts == 1
-            assert len(store.scan(EventFilter())) > 0
+            assert len(rows(store, EventFilter())) > 0
         finally:
             store.close()

@@ -1,4 +1,4 @@
-"""Wire codec: serialized scan-result blocks and full-scan replies."""
+"""Wire codec: serialized scan-result blocks."""
 
 from array import array
 
@@ -7,7 +7,6 @@ import pytest
 from repro.model.entities import EntityType
 from repro.model.events import Operation, SystemEvent
 from repro.shard.wire import WireError, decode_result, encode_result
-from repro.shard.worker import full_scan_reply
 from repro.storage import codec
 from repro.storage.blocks import (
     OP_VALUE_BY_CODE,
@@ -16,7 +15,6 @@ from repro.storage.blocks import (
     ColumnBlock,
     Selection,
 )
-from repro.storage.filters import EventFilter
 
 
 def make_event(
@@ -59,47 +57,16 @@ SAMPLE = [
 ]
 
 
-class RowStore:
-    """A store whose pruning-free scan answers a fixed row list."""
-
-    def __init__(self, events):
-        self.events = events
-
-    def full_scan(self, flt):
-        return list(self.events)
-
-
-class TestFullScanReply:
-    """``full_scan`` answers in the block frame a scan reply uses."""
-
-    def test_round_trip(self):
-        payload = full_scan_reply(RowStore(SAMPLE), EventFilter())
-        assert decode_result(payload).block.events() == SAMPLE
-
-    def test_enums_survive_as_members(self):
-        events = decode_result(
-            full_scan_reply(RowStore(SAMPLE), EventFilter())
-        ).block.events()
-        assert events[0].operation is Operation.WRITE
-        assert events[1].object_type is EntityType.NETWORK
-
-    def test_no_rows_decodes_to_none(self):
-        assert decode_result(full_scan_reply(RowStore([]), EventFilter())) is None
-
-    def test_unknown_operation_value_raises(self, monkeypatch):
-        ops = ("transmogrify",) + tuple(OP_VALUE_BY_CODE[1:])
-        monkeypatch.setattr(codec, "OP_VALUE_BY_CODE", ops)
-        payload = full_scan_reply(RowStore(SAMPLE), EventFilter())
-        monkeypatch.undo()
-        with pytest.raises(WireError, match="transmogrify"):
-            decode_result(payload)
-
-
 class TestResultRoundTrip:
     def test_events_survive(self):
         payload = encode_result(result_of(SAMPLE))
         selection = decode_result(payload)
         assert selection.block.events() == SAMPLE
+
+    def test_enums_survive_as_members(self):
+        events = decode_result(encode_result(result_of(SAMPLE))).block.events()
+        assert events[0].operation is Operation.WRITE
+        assert events[1].object_type is EntityType.NETWORK
 
     def test_decoded_block_is_time_sorted_with_bounds(self):
         selection = decode_result(encode_result(result_of(SAMPLE)))

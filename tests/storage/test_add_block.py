@@ -30,6 +30,7 @@ from repro.storage.filters import AttrPredicate, EventFilter, PredicateLeaf
 from repro.storage.index import SortedTimeIndex
 from repro.storage.partition import PartitionKey, PartitionScheme
 from repro.storage.table import EventTable
+from tests.oracle import rows
 
 BACKENDS = ("partitioned", "flat", "domain", "arrival")
 AGENTS = (1, 2, 3, 4, 5)
@@ -175,16 +176,16 @@ def matching(world, events, flt):
     )
 
 
-def assert_same_store(world, got, want, rows):
-    """``got`` (fed blocks) against ``want`` (fed the same ``rows`` one
-    single-row block each), the appended reference block and the filter
-    semantics."""
+def assert_same_store(world, got, want, appended):
+    """``got`` (fed blocks) against ``want`` (fed the same ``appended`` rows
+    one single-row block each), the appended reference block and the
+    filter semantics."""
     assert store_state(got) == store_state(want)
-    assert len(got) == len(want) == len(rows)
-    if isinstance(got, FlatStore) and rows:
-        assert block_state(heap_block(got)) == block_state(appended_block(rows))
+    assert len(got) == len(want) == len(appended)
+    if isinstance(got, FlatStore) and appended:
+        assert block_state(heap_block(got)) == block_state(appended_block(appended))
     for flt in FILTERS:
-        assert got.scan(flt) == want.scan(flt) == matching(world, rows, flt)
+        assert rows(got, flt) == rows(want, flt) == matching(world, appended, flt)
 
 
 @st.composite
@@ -284,7 +285,7 @@ def test_remove_events_rebuilds_as_if_never_appended(spec, data):
         not table.block.rows_materialized for table in tables(pruned).values()
     )
     for flt in FILTERS:
-        assert pruned.scan(flt) == [
+        assert rows(pruned, flt) == [
             e for e in matching(world, events, flt) if e.event_id not in victims
         ]
     never.add_block(

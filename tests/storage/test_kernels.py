@@ -22,6 +22,7 @@ from repro.storage.kernels import (
     kernels_enabled,
     use_kernels,
 )
+from tests.oracle import table_oracle_rows
 
 
 def narrowed_select(kernel, flt, block, candidates, lookup):
@@ -287,9 +288,9 @@ class TestToggle:
         table.append_block(ColumnBlock.from_events([event]))
         flt = EventFilter(subject_pred=leaf("exe_name", "=", "%ssh%"))
         with use_kernels(False):
-            interpreted = table.scan(flt)
+            interpreted = table.scan_select(flt).events()
         with use_kernels(True):
-            compiled = table.scan(flt)
+            compiled = table.scan_select(flt).events()
         assert interpreted == compiled == [event]
 
 
@@ -838,7 +839,7 @@ class TestWindowVacuity:
         assert ColumnBlock().within(5.0, 6.0)
         flt = EventFilter(window=TimeWindow(start=0.0, end=10.0))
         assert table._candidate_positions(flt, None) == range(0)
-        assert table.scan(flt) == []
+        assert table.scan_select(flt).events() == []
 
     def test_unsorted_block_skips_the_time_index_only_when_covered(self):
         table = self._table([3000.0, 1000.0, 2000.0])
@@ -848,7 +849,7 @@ class TestWindowVacuity:
         cutting = EventFilter(window=TimeWindow(start=1000.0, end=3000.0))
         assert sorted(table._candidate_positions(cutting, None)) == [1, 2]
         for flt in (covering, cutting):
-            assert table.scan(flt) == table.full_scan(flt)
+            assert table.scan_select(flt).events() == table_oracle_rows(table, flt)
 
     def test_staged_rows_beyond_visible_stay_invisible(self):
         table = self._table([1000.0, 2000.0])
@@ -861,11 +862,11 @@ class TestWindowVacuity:
         assert len(table.block) == 4 and len(table) == 2
         inside = EventFilter(window=TimeWindow(start=0.0, end=10_000.0))
         assert table._candidate_positions(inside, None) == range(2)
-        assert [e.event_id for e in table.scan(inside)] == [1, 2]
+        assert [e.event_id for e in table.scan_select(inside).events()] == [1, 2]
         # [1000, 2000.5) held the visible rows but no longer the block:
         # the pass runs, and still only over the visible prefix.
         visible_only = EventFilter(window=TimeWindow(start=1000.0, end=2000.5))
-        assert [e.event_id for e in table.scan(visible_only)] == [1, 2]
+        assert [e.event_id for e in table.scan_select(visible_only).events()] == [1, 2]
 
 
 class TestCodeMaskVisibility:
@@ -909,14 +910,14 @@ class TestCodeMaskVisibility:
             object_type=EntityType.FILE,
         )
         assert table._candidate_positions(flt, None) == range(4)
-        assert [e.event_id for e in table.scan(flt)] == [1]
+        assert [e.event_id for e in table.scan_select(flt).events()] == [1]
         # every single-code filter stops at the snapshot too
         for single in (
             EventFilter(agent_ids=frozenset({1})),
             EventFilter(operations=frozenset({Operation.READ})),
             EventFilter(object_type=EntityType.FILE),
         ):
-            assert max(e.event_id for e in table.scan(single)) <= 4
+            assert max(e.event_id for e in table.scan_select(single).events()) <= 4
 
 
 # -- one kernel, narrowed at scan time ------------------------------------------

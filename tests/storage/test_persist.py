@@ -9,6 +9,7 @@ from repro.baselines.flat import FlatStore
 from repro.engine.executor import MultieventExecutor
 from repro.model.entities import EntityRegistry
 from repro.storage.database import EventStore
+from repro.storage.filters import EventFilter
 from repro.storage.ingest import Ingestor
 from repro.storage.codec import (
     ENTITY_KIND,
@@ -19,12 +20,12 @@ from repro.storage.codec import (
 from repro.storage.persist import (
     SnapshotError,
     load_snapshot,
-    save_snapshot,
     write_snapshot,
 )
 from repro.workload.corpus import by_id
 from repro.workload.loader import build_enterprise
 from tests.conftest import compile_text
+from tests.oracle import rows
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +37,9 @@ class TestRoundTrip:
     def test_events_and_entities_preserved(self, small_enterprise, tmp_path):
         source = small_enterprise.store()
         path = tmp_path / "snap.blk"
-        written = save_snapshot(path, small_enterprise.registry, iter(source))
+        written = write_snapshot(
+            path, small_enterprise.registry, source.column_blocks()
+        )
         assert written == len(source)
 
         registry = EntityRegistry()
@@ -51,7 +54,7 @@ class TestRoundTrip:
     ):
         source = small_enterprise.store()
         path = tmp_path / "snap.blk"
-        save_snapshot(path, small_enterprise.registry, iter(source))
+        write_snapshot(path, small_enterprise.registry, source.column_blocks())
 
         registry = EntityRegistry()
         restored = FlatStore(registry=registry)  # a baseline store
@@ -66,7 +69,7 @@ class TestRoundTrip:
     def test_restore_into_multiple_backends(self, small_enterprise, tmp_path):
         path = tmp_path / "snap.blk"
         source = small_enterprise.store()
-        save_snapshot(path, small_enterprise.registry, iter(source))
+        write_snapshot(path, small_enterprise.registry, source.column_blocks())
         registry = EntityRegistry()
         flat = FlatStore(registry=registry)
         partitioned = EventStore(registry=registry)
@@ -84,11 +87,11 @@ class TestRoundTrip:
         ingestor.emit(1, 101.0, "write", proc, fifo, amount=9)
 
         path = tmp_path / "snap.blk"
-        save_snapshot(path, ingestor.registry, iter(store))
+        write_snapshot(path, ingestor.registry, store.column_blocks())
         registry = EntityRegistry()
         restored = EventStore(registry=registry)
         load_snapshot(path, registry, [restored])
-        events = list(restored)
+        events = rows(restored, EventFilter())
         assert len(events) == 2
         assert registry.get(events[0].object_id).key == "HKCU/Run"
         assert registry.get(events[1].object_id).name == "/run/p"
@@ -124,7 +127,7 @@ class TestBlockWriter:
         registry = EntityRegistry()
         restored = EventStore(registry=registry)
         assert load_snapshot(path, registry, [restored]) == 6
-        assert list(restored) == list(store)
+        assert rows(restored, EventFilter()) == rows(store, EventFilter())
 
     def test_only_the_visible_prefix_is_written(self, tmp_path):
         ingestor, store = _populated(events=6)
@@ -134,13 +137,13 @@ class TestBlockWriter:
         registry = EntityRegistry()
         restored = EventStore(registry=registry)
         assert load_snapshot(path, registry, [restored]) == 4
-        assert list(restored) == list(store)[:4]
+        assert rows(restored, EventFilter()) == rows(store, EventFilter())[:4]
 
     @pytest.mark.parametrize(
         "chunk, frames",
-        [(4, 1 + 1 + 3), (1, 1 + 2 + 10)],  # header + entity + event frames
+        [(4, 1 + 1 + 1), (1, 1 + 2 + 1)],  # header + entity + block frames
     )
-    def test_entities_and_iterables_are_chunked_into_frames(
+    def test_entities_are_chunked_into_frames(
         self, tmp_path, monkeypatch, chunk, frames
     ):
         from repro.storage import persist
@@ -148,12 +151,12 @@ class TestBlockWriter:
         monkeypatch.setattr(persist, "_CHUNK_ROWS", chunk)
         ingestor, store = _populated(events=10)
         path = tmp_path / "snap.blk"
-        assert save_snapshot(path, ingestor.registry, iter(store)) == 10
+        assert write_snapshot(path, ingestor.registry, store.column_blocks()) == 10
         assert len(_frames(path.read_bytes())) == frames
         registry = EntityRegistry()
         restored = EventStore(registry=registry)
         assert load_snapshot(path, registry, [restored]) == 10
-        assert list(restored) == list(store)
+        assert rows(restored, EventFilter()) == rows(store, EventFilter())
         assert list(registry) == list(ingestor.registry)
 
 
@@ -199,7 +202,7 @@ class TestErrors:
         f = ingestor.file(1, "/x")
         ingestor.emit(1, 1.0, "read", p, f)
         path = tmp_path / "snap.blk"
-        save_snapshot(path, ingestor.registry, iter(store))
+        write_snapshot(path, ingestor.registry, store.column_blocks())
 
         dirty = EntityRegistry()
         dirty.file(9, "/occupies-id-1")  # shifts id allocation
@@ -217,7 +220,7 @@ class TestDamage:
         monkeypatch.setattr(persist, "_CHUNK_ROWS", 4)
         ingestor, store = _populated(events=10)
         path = tmp_path / "snap.blk"
-        save_snapshot(path, ingestor.registry, iter(store))
+        write_snapshot(path, ingestor.registry, store.column_blocks())
         return path, path.read_bytes()
 
     def _load(self, path):
@@ -272,15 +275,15 @@ class TestAtomicity:
     def test_failed_write_leaves_old_snapshot_intact(self, tmp_path):
         ingestor, store = self._populate()
         path = tmp_path / "snap.blk"
-        save_snapshot(path, ingestor.registry, iter(store))
+        write_snapshot(path, ingestor.registry, store.column_blocks())
         good = path.read_bytes()
 
-        def exploding_events():
-            yield next(iter(store))
+        def exploding_blocks():
+            yield next(store.column_blocks())
             raise OSError("disk full")
 
         with pytest.raises(OSError, match="disk full"):
-            save_snapshot(path, ingestor.registry, exploding_events())
+            write_snapshot(path, ingestor.registry, exploding_blocks())
         assert path.read_bytes() == good  # old snapshot untouched
         assert not list(tmp_path.glob("*.tmp"))  # temp file cleaned up
 
@@ -291,23 +294,23 @@ class TestAtomicity:
     def test_success_leaves_no_temp_file(self, tmp_path):
         ingestor, store = self._populate()
         path = tmp_path / "snap.blk"
-        save_snapshot(path, ingestor.registry, iter(store))
+        write_snapshot(path, ingestor.registry, store.column_blocks())
         assert path.exists()
         assert not list(tmp_path.glob("*.tmp"))
 
-    def test_events_stream_lazily(self, tmp_path):
-        """The writer consumes the event iterable without materializing it."""
+    def test_blocks_stream_lazily(self, tmp_path):
+        """The writer consumes the block iterable without materializing it."""
         ingestor, store = self._populate(events=5)
         path = tmp_path / "snap.blk"
         consumed = []
 
         def tracking():
-            for event in store:
-                consumed.append(event.event_id)
-                yield event
+            for block, visible in store.column_blocks():
+                consumed.append(visible)
+                yield block, visible
 
-        written = save_snapshot(path, ingestor.registry, tracking())
-        assert written == 5 and len(consumed) == 5
+        written = write_snapshot(path, ingestor.registry, tracking())
+        assert written == 5 and consumed == [5]
         registry = EntityRegistry()
         restored = EventStore(registry=registry)
         assert load_snapshot(path, registry, [restored]) == 5

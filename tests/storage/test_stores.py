@@ -12,6 +12,7 @@ from repro.storage.ingest import Ingestor
 from repro.storage.kernels import compile_filter
 from repro.storage.partition import PartitionScheme
 from repro.workload.topology import APT_DAY, ATTACKER_IP
+from tests.oracle import oracle_rows, rows, stored_rows
 
 
 FILTERS = [
@@ -31,21 +32,21 @@ FILTERS = [
 
 class TestEventStoreSoundness:
     @pytest.mark.parametrize("flt", FILTERS)
-    def test_scan_equals_full_scan(self, enterprise, flt):
+    def test_scan_equals_oracle(self, enterprise, flt):
         store = enterprise.store("partitioned")
-        assert store.scan(flt) == store.full_scan(flt)
+        assert rows(store, flt) == oracle_rows(store, flt)
 
     @pytest.mark.parametrize("flt", FILTERS)
     def test_scan_without_entity_index_equals_scan(self, enterprise, flt):
         store = enterprise.store("partitioned")
-        assert store.scan(flt, use_entity_index=False) == store.scan(flt)
+        assert rows(store, flt, use_entity_index=False) == rows(store, flt)
 
     @pytest.mark.parametrize("flt", FILTERS)
     def test_supplied_kernel_equals_self_compiled(self, enterprise, flt):
         """A plan's precompiled kernel selects what a plan-less scan does."""
         store = enterprise.store("partitioned")
         supplied = store.scan_columns(flt, kernel=compile_filter(flt))
-        assert supplied.events() == store.scan(flt)
+        assert supplied.events() == rows(store, flt)
 
     def test_partitions_exist_per_day_and_group(self, enterprise):
         store = enterprise.store("partitioned")
@@ -68,8 +69,8 @@ class TestStoreEquivalence:
         "name", ["flat", "segmented_domain", "segmented_arrival"]
     )
     def test_same_results_as_partitioned(self, enterprise, name, flt):
-        reference = enterprise.store("partitioned").scan(flt)
-        assert enterprise.store(name).scan(flt) == reference
+        reference = rows(enterprise.store("partitioned"), flt)
+        assert rows(enterprise.store(name), flt) == reference
 
     def test_same_event_counts(self, enterprise):
         counts = {name: len(store) for name, store in enterprise.stores.items()}
@@ -141,7 +142,7 @@ class TestSmallStoreBehaviors:
         assert len(store) == 1
         assert store.stats()["partitions"] == 1
 
-    def test_event_store_iteration_ordered_by_partition(self):
+    def test_column_blocks_ordered_by_partition(self):
         ingestor = Ingestor()
         store = EventStore(
             registry=ingestor.registry, scheme=PartitionScheme(agents_per_group=1)
@@ -153,5 +154,5 @@ class TestSmallStoreBehaviors:
         f2 = ingestor.file(2, "/y")
         ingestor.emit(2, DAY + 1.0, "read", p2, f2)
         ingestor.emit(1, 1.0, "read", p1, f)
-        events = list(store)
+        events = stored_rows(store)
         assert events[0].agent_id == 1  # day 0 before day 1

@@ -1,4 +1,4 @@
-"""Unit tests for repro.storage.table: access paths must equal full scans."""
+"""Unit tests for repro.storage.table: access paths must equal the oracle."""
 
 import pytest
 
@@ -8,6 +8,7 @@ from repro.storage.filters import AttrPredicate, EventFilter, PredicateLeaf
 from repro.storage.index import EntityAttributeIndex
 from repro.storage.ingest import Ingestor
 from repro.storage.table import EventTable
+from tests.oracle import table_oracle_rows
 
 
 @pytest.fixture()
@@ -43,26 +44,26 @@ def populated():
 
 
 class TestScanPaths:
-    def test_scan_equals_full_scan_empty_filter(self, populated):
+    def test_scan_equals_oracle_empty_filter(self, populated):
         table, index, _ = populated
         flt = EventFilter()
-        assert table.scan(flt, index) == table.full_scan(flt)
+        assert table.scan_select(flt, index).events() == table_oracle_rows(table, flt)
 
     def test_time_index_path(self, populated):
         table, index, _ = populated
         flt = EventFilter(window=TimeWindow(start=150.0, end=450.0))
-        events = table.scan(flt, index)
+        events = table.scan_select(flt, index).events()
         assert [e.start_time for e in events] == [200.0, 300.0, 400.0]
-        assert events == table.full_scan(flt)
+        assert events == table_oracle_rows(table, flt)
 
     def test_entity_index_path(self, populated):
         table, index, _ = populated
         flt = EventFilter(
             subject_pred=PredicateLeaf(AttrPredicate("exe_name", "=", "bash")),
         )
-        events = table.scan(flt, index)
+        events = table.scan_select(flt, index).events()
         assert len(events) == 2
-        assert events == table.full_scan(flt)
+        assert events == table_oracle_rows(table, flt)
 
     def test_object_index_path(self, populated):
         table, index, _ = populated
@@ -70,20 +71,20 @@ class TestScanPaths:
             object_type=EntityType.FILE,
             object_pred=PredicateLeaf(AttrPredicate("name", "=", "%passwd")),
         )
-        events = table.scan(flt, index)
+        events = table.scan_select(flt, index).events()
         assert len(events) == 1
-        assert events == table.full_scan(flt)
+        assert events == table_oracle_rows(table, flt)
 
     def test_id_set_path(self, populated):
         table, index, keys = populated
         flt = EventFilter(subject_ids=frozenset({keys["shell"].id}))
-        events = table.scan(flt, index)
+        events = table.scan_select(flt, index).events()
         assert {e.subject_id for e in events} == {keys["shell"].id}
-        assert events == table.full_scan(flt)
+        assert events == table_oracle_rows(table, flt)
 
     def test_results_sorted_by_time(self, populated):
         table, index, _ = populated
-        events = table.scan(EventFilter(), index)
+        events = table.scan_select(EventFilter(), index).events()
         times = [e.start_time for e in events]
         assert times == sorted(times)
 
@@ -98,12 +99,12 @@ class TestScanPaths:
             subject_pred=PredicateLeaf(AttrPredicate("exe_name", "=", "bash")),
         )
         # no index: falls back to scanning, same results
-        assert table.scan(flt, None) == table.full_scan(flt)
+        assert table.scan_select(flt, None).events() == table_oracle_rows(table, flt)
 
-    def test_len_and_iter(self, populated):
+    def test_len_counts_visible_rows(self, populated):
         table, _, _ = populated
         assert len(table) == 5
-        assert len(list(table)) == 5
+        assert len(table.scan_select(EventFilter()).events()) == 5
 
 
 class TestIdSetTimeIntersection:
@@ -116,9 +117,9 @@ class TestIdSetTimeIntersection:
             subject_ids=frozenset({keys["shell"].id}),
             window=TimeWindow(start=150.0, end=350.0),
         )
-        events = table.scan(flt, index)
+        events = table.scan_select(flt, index).events()
         assert [e.start_time for e in events] == [300.0]
-        assert events == table.full_scan(flt)
+        assert events == table_oracle_rows(table, flt)
 
     def test_candidates_pruned_by_time_window(self, populated):
         table, index, keys = populated
@@ -134,9 +135,9 @@ class TestIdSetTimeIntersection:
     def test_unbounded_window_unchanged(self, populated):
         table, index, keys = populated
         flt = EventFilter(subject_ids=frozenset({keys["shell"].id}))
-        events = table.scan(flt, index)
+        events = table.scan_select(flt, index).events()
         assert [e.start_time for e in events] == [100.0, 300.0]
-        assert events == table.full_scan(flt)
+        assert events == table_oracle_rows(table, flt)
 
     def test_covering_window_skips_intersection(self, populated):
         table, index, keys = populated
@@ -147,7 +148,7 @@ class TestIdSetTimeIntersection:
         # Window covers the whole table: _window_cuts is False and the
         # id-set path alone decides.
         assert not table._window_cuts(flt.window)
-        assert table.scan(flt, index) == table.full_scan(flt)
+        assert table.scan_select(flt, index).events() == table_oracle_rows(table, flt)
 
 
 class TestPostingsUnion:
@@ -185,4 +186,4 @@ class TestPostingsUnion:
             and (flt.object_ids is None or block.object_ids[p] in flt.object_ids)
         ]
         assert list(table._candidate_positions(flt, None)) == expected
-        assert table.scan(flt) == table.full_scan(flt)
+        assert table.scan_select(flt).events() == table_oracle_rows(table, flt)

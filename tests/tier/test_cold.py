@@ -21,6 +21,7 @@ from repro.tier import cold
 from repro.tier.cold import ColdTier, ColdTierError, ZoneMap
 
 from tests.tier.conftest import day_ts
+from tests.oracle import cold_rows
 
 
 def day_ordinal(day: int) -> int:
@@ -42,7 +43,7 @@ def make_tier(feed, tmp_path, days=(0, 1, 2), agents=(1,), per_day=4, **kw):
 class TestSegmentRoundTrip:
     def test_events_survive_compression(self, feed, tmp_path):
         tier = make_tier(feed, tmp_path, days=(0,), per_day=6)
-        got = tier.scan(EventFilter())
+        got = cold_rows(tier, EventFilter())
         assert len(got) == 6
         assert got == sorted(got, key=lambda e: (e.start_time, e.event_id))
         assert all(e.operation is Operation.WRITE for e in got)
@@ -50,9 +51,9 @@ class TestSegmentRoundTrip:
 
     def test_reload_from_manifest(self, feed, tmp_path):
         tier = make_tier(feed, tmp_path, days=(0, 1))
-        before = tier.scan(EventFilter())
+        before = cold_rows(tier, EventFilter())
         reloaded = ColdTier(tmp_path / "cold", feed.ingestor.registry.get)
-        assert reloaded.scan(EventFilter()) == before
+        assert cold_rows(reloaded, EventFilter()) == before
         assert reloaded.event_count == tier.event_count
         assert len(reloaded.zones) == 2
 
@@ -112,7 +113,7 @@ class TestSegmentRoundTrip:
         )
         fresh = ColdTier(tmp_path / "cold", feed.ingestor.registry.get)
         with pytest.raises(ColdTierError):
-            fresh.scan(EventFilter())
+            cold_rows(fresh, EventFilter())
 
     def test_column_of_the_wrong_length_is_typed(self, feed, tmp_path):
         """Columns that disagree with the declared row count, behind a
@@ -123,14 +124,14 @@ class TestSegmentRoundTrip:
         path.write_bytes(pack_frame(BLOCK_KIND, payload[:-8], compress=True))
         fresh = ColdTier(tmp_path / "cold", feed.ingestor.registry.get)
         with pytest.raises(ColdTierError, match="rows need"):
-            fresh.scan(EventFilter())
+            cold_rows(fresh, EventFilter())
 
 
 class TestZoneMapPruning:
     def test_time_window_prunes_other_days(self, feed, tmp_path):
         tier = make_tier(feed, tmp_path, days=(0, 1, 2, 3))
         window = TimeWindow(start=day_ts(1, 0.0), end=day_ts(1, 0.0) + DAY)
-        got = tier.scan(EventFilter(window=window))
+        got = cold_rows(tier, EventFilter(window=window))
         assert len(got) == 4
         assert tier.segments_pruned == 3
         assert tier.segments_scanned == 1
@@ -138,32 +139,30 @@ class TestZoneMapPruning:
 
     def test_agent_set_prunes(self, feed, tmp_path):
         tier = make_tier(feed, tmp_path, days=(0,), agents=(1, 25))
-        got = tier.scan(EventFilter(agent_ids=frozenset({25})))
+        got = cold_rows(tier, EventFilter(agent_ids=frozenset({25})))
         assert {e.agent_id for e in got} == {25}
         assert tier.segments_pruned == 1
 
     def test_operation_and_object_type_prune(self, feed, tmp_path):
         tier = make_tier(feed, tmp_path, days=(0,))
         assert (
-            tier.scan(EventFilter(operations=frozenset({Operation.CONNECT})))
+            cold_rows(tier, EventFilter(operations=frozenset({Operation.CONNECT})))
             == []
         )
         assert tier.segments_pruned == 1
-        assert tier.scan(EventFilter(object_type=EntityType.NETWORK)) == []
+        assert cold_rows(tier, EventFilter(object_type=EntityType.NETWORK)) == []
         assert tier.segments_pruned == 2
 
     def test_entity_id_sets_prune(self, feed, tmp_path):
         tier = make_tier(feed, tmp_path, days=(0,))
         proc, fobj = feed.entities(1)
-        assert tier.scan(
-            EventFilter(subject_ids=frozenset({proc.id + 999}))
-        ) == []
+        unknown = frozenset({proc.id + 999})
+        assert cold_rows(tier, EventFilter(subject_ids=unknown)) == []
         assert tier.segments_pruned == 1
-        got = tier.scan(EventFilter(object_ids=frozenset({fobj.id})))
+        got = cold_rows(tier, EventFilter(object_ids=frozenset({fobj.id})))
         assert len(got) == 4
-        assert tier.scan(
-            EventFilter(object_ids=frozenset({fobj.id + 999}))
-        ) == []
+        unknown = frozenset({fobj.id + 999})
+        assert cold_rows(tier, EventFilter(object_ids=unknown)) == []
 
     def test_estimated_events_counts_unpruned_only(self, feed, tmp_path):
         tier = make_tier(feed, tmp_path, days=(0, 1, 2))
@@ -183,12 +182,12 @@ class TestZoneMapPruning:
 class TestSegmentCache:
     def test_lru_keeps_hot_segments(self, feed, tmp_path):
         tier = make_tier(feed, tmp_path, days=(0, 1, 2), cache_segments=2)
-        tier.scan(EventFilter())  # touch all three
+        cold_rows(tier, EventFilter())  # touch all three
         assert len(tier._cache) == 2  # LRU bound holds
 
     def test_probe_reads_ids_and_agents_from_columns(self, feed, tmp_path):
         tier = make_tier(feed, tmp_path, days=(0,))
-        stored = tier.scan(EventFilter())
+        stored = cold_rows(tier, EventFilter())
         fresh = feed.emit(1, day_ts(5))
         # same id as a stored row, but an agent the segment never saw
         alien = dataclasses.replace(stored[1], agent_id=77)
@@ -203,7 +202,7 @@ class TestSegmentCache:
         self, feed, tmp_path
     ):
         tier = make_tier(feed, tmp_path, days=(0, 1, 2), per_day=5)
-        stored = ColumnBlock.from_events(tier.scan(EventFilter()))
+        stored = ColumnBlock.from_events(cold_rows(tier, EventFilter()))
         calls = []
         original = tier._decoded
         tier._decoded = lambda zone: (
@@ -228,11 +227,14 @@ class TestSegmentCache:
         assert maxima[1] == 6  # 2 days x 3 events, per-agent monotone seq
         assert maxima[2] == 6
 
-    def test_iteration_and_sizes(self, feed, tmp_path):
+    def test_column_blocks_and_sizes(self, feed, tmp_path):
         tier = make_tier(feed, tmp_path, days=(0, 1))
-        assert len(list(iter(tier))) == 8
+        assert len(list(tier.column_blocks())) == len(tier.zones)
+        assert sum(n for _, n in tier.column_blocks()) == 8
         assert tier.size_bytes() > 0
-        assert tier.max_event_id() == max(e.event_id for e in tier)
+        assert tier.max_event_id() == max(
+            e.event_id for e in cold_rows(tier, EventFilter())
+        )
         lo, hi = tier.time_range()
         assert lo == day_ts(0, 0.0) + 0.0 or lo <= hi
         empty = ColdTier(tmp_path / "cold2", feed.ingestor.registry.get)
@@ -327,8 +329,9 @@ class TestColdRowsVisited:
         window = TimeWindow(start=day_ts(1, 120.0), end=day_ts(1, 0.0) + DAY)
         nobody = PredicateLeaf(AttrPredicate("exe_name", "=", "nosuch.exe"))
         with activate(Trace()) as trace:
-            assert len(tier.scan(EventFilter(window=window))) == 3
-            assert tier.scan(EventFilter(window=window, subject_pred=nobody)) == []
+            assert len(cold_rows(tier, EventFilter(window=window))) == 3
+            flt = EventFilter(window=window, subject_pred=nobody)
+            assert cold_rows(tier, flt) == []
         counters = trace.root.counters
         assert counters["cold_segments_pruned"] == 2 * 2
         assert counters["cold_rows_visited"] == 2 * 3
@@ -342,7 +345,7 @@ class TestColdRowsVisited:
         monkeypatch.setattr(cold.REGISTRY, "enabled", False)
         counter = cold.REGISTRY.get("aiql_cold_rows_visited_total")
         before = counter.value()
-        assert len(tier.scan(EventFilter())) == 4
+        assert len(cold_rows(tier, EventFilter())) == 4
         assert counter.value() == before
 
 
@@ -406,7 +409,7 @@ class TestBatchedPublication:
         tier = make_tier(feed, tmp_path, days=(0,))
         manifest = (tier.directory / "manifest.json").read_bytes()
         old_zones = tier.zones
-        before = tier.scan(EventFilter())
+        before = cold_rows(tier, EventFilter())
         encode = cold.encode_block
         calls = []
 
@@ -425,16 +428,16 @@ class TestBatchedPublication:
         assert len(written) == 1 + 2
         assert (tier.directory / "manifest.json").read_bytes() == manifest
         assert tier.zones == old_zones
-        assert tier.scan(EventFilter()) == before
+        assert cold_rows(tier, EventFilter()) == before
         # Recovery reads the old zones; the orphans are invisible.
         reopened = ColdTier(tmp_path / "cold", feed.ingestor.registry.get)
         assert reopened.zones == old_zones
-        assert reopened.scan(EventFilter()) == before
+        assert cold_rows(reopened, EventFilter()) == before
         # The failed batch did not advance the segment counter; the next
         # batch publishes cleanly.
         zones = reopened.add_segments(segment_items(feed, days=(4,)))
         assert zones[0].filename.endswith("-000001.seg")
-        assert len(reopened.scan(EventFilter())) == len(before) + 3
+        assert len(cold_rows(reopened, EventFilter())) == len(before) + 3
 
 
 def mixed_segment_tier(feed, tmp_path, **kw):
@@ -460,7 +463,7 @@ class TestColumnarScan:
         from repro.storage.kernels import use_kernels
 
         with use_kernels(False):
-            return tier.scan(flt)
+            return cold_rows(tier, flt)
 
     @pytest.mark.parametrize(
         "flt_kwargs",
@@ -474,7 +477,7 @@ class TestColumnarScan:
     def test_row_level_structural_filters(self, feed, tmp_path, flt_kwargs):
         tier, _ = mixed_segment_tier(feed, tmp_path)
         flt = EventFilter(**flt_kwargs)
-        got = tier.scan(flt)
+        got = cold_rows(tier, flt)
         assert got  # the segment holds at least one survivor per case
         assert got == self.interpreted(tier, flt)
         assert tier.segments_scanned >= 1  # zone map could not prune
@@ -485,30 +488,31 @@ class TestColumnarScan:
         flt = EventFilter(
             subject_ids=frozenset({proc.id}), object_ids=frozenset({fobj.id})
         )
-        got = tier.scan(flt)
+        got = cold_rows(tier, flt)
         assert got == self.interpreted(tier, flt)
         assert {e.agent_id for e in got} == {2}
 
     def test_prefilter_misses_never_materialize(self, feed, tmp_path):
         tier, _ = mixed_segment_tier(feed, tmp_path)
         # Agent 3 is inside no zone map: the scan is pruned without decode.
-        assert tier.scan(EventFilter(agent_ids=frozenset({3}))) == []
+        assert cold_rows(tier, EventFilter(agent_ids=frozenset({3}))) == []
         assert tier._cache == {}
         # A window inside the segment's range but between events survives
         # the zone map, decodes columns, then matches no row: the block
         # must stay un-materialized (no SystemEvent construction).
         window = TimeWindow(start=day_ts(0, 601.0), end=day_ts(0, 650.0))
-        assert tier.scan(EventFilter(window=window)) == []
+        assert cold_rows(tier, EventFilter(window=window)) == []
         (block,) = tier._cache.values()
         assert not block.rows_materialized
 
     def test_materialized_segments_still_scan_correctly(self, feed, tmp_path):
         tier, events = mixed_segment_tier(feed, tmp_path)
-        list(iter(tier))  # materialize via iteration (recovery-style access)
+        for block, visible in tier.column_blocks():
+            block.events(visible)  # materialize every row of the raw view
         (block,) = tier._cache.values()
         assert block.rows_materialized
         flt = EventFilter(operations=frozenset({Operation.CONNECT}))
-        got = tier.scan(flt)
+        got = cold_rows(tier, flt)
         assert [e.operation for e in got] == [Operation.CONNECT]
         assert got == self.interpreted(tier, flt)
 
@@ -522,7 +526,7 @@ class TestColumnarScan:
                 AttrPredicate(attr="name", op="=", value="%host1%")
             ),
         )
-        got = tier.scan(flt)
+        got = cold_rows(tier, flt)
         assert got == self.interpreted(tier, flt)
         assert got and all(e.agent_id == 1 for e in got)
 
@@ -531,9 +535,9 @@ class TestColdScanResultCache:
     def test_repeat_scans_hit_the_cache(self, feed, tmp_path):
         tier, _ = mixed_segment_tier(feed, tmp_path)
         flt = EventFilter(agent_ids=frozenset({1}))
-        first = tier.scan(flt)
+        first = cold_rows(tier, flt)
         assert tier.stats()["scan_cache"]["misses"] == 1
-        assert tier.scan(flt) == first
+        assert cold_rows(tier, flt) == first
         assert tier.stats()["scan_cache"]["hits"] == 1
 
     def test_hits_fetch_no_segment(self, feed, tmp_path, monkeypatch):
@@ -558,12 +562,12 @@ class TestColdScanResultCache:
             )
             for day in (0, 1, 2)
         ]
-        tier.scan(flts[0])
-        tier.scan(flts[1])
-        tier.scan(flts[0])  # refresh day 0
-        tier.scan(flts[2])  # evicts day 1
-        tier.scan(flts[0])  # still cached
-        tier.scan(flts[1])  # scanned again
+        cold_rows(tier, flts[0])
+        cold_rows(tier, flts[1])
+        cold_rows(tier, flts[0])  # refresh day 0
+        cold_rows(tier, flts[2])  # evicts day 1
+        cold_rows(tier, flts[0])  # still cached
+        cold_rows(tier, flts[1])  # scanned again
         assert tier.stats()["scan_cache"] == {
             "entries": 2,
             "hits": 2,
@@ -577,10 +581,10 @@ class TestColdScanResultCache:
         blob = path.read_bytes()
         path.write_bytes(b"garbage")
         with pytest.raises(ColdTierError):
-            tier.scan(EventFilter())
+            cold_rows(tier, EventFilter())
         assert tier.stats()["scan_cache"]["entries"] == 0
         path.write_bytes(blob)
-        assert len(tier.scan(EventFilter())) == 4
+        assert len(cold_rows(tier, EventFilter())) == 4
         assert tier.stats()["scan_cache"]["entries"] == 1
 
     def test_negative_bound_rejected(self, feed, tmp_path):
@@ -604,11 +608,11 @@ class TestColdScanResultCache:
 
         tier, _ = mixed_segment_tier(feed, tmp_path)
         flt = EventFilter(**flt_kwargs)
-        tier.scan(flt)
-        cached = tier.scan(flt)
+        cold_rows(tier, flt)
+        cached = cold_rows(tier, flt)
         assert tier.stats()["scan_cache"]["hits"] == 1
         with use_kernels(False):
-            assert cached == tier.scan(flt)
+            assert cached == cold_rows(tier, flt)
 
     @pytest.mark.parametrize(
         "extra, cached", [(0, True), (1, False)], ids=["at-limit", "over-limit"]
@@ -619,7 +623,7 @@ class TestColdScanResultCache:
         size = cold.CACHEABLE_ID_SET_LIMIT + extra
         ids = frozenset(range(10**6, 10**6 + size - 1)) | {proc.id}
         assert len(ids) == size
-        tier.scan(EventFilter(subject_ids=ids))
+        cold_rows(tier, EventFilter(subject_ids=ids))
         assert tier.stats()["scan_cache"]["entries"] == int(cached)
 
     def test_racing_misses_agree_on_one_block(self, feed, tmp_path, monkeypatch):
@@ -670,13 +674,13 @@ class TestColdScanResultCache:
     def test_giant_narrowed_id_sets_skip_the_cache(self, feed, tmp_path):
         tier, _ = mixed_segment_tier(feed, tmp_path)
         flt = EventFilter(subject_ids=frozenset(range(1000)))
-        tier.scan(flt)
+        cold_rows(tier, flt)
         assert tier.stats()["scan_cache"]["entries"] == 0
 
     def test_cache_disabled(self, feed, tmp_path):
         tier, _ = mixed_segment_tier(feed, tmp_path, scan_cache_entries=0)
         flt = EventFilter(agent_ids=frozenset({2}))
-        assert tier.scan(flt) == tier.scan(flt)
+        assert cold_rows(tier, flt) == cold_rows(tier, flt)
         assert "scan_cache" not in tier.stats()
         assert not tier._selections
 
@@ -685,12 +689,12 @@ class TestColdScanResultCache:
 
         tier, _ = mixed_segment_tier(feed, tmp_path)
         with use_kernels(False):
-            tier.scan(EventFilter(agent_ids=frozenset({1})))
+            cold_rows(tier, EventFilter(agent_ids=frozenset({1})))
         assert tier.stats()["scan_cache"]["misses"] == 0
 
     def test_stats_include_scan_cache(self, feed, tmp_path):
         tier, _ = mixed_segment_tier(feed, tmp_path)
-        tier.scan(EventFilter(agent_ids=frozenset({1})))
+        cold_rows(tier, EventFilter(agent_ids=frozenset({1})))
         assert tier.stats()["scan_cache"]["misses"] == 1
         tier_off, _ = mixed_segment_tier(
             feed, tmp_path / "other", scan_cache_entries=0

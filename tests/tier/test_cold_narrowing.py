@@ -33,6 +33,7 @@ from repro.workload.corpus import ALL_QUERIES
 from repro.workload.loader import build_enterprise
 from tests.conftest import compile_text
 from tests.tier.conftest import EventFeed, day_ts
+from tests.oracle import rows
 
 
 def corpus_filters():
@@ -113,17 +114,17 @@ class TestCorpusOracle:
     )
     @pytest.mark.parametrize("use_entity_index", [True, False], ids=["index", "raw"])
     def test_scan_equals_oracle(self, corpus_store, qid, flt, use_entity_index):
-        store, rows = corpus_store
+        store, stored = corpus_store
         get = store.registry.get
         expected = sorted(
             (
                 e
-                for e in rows
+                for e in stored
                 if flt.matches(e, get(e.subject_id), get(e.object_id))
             ),
             key=lambda e: (e.start_time, e.event_id),
         )
-        got = store.scan(flt, use_entity_index=use_entity_index)
+        got = rows(store, flt, use_entity_index=use_entity_index)
         assert ids(got) == ids(expected), qid
 
     def test_corpus_reaches_the_cold_tier(self, corpus_store):
@@ -190,7 +191,7 @@ class TestZonePruningById:
         assert missing and holding  # agents 1, 2 and 25 are in two groups
 
         fetched = spy_fetches(monkeypatch)
-        got = store.scan(flt)
+        got = rows(store, flt)
         assert {e.agent_id for e in got} == {25}
         assert len(got) == 6 * 3
         assert set(fetched) == holding
@@ -200,15 +201,15 @@ class TestZonePruningById:
         # cold tier too: the zone maps cannot prune by entity.
         store = small_tiered
         fetched = spy_fetches(monkeypatch)
-        narrowed = store.scan(exe_is("worker25.exe"))
-        raw = store.scan(exe_is("worker25.exe"), use_entity_index=False)
+        narrowed = rows(store, exe_is("worker25.exe"))
+        raw = rows(store, exe_is("worker25.exe"), use_entity_index=False)
         assert ids(raw) == ids(narrowed)
         assert set(fetched) >= {z.filename for z in store.cold.zones}
 
     def test_unknown_entity_prunes_everything(self, small_tiered, monkeypatch):
         store = small_tiered
         fetched = spy_fetches(monkeypatch)
-        assert store.scan(exe_is("nosuch.exe")) == []
+        assert rows(store, exe_is("nosuch.exe")) == []
         assert fetched == []
 
 
@@ -240,7 +241,7 @@ class TestSelectionMemo:
         for day in range(3):
             feed.emit(1, day_ts(day))
         store.compact()
-        first = store.scan(like)
+        first = rows(store, like)
         assert len(first) == 3 and cold.event_count == 2
         # A second process on agent 1 writes on day 0 (which is cold by
         # the next compaction) — its events join the pattern's matches.
@@ -250,10 +251,10 @@ class TestSelectionMemo:
         store.compact(now=day_ts(2))
         assert len(store.hot) == 1
         hits = cold.scan_cache_hits
-        again = store.scan(like)
+        again = rows(store, like)
         assert cold.scan_cache_hits - hits == 2  # the two older segments
         assert len(again) == 4
-        assert ids(again) == ids(store.scan(like, use_entity_index=False))
+        assert ids(again) == ids(rows(store, like, use_entity_index=False))
 
     def test_broad_resolution_still_caches(self, tmp_path):
         # A pattern resolving to more ids than a scheduler join set may
@@ -269,10 +270,10 @@ class TestSelectionMemo:
         like = exe_like("tool%")
         resolved = narrow_with_index(like, store.entity_index).subject_ids
         assert len(resolved) > CACHEABLE_ID_SET_LIMIT
-        first = store.scan(like)
+        first = rows(store, like)
         assert len(first) == len(resolved)
         hits = store.cold.scan_cache_hits
-        assert store.scan(like) == first
+        assert rows(store, like) == first
         assert store.cold.scan_cache_hits > hits
 
 
@@ -316,7 +317,7 @@ class TestResolutionRaces:
         """The ids a ``worker%`` scan sees when ``during()`` runs right
         after its first call of ``target.attr``."""
         monkeypatch.setattr(target, attr, run_once(during)(getattr(target, attr)))
-        return {e.event_id for e in store.scan(exe_like("worker%"))}
+        return {e.event_id for e in rows(store, exe_like("worker%"))}
 
     @pytest.mark.parametrize("compact", [False, True], ids=["hot", "compacted"])
     def test_batch_committed_after_resolving(self, tmp_path, monkeypatch, compact):
@@ -342,7 +343,7 @@ class TestResolutionRaces:
         assert len(store.cold.zones) == segments + compact
         assert first & batch in (set(), batch)
         hits = store.cold.scan_cache_hits
-        assert batch <= {e.event_id for e in store.scan(exe_like("worker%"))}
+        assert batch <= {e.event_id for e in rows(store, exe_like("worker%"))}
         if compact:
             # The young segment was memoized under the raw filter, whole.
             assert store.cold.scan_cache_hits > hits
@@ -367,7 +368,7 @@ class TestResolutionRaces:
         )
         assert len(batch) == 2 and len(store.hot) == 2  # one row moved cold
         assert first & batch in (set(), batch)
-        assert batch <= {e.event_id for e in store.scan(exe_like("worker%"))}
+        assert batch <= {e.event_id for e in rows(store, exe_like("worker%"))}
 
 
 class TestRestartCoverage:
@@ -389,18 +390,18 @@ class TestRestartCoverage:
         if checkpointed:
             system.checkpoint()  # the snapshot carries the whole registry
         feed.emit(1, day_ts(3, 7200.0))  # a WAL record after it
-        expected = ids(system.store.scan(exe_is("worker25.exe")))
+        expected = ids(rows(system.store, exe_is("worker25.exe")))
         assert len(expected) == 2
         del system  # crash: no close
 
         with AIQLSystem.recover(str(data)) as recovered:
             store = recovered.store
             assert not any(
-                e.agent_id == 25 for e in store.hot.scan(EventFilter())
+                e.agent_id == 25 for e in rows(store.hot, EventFilter())
             )
             wanted = resolve_exe(store, "worker25.exe")
             assert wanted  # the index covers the cold-only entity
-            assert ids(store.scan(exe_is("worker25.exe"))) == expected
+            assert ids(rows(store, exe_is("worker25.exe"))) == expected
             assert ids(
-                store.scan(exe_is("worker25.exe"), use_entity_index=False)
+                rows(store, exe_is("worker25.exe"), use_entity_index=False)
             ) == expected

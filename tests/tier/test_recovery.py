@@ -11,6 +11,7 @@ from repro.tier import checkpoint, open_data_dir, snapshot_path, wal_path
 from repro.storage.ingest import Ingestor
 
 from tests.tier.conftest import EventFeed, day_ts
+from tests.oracle import rows
 
 
 def durable_system(tmp_path, **overrides):
@@ -37,7 +38,7 @@ def stream_days(system, days=4, per_day=5, agent=1):
 def content(system):
     return [
         (e.event_id, e.agent_id, e.seq, e.start_time, e.operation)
-        for e in system.store.scan(EventFilter())
+        for e in rows(system.store, EventFilter())
     ]
 
 
@@ -269,7 +270,9 @@ class TestRecoveryBuildsNoRows:
         system.checkpoint()
         stream_days(system, days=4, agent=2)
         store = system.store
-        day0 = [e for e in store.hot if e.start_time < day_ts(1, 0.0)]
+        day0 = [
+            e for e in rows(store.hot, EventFilter()) if e.start_time < day_ts(1, 0.0)
+        ]
         key = store.partition_scheme.key_for(1, day0[0].start_time)
         store.cold.add_segments(
             [(key, ColumnBlock.from_events([e for e in day0 if e.agent_id == 1]))]
@@ -315,7 +318,7 @@ class TestReconciliation:
         assert report.duplicates_reconciled == 4
         assert report.cold_events == 4
         assert len(store2) == 5  # no double counting
-        ids = [e.event_id for e in store2.scan(EventFilter())]
+        ids = [e.event_id for e in rows(store2, EventFilter())]
         assert ids == sorted(set(ids))
         wal2.close()
 

@@ -12,6 +12,7 @@ from repro.storage.ingest import Ingestor
 from repro.tier.cold import ColdTier
 from repro.tier.store import TieredStore
 
+from tests.oracle import oracle_rows, rows
 from tests.tier.conftest import EventFeed, day_ts
 
 @pytest.fixture
@@ -30,7 +31,7 @@ def tiered(tmp_path):
 
 
 def all_events(store):
-    return store.scan(EventFilter())
+    return rows(store, EventFilter())
 
 
 class TestCompaction:
@@ -68,20 +69,20 @@ class TestCompaction:
         hot_window = TimeWindow(start=day_ts(5, 0.0), end=day_ts(5, 0.0) + DAY)
         cold_window = TimeWindow(start=day_ts(0, 0.0), end=day_ts(0, 0.0) + DAY)
         mixed = TimeWindow(start=day_ts(2, 0.0), end=day_ts(5, 0.0) + DAY)
-        assert len(store.scan(EventFilter(window=hot_window))) == 9
-        assert len(store.scan(EventFilter(window=cold_window))) == 9
-        assert len(store.scan(EventFilter(window=mixed))) == 36
+        assert len(rows(store, EventFilter(window=hot_window))) == 9
+        assert len(rows(store, EventFilter(window=cold_window))) == 9
+        assert len(rows(store, EventFilter(window=mixed))) == 36
         # spatial constraint reaches the cold tier too
-        got = store.scan(
-            EventFilter(window=cold_window, agent_ids=frozenset({25}))
-        )
+        got = rows(store, EventFilter(window=cold_window, agent_ids=frozenset({25})))
         assert {e.agent_id for e in got} == {25}
 
-    def test_full_scan_merges_tiers(self, tiered):
+    def test_scan_equals_oracle_across_compaction(self, tiered):
         store, _ = tiered
-        before = store.full_scan(EventFilter())
+        before = oracle_rows(store, EventFilter())
+        assert rows(store, EventFilter()) == before
         store.compact()
-        assert store.full_scan(EventFilter()) == before
+        assert oracle_rows(store, EventFilter()) == before
+        assert rows(store, EventFilter()) == before
 
     def test_ingest_after_compaction_continues(self, tiered):
         store, feed = tiered
@@ -97,13 +98,13 @@ class TestCompaction:
         # an event landing on an already-migrated day goes hot again ...
         late = feed.emit(1, day_ts(0, 7200.0))
         window = TimeWindow(start=day_ts(0, 0.0), end=day_ts(0, 0.0) + DAY)
-        got = store.scan(EventFilter(window=window))
+        got = rows(store, EventFilter(window=window))
         assert late.event_id in {e.event_id for e in got}
         assert len(got) == 10
         # ... and the next pass migrates it without duplicating anything
         report = store.compact(now=day_ts(6))
         assert report.moved
-        assert len(store.scan(EventFilter(window=window))) == 10
+        assert len(rows(store, EventFilter(window=window))) == 10
 
     def test_compact_requires_a_horizon(self, tmp_path):
         ingestor = Ingestor()
@@ -138,7 +139,7 @@ class TestCompactionByColumn:
         store, feed = tiered
         feed.emit(1, day_ts(0, 50.0))  # out of order inside its partition
         feed.emit(25, day_ts(1, 10.0))
-        before = list(store.hot)
+        before = rows(store.hot, EventFilter())
         calls = []
         event_at = ColumnBlock.event_at
 
@@ -156,18 +157,18 @@ class TestCompactionByColumn:
         assert [z.key for z in zones] == list(report.partitions)
         assert sum(z.count for z in zones) == report.events_migrated
         for zone in zones:
-            rows = sorted(
+            segment = sorted(
                 (e for e in before if key_for(e.agent_id, e.start_time) == zone.key),
                 key=lambda e: (e.start_time, e.event_id),
             )
             written = (store.cold.directory / zone.filename).read_bytes()
             assert written == encode_block(
-                ColumnBlock.from_events(rows), compress=True
+                ColumnBlock.from_events(segment), compress=True
             )
-            assert zone.count == len(rows)
-            assert zone.min_time == rows[0].start_time
-            assert zone.max_eid == max(e.event_id for e in rows)
-            assert zone.agents == {e.agent_id for e in rows}
+            assert zone.count == len(segment)
+            assert zone.min_time == segment[0].start_time
+            assert zone.max_eid == max(e.event_id for e in segment)
+            assert zone.agents == {e.agent_id for e in segment}
 
     def test_a_late_event_stays_out_of_the_segment_zone_map(
         self, tiered, monkeypatch
@@ -180,7 +181,11 @@ class TestCompactionByColumn:
         store, feed = tiered
         key_for = store.partition_scheme.key_for
         key = key_for(1, day_ts(0, 900.0))
-        rows = [e for e in store.hot if key_for(e.agent_id, e.start_time) == key]
+        migrating = [
+            e
+            for e in rows(store.hot, EventFilter())
+            if key_for(e.agent_id, e.start_time) == key
+        ]
         hot_block = store.hot._partitions[key].block
         scan_columns = store.hot.scan_columns
         length = ColumnBlock.__len__
@@ -205,39 +210,41 @@ class TestCompactionByColumn:
         (event,) = late
         (zone,) = [z for z in store.cold.zones if z.key == key]
         assert key_for(event.agent_id, event.start_time) == key
-        assert zone.count == len(rows) == 6
-        assert zone.max_time == max(e.start_time for e in rows) < event.start_time
-        assert zone.max_eid == max(e.event_id for e in rows) < event.event_id
+        assert zone.count == len(migrating) == 6
+        assert zone.max_time == max(e.start_time for e in migrating) < event.start_time
+        assert zone.max_eid == max(e.event_id for e in migrating) < event.event_id
         assert report.events_migrated == 4 * 3 * 3
-        assert store.hot.scan(EventFilter())[0] == event
+        assert rows(store.hot, EventFilter())[0] == event
 
 
-class TestFullScan:
+class TestMigrationHandOff:
     def test_an_event_in_both_tiers_appears_once_in_order(self, tiered):
         """Mid-migration: a segment written from hot rows not yet removed."""
         store, feed = tiered
         feed.emit(1, day_ts(0, 50.0))
-        expected = store.hot.full_scan(EventFilter())
-        day0 = [e for e in store.hot if e.start_time < day_ts(1, 0.0)]
+        expected = oracle_rows(store.hot, EventFilter())
+        day0 = [
+            e for e in rows(store.hot, EventFilter()) if e.start_time < day_ts(1, 0.0)
+        ]
         key = store.partition_scheme.key_for(1, day0[0].start_time)
         store.cold.add_segments(
             [(key, ColumnBlock.from_events([e for e in day0 if e.agent_id == 1]))]
         )
-        got = store.full_scan(EventFilter())
+        got = oracle_rows(store, EventFilter())
         assert got == sorted(got, key=lambda e: (e.start_time, e.event_id))
         assert len({e.event_id for e in got}) == len(got)
         assert got == expected
-        assert got == store.scan(EventFilter())
+        assert got == rows(store, EventFilter())
 
 
 class TestStoreSurface:
-    def test_len_iter_and_stats_span_tiers(self, tiered):
+    def test_len_rows_and_stats_span_tiers(self, tiered):
         store, _ = tiered
         total = len(store)
-        ids = {e.event_id for e in store}
+        ids = {e.event_id for e in all_events(store)}
         store.compact()
         assert len(store) == total
-        assert {e.event_id for e in store} == ids
+        assert {e.event_id for e in all_events(store)} == ids
         stats = store.stats()
         assert stats["events"] == total
         assert stats["hot_events"] == len(store.hot)
@@ -251,8 +258,8 @@ class TestStoreSurface:
         cold_window = EventFilter(
             window=TimeWindow(start=day_ts(0, 0.0), end=day_ts(1, 0.0))
         )
-        first = store.scan(cold_window)
-        assert first and store.scan(cold_window) == first
+        first = rows(store, cold_window)
+        assert first and rows(store, cold_window) == first
         counts = store.stats()["cold"]["scan_cache"]
         assert counts["hits"] >= 1
         assert counts["misses"] == counts["hits"]
@@ -270,15 +277,27 @@ class TestStoreSurface:
         # cold contributes nothing inside the hot-only window
         assert bounded <= len(store.hot)
 
-    def test_delegation_reaches_hot_backend(self, tiered):
+    def test_explicit_attributes_shared_with_hot_store(self, tiered):
         store, _ = tiered
         assert store.registry is store.hot.registry
         assert store.entity_index is store.hot.entity_index
-        with pytest.raises(AttributeError):
-            store.does_not_exist
-        # a half-built wrapper must not recurse through __getattr__
-        with pytest.raises(AttributeError):
-            TieredStore.__new__(TieredStore).anything
+        assert store.route is None and store.completeness_mark is None
+        # Nothing else reaches the hot store implicitly.
+        for name in ("partition_keys", "scheme", "remove_events", "does_not_exist"):
+            with pytest.raises(AttributeError):
+                getattr(store, name)
+
+    def test_column_blocks_include_compacted_cold_rows(self, tiered):
+        store, _ = tiered
+        ids = {e.event_id for e in all_events(store)}
+        store.compact()
+        assert store.cold.event_count > 0
+        stored = [
+            block.event_ids[p]
+            for block, visible in store.column_blocks()
+            for p in range(visible)
+        ]
+        assert sorted(stored) == sorted(ids)
 
     def test_time_range_spans_tiers(self, tiered):
         store, _ = tiered
@@ -289,7 +308,7 @@ class TestStoreSurface:
 
 class TestPlanlessScanCompilesOnce:
     """Without a plan's kernel (a shard worker answering a wire filter, a
-    direct ``store.scan``), both tiers share one compilation."""
+    direct ``store.scan_columns``), both tiers share one compilation."""
 
     @pytest.fixture
     def compiles(self, monkeypatch):
@@ -313,7 +332,7 @@ class TestPlanlessScanCompilesOnce:
         store, _ = tiered
         store.compact()
         before = compiles()
-        assert not store.scan(EventFilter(subject_ids=frozenset()))
+        assert not rows(store, EventFilter(subject_ids=frozenset()))
         assert compiles() == before
 
 
@@ -330,7 +349,7 @@ class TestRemoveEvents:
         removed = hot.remove_events(victims)
         assert removed == 3
         assert len(hot) == 3
-        kept = {e.event_id for e in hot.scan(EventFilter())}
+        kept = {e.event_id for e in rows(hot, EventFilter())}
         assert kept == {e.event_id for e in events[3:]}
         assert hot.remove_events(victims) == 0  # idempotent
         lo, hi = hot.time_range()

@@ -5,9 +5,11 @@ import pytest
 from repro.model.time import DAY
 from repro.service.stream import StreamSession
 from repro.storage.database import EventStore
+from repro.storage.filters import EventFilter
 from repro.storage.ingest import Ingestor
 from repro.workload.live import LiveReplay
 from repro.workload.topology import BASE_DAY, SIMULATION_DAYS
+from tests.oracle import rows
 
 
 def make_session(batch_size=64):
@@ -34,7 +36,7 @@ class TestLiveReplay:
         assert replay.start_day == BASE_DAY + SIMULATION_DAYS * DAY
         replay.stream(max_events=50)
         horizon = BASE_DAY + SIMULATION_DAYS * DAY
-        assert all(e.start_time >= horizon for e in store)
+        assert all(e.start_time >= horizon for e in rows(store, EventFilter()))
 
     def test_background_handle_stops_cleanly(self):
         store, session = make_session()

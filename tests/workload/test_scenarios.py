@@ -14,6 +14,7 @@ from repro.workload.topology import (
     DEPENDENCY_DAY,
     MALWARE_DAY,
 )
+from tests.oracle import rows
 
 
 def scan_exe(store, agent, day, exe, op=None):
@@ -22,7 +23,7 @@ def scan_exe(store, agent, day, exe, op=None):
         window=TimeWindow(day, day + DAY),
         subject_pred=PredicateLeaf(AttrPredicate("exe_name", "=", exe)),
     )
-    events = store.scan(flt)
+    events = rows(store, flt)
     if op:
         events = [e for e in events if e.operation.value == op]
     return events
