@@ -17,7 +17,7 @@ but it is never a durable, tiered or sharded deployment's hot tier.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from repro.model.entities import EntityRegistry
 from repro.model.time import TimeWindow
@@ -47,6 +47,7 @@ class FlatScheme(PartitionScheme):
         keys: Iterable[PartitionKey],
         agent_ids: Optional[FrozenSet[int]],
         window: TimeWindow,
+        held_groups: Optional[Sequence[int]] = None,
     ) -> List[PartitionKey]:
         return list(keys)
 

@@ -25,7 +25,7 @@ durable, tiered or sharded deployment's hot tier.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from repro.model.entities import EntityRegistry
 from repro.model.time import TimeWindow, day_of
@@ -85,6 +85,7 @@ class SegmentScheme(PartitionScheme):
         keys: Iterable[PartitionKey],
         agent_ids: Optional[FrozenSet[int]],
         window: TimeWindow,
+        held_groups: Optional[Sequence[int]] = None,
     ) -> List[PartitionKey]:
         """Every segment, except under ``domain`` with agents and a bounded
         window: only the segments their ``(agent, day)`` hashes name."""

@@ -179,9 +179,7 @@ class AIQLSystem:
     def durable(self) -> bool:
         # In-process deployments hold the WAL here; sharded ones delegate
         # (each worker owns its shard's WAL).
-        return self._wal is not None or bool(
-            getattr(self.store, "durable", False)
-        )
+        return self._wal is not None or self.store.durable
 
     def checkpoint(self) -> int:
         """Snapshot registry + hot tier, truncate the WAL; returns events
@@ -219,9 +217,8 @@ class AIQLSystem:
             self.compactor.stop()
         if self._wal is not None:
             self._wal.close()
-        store_close = getattr(self.store, "close", None)
-        if store_close is not None:
-            store_close()
+        if self.store.close is not None:
+            self.store.close()
         shutdown_shared_executor()
 
     def __enter__(self) -> "AIQLSystem":

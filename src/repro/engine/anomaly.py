@@ -6,11 +6,16 @@ An anomaly query is a multievent query with a global sliding window
 1. resolve the matched tuples once over the whole global time window (the
    engine "maintains the aggregate results as historical states");
 2. slide the window across the global range; each position aggregates the
-   tuples whose anchor event (the first pattern) starts inside it;
-3. per group (the ``group by`` keys), keep the aggregate series aligned
-   across window positions — a group absent from a window contributes 0 —
-   giving the history states ``freq[1]``, ``freq[2]``... and the moving
-   average inputs;
+   tuples whose anchor event (the first pattern) starts inside it.  Window
+   ``k`` starts at ``t0 + k*step``; positions are counted, never listed,
+   and the occupied ones are found by bisecting the sorted anchor times,
+   jumping over empty stretches by arithmetic — so a day of 10 s steps
+   costs what its rows cost, not 8,640 positions;
+3. per group (the ``group by`` keys), keep a sparse ``{window: value}``
+   series per aggregate — a group absent from a window contributes 0 —
+   giving the history states ``freq[1]``, ``freq[2]``... (one lookup
+   each) and the moving average inputs (zero-filled only when a moving
+   average asks for them);
 4. evaluate the ``having`` expression at each position, skipping positions
    earlier than the deepest history index referenced (there is no history
    to compare against yet);
@@ -20,7 +25,7 @@ An anomaly query is a multievent query with a global sliding window
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.engine.result import ResultSet
@@ -28,34 +33,90 @@ from repro.engine.scheduler import make_scheduler
 from repro.engine.tuples import TupleSet
 from repro.lang.context import QueryContext
 from repro.lang.errors import AIQLSemanticError
-from repro.lang.expr import MappingEnv, evaluate_bool, max_history_depth
+from repro.lang.expr import evaluate_bool, max_history_depth
 from repro.model.time import format_timestamp
 from repro.obs.trace import trace_span
 
 
+def window_count(t0: float, t1: float, window: float, step: float) -> int:
+    """How many window positions ``[t0 + k*step, t0 + k*step + window)``
+    end by ``t1`` (within 1e-9 s): at least one, the first window even
+    when it overruns a short range."""
+    return _first_window_ending_after(t1 + 1e-9, t0, step, window, 1)
+
+
 def occupied_windows(
-    times: Sequence[float], starts: Sequence[float], window: float
+    times: Sequence[float], t0: float, step: float, window: float, count: int
 ) -> Iterator[Tuple[int, int, int]]:
-    """``(k, lo, hi)`` for each window ``[starts[k], starts[k] + window)``
-    that holds rows — ``times[lo:hi]``, ``times`` ascending — in window order.
+    """``(k, lo, hi)`` for each window ``[t0 + k*step, t0 + k*step + window)``,
+    ``k < count``, that holds rows — ``times[lo:hi]``, ``times`` ascending —
+    in window order.
 
     A day-long query has thousands of window positions and its rows sit in
     a few of them, so empty windows are not visited: from a window, bisect
-    its first row; if that row starts at or past the window's end, jump to
-    the first window whose end lies beyond it.
+    its first row; if that row starts at or past the window's end, compute
+    the first window whose end lies beyond it and go there.
     """
-    ends = [start + window for start in starts]
     k = 0
-    while k < len(starts):
-        lo = bisect_left(times, starts[k])
+    while k < count:
+        start = t0 + k * step
+        lo = bisect_left(times, start)
         if lo == len(times):
             return
-        hi = bisect_left(times, ends[k], lo)
+        hi = bisect_left(times, start + window, lo)
         if lo == hi:
-            k = bisect_right(ends, times[lo], k + 1)
+            k = _first_window_ending_after(times[lo], t0, step, window, k + 1)
             continue
         yield k, lo, hi
         k += 1
+
+
+def _first_window_ending_after(
+    t: float, t0: float, step: float, window: float, floor: int
+) -> int:
+    """The least ``k >= floor`` with ``t0 + k*step + window > t``."""
+    k = max(floor, int((t - t0 - window) // step) + 1)
+    # The division is a guess within a position of the float comparison
+    # that defines ``k``; settle it against that comparison.
+    while k > floor and t0 + (k - 1) * step + window > t:
+        k -= 1
+    while t0 + k * step + window <= t:
+        k += 1
+    return k
+
+
+class _WindowEnv:
+    """A having clause's view of one group at window ``k``.
+
+    Its series are sparse ``{window: value}`` maps: a window where the
+    group holds no rows reads 0.  ``name[h]`` is one lookup; only the
+    moving averages, which read a whole series, get a zero-filled list.
+    """
+
+    __slots__ = ("_series", "_k")
+
+    def __init__(self, series: Dict[str, Dict[int, float]], k: int) -> None:
+        self._series = series
+        self._k = k
+
+    def value(self, name: str, history: int) -> float:
+        values = self._lookup(name)
+        idx = self._k - history
+        if idx < 0:
+            raise AIQLSemanticError(
+                f"not enough history for {name}[{history}]",
+                hint="windows earlier than the deepest history index are skipped",
+            )
+        return values.get(idx, 0.0)
+
+    def series(self, name: str) -> Sequence[float]:
+        values = self._lookup(name)
+        return [values.get(k, 0.0) for k in range(self._k + 1)]
+
+    def _lookup(self, name: str) -> Dict[int, float]:
+        if name not in self._series:
+            raise AIQLSemanticError(f"unknown result name {name!r} in having clause")
+        return self._series[name]
 
 
 class AnomalyExecutor:
@@ -110,14 +171,10 @@ class AnomalyExecutor:
         step = ctx.sliding.step_seconds
         t0, t1 = ctx.window.start, ctx.window.end
         assert t0 is not None and t1 is not None
-
-        starts: List[float] = []
-        start = t0
-        while start + window <= t1 + 1e-9:
-            starts.append(start)
-            start += step
-        if not starts:
-            starts = [t0]
+        if step <= 0:
+            raise AIQLSemanticError("the sliding window step must be positive")
+        # Window k starts at t0 + k*step; the windows are never listed.
+        count = window_count(t0, t1, window, step)
 
         group_items = list(ctx.group_by)
         if not group_items:
@@ -141,25 +198,28 @@ class AnomalyExecutor:
 
         # occupied = (k, {group: rows whose anchor starts in window k}) for
         # the windows that hold rows; a day of 10 s steps has thousands of
-        # positions and a query's rows sit in a few of them.
+        # positions and a query's rows sit in a few of them.  A row in
+        # several overlapping windows is keyed once.
         all_groups: Dict[tuple, None] = {}
         occupied: List[Tuple[int, Dict[tuple, List[tuple]]]] = []
-        for k, lo, hi in occupied_windows(times, starts, window):
+        keys: Dict[int, tuple] = {}
+        for k, lo, hi in occupied_windows(times, t0, step, window, count):
             members: Dict[tuple, List[tuple]] = {}
-            for row in rows_sorted[lo:hi]:
-                key = group_key(row)
-                members.setdefault(key, []).append(row)
+            for p in range(lo, hi):
+                key = keys.get(p)
+                if key is None:
+                    key = keys[p] = group_key(rows_sorted[p])
+                members.setdefault(key, []).append(rows_sorted[p])
                 all_groups[key] = None
             occupied.append((k, members))
 
         from repro.engine.executor import _compute_aggregate
 
-        # Zero-filled over every window position — a group absent from a
-        # window contributes 0 to the history a having clause looks back
-        # on — and computed only where a (window, group) cell holds rows.
-        series: Dict[tuple, Dict[str, List[float]]] = {
-            key: {item.label: [0.0] * len(starts) for item in agg_items}
-            for key in all_groups
+        # Sparse {window: value} per group and aggregate, set only where a
+        # (window, group) cell holds rows; every other window reads 0, the
+        # history a having clause looks back on for an absent group.
+        series: Dict[tuple, Dict[str, Dict[int, float]]] = {
+            key: {item.label: {} for item in agg_items} for key in all_groups
         }
         for k, members in occupied:
             for key, rows in members.items():
@@ -181,7 +241,7 @@ class AnomalyExecutor:
         for k, members in occupied:
             if k < min_index:
                 continue
-            ws = starts[k]
+            ws = t0 + k * step
             for key in sorted(members, key=group_rank.__getitem__):
                 group_series = series[key]
                 current = {
@@ -190,14 +250,10 @@ class AnomalyExecutor:
                 if all(v == 0.0 for v in current.values()):
                     continue  # group inactive in this window
                 if ctx.having is not None:
-                    env = MappingEnv(
-                        {
-                            label: values[: k + 1]
-                            for label, values in group_series.items()
-                        }
-                    )
                     try:
-                        if not evaluate_bool(ctx.having, env):
+                        if not evaluate_bool(
+                            ctx.having, _WindowEnv(group_series, k)
+                        ):
                             continue
                     except AIQLSemanticError:
                         continue
@@ -218,7 +274,7 @@ class AnomalyExecutor:
             columns=columns,
             rows=out_rows,
             meta={
-                "windows": len(starts),
+                "windows": count,
                 "window_seconds": window,
                 "step_seconds": step,
             },

@@ -88,11 +88,15 @@ class EventStore:
     :meth:`scan_columns` is the one read; :meth:`column_blocks` is the raw,
     pruning-free view a checkpoint writes.  An in-process store neither
     routes queries nor logs degraded reads, so ``route`` and
-    ``completeness_mark`` are ``None`` (a sharded store defines both).
+    ``completeness_mark`` are ``None``; it logs no commits of its own and
+    holds nothing to release, so ``durable`` is ``False`` and ``close``
+    is ``None`` (a sharded store defines all four).
     """
 
     route = None
     completeness_mark = None
+    durable = False
+    close = None
 
     def __init__(
         self,
@@ -106,6 +110,10 @@ class EventStore:
             indexed_attributes or DEFAULT_INDEXED_ATTRIBUTES
         )
         self._partitions: Dict[PartitionKey, EventTable] = {}
+        # Every agent group a partition has held, ascending: what a scan
+        # with a bounded window and no agents probes each day for.
+        # Replaced, never mutated, so a reader's snapshot stays whole.
+        self._groups: Tuple[int, ...] = ()
         self._indexed_entities: set[int] = set()
         self._event_count = 0
         # Highest event id whose commit has fully published (all partitions
@@ -142,6 +150,8 @@ class EventStore:
         for key, rows in split.items():
             table = self._partitions.get(key)
             if table is None:
+                if key.agent_group not in self._groups:
+                    self._groups = tuple(sorted((*self._groups, key.agent_group)))
                 table = EventTable(self.registry.get)
                 self._partitions[key] = table
             table.append_block(block, rows)
@@ -192,9 +202,12 @@ class EventStore:
     # -- queries -----------------------------------------------------------
 
     def _pruned_keys(self, flt: EventFilter) -> List[PartitionKey]:
-        # list() snapshots atomically; pruning must not iterate the live
-        # dict while a single-writer ingest inserts a new partition.
-        return self.scheme.prune(list(self._partitions), flt.agent_ids, flt.window)
+        # The live dict: a bounded window probes it, and a walk snapshots
+        # it first.  A partition inserted after ``_groups`` was read holds
+        # only rows above the scan's committed snapshot.
+        return self.scheme.prune(
+            self._partitions, flt.agent_ids, flt.window, self._groups
+        )
 
     def _pruned(self, flt: EventFilter) -> List[EventTable]:
         """Tables surviving partition pruning (also a benchmark probe)."""
@@ -274,7 +287,7 @@ class EventStore:
             # committed snapshot; dropping them per scan keeps
             # multi-partition commits atomic to this scan.
             final.append(
-                table.scan_select(flt, None, kernel, visits).committed_only(
+                table.scan_select(flt, kernel, visits).committed_only(
                     committed
                 )
             )

@@ -11,8 +11,19 @@ and temporal constraints of a data query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+import functools
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.model.time import DAY, TimeWindow, day_of
 from repro.storage.blocks import ColumnBlock, Positions
@@ -21,12 +32,22 @@ if TYPE_CHECKING:
     from repro.storage.filters import EventFilter
 
 
-@dataclass(frozen=True)
-class PartitionKey:
-    """Identifies one (day, agent-group) partition."""
+class PartitionKey(NamedTuple):
+    """Identifies one (day, agent-group) partition.
+
+    A named tuple: it hashes and compares as the plain ``(day,
+    agent_group)`` pair, so pruning probes a partition map with bare pairs
+    and builds a key only for a partition that exists.
+    """
 
     day: int
     agent_group: int
+
+
+# The key of a (day, group) pair a probe found: one lookup, where building
+# a named tuple costs more than the probe itself.  Keys are immutable, so
+# sharing them process-wide changes no answer.
+_key_of = functools.lru_cache(maxsize=1 << 16)(PartitionKey)
 
 
 class PartitionScheme:
@@ -85,29 +106,52 @@ class PartitionScheme:
         keys: Iterable[PartitionKey],
         agent_ids: Optional[FrozenSet[int]],
         window: TimeWindow,
+        held_groups: Optional[Sequence[int]] = None,
     ) -> List[PartitionKey]:
-        """Partitions that can possibly contain matching events.
+        """Partitions that can possibly contain matching events, sorted by
+        ``(day, agent_group)``.
 
         Pruning is sound: a partition is dropped only if *no* event in it can
         satisfy the spatial/temporal constraints.
+
+        A bounded window names its partitions outright: the keys
+        ``window.days() x groups``, where the groups are the filter's
+        agents' or else ``held_groups`` (ascending, every group ``keys``
+        holds).  When ``keys`` is a dict or a set and that product is no
+        larger than it, the keys are probed, so the cost follows the
+        window, not the history held; otherwise every key is walked.
         """
-        groups: Optional[FrozenSet[int]] = None
-        if agent_ids is not None:
-            groups = frozenset(self.group_of(a) for a in agent_ids)
-
         days = window.days()
+        agent_groups = (
+            None if agent_ids is None else sorted({self.group_of(a) for a in agent_ids})
+        )
+        groups = agent_groups if agent_groups is not None else held_groups
+        if (
+            days is not None
+            and groups is not None
+            and isinstance(keys, (dict, set, frozenset))
+            and len(days) * len(groups) <= len(keys)
+        ):
+            return [
+                _key_of(day, group)
+                for day in days
+                for group in groups
+                if (day, group) in keys
+            ]
+        group_set = frozenset(agent_groups) if agent_groups is not None else None
         day_set = frozenset(days) if days is not None else None
-
         selected: List[PartitionKey] = []
-        for key in keys:
-            if groups is not None and key.agent_group not in groups:
+        # list() snapshots atomically: a single-writer ingest may insert a
+        # partition into a live dict while this walks it.
+        for key in list(keys):
+            if group_set is not None and key.agent_group not in group_set:
                 continue
             if day_set is not None and key.day not in day_set:
                 continue
             if day_set is None and not self._day_overlaps(key.day, window):
                 continue
             selected.append(key)
-        selected.sort(key=lambda k: (k.day, k.agent_group))
+        selected.sort()  # named tuples order by (day, agent_group)
         return selected
 
     @staticmethod

@@ -44,10 +44,10 @@ from typing import (
     Set,
 )
 
-from repro.model.entities import Entity, EntityType
+from repro.model.entities import Entity
 from repro.storage.blocks import ColumnBlock, Positions, Selection
-from repro.storage.filters import EventFilter, top_level_equalities
-from repro.storage.index import EntityAttributeIndex, SortedTimeIndex
+from repro.storage.filters import EventFilter
+from repro.storage.index import SortedTimeIndex
 from repro.storage.kernels import ScanKernel, constant_false, scan_kernel
 
 
@@ -128,18 +128,16 @@ class EventTable:
         return self._visible
 
     def _candidate_positions(
-        self,
-        flt: EventFilter,
-        entity_index: Optional[EntityAttributeIndex],
-        visible: Optional[int] = None,
+        self, flt: EventFilter, visible: Optional[int] = None
     ) -> Positions:
         """Pick the cheapest access path for a filter.
 
-        Preference order: explicit id sets from the scheduler, entity
-        attribute indexes, the sorted time column when the window cuts into
-        the table (bisected directly while the block is time-ordered, else
-        the time index), then a full scan.
-        Positions at or beyond ``visible`` (defaults to the current
+        Preference order: explicit id sets (the scheduler's, and the entity
+        predicates the store resolved through its attribute index,
+        :func:`~repro.storage.database.narrow_with_index`), the sorted
+        time column when the window cuts into the table (bisected directly
+        while the block is time-ordered, else the time index), then a full
+        scan.  Positions at or beyond ``visible`` (defaults to the current
         publication point) are staged-but-uncommitted batch rows and are
         never returned.
         """
@@ -158,23 +156,6 @@ class EventTable:
             position_sets.append(positions_for_ids(flt.subject_ids, self._by_subject))
         if flt.object_ids is not None:
             position_sets.append(positions_for_ids(flt.object_ids, self._by_object))
-
-        if entity_index is not None:
-            subj_cands = entity_index.candidates(
-                EntityType.PROCESS, top_level_equalities(flt.subject_pred)
-            )
-            if subj_cands is not None:
-                position_sets.append(
-                    positions_for_ids(subj_cands, self._by_subject)
-                )
-            if flt.object_type is not None:
-                obj_cands = entity_index.candidates(
-                    flt.object_type, top_level_equalities(flt.object_pred)
-                )
-                if obj_cands is not None:
-                    position_sets.append(
-                        positions_for_ids(obj_cands, self._by_object)
-                    )
 
         if position_sets:
             candidates = set.intersection(*position_sets)
@@ -222,7 +203,6 @@ class EventTable:
     def scan_select(
         self,
         flt: EventFilter,
-        entity_index: Optional[EntityAttributeIndex] = None,
         kernel: Optional[ScanKernel] = None,
         visits: Optional[List[int]] = None,
     ) -> Selection:
@@ -242,7 +222,7 @@ class EventTable:
         if constant_false(flt):
             return Selection(block, [])
         kernel = scan_kernel(flt, kernel)
-        candidates = self._candidate_positions(flt, entity_index, visible)
+        candidates = self._candidate_positions(flt, visible)
         if visits is not None:
             visits.append(len(candidates))
         matched = kernel.select(block, candidates, self._entity_lookup)

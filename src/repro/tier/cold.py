@@ -15,7 +15,11 @@ segment carries a **zone map** in the tier manifest:
 Zone maps let the scan path — and the scheduler's cost estimates — prune
 cold segments *without opening them*: a query whose window, agent set,
 operation set or entity-id sets are disjoint from a segment's zone map
-never pays the decompression.  The id sets are the scheduler's join
+never pays the decompression.  Nor does it pay a zone-map test per
+segment held: the tier publishes its zones with a time-ordered view
+(:class:`ZoneTimeline`, sorted by start time with a running maximum of
+end times), and a scan bisects its window on it and tests only the zones
+whose time span can meet the window.  The id sets are the scheduler's join
 narrowings intersected with the ids the hot store's entity attribute
 index resolves a pattern's entity predicates to (the tiered scan narrows
 once, for both tiers), so ``proc p["%cmd%"]`` prunes every segment none
@@ -63,11 +67,13 @@ import json
 import os
 import threading
 import weakref
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.model.time import TimeWindow
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import active_trace
 from repro.storage.blocks import (
@@ -247,6 +253,49 @@ class ZoneMap:
         )
 
 
+class ZoneTimeline:
+    """The published zones, and the same zones ordered by start time.
+
+    ``zones`` is the manifest order.  Beside it the timeline keeps the
+    zones sorted by ``min_time`` and a running maximum of their
+    ``max_time``, so the zones whose time span can meet a window are one
+    contiguous run found by two bisects: those that start before the
+    window ends, after the last of the earlier ones that all ended before
+    it starts.  The run may still hold a zone that ended early (spans
+    overlap); ``may_match`` drops it.  Built once per publish and never
+    mutated, so a reader holding one sees one consistent zone list.
+    """
+
+    __slots__ = ("zones", "_order", "_starts", "_reach")
+
+    def __init__(self, zones: Sequence[ZoneMap] = ()) -> None:
+        self.zones: Tuple[ZoneMap, ...] = tuple(zones)
+        zones = self.zones
+        # Manifest indices in (min_time, manifest) order.
+        self._order = sorted(range(len(zones)), key=lambda i: zones[i].min_time)
+        self._starts = [zones[i].min_time for i in self._order]
+        self._reach: List[float] = []
+        reach = float("-inf")
+        for i in self._order:
+            reach = max(reach, zones[i].max_time)
+            self._reach.append(reach)
+
+    def overlapping(self, window: TimeWindow) -> Sequence[ZoneMap]:
+        """The zones a scan of ``window`` must test, in manifest order: a
+        superset of those whose ``[min_time, max_time]`` meets ``window``
+        (start inclusive, end exclusive, as :meth:`ZoneMap.may_match`)."""
+        lo = 0 if window.start is None else bisect_left(self._reach, window.start)
+        hi = (
+            len(self._starts)
+            if window.end is None
+            else bisect_left(self._starts, window.end, lo)
+        )
+        zones = self.zones
+        if hi - lo == len(zones):
+            return zones
+        return [zones[i] for i in sorted(self._order[lo:hi])]
+
+
 class ColdTier:
     """The on-disk cold half of a :class:`~repro.tier.store.TieredStore`."""
 
@@ -264,7 +313,8 @@ class ColdTier:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._entity_lookup = entity_lookup
-        self._zones: List[ZoneMap] = []
+        # The published zone list; replaced whole on every publish.
+        self._timeline = ZoneTimeline()
         self._next_id = 0
         self._cache_segments = cache_segments
         self._cache: "OrderedDict[str, ColumnBlock]" = OrderedDict()
@@ -310,8 +360,9 @@ class ColdTier:
                 f"unsupported cold-tier manifest version "
                 f"{manifest.get('version')!r}"
             )
-        self._zones = [ZoneMap.from_json(r) for r in manifest["segments"]]
-        self._next_id = int(manifest.get("next_id", len(self._zones)))
+        zones = [ZoneMap.from_json(r) for r in manifest["segments"]]
+        self._timeline = ZoneTimeline(zones)
+        self._next_id = int(manifest.get("next_id", len(zones)))
 
     def _save_manifest(self, zones: Sequence[ZoneMap], next_id: int) -> None:
         manifest = {
@@ -336,10 +387,11 @@ class ColdTier:
         A segment's rows are stored in (start_time, event_id) order; a
         block that is not gets gathered into that order first.
         Publication order: every segment file (fsync'd) -> one manifest
-        rewrite (atomic rename) -> in-memory zone list.  Readers only ever
-        see fully durable segments, and a failure before the manifest is
-        replaced leaves the old manifest and zones as they were (the files
-        already written are orphans no manifest names).
+        rewrite (atomic rename) -> one assignment of the in-memory zone
+        list with its time-ordered view (:class:`ZoneTimeline`).  Readers
+        only ever see fully durable segments, and a failure before the
+        manifest is replaced leaves the old manifest and zones as they
+        were (the files already written are orphans no manifest names).
         """
         if any(not len(block) for _, block in items):
             raise ValueError("cold segments must not be empty")
@@ -360,9 +412,10 @@ class ColdTier:
                 os.fsync(handle.fileno())
             os.replace(tmp, path)
             zones.append(ZoneMap.for_block(filename, key, block))
-        self._save_manifest(self._zones + zones, self._next_id + len(zones))
+        published = self._timeline.zones + tuple(zones)
+        self._save_manifest(published, self._next_id + len(zones))
         self._next_id += len(zones)
-        self._zones.extend(zones)  # publish to readers last
+        self._timeline = ZoneTimeline(published)  # publish to readers last
         return zones
 
     # -- reads --------------------------------------------------------------
@@ -432,7 +485,14 @@ class ColdTier:
         narrowed: Optional[EventFilter] = None,
         committed: Optional[int] = None,
     ) -> List[Selection]:
-        """Per-segment survivor selections, zone-map pruned.
+        """Per-segment survivor selections, zone-map pruned, in manifest
+        order.
+
+        Only the zones whose time span can meet ``flt``'s window are
+        tested: the published :class:`ZoneTimeline` hands them over by
+        bisection, so a scan's zone loop follows its window, not the
+        history held.  The zones it skips count as considered and pruned
+        all the same, as if ``may_match`` had rejected them.
 
         ``kernel`` is the compiled static part of ``flt`` (a plan
         pattern's); :func:`~repro.storage.kernels.scan_kernel` picks what
@@ -458,18 +518,17 @@ class ColdTier:
         registered later leaves the entries valid, and a pattern resolving
         to many ids still caches.
         """
-        zones = list(self._zones)  # snapshot against concurrent publishes
+        timeline = self._timeline  # one snapshot against concurrent publishes
         selections: List[Selection] = []
-        if not zones or constant_false(flt):
+        if not timeline.zones or constant_false(flt):
             return selections
         chosen: Optional[ScanKernel] = None
         fingerprint: Optional[tuple] = None
-        pruned = scanned = decoded = 0
-        for zone in zones:
+        scanned = decoded = 0
+        for zone in timeline.overlapping(flt.window):
             young = committed is not None and zone.max_eid > committed
             zone_flt = flt if young or narrowed is None else narrowed
             if not zone.may_match(zone_flt):
-                pruned += 1
                 continue
             scanned += 1
             if chosen is None:
@@ -490,7 +549,8 @@ class ColdTier:
             if young:
                 selection = selection.committed_only(committed)
             selections.append(selection)
-        considered = len(zones)
+        considered = len(timeline.zones)
+        pruned = considered - scanned
         self.segments_considered += considered
         self.segments_pruned += pruned
         self.segments_scanned += scanned
@@ -542,7 +602,11 @@ class ColdTier:
 
     def estimated_events(self, flt: EventFilter) -> int:
         """Upper bound on matching cold events, from zone maps alone."""
-        return sum(z.count for z in list(self._zones) if z.may_match(flt))
+        return sum(
+            z.count
+            for z in self._timeline.overlapping(flt.window)
+            if z.may_match(flt)
+        )
 
     def event_id_probe(self) -> Callable[[ColumnBlock, Positions], List[int]]:
         """A bulk membership tester (WAL replay / recovery dedup).
@@ -558,7 +622,7 @@ class ColdTier:
         candidate segment's event-id set is materialized at most once for
         the probe's lifetime (outside the scan LRU).
         """
-        zones = list(self._zones)
+        zones = self.zones
         id_sets: Dict[str, frozenset] = {}
 
         def probe(block: ColumnBlock, positions: Positions) -> List[int]:
@@ -601,37 +665,39 @@ class ColdTier:
 
     @property
     def zones(self) -> Tuple[ZoneMap, ...]:
-        return tuple(self._zones)
+        """The published zones, in manifest order (one immutable snapshot)."""
+        return self._timeline.zones
 
     @property
     def event_count(self) -> int:
-        return sum(z.count for z in self._zones)
+        return sum(z.count for z in self.zones)
 
     def max_event_id(self) -> int:
-        return max((z.max_eid for z in self._zones), default=0)
+        return max((z.max_eid for z in self.zones), default=0)
 
     def seq_maxima(self) -> Dict[int, int]:
         """Per-agent max sequence numbers across all segments (manifest only)."""
         maxima: Dict[int, int] = {}
-        for zone in self._zones:
+        for zone in self.zones:
             for agent, seq in zone.seqs:
                 if seq > maxima.get(agent, 0):
                     maxima[agent] = seq
         return maxima
 
     def time_range(self) -> Tuple[Optional[float], Optional[float]]:
-        if not self._zones:
+        zones = self.zones
+        if not zones:
             return (None, None)
         return (
-            min(z.min_time for z in self._zones),
-            max(z.max_time for z in self._zones),
+            min(z.min_time for z in zones),
+            max(z.max_time for z in zones),
         )
 
     def column_blocks(self) -> Iterator[Tuple[ColumnBlock, int]]:
         """``(block, rows)`` per segment, in key order: the raw,
         pruning-free view (:meth:`EventStore.column_blocks`' cold twin)."""
         for zone in sorted(
-            list(self._zones), key=lambda z: (z.day, z.agent_group, z.min_eid)
+            self.zones, key=lambda z: (z.day, z.agent_group, z.min_eid)
         ):
             yield self._decoded(zone), zone.count
 
@@ -643,12 +709,12 @@ class ColdTier:
 
     def size_bytes(self) -> int:
         return sum(
-            (self.directory / z.filename).stat().st_size for z in self._zones
+            (self.directory / z.filename).stat().st_size for z in self.zones
         )
 
     def stats(self) -> dict:
         out = {
-            "segments": len(self._zones),
+            "segments": len(self.zones),
             "events": self.event_count,
             "bytes": self.size_bytes(),
             "segments_considered": self.segments_considered,

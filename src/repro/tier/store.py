@@ -71,10 +71,18 @@ class CompactionReport:
 
 
 class TieredStore:
-    """Hot partitioned store + cold tier behind the common store interface."""
+    """Hot partitioned store + cold tier behind the common store interface.
+
+    Like :class:`~repro.storage.database.EventStore` it neither routes nor
+    logs degraded reads, and its write-ahead log belongs to the system that
+    opened it: ``route``, ``completeness_mark`` and ``close`` are ``None``
+    and ``durable`` is ``False``.
+    """
 
     route = None
     completeness_mark = None
+    durable = False
+    close = None
 
     def __init__(
         self,

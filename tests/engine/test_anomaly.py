@@ -97,6 +97,12 @@ class TestValidation:
         with pytest.raises(AIQLSemanticError, match="aggregate"):
             AnomalyExecutor(spike_store).run(ctx)
 
+    def test_rejects_a_step_of_zero(self, spike_store):
+        # Window k starts at t0 + k*step: a zero step names no next window.
+        ctx = compile_text(SPIKE_QUERY.replace("step = 10 sec", "step = 0 sec"))
+        with pytest.raises(AIQLSemanticError, match="step must be positive"):
+            AnomalyExecutor(spike_store).run(ctx)
+
 
 class TestSlidingSemantics:
     def test_history_aligned_per_group(self):

@@ -217,9 +217,9 @@ class TestRowsVisited:
         handed = []
         real = EventTable.scan_select
 
-        def scan_select(self, flt, entity_index=None, kernel=None, visits=None):
+        def scan_select(self, flt, kernel=None, visits=None):
             handed.append(visits)
-            return real(self, flt, entity_index, kernel, visits)
+            return real(self, flt, kernel, visits)
 
         monkeypatch.setattr(EventTable, "scan_select", scan_select)
         monkeypatch.setattr(REGISTRY, "enabled", False)

@@ -8,7 +8,7 @@ aggregate from scratch and compares.
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.flat import FlatStore
-from repro.engine.anomaly import AnomalyExecutor, occupied_windows
+from repro.engine.anomaly import AnomalyExecutor, occupied_windows, window_count
 from repro.lang.context import compile_multievent
 from repro.lang.parser import parse
 from repro.storage.ingest import Ingestor
@@ -132,13 +132,53 @@ def rescanning_windows(times, starts, window):
 @settings(max_examples=300, deadline=None)
 def test_occupied_windows_equal_the_row_rescan(times, t0, window, step, count):
     times = sorted(times)
+    starts = [t0 + k * step for k in range(count)]  # as _slide defines them
+    got = list(occupied_windows(times, t0, step, window, count))
+    assert got == rescanning_windows(times, starts, window)
+
+
+def looped_count(t0, t1, window, step):
+    """The window positions the executor once listed, by repeated addition."""
     starts = []
     start = t0
-    for _ in range(count):  # as _slide builds them: by repeated addition
+    while start + window <= t1 + 1e-9:
         starts.append(start)
         start += step
-    got = list(occupied_windows(times, starts, window))
-    assert got == rescanning_windows(times, starts, window)
+    return max(1, len(starts))
+
+
+@given(
+    t0=st.integers(min_value=1_400_000_000, max_value=1_600_000_000),
+    span=st.integers(min_value=0, max_value=3 * 86400),
+    window=st.integers(min_value=1, max_value=7200),
+    step=st.integers(min_value=1, max_value=3600),
+)
+@settings(max_examples=300, deadline=None)
+def test_window_count_equals_the_loop_for_whole_seconds(t0, span, window, step):
+    t0 = float(t0)
+    t1 = t0 + span
+    assert window_count(t0, t1, float(window), float(step)) == looped_count(
+        t0, t1, window, step
+    )
+
+
+@given(
+    t0=st.floats(min_value=0, max_value=2e9, allow_nan=False),
+    span=st.floats(min_value=0, max_value=86400, allow_nan=False),
+    window=st.floats(min_value=0.001, max_value=7200, allow_nan=False),
+    step=st.floats(min_value=0.001, max_value=3600, allow_nan=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_window_count_is_the_last_window_that_fits(t0, span, window, step):
+    """Any steps: ``count`` windows ``t0 + k*step`` are counted, and the
+    next one would overrun the range."""
+    t1 = t0 + span
+    count = window_count(t0, t1, window, step)
+    assert count >= 1
+    limit = t1 + 1e-9
+    if t0 + window <= limit:
+        assert t0 + (count - 1) * step + window <= limit
+    assert t0 + count * step + window > limit
 
 
 # -- only cells that hold rows are visited ---------------------------------------

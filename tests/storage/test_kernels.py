@@ -838,16 +838,16 @@ class TestWindowVacuity:
         table = self._table([])
         assert ColumnBlock().within(5.0, 6.0)
         flt = EventFilter(window=TimeWindow(start=0.0, end=10.0))
-        assert table._candidate_positions(flt, None) == range(0)
+        assert table._candidate_positions(flt) == range(0)
         assert table.scan_select(flt).events() == []
 
     def test_unsorted_block_skips_the_time_index_only_when_covered(self):
         table = self._table([3000.0, 1000.0, 2000.0])
         assert not table.block.time_sorted
         covering = EventFilter(window=TimeWindow(start=1000.0, end=3000.5))
-        assert table._candidate_positions(covering, None) == range(3)
+        assert table._candidate_positions(covering) == range(3)
         cutting = EventFilter(window=TimeWindow(start=1000.0, end=3000.0))
-        assert sorted(table._candidate_positions(cutting, None)) == [1, 2]
+        assert sorted(table._candidate_positions(cutting)) == [1, 2]
         for flt in (covering, cutting):
             assert table.scan_select(flt).events() == table_oracle_rows(table, flt)
 
@@ -861,7 +861,7 @@ class TestWindowVacuity:
         table.block.extend_rows(staged)
         assert len(table.block) == 4 and len(table) == 2
         inside = EventFilter(window=TimeWindow(start=0.0, end=10_000.0))
-        assert table._candidate_positions(inside, None) == range(2)
+        assert table._candidate_positions(inside) == range(2)
         assert [e.event_id for e in table.scan_select(inside).events()] == [1, 2]
         # [1000, 2000.5) held the visible rows but no longer the block:
         # the pass runs, and still only over the visible prefix.
@@ -909,7 +909,7 @@ class TestCodeMaskVisibility:
             operations=frozenset({Operation.READ}),
             object_type=EntityType.FILE,
         )
-        assert table._candidate_positions(flt, None) == range(4)
+        assert table._candidate_positions(flt) == range(4)
         assert [e.event_id for e in table.scan_select(flt).events()] == [1]
         # every single-code filter stops at the snapshot too
         for single in (
@@ -998,7 +998,7 @@ class TestScanTimeNarrowing:
                         list(s.positions) for s in cold.scan_selections(flt)
                     ]
                 batch_oracle = interpreted_positions(flt, events, lookup)
-                hot = table.scan_select(flt, None, kernel).positions
+                hot = table.scan_select(flt, kernel).positions
                 assert list(hot) == list(hot_oracle)
                 got_cold = [
                     list(s.positions) for s in cold.scan_selections(flt, kernel)

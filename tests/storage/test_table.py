@@ -4,6 +4,7 @@ import pytest
 
 from repro.model.entities import EntityType
 from repro.model.time import TimeWindow
+from repro.storage.database import narrow_with_index
 from repro.storage.filters import AttrPredicate, EventFilter, PredicateLeaf
 from repro.storage.index import EntityAttributeIndex
 from repro.storage.ingest import Ingestor
@@ -47,12 +48,13 @@ class TestScanPaths:
     def test_scan_equals_oracle_empty_filter(self, populated):
         table, index, _ = populated
         flt = EventFilter()
-        assert table.scan_select(flt, index).events() == table_oracle_rows(table, flt)
+        events = table.scan_select(narrow_with_index(flt, index)).events()
+        assert events == table_oracle_rows(table, flt)
 
     def test_time_index_path(self, populated):
         table, index, _ = populated
         flt = EventFilter(window=TimeWindow(start=150.0, end=450.0))
-        events = table.scan_select(flt, index).events()
+        events = table.scan_select(narrow_with_index(flt, index)).events()
         assert [e.start_time for e in events] == [200.0, 300.0, 400.0]
         assert events == table_oracle_rows(table, flt)
 
@@ -61,7 +63,7 @@ class TestScanPaths:
         flt = EventFilter(
             subject_pred=PredicateLeaf(AttrPredicate("exe_name", "=", "bash")),
         )
-        events = table.scan_select(flt, index).events()
+        events = table.scan_select(narrow_with_index(flt, index)).events()
         assert len(events) == 2
         assert events == table_oracle_rows(table, flt)
 
@@ -71,20 +73,20 @@ class TestScanPaths:
             object_type=EntityType.FILE,
             object_pred=PredicateLeaf(AttrPredicate("name", "=", "%passwd")),
         )
-        events = table.scan_select(flt, index).events()
+        events = table.scan_select(narrow_with_index(flt, index)).events()
         assert len(events) == 1
         assert events == table_oracle_rows(table, flt)
 
     def test_id_set_path(self, populated):
         table, index, keys = populated
         flt = EventFilter(subject_ids=frozenset({keys["shell"].id}))
-        events = table.scan_select(flt, index).events()
+        events = table.scan_select(narrow_with_index(flt, index)).events()
         assert {e.subject_id for e in events} == {keys["shell"].id}
         assert events == table_oracle_rows(table, flt)
 
     def test_results_sorted_by_time(self, populated):
         table, index, _ = populated
-        events = table.scan_select(EventFilter(), index).events()
+        events = table.scan_select(EventFilter()).events()
         times = [e.start_time for e in events]
         assert times == sorted(times)
 
@@ -99,7 +101,7 @@ class TestScanPaths:
             subject_pred=PredicateLeaf(AttrPredicate("exe_name", "=", "bash")),
         )
         # no index: falls back to scanning, same results
-        assert table.scan_select(flt, None).events() == table_oracle_rows(table, flt)
+        assert table.scan_select(flt).events() == table_oracle_rows(table, flt)
 
     def test_len_counts_visible_rows(self, populated):
         table, _, _ = populated
@@ -117,7 +119,7 @@ class TestIdSetTimeIntersection:
             subject_ids=frozenset({keys["shell"].id}),
             window=TimeWindow(start=150.0, end=350.0),
         )
-        events = table.scan_select(flt, index).events()
+        events = table.scan_select(narrow_with_index(flt, index)).events()
         assert [e.start_time for e in events] == [300.0]
         assert events == table_oracle_rows(table, flt)
 
@@ -127,7 +129,7 @@ class TestIdSetTimeIntersection:
             subject_ids=frozenset({keys["shell"].id}),
             window=TimeWindow(start=150.0, end=350.0),
         )
-        positions = list(table._candidate_positions(flt, index))
+        positions = list(table._candidate_positions(narrow_with_index(flt, index)))
         # shell has postings at t=100 and t=300; only t=300 is in-window,
         # so the walk must touch a single position.
         assert len(positions) == 1
@@ -135,7 +137,7 @@ class TestIdSetTimeIntersection:
     def test_unbounded_window_unchanged(self, populated):
         table, index, keys = populated
         flt = EventFilter(subject_ids=frozenset({keys["shell"].id}))
-        events = table.scan_select(flt, index).events()
+        events = table.scan_select(narrow_with_index(flt, index)).events()
         assert [e.start_time for e in events] == [100.0, 300.0]
         assert events == table_oracle_rows(table, flt)
 
@@ -148,7 +150,8 @@ class TestIdSetTimeIntersection:
         # Window covers the whole table: _window_cuts is False and the
         # id-set path alone decides.
         assert not table._window_cuts(flt.window)
-        assert table.scan_select(flt, index).events() == table_oracle_rows(table, flt)
+        events = table.scan_select(narrow_with_index(flt, index)).events()
+        assert events == table_oracle_rows(table, flt)
 
 
 class TestPostingsUnion:
@@ -185,5 +188,5 @@ class TestPostingsUnion:
             if (flt.subject_ids is None or block.subject_ids[p] in flt.subject_ids)
             and (flt.object_ids is None or block.object_ids[p] in flt.object_ids)
         ]
-        assert list(table._candidate_positions(flt, None)) == expected
+        assert list(table._candidate_positions(flt)) == expected
         assert table.scan_select(flt).events() == table_oracle_rows(table, flt)
