@@ -231,15 +231,161 @@ _IDEMPOTENT = frozenset(
 )
 
 
+def _remaining(deadline: Optional[float]) -> Optional[float]:
+    """Seconds left before a shared ``time.monotonic`` deadline."""
+    return None if deadline is None else max(0.0, deadline - time.monotonic())
+
+
+class _Waiter:
+    """One request in flight on a channel; ``reply`` is set exactly once.
+
+    ``prior`` is the shard's entity broadcast sent just ahead of the
+    request, whose worker-reported error the request reports as its own.
+    """
+
+    __slots__ = ("reply", "prior")
+
+    def __init__(self, prior: Optional["_Waiter"] = None) -> None:
+        self.reply: Optional[Tuple[str, object]] = None
+        self.prior = prior
+
+
+class _Channel:
+    """One worker incarnation's pipe, shared by every thread that asks it.
+
+    The worker answers strictly in order, so ``waiters`` — the requests in
+    flight, in send order — matches each reply to its request, and
+    requests from different threads pipeline on the pipe.  Senders append
+    under the shard's channel lock (:meth:`ShardedStore._issue`), so the
+    deque order is the byte order on the pipe.
+
+    Reading is leader/follower: a waiting thread whose reply has not
+    arrived becomes the channel's one reader while nobody else reads; it
+    hands every reply to the head waiter and stops at its own, so a lone
+    request reads its own reply with no thread hop.  The others wait on
+    ``cond`` until their reply is handed over or the reader leaves.  EOF
+    (or a closed pipe) fails every waiter with ``"dead"``; the pipe is
+    closed only once no thread reads it.
+    """
+
+    __slots__ = ("shard", "conn", "waiters", "open", "reading", "cond")
+
+    def __init__(self, shard: int, conn) -> None:
+        self.shard = shard
+        self.conn = conn
+        self.waiters: Deque[_Waiter] = deque()
+        self.open = True
+        self.reading = False
+        self.cond = threading.Condition(threading.Lock())
+
+    def push(self, prior: Optional[_Waiter] = None) -> Optional[_Waiter]:
+        """A waiter for the next request sent, ``None`` on a failed pipe."""
+        with self.cond:
+            if not self.open:
+                return None
+            waiter = _Waiter(prior)
+            self.waiters.append(waiter)
+            return waiter
+
+    def withdraw(self, waiter: _Waiter) -> None:
+        """Forget ``waiter``, whose request never reached the pipe."""
+        with self.cond:
+            if self.waiters and self.waiters[-1] is waiter:
+                self.waiters.pop()
+
+    def fail(self) -> None:
+        """The pipe is gone: every request in flight answers ``"dead"``."""
+        dead = ("dead", f"shard {self.shard} died mid-command")
+        with self.cond:
+            self.open = False
+            while self.waiters:
+                self.waiters.popleft().reply = dead
+            if not self.reading:
+                self._close()
+            self.cond.notify_all()
+
+    def _close(self) -> None:
+        try:
+            self.conn.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+
+    def wait(
+        self, waiter: _Waiter, timeout_s: Optional[float]
+    ) -> Optional[Tuple[str, object]]:
+        """``waiter``'s reply, or ``None`` once ``timeout_s`` has passed.
+
+        A timed-out waiter stays queued, so a late reply still lands on
+        it and the replies behind it stay matched.
+        """
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
+        cond = self.cond
+        with cond:
+            while waiter.reply is None and self.reading:
+                if deadline is None:
+                    cond.wait()
+                else:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        return None
+                    cond.wait(remaining)
+            if waiter.reply is not None:
+                return waiter.reply
+            self.reading = True
+        try:
+            return self._lead(waiter, deadline)
+        finally:
+            with cond:
+                self.reading = False
+                if not self.open:
+                    self._close()
+                cond.notify_all()
+
+    def _lead(
+        self, waiter: _Waiter, deadline: Optional[float]
+    ) -> Optional[Tuple[str, object]]:
+        """Read replies, in order, until ``waiter``'s arrives."""
+        conn = self.conn
+        while True:
+            try:
+                if deadline is not None and not conn.poll(_remaining(deadline)):
+                    return None
+                reply = conn.recv()
+            except (EOFError, OSError):
+                self.fail()
+                return waiter.reply
+            except BaseException:
+                # A reply that cannot be unpickled is lost to its waiter:
+                # fail the channel rather than hand later replies to the
+                # wrong requests.
+                self.fail()
+                raise
+            with self.cond:
+                if self.waiters:
+                    self.waiters.popleft().reply = reply
+                if waiter.reply is not None:
+                    return waiter.reply
+                self.cond.notify_all()
+
+
 class ShardedStore:
     """Store facade over N shard worker processes.
 
-    Thread safety: one lock serializes whole scatter/gather rounds (a
-    pipe is a byte stream — interleaved requests would mismatch
-    replies), so concurrent query-service scans, a streaming writer and
-    the supervisor's heartbeat sweep coexist; parallelism comes from the
-    workers computing concurrently *within* a round, which is the point
-    of sharding.
+    Thread safety: each shard has its own channel (:class:`_Channel`), so
+    concurrent query-service scans, routed queries, a streaming writer and
+    the supervisor's heartbeat sweep pipeline their requests on the pipes
+    instead of taking turns.  Three kinds of lock, none held while a
+    thread waits on a pipe except where noted:
+
+    * a channel lock per shard orders sends on its pipe and is held across
+      a recovery of that shard (:meth:`_heal`), so a thread that finds the
+      shard quarantined can wait the recovery out;
+    * the state lock guards the watermark, the torn set, the counters and
+      the per-shard pending entity lists, for short snapshots only; the
+      completeness log has its own small lock;
+    * the commit lock serializes whole commits — send, every ack, then
+      the watermark raise — so commits reach every shard in one order and
+      the watermark never passes a batch not yet acked.
     """
 
     # Shards hold the entity indexes; the scheduler's cardinality model
@@ -259,13 +405,21 @@ class ShardedStore:
         self.command_timeout_s = config.shard_command_timeout_s
         self.scan_timeout_s = config.shard_scan_timeout_s
         self.read_policy = config.shard_read_policy
-        self._lock = threading.RLock()
-        self._pending_entities: List[dict] = []
+        self._state_lock = threading.Lock()
+        self._commit_lock = threading.Lock()
+        self._completeness_lock = threading.Lock()
+        self._channel_locks = [threading.Lock() for _ in range(self.shards)]
+        # Entity records registered since a shard's last command, sent to
+        # it ahead of the next one.
+        self._pending_entities: List[List[dict]] = [
+            [] for _ in range(self.shards)
+        ]
         self._event_count = 0
         self._committed = 0
         self._closed = False
         self._conns: List[Optional[object]] = [None] * self.shards
         self._procs: List[Optional[object]] = [None] * self.shards
+        self._channels: List[Optional[_Channel]] = [None] * self.shards
         self.leaked_workers = 0
         # Coordinator-side scatter/gather accounting, one slot per shard:
         # what crossed the pipes (bytes/rows gathered, cumulative recv
@@ -358,6 +512,7 @@ class ShardedStore:
         child_conn.close()
         self._conns[index] = parent_conn
         self._procs[index] = proc
+        self._channels[index] = _Channel(index, parent_conn)
 
     # -- startup / recovery merge -----------------------------------------
 
@@ -402,7 +557,9 @@ class ShardedStore:
     # -- RPC plumbing ------------------------------------------------------
 
     def _send(self, shard: int, message: tuple) -> bool:
-        """Best-effort send; ``False`` when the pipe is gone."""
+        """Best-effort write of one message; ``False`` when the pipe is
+        gone.  Every command goes through here, under the shard's channel
+        lock (:meth:`_issue`)."""
         conn = self._conns[shard]
         if conn is None:
             return False
@@ -415,13 +572,13 @@ class ShardedStore:
     def _recv_reply(
         self, shard: int, timeout_s: Optional[float]
     ) -> Tuple[str, object]:
-        """One deadline-bounded reply: ``(status, payload)``.
+        """One deadline-bounded read of a fresh worker's pipe.
 
-        Status is ``"ok"``/``"err"`` (the worker answered), ``"timeout"``
-        (deadline blew — the pipe may still carry a late reply and must
-        not be reused before a recovery), or ``"dead"`` (pipe closed).
-        Never blocks past ``timeout_s``; ``None`` waits forever (the
-        pre-deadline behaviour).
+        Only for the start-up and respawn hellos (and the registry replay
+        that follows a respawn), which run before any other thread can
+        send to the worker; every command after that reads its reply
+        through its channel (:meth:`_wait`).  Status is ``"ok"``/``"err"``,
+        ``"timeout"`` or ``"dead"``; ``None`` waits forever.
         """
         conn = self._conns[shard]
         if conn is None:
@@ -435,13 +592,121 @@ class ShardedStore:
             return "dead", f"shard {shard} died mid-command"
         return status, payload
 
-    def _request(
-        self, shard: int, message: tuple, timeout_s: Optional[float]
+    def _take_entities(self, shard: int) -> List[dict]:
+        """The entity records ``shard`` has not been sent yet."""
+        with self._state_lock:
+            records = self._pending_entities[shard]
+            if records:
+                self._pending_entities[shard] = []
+            return records
+
+    def _post(
+        self,
+        shard: int,
+        channel: _Channel,
+        message: tuple,
+        prior: Optional[_Waiter] = None,
+    ) -> Optional[_Waiter]:
+        """Queue a waiter and write ``message``; ``None`` on a dead pipe.
+
+        Caller holds the shard's channel lock.
+        """
+        waiter = channel.push(prior)
+        if waiter is None:
+            return None
+        try:
+            sent = self._send(shard, message)
+        except BaseException:  # an unpicklable message: nothing was written
+            channel.withdraw(waiter)
+            raise
+        if not sent:
+            channel.withdraw(waiter)
+            channel.fail()
+            return None
+        return waiter
+
+    def _issue(
+        self, shard: int, message: Optional[tuple]
+    ) -> Tuple[Optional[_Channel], Optional[_Waiter]]:
+        """Send ``message`` to ``shard`` without waiting for the reply.
+
+        The shard's pending entity records go out first, as their own
+        message.  Returns the channel used and the request's waiter
+        (``None`` when the pipe is gone — the caller heals that channel).
+        With ``message`` ``None`` only the entities go, and the waiter is
+        theirs (``None`` when none were pending).
+        """
+        with self._channel_locks[shard]:
+            channel = self._channels[shard]
+            if channel is None:
+                return None, None
+            prior = None
+            records = self._take_entities(shard)
+            if records:
+                # Idempotent broadcast: a shard that misses it because it
+                # died gets the full registry replayed at re-admission.
+                prior = self._post(shard, channel, ("entities", records))
+                if prior is None:
+                    return channel, None
+            if message is None:
+                return channel, prior
+            return channel, self._post(shard, channel, message, prior)
+
+    def _wait(
+        self,
+        shard: int,
+        channel: Optional[_Channel],
+        waiter: Optional[_Waiter],
+        timeout_s: Optional[float],
     ) -> Tuple[str, object]:
-        """Send one command and wait (bounded) for its reply."""
-        if not self._send(shard, message):
+        """The reply to one :meth:`_issue`: ``(status, payload)``.
+
+        Status is ``"ok"``/``"err"`` (the worker answered; an error of the
+        entity broadcast sent ahead counts as the request's), ``"timeout"``
+        (the deadline passed — the worker may be wedged) or ``"dead"``.
+        """
+        if channel is None or waiter is None:
             return "dead", f"shard {shard} pipe closed"
-        return self._recv_reply(shard, timeout_s)
+        reply = channel.wait(waiter, timeout_s)
+        if reply is None:
+            self._supervisor.note_timeout(shard)
+            return "timeout", f"shard {shard} blew {timeout_s:g}s deadline"
+        prior = waiter.prior
+        if reply[0] == "ok" and prior is not None and prior.reply is not None:
+            if prior.reply[0] == "err":
+                return prior.reply
+        return reply
+
+    def _call(
+        self, shard: int, message: tuple, timeout_s: Optional[float]
+    ) -> Tuple[str, object, Optional[_Channel]]:
+        """One command and its reply: ``(status, payload, channel)``."""
+        channel, waiter = self._issue(shard, message)
+        status, payload = self._wait(shard, channel, waiter, timeout_s)
+        return status, payload, channel
+
+    def _heal(
+        self, shard: int, channel: Optional[_Channel], reason: str
+    ) -> bool:
+        """Recover ``shard`` once for its failed ``channel``.
+
+        Only the first thread to report a channel recovers it, under the
+        shard's channel lock; the others wait that recovery out and find a
+        newer channel.  ``True`` when the shard serves afterwards.
+        """
+        with self._channel_locks[shard]:
+            if self._closed:
+                return False
+            if self._channels[shard] is channel:
+                return self._supervisor.recover(shard, reason)
+            return self._supervisor.available(shard)
+
+    def _serving(self, shard: int) -> bool:
+        """Whether ``shard`` serves, once any recovery in progress ends."""
+        if self._supervisor.available(shard):
+            return True
+        with self._channel_locks[shard]:
+            return self._supervisor.available(shard)
 
     def _scatter_round(
         self,
@@ -452,40 +717,30 @@ class ShardedStore:
     ) -> Tuple[Dict[int, object], Dict[int, str]]:
         """One scatter + bounded gather + supervised heal/retry round.
 
-        Scatters ``message`` to ``targets``, drains one reply per target
-        against a *shared* deadline (so the drain-on-error path can
-        never block unboundedly on a dead straggler), hands every
-        timed-out/dead shard to the supervisor, and — for idempotent
-        commands — re-issues the command to the recovered worker under
-        the bounded backoff policy.  Returns ``(payloads, failures)``
-        keyed by shard; worker-*reported* command errors (``"err"``
-        replies: the worker is alive and the pipe is in sync — nothing
-        to recover) are raised as :class:`ShardError` after the drain.
-
-        Caller must hold the coordinator lock.
+        Sends ``message`` to every target before waiting for any reply,
+        and waits against a *shared* deadline, so the round never blocks
+        unboundedly on a dead straggler.  Every timed-out/dead shard is
+        healed once per failed channel (:meth:`_heal`), and idempotent
+        commands are re-issued to the recovered worker under the bounded
+        backoff policy.  Returns ``(payloads, failures)`` keyed by shard;
+        worker-*reported* command errors (``"err"`` replies: the worker is
+        alive and its pipe in sync — nothing to recover) are raised as
+        :class:`ShardError` once every reply is in.
         """
-        command = message[0]
-        retriable = command in _IDEMPOTENT
+        retriable = message[0] in _IDEMPOTENT
         payloads: Dict[int, object] = {}
         failures: Dict[int, str] = {}
+        failed_on: Dict[int, Optional[_Channel]] = {}
         errors: Dict[int, str] = {}
-        sent: List[int] = []
-        for shard in targets:
-            if self._send(shard, message):
-                sent.append(shard)
-            else:
-                failures[shard] = "dead"
+        calls = [(shard, *self._issue(shard, message)) for shard in targets]
         deadline = (
             None if timeout_s is None else time.monotonic() + timeout_s
         )
-        for shard in sent:
-            remaining = (
-                None
-                if deadline is None
-                else max(0.0, deadline - time.monotonic())
-            )
+        for shard, channel, waiter in calls:
             started = time.perf_counter()
-            status, payload = self._recv_reply(shard, remaining)
+            status, payload = self._wait(
+                shard, channel, waiter, _remaining(deadline)
+            )
             if timings is not None:
                 timings[shard] = (
                     timings.get(shard, 0.0) + time.perf_counter() - started
@@ -496,18 +751,20 @@ class ShardedStore:
                 errors[shard] = payload
             else:
                 failures[shard] = status
+                failed_on[shard] = channel
 
-        # Supervised heal: every timed-out/dead shard is recovered (the
-        # pipe is desynchronized either way); idempotent commands then
-        # retry against the fresh worker with backoff between attempts.
+        # Supervised heal: every timed-out/dead channel is recovered once;
+        # idempotent commands then retry against the fresh worker with
+        # backoff between attempts.
         if failures:
             delays = [0.0, *self._supervisor.retry_policy.delays()]
             for shard in list(failures):
+                channel = failed_on[shard]
                 reason = f"{message[0]}: {failures[shard]}"
                 for delay in delays:
                     if delay > 0:
                         time.sleep(delay)
-                    if not self._supervisor.recover(shard, reason):
+                    if not self._heal(shard, channel, reason):
                         break
                     if not retriable:
                         # Healed for future commands; the failed command
@@ -515,7 +772,9 @@ class ShardedStore:
                         break
                     self._supervisor.note_retry(shard)
                     started = time.perf_counter()
-                    status, payload = self._request(shard, message, timeout_s)
+                    status, payload, channel = self._call(
+                        shard, message, timeout_s
+                    )
                     if timings is not None:
                         timings[shard] = (
                             timings.get(shard, 0.0)
@@ -540,15 +799,6 @@ class ShardedStore:
             )
         return payloads, failures
 
-    def _available_targets(self) -> Tuple[List[int], List[int]]:
-        """(serving shards, quarantined/failed shards)."""
-        serving, missing = [], []
-        for shard in range(self.shards):
-            (serving if self._supervisor.available(shard) else missing).append(
-                shard
-            )
-        return serving, missing
-
     def _scatter(
         self,
         message: tuple,
@@ -562,13 +812,11 @@ class ShardedStore:
         otherwise any missing shard raises.
         """
         timeout_s = self.command_timeout_s if timeout_s is None else timeout_s
-        with self._lock:
-            self._flush_entities_locked()
-            serving, unavailable = self._available_targets()
-            payloads, failures = self._scatter_round(
-                message, serving, timeout_s
-            )
-        missing = sorted(set(unavailable) | set(failures))
+        serving = [s for s in range(self.shards) if self._serving(s)]
+        payloads, failures = self._scatter_round(message, serving, timeout_s)
+        missing = sorted(
+            set(range(self.shards)).difference(serving) | set(failures)
+        )
         if missing and not (
             tolerate_missing or self.read_policy == "degraded"
         ):
@@ -578,16 +826,6 @@ class ShardedStore:
             )
         return payloads
 
-    def _flush_entities_locked(self) -> None:
-        if self._pending_entities:
-            records, self._pending_entities = self._pending_entities, []
-            serving, _ = self._available_targets()
-            # Idempotent broadcast: a shard that misses it because it was
-            # down gets the full registry replayed at re-admission.
-            self._scatter_round(
-                ("entities", records), serving, self.command_timeout_s
-            )
-
     def shard_of(self, key: PartitionKey) -> int:
         """Stable partition-key routing (:func:`route`)."""
         return route(key, self.shards)
@@ -595,7 +833,8 @@ class ShardedStore:
     # -- ingest ------------------------------------------------------------
 
     def register_entity(self, entity: Entity) -> None:
-        """Queue an entity broadcast; flushed before the next command.
+        """Queue an entity broadcast; each shard gets it ahead of its next
+        command.
 
         Every shard receives every entity (the registry is tiny next to
         the event stream), which keeps worker registries id-identical to
@@ -603,8 +842,10 @@ class ShardedStore:
         prefix of the global observation order — what recovery's merge
         relies on.
         """
-        with self._lock:
-            self._pending_entities.append(entity_record(entity))
+        record = entity_record(entity)
+        with self._state_lock:
+            for pending in self._pending_entities:
+                pending.append(record)
 
     def add_block(
         self, block: ColumnBlock, positions: Optional[Positions] = None
@@ -619,10 +860,13 @@ class ShardedStore:
         no row tuple crosses the pipe and no row object is built on
         either side.
 
-        The global watermark is raised only after every involved shard
-        acknowledged (and therefore published) its slice, so a scatter
-        scan issued concurrently carries a watermark below this batch and
-        filters it out on every shard — never a torn read.
+        Commits are serialized whole (the commit lock): every slice, each
+        behind its shard's pending entities with no wait in between, is
+        sent before any ack is awaited, and the global watermark is raised
+        only after every involved shard acknowledged (and therefore
+        published) its slice.  A scatter scan issued concurrently carries
+        a watermark below this batch and filters it out on every shard —
+        never a torn read.
 
         Fail-fast (non-idempotent): a shard that dies or blows its
         deadline mid-commit raises :class:`ShardCommitError` naming the
@@ -641,12 +885,9 @@ class ShardedStore:
             rows.sort()  # several partitions of one shard: back to batch order
             by_shard[shard] = ColumnBlock()
             by_shard[shard].extend_rows(block, rows)
-        with self._lock:
-            self._flush_entities_locked()
+        with self._commit_lock:
             unavailable = [
-                shard
-                for shard in by_shard
-                if not self._supervisor.available(shard)
+                shard for shard in by_shard if not self._serving(shard)
             ]
             if unavailable:
                 # Refuse before any slice ships: no shard commits rows
@@ -657,54 +898,62 @@ class ShardedStore:
                     acked_shards=(),
                     failed_shards=sorted(unavailable),
                 )
-            for shard, chunk in by_shard.items():
-                self._shard_routed[shard] += len(chunk)
+            with self._state_lock:
+                for shard, chunk in by_shard.items():
+                    self._shard_routed[shard] += len(chunk)
             if REGISTRY.enabled:
                 for shard, chunk in by_shard.items():
                     _M_SHARD_ROUTED.inc(len(chunk), shard=str(shard))
-            messages = {
-                shard: ("batch", encode_block(chunk))
+            calls = {
+                shard: self._issue(shard, ("batch", encode_block(chunk)))
                 for shard, chunk in by_shard.items()
             }
-            payloads: Dict[int, object] = {}
-            failures: Dict[int, str] = {}
-            for shard, message in messages.items():
-                if not self._send(shard, message):
-                    failures[shard] = "dead"
-                else:
-                    payloads[shard] = None
+            # The other serving shards get the pending entities too, so no
+            # record waits in memory for a shard the commits do not reach.
+            broadcasts = {
+                shard: self._issue(shard, None)
+                for shard in range(self.shards)
+                if shard not in by_shard and self._supervisor.available(shard)
+            }
             deadline = (
                 None
                 if self.command_timeout_s is None
                 else time.monotonic() + self.command_timeout_s
             )
-            for shard in list(payloads):
-                remaining = (
-                    None
-                    if deadline is None
-                    else max(0.0, deadline - time.monotonic())
+            acked: List[int] = []
+            failures: Dict[int, str] = {}
+            for shard, (channel, waiter) in calls.items():
+                status, payload = self._wait(
+                    shard, channel, waiter, _remaining(deadline)
                 )
-                status, payload = self._recv_reply(shard, remaining)
                 if status == "ok":
-                    payloads[shard] = payload
+                    acked.append(shard)
                 else:
-                    del payloads[shard]
-                    failures[shard] = (
-                        payload if status == "err" else status
-                    )
+                    failures[shard] = payload if status == "err" else status
+            for shard, (channel, waiter) in broadcasts.items():
+                if waiter is None:
+                    continue
+                status, _ = self._wait(
+                    shard, channel, waiter, _remaining(deadline)
+                )
+                if status != "ok":
+                    # Not this batch's shard: heal it, and the respawn
+                    # replays the whole registry; the commit goes on.
+                    self._heal(shard, channel, f"entities: {status}")
             if failures:
                 # The batch is now partial: the slices acked shards hold
                 # must never surface (a later commit raises the watermark
                 # past them), so quarantine their ids from every scan.
-                for shard in payloads:
-                    self._torn.update(by_shard[shard].event_ids)
-                    self._shard_acked[shard] += len(by_shard[shard])
+                with self._state_lock:
+                    for shard in acked:
+                        self._torn.update(by_shard[shard].event_ids)
+                        self._shard_acked[shard] += len(by_shard[shard])
                 # Heal the dead/wedged workers (not worker-reported
                 # errors: those pipes are still in sync), then fail fast.
                 for shard, reason in failures.items():
                     if reason in ("dead", "timeout"):
-                        self._supervisor.recover(
-                            shard, f"batch commit: {reason}"
+                        self._heal(
+                            shard, calls[shard][0], f"batch commit: {reason}"
                         )
                 raise ShardCommitError(
                     f"batch commit failed on shard(s) "
@@ -712,15 +961,18 @@ class ShardedStore:
                     + "; ".join(
                         f"shard {s}: {r}" for s, r in sorted(failures.items())
                     ),
-                    acked_shards=sorted(payloads),
+                    acked_shards=sorted(acked),
                     failed_shards=sorted(failures),
                 )
-            for shard, chunk in by_shard.items():
-                self._shard_acked[shard] += len(chunk)
-            self._event_count += sum(len(chunk) for chunk in by_shard.values())
             top = block.top_event_id(positions)
-            if top > self._committed:
-                self._committed = top
+            with self._state_lock:
+                for shard, chunk in by_shard.items():
+                    self._shard_acked[shard] += len(chunk)
+                self._event_count += sum(
+                    len(chunk) for chunk in by_shard.values()
+                )
+                if top > self._committed:
+                    self._committed = top
         return tuple(split)
 
     # The name Ingestor.commit_block calls; benchmarks/e2e/layers.py times
@@ -760,16 +1012,25 @@ class ShardedStore:
             watermark=watermark,
         )
 
+    def _snapshot(self) -> Tuple[int, Optional[frozenset]]:
+        """The committed watermark and torn set a read is capped at."""
+        with self._state_lock:
+            return self._committed, frozenset(self._torn) if self._torn else None
+
     def _note_degraded(self, completeness: ScanCompleteness) -> None:
-        self._completeness_seq += 1
-        self._completeness_log.append((self._completeness_seq, completeness))
+        with self._completeness_lock:
+            self._completeness_seq += 1
+            self._completeness_log.append(
+                (self._completeness_seq, completeness)
+            )
+            if completeness.missing_shards:
+                self._degraded_total += 1
         if completeness.missing_shards:
-            self._degraded_total += 1
             _M_DEGRADED_SCANS.inc()
 
     def completeness_mark(self) -> int:
         """Sequence mark for :meth:`completeness_since` (query layers)."""
-        with self._lock:
+        with self._completeness_lock:
             return self._completeness_seq
 
     def completeness_since(self, mark: int) -> Optional[Dict[str, object]]:
@@ -779,7 +1040,7 @@ class ShardedStore:
         estimated per shard at their maximum across the records, so a
         multi-scan query does not double-count one shard's absence.
         """
-        with self._lock:
+        with self._completeness_lock:
             records = [c for seq, c in self._completeness_log if seq > mark]
         if not records:
             return None
@@ -828,33 +1089,23 @@ class ShardedStore:
         completeness record per scan it ran, as its scatter scans would.
         """
         with trace_span("route", shard=shard) as span:
-            with self._lock:
-                self._flush_entities_locked()
-                reply = None
-                if self._supervisor.available(shard):
-                    watermark = self._committed
-                    message = (
-                        "query",
-                        key,
-                        scheduling,
-                        watermark,
-                        frozenset(self._torn) if self._torn else None,
-                    )
-                    payloads, _ = self._scatter_round(
-                        message, (shard,), self.scan_timeout_s
-                    )
-                    reply = payloads.get(shard)
-                if reply is None:
-                    if span is not None:
-                        span.annotate(fallback=True)
-                    return None
-                columns, rows, meta, stats, scans = reply
-                completeness = self._completeness_for(
-                    (), (shard,), watermark, 1
+            reply = None
+            if self._serving(shard):
+                watermark, torn = self._snapshot()
+                message = ("query", key, scheduling, watermark, torn)
+                payloads, _ = self._scatter_round(
+                    message, (shard,), self.scan_timeout_s
                 )
-                if completeness is not None:
-                    for _ in range(scans):
-                        self._note_degraded(completeness)
+                reply = payloads.get(shard)
+            if reply is None:
+                if span is not None:
+                    span.annotate(fallback=True)
+                return None
+            columns, rows, meta, stats, scans = reply
+            completeness = self._completeness_for((), (shard,), watermark, 1)
+            if completeness is not None:
+                for _ in range(scans):
+                    self._note_degraded(completeness)
             _M_ROUTED_QUERIES.inc(shard=str(shard))
             if span is not None:
                 span.annotate(
@@ -897,40 +1148,36 @@ class ShardedStore:
         observing = REGISTRY.enabled or trace is not None
         timings: Optional[Dict[int, float]] = {} if observing else None
         owners = owner_shards(flt, self.scheme, self.shards)
-        with self._lock:
-            self._flush_entities_locked()
-            serving, unavailable = (
-                [shard for shard in shards if shard in owners]
-                for shards in self._available_targets()
-            )
-            if unavailable and self.read_policy != "degraded":
-                raise ShardError(
-                    f"scan: shard(s) {sorted(unavailable)} unavailable "
-                    f"(read policy fail_fast)"
+        serving: List[int] = []
+        unavailable: List[int] = []
+        for shard in range(self.shards):
+            if shard in owners:
+                (serving if self._serving(shard) else unavailable).append(
+                    shard
                 )
-            watermark = self._committed
-            message = (
-                "scan",
-                flt,
-                watermark,
-                use_entity_index,
-                frozenset(self._torn) if self._torn else None,
+        if unavailable and self.read_policy != "degraded":
+            raise ShardError(
+                f"scan: shard(s) {sorted(unavailable)} unavailable "
+                f"(read policy fail_fast)"
             )
-            payloads, failures = self._scatter_round(
-                message, serving, self.scan_timeout_s, timings=timings
+        watermark, torn = self._snapshot()
+        message = ("scan", flt, watermark, use_entity_index, torn)
+        payloads, failures = self._scatter_round(
+            message, serving, self.scan_timeout_s, timings=timings
+        )
+        missing = sorted(set(unavailable) | set(failures))
+        if missing and self.read_policy != "degraded":
+            raise ShardTimeout(
+                f"scan: shard(s) {missing} unavailable after supervised "
+                f"recovery (read policy fail_fast)"
             )
-            missing = sorted(set(unavailable) | set(failures))
-            if missing and self.read_policy != "degraded":
-                raise ShardTimeout(
-                    f"scan: shard(s) {missing} unavailable after supervised "
-                    f"recovery (read policy fail_fast)"
-                )
-            completeness = self._completeness_for(
-                missing, sorted(payloads), watermark, len(owners)
-            )
-            if completeness is not None:
-                self._note_degraded(completeness)
-            if observing:
+        completeness = self._completeness_for(
+            missing, sorted(payloads), watermark, len(owners)
+        )
+        if completeness is not None:
+            self._note_degraded(completeness)
+        if observing:
+            with self._state_lock:
                 self._scan_rounds += 1
                 for shard, payload in payloads.items():
                     self._shard_bytes[shard] += payload_nbytes(payload)
@@ -1019,14 +1266,13 @@ class ShardedStore:
         ``shard_health`` stats) instead of silently surviving the
         deployment.
         """
-        with self._lock:
+        with self._state_lock:
             if self._closed:
                 return
             self._closed = True
-            self._supervisor.stop()
-            for shard in range(self.shards):
-                if self._send(shard, ("stop",)):
-                    self._recv_reply(shard, self.command_timeout_s)
+        self._supervisor.stop()
+        for shard in range(self.shards):
+            self._call(shard, ("stop",), self.command_timeout_s)
         leaked = 0
         for proc in self._procs:
             if proc is None:
@@ -1042,9 +1288,9 @@ class ShardedStore:
                 leaked += 1
         self.leaked_workers += leaked
         self._supervisor.leaked_workers += leaked
-        for conn in self._conns:
-            if conn is not None:
-                conn.close()
+        for channel in self._channels:
+            if channel is not None:
+                channel.fail()  # closes the pipe once no thread reads it
 
     def __enter__(self) -> "ShardedStore":
         return self
@@ -1104,7 +1350,7 @@ class ShardedStore:
             payloads.get(shard, {"unavailable": True})
             for shard in range(self.shards)
         ]
-        with self._lock:
+        with self._state_lock:
             rounds = self._scan_rounds
             gather = [
                 {

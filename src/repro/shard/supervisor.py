@@ -12,9 +12,10 @@ worker failures.  Detection is two-pronged:
 
 Recovery of a dead or wedged shard is one supervised cycle:
 
-1. **quarantine** — the shard's pipe is closed and the process
-   SIGKILLed (a timed-out pipe may still carry a late reply; only a
-   fresh pipe to a fresh process is trustworthy again);
+1. **quarantine** — the process is SIGKILLed and the shard's channel
+   failed: every request in flight on it answers ``"dead"``, and the pipe
+   is closed once no thread reads it (a timed-out pipe may still carry a
+   late reply; only a fresh pipe to a fresh process is trustworthy again);
 2. **respawn** — a new worker starts from the same :class:`ShardSpec`
    (chaos faults cleared: plans target the first incarnation), and a
    durable shard replays its own WAL + snapshot + cold manifest on the
@@ -29,7 +30,9 @@ Recovery of a dead or wedged shard is one supervised cycle:
 
 Restarts are bounded (``SystemConfig(shard_max_restarts=...)``): a
 crash-looping shard is eventually marked *failed* and left quarantined,
-where degraded reads annotate it and fail-fast reads raise.
+where degraded reads annotate it and fail-fast reads raise.  A shard left
+quarantined by a failed respawn is retried by the next sweep while its
+budget lasts.
 """
 
 from __future__ import annotations
@@ -99,9 +102,11 @@ class ShardHealth:
 class ShardSupervisor:
     """Watches a :class:`~repro.shard.coordinator.ShardedStore`'s workers.
 
-    All mutation happens under the store's coordinator lock — either on
-    the thread of the command that detected the failure, or on the
-    supervisor's own heartbeat thread (which takes the lock itself).
+    A shard's recovery runs under that shard's channel lock — on the
+    thread of the command that detected the failure
+    (:meth:`~repro.shard.coordinator.ShardedStore._heal`), or on the
+    supervisor's own heartbeat thread — so it never races another
+    recovery or a send to the same shard, and other shards keep serving.
     """
 
     def __init__(self, store, config) -> None:
@@ -164,28 +169,38 @@ class ShardSupervisor:
     def check(self) -> List[int]:
         """One liveness sweep: sentinel check + heartbeat ping per shard.
 
-        Returns the shards that needed (and got) a recovery attempt.
+        The ping travels the shard's channel like any command, so the
+        sweep takes no lock while it waits.  A shard that a failed
+        respawn left quarantined is re-attempted while its restart budget
+        lasts.  Returns the shards that needed (and got) a recovery
+        attempt.
         """
         store = self._store
         recovered = []
-        with store._lock:
-            if store._closed:
-                return recovered
-            for shard in range(store.shards):
-                health = self.health[shard]
-                if health.failed or health.quarantined:
+        for shard in range(store.shards):
+            health = self.health[shard]
+            with store._channel_locks[shard]:
+                if store._closed:
+                    return recovered
+                if health.failed:
                     continue
                 proc = store._procs[shard]
-                if proc is None or not proc.is_alive():
-                    self.recover(shard, "sentinel: worker process dead")
+                if health.quarantined:
+                    reason = "sweep: retry after a failed respawn"
+                elif proc is None or not proc.is_alive():
+                    reason = "sentinel: worker process dead"
+                else:
+                    reason = None
+                if reason is not None:
+                    self.recover(shard, reason)
                     recovered.append(shard)
                     continue
-                status, _ = store._request(
-                    shard, ("ping",), store.command_timeout_s
-                )
-                if status != "ok":
-                    self.recover(shard, f"heartbeat {status}")
-                    recovered.append(shard)
+            status, _, channel = store._call(
+                shard, ("ping",), store.command_timeout_s
+            )
+            if status != "ok":
+                store._heal(shard, channel, f"heartbeat {status}")
+                recovered.append(shard)
         return recovered
 
     # -- recovery ----------------------------------------------------------
@@ -193,9 +208,10 @@ class ShardSupervisor:
     def recover(self, shard: int, reason: str) -> bool:
         """Quarantine → respawn → replay → re-admit one shard.
 
-        Caller must hold the store's coordinator lock.  Returns ``True``
+        Caller must hold the shard's channel lock.  Returns ``True``
         when the shard is serving again; ``False`` leaves it quarantined
-        (respawn failed) or failed (restart budget exhausted).
+        (respawn failed; the next sweep retries it) or failed (restart
+        budget exhausted).
         """
         store = self._store
         health = self.health[shard]
@@ -219,6 +235,10 @@ class ShardSupervisor:
             # Replay coordinator state the worker cannot recover alone:
             # the full entity registry (durable shards re-intern it as a
             # no-op; RAM-only shards need it to resolve entity filters).
+            # It covers the records still pending for the shard; taking
+            # them first means an entity registered meanwhile is sent
+            # again, which re-interns as a no-op, rather than never.
+            store._take_entities(shard)
             records = [
                 entity_record(e)
                 for e in sorted(store.registry, key=lambda e: e.id)
@@ -242,15 +262,12 @@ class ShardSupervisor:
         return True
 
     def _quarantine(self, shard: int) -> None:
-        """Close the shard's pipe and SIGKILL its process (idempotent)."""
+        """SIGKILL the shard's process, then fail its channel (idempotent).
+
+        The kill comes first: a thread still reading the pipe sees EOF and
+        closes it, so a pipe is never closed under its reader.
+        """
         store = self._store
-        conn = store._conns[shard]
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            store._conns[shard] = None
         proc = store._procs[shard]
         if proc is not None:
             if proc.is_alive():
@@ -259,6 +276,11 @@ class ShardSupervisor:
                 if proc.is_alive():  # pragma: no cover - unkillable worker
                     self.leaked_workers += 1
             store._procs[shard] = None
+        channel = store._channels[shard]
+        if channel is not None:
+            channel.fail()
+            store._channels[shard] = None
+        store._conns[shard] = None
 
     # -- introspection -----------------------------------------------------
 

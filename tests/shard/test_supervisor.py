@@ -122,6 +122,42 @@ class TestWedgedWorker:
             store.close()
 
 
+class TestFailedRespawn:
+    def test_sweep_retries_a_shard_a_failed_respawn_left_quarantined(
+        self, tmp_path
+    ):
+        """One failed respawn does not take a shard out for good: the next
+        sweep re-attempts it while the restart budget lasts."""
+        store = build(tmp_path, shard_max_restarts=3)
+        try:
+            before = len(rows(store, EventFilter()))
+            spawn = store._spawn_worker
+            failures = []
+
+            def fail_once(index, faults=()):
+                if not failures:
+                    failures.append(index)
+                    raise OSError("spawn refused")
+                return spawn(index, faults=faults)
+
+            store._spawn_worker = fail_once
+            kill_worker(store, 1)
+            assert store.supervisor.check() == [1]
+            health = store.supervisor.health[1]
+            assert failures == [1]
+            assert health.quarantined and not health.failed
+            assert health.restarts == 1
+            with pytest.raises(ShardError):
+                rows(store, EventFilter())  # fail_fast while it is out
+            assert store.supervisor.check() == [1]
+            assert health.restarts == 2
+            assert not health.quarantined and not health.failed
+            assert len(rows(store, EventFilter())) == before
+            assert store.supervisor.check() == []  # healthy: nothing to do
+        finally:
+            store.close()
+
+
 class TestReadPolicies:
     def test_fail_fast_raises_when_shard_unrecoverable(self):
         store = build(shard_max_restarts=0, shard_read_policy="fail_fast")
