@@ -45,6 +45,14 @@ multi-shard commit therefore sees the whole batch or none of it — the
 cross-process generalization of the partitioned store's in-process
 commit watermark.
 
+Concurrency: every shard has its own channel (:class:`_Channel`), and the
+worker answers strictly in order, so requests from any number of threads
+pipeline on a shard's pipe and a FIFO of waiters matches each reply to
+its request.  No lock is held while a thread waits on a pipe, except a
+shard's channel lock across that shard's recovery; the coordinator state
+is held only for short snapshots, and commits are serialized whole so
+the watermark never passes a batch some shard has not acked.
+
 Fault tolerance (ISSUE 9): every coordinator↔worker command waits with
 ``Connection.poll``-based deadlines (``SystemConfig(
 shard_command_timeout_s, shard_scan_timeout_s)``) instead of blocking
