@@ -239,23 +239,20 @@ _IDEMPOTENT = frozenset(
 )
 
 
-def _remaining(deadline: Optional[float]) -> Optional[float]:
-    """Seconds left before a shared ``time.monotonic`` deadline."""
-    return None if deadline is None else max(0.0, deadline - time.monotonic())
-
-
 class _Waiter:
     """One request in flight on a channel; ``reply`` is set exactly once.
 
-    ``prior`` is the shard's entity broadcast sent just ahead of the
-    request, whose worker-reported error the request reports as its own.
+    ``budget`` is the request's deadline in seconds (``None``: none);
+    ``since`` is when it reached the head of its channel's queue, from
+    which that budget runs.
     """
 
-    __slots__ = ("reply", "prior")
+    __slots__ = ("reply", "budget", "since")
 
-    def __init__(self, prior: Optional["_Waiter"] = None) -> None:
+    def __init__(self, budget: Optional[float], since: Optional[float]) -> None:
         self.reply: Optional[Tuple[str, object]] = None
-        self.prior = prior
+        self.budget = budget
+        self.since = since
 
 
 class _Channel:
@@ -264,8 +261,16 @@ class _Channel:
     The worker answers strictly in order, so ``waiters`` — the requests in
     flight, in send order — matches each reply to its request, and
     requests from different threads pipeline on the pipe.  Senders append
-    under the shard's channel lock (:meth:`ShardedStore._issue`), so the
+    under the shard's channel lock (:meth:`ShardedStore._post`), so the
     deque order is the byte order on the pipe.
+
+    Deadlines: the worker works on one request at a time, so a request's
+    budget runs from when it reaches the head of the queue — when the
+    reply ahead of it arrives, or when it is sent to an idle worker — and
+    time spent queued behind a long scan never counts against a ping or a
+    commit.  A wait times out only once the request at the head has
+    overrun its own budget: the worker is then wedged, and every request
+    behind it is stuck too.
 
     Reading is leader/follower: a waiting thread whose reply has not
     arrived becomes the channel's one reader while nobody else reads; it
@@ -286,12 +291,13 @@ class _Channel:
         self.reading = False
         self.cond = threading.Condition(threading.Lock())
 
-    def push(self, prior: Optional[_Waiter] = None) -> Optional[_Waiter]:
+    def push(self, budget: Optional[float]) -> Optional[_Waiter]:
         """A waiter for the next request sent, ``None`` on a failed pipe."""
         with self.cond:
             if not self.open:
                 return None
-            waiter = _Waiter(prior)
+            since = None if self.waiters else time.monotonic()
+            waiter = _Waiter(budget, since)
             self.waiters.append(waiter)
             return waiter
 
@@ -318,30 +324,33 @@ class _Channel:
         except OSError:  # pragma: no cover - already closed
             pass
 
-    def wait(
-        self, waiter: _Waiter, timeout_s: Optional[float]
-    ) -> Optional[Tuple[str, object]]:
-        """``waiter``'s reply, or ``None`` once ``timeout_s`` has passed.
+    def _head_left(self) -> Optional[float]:
+        """Seconds before the head request overruns its budget (``None``:
+        it has none).  Caller holds ``cond``; the queue is not empty."""
+        head = self.waiters[0]
+        if head.budget is None:
+            return None
+        return head.since + head.budget - time.monotonic()
+
+    def wait(self, waiter: _Waiter) -> Optional[Tuple[str, object]]:
+        """``waiter``'s reply, or ``None`` once the head request has
+        overrun its budget.
 
         A timed-out waiter stays queued, so a late reply still lands on
         it and the replies behind it stay matched.
         """
-        deadline = None if timeout_s is None else time.monotonic() + timeout_s
         cond = self.cond
         with cond:
             while waiter.reply is None and self.reading:
-                if deadline is None:
-                    cond.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return None
-                    cond.wait(remaining)
+                left = self._head_left()
+                if left is not None and left <= 0:
+                    return None
+                cond.wait(left)
             if waiter.reply is not None:
                 return waiter.reply
             self.reading = True
         try:
-            return self._lead(waiter, deadline)
+            return self._lead(waiter)
         finally:
             with cond:
                 self.reading = False
@@ -349,15 +358,22 @@ class _Channel:
                     self._close()
                 cond.notify_all()
 
-    def _lead(
-        self, waiter: _Waiter, deadline: Optional[float]
-    ) -> Optional[Tuple[str, object]]:
+    def _lead(self, waiter: _Waiter) -> Optional[Tuple[str, object]]:
         """Read replies, in order, until ``waiter``'s arrives."""
         conn = self.conn
+        cond = self.cond
         while True:
+            with cond:
+                left = self._head_left()
             try:
-                if deadline is not None and not conn.poll(_remaining(deadline)):
-                    return None
+                if left is not None and not conn.poll(max(0.0, left)):
+                    with cond:
+                        if waiter.reply is not None:
+                            return waiter.reply
+                        left = self._head_left()
+                    if left <= 0:
+                        return None
+                    continue
                 reply = conn.recv()
             except (EOFError, OSError):
                 self.fail()
@@ -368,12 +384,14 @@ class _Channel:
                 # wrong requests.
                 self.fail()
                 raise
-            with self.cond:
+            with cond:
                 if self.waiters:
                     self.waiters.popleft().reply = reply
+                    if self.waiters:
+                        self.waiters[0].since = time.monotonic()
                 if waiter.reply is not None:
                     return waiter.reply
-                self.cond.notify_all()
+                cond.notify_all()
 
 
 class ShardedStore:
@@ -389,11 +407,15 @@ class ShardedStore:
       a recovery of that shard (:meth:`_heal`), so a thread that finds the
       shard quarantined can wait the recovery out;
     * the state lock guards the watermark, the torn set, the counters and
-      the per-shard pending entity lists, for short snapshots only; the
-      completeness log has its own small lock;
+      the pending entity list, for short snapshots only; the completeness
+      log has its own small lock;
     * the commit lock serializes whole commits — send, every ack, then
       the watermark raise — so commits reach every shard in one order and
       the watermark never passes a batch not yet acked.
+
+    A request's deadline runs from when it reaches the head of its shard's
+    queue, so time spent queued behind a long scan on the same pipe never
+    counts against a ping or a commit (:class:`_Channel`).
     """
 
     # Shards hold the entity indexes; the scheduler's cardinality model
@@ -417,15 +439,12 @@ class ShardedStore:
         self._commit_lock = threading.Lock()
         self._completeness_lock = threading.Lock()
         self._channel_locks = [threading.Lock() for _ in range(self.shards)]
-        # Entity records registered since a shard's last command, sent to
-        # it ahead of the next one.
-        self._pending_entities: List[List[dict]] = [
-            [] for _ in range(self.shards)
-        ]
+        # Entity records registered since the last commit, which sends
+        # them to every serving shard ahead of its slices.
+        self._pending_entities: List[dict] = []
         self._event_count = 0
         self._committed = 0
         self._closed = False
-        self._conns: List[Optional[object]] = [None] * self.shards
         self._procs: List[Optional[object]] = [None] * self.shards
         self._channels: List[Optional[_Channel]] = [None] * self.shards
         self.leaked_workers = 0
@@ -499,9 +518,9 @@ class ShardedStore:
     def _abort_startup(self) -> None:
         """Kill every spawned worker when construction itself fails."""
         for index in range(self.shards):
-            conn, proc = self._conns[index], self._procs[index]
-            if conn is not None:
-                conn.close()
+            channel, proc = self._channels[index], self._procs[index]
+            if channel is not None:
+                channel.conn.close()
             if proc is not None and proc.is_alive():
                 proc.kill()
                 proc.join(timeout=5)
@@ -518,7 +537,6 @@ class ShardedStore:
         )
         proc.start()
         child_conn.close()
-        self._conns[index] = parent_conn
         self._procs[index] = proc
         self._channels[index] = _Channel(index, parent_conn)
 
@@ -567,12 +585,12 @@ class ShardedStore:
     def _send(self, shard: int, message: tuple) -> bool:
         """Best-effort write of one message; ``False`` when the pipe is
         gone.  Every command goes through here, under the shard's channel
-        lock (:meth:`_issue`)."""
-        conn = self._conns[shard]
-        if conn is None:
+        lock (:meth:`_post`)."""
+        channel = self._channels[shard]
+        if channel is None:
             return False
         try:
-            conn.send(message)
+            channel.conn.send(message)
         except (OSError, BrokenPipeError, ValueError):
             return False
         return True
@@ -580,17 +598,18 @@ class ShardedStore:
     def _recv_reply(
         self, shard: int, timeout_s: Optional[float]
     ) -> Tuple[str, object]:
-        """One deadline-bounded read of a fresh worker's pipe.
+        """One deadline-bounded read of a fresh worker's hello.
 
-        Only for the start-up and respawn hellos (and the registry replay
-        that follows a respawn), which run before any other thread can
-        send to the worker; every command after that reads its reply
-        through its channel (:meth:`_wait`).  Status is ``"ok"``/``"err"``,
-        ``"timeout"`` or ``"dead"``; ``None`` waits forever.
+        Only for the start-up and respawn hellos, which arrive before any
+        request is sent to the worker; every reply after that is read
+        through the shard's channel (:meth:`_wait`).  Status is
+        ``"ok"``/``"err"``, ``"timeout"`` or ``"dead"``; ``None`` waits
+        forever.
         """
-        conn = self._conns[shard]
-        if conn is None:
+        channel = self._channels[shard]
+        if channel is None:
             return "dead", f"shard {shard} is quarantined"
+        conn = channel.conn
         try:
             if timeout_s is not None and not conn.poll(timeout_s):
                 self._supervisor.note_timeout(shard)
@@ -600,26 +619,20 @@ class ShardedStore:
             return "dead", f"shard {shard} died mid-command"
         return status, payload
 
-    def _take_entities(self, shard: int) -> List[dict]:
-        """The entity records ``shard`` has not been sent yet."""
-        with self._state_lock:
-            records = self._pending_entities[shard]
-            if records:
-                self._pending_entities[shard] = []
-            return records
-
     def _post(
         self,
         shard: int,
         channel: _Channel,
         message: tuple,
-        prior: Optional[_Waiter] = None,
+        budget: Optional[float],
     ) -> Optional[_Waiter]:
         """Queue a waiter and write ``message``; ``None`` on a dead pipe.
 
-        Caller holds the shard's channel lock.
+        ``budget`` is the request's deadline, counted from when it reaches
+        the head of the channel's queue.  Caller holds the shard's channel
+        lock.
         """
-        waiter = channel.push(prior)
+        waiter = channel.push(budget)
         if waiter is None:
             return None
         try:
@@ -634,63 +647,45 @@ class ShardedStore:
         return waiter
 
     def _issue(
-        self, shard: int, message: Optional[tuple]
+        self, shard: int, message: tuple, budget: Optional[float]
     ) -> Tuple[Optional[_Channel], Optional[_Waiter]]:
         """Send ``message`` to ``shard`` without waiting for the reply.
 
-        The shard's pending entity records go out first, as their own
-        message.  Returns the channel used and the request's waiter
-        (``None`` when the pipe is gone — the caller heals that channel).
-        With ``message`` ``None`` only the entities go, and the waiter is
-        theirs (``None`` when none were pending).
+        Returns the channel used and the request's waiter (``None`` when
+        the pipe is gone — the caller heals that channel).
         """
         with self._channel_locks[shard]:
             channel = self._channels[shard]
             if channel is None:
                 return None, None
-            prior = None
-            records = self._take_entities(shard)
-            if records:
-                # Idempotent broadcast: a shard that misses it because it
-                # died gets the full registry replayed at re-admission.
-                prior = self._post(shard, channel, ("entities", records))
-                if prior is None:
-                    return channel, None
-            if message is None:
-                return channel, prior
-            return channel, self._post(shard, channel, message, prior)
+            return channel, self._post(shard, channel, message, budget)
 
     def _wait(
         self,
         shard: int,
         channel: Optional[_Channel],
         waiter: Optional[_Waiter],
-        timeout_s: Optional[float],
     ) -> Tuple[str, object]:
         """The reply to one :meth:`_issue`: ``(status, payload)``.
 
-        Status is ``"ok"``/``"err"`` (the worker answered; an error of the
-        entity broadcast sent ahead counts as the request's), ``"timeout"``
-        (the deadline passed — the worker may be wedged) or ``"dead"``.
+        Status is ``"ok"``/``"err"`` (the worker answered), ``"timeout"``
+        (the request at the head of the shard's queue overran its budget —
+        the worker may be wedged) or ``"dead"``.
         """
         if channel is None or waiter is None:
             return "dead", f"shard {shard} pipe closed"
-        reply = channel.wait(waiter, timeout_s)
+        reply = channel.wait(waiter)
         if reply is None:
             self._supervisor.note_timeout(shard)
-            return "timeout", f"shard {shard} blew {timeout_s:g}s deadline"
-        prior = waiter.prior
-        if reply[0] == "ok" and prior is not None and prior.reply is not None:
-            if prior.reply[0] == "err":
-                return prior.reply
+            return "timeout", f"shard {shard} blew its deadline"
         return reply
 
     def _call(
-        self, shard: int, message: tuple, timeout_s: Optional[float]
+        self, shard: int, message: tuple, budget: Optional[float]
     ) -> Tuple[str, object, Optional[_Channel]]:
         """One command and its reply: ``(status, payload, channel)``."""
-        channel, waiter = self._issue(shard, message)
-        status, payload = self._wait(shard, channel, waiter, timeout_s)
+        channel, waiter = self._issue(shard, message, budget)
+        status, payload = self._wait(shard, channel, waiter)
         return status, payload, channel
 
     def _heal(
@@ -725,30 +720,29 @@ class ShardedStore:
     ) -> Tuple[Dict[int, object], Dict[int, str]]:
         """One scatter + bounded gather + supervised heal/retry round.
 
-        Sends ``message`` to every target before waiting for any reply,
-        and waits against a *shared* deadline, so the round never blocks
-        unboundedly on a dead straggler.  Every timed-out/dead shard is
-        healed once per failed channel (:meth:`_heal`), and idempotent
-        commands are re-issued to the recovered worker under the bounded
-        backoff policy.  Returns ``(payloads, failures)`` keyed by shard;
-        worker-*reported* command errors (``"err"`` replies: the worker is
-        alive and its pipe in sync — nothing to recover) are raised as
-        :class:`ShardError` once every reply is in.
+        Sends ``message`` to every target before waiting for any reply;
+        each request's ``timeout_s`` budget runs from when it reaches the
+        head of its shard's queue (:class:`_Channel`), so the round never
+        blocks unboundedly on a wedged straggler.  Every timed-out/dead
+        shard is healed once per failed channel (:meth:`_heal`), and
+        idempotent commands are re-issued to the recovered worker under the
+        bounded backoff policy.  Returns ``(payloads, failures)`` keyed by
+        shard; worker-*reported* command errors (``"err"`` replies: the
+        worker is alive and its pipe in sync — nothing to recover) are
+        raised as :class:`ShardError` once every reply is in.
         """
         retriable = message[0] in _IDEMPOTENT
         payloads: Dict[int, object] = {}
         failures: Dict[int, str] = {}
         failed_on: Dict[int, Optional[_Channel]] = {}
         errors: Dict[int, str] = {}
-        calls = [(shard, *self._issue(shard, message)) for shard in targets]
-        deadline = (
-            None if timeout_s is None else time.monotonic() + timeout_s
-        )
+        calls = [
+            (shard, *self._issue(shard, message, timeout_s))
+            for shard in targets
+        ]
         for shard, channel, waiter in calls:
             started = time.perf_counter()
-            status, payload = self._wait(
-                shard, channel, waiter, _remaining(deadline)
-            )
+            status, payload = self._wait(shard, channel, waiter)
             if timings is not None:
                 timings[shard] = (
                     timings.get(shard, 0.0) + time.perf_counter() - started
@@ -841,19 +835,60 @@ class ShardedStore:
     # -- ingest ------------------------------------------------------------
 
     def register_entity(self, entity: Entity) -> None:
-        """Queue an entity broadcast; each shard gets it ahead of its next
-        command.
+        """Queue an entity broadcast; the next commit sends it to every
+        serving shard ahead of its slices.
 
         Every shard receives every entity (the registry is tiny next to
         the event stream), which keeps worker registries id-identical to
         the coordinator's and makes each shard's durable entity set a
         prefix of the global observation order — what recovery's merge
-        relies on.
+        relies on.  An entity is registered before any event that refers
+        to it is committed, so no read needs it earlier; a shard that is
+        out when a commit broadcasts gets the whole registry replayed when
+        it respawns.
         """
         record = entity_record(entity)
         with self._state_lock:
-            for pending in self._pending_entities:
-                pending.append(record)
+            self._pending_entities.append(record)
+
+    def _send_commit(
+        self, records: List[dict], messages: Dict[int, tuple]
+    ) -> Dict[int, Tuple[Optional[_Channel], List[Optional[_Waiter]]]]:
+        """Send ``records`` to every serving shard, each target's ``batch``
+        message right behind them with no wait in between.
+
+        Per shard: the channel used and the waiters in send order — a
+        ``None`` waiter (or channel) means the pipe was gone and nothing
+        after it was sent.  A shard that is out is skipped unless it is a
+        target: its respawn replays the registry, and a target's absence
+        is the commit's failure.  The channel lock makes a send wait out a
+        recovery in progress, so no record falls between a respawn's
+        registry replay and this broadcast.
+        """
+        budget = self.command_timeout_s
+        sent: Dict[int, Tuple[Optional[_Channel], List[Optional[_Waiter]]]] = {}
+        for shard in range(self.shards):
+            message = messages.get(shard)
+            if message is None and not records:
+                continue
+            with self._channel_locks[shard]:
+                channel = self._channels[shard]
+                if message is None and not self._supervisor.available(shard):
+                    continue
+                waiters: List[Optional[_Waiter]] = []
+                if channel is not None:
+                    if records:
+                        waiters.append(
+                            self._post(
+                                shard, channel, ("entities", records), budget
+                            )
+                        )
+                    if message is not None and None not in waiters:
+                        waiters.append(
+                            self._post(shard, channel, message, budget)
+                        )
+                sent[shard] = (channel, waiters or [None])
+        return sent
 
     def add_block(
         self, block: ColumnBlock, positions: Optional[Positions] = None
@@ -868,13 +903,14 @@ class ShardedStore:
         no row tuple crosses the pipe and no row object is built on
         either side.
 
-        Commits are serialized whole (the commit lock): every slice, each
-        behind its shard's pending entities with no wait in between, is
-        sent before any ack is awaited, and the global watermark is raised
-        only after every involved shard acknowledged (and therefore
-        published) its slice.  A scatter scan issued concurrently carries
-        a watermark below this batch and filters it out on every shard —
-        never a torn read.
+        Commits are serialized whole (the commit lock): the entities
+        registered since the last commit go to every serving shard, each
+        target's slice right behind them with no wait in between, all
+        before any ack is awaited (:meth:`_send_commit`); the global
+        watermark is raised only after every involved shard acknowledged
+        (and therefore published) its slice.  A scatter scan issued
+        concurrently carries a watermark below this batch and filters it
+        out on every shard — never a torn read.
 
         Fail-fast (non-idempotent): a shard that dies or blows its
         deadline mid-commit raises :class:`ShardCommitError` naming the
@@ -909,67 +945,53 @@ class ShardedStore:
             with self._state_lock:
                 for shard, chunk in by_shard.items():
                     self._shard_routed[shard] += len(chunk)
+                records, self._pending_entities = self._pending_entities, []
             if REGISTRY.enabled:
                 for shard, chunk in by_shard.items():
                     _M_SHARD_ROUTED.inc(len(chunk), shard=str(shard))
-            calls = {
-                shard: self._issue(shard, ("batch", encode_block(chunk)))
+            messages = {
+                shard: ("batch", encode_block(chunk))
                 for shard, chunk in by_shard.items()
             }
-            # The other serving shards get the pending entities too, so no
-            # record waits in memory for a shard the commits do not reach.
-            broadcasts = {
-                shard: self._issue(shard, None)
-                for shard in range(self.shards)
-                if shard not in by_shard and self._supervisor.available(shard)
-            }
-            deadline = (
-                None
-                if self.command_timeout_s is None
-                else time.monotonic() + self.command_timeout_s
-            )
-            acked: List[int] = []
+            sent = self._send_commit(records, messages)
+            committed: List[int] = []
             failures: Dict[int, str] = {}
-            for shard, (channel, waiter) in calls.items():
-                status, payload = self._wait(
-                    shard, channel, waiter, _remaining(deadline)
-                )
+            for shard, (channel, waiters) in sent.items():
+                status, payload = "ok", None
+                for waiter in waiters:
+                    reply = self._wait(shard, channel, waiter)
+                    if status == "ok":
+                        status, payload = reply
+                    if reply[0] in ("dead", "timeout"):
+                        break
+                if shard in by_shard and reply[0] == "ok":
+                    committed.append(shard)  # the last reply: the batch's ack
                 if status == "ok":
-                    acked.append(shard)
-                else:
-                    failures[shard] = payload if status == "err" else status
-            for shard, (channel, waiter) in broadcasts.items():
-                if waiter is None:
                     continue
-                status, _ = self._wait(
-                    shard, channel, waiter, _remaining(deadline)
-                )
-                if status != "ok":
-                    # Not this batch's shard: heal it, and the respawn
-                    # replays the whole registry; the commit goes on.
-                    self._heal(shard, channel, f"entities: {status}")
+                if status in ("dead", "timeout"):
+                    # Heal the dead/wedged worker (not a worker-reported
+                    # error: that pipe is still in sync); its respawn
+                    # replays the whole registry, so a shard that only
+                    # missed the entities leaves the commit whole.
+                    self._heal(shard, channel, f"batch commit: {status}")
+                    if shard not in by_shard:
+                        continue
+                failures[shard] = payload if status == "err" else status
             if failures:
                 # The batch is now partial: the slices acked shards hold
                 # must never surface (a later commit raises the watermark
                 # past them), so quarantine their ids from every scan.
                 with self._state_lock:
-                    for shard in acked:
+                    for shard in committed:
                         self._torn.update(by_shard[shard].event_ids)
                         self._shard_acked[shard] += len(by_shard[shard])
-                # Heal the dead/wedged workers (not worker-reported
-                # errors: those pipes are still in sync), then fail fast.
-                for shard, reason in failures.items():
-                    if reason in ("dead", "timeout"):
-                        self._heal(
-                            shard, calls[shard][0], f"batch commit: {reason}"
-                        )
                 raise ShardCommitError(
                     f"batch commit failed on shard(s) "
                     f"{sorted(failures)}: "
                     + "; ".join(
                         f"shard {s}: {r}" for s, r in sorted(failures.items())
                     ),
-                    acked_shards=sorted(acked),
+                    acked_shards=sorted(set(committed) - set(failures)),
                     failed_shards=sorted(failures),
                 )
             top = block.top_event_id(positions)

@@ -146,7 +146,7 @@ class ShardSupervisor:
         return (
             not health.quarantined
             and not health.failed
-            and self._store._conns[shard] is not None
+            and self._store._channels[shard] is not None
         )
 
     def note_timeout(self, shard: int) -> None:
@@ -235,16 +235,17 @@ class ShardSupervisor:
             # Replay coordinator state the worker cannot recover alone:
             # the full entity registry (durable shards re-intern it as a
             # no-op; RAM-only shards need it to resolve entity filters).
-            # It covers the records still pending for the shard; taking
-            # them first means an entity registered meanwhile is sent
-            # again, which re-interns as a no-op, rather than never.
-            store._take_entities(shard)
+            # Records still pending for the next commit are sent again
+            # then, which re-interns them as a no-op.
             records = [
                 entity_record(e)
                 for e in sorted(store.registry, key=lambda e: e.id)
             ]
-            store._conns[shard].send(("entities", records))
-            status, _ = store._recv_reply(shard, store.command_timeout_s)
+            channel = store._channels[shard]
+            waiter = store._post(
+                shard, channel, ("entities", records), store.command_timeout_s
+            )
+            status, _ = store._wait(shard, channel, waiter)
             if status != "ok":
                 raise OSError(f"entity replay {status}")
         except (OSError, EOFError, BrokenPipeError) as exc:
@@ -280,7 +281,6 @@ class ShardSupervisor:
         if channel is not None:
             channel.fail()
             store._channels[shard] = None
-        store._conns[shard] = None
 
     # -- introspection -----------------------------------------------------
 

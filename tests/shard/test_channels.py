@@ -23,6 +23,7 @@ from tests.oracle import rows
 from tests.shard.test_routing import (
     answer,
     deploy,
+    kill_worker,
     point_query,
     populate,
     routed_total,
@@ -289,6 +290,75 @@ class TestOneRecovery:
             bound = timeout_s + health.last_recovery_s + 2.0
             for _, seconds in outcomes:
                 assert seconds < bound, (seconds, bound)
+        finally:
+            sharded.close()
+
+
+class TestQueuedDeadlines:
+    def test_time_queued_behind_a_long_scan_does_not_count(self):
+        """Shard 0's scan takes 4 s, twice the command deadline.  The
+        heartbeat's pings and a commit queued behind it on the same pipe
+        wait their turn: their deadlines run from when the worker reaches
+        them, so nothing times out and nothing is recovered."""
+        sharded, reference = deploy(
+            shard_chaos="delay@0:scan#0x4",
+            shard_command_timeout_s=2.0,
+            shard_scan_timeout_s=10.0,
+            shard_heartbeat_interval_s=0.1,
+        )
+        try:
+            ingestor = sharded.ingestor
+            populate(ingestor)
+            before = rows(reference, EventFilter())
+            shell = ingestor.process(1, 300, "bash")
+            log = ingestor.file(1, "/tmp/queued")
+            batch = [
+                ingestor.build_event(1, day * DAY + 9.0, "write", shell, log)
+                for day in range(4)  # slices for both shards
+            ]
+            (scan, scan_s), (commit, _) = in_threads(
+                [
+                    lambda: rows(sharded, EventFilter()),
+                    after(0.3, lambda: ingestor.commit(batch)),
+                ]
+            )
+            assert scan == before
+            assert scan_s >= 4.0  # the delay held shard 0's reply
+            assert not isinstance(commit, Exception), commit
+            health = sharded.stats()["shard_health"]
+            assert health["restarts"] == 0 and health["timeouts"] == 0
+            assert rows(sharded, EventFilter()) == rows(reference, EventFilter())
+        finally:
+            sharded.close()
+
+
+class TestFailedShard:
+    def test_no_entity_record_is_held_for_a_failed_shard(self):
+        """Once shard 1 has failed for good, entities registered later
+        still leave the coordinator at each commit: nothing waits in
+        memory for a shard that never comes back."""
+        sharded, reference = deploy(
+            shard_max_restarts=0, shard_read_policy="degraded"
+        )
+        try:
+            ingestor = sharded.ingestor
+            populate(ingestor)
+            kill_worker(sharded, 1)
+            sharded.supervisor.check()
+            assert sharded.supervisor.health[1].failed
+            for index in range(5):
+                shell = ingestor.process(1, 400 + index, "bash")
+                log = ingestor.file(1, f"/tmp/after-{index}")
+                # day 0 lives on shard 0, the survivor
+                ingestor.commit(
+                    [ingestor.build_event(1, 500.0 + index, "write", shell, log)]
+                )
+                assert sharded._pending_entities == []
+            day0 = EventFilter(
+                agent_ids=frozenset({1}),
+                window=TimeWindow(start=0.0, end=DAY),
+            )
+            assert rows(sharded, day0) == rows(reference, day0)
         finally:
             sharded.close()
 
