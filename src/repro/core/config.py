@@ -49,11 +49,13 @@ class SystemConfig:
     shard_command_timeout_s
         deadline (seconds) for every coordinator↔worker command other
         than scatter scans: ingest acks, heartbeats, stats/metrics
-        pulls, maintenance and the startup hello.  A worker that does
-        not answer within it counts as wedged — the supervisor
-        quarantines it, SIGKILLs the process and respawns it (durable
-        shards replay their WAL).  ``None`` disables the deadline
-        (pre-ISSUE-9 blocking behaviour).
+        pulls and maintenance.  A worker that does not answer within it
+        counts as wedged — the supervisor quarantines it, SIGKILLs the
+        process and respawns it (durable shards replay their WAL).
+        ``None`` disables the deadline (the wait blocks).  A worker's
+        start-up or respawn hello follows its spawn, imports and replay,
+        so it waits under the longer of this and ``shard_scan_timeout_s``
+        (no deadline if either is ``None``).
     shard_scan_timeout_s
         deadline for one scatter-scan round (scans decompress cold
         segments and run compiled kernels, so they get their own, larger

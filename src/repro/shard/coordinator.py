@@ -45,18 +45,21 @@ multi-shard commit therefore sees the whole batch or none of it — the
 cross-process generalization of the partitioned store's in-process
 commit watermark.
 
-Concurrency: every shard has its own channel (:class:`_Channel`), and the
-worker answers strictly in order, so requests from any number of threads
-pipeline on a shard's pipe and a FIFO of waiters matches each reply to
-its request.  No lock is held while a thread waits on a pipe, except a
-shard's channel lock across that shard's recovery; the coordinator state
-is held only for short snapshots, and commits are serialized whole so
-the watermark never passes a batch some shard has not acked.
+Concurrency: every shard has its own channel
+(:class:`repro.shard.channel.Channel`), which owns the pipe protocol:
+requests from any number of threads pipeline on a shard's pipe, and a
+FIFO of waiters matches each reply to its request.  A worker's hello is
+its channel's first reply.  No lock is held while a thread waits on a
+pipe, except a shard's channel lock across that shard's recovery; the
+coordinator state is held only for short snapshots, and commits are
+serialized whole so the watermark never passes a batch some shard has
+not acked.
 
-Fault tolerance (ISSUE 9): every coordinator↔worker command waits with
-``Connection.poll``-based deadlines (``SystemConfig(
-shard_command_timeout_s, shard_scan_timeout_s)``) instead of blocking
-``recv()``.  A dead pipe or blown deadline hands the shard to the
+Fault tolerance: every coordinator↔worker command waits under
+a deadline (``SystemConfig(shard_command_timeout_s,
+shard_scan_timeout_s)``) that the channel runs from the head of its
+queue, instead of blocking on ``recv()``; a hello waits under the longer
+of the two.  A dead pipe or blown deadline hands the shard to the
 :class:`~repro.shard.supervisor.ShardSupervisor` — quarantine, SIGKILL,
 respawn, WAL replay, entity-registry replay, re-admission — and
 *idempotent* commands (scans, routed queries, estimates, stats, metrics,
@@ -103,6 +106,7 @@ from repro.engine.scheduler import SchedulerStats
 from repro.lang.context import QueryContext
 from repro.model.entities import Entity
 from repro.obs import REGISTRY, active_trace, trace_span
+from repro.shard.channel import Channel, Waiter
 from repro.shard.chaos import FaultPlan, plan_from_env
 from repro.shard.supervisor import ShardSupervisor
 from repro.shard.wire import decode_result, payload_nbytes
@@ -239,165 +243,11 @@ _IDEMPOTENT = frozenset(
 )
 
 
-class _Waiter:
-    """One request in flight on a channel; ``reply`` is set exactly once.
-
-    ``budget`` is the request's deadline in seconds (``None``: none);
-    ``since`` is when it reached the head of its channel's queue, from
-    which that budget runs.
-    """
-
-    __slots__ = ("reply", "budget", "since")
-
-    def __init__(self, budget: Optional[float], since: Optional[float]) -> None:
-        self.reply: Optional[Tuple[str, object]] = None
-        self.budget = budget
-        self.since = since
-
-
-class _Channel:
-    """One worker incarnation's pipe, shared by every thread that asks it.
-
-    The worker answers strictly in order, so ``waiters`` — the requests in
-    flight, in send order — matches each reply to its request, and
-    requests from different threads pipeline on the pipe.  Senders append
-    under the shard's channel lock (:meth:`ShardedStore._post`), so the
-    deque order is the byte order on the pipe.
-
-    Deadlines: the worker works on one request at a time, so a request's
-    budget runs from when it reaches the head of the queue — when the
-    reply ahead of it arrives, or when it is sent to an idle worker — and
-    time spent queued behind a long scan never counts against a ping or a
-    commit.  A wait times out only once the request at the head has
-    overrun its own budget: the worker is then wedged, and every request
-    behind it is stuck too.
-
-    Reading is leader/follower: a waiting thread whose reply has not
-    arrived becomes the channel's one reader while nobody else reads; it
-    hands every reply to the head waiter and stops at its own, so a lone
-    request reads its own reply with no thread hop.  The others wait on
-    ``cond`` until their reply is handed over or the reader leaves.  EOF
-    (or a closed pipe) fails every waiter with ``"dead"``; the pipe is
-    closed only once no thread reads it.
-    """
-
-    __slots__ = ("shard", "conn", "waiters", "open", "reading", "cond")
-
-    def __init__(self, shard: int, conn) -> None:
-        self.shard = shard
-        self.conn = conn
-        self.waiters: Deque[_Waiter] = deque()
-        self.open = True
-        self.reading = False
-        self.cond = threading.Condition(threading.Lock())
-
-    def push(self, budget: Optional[float]) -> Optional[_Waiter]:
-        """A waiter for the next request sent, ``None`` on a failed pipe."""
-        with self.cond:
-            if not self.open:
-                return None
-            since = None if self.waiters else time.monotonic()
-            waiter = _Waiter(budget, since)
-            self.waiters.append(waiter)
-            return waiter
-
-    def withdraw(self, waiter: _Waiter) -> None:
-        """Forget ``waiter``, whose request never reached the pipe."""
-        with self.cond:
-            if self.waiters and self.waiters[-1] is waiter:
-                self.waiters.pop()
-
-    def fail(self) -> None:
-        """The pipe is gone: every request in flight answers ``"dead"``."""
-        dead = ("dead", f"shard {self.shard} died mid-command")
-        with self.cond:
-            self.open = False
-            while self.waiters:
-                self.waiters.popleft().reply = dead
-            if not self.reading:
-                self._close()
-            self.cond.notify_all()
-
-    def _close(self) -> None:
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-
-    def _head_left(self) -> Optional[float]:
-        """Seconds before the head request overruns its budget (``None``:
-        it has none).  Caller holds ``cond``; the queue is not empty."""
-        head = self.waiters[0]
-        if head.budget is None:
-            return None
-        return head.since + head.budget - time.monotonic()
-
-    def wait(self, waiter: _Waiter) -> Optional[Tuple[str, object]]:
-        """``waiter``'s reply, or ``None`` once the head request has
-        overrun its budget.
-
-        A timed-out waiter stays queued, so a late reply still lands on
-        it and the replies behind it stay matched.
-        """
-        cond = self.cond
-        with cond:
-            while waiter.reply is None and self.reading:
-                left = self._head_left()
-                if left is not None and left <= 0:
-                    return None
-                cond.wait(left)
-            if waiter.reply is not None:
-                return waiter.reply
-            self.reading = True
-        try:
-            return self._lead(waiter)
-        finally:
-            with cond:
-                self.reading = False
-                if not self.open:
-                    self._close()
-                cond.notify_all()
-
-    def _lead(self, waiter: _Waiter) -> Optional[Tuple[str, object]]:
-        """Read replies, in order, until ``waiter``'s arrives."""
-        conn = self.conn
-        cond = self.cond
-        while True:
-            with cond:
-                left = self._head_left()
-            try:
-                if left is not None and not conn.poll(max(0.0, left)):
-                    with cond:
-                        if waiter.reply is not None:
-                            return waiter.reply
-                        left = self._head_left()
-                    if left <= 0:
-                        return None
-                    continue
-                reply = conn.recv()
-            except (EOFError, OSError):
-                self.fail()
-                return waiter.reply
-            except BaseException:
-                # A reply that cannot be unpickled is lost to its waiter:
-                # fail the channel rather than hand later replies to the
-                # wrong requests.
-                self.fail()
-                raise
-            with cond:
-                if self.waiters:
-                    self.waiters.popleft().reply = reply
-                    if self.waiters:
-                        self.waiters[0].since = time.monotonic()
-                if waiter.reply is not None:
-                    return waiter.reply
-                cond.notify_all()
-
-
 class ShardedStore:
     """Store facade over N shard worker processes.
 
-    Thread safety: each shard has its own channel (:class:`_Channel`), so
+    Thread safety: each shard has its own channel
+    (:class:`~repro.shard.channel.Channel`), so
     concurrent query-service scans, routed queries, a streaming writer and
     the supervisor's heartbeat sweep pipeline their requests on the pipes
     instead of taking turns.  Three kinds of lock, none held while a
@@ -412,10 +262,6 @@ class ShardedStore:
     * the commit lock serializes whole commits — send, every ack, then
       the watermark raise — so commits reach every shard in one order and
       the watermark never passes a batch not yet acked.
-
-    A request's deadline runs from when it reaches the head of its shard's
-    queue, so time spent queued behind a long scan on the same pipe never
-    counts against a ping or a commit (:class:`_Channel`).
     """
 
     # Shards hold the entity indexes; the scheduler's cardinality model
@@ -434,6 +280,10 @@ class ShardedStore:
         self.recovery: Optional[RecoveryReport] = None
         self.command_timeout_s = config.shard_command_timeout_s
         self.scan_timeout_s = config.shard_scan_timeout_s
+        # A hello follows the spawn, the imports and a durable shard's
+        # replay, so it waits under the longer deadline.
+        timeouts = (self.command_timeout_s, self.scan_timeout_s)
+        self.hello_timeout_s = None if None in timeouts else max(timeouts)
         self.read_policy = config.shard_read_policy
         self._state_lock = threading.Lock()
         self._commit_lock = threading.Lock()
@@ -446,7 +296,7 @@ class ShardedStore:
         self._committed = 0
         self._closed = False
         self._procs: List[Optional[object]] = [None] * self.shards
-        self._channels: List[Optional[_Channel]] = [None] * self.shards
+        self._channels: List[Optional[Channel]] = [None] * self.shards
         self.leaked_workers = 0
         # Coordinator-side scatter/gather accounting, one slot per shard:
         # what crossed the pipes (bytes/rows gathered, cumulative recv
@@ -482,6 +332,7 @@ class ShardedStore:
         self.fault_plan = plan
         self._ctx = multiprocessing.get_context("spawn")
         self._specs: List[ShardSpec] = []
+        spawned = []
         for index in range(self.shards):
             self._specs.append(
                 ShardSpec(
@@ -501,11 +352,13 @@ class ShardedStore:
                     metrics=getattr(config, "metrics", True),
                 )
             )
-            self._spawn_worker(index, faults=plan.for_shard(index))
+            spawned.append(
+                self._spawn_worker(index, faults=plan.for_shard(index))
+            )
         self._supervisor = ShardSupervisor(self, config)
         hellos = []
-        for index in range(self.shards):
-            status, payload = self._recv_reply(index, self.command_timeout_s)
+        for index, (channel, hello) in enumerate(spawned):
+            status, payload = self._wait(index, channel, hello)
             if status != "ok":
                 self._abort_startup()
                 raise ShardError(
@@ -520,13 +373,17 @@ class ShardedStore:
         for index in range(self.shards):
             channel, proc = self._channels[index], self._procs[index]
             if channel is not None:
-                channel.conn.close()
+                channel.fail()
             if proc is not None and proc.is_alive():
                 proc.kill()
                 proc.join(timeout=5)
 
-    def _spawn_worker(self, index: int, faults=()) -> None:
-        """Start (or restart) shard ``index``'s process from its spec."""
+    def _spawn_worker(self, index: int, faults=()) -> Tuple[Channel, Waiter]:
+        """Start (or restart) shard ``index``'s process from its spec.
+
+        Returns the new channel and the waiter of the worker's hello, its
+        first reply.
+        """
         spec = replace(self._specs[index], faults=tuple(faults))
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
@@ -537,8 +394,11 @@ class ShardedStore:
         )
         proc.start()
         child_conn.close()
+        channel = Channel(index, parent_conn)
+        hello = channel.push(self.hello_timeout_s)
         self._procs[index] = proc
-        self._channels[index] = _Channel(index, parent_conn)
+        self._channels[index] = channel
+        return channel, hello
 
     # -- startup / recovery merge -----------------------------------------
 
@@ -582,73 +442,9 @@ class ShardedStore:
 
     # -- RPC plumbing ------------------------------------------------------
 
-    def _send(self, shard: int, message: tuple) -> bool:
-        """Best-effort write of one message; ``False`` when the pipe is
-        gone.  Every command goes through here, under the shard's channel
-        lock (:meth:`_post`)."""
-        channel = self._channels[shard]
-        if channel is None:
-            return False
-        try:
-            channel.conn.send(message)
-        except (OSError, BrokenPipeError, ValueError):
-            return False
-        return True
-
-    def _recv_reply(
-        self, shard: int, timeout_s: Optional[float]
-    ) -> Tuple[str, object]:
-        """One deadline-bounded read of a fresh worker's hello.
-
-        Only for the start-up and respawn hellos, which arrive before any
-        request is sent to the worker; every reply after that is read
-        through the shard's channel (:meth:`_wait`).  Status is
-        ``"ok"``/``"err"``, ``"timeout"`` or ``"dead"``; ``None`` waits
-        forever.
-        """
-        channel = self._channels[shard]
-        if channel is None:
-            return "dead", f"shard {shard} is quarantined"
-        conn = channel.conn
-        try:
-            if timeout_s is not None and not conn.poll(timeout_s):
-                self._supervisor.note_timeout(shard)
-                return "timeout", f"shard {shard} blew {timeout_s:g}s deadline"
-            status, payload = conn.recv()
-        except (EOFError, OSError):
-            return "dead", f"shard {shard} died mid-command"
-        return status, payload
-
-    def _post(
-        self,
-        shard: int,
-        channel: _Channel,
-        message: tuple,
-        budget: Optional[float],
-    ) -> Optional[_Waiter]:
-        """Queue a waiter and write ``message``; ``None`` on a dead pipe.
-
-        ``budget`` is the request's deadline, counted from when it reaches
-        the head of the channel's queue.  Caller holds the shard's channel
-        lock.
-        """
-        waiter = channel.push(budget)
-        if waiter is None:
-            return None
-        try:
-            sent = self._send(shard, message)
-        except BaseException:  # an unpicklable message: nothing was written
-            channel.withdraw(waiter)
-            raise
-        if not sent:
-            channel.withdraw(waiter)
-            channel.fail()
-            return None
-        return waiter
-
     def _issue(
         self, shard: int, message: tuple, budget: Optional[float]
-    ) -> Tuple[Optional[_Channel], Optional[_Waiter]]:
+    ) -> Tuple[Optional[Channel], Optional[Waiter]]:
         """Send ``message`` to ``shard`` without waiting for the reply.
 
         Returns the channel used and the request's waiter (``None`` when
@@ -658,13 +454,13 @@ class ShardedStore:
             channel = self._channels[shard]
             if channel is None:
                 return None, None
-            return channel, self._post(shard, channel, message, budget)
+            return channel, channel.send(message, budget)
 
     def _wait(
         self,
         shard: int,
-        channel: Optional[_Channel],
-        waiter: Optional[_Waiter],
+        channel: Optional[Channel],
+        waiter: Optional[Waiter],
     ) -> Tuple[str, object]:
         """The reply to one :meth:`_issue`: ``(status, payload)``.
 
@@ -675,21 +471,12 @@ class ShardedStore:
         if channel is None or waiter is None:
             return "dead", f"shard {shard} pipe closed"
         reply = channel.wait(waiter)
-        if reply is None:
+        if reply[0] == "timeout":
             self._supervisor.note_timeout(shard)
-            return "timeout", f"shard {shard} blew its deadline"
         return reply
 
-    def _call(
-        self, shard: int, message: tuple, budget: Optional[float]
-    ) -> Tuple[str, object, Optional[_Channel]]:
-        """One command and its reply: ``(status, payload, channel)``."""
-        channel, waiter = self._issue(shard, message, budget)
-        status, payload = self._wait(shard, channel, waiter)
-        return status, payload, channel
-
     def _heal(
-        self, shard: int, channel: Optional[_Channel], reason: str
+        self, shard: int, channel: Optional[Channel], reason: str
     ) -> bool:
         """Recover ``shard`` once for its failed ``channel``.
 
@@ -722,7 +509,7 @@ class ShardedStore:
 
         Sends ``message`` to every target before waiting for any reply;
         each request's ``timeout_s`` budget runs from when it reaches the
-        head of its shard's queue (:class:`_Channel`), so the round never
+        head of its shard's queue (:class:`Channel`), so the round never
         blocks unboundedly on a wedged straggler.  Every timed-out/dead
         shard is healed once per failed channel (:meth:`_heal`), and
         idempotent commands are re-issued to the recovered worker under the
@@ -734,13 +521,11 @@ class ShardedStore:
         retriable = message[0] in _IDEMPOTENT
         payloads: Dict[int, object] = {}
         failures: Dict[int, str] = {}
-        failed_on: Dict[int, Optional[_Channel]] = {}
+        failed_on: Dict[int, Optional[Channel]] = {}
         errors: Dict[int, str] = {}
-        calls = [
-            (shard, *self._issue(shard, message, timeout_s))
-            for shard in targets
-        ]
-        for shard, channel, waiter in calls:
+
+        def gather(shard, channel, waiter) -> Optional[str]:
+            """File one reply; its status when the worker did not answer."""
             started = time.perf_counter()
             status, payload = self._wait(shard, channel, waiter)
             if timings is not None:
@@ -752,6 +537,16 @@ class ShardedStore:
             elif status == "err":
                 errors[shard] = payload
             else:
+                return status
+            return None
+
+        calls = [
+            (shard, *self._issue(shard, message, timeout_s))
+            for shard in targets
+        ]
+        for shard, channel, waiter in calls:
+            status = gather(shard, channel, waiter)
+            if status is not None:
                 failures[shard] = status
                 failed_on[shard] = channel
 
@@ -773,22 +568,9 @@ class ShardedStore:
                         # itself fails fast (non-idempotent).
                         break
                     self._supervisor.note_retry(shard)
-                    started = time.perf_counter()
-                    status, payload, channel = self._call(
-                        shard, message, timeout_s
-                    )
-                    if timings is not None:
-                        timings[shard] = (
-                            timings.get(shard, 0.0)
-                            + time.perf_counter()
-                            - started
-                        )
-                    if status == "ok":
-                        payloads[shard] = payload
-                        del failures[shard]
-                        break
-                    if status == "err":
-                        errors[shard] = payload
+                    channel, waiter = self._issue(shard, message, timeout_s)
+                    status = gather(shard, channel, waiter)
+                    if status is None:
                         del failures[shard]
                         break
                     reason = f"{message[0]} retry: {status}"
@@ -853,7 +635,7 @@ class ShardedStore:
 
     def _send_commit(
         self, records: List[dict], messages: Dict[int, tuple]
-    ) -> Dict[int, Tuple[Optional[_Channel], List[Optional[_Waiter]]]]:
+    ) -> Dict[int, Tuple[Optional[Channel], List[Optional[Waiter]]]]:
         """Send ``records`` to every serving shard, each target's ``batch``
         message right behind them with no wait in between.
 
@@ -866,7 +648,7 @@ class ShardedStore:
         registry replay and this broadcast.
         """
         budget = self.command_timeout_s
-        sent: Dict[int, Tuple[Optional[_Channel], List[Optional[_Waiter]]]] = {}
+        sent: Dict[int, Tuple[Optional[Channel], List[Optional[Waiter]]]] = {}
         for shard in range(self.shards):
             message = messages.get(shard)
             if message is None and not records:
@@ -875,18 +657,14 @@ class ShardedStore:
                 channel = self._channels[shard]
                 if message is None and not self._supervisor.available(shard):
                     continue
-                waiters: List[Optional[_Waiter]] = []
+                waiters: List[Optional[Waiter]] = []
                 if channel is not None:
                     if records:
                         waiters.append(
-                            self._post(
-                                shard, channel, ("entities", records), budget
-                            )
+                            channel.send(("entities", records), budget)
                         )
                     if message is not None and None not in waiters:
-                        waiters.append(
-                            self._post(shard, channel, message, budget)
-                        )
+                        waiters.append(channel.send(message, budget))
                 sent[shard] = (channel, waiters or [None])
         return sent
 
@@ -1302,7 +1080,9 @@ class ShardedStore:
             self._closed = True
         self._supervisor.stop()
         for shard in range(self.shards):
-            self._call(shard, ("stop",), self.command_timeout_s)
+            self._wait(
+                shard, *self._issue(shard, ("stop",), self.command_timeout_s)
+            )
         leaked = 0
         for proc in self._procs:
             if proc is None:

@@ -5,10 +5,11 @@ worker failures.  Detection is two-pronged:
 
 * **process sentinels** — ``Process.is_alive()`` catches a worker the
   OS already reaped (SIGKILL, OOM, segfault);
-* **deadlines** — every coordinator command waits with
-  ``Connection.poll``-based timeouts, so a *wedged* worker (alive but
-  stuck) surfaces as a timeout instead of hanging the investigation;
-  a periodic heartbeat ping sweeps for both between queries.
+* **deadlines** — every command waits on its shard's
+  :class:`~repro.shard.channel.Channel` under a deadline that runs from
+  the head of the queue, so a *wedged* worker (alive but stuck) surfaces
+  as a ``"timeout"`` reply instead of hanging the investigation; a
+  periodic heartbeat ping sweeps for both between queries.
 
 Recovery of a dead or wedged shard is one supervised cycle:
 
@@ -17,9 +18,11 @@ Recovery of a dead or wedged shard is one supervised cycle:
    is closed once no thread reads it (a timed-out pipe may still carry a
    late reply; only a fresh pipe to a fresh process is trustworthy again);
 2. **respawn** — a new worker starts from the same :class:`ShardSpec`
-   (chaos faults cleared: plans target the first incarnation), and a
-   durable shard replays its own WAL + snapshot + cold manifest on the
-   way up, restoring every acknowledged batch;
+   (chaos faults cleared: plans target the first incarnation) on a fresh
+   channel, and a durable shard replays its own WAL + snapshot + cold
+   manifest on the way up, restoring every acknowledged batch; its hello
+   is the channel's first reply, awaited under the longer of the command
+   and scan deadlines;
 3. **replay state** — the coordinator re-broadcasts its full entity
    registry so the new worker's dictionaries are id-identical again
    (the hello's event count is checked against the acked routing count
@@ -107,6 +110,9 @@ class ShardSupervisor:
     (:meth:`~repro.shard.coordinator.ShardedStore._heal`), or on the
     supervisor's own heartbeat thread — so it never races another
     recovery or a send to the same shard, and other shards keep serving.
+    It reaches a worker only through the shard's channel
+    (:mod:`repro.shard.channel`) and the coordinator's ``_spawn_worker``,
+    ``_issue`` and ``_wait``.
     """
 
     def __init__(self, store, config) -> None:
@@ -195,9 +201,10 @@ class ShardSupervisor:
                     self.recover(shard, reason)
                     recovered.append(shard)
                     continue
-            status, _, channel = store._call(
+            channel, ping = store._issue(
                 shard, ("ping",), store.command_timeout_s
             )
+            status, _ = store._wait(shard, channel, ping)
             if status != "ok":
                 store._heal(shard, channel, f"heartbeat {status}")
                 recovered.append(shard)
@@ -228,24 +235,24 @@ class ShardSupervisor:
         health.restarts += 1
         _M_RESTARTS.inc(shard=str(shard))
         try:
-            store._spawn_worker(shard, faults=())
-            status, hello = store._recv_reply(shard, store.command_timeout_s)
+            channel, waiter = store._spawn_worker(shard, faults=())
+            status, hello = store._wait(shard, channel, waiter)
             if status != "ok":
                 raise OSError(f"respawn hello {status}")
             # Replay coordinator state the worker cannot recover alone:
             # the full entity registry (durable shards re-intern it as a
             # no-op; RAM-only shards need it to resolve entity filters).
             # Records still pending for the next commit are sent again
-            # then, which re-interns them as a no-op.
+            # then, which re-interns them as a no-op.  It is sent only
+            # once the hello is in: a durable worker's hello carries the
+            # registry too, and two writes larger than the pipe's buffer,
+            # each waiting for the other side to read, never finish.
             records = [
                 entity_record(e)
                 for e in sorted(store.registry, key=lambda e: e.id)
             ]
-            channel = store._channels[shard]
-            waiter = store._post(
-                shard, channel, ("entities", records), store.command_timeout_s
-            )
-            status, _ = store._wait(shard, channel, waiter)
+            replay = channel.send(("entities", records), store.command_timeout_s)
+            status, _ = store._wait(shard, channel, replay)
             if status != "ok":
                 raise OSError(f"entity replay {status}")
         except (OSError, EOFError, BrokenPipeError) as exc:

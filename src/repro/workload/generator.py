@@ -60,9 +60,6 @@ class GeneratorConfig:
     base_day: float = BASE_DAY
     events_per_host_day: int = 400
 
-    def total_budget(self) -> int:
-        return self.events_per_host_day * len(self.hosts) * self.days
-
 
 @dataclass
 class _HostState:

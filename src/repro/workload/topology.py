@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Tuple
 
-from repro.model.time import DAY
-
 
 def _ts(text: str) -> float:
     return (
@@ -107,7 +105,3 @@ MAIL_SERVER = HOSTS_BY_ID[2]
 DB_SERVER = HOSTS_BY_ID[3]
 WEB_SERVER = HOSTS_BY_ID[4]
 DEV_STATION = HOSTS_BY_ID[5]
-
-
-def day_window(day_start: float) -> Tuple[float, float]:
-    return day_start, day_start + DAY

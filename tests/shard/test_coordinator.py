@@ -10,6 +10,7 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.model.time import DAY, TimeWindow
 from repro.shard import ShardedStore, ShardError
+from repro.shard.channel import Channel
 from repro.storage.blocks import ColumnBlock
 from repro.storage.codec import decode_block
 from repro.storage.database import EventStore
@@ -261,13 +262,13 @@ class TestBlockIngest:
                     )
                 )
             sent = []
-            send = sharded._send
+            send = Channel.send
 
-            def recording(shard, message):
-                sent.append((shard, message))
-                return send(shard, message)
+            def recording(channel, message, budget):
+                sent.append((channel.shard, message))
+                return send(channel, message, budget)
 
-            monkeypatch.setattr(sharded, "_send", recording)
+            monkeypatch.setattr(Channel, "send", recording)
             ingestor.commit(batch)
             frames = {s: m[1] for s, m in sent if m[0] == "batch"}
             assert sorted(frames) == [0, 1]

@@ -6,6 +6,7 @@ most fixtures function-scoped — each test mutates deployment health.
 
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -13,8 +14,10 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.model.time import DAY, TimeWindow
 from repro.shard import ShardError, ShardTimeout, ShardedStore
+from repro.storage.database import EventStore
 from repro.storage.filters import EventFilter
 from repro.storage.ingest import Ingestor
+from repro.storage.partition import PartitionScheme
 from tests.oracle import rows
 
 
@@ -154,6 +157,96 @@ class TestFailedRespawn:
             assert not health.quarantined and not health.failed
             assert len(rows(store, EventFilter())) == before
             assert store.supervisor.check() == []  # healthy: nothing to do
+        finally:
+            store.close()
+
+
+class TestHello:
+    """A worker's hello comes only after its spawn, its imports and a
+    durable shard's replay, so it waits under the longer of the command
+    and scan deadlines, not under the ping deadline.  Two spawned
+    workers took 0.4-0.9 s to say hello on a 2-vCPU box, so a 0.2 s
+    command deadline must not apply to it."""
+
+    @staticmethod
+    def reference(ingestor):
+        store = EventStore(
+            registry=ingestor.registry,
+            scheme=PartitionScheme(agents_per_group=10),
+        )
+        ingestor.attach(store)
+        return store
+
+    def test_a_short_command_deadline_still_starts_the_deployment(self):
+        ingestor = Ingestor()
+        store = ShardedStore(
+            ingestor, SystemConfig(shards=2, shard_command_timeout_s=0.2)
+        )
+        try:
+            ingestor.attach(store)
+            reference = self.reference(ingestor)
+            populate(ingestor)
+            assert len(store) == len(reference) > 0
+            assert rows(store, EventFilter()) == rows(reference, EventFilter())
+        finally:
+            store.close()
+
+    def test_a_killed_worker_respawns_under_a_short_command_deadline(
+        self, tmp_path
+    ):
+        ingestor = Ingestor()
+        store = ShardedStore(
+            ingestor,
+            SystemConfig(
+                shards=2,
+                shard_command_timeout_s=0.2,
+                data_dir=str(tmp_path),
+                wal_sync=False,
+                shard_heartbeat_interval_s=0,  # explicit check() only
+            ),
+        )
+        try:
+            ingestor.attach(store)
+            reference = self.reference(ingestor)
+            populate(ingestor)
+            kill_worker(store, 1)
+            assert store.supervisor.check() == [1]
+            health = store.supervisor.health[1]
+            assert health.restarts == 1 and not health.quarantined
+            assert rows(store, EventFilter()) == rows(reference, EventFilter())
+        finally:
+            store.close()
+
+    def test_a_durable_respawn_replays_a_registry_larger_than_the_pipe(
+        self, tmp_path
+    ):
+        """The registry replay is sent only once the hello is read.  A
+        durable worker's hello carries the registry too; were both sent
+        at once, two writes larger than the pipe's buffer would each wait
+        for the other side to read."""
+        store = build(tmp_path)
+        ingestor = store.ingestor
+        try:
+            batch = []
+            for i in range(6000):  # ~470 kB of entity records each way
+                proc = ingestor.process(1, 1000 + i, f"/usr/bin/tool-{i}")
+                log = ingestor.file(1, f"/var/log/app/deep/path/file-{i}.log")
+                batch.append(
+                    ingestor.build_event(1, 10.0 + i, "write", proc, log)
+                )
+            ingestor.commit(batch)
+            before = len(rows(store, EventFilter()))
+            kill_worker(store, 0)
+            sweep = threading.Thread(target=store.supervisor.check, daemon=True)
+            sweep.start()
+            sweep.join(60)
+            hung = sweep.is_alive()
+            if hung:  # break the stuck write so close() can run
+                store._procs[0].kill()
+                sweep.join(10)
+            assert not hung, "respawn hung writing the registry replay"
+            assert store.supervisor.health[0].restarts == 1
+            assert len(rows(store, EventFilter())) == before
         finally:
             store.close()
 
